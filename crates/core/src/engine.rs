@@ -701,6 +701,42 @@ impl<'a> Engine<'a> {
 /// Cached candidate triple: node, call identity, service name.
 type CachedCandidate = (NodeId, CallId, String);
 
+/// Is the node visible to queries: is every strict ancestor a data node,
+/// so that it is not nested inside another call's parameters?
+fn visible(doc: &Document, node: NodeId) -> bool {
+    let mut cur = doc.parent(node);
+    while let Some(p) = cur {
+        if !doc.is_data(p) {
+            return false;
+        }
+        cur = doc.parent(p);
+    }
+    true
+}
+
+/// The services type refinement must consider: the sorted names of the
+/// visible calls whose ids are not in `dead`. Read from the document's
+/// live-call index, so no document walk is needed. A name needs one
+/// qualifying call, so the calls of a name already found (by interned
+/// symbol) skip the ancestor walk.
+pub(crate) fn known_services(doc: &Document, dead: &HashSet<CallId>) -> Vec<String> {
+    let mut found = vec![false; doc.sym_count()];
+    let mut names = Vec::new();
+    for &c in doc.calls_unordered() {
+        let sym = doc.sym(c);
+        if !found[sym as usize]
+            && doc
+                .call_info(c)
+                .is_some_and(|(id, _)| !dead.contains(&id) && visible(doc, c))
+        {
+            found[sym as usize] = true;
+            names.push(doc.sym_text(sym).to_string());
+        }
+    }
+    names.sort_unstable();
+    names
+}
+
 /// Does the NFQ's output node accept a call to `service`? The output is a
 /// function node by construction; anything else never matches a call.
 fn output_accepts(nfq: &Nfq, service: &str) -> bool {
@@ -1097,7 +1133,9 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
     }
 
     /// Calls visible to queries: pre-order, never descending below a call
-    /// (parameters are service inputs, not content).
+    /// (parameters are service inputs, not content). Only the naive
+    /// strategy walks the document for them, because it needs document
+    /// order.
     fn visible_calls(&self, doc: &Document) -> Vec<(NodeId, CallId, String)> {
         let mut out = Vec::new();
         let mut stack: Vec<NodeId> = doc.roots().iter().rev().copied().collect();
@@ -2068,13 +2106,8 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
     /// output edge) can retrieve it? Pure position test — side conditions
     /// and service tests are checked elsewhere.
     fn call_position_matches(&mut self, doc: &Document, i: usize, nfq: &Nfq, call: NodeId) -> bool {
-        // visibility: every strict ancestor must be a data node
-        let mut cur = doc.parent(call);
-        while let Some(p) = cur {
-            if !doc.is_data(p) {
-                return false;
-            }
-            cur = doc.parent(p);
+        if !visible(doc, call) {
+            return false;
         }
         // position language: L(lin), suffix-closed for descendant-ended
         // NFQs (calls strictly below any node matching the path)
@@ -2166,15 +2199,10 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
     ) -> (Vec<Candidate>, BTreeMap<CallId, PushedQuery>) {
         let t = Instant::now();
         // function names currently in the document (for refinement)
-        let known: Vec<String> = {
-            let mut v: Vec<String> = self
-                .visible_calls(doc)
-                .into_iter()
-                .map(|(_, _, s)| s)
-                .collect();
-            v.sort();
-            v.dedup();
-            v
+        let known = if refiner.is_some() {
+            known_services(doc, &self.dead)
+        } else {
+            Vec::new()
         };
         let mut by_call: BTreeMap<CallId, Candidate> = BTreeMap::new();
         for &i in layer {

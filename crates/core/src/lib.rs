@@ -83,15 +83,10 @@ pub fn relevant_calls(
 ) -> Vec<(axml_xml::NodeId, axml_xml::CallId, String)> {
     let nfqs = build_nfqs(query);
     let mut refiner = schema.map(|s| TypeRefiner::new(s, query, mode));
-    let known: Vec<String> = {
-        let mut v: Vec<String> = doc
-            .calls()
-            .into_iter()
-            .filter_map(|c| doc.call_info(c).map(|(_, s)| s.to_string()))
-            .collect();
-        v.sort();
-        v.dedup();
-        v
+    let known = if refiner.is_some() {
+        engine::known_services(doc, &std::collections::HashSet::new())
+    } else {
+        Vec::new()
     };
     let mut out: Vec<(axml_xml::NodeId, axml_xml::CallId, String)> = Vec::new();
     let mut seen = std::collections::HashSet::new();

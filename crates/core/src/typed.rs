@@ -22,13 +22,12 @@ pub type SatVerdicts = Arc<Mutex<HashMap<(String, PNodeId), bool>>>;
 
 /// Caching refinement engine for one `(schema, query)` pair.
 pub struct TypeRefiner<'s, 'q> {
-    schema: &'s Schema,
     query: &'q Pattern,
-    mode: SatMode,
+    /// One checker over the whole query: a node's verdict depends on its
+    /// subquery `sub_q_u` alone, so its fixpoint answers every node.
+    sat: Satisfier<'s, 'q>,
     /// (function name, guarded query node) → satisfies?
     cache: SatVerdicts,
-    /// per query node: its subquery `sub_q_u` and incoming edge
-    subqueries: HashMap<PNodeId, (Pattern, EdgeKind)>,
 }
 
 impl<'s, 'q> TypeRefiner<'s, 'q> {
@@ -47,11 +46,9 @@ impl<'s, 'q> TypeRefiner<'s, 'q> {
         verdicts: SatVerdicts,
     ) -> Self {
         TypeRefiner {
-            schema,
             query,
-            mode,
+            sat: Satisfier::new(schema, query, mode),
             cache: verdicts,
-            subqueries: HashMap::new(),
         }
     }
 
@@ -66,27 +63,17 @@ impl<'s, 'q> TypeRefiner<'s, 'q> {
         {
             return b;
         }
-        let (sub, via) = self.subquery(u);
-        let b = Satisfier::new(self.schema, &sub, self.mode).function_satisfies(fname, via);
-        self.cache
-            .lock()
-            .expect("verdict cache poisoned")
-            .insert((fname.to_string(), u), b);
-        b
-    }
-
-    fn subquery(&mut self, u: PNodeId) -> (Pattern, EdgeKind) {
-        if let Some(entry) = self.subqueries.get(&u) {
-            return entry.clone();
-        }
-        let sub = self.query.subtree(u);
         let via = if self.query.parent(u).is_none() {
             EdgeKind::Child
         } else {
             self.query.node(u).edge
         };
-        self.subqueries.insert(u, (sub.clone(), via));
-        (sub, via)
+        let b = self.sat.function_satisfies_at(fname, u, via);
+        self.cache
+            .lock()
+            .expect("verdict cache poisoned")
+            .insert((fname.to_string(), u), b);
+        b
     }
 
     /// Refines an NFQ against the currently known function names:

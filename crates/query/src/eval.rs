@@ -37,6 +37,40 @@ use crate::pattern::{EdgeKind, FunMatch, PLabel, PNodeId, Pattern};
 use crate::plan::PlanScratch;
 use axml_xml::{DataSource, NodeId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A memo table over `(pattern node, document node)` pairs.
+pub(crate) type Memo = HashMap<(PNodeId, NodeId), bool, BuildHasherDefault<FxHasher>>;
+
+/// Fx-style multiply-rotate hasher for the memo tables. Their keys are
+/// pairs of small integers that no input controls, so SipHash's flood
+/// resistance buys nothing and costs most of a lookup.
+#[derive(Default)]
+pub(crate) struct FxHasher(u64);
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// One result of the query: the restriction of an embedding to the result
 /// nodes (pattern node → document node).
@@ -433,9 +467,9 @@ struct Evaluator<'a, D: DataSource> {
     /// per pattern node: label test compiled against `doc`'s symbol table
     ctest: Vec<CTest>,
     /// memoized join-blind structural match
-    memo: HashMap<(PNodeId, NodeId), bool>,
+    memo: Memo,
     /// memoized "∃ strict data-reachable descendant matching p"
-    desc_memo: HashMap<(PNodeId, NodeId), bool>,
+    desc_memo: Memo,
     /// per pattern node: does its subtree contain a result node or a join
     /// variable (requiring full enumeration)?
     needs_enum: Vec<bool>,
@@ -467,8 +501,8 @@ impl<'a, D: DataSource> Evaluator<'a, D> {
             doc,
             opts,
             ctest,
-            memo: HashMap::new(),
-            desc_memo: HashMap::new(),
+            memo: Memo::default(),
+            desc_memo: Memo::default(),
             needs_enum,
             var_id,
         }

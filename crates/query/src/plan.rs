@@ -38,11 +38,11 @@
 //! reuse across snapshots, documents, and patterns is always sound.
 
 use crate::eval::{
-    compile_ctests, enum_tables, eval_compiled, matches_compiled, CTest, EvalOptions,
+    compile_ctests, enum_tables, eval_compiled, matches_compiled, CTest, EvalOptions, Memo,
     SnapshotResult,
 };
-use crate::pattern::{FunMatch, PLabel, PNodeId, Pattern};
-use axml_xml::{DataSource, NodeId};
+use crate::pattern::{FunMatch, PLabel, Pattern};
+use axml_xml::DataSource;
 use std::collections::HashMap;
 
 /// Reusable memo-table allocations for repeated evaluations (the NFQA
@@ -51,28 +51,24 @@ use std::collections::HashMap;
 /// calls, documents, or patterns.
 #[derive(Debug, Default)]
 pub struct PlanScratch {
-    memo: HashMap<(PNodeId, NodeId), bool>,
-    desc_memo: HashMap<(PNodeId, NodeId), bool>,
+    memo: Memo,
+    desc_memo: Memo,
 }
 
 impl PlanScratch {
-    pub(crate) fn take_memo(&mut self) -> HashMap<(PNodeId, NodeId), bool> {
+    pub(crate) fn take_memo(&mut self) -> Memo {
         let mut m = std::mem::take(&mut self.memo);
         m.clear();
         m
     }
 
-    pub(crate) fn take_desc_memo(&mut self) -> HashMap<(PNodeId, NodeId), bool> {
+    pub(crate) fn take_desc_memo(&mut self) -> Memo {
         let mut m = std::mem::take(&mut self.desc_memo);
         m.clear();
         m
     }
 
-    pub(crate) fn put_back(
-        &mut self,
-        memo: HashMap<(PNodeId, NodeId), bool>,
-        desc_memo: HashMap<(PNodeId, NodeId), bool>,
-    ) {
+    pub(crate) fn put_back(&mut self, memo: Memo, desc_memo: Memo) {
         self.memo = memo;
         self.desc_memo = desc_memo;
     }

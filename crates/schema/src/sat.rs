@@ -49,11 +49,14 @@ enum GSym {
     AnyTree,
 }
 
-/// Satisfiability checker for one `(schema, query subtree)` pair.
+/// Satisfiability checker for one `(schema, query)` pair.
 ///
-/// Construction pre-computes nothing; results are memoized per function
-/// name, so the checker can be reused for all candidate functions of one
-/// NFQ node (Section 5's refined NFQs).
+/// Construction pre-computes nothing; results are memoized per graph
+/// symbol and pattern node. A node's verdict depends on its own subtree
+/// alone, so one checker per query answers every node of it
+/// ([`Satisfier::function_satisfies_at`]) for every candidate function —
+/// Section 5's refined NFQs need one exact fixpoint per query, not one
+/// per `(function, node)` verdict.
 pub struct Satisfier<'s, 'p> {
     schema: &'s Schema,
     pattern: &'p Pattern,
@@ -82,7 +85,7 @@ struct ExactTables {
 }
 
 impl<'s, 'p> Satisfier<'s, 'p> {
-    /// Creates a checker for the given query subtree.
+    /// Creates a checker for the given query.
     pub fn new(schema: &'s Schema, pattern: &'p Pattern, mode: SatMode) -> Self {
         Satisfier {
             schema,
@@ -95,25 +98,28 @@ impl<'s, 'p> Satisfier<'s, 'p> {
         }
     }
 
-    /// Does `fname` satisfy the subtree, reached via the given edge kind?
+    /// Does `fname` satisfy the subtree rooted at pattern node `u`,
+    /// reached via the given edge kind?
     ///
-    /// With a child edge the pattern root must embed at a root of the
-    /// result forest; with a descendant edge it may embed anywhere inside
-    /// it. Undeclared functions are treated as `any*`-typed (never pruned).
-    pub fn function_satisfies(&mut self, fname: &str, via: EdgeKind) -> bool {
-        let Some(sig) = self.schema.function(fname) else {
+    /// With a child edge `u` must embed at a root of the result forest;
+    /// with a descendant edge it may embed anywhere inside it. Undeclared
+    /// functions are treated as `any*`-typed (never pruned). The answer
+    /// equals [`function_satisfies`] on `pattern.subtree(u)`: the tables
+    /// hold symbols for constants outside that subtree too, but no
+    /// function's output closure reaches them.
+    pub fn function_satisfies_at(&mut self, fname: &str, u: PNodeId, via: EdgeKind) -> bool {
+        let schema = self.schema;
+        let Some(sig) = schema.function(fname) else {
             return true;
         };
-        let output = sig.output.clone();
-        let closure = self.schema.expansion_closure(&output);
+        let closure = schema.expansion_closure(&sig.output);
         if closure.any {
             return true;
         }
-        let root = self.pattern.root();
         let syms = closure_syms(&closure);
         match via {
-            EdgeKind::Child => syms.iter().any(|s| self.can_root(s, root)),
-            EdgeKind::Descendant => syms.iter().any(|s| self.can_within(s, root)),
+            EdgeKind::Child => syms.iter().any(|s| self.can_root(s, u)),
+            EdgeKind::Descendant => syms.iter().any(|s| self.can_within(s, u)),
         }
     }
 
@@ -567,7 +573,9 @@ fn fun_label_ok(label: &PLabel, g: &Label) -> bool {
     matches!(label, PLabel::Fun(m) if m.accepts(g.as_str()))
 }
 
-/// One-shot convenience wrapper around [`Satisfier`].
+/// One-shot convenience wrapper around [`Satisfier`]: does `fname`
+/// satisfy the whole pattern, reached via `via`? The `u = root` case of
+/// [`Satisfier::function_satisfies_at`].
 ///
 /// ```
 /// use axml_schema::{figure2_schema, function_satisfies, SatMode};
@@ -590,7 +598,7 @@ pub fn function_satisfies(
     via: EdgeKind,
     mode: SatMode,
 ) -> bool {
-    Satisfier::new(schema, pattern, mode).function_satisfies(fname, via)
+    Satisfier::new(schema, pattern, mode).function_satisfies_at(fname, pattern.root(), via)
 }
 
 #[cfg(test)]

@@ -3,10 +3,14 @@
 //! * DFA determinization preserves the language,
 //! * prefix/suffix closures behave as closures,
 //! * inclusion is sound w.r.t. sampled words,
-//! * exact satisfiability ⊆ lenient satisfiability on random schemas.
+//! * exact satisfiability ⊆ lenient satisfiability on random schemas,
+//! * a node's verdict from one whole-query checker equals the verdict on
+//!   its subtree alone.
 
+use axml_query::{EdgeKind, Pattern};
 use axml_schema::{
-    function_satisfies, language_includes, parse_schema, Dfa, LabelRe, Nfa, SatMode, Sym,
+    figure2_schema, function_satisfies, language_includes, parse_schema, Dfa, LabelRe, Nfa,
+    SatMode, Satisfier, Schema, Sym,
 };
 use proptest::prelude::*;
 
@@ -180,6 +184,60 @@ fn schema_strategy() -> impl Strategy<Value = String> {
         })
 }
 
+/// The queries asked of every random schema.
+const SCHEMA_QUERIES: [&str; 6] = [
+    "/e0",
+    "/e0[e1]",
+    "/e1/\"v\"",
+    "/e2[e0][e1]",
+    "/e0//data0",
+    "/e0/e1[e2=\"x\"]",
+];
+
+/// Every `(mode, node, function, edge)` whose verdict from one checker
+/// over the whole query differs from a fresh checker over that node's
+/// subtree alone. The functions are the declared ones plus an undeclared
+/// name; each mode's checker is reused for all of them, as a type
+/// refiner reuses it.
+fn verdict_locality_violations(schema: &Schema, q: &Pattern) -> Vec<String> {
+    let mut names: Vec<String> = schema
+        .functions()
+        .map(|sig| sig.name.as_str().to_string())
+        .collect();
+    names.push("undeclared".to_string());
+    let mut out = Vec::new();
+    for mode in [SatMode::Exact, SatMode::Lenient] {
+        let mut whole = Satisfier::new(schema, q, mode);
+        for u in q.node_ids() {
+            let sub = q.subtree(u);
+            for f in &names {
+                for via in [EdgeKind::Child, EdgeKind::Descendant] {
+                    let at = whole.function_satisfies_at(f, u, via);
+                    let alone = function_satisfies(schema, &sub, f, via, mode);
+                    if at != alone {
+                        out.push(format!(
+                            "{mode:?} {f} at node {} via {via:?}: whole query {at}, subtree {alone}",
+                            u.index()
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn figure4_verdicts_are_subtree_local() {
+    let q = axml_query::parse_query(
+        "/hotel[name=\"Best Western\"][rating=\"*****\"]\
+         /nearby//restaurant[name=$X][address=$Y][rating=\"*****\"] -> $X,$Y",
+    )
+    .unwrap();
+    let violations = verdict_locality_violations(&figure2_schema(), &q);
+    assert!(violations.is_empty(), "{violations:#?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -190,21 +248,23 @@ proptest! {
         fpick in 0usize..2,
     ) {
         let schema = parse_schema(&text).unwrap();
-        let queries = [
-            "/e0",
-            "/e0[e1]",
-            "/e1/\"v\"",
-            "/e2[e0][e1]",
-            "/e0//data0",
-            "/e0/e1[e2=\"x\"]",
-        ];
-        let q = axml_query::parse_query(queries[qpick]).unwrap();
+        let q = axml_query::parse_query(SCHEMA_QUERIES[qpick]).unwrap();
         let f = format!("f{fpick}");
-        for via in [axml_query::EdgeKind::Child, axml_query::EdgeKind::Descendant] {
+        for via in [EdgeKind::Child, EdgeKind::Descendant] {
             let exact = function_satisfies(&schema, &q, &f, via, SatMode::Exact);
             let lenient = function_satisfies(&schema, &q, &f, via, SatMode::Lenient);
             prop_assert!(!exact || lenient,
-                "exact ⊆ lenient violated: {f} vs {} under\n{text}", queries[qpick]);
+                "exact ⊆ lenient violated: {f} vs {} under\n{text}", SCHEMA_QUERIES[qpick]);
+        }
+    }
+
+    #[test]
+    fn verdicts_are_subtree_local(text in schema_strategy()) {
+        let schema = parse_schema(&text).unwrap();
+        for query in SCHEMA_QUERIES {
+            let q = axml_query::parse_query(query).unwrap();
+            let violations = verdict_locality_violations(&schema, &q);
+            prop_assert!(violations.is_empty(), "{} under\n{}: {:#?}", query, text, violations);
         }
     }
 }
