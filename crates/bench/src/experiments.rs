@@ -1722,6 +1722,8 @@ pub fn e17_parse_json(text: &str) -> Vec<E17Entry> {
 /// only the log length varies across the sweep: `recovery_ms` is
 /// machine-dependent, but `us_per_frame` staying roughly flat is the
 /// machine-independent shape claim — recovery is linear in log length.
+///
+/// [`SimDir`]: axml_store::SimDir
 pub fn e18_recovery(log_lengths: &[usize], reps: usize) -> Vec<Row> {
     use axml_store::{CrashProfile, DocumentStore, DurabilityOptions, SimDir};
     use axml_xml::Document;

@@ -21,15 +21,17 @@
 
 use crate::fguide::{filter_candidates, FGuide};
 use crate::influence::{compute_layers, Layers};
-use crate::nfq::{build_lpqs, build_nfqs, relax_nfq_to_xpath, Nfq};
-use crate::plan::CompiledQuery;
+use crate::nfq::{Lpq, Nfq};
+use crate::plan::{
+    affected_language, lpq_set, nfq_set, position_language, typing_mode, CompiledQuery,
+};
 use crate::stats::EngineStats;
 use crate::typed::TypeRefiner;
 use axml_obs::{CacheOutcome, Event, EventKind, ShedReason, TraceSink};
 use axml_query::{
     eval_with, render, EdgeKind, EvalOptions, PLabel, Pattern, PlanScratch, SnapshotResult,
 };
-use axml_schema::{SatMode, Schema, SymDfa, SymNfa};
+use axml_schema::{Schema, SymDfa, SymNfa};
 use axml_services::{
     CacheLookup, Deadline, FailedCall, InvokeCache, InvokeError, InvokeOutcome, PushedQuery,
     Registry, SimClock,
@@ -128,13 +130,10 @@ pub struct EngineConfig {
     /// the log without bound.
     pub splice_log_capacity: usize,
     /// Hot-path toggles of the tree-pattern evaluator (label interning,
-    /// label→node index). Both on by default; the `--no-interning` /
-    /// `--no-index` CLI flags switch them off for debugging and A/B
-    /// benchmarking. Every combination computes identical results.
+    /// label→node index). Both on by default; the E14 ablation and the
+    /// eval-mode invariance tests switch them off. Every combination
+    /// computes identical results.
     pub eval_options: EvalOptions,
-    /// Record an execution trace: one [`TraceEvent`] per invocation, in
-    /// order (round, service, document position, push, cost).
-    pub trace: bool,
     /// Dispatch parallel batches on real OS threads (one per call), the
     /// way the original system issued asynchronous SOAP calls. Results are
     /// still spliced sequentially and deterministically (document order),
@@ -158,13 +157,6 @@ pub struct EngineConfig {
     pub hedge: HedgeConfig,
     /// Adaptive load-shedding policy (off by default).
     pub shed: ShedConfig,
-    /// Consult a [`CompiledQuery`] attached via [`Engine::with_plan`]
-    /// (on by default). Off, the engine ignores any attached plan and
-    /// recompiles every query-derived artifact per run — the
-    /// *interpreted* path the differential plan-equivalence oracle
-    /// compares against. Answers, traces and statistics are identical
-    /// either way.
-    pub use_plans: bool,
 }
 
 /// When to fire a duplicate *hedge leg* for a slow call inside a parallel
@@ -277,13 +269,11 @@ impl Default for EngineConfig {
             incremental_detection: false,
             splice_log_capacity: 4096,
             eval_options: EvalOptions::default(),
-            trace: false,
             real_threads: false,
             speculation: Speculation::Off,
             deadline_ms: f64::INFINITY,
             hedge: HedgeConfig::default(),
             shed: ShedConfig::default(),
-            use_plans: true,
         }
     }
 }
@@ -337,36 +327,6 @@ impl EngineConfig {
     }
 }
 
-/// One invocation in an execution trace (recorded when
-/// [`EngineConfig::trace`] is on).
-#[derive(Clone, Debug)]
-pub struct TraceEvent {
-    /// The invoke/re-evaluate round the call belonged to.
-    pub round: usize,
-    /// Service name.
-    pub service: String,
-    /// Slash-joined label path of the call's parent.
-    pub path: String,
-    /// Whether a subquery was pushed with the call (§7).
-    pub pushed: bool,
-    /// Simulated cost of the call — for failed calls, the cost burned by
-    /// the failed attempts and their retry backoff.
-    pub cost_ms: f64,
-    /// Attempts made (1 = succeeded first try; > 1 means retries fired;
-    /// 0 for cache hits — no service attempt was made).
-    pub attempts: usize,
-    /// Whether the call ultimately delivered an answer. `false` marks a
-    /// call that exhausted its retry budget; its subtree is missing from
-    /// the partial answer.
-    pub ok: bool,
-    /// Whether the answer was served from the cross-query call-result
-    /// cache instead of a service invocation (reconstructed §7).
-    pub cached: bool,
-    /// Whether a duplicate hedge leg was fired for this call (the
-    /// recorded cost and outcome are the race winner's).
-    pub hedged: bool,
-}
-
 /// The outcome of one engine run.
 #[derive(Clone, Debug)]
 pub struct EvalReport {
@@ -374,8 +334,6 @@ pub struct EvalReport {
     pub result: SnapshotResult,
     /// Measurements.
     pub stats: EngineStats,
-    /// Execution trace (empty unless [`EngineConfig::trace`] is set).
-    pub trace: Vec<TraceEvent>,
     /// Whether the answer is the *full* result. `false` means degradation
     /// happened — some relevant call permanently failed, was refused by an
     /// open circuit breaker, named an unknown service, or the invocation
@@ -414,18 +372,15 @@ impl<'a> Engine<'a> {
     /// pruning, layer computation and label-NFA builds, reuse the plan's
     /// satisfiability verdicts, and evaluate the final answer through the
     /// plan's symbol remap. A non-matching plan is ignored — never
-    /// misapplied. Gated by [`EngineConfig::use_plans`].
+    /// misapplied.
     pub fn with_plan(mut self, plan: Arc<CompiledQuery>) -> Self {
         self.plan = Some(plan);
         self
     }
 
-    /// The attached plan, iff enabled and compiled for exactly this
+    /// The attached plan, iff compiled for exactly this
     /// `(query, schema, config)`.
     fn active_plan(&self, query: &Pattern) -> Option<&CompiledQuery> {
-        if !self.config.use_plans {
-            return None;
-        }
         self.plan
             .as_deref()
             .filter(|p| p.compatible(query, self.schema, &self.config))
@@ -510,51 +465,15 @@ impl<'a> Engine<'a> {
             // don't apply (and push is off anyway)
             plan: None,
         };
-        let mut run = Run {
-            engine: &engine,
-            query: &queries[0], // unused: push is off and refiners are per query
-            clock: SimClock::at(self.start_ms),
-            stats: EngineStats::default(),
-            dead: HashSet::new(),
-            guide: None,
-            budget: self.config.max_invocations,
-            total_call_cost_ms: 0.0,
-            splice_seq: 0,
-            splice_log: VecDeque::new(),
-            splice_floor: 0,
-            nfq_cache: HashMap::new(),
-            affected_nfas: HashMap::new(),
-            pos_nfas: HashMap::new(),
-            affected_sym: HashMap::new(),
-            pos_sym: HashMap::new(),
-            eval_cache: PlanScratch::default(),
-            trace: Vec::new(),
-            seq: 0,
-            layer: 0,
-            deadline: Deadline::after(self.start_ms, self.config.deadline_ms),
-            deadline_hit: false,
-            batch_admitted: BTreeMap::new(),
-            pending_hedged: false,
-        };
-        let typing = match (self.config.typing, self.schema) {
-            (Typing::Lenient, Some(_)) => Some(SatMode::Lenient),
-            (Typing::Exact, Some(_)) => Some(SatMode::Exact),
-            _ => None,
-        };
+        // the query is unused: push is off and refiners are per query
+        let mut run = Run::new(&engine, &queries[0]);
+        let typing = typing_mode(self.config.typing, self.schema);
         let mut per_query: Vec<(Vec<Nfq>, Option<TypeRefiner<'_, '_>>)> = queries
             .iter()
             .map(|q| {
-                let mut nfqs = build_nfqs(q);
-                if self.config.relax_xpath {
-                    nfqs = nfqs.iter().map(relax_nfq_to_xpath).collect();
-                }
-                if self.config.containment_pruning {
-                    let (kept, pruned) = crate::containment::prune_subsumed_nfqs(q, nfqs);
-                    nfqs = kept;
-                    run.stats.queries_pruned += pruned;
-                }
-                let refiner =
-                    typing.and_then(|mode| self.schema.map(|s| TypeRefiner::new(s, q, mode)));
+                let (nfqs, pruned) = nfq_set(q, &self.config);
+                run.stats.queries_pruned += pruned;
+                let refiner = typing.map(|(s, mode)| TypeRefiner::new(s, q, mode));
                 (nfqs, refiner)
             })
             .collect();
@@ -602,7 +521,6 @@ impl<'a> Engine<'a> {
             run.emit_with_cpu(kind, Some(cpu));
         }
         let shared_stats = run.stats;
-        let shared_trace = run.trace;
         let mut final_cache = PlanScratch::default();
         queries
             .iter()
@@ -616,7 +534,6 @@ impl<'a> Engine<'a> {
                 EvalReport {
                     result,
                     stats,
-                    trace: shared_trace.clone(),
                     complete,
                 }
             })
@@ -627,32 +544,7 @@ impl<'a> Engine<'a> {
     /// query on the completed document.
     pub fn evaluate(&self, doc: &mut Document, query: &Pattern) -> EvalReport {
         let t0 = Instant::now();
-        let mut run = Run {
-            engine: self,
-            query,
-            clock: SimClock::at(self.start_ms),
-            stats: EngineStats::default(),
-            dead: HashSet::new(),
-            guide: None,
-            budget: self.config.max_invocations,
-            total_call_cost_ms: 0.0,
-            splice_seq: 0,
-            splice_log: VecDeque::new(),
-            splice_floor: 0,
-            nfq_cache: HashMap::new(),
-            affected_nfas: HashMap::new(),
-            pos_nfas: HashMap::new(),
-            affected_sym: HashMap::new(),
-            pos_sym: HashMap::new(),
-            eval_cache: PlanScratch::default(),
-            trace: Vec::new(),
-            seq: 0,
-            layer: 0,
-            deadline: Deadline::after(self.start_ms, self.config.deadline_ms),
-            deadline_hit: false,
-            batch_admitted: BTreeMap::new(),
-            pending_hedged: false,
-        };
+        let mut run = Run::new(self, query);
         if run.observing() {
             run.emit(EventKind::QueryStart {
                 strategy: self.config.strategy.name().to_string(),
@@ -692,7 +584,6 @@ impl<'a> Engine<'a> {
         EvalReport {
             result,
             stats: run.stats,
-            trace: run.trace,
             complete,
         }
     }
@@ -712,6 +603,20 @@ fn visible(doc: &Document, node: NodeId) -> bool {
         cur = doc.parent(p);
     }
     true
+}
+
+/// Does the slot `node` still hold the call `call`? Slots of spliced
+/// calls are reused, so a candidate found earlier may have gone stale.
+fn holds_call(doc: &Document, node: NodeId, call: CallId) -> bool {
+    doc.is_alive(node) && matches!(doc.call_info(node), Some((id, _)) if id == call)
+}
+
+/// The label path of `node`'s parent (empty for a root) — the position a
+/// call's result is spliced at.
+fn parent_labels(doc: &Document, node: NodeId) -> Vec<String> {
+    doc.parent(node)
+        .map(|p| doc.path_labels(p))
+        .unwrap_or_default()
 }
 
 /// The services type refinement must consider: the sorted names of the
@@ -815,7 +720,6 @@ struct Run<'e, 'a, 'q> {
     /// reusable evaluator memo tables (the NFQA loop re-evaluates
     /// patterns once per round)
     eval_cache: PlanScratch,
-    trace: Vec<TraceEvent>,
     /// monotone event counter for the structured trace (resets per run)
     seq: u64,
     /// influence layer currently being processed (0 when unlayered)
@@ -827,9 +731,6 @@ struct Run<'e, 'a, 'q> {
     deadline_hit: bool,
     /// per-batch admitted-call counts per service, for the shed gate
     batch_admitted: BTreeMap<String, usize>,
-    /// whether the invocation currently being applied was hedged — read
-    /// by the legacy `TraceEvent` mirror in `emit_with_cpu`
-    pending_hedged: bool,
 }
 
 /// A symbol-compiled path automaton: determinized when the subset
@@ -1030,54 +931,55 @@ fn dispatch_hedged(
 }
 
 impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
+    /// A fresh run of `engine` for `query`: the clock, budget and deadline
+    /// start from the engine's configuration, every cache starts empty.
+    fn new(engine: &'e Engine<'a>, query: &'q Pattern) -> Self {
+        Run {
+            engine,
+            query,
+            clock: SimClock::at(engine.start_ms),
+            stats: EngineStats::default(),
+            dead: HashSet::new(),
+            guide: None,
+            budget: engine.config.max_invocations,
+            total_call_cost_ms: 0.0,
+            splice_seq: 0,
+            splice_log: VecDeque::new(),
+            splice_floor: 0,
+            nfq_cache: HashMap::new(),
+            affected_nfas: HashMap::new(),
+            pos_nfas: HashMap::new(),
+            affected_sym: HashMap::new(),
+            pos_sym: HashMap::new(),
+            eval_cache: PlanScratch::default(),
+            seq: 0,
+            layer: 0,
+            deadline: Deadline::after(engine.start_ms, engine.config.deadline_ms),
+            deadline_hit: false,
+            batch_admitted: BTreeMap::new(),
+        }
+    }
+
     fn config(&self) -> &EngineConfig {
         &self.engine.config
     }
 
-    /// Whether any trace consumer is attached (structured observer or the
-    /// legacy flat `TraceEvent` log). Callers use this to skip the clones
-    /// event construction needs on the hot path.
+    /// Whether a trace observer is attached. Callers use this to skip the
+    /// clones event construction needs on the hot path.
     fn observing(&self) -> bool {
-        self.engine.observer.is_some() || self.engine.config.trace
+        self.engine.observer.is_some()
     }
 
     /// Emits one structured event stamped with the run's current position
-    /// (seq, simulated clock, round, layer). The legacy flat
-    /// [`TraceEvent`] log is a projection of this stream: `invocation`
-    /// events are mirrored into it when [`EngineConfig::trace`] is set.
+    /// (seq, simulated clock, round, layer).
     fn emit(&mut self, kind: EventKind) {
         self.emit_with_cpu(kind, None);
     }
 
     fn emit_with_cpu(&mut self, kind: EventKind, cpu_ms: Option<f64>) {
-        if !self.observing() {
+        let Some(obs) = self.engine.observer else {
             return;
-        }
-        if self.config().trace {
-            if let EventKind::Invocation {
-                service,
-                path,
-                pushed,
-                cached,
-                ok,
-                attempts,
-                cost_ms,
-                ..
-            } = &kind
-            {
-                self.trace.push(TraceEvent {
-                    round: self.stats.rounds,
-                    service: service.clone(),
-                    path: path.clone(),
-                    pushed: *pushed,
-                    cost_ms: *cost_ms,
-                    attempts: *attempts,
-                    ok: *ok,
-                    cached: *cached,
-                    hedged: self.pending_hedged,
-                });
-            }
-        }
+        };
         let event = Event {
             seq: self.seq,
             sim_ms: self.clock.now_ms(),
@@ -1087,9 +989,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
             kind,
         };
         self.seq += 1;
-        if let Some(obs) = self.engine.observer {
-            obs.emit(&event);
-        }
+        obs.emit(&event);
     }
 
     /// Emits one `candidates` event naming the calls detection just found
@@ -1176,22 +1076,11 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
             self.deadline_hit = true;
             return None;
         }
-        if !doc.is_alive(cand.node) {
+        if !holds_call(doc, cand.node, cand.call) {
             return None;
         }
-        match doc.call_info(cand.node) {
-            Some((id, _)) if id == cand.call => {}
-            _ => return None, // slot reused by a different node
-        }
         if !self.engine.registry.has_service(&cand.service) {
-            self.dead.insert(cand.call);
-            self.stats.skipped_unknown += 1;
-            if self.observing() {
-                self.emit(EventKind::UnknownService {
-                    service: cand.service.clone(),
-                    call: cand.call.0,
-                });
-            }
+            self.skip_unknown(cand);
             return None;
         }
         if let Some(reason) = self.shed_reason(&cand.service) {
@@ -1230,14 +1119,24 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
             return None;
         }
         let params = doc.children_to_forest(cand.node);
-        let parent_path: Vec<String> = match doc.parent(cand.node) {
-            Some(p) => doc.path_labels(p),
-            None => Vec::new(),
-        };
+        let parent_path = parent_labels(doc, cand.node);
         // reserve budget now: threaded batches dispatch before applying
         self.budget -= 1;
         *self.batch_admitted.entry(cand.service.clone()).or_default() += 1;
         Some((params, parent_path))
+    }
+
+    /// Marks a call naming an unregistered service dead and counts the
+    /// skip.
+    fn skip_unknown(&mut self, cand: &Candidate) {
+        self.dead.insert(cand.call);
+        self.stats.skipped_unknown += 1;
+        if self.observing() {
+            self.emit(EventKind::UnknownService {
+                service: cand.service.clone(),
+                call: cand.call.0,
+            });
+        }
     }
 
     /// Whether the admission gate sheds a candidate of `service` right
@@ -1276,20 +1175,13 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         let Some(cache) = self.engine.cache else {
             return false;
         };
-        if !doc.is_alive(cand.node) {
+        if !holds_call(doc, cand.node, cand.call) {
             return false;
-        }
-        match doc.call_info(cand.node) {
-            Some((id, _)) if id == cand.call => {}
-            _ => return false, // slot reused by a different node
         }
         let params = doc.children_to_forest(cand.node);
         match cache.lookup(&cand.service, &params, pushed, self.clock.now_ms()) {
             CacheLookup::Hit(hit) => {
-                let parent_path: Vec<String> = match doc.parent(cand.node) {
-                    Some(p) => doc.path_labels(p),
-                    None => Vec::new(),
-                };
+                let parent_path = parent_labels(doc, cand.node);
                 self.splice_result(doc, cand, &parent_path, &hit.result);
                 if self.observing() {
                     self.emit(EventKind::CacheProbe {
@@ -1377,28 +1269,39 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         let (params, parent_path) = self.prepare(doc, cand)?;
         let cache_params = self.engine.cache.map(|_| params.clone());
         let remaining = self.deadline.remaining_ms(self.clock.now_ms());
-        match self
+        let res = self
             .engine
             .registry
-            .invoke_within(&cand.service, params, pushed, remaining)
-        {
+            .invoke_within(&cand.service, params, pushed, remaining);
+        self.settle(doc, cand, cache_params.as_ref(), pushed, parent_path, res)
+    }
+
+    /// Settles one dispatched call: a success is stored in the call cache
+    /// (given the parameters it was keyed on) and spliced by
+    /// [`Run::apply`]; an unknown service refunds the budget `prepare`
+    /// reserved and is skipped; a permanent failure goes to
+    /// [`Run::apply_failure`]. Returns the simulated cost to charge, or
+    /// `None` for a skip.
+    fn settle(
+        &mut self,
+        doc: &mut Document,
+        cand: &Candidate,
+        params: Option<&axml_xml::Forest>,
+        pushed: Option<&PushedQuery>,
+        parent_path: Vec<String>,
+        res: Result<InvokeOutcome, InvokeError>,
+    ) -> Option<f64> {
+        match res {
             Ok(outcome) => {
-                if let (Some(cache), Some(p)) = (self.engine.cache, cache_params) {
-                    cache.store(&cand.service, &p, pushed, &outcome, self.clock.now_ms());
+                if let (Some(cache), Some(p)) = (self.engine.cache, params) {
+                    cache.store(&cand.service, p, pushed, &outcome, self.clock.now_ms());
                 }
                 Some(self.apply(doc, cand, parent_path, outcome))
             }
             Err(InvokeError::Unknown(_)) => {
                 // prepare checked existence; defend anyway
                 self.budget += 1;
-                self.dead.insert(cand.call);
-                self.stats.skipped_unknown += 1;
-                if self.observing() {
-                    self.emit(EventKind::UnknownService {
-                        service: cand.service.clone(),
-                        call: cand.call.0,
-                    });
-                }
+                self.skip_unknown(cand);
                 None
             }
             Err(InvokeError::Failed(failed)) => Some(self.apply_failure(cand, parent_path, failed)),
@@ -1699,39 +1602,12 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                             hedge_won: leg.hedge_won,
                         });
                     }
-                    self.pending_hedged = true;
                 }
-                match res {
-                    Ok(outcome) => {
-                        if let Some(cache) = self.engine.cache {
-                            cache.store(
-                                &c.service,
-                                &params,
-                                pushes.get(&c.call),
-                                &outcome,
-                                self.clock.now_ms(),
-                            );
-                        }
-                        costs.push(self.apply(doc, c, path, outcome));
-                        invoked += 1;
-                    }
-                    Err(InvokeError::Unknown(_)) => {
-                        self.budget += 1;
-                        self.dead.insert(c.call);
-                        self.stats.skipped_unknown += 1;
-                        if self.observing() {
-                            self.emit(EventKind::UnknownService {
-                                service: c.service.clone(),
-                                call: c.call.0,
-                            });
-                        }
-                    }
-                    Err(InvokeError::Failed(failed)) => {
-                        costs.push(self.apply_failure(c, path, failed));
-                        invoked += 1;
-                    }
+                let pushed = pushes.get(&c.call);
+                if let Some(cost) = self.settle(doc, c, Some(&params), pushed, path, res) {
+                    costs.push(cost);
+                    invoked += 1;
                 }
-                self.pending_hedged = false;
             }
             self.clock.advance_parallel(&costs);
             if !costs.is_empty() {
@@ -1798,22 +1674,13 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
 
     fn run_lpq(&mut self, doc: &mut Document, one_at_a_time: bool) {
         let plan = self.engine.active_plan(self.query);
-        let lpqs: Vec<crate::nfq::Lpq>;
-        let lpq_plans: Option<&[axml_query::QueryPlan]>;
-        if let Some(p) = plan {
-            lpqs = p.lpqs.clone();
-            lpq_plans = Some(&p.lpq_plans);
-            self.stats.queries_pruned = p.lpq_pruned;
-        } else {
-            let mut built = build_lpqs(self.query);
-            if self.config().containment_pruning {
-                let (kept, pruned) = crate::containment::prune_subsumed_lpqs(built);
-                built = kept;
-                self.stats.queries_pruned = pruned;
-            }
-            lpqs = built;
-            lpq_plans = None;
-        }
+        let (built, pruned) = match plan {
+            Some(p) => (Vec::new(), p.lpq_pruned),
+            None => lpq_set(self.query, self.config()),
+        };
+        self.stats.queries_pruned = pruned;
+        let lpqs: &[Lpq] = plan.map_or(&built, |p| &p.lpqs);
+        let lpq_plans = plan.map(|p| p.lpq_plans.as_slice());
         loop {
             let t = Instant::now();
             let mut cands: Vec<Candidate> = Vec::new();
@@ -1876,33 +1743,22 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
 
     fn run_nfq(&mut self, doc: &mut Document) {
         let plan = self.engine.active_plan(self.query);
-        let mut nfqs;
-        let precomputed_layers: Option<Layers>;
-        if let Some(p) = plan {
-            // the compiled artifact: NFQs (relaxed/pruned), layers and
-            // label NFAs, byte-identical to what the code below builds
-            nfqs = p.nfqs.clone();
-            self.stats.queries_pruned = p.nfq_pruned;
-            precomputed_layers = Some(p.layers.clone());
-            for (i, nfa) in p.affected_nfas.iter().enumerate() {
-                self.affected_nfas.insert(i, nfa.clone());
+        let (mut nfqs, computed) = match plan {
+            Some(p) => {
+                // the compiled artifact: NFQs (relaxed/pruned), layers and
+                // label NFAs, from the same builders as the branch below
+                self.stats.queries_pruned = p.nfq_pruned;
+                self.affected_nfas = p.affected_nfas.iter().cloned().enumerate().collect();
+                self.pos_nfas = p.pos_nfas.iter().cloned().enumerate().collect();
+                (p.nfqs.clone(), p.layers.clone())
             }
-            for (i, nfa) in p.pos_nfas.iter().enumerate() {
-                self.pos_nfas.insert(i, nfa.clone());
-            }
-        } else {
-            nfqs = build_nfqs(self.query);
-            if self.config().relax_xpath {
-                nfqs = nfqs.iter().map(relax_nfq_to_xpath).collect();
-            }
-            if self.config().containment_pruning {
-                let (kept, pruned) = crate::containment::prune_subsumed_nfqs(self.query, nfqs);
-                nfqs = kept;
+            None => {
+                let (nfqs, pruned) = nfq_set(self.query, self.config());
                 self.stats.queries_pruned = pruned;
+                let layers = compute_layers(&nfqs);
+                (nfqs, layers)
             }
-            precomputed_layers = None;
-        }
-        let computed = precomputed_layers.unwrap_or_else(|| compute_layers(&nfqs));
+        };
         let layers: Layers = if self.config().layering {
             computed
         } else {
@@ -1920,20 +1776,13 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
             self.guide = Some(FGuide::build(doc));
         }
 
-        let typing = match (self.config().typing, self.engine.schema) {
-            (Typing::Lenient, Some(_)) => Some(SatMode::Lenient),
-            (Typing::Exact, Some(_)) => Some(SatMode::Exact),
-            _ => None,
-        };
-        let schema = self.engine.schema;
-        let mut refiner = typing.and_then(|mode| {
-            schema.map(|s| match plan {
+        let mut refiner =
+            typing_mode(self.config().typing, self.engine.schema).map(|(s, mode)| match plan {
                 // share the plan's verdict store (keyed by the same
                 // (schema, query, typing) triple `compatible` checked)
                 Some(p) => TypeRefiner::with_verdicts(s, self.query, mode, p.verdicts.clone()),
                 None => TypeRefiner::new(s, self.query, mode),
-            })
-        });
+            });
 
         if self.config().speculation != Speculation::Off {
             self.run_nfq_speculative(doc, &nfqs, &mut refiner);
@@ -2073,20 +1922,9 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         if self.splice_log.iter().all(|r| r.seq <= since) {
             return false;
         }
-        self.affected_nfas.entry(i).or_insert_with(|| {
-            let parts: Vec<axml_schema::Nfa> = nfq
-                .pattern
-                .node_ids()
-                .map(|id| {
-                    axml_schema::Nfa::from_linear_path(&axml_query::LinearPath::to_node(
-                        &nfq.pattern,
-                        id,
-                        true,
-                    ))
-                })
-                .collect();
-            axml_schema::Nfa::union_of(&parts).prefix_closure()
-        });
+        self.affected_nfas
+            .entry(i)
+            .or_insert_with(|| affected_language(nfq));
         // symbol-compiled form, recompiled whenever the symbol table grew
         // (a label unknown at compile time may have been interned since)
         let sym_count = doc.sym_count();
@@ -2109,21 +1947,13 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         if !visible(doc, call) {
             return false;
         }
-        // position language: L(lin), suffix-closed for descendant-ended
-        // NFQs (calls strictly below any node matching the path)
         let sym_count = doc.sym_count();
         if !matches!(self.pos_sym.get(&i), Some((stamp, _)) if *stamp == sym_count) {
-            let compiled = {
-                let nfa = self.pos_nfas.entry(i).or_insert_with(|| {
-                    let nfa = axml_schema::Nfa::from_linear_path(&nfq.lin);
-                    if nfq.via == EdgeKind::Descendant {
-                        nfa.suffix_closure()
-                    } else {
-                        nfa
-                    }
-                });
-                SymAuto::compile(nfa.compile_syms(|l| doc.lookup_sym(l)))
-            };
+            let nfa = self
+                .pos_nfas
+                .entry(i)
+                .or_insert_with(|| position_language(nfq));
+            let compiled = SymAuto::compile(nfa.compile_syms(|l| doc.lookup_sym(l)));
             self.pos_sym.insert(i, (sym_count, compiled));
         }
         let word = match doc.parent(call) {
@@ -2217,12 +2047,8 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                     if !self.affected_since(doc, i, nfq, entry.seq) {
                         self.stats.nfq_evals_skipped += 1;
                         for (node, id, svc) in entry.retrieved {
-                            if self.dead.contains(&id) || !doc.is_alive(node) {
+                            if self.dead.contains(&id) || !holds_call(doc, node, id) {
                                 continue;
-                            }
-                            match doc.call_info(node) {
-                                Some((cur, _)) if cur == id => {}
-                                _ => continue, // slot reused
                             }
                             by_call
                                 .entry(id)
@@ -2350,10 +2176,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                 if cand.foci.len() != 1 || !self.engine.registry.supports_push(&cand.service) {
                     continue;
                 }
-                let parent_word: Vec<String> = match doc.parent(cand.node) {
-                    Some(p) => doc.path_labels(p),
-                    None => Vec::new(),
-                };
+                let parent_word = parent_labels(doc, cand.node);
                 let word: Vec<&str> = parent_word.iter().map(String::as_str).collect();
                 let positional_foci: BTreeSet<axml_query::PNodeId> = nfqs
                     .iter()

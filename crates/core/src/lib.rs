@@ -42,8 +42,7 @@ pub mod typed;
 
 pub use containment::{lpq_subsumes, nfq_subsumes, prune_subsumed_lpqs, prune_subsumed_nfqs};
 pub use engine::{
-    Engine, EngineConfig, EvalReport, HedgeConfig, ShedConfig, Speculation, Strategy, TraceEvent,
-    Typing,
+    Engine, EngineConfig, EvalReport, HedgeConfig, ShedConfig, Speculation, Strategy, Typing,
 };
 pub use fguide::{filter_candidates, FGuide};
 pub use influence::{compute_layers, may_influence, Layers};

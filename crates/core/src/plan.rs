@@ -22,25 +22,26 @@
 //! symbols translate through the document's interner
 //! ([`QueryPlan::bind`]), and the label NFAs compile to symbol automata
 //! (determinized up to a state cap) against the same table. Results,
-//! traces and statistics are byte-identical to the interpreted path —
-//! the remap produces *the same* compiled tables the engine would build
-//! transiently, an invariant the differential plan-equivalence oracle
-//! pins.
+//! traces and statistics are byte-identical to a run without a plan —
+//! both call the same builders (below), and the remap produces *the
+//! same* compiled tables the engine would build transiently, an
+//! invariant the differential plan-equivalence oracle pins.
 //!
 //! The artifact is immutable and thread-safe; share it behind an `Arc`
 //! (the store's `PlanCache` does exactly that).
 
+use crate::containment::{prune_subsumed_lpqs, prune_subsumed_nfqs};
 use crate::engine::{EngineConfig, Typing};
 use crate::influence::{compute_layers, Layers};
 use crate::nfq::{build_lpqs, build_nfqs, relax_nfq_to_xpath, Lpq, Nfq};
 use crate::typed::SatVerdicts;
-use axml_query::{LinearPath, Pattern, QueryPlan};
-use axml_schema::{Nfa, Schema};
+use axml_query::{EdgeKind, LinearPath, Pattern, QueryPlan};
+use axml_schema::{Nfa, SatMode, Schema};
 
 /// The compile-relevant slice of an [`EngineConfig`] plus the query and
 /// schema identities, captured at compile time. A plan is consulted only
 /// when the run's key matches — a mismatched plan is silently ignored
-/// (the engine falls back to transient compilation), never misapplied.
+/// (the engine builds what the run reads itself), never misapplied.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct PlanKey {
     query: String,
@@ -113,23 +114,8 @@ impl CompiledQuery {
         schema: Option<&Schema>,
         config: &EngineConfig,
     ) -> CompiledQuery {
-        let mut nfqs = build_nfqs(query);
-        if config.relax_xpath {
-            nfqs = nfqs.iter().map(relax_nfq_to_xpath).collect();
-        }
-        let mut nfq_pruned = 0;
-        if config.containment_pruning {
-            let (kept, pruned) = crate::containment::prune_subsumed_nfqs(query, nfqs);
-            nfqs = kept;
-            nfq_pruned = pruned;
-        }
-        let mut lpqs = build_lpqs(query);
-        let mut lpq_pruned = 0;
-        if config.containment_pruning {
-            let (kept, pruned) = crate::containment::prune_subsumed_lpqs(lpqs);
-            lpqs = kept;
-            lpq_pruned = pruned;
-        }
+        let (nfqs, nfq_pruned) = nfq_set(query, config);
+        let (lpqs, lpq_pruned) = lpq_set(query, config);
         let lpq_plans = lpqs
             .iter()
             .map(|l| QueryPlan::compile(&l.pattern))
@@ -181,10 +167,51 @@ impl CompiledQuery {
     }
 }
 
+// The builders below are the only constructors of each query artifact:
+// `CompiledQuery::compile` calls all of them up front, while a run without
+// a plan calls only those its strategy reads.
+
+/// The NFQs of `query` (Figure 5), relaxed to XPath when configured
+/// (§6.1) and pruned by containment (§4.1); also returns how many
+/// pruning dropped.
+pub(crate) fn nfq_set(query: &Pattern, config: &EngineConfig) -> (Vec<Nfq>, usize) {
+    let mut nfqs = build_nfqs(query);
+    if config.relax_xpath {
+        nfqs = nfqs.iter().map(relax_nfq_to_xpath).collect();
+    }
+    if config.containment_pruning {
+        prune_subsumed_nfqs(query, nfqs)
+    } else {
+        (nfqs, 0)
+    }
+}
+
+/// The LPQs of `query` (§3.1), pruned by containment when configured;
+/// also returns how many pruning dropped.
+pub(crate) fn lpq_set(query: &Pattern, config: &EngineConfig) -> (Vec<Lpq>, usize) {
+    let lpqs = build_lpqs(query);
+    if config.containment_pruning {
+        prune_subsumed_lpqs(lpqs)
+    } else {
+        (lpqs, 0)
+    }
+}
+
+/// The schema and satisfiability mode §5's type refinement runs under,
+/// or `None` when typing is off or no schema is attached.
+pub(crate) fn typing_mode(typing: Typing, schema: Option<&Schema>) -> Option<(&Schema, SatMode)> {
+    let mode = match typing {
+        Typing::None => return None,
+        Typing::Lenient => SatMode::Lenient,
+        Typing::Exact => SatMode::Exact,
+    };
+    schema.map(|s| (s, mode))
+}
+
 /// The prefix-closed union of the root-path languages of every node of
 /// the NFQ's pattern — the language of positions whose splices can change
-/// the NFQ's answer (mirrors `Run::affected_since`'s lazy construction).
-fn affected_language(nfq: &Nfq) -> Nfa {
+/// the NFQ's answer (incremental detection's "affected" test).
+pub(crate) fn affected_language(nfq: &Nfq) -> Nfa {
     let parts: Vec<Nfa> = nfq
         .pattern
         .node_ids()
@@ -194,10 +221,11 @@ fn affected_language(nfq: &Nfq) -> Nfa {
 }
 
 /// The position language of the NFQ's linear path, suffix-closed for
-/// descendant-ended NFQs (mirrors `Run::call_position_matches`).
-fn position_language(nfq: &Nfq) -> Nfa {
+/// descendant-ended NFQs (calls strictly below any node matching the
+/// path).
+pub(crate) fn position_language(nfq: &Nfq) -> Nfa {
     let nfa = Nfa::from_linear_path(&nfq.lin);
-    if nfq.via == axml_query::EdgeKind::Descendant {
+    if nfq.via == EdgeKind::Descendant {
         nfa.suffix_closure()
     } else {
         nfa

@@ -3,6 +3,7 @@
 
 use axml_core::{Engine, EngineConfig};
 use axml_gen::scenario::{figure1, figure4_query};
+use axml_obs::{EventKind, RingSink};
 use axml_query::{eval, parse_query, render_result};
 use std::collections::BTreeSet;
 
@@ -95,25 +96,35 @@ fn trace_records_each_invocation() {
     let s = figure1();
     let mut doc = s.doc.clone();
     let q = figure4_query();
-    let report = Engine::new(
-        &s.registry,
-        EngineConfig {
-            trace: true,
-            ..EngineConfig::default()
-        },
-    )
-    .with_schema(&s.schema)
-    .evaluate(&mut doc, &q);
-    assert_eq!(report.trace.len(), report.stats.calls_invoked);
-    assert!(report
-        .trace
+    let ring = RingSink::unbounded();
+    let report = Engine::new(&s.registry, EngineConfig::default())
+        .with_schema(&s.schema)
+        .with_observer(&ring)
+        .evaluate(&mut doc, &q);
+    // (service, parent path, pushed) of every invocation event
+    let invocations: Vec<(String, String, bool)> = ring
+        .events()
+        .into_iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Invocation {
+                service,
+                path,
+                pushed,
+                ..
+            } => Some((service, path, pushed)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(invocations.len(), report.stats.calls_invoked);
+    assert!(invocations
         .iter()
-        .any(|e| e.service == "getNearbyRestos" && e.path.starts_with("hotels/hotel/nearby")));
-    assert!(report.trace.iter().any(|e| e.pushed));
-    // untraced runs carry no events
+        .any(|(service, path, _)| service == "getNearbyRestos"
+            && path.starts_with("hotels/hotel/nearby")));
+    assert!(invocations.iter().any(|&(_, _, pushed)| pushed));
+    // an unobserved run makes the same calls
     let mut doc2 = s.doc.clone();
     let quiet = Engine::new(&s.registry, EngineConfig::default())
         .with_schema(&s.schema)
         .evaluate(&mut doc2, &q);
-    assert!(quiet.trace.is_empty());
+    assert_eq!(quiet.stats.calls_invoked, report.stats.calls_invoked);
 }

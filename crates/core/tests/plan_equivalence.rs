@@ -1,15 +1,15 @@
 //! The differential plan-equivalence oracle: for random documents,
 //! queries and schemas, evaluation through a [`CompiledQuery`] must be
-//! **observationally identical** to the interpreter — same answers, same
-//! structured trace byte for byte, same statistics — across every engine
-//! mode: all strategy/optimization combinations, fault schedules with
-//! retries, a shared call cache warmed across queries, and both serve
-//! schedulers with the store's plan cache on and off.
+//! **observationally identical** to evaluation without one — same
+//! answers, same structured trace byte for byte, same statistics —
+//! across every engine mode: all strategy/optimization combinations,
+//! fault schedules with retries, a shared call cache warmed across
+//! queries, and both serve schedulers with a warm plan cache and one
+//! that stores nothing.
 //!
 //! The compiled side attaches an explicitly pre-compiled plan with
-//! [`Engine::with_plan`]; the interpreted side gets the *same* plan but
-//! runs with `use_plans: false`, which also proves the gate: an attached
-//! plan must be inert when the knob is off.
+//! [`Engine::with_plan`]; the unplanned side attaches none, so the engine
+//! builds what the run reads itself.
 
 use axml_core::{CompiledQuery, Engine, EngineConfig, EngineStats};
 use axml_gen::synthetic::{random_query, random_workload, SyntheticParams};
@@ -19,7 +19,7 @@ use axml_schema::Schema;
 use axml_services::{FaultProfile, Registry, RetryPolicy};
 use axml_store::{
     CacheConfig, CallCache, DocumentStore, PlanCacheConfig, QueryOutcome, SchedulerMode,
-    SessionOptions, SessionSpec,
+    SessionSpec,
 };
 use axml_xml::Document;
 use proptest::prelude::*;
@@ -80,10 +80,9 @@ fn extra_counters(
     )
 }
 
-/// Runs one evaluation. `plan` is attached whenever given — the engine's
-/// `use_plans` flag in `config` decides whether it may be consulted.
-/// `cache`, when given, wires a shared call cache (each side of a
-/// differential pair gets its own, identically configured).
+/// Runs one evaluation, with `plan` attached when given. `cache`, when
+/// given, wires a shared call cache (each side of a differential pair
+/// gets its own, identically configured).
 fn observe(
     doc: &Document,
     q: &Pattern,
@@ -116,8 +115,8 @@ fn observe(
     }
 }
 
-/// The differential heart: interpreted (`use_plans: false`, plan attached
-/// but necessarily inert) vs compiled (`use_plans: true`, same plan).
+/// The differential heart: no plan attached vs the compiled plan
+/// attached.
 fn assert_plan_equivalent(
     label: &str,
     doc: &Document,
@@ -127,34 +126,12 @@ fn assert_plan_equivalent(
     config: &EngineConfig,
 ) -> Result<(), TestCaseError> {
     let plan = Arc::new(CompiledQuery::compile(q, schema, config));
-    let interpreted = observe(
-        doc,
-        q,
-        registry,
-        schema,
-        EngineConfig {
-            use_plans: false,
-            ..config.clone()
-        },
-        Some(&plan),
-        None,
-    );
-    let compiled = observe(
-        doc,
-        q,
-        registry,
-        schema,
-        EngineConfig {
-            use_plans: true,
-            ..config.clone()
-        },
-        Some(&plan),
-        None,
-    );
+    let unplanned = observe(doc, q, registry, schema, config.clone(), None, None);
+    let compiled = observe(doc, q, registry, schema, config.clone(), Some(&plan), None);
     prop_assert_eq!(
         &compiled,
-        &interpreted,
-        "mode {} observably diverges between compiled and interpreted",
+        &unplanned,
+        "mode {} observably diverges between compiled and unplanned",
         label
     );
     Ok(())
@@ -245,7 +222,7 @@ fn configs() -> Vec<(&'static str, EngineConfig)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Compiled-vs-interpreted invariance across the full mode matrix on
+    /// Compiled-vs-unplanned invariance across the full mode matrix on
     /// random synthetic workloads: answers, traces (byte for byte) and
     /// stats all agree, in every mode.
     #[test]
@@ -270,7 +247,7 @@ proptest! {
 
     /// Same invariance under a random deterministic fault schedule with a
     /// retry budget that outlasts the transients: the compiled path must
-    /// reproduce the interpreter's retries, breaker bookkeeping and fault
+    /// reproduce the unplanned run's retries, breaker bookkeeping and fault
     /// accounting event for event.
     #[test]
     fn compiled_path_is_identical_under_faults_and_retries(
@@ -308,8 +285,8 @@ proptest! {
     }
 
     /// Schema-typed invariance on instances generated straight from τ:
-    /// the plan's baked schema DFAs must type exactly as the interpreter's
-    /// transient ones, including typing-driven pruning decisions.
+    /// the plan's baked schema DFAs must type exactly as the unplanned
+    /// run's transient ones, including typing-driven pruning decisions.
     #[test]
     fn compiled_path_is_identical_with_schema_typing(seed in 0u64..10_000) {
         use axml_gen::from_schema::{random_instance, InstanceParams};
@@ -353,21 +330,21 @@ proptest! {
             random_query(qseed, params.alphabet, 7), // repeat: warm hits
         ];
         let config = EngineConfig::default();
-        let run_side = |use_plans: bool| {
+        let run_side = |with_plan: bool| {
             let cache = CallCache::new(CacheConfig::default());
-            let side_config = EngineConfig { use_plans, ..config.clone() };
             queries
                 .iter()
                 .map(|q| {
-                    let plan = Arc::new(CompiledQuery::compile(q, None, &config));
-                    observe(&doc, q, &registry, None, side_config.clone(), Some(&plan), Some(&cache))
+                    let plan = with_plan
+                        .then(|| Arc::new(CompiledQuery::compile(q, None, &config)));
+                    observe(&doc, q, &registry, None, config.clone(), plan.as_ref(), Some(&cache))
                 })
                 .collect::<Vec<_>>()
         };
-        let interpreted = run_side(false);
+        let unplanned = run_side(false);
         let compiled = run_side(true);
         prop_assert_eq!(
-            &compiled, &interpreted,
+            &compiled, &unplanned,
             "cache-warmed sequence diverges (wseed={}, qseed={})", wseed, qseed
         );
     }
@@ -386,25 +363,25 @@ fn sim_outcome(o: &QueryOutcome) -> (Answers, bool, usize, usize, f64, u64) {
     )
 }
 
-fn serve_store(params: &SyntheticParams) -> (DocumentStore, Registry, Vec<SessionSpec>) {
+/// A store over a random workload with the given plan cache, and three
+/// sessions asking two random queries each.
+fn serve_store(
+    params: &SyntheticParams,
+    plans: PlanCacheConfig,
+) -> (DocumentStore, Registry, Vec<SessionSpec>) {
     let (doc, registry) = random_workload(params);
-    let mut store = DocumentStore::with_configs(CacheConfig::default(), PlanCacheConfig::default());
+    let mut store = DocumentStore::with_configs(CacheConfig::default(), plans);
     store.insert("doc", doc);
     let specs: Vec<SessionSpec> = (0..3)
         .map(|i| {
-            let mut spec = SessionSpec::new(
+            SessionSpec::new(
                 format!("s{i}"),
                 "doc",
                 vec![
                     random_query(params.seed.wrapping_add(i), params.alphabet, 7),
                     random_query(params.seed.wrapping_add(i + 10), params.alphabet, 7),
                 ],
-            );
-            spec.options = SessionOptions {
-                plan_cache: i % 2 == 0, // mixed: some sessions share plans, some compile transiently
-                ..SessionOptions::default()
-            };
-            spec
+            )
         })
         .collect();
     (store, registry, specs)
@@ -414,9 +391,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Concurrent-serving invariance: a deterministic-seeded serve run
-    /// with the store's plan cache enabled produces exactly the outcomes
-    /// of the same run with every session compiling transiently — per
-    /// query, per session, including cache counters and simulated time.
+    /// through a warm plan cache produces exactly the outcomes of the same
+    /// run through a zero-capacity one, which compiles every query and
+    /// stores nothing — per query, per session, including cache counters
+    /// and simulated time.
     #[test]
     fn deterministic_serve_is_identical_with_plan_cache_on_and_off(
         wseed in 0u64..10_000,
@@ -424,11 +402,8 @@ proptest! {
     ) {
         let params = SyntheticParams { seed: wseed, ..Default::default() };
         let mode = SchedulerMode::DeterministicSeeded { seed: sched_seed };
-        let run = |plan_cache: bool| {
-            let (store, registry, mut specs) = serve_store(&params);
-            for spec in &mut specs {
-                spec.options.plan_cache = plan_cache;
-            }
+        let run = |plans: PlanCacheConfig| {
+            let (store, registry, specs) = serve_store(&params, plans);
             let report = store.serve(&specs, &registry, None, &mode, None);
             report
                 .sessions
@@ -437,8 +412,8 @@ proptest! {
                 .collect::<Vec<_>>()
         };
         prop_assert_eq!(
-            run(true),
-            run(false),
+            run(PlanCacheConfig::default()),
+            run(PlanCacheConfig::with_capacity(0)),
             "plan cache changed a served outcome (wseed={}, sched_seed={})",
             wseed, sched_seed
         );
@@ -446,12 +421,12 @@ proptest! {
 
     /// Under the real thread pool the interleaving is free, so only the
     /// interleaving-independent projection is compared — and the store's
-    /// plan cache must have compiled each distinct (query, config) at most
-    /// once while serving every plan-enabled session.
+    /// plan cache must have compiled each distinct (query, config) exactly
+    /// once while serving every session.
     #[test]
     fn concurrent_serve_agrees_and_shares_compiled_plans(wseed in 0u64..10_000) {
         let params = SyntheticParams { seed: wseed, ..Default::default() };
-        let (store, registry, specs) = serve_store(&params);
+        let (store, registry, specs) = serve_store(&params, PlanCacheConfig::default());
         let report = store.serve(
             &specs,
             &registry,
@@ -460,14 +435,18 @@ proptest! {
             None,
         );
         let plan_stats = store.plans().stats();
-        prop_assert!(
-            plan_stats.compiles <= 4,
-            "3 sessions × 2 queries share ≤ 4 distinct plan-enabled queries, \
-             but the cache compiled {} times", plan_stats.compiles
+        let distinct: BTreeSet<String> = specs
+            .iter()
+            .flat_map(|s| s.queries.iter().map(|q| format!("{q:?}")))
+            .collect();
+        prop_assert_eq!(
+            plan_stats.compiles as usize,
+            distinct.len(),
+            "3 sessions × 2 queries must compile each distinct query once"
         );
 
         // reference: same specs, fresh store, serial deterministic run
-        let (store2, registry2, specs2) = serve_store(&params);
+        let (store2, registry2, specs2) = serve_store(&params, PlanCacheConfig::default());
         let reference = store2.serve(
             &specs2,
             &registry2,
@@ -487,8 +466,8 @@ proptest! {
 
 /// Remap correctness at the engine level: one warm plan cache serves two
 /// documents whose symbol tables assign *different* ids to the same
-/// labels; the shared compiled plan must answer both exactly as the
-/// interpreter does.
+/// labels; the shared compiled plan must answer both exactly as a run
+/// without a plan does.
 #[test]
 fn one_cached_plan_serves_documents_with_permuted_symbol_tables() {
     let params = SyntheticParams {
@@ -519,20 +498,9 @@ fn one_cached_plan_serves_documents_with_permuted_symbol_tables() {
     let plan = plans.fetch(&q, None, &config);
     for doc in [&doc_a, &doc_b] {
         let compiled = observe(doc, &q, &registry, None, config.clone(), Some(&plan), None);
-        let interpreted = observe(
-            doc,
-            &q,
-            &registry,
-            None,
-            EngineConfig {
-                use_plans: false,
-                ..config.clone()
-            },
-            None,
-            None,
-        );
+        let unplanned = observe(doc, &q, &registry, None, config.clone(), None, None);
         assert_eq!(
-            compiled, interpreted,
+            compiled, unplanned,
             "shared plan mis-answers under a permuted symbol table"
         );
     }

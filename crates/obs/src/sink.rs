@@ -1,9 +1,9 @@
 //! Pluggable trace sinks. The engine emits every [`Event`] to one
 //! [`TraceSink`]; sinks decide whether to keep it in memory
-//! ([`RingSink`]), append it to a JSONL stream ([`JsonlSink`]), render it
-//! for a human ([`PrettySink`]) or drop it ([`NullSink`]).
+//! ([`RingSink`]), append it to a JSONL stream ([`JsonlSink`]) or drop it
+//! ([`NullSink`]).
 
-use crate::event::{Event, EventKind};
+use crate::event::Event;
 use crate::json::event_to_json;
 use std::io::Write;
 use std::sync::Mutex;
@@ -19,25 +19,17 @@ pub trait TraceSink: Send + Sync {
     fn emit(&self, event: &Event);
 }
 
-/// Keeps the most recent `capacity` events in memory (unbounded when
-/// constructed with [`RingSink::unbounded`]).
+/// Keeps every event in memory, in emission order.
 pub struct RingSink {
-    capacity: usize,
     events: Mutex<Vec<Event>>,
 }
 
 impl RingSink {
-    /// A ring holding at most `capacity` events; older events are dropped.
-    pub fn new(capacity: usize) -> Self {
+    /// An empty sink that never drops events.
+    pub fn unbounded() -> Self {
         RingSink {
-            capacity,
             events: Mutex::new(Vec::new()),
         }
-    }
-
-    /// A ring that never drops events.
-    pub fn unbounded() -> Self {
-        RingSink::new(usize::MAX)
     }
 
     /// Snapshot of the retained events, oldest first.
@@ -58,11 +50,7 @@ impl RingSink {
 
 impl TraceSink for RingSink {
     fn emit(&self, event: &Event) {
-        let mut events = self.events.lock().unwrap();
-        if events.len() == self.capacity {
-            events.remove(0);
-        }
-        events.push(event.clone());
+        self.events.lock().unwrap().push(event.clone());
     }
 }
 
@@ -102,219 +90,6 @@ impl<W: Write + Send> TraceSink for JsonlSink<W> {
     fn emit(&self, event: &Event) {
         let mut w = self.writer.lock().unwrap();
         let _ = writeln!(w, "{}", event_to_json(event, self.include_cpu));
-    }
-}
-
-/// Renders events as an indented, human-readable span tree.
-pub struct PrettySink<W: Write + Send> {
-    writer: Mutex<W>,
-}
-
-impl<W: Write + Send> PrettySink<W> {
-    /// Pretty-print to `writer`.
-    pub fn new(writer: W) -> Self {
-        PrettySink {
-            writer: Mutex::new(writer),
-        }
-    }
-}
-
-/// Renders one event as the pretty printer's line (without trailing
-/// newline). Exposed so the CLI can format ring-buffered events after a
-/// run.
-pub fn pretty_line(e: &Event) -> String {
-    let indent = match &e.kind {
-        EventKind::QueryStart { .. }
-        | EventKind::QueryEnd { .. }
-        | EventKind::PlanCacheProbe { .. }
-        | EventKind::SubscriptionStart { .. }
-        | EventKind::SubscriptionDelta { .. }
-        | EventKind::WalAppend { .. }
-        | EventKind::WalCheckpoint { .. }
-        | EventKind::WalRecovery { .. } => 0,
-        EventKind::LayerStart { .. }
-        | EventKind::LayerEnd
-        | EventKind::Truncated { .. }
-        | EventKind::DeadlineExceeded { .. } => 1,
-        EventKind::Candidates { .. } | EventKind::Batch { .. } => 2,
-        EventKind::Invocation { .. }
-        | EventKind::BreakerTransition { .. }
-        | EventKind::BreakerSkip { .. }
-        | EventKind::UnknownService { .. }
-        | EventKind::Shed { .. } => 3,
-        EventKind::CacheProbe { .. } | EventKind::Attempt { .. } | EventKind::Hedge { .. } => 4,
-    };
-    let pad = "  ".repeat(indent);
-    let body = match &e.kind {
-        EventKind::QueryStart { strategy, query } => {
-            format!("query start [{strategy}] {query}")
-        }
-        EventKind::QueryEnd {
-            complete,
-            calls_invoked,
-            sim_time_ms,
-        } => {
-            let cpu = e
-                .cpu_ms
-                .map(|c| format!(", cpu {c:.2}ms"))
-                .unwrap_or_default();
-            format!(
-                "query end: {} ({calls_invoked} calls, sim {sim_time_ms}ms{cpu})",
-                if *complete { "complete" } else { "PARTIAL" }
-            )
-        }
-        EventKind::LayerStart { nfqs, independent } => format!(
-            "layer {} start ({nfqs} NFQs{})",
-            e.layer,
-            if *independent { ", independent" } else { "" }
-        ),
-        EventKind::LayerEnd => format!("layer {} end", e.layer),
-        EventKind::Candidates { calls, services } => {
-            let list: Vec<String> = calls
-                .iter()
-                .zip(services)
-                .map(|(c, s)| format!("#{c}:{s}"))
-                .collect();
-            format!("candidates [{}]", list.join(", "))
-        }
-        EventKind::CacheProbe {
-            service,
-            call,
-            outcome,
-        } => format!("cache probe #{call}:{service} -> {}", outcome.as_str()),
-        EventKind::Attempt {
-            service,
-            call,
-            index,
-            ok,
-        } => format!(
-            "attempt {index} #{call}:{service} -> {}",
-            if *ok { "ok" } else { "fail" }
-        ),
-        EventKind::Invocation {
-            service,
-            call,
-            path,
-            pushed,
-            cached,
-            ok,
-            attempts,
-            cost_ms,
-            bytes,
-        } => {
-            let mut flags = Vec::new();
-            if *cached {
-                flags.push("cached");
-            }
-            if *pushed {
-                flags.push("pushed");
-            }
-            if !*ok {
-                flags.push("FAILED");
-            }
-            let flags = if flags.is_empty() {
-                String::new()
-            } else {
-                format!(" [{}]", flags.join(", "))
-            };
-            format!(
-                "invoke #{call}:{service} at {path}{flags} ({attempts} attempts, {cost_ms}ms, {bytes}B)"
-            )
-        }
-        EventKind::BreakerTransition { service, open } => format!(
-            "breaker {service} -> {}",
-            if *open { "OPEN" } else { "closed" }
-        ),
-        EventKind::BreakerSkip { service, call } => {
-            format!("breaker skip #{call}:{service}")
-        }
-        EventKind::UnknownService { service, call } => {
-            format!("unknown service #{call}:{service}")
-        }
-        EventKind::Batch {
-            parallel,
-            costs,
-            advance_ms,
-        } => format!(
-            "batch of {} ({}) -> +{advance_ms}ms",
-            costs.len(),
-            if *parallel {
-                "parallel, max"
-            } else {
-                "sequential, sum"
-            }
-        ),
-        EventKind::Truncated { pending } => {
-            format!("TRUNCATED with {pending} candidates pending")
-        }
-        EventKind::Hedge {
-            service,
-            call,
-            fired_at_ms,
-            primary_cost_ms,
-            hedge_cost_ms,
-            hedge_won,
-        } => format!(
-            "hedge #{call}:{service} fired at {fired_at_ms}ms (primary {primary_cost_ms}ms, hedge {hedge_cost_ms}ms) -> {} won",
-            if *hedge_won { "hedge" } else { "primary" }
-        ),
-        EventKind::Shed { service, call, reason } => {
-            format!("shed #{call}:{service} ({})", reason.as_str())
-        }
-        EventKind::DeadlineExceeded { pending } => {
-            format!("DEADLINE EXCEEDED with {pending} candidates pending")
-        }
-        EventKind::PlanCacheProbe { query, key, hit } => format!(
-            "plan cache {} {query} [{key}]",
-            if *hit { "hit" } else { "miss" }
-        ),
-        EventKind::SubscriptionStart {
-            subscription,
-            query,
-            initial,
-        } => format!("subscribe {subscription} to {query} ({initial} initial rows)"),
-        EventKind::SubscriptionDelta {
-            subscription,
-            version,
-            added,
-            removed,
-            changed,
-            full_reeval,
-        } => format!(
-            "delta {subscription}@v{version}: +{added} -{removed} ~{changed}{}",
-            if *full_reeval { " [full re-eval]" } else { "" }
-        ),
-        EventKind::WalAppend {
-            doc,
-            version,
-            record,
-            bytes,
-            synced,
-        } => format!(
-            "wal append {doc}@v{version} {record} ({bytes}B{})",
-            if *synced { ", synced" } else { ", buffered" }
-        ),
-        EventKind::WalCheckpoint { doc, version, bytes } => {
-            format!("wal checkpoint {doc}@v{version} ({bytes}B)")
-        }
-        EventKind::WalRecovery {
-            doc,
-            version,
-            frames,
-            splices_replayed,
-            truncated,
-        } => format!(
-            "recovered {doc} to v{version} ({frames} frames, {splices_replayed} splices{})",
-            if *truncated { ", tail truncated" } else { "" }
-        ),
-    };
-    format!("{:>9.2}ms {pad}{body}", e.sim_ms)
-}
-
-impl<W: Write + Send> TraceSink for PrettySink<W> {
-    fn emit(&self, event: &Event) {
-        let mut w = self.writer.lock().unwrap();
-        let _ = writeln!(w, "{}", pretty_line(event));
     }
 }
 
@@ -367,6 +142,7 @@ impl PerSessionSinks {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EventKind;
 
     fn ev(seq: u64) -> Event {
         Event {
@@ -380,16 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_caps_and_drops_oldest() {
-        let ring = RingSink::new(2);
-        for i in 0..5 {
-            ring.emit(&ev(i));
-        }
-        let kept: Vec<u64> = ring.events().iter().map(|e| e.seq).collect();
-        assert_eq!(kept, vec![3, 4]);
-    }
-
-    #[test]
     fn jsonl_sink_writes_lines() {
         let sink = JsonlSink::new(Vec::new());
         sink.emit(&ev(0));
@@ -397,11 +163,5 @@ mod tests {
         let text = String::from_utf8(sink.into_inner()).unwrap();
         assert_eq!(text.lines().count(), 2);
         assert!(text.starts_with("{\"seq\":0,"));
-    }
-
-    #[test]
-    fn pretty_lines_render() {
-        let line = pretty_line(&ev(0));
-        assert!(line.contains("layer 0 end"), "{line}");
     }
 }

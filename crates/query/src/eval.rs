@@ -32,6 +32,8 @@
 //! * Evaluation is generic over [`DataSource`], so the same code (and the
 //!   same compiled plan) runs over the mutable arena [`Document`], a
 //!   frozen COW `DocSnapshot`, or any other node store.
+//!
+//! [`Document`]: axml_xml::Document
 
 use crate::pattern::{EdgeKind, FunMatch, PLabel, PNodeId, Pattern};
 use crate::plan::PlanScratch;

@@ -11,8 +11,9 @@
 //! exactly like a framing failure: the log is truncated at that frame
 //! and everything before it is the recovered state.
 //!
-//! Directory-level recovery ([`recover_dir`]) additionally truncates
-//! each physical file to its valid prefix — making recovery idempotent:
+//! Directory-level recovery (`recover_dir`, behind
+//! [`crate::DocumentStore::recover`]) additionally truncates each
+//! physical file to its valid prefix — making recovery idempotent:
 //! a second recovery (even after another crash during the first) sees
 //! the same valid prefix and reproduces the same state.
 

@@ -10,7 +10,7 @@
 
 use crate::cache::{CacheStats, CallCache};
 use crate::plan_cache::PlanCache;
-use axml_core::{Engine, EngineConfig, EngineStats, EvalReport, TraceEvent};
+use axml_core::{Engine, EngineConfig, EngineStats, EvalReport};
 use axml_obs::TraceSink;
 use axml_query::{construct_results, render_result, Pattern};
 use axml_schema::Schema;
@@ -32,12 +32,6 @@ pub struct SessionOptions {
     /// copy with its spliced results is *published* as the document's next
     /// version, and later queries (of this or any other session) see it.
     pub snapshot_per_query: bool,
-    /// When `true` (the default) sessions opened through a
-    /// [`crate::DocumentStore`] fetch their [`axml_core::CompiledQuery`]
-    /// from the store's shared [`PlanCache`] instead of letting the
-    /// engine compile transiently. Purely a performance knob: answers,
-    /// traces and stats are byte-identical either way.
-    pub plan_cache: bool,
 }
 
 impl Default for SessionOptions {
@@ -45,7 +39,6 @@ impl Default for SessionOptions {
         SessionOptions {
             engine: EngineConfig::default(),
             snapshot_per_query: true,
-            plan_cache: true,
         }
     }
 }
@@ -72,8 +65,6 @@ pub struct SessionReport {
     pub answers: BTreeSet<Vec<String>>,
     /// The constructed `<results>` document, serialized.
     pub result_xml: String,
-    /// Execution trace (empty unless the engine config enables tracing).
-    pub trace: Vec<TraceEvent>,
     /// Cumulative cache counters *after* this query.
     pub cache: CacheStats,
     /// The session's simulated clock *after* this query, in ms.
@@ -142,8 +133,9 @@ impl<'a> Session<'a> {
     /// Attaches the shared compiled-plan cache: each query fetches its
     /// [`axml_core::CompiledQuery`] from it (compiling on first use) and
     /// hands the plan to the engine, which consults it only when its
-    /// compatibility key matches — so a session on unusual config falls
-    /// back to transient compilation, never a misapplied plan.
+    /// compatibility key matches — so a mismatched plan is ignored, never
+    /// misapplied. [`crate::DocumentStore::session`] attaches the store's
+    /// cache to every session it opens.
     pub fn with_plans(mut self, plans: Arc<PlanCache>) -> Self {
         self.plans = Some(plans);
         self
@@ -213,7 +205,6 @@ impl<'a> Session<'a> {
         let plan = self
             .plans
             .as_ref()
-            .filter(|_| self.options.engine.use_plans)
             .map(|pc| pc.fetch(query, self.schema, &self.options.engine));
         loop {
             let mut engine = Engine::new(self.registry, self.options.engine.clone())
@@ -262,7 +253,6 @@ impl<'a> Session<'a> {
             complete: report.complete,
             answers,
             result_xml,
-            trace: report.trace,
             cache: self.cache.stats(),
             clock_ms: self.clock_ms,
             doc_version,

@@ -942,8 +942,8 @@ pub struct DurabilityManager {
 
 impl DurabilityManager {
     /// A manager over `dir` with the given policy. Does not scan the
-    /// directory — use [`crate::recover::recover_dir`] (via
-    /// `DocumentStore::recover`) to adopt existing logs.
+    /// directory — use [`crate::DocumentStore::recover`] to adopt
+    /// existing logs.
     pub fn new(dir: Box<dyn LogDir>, options: DurabilityOptions) -> Arc<DurabilityManager> {
         Arc::new(DurabilityManager {
             dir,

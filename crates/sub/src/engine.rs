@@ -219,9 +219,10 @@ impl<'a> SubscriptionEngine<'a> {
 
     /// Attaches the shared compiled-plan cache: every refresh and
     /// reconcile evaluation fetches its [`axml_core::CompiledQuery`]
-    /// from it instead of compiling transiently. [`over_store`] wires
-    /// this automatically. Performance-only: answers, deltas, traces
-    /// and stats are byte-identical either way.
+    /// from it; without one, each evaluation builds what it reads
+    /// itself. [`over_store`] wires this automatically.
+    /// Performance-only: answers, deltas, traces and stats are
+    /// byte-identical either way.
     ///
     /// [`over_store`]: SubscriptionEngine::over_store
     pub fn with_plans(mut self, plans: Arc<PlanCache>) -> Self {
@@ -314,7 +315,12 @@ impl<'a> SubscriptionEngine<'a> {
         let snapshot = self.doc.snapshot();
         let watermark = snapshot.version();
         let mut working = snapshot.to_document();
-        let (answers, stats) = self.run_engine(&mut working, &query, self.options.engine.clone());
+        let (answers, stats) = self.run_engine(
+            &mut working,
+            &query,
+            self.options.engine.clone(),
+            self.observer,
+        );
         self.clock_ms += stats.sim_time_ms;
         let query_text = render(&query);
         let scope = QueryScope::of(&query);
@@ -443,11 +449,19 @@ impl<'a> SubscriptionEngine<'a> {
                     .min(self.options.refresh_depth)
                     .min(self.subs[i].refires_left);
                 let query = self.subs[i].query.clone();
+                // refresh reads the spliced paths off its own ring, then
+                // forwards the events to the observer
                 let ring = RingSink::unbounded();
-                let (_, stats) = self.run_engine_observed(&mut working, &query, config, &ring);
+                let (_, stats) = self.run_engine(&mut working, &query, config, Some(&ring));
                 self.clock_ms += stats.sim_time_ms;
                 self.stats.refresh_invocations += stats.calls_invoked;
-                for e in ring.events() {
+                let events = ring.events();
+                if let Some(observer) = self.observer {
+                    for e in &events {
+                        observer.emit(e);
+                    }
+                }
+                for e in &events {
                     if let EventKind::Invocation {
                         cached: false,
                         ok: true,
@@ -518,8 +532,12 @@ impl<'a> SubscriptionEngine<'a> {
                     self.stats.degradations += 1;
                     let mut working = snapshot.to_document();
                     let query = self.subs[i].query.clone();
-                    let (answers, stats) =
-                        self.run_engine(&mut working, &query, self.options.engine.clone());
+                    let (answers, stats) = self.run_engine(
+                        &mut working,
+                        &query,
+                        self.options.engine.clone(),
+                        self.observer,
+                    );
                     self.clock_ms += stats.sim_time_ms;
                     if let Some(d) = self.deliver(i, version, answers, true) {
                         out.push(d);
@@ -544,8 +562,12 @@ impl<'a> SubscriptionEngine<'a> {
                         }
                         let mut working = (*record.doc).clone();
                         let query = self.subs[i].query.clone();
-                        let (answers, stats) =
-                            self.run_engine(&mut working, &query, self.options.engine.clone());
+                        let (answers, stats) = self.run_engine(
+                            &mut working,
+                            &query,
+                            self.options.engine.clone(),
+                            self.observer,
+                        );
                         self.clock_ms += stats.sim_time_ms;
                         if let Some(d) = self.deliver(i, record.version, answers, full) {
                             out.push(d);
@@ -641,43 +663,33 @@ impl<'a> SubscriptionEngine<'a> {
         Some(delta)
     }
 
+    /// Evaluates `query` on `working` at the engine's clock, through the
+    /// shared call cache and (when attached) the plan cache, emitting into
+    /// `observer` if one is given.
     fn run_engine(
         &self,
         working: &mut Document,
         query: &Pattern,
         config: EngineConfig,
+        observer: Option<&dyn TraceSink>,
     ) -> (BTreeSet<Vec<String>>, EngineStats) {
-        let ring = RingSink::unbounded();
-        self.run_engine_observed(working, query, config, &ring)
-    }
-
-    fn run_engine_observed(
-        &self,
-        working: &mut Document,
-        query: &Pattern,
-        config: EngineConfig,
-        ring: &RingSink,
-    ) -> (BTreeSet<Vec<String>>, EngineStats) {
-        let plan = match &self.plans {
-            Some(plans) if config.use_plans => Some(plans.fetch(query, self.schema, &config)),
-            _ => None,
-        };
+        let plan = self
+            .plans
+            .as_ref()
+            .map(|plans| plans.fetch(query, self.schema, &config));
         let mut engine = axml_core::Engine::new(self.registry, config)
             .with_cache(self.cache.as_ref())
-            .starting_at(self.clock_ms)
-            .with_observer(ring);
+            .starting_at(self.clock_ms);
         if let Some(plan) = plan {
             engine = engine.with_plan(plan);
         }
         if let Some(schema) = self.schema {
             engine = engine.with_schema(schema);
         }
-        let report = engine.evaluate(working, query);
-        if let Some(observer) = self.observer {
-            for e in ring.events() {
-                observer.emit(&e);
-            }
+        if let Some(observer) = observer {
+            engine = engine.with_observer(observer);
         }
+        let report = engine.evaluate(working, query);
         let answers: BTreeSet<Vec<String>> =
             render_result(working, &report.result).into_iter().collect();
         (answers, report.stats)

@@ -1,9 +1,12 @@
 //! Subscriptions leg of the plan-equivalence oracle: a standing-query
 //! engine whose refresh and reconcile evaluations fetch compiled plans
-//! from the store's [`PlanCache`] must deliver exactly the delta stream
-//! of one that compiles every query transiently — same initial answers,
-//! same deltas, same structured trace byte for byte, same stats. The
-//! plan layer is pure mechanism; subscription semantics never see it.
+//! from the store's [`PlanCache`] (`SubscriptionEngine::over_store`)
+//! must deliver exactly the delta stream of one with no plan cache
+//! attached (`SubscriptionEngine::new`) — same initial answers, same
+//! deltas, same structured trace byte for byte, same stats. The plan
+//! layer is pure mechanism; subscription semantics never see it.
+//!
+//! [`PlanCache`]: axml_store::PlanCache
 
 use axml_core::EngineConfig;
 use axml_gen::feeds::{price_feed, Feed, PriceFeedParams};
@@ -11,6 +14,7 @@ use axml_obs::{to_jsonl, RingSink};
 use axml_store::{CacheConfig, DocumentStore, PlanCacheConfig};
 use axml_sub::{Delta, SubscriptionEngine, SubscriptionEngineStats, SubscriptionOptions};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn cache_config(feed: &Feed) -> CacheConfig {
     let mut config = CacheConfig::with_ttl_ms(f64::INFINITY);
@@ -29,11 +33,11 @@ struct Run {
     plan_hits: u64,
 }
 
-/// Drives the price feed to 1500 ms with `use_plans` on or off; the
-/// feed (the volatile services are stateful), the store and hence the
-/// plan cache are all fresh per run, so the two runs share nothing but
-/// the generator seed.
-fn run_feed(use_plans: bool) -> Run {
+/// Drives the price feed to 1500 ms with or without the store's plan
+/// cache attached; the feed (the volatile services are stateful), the
+/// store and hence the plan cache are all fresh per run, so the two runs
+/// share nothing but the generator seed.
+fn run_feed(with_plans: bool) -> Run {
     let feed = &price_feed(&PriceFeedParams {
         hotels: 12,
         volatile_stride: 2,
@@ -41,22 +45,24 @@ fn run_feed(use_plans: bool) -> Run {
     let mut store = DocumentStore::with_configs(cache_config(feed), PlanCacheConfig::default());
     store.insert("feed", feed.doc.clone());
     let trace = RingSink::unbounded();
-    let mut engine = SubscriptionEngine::over_store(
-        &store,
-        "feed",
-        &feed.registry,
-        None,
-        SubscriptionOptions {
-            history_capacity: 4096,
-            engine: EngineConfig {
-                use_plans,
-                ..EngineConfig::default()
-            },
-            ..SubscriptionOptions::default()
-        },
-    )
-    .expect("document exists")
-    .with_observer(&trace);
+    let options = SubscriptionOptions {
+        history_capacity: 4096,
+        engine: EngineConfig::default(),
+        ..SubscriptionOptions::default()
+    };
+    let engine = if with_plans {
+        SubscriptionEngine::over_store(&store, "feed", &feed.registry, None, options)
+            .expect("document exists")
+    } else {
+        SubscriptionEngine::new(
+            Arc::clone(store.versioned("feed").expect("document exists")),
+            &feed.registry,
+            None,
+            Arc::clone(store.cache()),
+            options,
+        )
+    };
+    let mut engine = engine.with_observer(&trace);
 
     let initials = feed
         .watchers
@@ -79,20 +85,20 @@ fn run_feed(use_plans: bool) -> Run {
 #[test]
 fn delta_streams_are_identical_with_and_without_compiled_plans() {
     let compiled = run_feed(true);
-    let interpreted = run_feed(false);
+    let unplanned = run_feed(false);
 
     assert!(
         !compiled.deltas.is_empty(),
         "the volatile feed emitted nothing — the comparison would be vacuous"
     );
     assert_eq!(
-        compiled.initials, interpreted.initials,
+        compiled.initials, unplanned.initials,
         "initial answers diverge"
     );
-    assert_eq!(compiled.deltas, interpreted.deltas, "delta streams diverge");
+    assert_eq!(compiled.deltas, unplanned.deltas, "delta streams diverge");
     assert_eq!(
-        compiled.trace_jsonl, interpreted.trace_jsonl,
-        "structured traces diverge between compiled and interpreted refreshes"
+        compiled.trace_jsonl, unplanned.trace_jsonl,
+        "structured traces diverge between compiled and unplanned refreshes"
     );
     // wall-clock CPU measurements are not semantics; zero them out
     let sim_stats = |s: &SubscriptionEngineStats| SubscriptionEngineStats {
@@ -102,7 +108,7 @@ fn delta_streams_are_identical_with_and_without_compiled_plans() {
     };
     assert_eq!(
         sim_stats(&compiled.stats),
-        sim_stats(&interpreted.stats),
+        sim_stats(&unplanned.stats),
         "stats diverge"
     );
 
@@ -110,7 +116,7 @@ fn delta_streams_are_identical_with_and_without_compiled_plans() {
     // query compiled once, then every later refresh was a hit
     assert!(
         compiled.plan_compiles >= 1,
-        "plans-on run never compiled a plan"
+        "the over_store run never compiled a plan"
     );
     assert!(
         compiled.plan_hits > compiled.plan_compiles,
@@ -118,10 +124,10 @@ fn delta_streams_are_identical_with_and_without_compiled_plans() {
         compiled.plan_hits,
         compiled.plan_compiles
     );
-    // the interpreted run must not have touched the plan cache at all
+    // the run without a plan cache must not have touched the store's
     assert_eq!(
-        interpreted.plan_compiles + interpreted.plan_hits,
+        unplanned.plan_compiles + unplanned.plan_hits,
         0,
-        "use_plans: false still consulted the plan cache"
+        "an engine built without with_plans still consulted the plan cache"
     );
 }

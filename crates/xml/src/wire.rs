@@ -25,6 +25,8 @@
 //! children := count:u32 node*
 //! label    := len:u32 bytes
 //! ```
+//!
+//! [`CallId`]: crate::CallId
 
 use crate::label::Label;
 use crate::tree::{Document, NodeId, NodeKind};

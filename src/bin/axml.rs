@@ -5,13 +5,12 @@
 //!            [--world world.xml] [--schema schema.txt] \
 //!            [--strategy nfq|lpq|topdown|naive] [--typing none|lenient|exact] \
 //!            [--push] [--fguide] [--no-parallel] [--speculate] [--stats] \
-//!            [--no-interning] [--no-index] \
 //!            [--retries N] [--timeout-ms X] [--fault-seed N] [--fail-prob P] \
 //!            [--latency-ms X] \
 //!            [--deadline-ms X] [--hedge-threshold-ms X] [--hedge-quantile F] \
 //!            [--shed-inflight N] [--shed-ewma-ms X] \
 //!            [--cache] [--cache-ttl-ms X] [--cache-capacity N] [--cache-bytes N] \
-//!            [--trace-json PATH] [--trace-summary] \
+//!            [--trace] [--trace-json PATH] [--trace-summary] \
 //!            [--out results|doc]
 //! axml session --doc doc.xml --world world.xml \
 //!              --query Q1 [--query Q2 ...] [--idle-ms X] [--persist] \
@@ -45,8 +44,8 @@ use activexml::core::{
     build_lpqs, build_nfqs, compute_layers, plural, Engine, EngineConfig, HedgeConfig, ShedConfig,
     Speculation, Strategy, Typing,
 };
-use activexml::obs::{aggregate, to_jsonl, RingSink};
-use activexml::query::{construct_results, parse_query, render, EvalOptions, Pattern};
+use activexml::obs::{aggregate, to_jsonl, Event, EventKind, RingSink};
+use activexml::query::{construct_results, parse_query, render, Pattern};
 use activexml::schema::{parse_schema, Schema};
 use activexml::services::{load_registry, FaultProfile, Registry};
 use activexml::store::{
@@ -276,23 +275,9 @@ fn cache_config(opts: &Opts) -> Result<CacheConfig, String> {
     Ok(config)
 }
 
-/// Whether sessions consult the store's shared compiled-plan cache:
-/// `--plan-cache on|off` (default on). Bare `--plan-cache` and
-/// `--no-plan-cache` are accepted too. Purely a performance knob —
-/// answers, traces and stats are byte-identical either way.
-fn wants_plan_cache(opts: &Opts) -> Result<bool, String> {
-    if opts.flag("no-plan-cache") {
-        return Ok(false);
-    }
-    match opts.value("plan-cache") {
-        None | Some("on") => Ok(true),
-        Some("off") => Ok(false),
-        Some(other) => Err(format!("--plan-cache expects on|off, got {other:?}")),
-    }
-}
-
 /// Builds the compiled-plan cache configuration from
-/// `--plan-cache-capacity` (max cached plans before LRU eviction).
+/// `--plan-cache-capacity` (max cached plans before LRU eviction; 0
+/// compiles every query without storing the plan).
 fn plan_config(opts: &Opts) -> Result<PlanCacheConfig, String> {
     let mut config = PlanCacheConfig::default();
     if let Some(v) = opts.value("plan-cache-capacity") {
@@ -496,7 +481,6 @@ fn engine_config(opts: &Opts) -> Result<EngineConfig, String> {
         containment_pruning: !opts.flag("no-containment"),
         enforce_output_types: opts.flag("enforce-types"),
         incremental_detection: opts.flag("incremental"),
-        trace: opts.flag("trace"),
         real_threads: opts.flag("threads"),
         speculation: if opts.flag("speculate") {
             Speculation::Always
@@ -506,19 +490,17 @@ fn engine_config(opts: &Opts) -> Result<EngineConfig, String> {
         deadline_ms,
         hedge,
         shed,
-        eval_options: EvalOptions {
-            interning: !opts.flag("no-interning"),
-            index: !opts.flag("no-index"),
-        },
         ..EngineConfig::default()
     })
 }
 
-/// Builds the structured-trace collector when `--trace-json` or
-/// `--trace-summary` asks for one. Events are collected in memory during
-/// the run and written out afterwards, so one stream serves both outputs.
+/// Builds the structured-trace collector when `--trace`, `--trace-json`
+/// or `--trace-summary` asks for one. Events are collected in memory
+/// during the run and written out afterwards, so one stream serves every
+/// output.
 fn trace_collector(opts: &Opts) -> Option<RingSink> {
-    (opts.value("trace-json").is_some() || opts.flag("trace-summary")).then(RingSink::unbounded)
+    (opts.flag("trace") || opts.value("trace-json").is_some() || opts.flag("trace-summary"))
+        .then(RingSink::unbounded)
 }
 
 /// Writes the collected stream: `--trace-json PATH` gets the
@@ -584,8 +566,8 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
     if opts.flag("stats") {
         eprintln!("{}", report.stats);
     }
-    if opts.flag("trace") {
-        print_trace(&report.trace);
+    if let Some(r) = ring.as_ref().filter(|_| opts.flag("trace")) {
+        print_trace(&r.events());
     }
     let pretty = SerializeOptions {
         pretty: true,
@@ -602,21 +584,46 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn print_trace(trace: &[activexml::core::TraceEvent]) {
-    for e in trace {
-        eprintln!(
-            "round {:>3}  {:<20} at /{}{}{}{}{}  ({:.1} ms, {} attempt{})",
-            e.round,
-            e.service,
-            e.path,
-            if e.cached { "  [CACHED]" } else { "" },
-            if e.hedged { "  [HEDGED]" } else { "" },
-            if e.pushed { "  [pushed]" } else { "" },
-            if e.ok { "" } else { "  [FAILED]" },
-            e.cost_ms,
-            e.attempts,
-            plural(e.attempts, "s")
-        );
+/// `--trace`: one line per `invocation` event of one query's slice of
+/// the trace. A call is `[HEDGED]` when a `hedge` event for it precedes
+/// its invocation.
+fn print_trace(events: &[Event]) {
+    let mut hedged = None;
+    for e in events {
+        match &e.kind {
+            EventKind::Hedge { call, .. } => hedged = Some(*call),
+            EventKind::Invocation {
+                service,
+                call,
+                path,
+                pushed,
+                cached,
+                ok,
+                attempts,
+                cost_ms,
+                ..
+            } => {
+                eprintln!(
+                    "round {:>3}  {:<20} at /{}{}{}{}{}  ({:.1} ms, {} attempt{})",
+                    e.round,
+                    service,
+                    path,
+                    if *cached { "  [CACHED]" } else { "" },
+                    if hedged == Some(*call) {
+                        "  [HEDGED]"
+                    } else {
+                        ""
+                    },
+                    if *pushed { "  [pushed]" } else { "" },
+                    if *ok { "" } else { "  [FAILED]" },
+                    cost_ms,
+                    attempts,
+                    plural(*attempts, "s")
+                );
+                hedged = None;
+            }
+            _ => {}
+        }
     }
 }
 
@@ -643,9 +650,7 @@ fn cmd_session(opts: &Opts) -> Result<(), String> {
     let options = SessionOptions {
         engine: engine_config(opts)?,
         snapshot_per_query: !opts.flag("persist"),
-        plan_cache: wants_plan_cache(opts)?,
     };
-    let plan_cache_on = options.plan_cache;
     let idle_ms: f64 = match opts.value("idle-ms") {
         None => 0.0,
         Some(v) => v
@@ -683,6 +688,9 @@ fn cmd_session(opts: &Opts) -> Result<(), String> {
     }
 
     let mut total_invoked = 0;
+    // `--trace` prints each query's slice of the ring: the events after
+    // the first `traced`
+    let mut traced = 0;
     for (i, query) in queries.iter().enumerate() {
         if i > 0 && idle_ms > 0.0 {
             session.advance_clock(idle_ms);
@@ -702,8 +710,10 @@ fn cmd_session(opts: &Opts) -> Result<(), String> {
             report.clock_ms,
             if report.complete { "" } else { "  [PARTIAL]" }
         );
-        if opts.flag("trace") {
-            print_trace(&report.trace);
+        if let Some(r) = ring.as_ref().filter(|_| opts.flag("trace")) {
+            let events = r.events();
+            print_trace(&events[traced..]);
+            traced = events.len();
         }
         if opts.flag("stats") {
             eprintln!("{s}");
@@ -727,17 +737,15 @@ fn cmd_session(opts: &Opts) -> Result<(), String> {
         session.cache().len(),
         session.cache().total_bytes()
     );
-    if plan_cache_on {
-        let ps = store.plans().stats();
-        println!(
-            "== plans: {} compiled, {} hits / {} misses ({:.0}% hit rate), {} live",
-            ps.compiles,
-            ps.hits,
-            ps.misses,
-            ps.hit_rate() * 100.0,
-            store.plans().len()
-        );
-    }
+    let ps = store.plans().stats();
+    println!(
+        "== plans: {} compiled, {} hits / {} misses ({:.0}% hit rate), {} live",
+        ps.compiles,
+        ps.hits,
+        ps.misses,
+        ps.hit_rate() * 100.0,
+        store.plans().len()
+    );
     if let Some(manager) = store.durability() {
         let ds = manager.stats();
         println!(

@@ -397,10 +397,84 @@ fn hedge_and_shed_flags_keep_traces_deterministic() {
     );
 }
 
+/// `--trace` prints one line per `invocation` event of the structured
+/// stream, in order, and marks `[HEDGED]` exactly the calls a `hedge`
+/// event names. A 60 ms trigger under 40 ms latency hedges only the calls
+/// fault seed 6 slows, so hedged and unhedged lines interleave.
+#[test]
+fn trace_lines_mark_exactly_the_hedged_calls() {
+    use activexml::obs::EventKind;
+
+    let t = TempFiles::new("trace-lines");
+    let doc = t.write("doc.xml", DOC);
+    let world = t.write("world.xml", WORLD);
+    let schema = t.write("schema.txt", SCHEMA);
+    let trace = t.dir.join("t.jsonl").to_string_lossy().into_owned();
+    let out = axml()
+        .args([
+            "query",
+            "--doc",
+            &doc,
+            "--world",
+            &world,
+            "--schema",
+            &schema,
+            "--query",
+            QUERY,
+            "--threads",
+            "--fault-seed",
+            "6",
+            "--latency-ms",
+            "40",
+            "--hedge-threshold-ms",
+            "60",
+            "--trace",
+            "--trace-json",
+            &trace,
+        ])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let events = activexml::obs::parse_jsonl(&std::fs::read_to_string(&trace).unwrap())
+        .expect("trace parses back");
+    let hedged: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Hedge { call, .. } => Some(call),
+            _ => None,
+        })
+        .collect();
+    // (service, hedged) per invocation, from the stream and from the lines
+    let expected: Vec<(String, bool)> = events
+        .iter()
+        .filter_map(|e| match &e.kind {
+            EventKind::Invocation { service, call, .. } => {
+                Some((service.clone(), hedged.contains(call)))
+            }
+            _ => None,
+        })
+        .collect();
+    let printed: Vec<(String, bool)> = stderr
+        .lines()
+        .filter(|l| l.starts_with("round"))
+        .map(|l| {
+            let service = l.split_whitespace().nth(2).unwrap_or_default();
+            (service.to_string(), l.contains("[HEDGED]"))
+        })
+        .collect();
+    assert_eq!(printed, expected, "--trace lines disagree:\n{stderr}");
+    assert!(
+        expected.iter().any(|(_, h)| *h) && expected.iter().any(|(_, h)| !*h),
+        "the run must mix hedged and unhedged calls:\n{stderr}"
+    );
+}
+
 /// Two identical `session` runs with the plan cache warm (the second
 /// `--query` repeats the first, so its plan fetch is a hit) must emit
 /// byte-identical trace JSONL — and the same bytes again with
-/// `--no-plan-cache`, because the compiled-plan layer is trace-invisible.
+/// `--plan-cache-capacity 0`, which compiles every query without storing
+/// it, because the compiled-plan layer is trace-invisible.
 #[test]
 fn session_traces_are_deterministic_with_a_warm_plan_cache() {
     let t = TempFiles::new("session-plans");
@@ -444,14 +518,14 @@ fn session_traces_are_deterministic_with_a_warm_plan_cache() {
         stdout.contains("== plans: 1 compiled, 1 hits / 1 misses"),
         "plan summary missing or wrong:\n{stdout}"
     );
-    let (without, stdout_off) = run("c.jsonl", &["--no-plan-cache"]);
+    let (without, stdout_off) = run("c.jsonl", &["--plan-cache-capacity", "0"]);
     assert_eq!(
         first, without,
-        "disabling the plan cache changed the session trace"
+        "a plan cache that stores nothing changed the session trace"
     );
     assert!(
-        !stdout_off.contains("== plans:"),
-        "--no-plan-cache still printed a plan summary:\n{stdout_off}"
+        stdout_off.contains("== plans: 2 compiled, 0 hits / 2 misses"),
+        "--plan-cache-capacity 0 still reused a plan:\n{stdout_off}"
     );
     let events = activexml::obs::parse_jsonl(&first).expect("trace parses back");
     let violations = activexml::obs::check_all(&events, None);
