@@ -18,6 +18,13 @@
 //! | `relax_xpath` — drop value joins from NFQs | §6.1 |
 //! | `use_fguide` — function-call guide + residual filtering | §6.2 |
 //! | `push_queries` — ship `sub_q_v` to providers | §7 |
+//!
+//! Every strategy runs one round loop, `Run::drive`: detect the relevant
+//! calls, dispatch them, detect again. A strategy differs only in what a
+//! round detects and how it dispatches. The calls themselves go through
+//! the gates of the `dispatch` child module.
+
+mod dispatch;
 
 use crate::fguide::{filter_candidates, FGuide};
 use crate::influence::{compute_layers, Layers};
@@ -27,16 +34,14 @@ use crate::plan::{
 };
 use crate::stats::EngineStats;
 use crate::typed::TypeRefiner;
-use axml_obs::{CacheOutcome, Event, EventKind, ShedReason, TraceSink};
+use axml_obs::{Event, EventKind, TraceSink};
 use axml_query::{
     eval_with, render, EdgeKind, EvalOptions, PLabel, Pattern, PlanScratch, SnapshotResult,
 };
 use axml_schema::{Schema, SymDfa, SymNfa};
-use axml_services::{
-    CacheLookup, Deadline, FailedCall, InvokeCache, InvokeError, InvokeOutcome, PushedQuery,
-    Registry, SimClock,
-};
+use axml_services::{Deadline, InvokeCache, PushedQuery, Registry, SimClock};
 use axml_xml::{CallId, Document, NodeId};
+use dispatch::{Candidate, Dispatch};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
@@ -485,41 +490,22 @@ impl<'a> Engine<'a> {
                 query: rendered.join(" ; "),
             });
         }
-        loop {
-            let mut merged: BTreeMap<CallId, Candidate> = BTreeMap::new();
-            for (nfqs, refiner) in per_query.iter_mut() {
-                let all: Vec<usize> = (0..nfqs.len()).collect();
-                let (cands, _) = run.detect_nfq_candidates(doc, nfqs, &all, refiner);
-                for c in cands {
-                    merged.entry(c.call).or_insert(c);
+        // a round's candidates: every query's relevant calls, by call id
+        run.drive(
+            doc,
+            |run, doc| {
+                let mut merged = BTreeMap::new();
+                for (nfqs, refiner) in per_query.iter_mut() {
+                    let all: Vec<usize> = (0..nfqs.len()).collect();
+                    for c in run.detect_nfq_candidates(doc, nfqs, &all, refiner).0 {
+                        merged.entry(c.call).or_insert(c);
+                    }
                 }
-            }
-            if merged.is_empty() || run.budget == 0 {
-                run.note_truncation(merged.len());
-                break;
-            }
-            run.stats.rounds += 1;
-            let cands: Vec<Candidate> = merged.into_values().collect();
-            run.emit_candidates(&cands);
-            let invoked = run.invoke_set(doc, &cands, &BTreeMap::new(), self.config.parallel);
-            if invoked == 0 {
-                run.note_truncation(run.pending_count(&cands));
-                break;
-            }
-        }
-
-        let shared_sim = run.clock.now_ms() - self.start_ms;
-        run.stats.sim_time_ms = shared_sim;
-        run.stats.final_doc_size = doc.len();
-        if run.observing() {
-            let kind = EventKind::QueryEnd {
-                complete: run.stats.is_complete(),
-                calls_invoked: run.stats.calls_invoked,
-                sim_time_ms: shared_sim,
-            };
-            let cpu = t0.elapsed().as_secs_f64() * 1e3;
-            run.emit_with_cpu(kind, Some(cpu));
-        }
+                (merged.into_values().collect(), Pushes::new())
+            },
+            |_| Dispatch::batch(self.config.parallel),
+        );
+        run.close(doc, t0);
         let shared_stats = run.stats;
         let mut final_cache = PlanScratch::default();
         queries
@@ -567,20 +553,8 @@ impl<'a> Engine<'a> {
             None => eval_with(query, doc, self.config.eval_options, &mut run.eval_cache),
         };
         run.stats.final_eval_cpu = tq.elapsed();
-        run.stats.sim_time_ms = run.clock.now_ms() - self.start_ms;
-        run.stats.total_cpu = t0.elapsed();
-        run.stats.final_doc_size = doc.len();
-        run.stats.guide_nodes = run.guide.as_ref().map_or(0, FGuide::len);
+        run.close(doc, t0);
         let complete = run.stats.is_complete();
-        if run.observing() {
-            let kind = EventKind::QueryEnd {
-                complete,
-                calls_invoked: run.stats.calls_invoked,
-                sim_time_ms: run.stats.sim_time_ms,
-            };
-            let cpu = run.stats.total_cpu.as_secs_f64() * 1e3;
-            run.emit_with_cpu(kind, Some(cpu));
-        }
         EvalReport {
             result,
             stats: run.stats,
@@ -591,6 +565,9 @@ impl<'a> Engine<'a> {
 
 /// Cached candidate triple: node, call identity, service name.
 type CachedCandidate = (NodeId, CallId, String);
+
+/// The queries pushed along with a round's calls (§7), by call.
+type Pushes = BTreeMap<CallId, PushedQuery>;
 
 /// Is the node visible to queries: is every strict ancestor a data node,
 /// so that it is not nested inside another call's parameters?
@@ -764,172 +741,6 @@ impl SymAuto {
     }
 }
 
-/// One invocation candidate.
-#[derive(Clone, Debug)]
-struct Candidate {
-    node: NodeId,
-    call: CallId,
-    service: String,
-    /// the query nodes whose NFQs retrieved it (empty for LPQ/naive)
-    foci: BTreeSet<axml_query::PNodeId>,
-}
-
-/// Accounting for one fired hedge leg, produced on the dispatch side and
-/// consumed by the batch's sequential accounting phase.
-struct HedgeLeg {
-    /// Elapsed cost (ms into the call) at which the hedge fired.
-    fired_at_ms: f64,
-    /// The primary leg's own cost, had it run alone.
-    primary_cost_ms: f64,
-    /// The hedge leg's own cost, measured from its firing point.
-    hedge_cost_ms: f64,
-    /// Whether the hedge leg won the race.
-    hedge_won: bool,
-    /// The losing leg's elapsed run time up to the winner's completion —
-    /// the work hedging wasted (never charged to the simulated clock).
-    wasted_ms: f64,
-}
-
-/// Resolves a primary/hedge race into exactly one logical outcome. The
-/// hedge leg starts `fired_at_ms` into the primary's run; the first leg
-/// to *succeed* wins and cancels the other, so the logical call completes
-/// at the winner's completion point. When both legs fail the call fails
-/// when the later leg gives up (the primary's attempt count is reported).
-fn combine_hedge(
-    primary: Result<InvokeOutcome, InvokeError>,
-    hedge: Result<InvokeOutcome, InvokeError>,
-    fired_at_ms: f64,
-) -> (Result<InvokeOutcome, InvokeError>, HedgeLeg) {
-    // prepare() verified the service exists, so neither leg can be
-    // `Unknown`; map it to a zero-cost failure defensively.
-    let failed_of = |e: InvokeError| match e {
-        InvokeError::Failed(f) => f,
-        InvokeError::Unknown(service) => FailedCall {
-            service,
-            attempts: 0,
-            cost_ms: 0.0,
-            timed_out: false,
-            deadline_exceeded: false,
-        },
-    };
-    match (primary, hedge) {
-        (Ok(p), Ok(h)) => {
-            let h_done = fired_at_ms + h.cost_ms;
-            if h_done < p.cost_ms {
-                let leg = HedgeLeg {
-                    fired_at_ms,
-                    primary_cost_ms: p.cost_ms,
-                    hedge_cost_ms: h.cost_ms,
-                    hedge_won: true,
-                    wasted_ms: p.cost_ms.min(h_done),
-                };
-                (
-                    Ok(InvokeOutcome {
-                        cost_ms: h_done,
-                        ..h
-                    }),
-                    leg,
-                )
-            } else {
-                let leg = HedgeLeg {
-                    fired_at_ms,
-                    primary_cost_ms: p.cost_ms,
-                    hedge_cost_ms: h.cost_ms,
-                    hedge_won: false,
-                    wasted_ms: h.cost_ms.min((p.cost_ms - fired_at_ms).max(0.0)),
-                };
-                (Ok(p), leg)
-            }
-        }
-        (Ok(p), Err(he)) => {
-            let hf = failed_of(he);
-            let leg = HedgeLeg {
-                fired_at_ms,
-                primary_cost_ms: p.cost_ms,
-                hedge_cost_ms: hf.cost_ms,
-                hedge_won: false,
-                wasted_ms: hf.cost_ms.min((p.cost_ms - fired_at_ms).max(0.0)),
-            };
-            (Ok(p), leg)
-        }
-        (Err(pe), Ok(h)) => {
-            let pf = failed_of(pe);
-            let h_done = fired_at_ms + h.cost_ms;
-            let leg = HedgeLeg {
-                fired_at_ms,
-                primary_cost_ms: pf.cost_ms,
-                hedge_cost_ms: h.cost_ms,
-                hedge_won: true,
-                wasted_ms: pf.cost_ms.min(h_done),
-            };
-            (
-                Ok(InvokeOutcome {
-                    cost_ms: h_done,
-                    ..h
-                }),
-                leg,
-            )
-        }
-        (Err(pe), Err(he)) => {
-            let pf = failed_of(pe);
-            let hf = failed_of(he);
-            let completion = pf.cost_ms.max(fired_at_ms + hf.cost_ms);
-            let leg = HedgeLeg {
-                fired_at_ms,
-                primary_cost_ms: pf.cost_ms,
-                hedge_cost_ms: hf.cost_ms,
-                hedge_won: false,
-                wasted_ms: hf.cost_ms,
-            };
-            let combined = FailedCall {
-                service: pf.service,
-                attempts: pf.attempts,
-                cost_ms: completion,
-                timed_out: pf.timed_out || hf.timed_out,
-                deadline_exceeded: pf.deadline_exceeded || hf.deadline_exceeded,
-            };
-            (Err(InvokeError::Failed(combined)), leg)
-        }
-    }
-}
-
-/// Dispatches one call with the hedging policy: the primary leg runs
-/// under the full remaining deadline budget; when its elapsed cost
-/// passes `hedge_after_ms` a duplicate hedge leg fires (with an
-/// independent deterministic fault fate) and the race is resolved by
-/// [`combine_hedge`]. Pure with respect to engine state, so threaded and
-/// sequential batch dispatch behave identically.
-fn dispatch_hedged(
-    registry: &Registry,
-    service: &str,
-    params: axml_xml::Forest,
-    pushed: Option<&PushedQuery>,
-    remaining_ms: f64,
-    hedge_after_ms: f64,
-) -> (Result<InvokeOutcome, InvokeError>, Option<HedgeLeg>) {
-    if !hedge_after_ms.is_finite() || remaining_ms - hedge_after_ms <= 0.0 {
-        return (
-            registry.invoke_within(service, params, pushed, remaining_ms),
-            None,
-        );
-    }
-    let primary = registry.invoke_within(service, params.clone(), pushed, remaining_ms);
-    let primary_cost = match &primary {
-        Ok(o) => Some(o.cost_ms),
-        Err(InvokeError::Failed(f)) => Some(f.cost_ms),
-        Err(InvokeError::Unknown(_)) => None,
-    };
-    match primary_cost {
-        Some(cost) if cost > hedge_after_ms => {
-            let hedge =
-                registry.invoke_hedge(service, params, pushed, remaining_ms - hedge_after_ms);
-            let (combined, leg) = combine_hedge(primary, hedge, hedge_after_ms);
-            (combined, Some(leg))
-        }
-        _ => (primary, None),
-    }
-}
-
 impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
     /// A fresh run of `engine` for `query`: the clock, budget and deadline
     /// start from the engine's configuration, every cache starts empty.
@@ -992,16 +803,22 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         obs.emit(&event);
     }
 
-    /// Emits one `candidates` event naming the calls detection just found
-    /// relevant — the sets the laziness oracle replays.
-    fn emit_candidates(&mut self, cands: &[Candidate]) {
-        if !self.observing() {
-            return;
+    /// Closes the run's query span: the final accounting, then the
+    /// `query_end` event carrying the run's CPU time since `t0`.
+    fn close(&mut self, doc: &Document, t0: Instant) {
+        self.stats.sim_time_ms = self.clock.now_ms() - self.engine.start_ms;
+        self.stats.total_cpu = t0.elapsed();
+        self.stats.final_doc_size = doc.len();
+        self.stats.guide_nodes = self.guide.as_ref().map_or(0, FGuide::len);
+        if self.observing() {
+            let kind = EventKind::QueryEnd {
+                complete: self.stats.is_complete(),
+                calls_invoked: self.stats.calls_invoked,
+                sim_time_ms: self.stats.sim_time_ms,
+            };
+            let cpu = self.stats.total_cpu.as_secs_f64() * 1e3;
+            self.emit_with_cpu(kind, Some(cpu));
         }
-        self.emit(EventKind::Candidates {
-            calls: cands.iter().map(|c| c.call.0).collect(),
-            services: cands.iter().map(|c| c.service.clone()).collect(),
-        });
     }
 
     /// Flags truncation (once) when the run died with relevant candidates
@@ -1023,26 +840,65 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         }
     }
 
-    /// Candidates of `cands` that are still undispatched and not dead —
-    /// the pending count reported when a round closes without progress.
-    fn pending_count(&self, cands: &[Candidate]) -> usize {
-        cands
-            .iter()
-            .filter(|c| !self.dead.contains(&c.call))
-            .count()
+    /// The round loop every strategy shares (NFQA, §4.1): detect the
+    /// relevant calls, dispatch them, detect again. A strategy supplies
+    /// only its detection and its per-round dispatch choice. The loop
+    /// stops when detection finds nothing, the invocation budget is spent,
+    /// or a round resolves no call; candidates still pending then flag
+    /// truncation.
+    fn drive(
+        &mut self,
+        doc: &mut Document,
+        mut detect: impl FnMut(&mut Self, &Document) -> (Vec<Candidate>, Pushes),
+        mut choose: impl FnMut(&mut Self) -> Dispatch,
+    ) {
+        loop {
+            let (cands, pushes) = detect(self, doc);
+            if cands.is_empty() || self.budget == 0 {
+                self.note_truncation(cands.len());
+                return;
+            }
+            self.stats.rounds += 1;
+            if self.observing() {
+                // the sets the laziness oracle replays
+                self.emit(EventKind::Candidates {
+                    calls: cands.iter().map(|c| c.call.0).collect(),
+                    services: cands.iter().map(|c| c.service.clone()).collect(),
+                });
+            }
+            let mode = choose(self);
+            if self.dispatch(doc, &cands, &pushes, mode) == 0 {
+                // everything left is dead — or undispatchable because the
+                // deadline expired
+                let pending = cands.iter().filter(|c| !self.dead.contains(&c.call));
+                self.note_truncation(pending.count());
+                return;
+            }
+        }
+    }
+
+    // ---------------- naive ----------------
+
+    fn run_naive(&mut self, doc: &mut Document) {
+        let mode = Dispatch::batch(self.config().parallel);
+        self.drive(
+            doc,
+            |run, doc| (run.visible_calls(doc), Pushes::new()),
+            |_| mode,
+        );
     }
 
     /// Calls visible to queries: pre-order, never descending below a call
     /// (parameters are service inputs, not content). Only the naive
     /// strategy walks the document for them, because it needs document
     /// order.
-    fn visible_calls(&self, doc: &Document) -> Vec<(NodeId, CallId, String)> {
+    fn visible_calls(&self, doc: &Document) -> Vec<Candidate> {
         let mut out = Vec::new();
         let mut stack: Vec<NodeId> = doc.roots().iter().rev().copied().collect();
         while let Some(n) = stack.pop() {
             if let Some((id, svc)) = doc.call_info(n) {
                 if !self.dead.contains(&id) {
-                    out.push((n, id, svc.to_string()));
+                    out.push(Candidate::new(n, id, svc.to_string()));
                 }
                 continue;
             }
@@ -1051,623 +907,6 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
             }
         }
         out
-    }
-
-    /// Validates a candidate and extracts what its dispatch needs: the
-    /// parameter forest and the parent label path. `None` means skipped
-    /// (stale node, unknown service, budget exhausted).
-    fn prepare(
-        &mut self,
-        doc: &Document,
-        cand: &Candidate,
-    ) -> Option<(axml_xml::Forest, Vec<String>)> {
-        if self.budget == 0 {
-            // not marked truncated here: a failed batch mate may refund
-            // budget and let this call proceed in a later round. The
-            // driving loops flag truncation when the budget is still
-            // exhausted at re-detection time.
-            return None;
-        }
-        if self.deadline.expired(self.clock.now_ms()) {
-            // no dead-marking: the call stays detectable, so a zero-cost
-            // cache hit (probed before this gate) can still resolve it.
-            // The driving loops flag deadline truncation when a round
-            // closes without progress.
-            self.deadline_hit = true;
-            return None;
-        }
-        if !holds_call(doc, cand.node, cand.call) {
-            return None;
-        }
-        if !self.engine.registry.has_service(&cand.service) {
-            self.skip_unknown(cand);
-            return None;
-        }
-        if let Some(reason) = self.shed_reason(&cand.service) {
-            // the admission gate refuses the dispatch before the breaker
-            // even sees it; like a breaker skip, the call is marked
-            // exhausted so the answer degrades to a sound partial result
-            // instead of spinning
-            self.dead.insert(cand.call);
-            self.stats.shed_skips += 1;
-            if self.observing() {
-                self.emit(EventKind::Shed {
-                    service: cand.service.clone(),
-                    call: cand.call.0,
-                    reason,
-                });
-            }
-            return None;
-        }
-        if !self
-            .engine
-            .registry
-            .breaker_allows(&cand.service, self.clock.now_ms())
-        {
-            // an open circuit breaker refuses the dispatch outright; the
-            // call is marked exhausted so the rewriting can terminate with
-            // a partial answer instead of spinning on a zero-cost skip
-            self.dead.insert(cand.call);
-            self.stats.breaker_skips += 1;
-            self.engine.registry.record_breaker_skip();
-            if self.observing() {
-                self.emit(EventKind::BreakerSkip {
-                    service: cand.service.clone(),
-                    call: cand.call.0,
-                });
-            }
-            return None;
-        }
-        let params = doc.children_to_forest(cand.node);
-        let parent_path = parent_labels(doc, cand.node);
-        // reserve budget now: threaded batches dispatch before applying
-        self.budget -= 1;
-        *self.batch_admitted.entry(cand.service.clone()).or_default() += 1;
-        Some((params, parent_path))
-    }
-
-    /// Marks a call naming an unregistered service dead and counts the
-    /// skip.
-    fn skip_unknown(&mut self, cand: &Candidate) {
-        self.dead.insert(cand.call);
-        self.stats.skipped_unknown += 1;
-        if self.observing() {
-            self.emit(EventKind::UnknownService {
-                service: cand.service.clone(),
-                call: cand.call.0,
-            });
-        }
-    }
-
-    /// Whether the admission gate sheds a candidate of `service` right
-    /// now, and why. Checked per batch: the in-flight gate counts calls
-    /// already admitted for the service in the current batch, the latency
-    /// gate reads the service's observed cost EWMA.
-    fn shed_reason(&self, service: &str) -> Option<ShedReason> {
-        let shed = &self.config().shed;
-        if shed.max_inflight_per_batch != usize::MAX
-            && self.batch_admitted.get(service).copied().unwrap_or(0) >= shed.max_inflight_per_batch
-        {
-            return Some(ShedReason::Inflight);
-        }
-        if shed.ewma_limit_ms.is_finite() {
-            if let Some(ewma) = self.engine.registry.latency_ewma(service) {
-                if ewma > shed.ewma_limit_ms {
-                    return Some(ShedReason::Latency);
-                }
-            }
-        }
-        None
-    }
-
-    /// Probes the cross-query call-result cache for a candidate
-    /// (reconstructed §7). On a valid entry the cached forest is spliced
-    /// in at **zero** network cost — before the budget and circuit-breaker
-    /// gates, so a hit is served even while the service is failing or its
-    /// breaker is open — and `true` is returned. Expired entries and
-    /// misses return `false` and fall through to the real invoke path.
-    fn try_cache(
-        &mut self,
-        doc: &mut Document,
-        cand: &Candidate,
-        pushed: Option<&PushedQuery>,
-    ) -> bool {
-        let Some(cache) = self.engine.cache else {
-            return false;
-        };
-        if !holds_call(doc, cand.node, cand.call) {
-            return false;
-        }
-        let params = doc.children_to_forest(cand.node);
-        match cache.lookup(&cand.service, &params, pushed, self.clock.now_ms()) {
-            CacheLookup::Hit(hit) => {
-                let parent_path = parent_labels(doc, cand.node);
-                self.splice_result(doc, cand, &parent_path, &hit.result);
-                if self.observing() {
-                    self.emit(EventKind::CacheProbe {
-                        service: cand.service.clone(),
-                        call: cand.call.0,
-                        outcome: CacheOutcome::Hit,
-                    });
-                    self.emit(EventKind::Invocation {
-                        service: cand.service.clone(),
-                        call: cand.call.0,
-                        path: parent_path.join("/"),
-                        pushed: hit.pushed,
-                        cached: true,
-                        ok: true,
-                        attempts: 0,
-                        cost_ms: 0.0,
-                        bytes: 0,
-                    });
-                }
-                self.stats.cache_hits += 1;
-                true
-            }
-            CacheLookup::Stale => {
-                self.stats.cache_stale += 1;
-                if self.observing() {
-                    self.emit(EventKind::CacheProbe {
-                        service: cand.service.clone(),
-                        call: cand.call.0,
-                        outcome: CacheOutcome::Stale,
-                    });
-                }
-                false
-            }
-            CacheLookup::Miss => {
-                self.stats.cache_misses += 1;
-                if self.observing() {
-                    self.emit(EventKind::CacheProbe {
-                        service: cand.service.clone(),
-                        call: cand.call.0,
-                        outcome: CacheOutcome::Miss,
-                    });
-                }
-                false
-            }
-        }
-    }
-
-    /// Records a completed call with the circuit breaker and notifies the
-    /// cache when the recorded outcome flipped the breaker's state (the
-    /// automatic-invalidation hook of the reconstructed §7).
-    fn record_breaker(&mut self, service: &str, ok: bool) {
-        let now = self.clock.now_ms();
-        let registry = self.engine.registry;
-        let allowed_before = registry.breaker_allows(service, now);
-        registry.breaker_record(service, ok, now);
-        let allowed_after = registry.breaker_allows(service, now);
-        if allowed_before != allowed_after {
-            if let Some(cache) = self.engine.cache {
-                cache.on_breaker_transition(service, !allowed_after);
-            }
-            if self.observing() {
-                self.emit(EventKind::BreakerTransition {
-                    service: service.to_string(),
-                    open: !allowed_after,
-                });
-            }
-        }
-    }
-
-    /// Invokes one candidate; returns its simulated cost, or `None` when
-    /// the call was skipped (stale, unknown service, breaker open, budget
-    /// exhausted). A cache hit resolves the candidate at zero cost. A
-    /// permanent failure counts as *resolved*: it returns the burned cost
-    /// and the call joins the dead set, so the rewriting proceeds to a
-    /// partial answer instead of aborting.
-    fn invoke(
-        &mut self,
-        doc: &mut Document,
-        cand: &Candidate,
-        pushed: Option<&PushedQuery>,
-    ) -> Option<f64> {
-        if self.try_cache(doc, cand, pushed) {
-            return Some(0.0);
-        }
-        let (params, parent_path) = self.prepare(doc, cand)?;
-        let cache_params = self.engine.cache.map(|_| params.clone());
-        let remaining = self.deadline.remaining_ms(self.clock.now_ms());
-        let res = self
-            .engine
-            .registry
-            .invoke_within(&cand.service, params, pushed, remaining);
-        self.settle(doc, cand, cache_params.as_ref(), pushed, parent_path, res)
-    }
-
-    /// Settles one dispatched call: a success is stored in the call cache
-    /// (given the parameters it was keyed on) and spliced by
-    /// [`Run::apply`]; an unknown service refunds the budget `prepare`
-    /// reserved and is skipped; a permanent failure goes to
-    /// [`Run::apply_failure`]. Returns the simulated cost to charge, or
-    /// `None` for a skip.
-    fn settle(
-        &mut self,
-        doc: &mut Document,
-        cand: &Candidate,
-        params: Option<&axml_xml::Forest>,
-        pushed: Option<&PushedQuery>,
-        parent_path: Vec<String>,
-        res: Result<InvokeOutcome, InvokeError>,
-    ) -> Option<f64> {
-        match res {
-            Ok(outcome) => {
-                if let (Some(cache), Some(p)) = (self.engine.cache, params) {
-                    cache.store(&cand.service, p, pushed, &outcome, self.clock.now_ms());
-                }
-                Some(self.apply(doc, cand, parent_path, outcome))
-            }
-            Err(InvokeError::Unknown(_)) => {
-                // prepare checked existence; defend anyway
-                self.budget += 1;
-                self.skip_unknown(cand);
-                None
-            }
-            Err(InvokeError::Failed(failed)) => Some(self.apply_failure(cand, parent_path, failed)),
-        }
-    }
-
-    /// Splices a result forest over a call slot and does the shared
-    /// bookkeeping (F-guide maintenance, splice log for incremental
-    /// detection) — common to real invocations and cache hits.
-    fn splice_result(
-        &mut self,
-        doc: &mut Document,
-        cand: &Candidate,
-        parent_path: &[String],
-        result: &axml_xml::Forest,
-    ) {
-        if let Some(g) = &mut self.guide {
-            g.remove_call(doc, parent_path, cand.node);
-        }
-        let parent = doc.parent(cand.node);
-        let inserted = doc.splice_call(cand.node, result);
-        if let Some(g) = &mut self.guide {
-            for &r in &inserted {
-                g.add_subtree(doc, r, parent_path);
-            }
-        }
-        self.splice_seq += 1;
-        if self.config().incremental_detection {
-            // ring buffer: evict the oldest record when full and remember
-            // the eviction horizon, so stale queries degrade soundly
-            let cap = self.config().splice_log_capacity.max(1);
-            if self.splice_log.len() >= cap {
-                if let Some(evicted) = self.splice_log.pop_front() {
-                    self.splice_floor = self.splice_floor.max(evicted.seq);
-                }
-            }
-            self.splice_log.push_back(SpliceRecord {
-                seq: self.splice_seq,
-                node: cand.node,
-                consumed: cand.call,
-                parent_syms: parent.map(|p| doc.path_syms(p)).unwrap_or_default(),
-            });
-        }
-    }
-
-    /// Splices a dispatched call's outcome into the document and accounts
-    /// for it; returns the simulated cost.
-    fn apply(
-        &mut self,
-        doc: &mut Document,
-        cand: &Candidate,
-        parent_path: Vec<String>,
-        outcome: axml_services::InvokeOutcome,
-    ) -> f64 {
-        if self.config().enforce_output_types && !outcome.pushed {
-            if let Some(schema) = self.engine.schema {
-                if let Some(sig) = schema.function(&cand.service) {
-                    let root_ok = axml_schema::forest_matches_type(&outcome.result, &sig.output);
-                    let content_errors = axml_schema::validate(&outcome.result, schema)
-                        .into_iter()
-                        .filter(|e| !matches!(e, axml_schema::ValidationError::RootMismatch { .. }))
-                        .count();
-                    if !root_ok || content_errors > 0 {
-                        self.stats.type_violations += 1;
-                    }
-                }
-            }
-        }
-        self.splice_result(doc, cand, &parent_path, &outcome.result);
-        if self.observing() {
-            // the registry reports the final attempt count; individual
-            // attempt events are derived here, on the sequential
-            // accounting phase (only the last attempt succeeded)
-            for i in 0..outcome.attempts {
-                self.emit(EventKind::Attempt {
-                    service: cand.service.clone(),
-                    call: cand.call.0,
-                    index: i,
-                    ok: i + 1 == outcome.attempts,
-                });
-            }
-            self.emit(EventKind::Invocation {
-                service: cand.service.clone(),
-                call: cand.call.0,
-                path: parent_path.join("/"),
-                pushed: outcome.pushed,
-                cached: false,
-                ok: true,
-                attempts: outcome.attempts,
-                cost_ms: outcome.cost_ms,
-                bytes: outcome.bytes,
-            });
-        }
-        self.stats.calls_invoked += 1;
-        self.stats.call_attempts += outcome.attempts;
-        self.total_call_cost_ms += outcome.cost_ms;
-        self.stats.bytes_transferred += outcome.bytes;
-        if outcome.pushed {
-            self.stats.pushed_calls += 1;
-        }
-        *self
-            .stats
-            .invoked_by_service
-            .entry(cand.service.clone())
-            .or_default() += 1;
-        self.engine
-            .registry
-            .latency_observe(&cand.service, outcome.cost_ms);
-        self.record_breaker(&cand.service, true);
-        outcome.cost_ms
-    }
-
-    /// Accounts for a call that exhausted its retry budget: the call is
-    /// marked exhausted (never re-detected), the reserved invocation
-    /// budget is refunded, the failure is recorded in the stats, the trace
-    /// and the circuit breaker, and the burned simulated cost is returned
-    /// so the caller still charges it to the clock. The document is left
-    /// untouched — the final answer simply misses the subtree this call
-    /// would have produced.
-    fn apply_failure(
-        &mut self,
-        cand: &Candidate,
-        parent_path: Vec<String>,
-        failed: FailedCall,
-    ) -> f64 {
-        self.budget += 1; // the dispatch reserved it; nothing materialized
-        self.dead.insert(cand.call);
-        self.stats.failed_calls += 1;
-        self.stats.call_attempts += failed.attempts;
-        self.total_call_cost_ms += failed.cost_ms;
-        if failed.deadline_exceeded {
-            // the call burned its whole remaining deadline budget — the
-            // driving loop will close the round as deadline-truncated if
-            // candidates are still pending
-            self.deadline_hit = true;
-        }
-        if self.observing() {
-            for i in 0..failed.attempts {
-                self.emit(EventKind::Attempt {
-                    service: cand.service.clone(),
-                    call: cand.call.0,
-                    index: i,
-                    ok: false,
-                });
-            }
-            self.emit(EventKind::Invocation {
-                service: cand.service.clone(),
-                call: cand.call.0,
-                path: parent_path.join("/"),
-                pushed: false,
-                cached: false,
-                ok: false,
-                attempts: failed.attempts,
-                cost_ms: failed.cost_ms,
-                bytes: 0,
-            });
-        }
-        self.engine
-            .registry
-            .latency_observe(&cand.service, failed.cost_ms);
-        self.record_breaker(&cand.service, false);
-        failed.cost_ms
-    }
-
-    /// One-at-a-time dispatch (top-down / NFQA): resolves the *first*
-    /// candidate that is still invocable, in the given order, advancing
-    /// the clock sequentially. Candidates skipped on the way (stale slots,
-    /// unknown services, open breakers) do not abort the round — the next
-    /// candidate is tried, so degradation never strands invocable calls
-    /// behind a refused one. Returns 1 if a candidate was resolved.
-    fn invoke_first(
-        &mut self,
-        doc: &mut Document,
-        cands: &[Candidate],
-        pushes: &BTreeMap<CallId, PushedQuery>,
-    ) -> usize {
-        self.batch_admitted.clear();
-        for c in cands {
-            if let Some(cost) = self.invoke(doc, c, pushes.get(&c.call)) {
-                self.clock.advance(cost);
-                self.emit(EventKind::Batch {
-                    parallel: false,
-                    costs: vec![cost],
-                    advance_ms: cost,
-                });
-                return 1;
-            }
-        }
-        0
-    }
-
-    /// Invokes a set of candidates, sequential or as a parallel batch
-    /// (logical-clock overlap always; real OS threads when configured).
-    ///
-    /// Returns the number of candidates *resolved*: successful splices
-    /// plus permanent failures. Both advance the rewriting — a failed call
-    /// joins the dead set and is never re-detected — so callers' loops
-    /// terminate with a partial answer instead of spinning or aborting.
-    fn invoke_set(
-        &mut self,
-        doc: &mut Document,
-        cands: &[Candidate],
-        pushes: &BTreeMap<CallId, PushedQuery>,
-        parallel: bool,
-    ) -> usize {
-        let mut invoked = 0;
-        self.batch_admitted.clear();
-        if parallel {
-            // phase 0/1: serve cache hits immediately (zero cost, so they
-            // don't contribute to the batch's clock advance), then
-            // validate the remaining candidates for dispatch. Hits splice
-            // right away — candidates are distinct call slots, and calls
-            // never nest inside another call's parameters, so a hit
-            // cannot invalidate a batch mate.
-            let mut prepared: Vec<(&Candidate, axml_xml::Forest, Vec<String>)> = Vec::new();
-            for c in cands {
-                if self.try_cache(doc, c, pushes.get(&c.call)) {
-                    invoked += 1;
-                    continue;
-                }
-                if let Some((params, path)) = self.prepare(doc, c) {
-                    prepared.push((c, params, path));
-                }
-            }
-            // the remaining deadline budget and each call's hedge trigger
-            // are fixed here, on the sequential phase, before any dispatch
-            // — the latency EWMA only moves during phase 3, so threaded
-            // and sequential dispatch see identical values
-            let remaining = self.deadline.remaining_ms(self.clock.now_ms());
-            let hedge_cfg = self.config().hedge;
-            let registry = self.engine.registry;
-            let triggers: Vec<f64> = prepared
-                .iter()
-                .map(|(c, _, _)| hedge_cfg.trigger_ms(registry.latency_ewma(&c.service)))
-                .collect();
-            // phase 2: dispatch — one OS thread per call when configured,
-            // sequentially under the logical clock otherwise. Either way
-            // the whole batch is dispatched before any result is applied,
-            // so a mid-batch failure cannot starve its siblings and both
-            // modes observe identical fault and breaker schedules.
-            type Dispatched = (Result<InvokeOutcome, InvokeError>, Option<HedgeLeg>);
-            let results: Vec<Dispatched> = if self.config().real_threads {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = prepared
-                        .iter()
-                        .zip(&triggers)
-                        .map(|((c, params, _), trigger)| {
-                            let params = params.clone();
-                            let pushed = pushes.get(&c.call);
-                            let service = c.service.clone();
-                            let trigger = *trigger;
-                            scope.spawn(move || {
-                                dispatch_hedged(
-                                    registry, &service, params, pushed, remaining, trigger,
-                                )
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("service panicked"))
-                        .collect()
-                })
-            } else {
-                prepared
-                    .iter()
-                    .zip(&triggers)
-                    .map(|((c, params, _), trigger)| {
-                        dispatch_hedged(
-                            registry,
-                            &c.service,
-                            params.clone(),
-                            pushes.get(&c.call),
-                            remaining,
-                            *trigger,
-                        )
-                    })
-                    .collect()
-            };
-            // phase 3: splice sequentially, deterministically. A fired
-            // hedge leg is accounted here, exactly once per logical call:
-            // the `hedge` event precedes the single invocation outcome.
-            let mut costs = Vec::new();
-            for ((c, params, path), (res, hedge)) in prepared.into_iter().zip(results) {
-                if let Some(leg) = &hedge {
-                    self.stats.hedged_calls += 1;
-                    if leg.hedge_won {
-                        self.stats.hedge_wins += 1;
-                    }
-                    self.stats.hedge_wasted_ms += leg.wasted_ms;
-                    if self.observing() {
-                        self.emit(EventKind::Hedge {
-                            service: c.service.clone(),
-                            call: c.call.0,
-                            fired_at_ms: leg.fired_at_ms,
-                            primary_cost_ms: leg.primary_cost_ms,
-                            hedge_cost_ms: leg.hedge_cost_ms,
-                            hedge_won: leg.hedge_won,
-                        });
-                    }
-                }
-                let pushed = pushes.get(&c.call);
-                if let Some(cost) = self.settle(doc, c, Some(&params), pushed, path, res) {
-                    costs.push(cost);
-                    invoked += 1;
-                }
-            }
-            self.clock.advance_parallel(&costs);
-            if !costs.is_empty() {
-                let advance_ms = costs.iter().copied().fold(0.0, f64::max);
-                self.emit(EventKind::Batch {
-                    parallel: true,
-                    costs,
-                    advance_ms,
-                });
-            }
-        } else {
-            let mut costs = Vec::new();
-            for c in cands {
-                if let Some(cost) = self.invoke(doc, c, pushes.get(&c.call)) {
-                    self.clock.advance(cost);
-                    costs.push(cost);
-                    invoked += 1;
-                }
-            }
-            if !costs.is_empty() {
-                let advance_ms = costs.iter().sum();
-                self.emit(EventKind::Batch {
-                    parallel: false,
-                    costs,
-                    advance_ms,
-                });
-            }
-        }
-        invoked
-    }
-
-    // ---------------- naive ----------------
-
-    fn run_naive(&mut self, doc: &mut Document) {
-        loop {
-            let cands: Vec<Candidate> = self
-                .visible_calls(doc)
-                .into_iter()
-                .map(|(node, call, service)| Candidate {
-                    node,
-                    call,
-                    service,
-                    foci: BTreeSet::new(),
-                })
-                .collect();
-            if cands.is_empty() || self.budget == 0 {
-                self.note_truncation(cands.len());
-                break;
-            }
-            self.stats.rounds += 1;
-            self.emit_candidates(&cands);
-            let par = self.config().parallel;
-            let invoked = self.invoke_set(doc, &cands, &BTreeMap::new(), par);
-            if invoked == 0 {
-                // everything left is dead — or undispatchable because the
-                // deadline expired
-                self.note_truncation(self.pending_count(&cands));
-                break;
-            }
-        }
     }
 
     // ---------------- LPQ / top-down ----------------
@@ -1681,62 +920,38 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         self.stats.queries_pruned = pruned;
         let lpqs: &[Lpq] = plan.map_or(&built, |p| &p.lpqs);
         let lpq_plans = plan.map(|p| p.lpq_plans.as_slice());
-        loop {
+        let mode = if one_at_a_time {
+            Dispatch::First
+        } else {
+            Dispatch::batch(self.config().parallel)
+        };
+        let detect = |run: &mut Self, doc: &Document| {
             let t = Instant::now();
             let mut cands: Vec<Candidate> = Vec::new();
             let mut seen: HashSet<CallId> = HashSet::new();
             for (li, lpq) in lpqs.iter().enumerate() {
-                self.stats.relevance_evals += 1;
-                let opts = self.config().eval_options;
+                run.stats.relevance_evals += 1;
+                let opts = run.config().eval_options;
                 let r = match lpq_plans {
                     // LPQ patterns are immutable over the run, so the
                     // compiled plan applies verbatim (remap per eval)
-                    Some(ps) => ps[li].eval_with(doc, opts, &mut self.eval_cache),
-                    None => eval_with(&lpq.pattern, doc, opts, &mut self.eval_cache),
+                    Some(ps) => ps[li].eval_with(doc, opts, &mut run.eval_cache),
+                    None => eval_with(&lpq.pattern, doc, opts, &mut run.eval_cache),
                 };
                 for node in r.bindings_of(lpq.output) {
                     if let Some((id, svc)) = doc.call_info(node) {
-                        if !self.dead.contains(&id) && seen.insert(id) {
-                            cands.push(Candidate {
-                                node,
-                                call: id,
-                                service: svc.to_string(),
-                                foci: BTreeSet::new(),
-                            });
+                        if !run.dead.contains(&id) && seen.insert(id) {
+                            cands.push(Candidate::new(node, id, svc.to_string()));
                         }
                     }
                 }
             }
-            self.stats.relevance_cpu += t.elapsed();
-            if cands.is_empty() || self.budget == 0 {
-                self.note_truncation(cands.len());
-                break;
-            }
+            run.stats.relevance_cpu += t.elapsed();
+            // the `candidates` event lists LPQ candidates in document order
             cands.sort_by(|a, b| doc.cmp_document_order(a.node, b.node));
-            self.stats.rounds += 1;
-            self.emit_candidates(&cands);
-            let invoked = if one_at_a_time {
-                self.invoke_first(doc, &cands, &BTreeMap::new())
-            } else {
-                self.invoke_set(doc, &cands, &BTreeMap::new(), self.config().parallel)
-            };
-            if invoked == 0 && cands.iter().all(|c| self.dead.contains(&c.call)) {
-                break;
-            }
-            if invoked == 0 {
-                // nothing invocable this round (all stale/unknown): the
-                // candidate set can only shrink, so re-detect once more and
-                // stop if it repeats
-                let still: Vec<&Candidate> = cands
-                    .iter()
-                    .filter(|c| !self.dead.contains(&c.call))
-                    .collect();
-                if !still.is_empty() {
-                    self.note_truncation(still.len());
-                    break;
-                }
-            }
-        }
+            (cands, Pushes::new())
+        };
+        self.drive(doc, detect, |_| mode);
     }
 
     // ---------------- NFQ (NFQA + layers + typing + F-guide) ----------------
@@ -1785,7 +1000,13 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
             });
 
         if self.config().speculation != Speculation::Off {
-            self.run_nfq_speculative(doc, &nfqs, &mut refiner);
+            // one layer of every NFQ, no condition (✳)
+            let all: Vec<usize> = (0..nfqs.len()).collect();
+            self.drive(
+                doc,
+                |run, doc| run.detect_nfq_candidates(doc, &nfqs, &all, &mut refiner),
+                Self::speculative_dispatch,
+            );
             return;
         }
 
@@ -1798,36 +1019,23 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         }
 
         for (li, layer) in layers.layers.iter().enumerate() {
-            let parallel_ok = layers.independent[li] && self.config().parallel;
+            // NFQA: one relevant call, then re-evaluate — unless the
+            // layer's calls are independent (✳) and may go as a batch
+            let mode = if layers.independent[li] && self.config().parallel {
+                Dispatch::Parallel
+            } else {
+                Dispatch::First
+            };
             self.layer = li;
             self.emit(EventKind::LayerStart {
                 nfqs: layer.len(),
                 independent: layers.independent[li],
             });
-            loop {
-                let (cands, pushes) = self.detect_nfq_candidates(doc, &nfqs, layer, &mut refiner);
-                if cands.is_empty() || self.budget == 0 {
-                    self.note_truncation(cands.len());
-                    break;
-                }
-                self.stats.rounds += 1;
-                self.emit_candidates(&cands);
-                let invoked = if parallel_ok {
-                    self.invoke_set(doc, &cands, &pushes, true)
-                } else {
-                    // NFQA: one relevant call, then re-evaluate
-                    let mut sorted = cands.clone();
-                    sorted.sort_by(|a, b| doc.cmp_document_order(a.node, b.node));
-                    self.invoke_first(doc, &sorted, &pushes)
-                };
-                if invoked == 0 && cands.iter().all(|c| self.dead.contains(&c.call)) {
-                    break;
-                }
-                if invoked == 0 {
-                    self.note_truncation(self.pending_count(&cands));
-                    break;
-                }
-            }
+            self.drive(
+                doc,
+                |run, doc| run.detect_nfq_candidates(doc, &nfqs, layer, &mut refiner),
+                |_| mode,
+            );
             self.emit(EventKind::LayerEnd);
             // §4.3: drop the `()` side branches guarding positions whose
             // layers are now fully processed
@@ -1863,48 +1071,25 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
 
     /// §4.4's closing direction: fire every currently relevant call in one
     /// parallel batch, ignoring the layer order and condition (✳). With
-    /// `Speculation::CostBased`, the first call is fired alone to observe
-    /// the service cost; batching starts once the mean call cost exceeds
-    /// the threshold.
-    fn run_nfq_speculative(
-        &mut self,
-        doc: &mut Document,
-        nfqs: &[Nfq],
-        refiner: &mut Option<TypeRefiner<'_, '_>>,
-    ) {
-        let all: Vec<usize> = (0..nfqs.len()).collect();
-        loop {
-            let (cands, pushes) = self.detect_nfq_candidates(doc, nfqs, &all, refiner);
-            if cands.is_empty() || self.budget == 0 {
-                self.note_truncation(cands.len());
-                break;
+    /// `Speculation::CostBased`, calls go one at a time until the mean
+    /// observed call cost reaches the threshold.
+    fn speculative_dispatch(&mut self) -> Dispatch {
+        let speculate = match self.config().speculation {
+            Speculation::Always => true,
+            Speculation::CostBased {
+                latency_threshold_ms,
+            } => {
+                self.stats.calls_invoked > 0
+                    && self.total_call_cost_ms / self.stats.calls_invoked as f64
+                        >= latency_threshold_ms
             }
-            self.stats.rounds += 1;
-            self.emit_candidates(&cands);
-            let avg_cost = if self.stats.calls_invoked > 0 {
-                Some(self.total_call_cost_ms / self.stats.calls_invoked as f64)
-            } else {
-                None
-            };
-            let speculate = match self.config().speculation {
-                Speculation::Always => true,
-                Speculation::CostBased {
-                    latency_threshold_ms,
-                } => avg_cost.is_some_and(|c| c >= latency_threshold_ms),
-                Speculation::Off => unreachable!("handled by run_nfq"),
-            };
-            let invoked = if speculate {
-                self.stats.speculative_rounds += 1;
-                self.invoke_set(doc, &cands, &pushes, true)
-            } else {
-                let mut sorted = cands.clone();
-                sorted.sort_by(|a, b| doc.cmp_document_order(a.node, b.node));
-                self.invoke_first(doc, &sorted, &pushes)
-            };
-            if invoked == 0 {
-                self.note_truncation(self.pending_count(&cands));
-                break;
-            }
+            Speculation::Off => false,
+        };
+        if speculate {
+            self.stats.speculative_rounds += 1;
+            Dispatch::Parallel
+        } else {
+            Dispatch::First
         }
     }
 
@@ -2026,7 +1211,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         nfqs: &[Nfq],
         layer: &[usize],
         refiner: &mut Option<TypeRefiner<'_, '_>>,
-    ) -> (Vec<Candidate>, BTreeMap<CallId, PushedQuery>) {
+    ) -> (Vec<Candidate>, Pushes) {
         let t = Instant::now();
         // function names currently in the document (for refinement)
         let known = if refiner.is_some() {
@@ -2052,12 +1237,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                             }
                             by_call
                                 .entry(id)
-                                .or_insert_with(|| Candidate {
-                                    node,
-                                    call: id,
-                                    service: svc.clone(),
-                                    foci: BTreeSet::new(),
-                                })
+                                .or_insert_with(|| Candidate::new(node, id, svc.clone()))
                                 .foci
                                 .insert(nfq.focus);
                         }
@@ -2134,12 +1314,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                 }
                 by_call
                     .entry(id)
-                    .or_insert_with(|| Candidate {
-                        node,
-                        call: id,
-                        service: svc.to_string(),
-                        foci: BTreeSet::new(),
-                    })
+                    .or_insert_with(|| Candidate::new(node, id, svc.to_string()))
                     .foci
                     .insert(nfq.focus);
             }

@@ -49,7 +49,7 @@ pub struct FailedCall {
     pub deadline_exceeded: bool,
 }
 
-/// Failure modes of [`Registry::invoke_with_policy`].
+/// Failure modes of [`Registry::invoke_within`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum InvokeError {
     /// No service registered under that name; nothing was attempted and
@@ -235,7 +235,7 @@ impl Registry {
         self
     }
 
-    /// Sets the retry policy used by [`Registry::invoke_with_policy`].
+    /// Sets the retry policy used by [`Registry::invoke_within`].
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) -> &mut Self {
         self.retry = policy;
         self
@@ -334,8 +334,8 @@ impl Registry {
     ///
     /// This is the single-attempt, fault-free path: it ignores any
     /// configured [`FaultProfile`] and retry policy, preserving the exact
-    /// pre-fault cost model. The engine uses
-    /// [`Registry::invoke_with_policy`] instead.
+    /// pre-fault cost model. The engine uses [`Registry::invoke_within`]
+    /// instead.
     pub fn invoke(
         &self,
         name: &str,
@@ -346,33 +346,21 @@ impl Registry {
             .services
             .get(name)
             .ok_or_else(|| ServiceError::Unknown(name.to_string()))?;
-        let (result, bytes, was_pushed, cost_ms) = self.answer(service, name, &params, pushed);
-        self.stats
-            .lock()
-            .unwrap()
-            .record(bytes, cost_ms, was_pushed);
-        self.log.lock().unwrap().push(CallRecord {
-            service: name.to_string(),
-            bytes,
-            cost_ms,
-            pushed: was_pushed,
-            attempts: 1,
-            ok: true,
-        });
-        Ok(InvokeOutcome {
-            result,
-            bytes,
-            cost_ms,
-            pushed: was_pushed,
-            attempts: 1,
-        })
+        let answer = self.answer(service, name, &params, pushed);
+        Ok(self.succeed(name, answer, 1.0, 0.0, 1))
     }
 
     /// Invokes a service under the configured fault schedule and retry
-    /// policy: attempts are driven by the deterministic [`FaultProfile`]
-    /// for the call site, failed attempts and exponential backoff are
-    /// charged to the returned simulated cost, and a per-attempt deadline
-    /// turns hangs and pathological slowdowns into timeouts.
+    /// policy and an end-to-end deadline: attempts are driven by the
+    /// deterministic [`FaultProfile`] for the call site, failed attempts
+    /// and exponential backoff are charged to the returned simulated cost,
+    /// and a per-attempt deadline turns hangs and pathological slowdowns
+    /// into timeouts. At most `budget_ms` of simulated cost may be burned
+    /// (`f64::INFINITY` for no deadline): backoff pauses and per-attempt
+    /// timeouts are clipped to the remaining budget, and once the budget is
+    /// gone no further attempt starts — the call fails with
+    /// [`FailedCall::deadline_exceeded`]` == true` and exactly `budget_ms`
+    /// burned.
     ///
     /// On success, `cost_ms` in the outcome covers the *whole* call —
     /// failed attempts, backoff, and the final transfer — so callers
@@ -382,22 +370,6 @@ impl Registry {
     /// Every fault decision is a pure function of (profile seed, service
     /// name, parameter fingerprint, attempt index), so concurrent callers
     /// observe identical schedules regardless of interleaving.
-    pub fn invoke_with_policy(
-        &self,
-        name: &str,
-        params: Forest,
-        pushed: Option<&PushedQuery>,
-    ) -> Result<InvokeOutcome, InvokeError> {
-        self.invoke_budgeted(name, params, pushed, f64::INFINITY, 0)
-    }
-
-    /// [`Registry::invoke_with_policy`] under an end-to-end deadline: at
-    /// most `budget_ms` of simulated cost may be burned by this call.
-    /// Backoff pauses and per-attempt timeouts are clipped to the
-    /// remaining budget, and once the budget is gone no further attempt
-    /// starts — the call fails with
-    /// [`FailedCall::deadline_exceeded`]` == true` and exactly `budget_ms`
-    /// burned. An infinite budget is identical to `invoke_with_policy`.
     pub fn invoke_within(
         &self,
         name: &str,
@@ -438,78 +410,21 @@ impl Registry {
         if budget_ms <= 0.0 {
             // already expired: nothing is attempted and nothing burned
             // (the engine's deadline gate normally prevents this dispatch)
-            self.stats.lock().unwrap().record_failed_call();
-            self.log.lock().unwrap().push(CallRecord {
-                service: name.to_string(),
-                bytes: 0,
-                cost_ms: 0.0,
-                pushed: false,
-                attempts: 0,
-                ok: false,
-            });
-            return Err(InvokeError::Failed(FailedCall {
-                service: name.to_string(),
-                attempts: 0,
-                cost_ms: 0.0,
-                timed_out: false,
-                deadline_exceeded: true,
-            }));
+            return Err(self.fail(name, 0, 0.0, false, true));
         }
-        let fault = self.fault_profile_for(name);
-        let fault_active = fault.map(|f| !f.is_inert()).unwrap_or(false);
-        if !fault_active {
-            if budget_ms.is_infinite() {
-                // fast path: identical to the fault-free model
-                return self
-                    .invoke(name, params, pushed)
-                    .map_err(|ServiceError::Unknown(n)| InvokeError::Unknown(n));
-            }
-            // fault-free but deadline-bounded: the single attempt either
-            // fits the budget or burns the whole of it
-            let (result, bytes, was_pushed, cost_ms) = self.answer(service, name, &params, pushed);
-            if cost_ms <= budget_ms {
-                self.stats
-                    .lock()
-                    .unwrap()
-                    .record(bytes, cost_ms, was_pushed);
-                self.log.lock().unwrap().push(CallRecord {
-                    service: name.to_string(),
-                    bytes,
-                    cost_ms,
-                    pushed: was_pushed,
-                    attempts: 1,
-                    ok: true,
-                });
-                return Ok(InvokeOutcome {
-                    result,
-                    bytes,
-                    cost_ms,
-                    pushed: was_pushed,
-                    attempts: 1,
-                });
+        let Some(fault) = self.fault_profile_for(name).filter(|f| !f.is_inert()) else {
+            // fault-free: the single attempt either fits the budget or
+            // burns the whole of it
+            let answer = self.answer(service, name, &params, pushed);
+            if answer.3 <= budget_ms {
+                return Ok(self.succeed(name, answer, 1.0, 0.0, 1));
             }
             self.stats
                 .lock()
                 .unwrap()
                 .record_failed_attempt(budget_ms, true);
-            self.stats.lock().unwrap().record_failed_call();
-            self.log.lock().unwrap().push(CallRecord {
-                service: name.to_string(),
-                bytes: 0,
-                cost_ms: budget_ms,
-                pushed: false,
-                attempts: 1,
-                ok: false,
-            });
-            return Err(InvokeError::Failed(FailedCall {
-                service: name.to_string(),
-                attempts: 1,
-                cost_ms: budget_ms,
-                timed_out: true,
-                deadline_exceeded: true,
-            }));
-        }
-        let fault = fault.expect("fault_active implies a profile");
+            return Err(self.fail(name, 1, budget_ms, true, true));
+        };
         let policy = self.retry;
         let net = self.net_profile(name);
         let fingerprint = fnv64(to_xml(&params).as_bytes()) ^ fp_salt;
@@ -566,11 +481,10 @@ impl Registry {
                         FaultDecision::Slow(f) => f,
                         _ => 1.0,
                     };
-                    let (result, bytes, was_pushed, base_cost) = answer
+                    let answer = answer
                         .get_or_insert_with(|| self.answer(service, name, &params, pushed))
                         .clone();
-                    let cost = base_cost * factor;
-                    if cost > attempt_timeout {
+                    if answer.3 * factor > attempt_timeout {
                         // the slowdown ran past the deadline
                         total_cost += attempt_timeout;
                         timed_out = true;
@@ -579,23 +493,7 @@ impl Registry {
                             .unwrap()
                             .record_failed_attempt(attempt_timeout, true);
                     } else {
-                        total_cost += cost;
-                        self.stats.lock().unwrap().record(bytes, cost, was_pushed);
-                        self.log.lock().unwrap().push(CallRecord {
-                            service: name.to_string(),
-                            bytes,
-                            cost_ms: total_cost,
-                            pushed: was_pushed,
-                            attempts: attempt + 1,
-                            ok: true,
-                        });
-                        return Ok(InvokeOutcome {
-                            result,
-                            bytes,
-                            cost_ms: total_cost,
-                            pushed: was_pushed,
-                            attempts: attempt + 1,
-                        });
+                        return Ok(self.succeed(name, answer, factor, total_cost, attempt + 1));
                     }
                 }
             }
@@ -605,22 +503,73 @@ impl Registry {
                 break;
             }
         }
+        Err(self.fail(
+            name,
+            attempts_made,
+            total_cost,
+            timed_out,
+            deadline_exceeded,
+        ))
+    }
+
+    /// Records a successful call in the stats and the call log and builds
+    /// its outcome. The last attempt transferred the `answer` (result,
+    /// bytes, pushed, base cost) at `factor` times the base cost, after
+    /// `earlier_ms` of failed attempts and backoff.
+    fn succeed(
+        &self,
+        name: &str,
+        (result, bytes, pushed, base_cost): (Forest, usize, bool, f64),
+        factor: f64,
+        earlier_ms: f64,
+        attempts: usize,
+    ) -> InvokeOutcome {
+        let attempt_ms = base_cost * factor;
+        let cost_ms = earlier_ms + attempt_ms;
+        self.stats.lock().unwrap().record(bytes, attempt_ms, pushed);
+        self.log.lock().unwrap().push(CallRecord {
+            service: name.to_string(),
+            bytes,
+            cost_ms,
+            pushed,
+            attempts,
+            ok: true,
+        });
+        InvokeOutcome {
+            result,
+            bytes,
+            cost_ms,
+            pushed,
+            attempts,
+        }
+    }
+
+    /// Records a call that failed for good in the stats and the call log
+    /// and builds its error.
+    fn fail(
+        &self,
+        name: &str,
+        attempts: usize,
+        cost_ms: f64,
+        timed_out: bool,
+        deadline_exceeded: bool,
+    ) -> InvokeError {
         self.stats.lock().unwrap().record_failed_call();
         self.log.lock().unwrap().push(CallRecord {
             service: name.to_string(),
             bytes: 0,
-            cost_ms: total_cost,
+            cost_ms,
             pushed: false,
-            attempts: attempts_made,
+            attempts,
             ok: false,
         });
-        Err(InvokeError::Failed(FailedCall {
+        InvokeError::Failed(FailedCall {
             service: name.to_string(),
-            attempts: attempts_made,
-            cost_ms: total_cost,
+            attempts,
+            cost_ms,
             timed_out,
             deadline_exceeded,
-        }))
+        })
     }
 
     /// Whether the circuit breaker currently lets calls through to
@@ -830,7 +779,7 @@ mod tests {
         let plain = r.invoke("getNearbyRestos", Forest::new(), None).unwrap();
         r.reset_stats();
         let policy = r
-            .invoke_with_policy("getNearbyRestos", Forest::new(), None)
+            .invoke_within("getNearbyRestos", Forest::new(), None, f64::INFINITY)
             .unwrap();
         assert_eq!(policy.bytes, plain.bytes);
         assert_eq!(policy.cost_ms, plain.cost_ms);
@@ -853,7 +802,7 @@ mod tests {
             timeout_ms: f64::INFINITY,
         });
         let out = r
-            .invoke_with_policy("getNearbyRestos", Forest::new(), None)
+            .invoke_within("getNearbyRestos", Forest::new(), None, f64::INFINITY)
             .unwrap();
         assert_eq!(out.attempts, 3);
         // 2 failed attempts at latency 10 + backoffs 5 and 10 + final 10
@@ -879,7 +828,7 @@ mod tests {
             timeout_ms: f64::INFINITY,
         });
         let err = r
-            .invoke_with_policy("getNearbyRestos", Forest::new(), None)
+            .invoke_within("getNearbyRestos", Forest::new(), None, f64::INFINITY)
             .unwrap_err();
         let InvokeError::Failed(failed) = err else {
             panic!("expected Failed");
@@ -909,7 +858,7 @@ mod tests {
             timeout_ms: 500.0,
         });
         let err = r
-            .invoke_with_policy("getNearbyRestos", Forest::new(), None)
+            .invoke_within("getNearbyRestos", Forest::new(), None, f64::INFINITY)
             .unwrap_err();
         let InvokeError::Failed(failed) = err else {
             panic!("expected Failed");
@@ -942,7 +891,7 @@ mod tests {
             timeout_ms: 300.0,
         });
         let err = r
-            .invoke_with_policy("getNearbyRestos", Forest::new(), None)
+            .invoke_within("getNearbyRestos", Forest::new(), None, f64::INFINITY)
             .unwrap_err();
         let InvokeError::Failed(failed) = err else {
             panic!("expected Failed");
@@ -959,10 +908,14 @@ mod tests {
             FaultProfile::permanent(5),
         ));
         r.set_retry_policy(RetryPolicy::none());
-        assert!(r.invoke_with_policy("s", Forest::new(), None).is_err());
+        assert!(r
+            .invoke_within("s", Forest::new(), None, f64::INFINITY)
+            .is_err());
         // an explicit per-service profile overrides the attached one
         r.set_fault_profile("s", FaultProfile::none());
-        assert!(r.invoke_with_policy("s", Forest::new(), None).is_ok());
+        assert!(r
+            .invoke_within("s", Forest::new(), None, f64::INFINITY)
+            .is_ok());
     }
 
     #[test]
@@ -972,27 +925,10 @@ mod tests {
             r.set_profile("getNearbyRestos", NetProfile::default());
             r.set_default_fault_profile(FaultProfile::chaos(99, 0.9));
             r.set_retry_policy(RetryPolicy::default().with_timeout_ms(2_000.0));
-            let out = r.invoke_with_policy("getNearbyRestos", Forest::new(), None);
+            let out = r.invoke_within("getNearbyRestos", Forest::new(), None, f64::INFINITY);
             (out.map(|o| (o.bytes, o.cost_ms, o.attempts)), r.stats())
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn infinite_budget_matches_invoke_with_policy() {
-        let run = |budget: bool| {
-            let mut r = registry();
-            r.set_profile("getNearbyRestos", NetProfile::default());
-            r.set_default_fault_profile(FaultProfile::chaos(99, 0.9));
-            r.set_retry_policy(RetryPolicy::default().with_timeout_ms(2_000.0));
-            let out = if budget {
-                r.invoke_within("getNearbyRestos", Forest::new(), None, f64::INFINITY)
-            } else {
-                r.invoke_with_policy("getNearbyRestos", Forest::new(), None)
-            };
-            (out.map(|o| (o.bytes, o.cost_ms, o.attempts)), r.stats())
-        };
-        assert_eq!(run(true), run(false));
     }
 
     #[test]
@@ -1098,7 +1034,7 @@ mod tests {
                 },
             );
             r.set_retry_policy(RetryPolicy::none());
-            let primary = r.invoke_with_policy("getNearbyRestos", Forest::new(), None);
+            let primary = r.invoke_within("getNearbyRestos", Forest::new(), None, f64::INFINITY);
             let hedge = r.invoke_hedge("getNearbyRestos", Forest::new(), None, f64::INFINITY);
             primary.is_err() && hedge.is_ok()
         });

@@ -11,19 +11,16 @@
 //! is correct only for the query it was pruned for, so it is never served
 //! to a different one.
 //!
-//! Two implementations share these semantics:
-//!
-//! * [`CallCache`] — the serving-path cache, hash-**sharded** so N
-//!   concurrent sessions don't serialize on one lock. Each shard has its
-//!   own mutex and counters; LRU ticks come from one atomic so recency is
-//!   globally ordered, and whole-cache operations — LRU eviction, service
-//!   invalidation, purges — lock the shards in index order, so they stay
-//!   atomic with respect to concurrent probes. Under any single-threaded
-//!   sequence of operations its observable decisions (hit/miss/stale,
-//!   victims, counters) are *identical* to the single-lock cache — pinned
-//!   by the equivalence proptests in `tests/sharded_props.rs`.
-//! * [`SingleLockCache`] — the original one-mutex implementation, kept as
-//!   the executable specification the sharded cache is tested against.
+//! [`CallCache`] is hash-**sharded** so N concurrent sessions don't
+//! serialize on one lock. Each shard has its own mutex and counters; LRU
+//! ticks come from one atomic so recency is globally ordered, and
+//! whole-cache operations — LRU eviction, service invalidation, purges —
+//! lock the shards in index order, so they stay atomic with respect to
+//! concurrent probes. Under any single-threaded sequence of operations its
+//! observable decisions (hit/miss/stale, victims, counters) are
+//! *identical* to a single-lock cache — the original one-mutex
+//! implementation, kept as test support and pinned against this one by
+//! the equivalence proptests in `tests/sharded_props.rs`.
 
 use axml_query::render;
 use axml_services::{CacheLookup, CachedCall, InvokeCache, InvokeOutcome, PushedQuery};
@@ -309,8 +306,8 @@ impl CallCache {
     ///
     /// Atomic: all shards are locked (in index order, like eviction)
     /// before any entry is dropped, so a concurrent lookup sees either
-    /// every entry of the service or none — the same guarantee
-    /// [`SingleLockCache`] gives.
+    /// every entry of the service or none — the same guarantee a
+    /// single-lock cache gives.
     pub fn invalidate_service(&self, service: &str) -> usize {
         let mut guards: Vec<_> = self.shards.iter().map(|s| s.lock().unwrap()).collect();
         let mut n = 0;
@@ -508,217 +505,6 @@ impl InvokeCache for CallCache {
             // the shard lock is released before eviction takes all locks
         }
         self.evict_to_budget();
-    }
-
-    fn on_breaker_transition(&self, service: &str, open: bool) {
-        if open && self.config.invalidate_on_breaker_open {
-            self.invalidate_service(service);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Single-lock reference implementation
-// ---------------------------------------------------------------------------
-
-#[derive(Default)]
-struct Inner {
-    map: HashMap<Key, Entry>,
-    total_bytes: usize,
-    tick: u64,
-    stats: CacheStats,
-}
-
-impl Inner {
-    fn remove(&mut self, key: &Key) -> Option<Entry> {
-        let e = self.map.remove(key)?;
-        self.total_bytes -= e.size_bytes;
-        Some(e)
-    }
-
-    /// Evicts least-recently-used entries until the budgets hold.
-    /// Deterministic: `last_used` ticks are unique, so the victim order
-    /// does not depend on hash-map iteration order.
-    fn evict_to_budget(&mut self, max_entries: usize, max_bytes: usize) {
-        while self.map.len() > max_entries || self.total_bytes > max_bytes {
-            let victim = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            let Some(k) = victim else { break };
-            self.remove(&k);
-            self.stats.evictions += 1;
-        }
-    }
-}
-
-/// The original one-mutex call cache, kept as the executable
-/// specification for [`CallCache`]: under identical single-threaded event
-/// sequences both make identical hit/miss/stale/LRU/invalidation
-/// decisions (see `tests/sharded_props.rs`).
-pub struct SingleLockCache {
-    config: CacheConfig,
-    inner: Mutex<Inner>,
-}
-
-impl Default for SingleLockCache {
-    fn default() -> Self {
-        SingleLockCache::new(CacheConfig::default())
-    }
-}
-
-impl SingleLockCache {
-    /// An empty cache with the given configuration (`config.shards` is
-    /// ignored — there is only one lock).
-    pub fn new(config: CacheConfig) -> Self {
-        SingleLockCache {
-            config,
-            inner: Mutex::new(Inner::default()),
-        }
-    }
-
-    /// The configuration this cache enforces.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
-    /// A snapshot of the cumulative counters.
-    pub fn stats(&self) -> CacheStats {
-        self.inner.lock().unwrap().stats
-    }
-
-    /// Live entries currently held.
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total serialized result bytes currently held.
-    pub fn total_bytes(&self) -> usize {
-        self.inner.lock().unwrap().total_bytes
-    }
-
-    /// Drops every entry belonging to `service`. Returns the number of
-    /// entries removed.
-    pub fn invalidate_service(&self, service: &str) -> usize {
-        let mut inner = self.inner.lock().unwrap();
-        let doomed: Vec<Key> = inner
-            .map
-            .keys()
-            .filter(|k| k.service == service)
-            .cloned()
-            .collect();
-        let n = doomed.len();
-        for k in &doomed {
-            inner.remove(k);
-        }
-        inner.stats.invalidations += n as u64;
-        n
-    }
-
-    /// Drops every entry. Returns the number of entries removed.
-    pub fn invalidate_all(&self) -> usize {
-        let mut inner = self.inner.lock().unwrap();
-        let n = inner.map.len();
-        inner.map.clear();
-        inner.total_bytes = 0;
-        inner.stats.invalidations += n as u64;
-        n
-    }
-
-    /// Eagerly drops entries expired at simulated time `now_ms`. Returns
-    /// the number of entries removed.
-    pub fn purge_expired(&self, now_ms: f64) -> usize {
-        let mut inner = self.inner.lock().unwrap();
-        let doomed: Vec<Key> = inner
-            .map
-            .iter()
-            .filter(|(_, e)| e.expires_at_ms <= now_ms)
-            .map(|(k, _)| k.clone())
-            .collect();
-        let n = doomed.len();
-        for k in &doomed {
-            inner.remove(k);
-        }
-        inner.stats.invalidations += n as u64;
-        n
-    }
-}
-
-impl InvokeCache for SingleLockCache {
-    fn lookup(
-        &self,
-        service: &str,
-        params: &Forest,
-        pushed: Option<&PushedQuery>,
-        now_ms: f64,
-    ) -> CacheLookup {
-        let key = Key::new(service, params, pushed);
-        let mut inner = self.inner.lock().unwrap();
-        let Some(entry) = inner.map.get(&key) else {
-            inner.stats.misses += 1;
-            return CacheLookup::Miss;
-        };
-        if entry.expires_at_ms <= now_ms {
-            inner.remove(&key);
-            inner.stats.stale += 1;
-            return CacheLookup::Stale;
-        }
-        inner.tick += 1;
-        let tick = inner.tick;
-        let entry = inner.map.get_mut(&key).expect("entry just probed");
-        entry.last_used = tick;
-        let hit = CachedCall {
-            result: entry.result.clone(),
-            bytes: entry.bytes,
-            pushed: entry.pushed,
-            age_ms: now_ms - entry.inserted_at_ms,
-        };
-        inner.stats.hits += 1;
-        CacheLookup::Hit(hit)
-    }
-
-    fn store(
-        &self,
-        service: &str,
-        params: &Forest,
-        pushed: Option<&PushedQuery>,
-        outcome: &InvokeOutcome,
-        now_ms: f64,
-    ) {
-        let ttl = self.config.ttl(service);
-        if ttl <= 0.0 {
-            return; // caching disabled for this service
-        }
-        let size_bytes = forest_serialized_len(&outcome.result);
-        if size_bytes > self.config.max_bytes {
-            return; // a single over-budget result would evict everything
-        }
-        let key = Key::new(service, params, pushed);
-        let mut inner = self.inner.lock().unwrap();
-        inner.tick += 1;
-        let entry = Entry {
-            result: outcome.result.clone(),
-            bytes: outcome.bytes,
-            size_bytes,
-            pushed: outcome.pushed,
-            inserted_at_ms: now_ms,
-            expires_at_ms: now_ms + ttl,
-            last_used: inner.tick,
-        };
-        if let Some(old) = inner.remove(&key) {
-            // replacement: the old window is superseded by the fresh answer
-            let _ = old;
-        }
-        inner.total_bytes += entry.size_bytes;
-        inner.map.insert(key, entry);
-        inner.stats.insertions += 1;
-        inner.evict_to_budget(self.config.max_entries, self.config.max_bytes);
     }
 
     fn on_breaker_transition(&self, service: &str, open: bool) {
@@ -950,27 +736,5 @@ mod tests {
         // keys actually spread across shards (20 distinct keys, 4 shards)
         let populated = per_shard.iter().filter(|s| s.insertions > 0).count();
         assert!(populated > 1, "all keys hashed into one shard");
-    }
-
-    #[test]
-    fn single_lock_reference_matches_on_a_smoke_sequence() {
-        let sharded = CallCache::new(CacheConfig::with_ttl_ms(100.0).with_shards(4));
-        let single = SingleLockCache::new(CacheConfig::with_ttl_ms(100.0));
-        for (i, now) in [(1, 0.0), (2, 10.0), (3, 20.0)] {
-            let p = params(&format!("{i}"));
-            sharded.store("s", &p, None, &outcome("<a/>"), now);
-            single.store("s", &p, None, &outcome("<a/>"), now);
-        }
-        for now in [50.0, 99.9, 100.0, 200.0] {
-            for i in 1..=3 {
-                let p = params(&format!("{i}"));
-                let a = matches!(sharded.lookup("s", &p, None, now), CacheLookup::Hit(_));
-                let b = matches!(single.lookup("s", &p, None, now), CacheLookup::Hit(_));
-                assert_eq!(a, b, "divergence at t={now} key={i}");
-            }
-        }
-        assert_eq!(sharded.stats(), single.stats());
-        assert_eq!(sharded.len(), single.len());
-        assert_eq!(sharded.total_bytes(), single.total_bytes());
     }
 }

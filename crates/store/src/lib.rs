@@ -76,7 +76,7 @@ pub mod session;
 pub mod store;
 pub mod wal;
 
-pub use cache::{CacheConfig, CacheStats, CallCache, SingleLockCache};
+pub use cache::{CacheConfig, CacheStats, CallCache};
 pub use checkpoint::{DurabilityOptions, DurabilityStats, FsyncPolicy};
 pub use plan_cache::{PlanCache, PlanCacheConfig, PlanCacheStats};
 pub use recover::{recover_log, DocRecovery, RecoveredLog, RecoveryReport};

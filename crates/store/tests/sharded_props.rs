@@ -1,5 +1,6 @@
 //! Property: sharding is invisible. The hash-sharded [`CallCache`] and
-//! the single-lock reference implementation ([`SingleLockCache`]) are
+//! the single-lock reference implementation ([`SingleLockCache`], test
+//! support in `support/mod.rs`) are
 //! driven through identical event sequences — stores, lookups,
 //! invalidations, purges, breaker transitions, at monotone simulated
 //! times, under tight LRU budgets and finite TTLs — and must make
@@ -9,10 +10,13 @@
 //! generated dimension, so `shards = 1` pins the sharded code path to the
 //! reference under the trivial layout too.
 
+mod support;
+
 use axml_services::{CacheLookup, InvokeCache, InvokeOutcome, PushedQuery};
-use axml_store::{CacheConfig, CallCache, SingleLockCache};
+use axml_store::{CacheConfig, CallCache};
 use axml_xml::{forest_serialized_len, parse, to_xml, Forest};
 use proptest::prelude::*;
+use support::SingleLockCache;
 
 const SERVICES: [&str; 3] = ["alpha", "beta", "gamma"];
 const PAYLOADS: [&str; 4] = [
@@ -119,6 +123,32 @@ fn apply<C: InvokeCache>(
             (None, None)
         }
     }
+}
+
+#[test]
+fn single_lock_reference_matches_on_a_smoke_sequence() {
+    let sharded = CallCache::new(CacheConfig::with_ttl_ms(100.0).with_shards(4));
+    let single = SingleLockCache::new(CacheConfig::with_ttl_ms(100.0));
+    for (i, now) in [(1, 0.0), (2, 10.0), (3, 20.0)] {
+        sharded.store("s", &params(i), None, &payload(0), now);
+        single.store("s", &params(i), None, &payload(0), now);
+    }
+    for now in [50.0, 99.9, 100.0, 200.0] {
+        for i in 1..=3 {
+            let a = matches!(
+                sharded.lookup("s", &params(i), None, now),
+                CacheLookup::Hit(_)
+            );
+            let b = matches!(
+                single.lookup("s", &params(i), None, now),
+                CacheLookup::Hit(_)
+            );
+            assert_eq!(a, b, "divergence at t={now} key={i}");
+        }
+    }
+    assert_eq!(sharded.stats(), single.stats());
+    assert_eq!(sharded.len(), single.len());
+    assert_eq!(sharded.total_bytes(), single.total_bytes());
 }
 
 proptest! {

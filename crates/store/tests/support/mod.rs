@@ -1,0 +1,210 @@
+//! The single-lock call cache: the original one-mutex implementation of
+//! `axml_store::CallCache`'s semantics, kept as the executable
+//! specification the sharded cache is tested against. Under identical
+//! single-threaded event sequences both make identical
+//! hit/miss/stale/LRU/invalidation decisions. Built on the store's public
+//! API only: `CacheConfig`'s fields, `CacheStats`, and the same key
+//! material (`to_xml` of the parameters, `render` of a pushed query) and
+//! entry size (`forest_serialized_len`).
+
+use axml_query::{render, EdgeKind};
+use axml_services::{CacheLookup, CachedCall, InvokeCache, InvokeOutcome, PushedQuery};
+use axml_store::{CacheConfig, CacheStats};
+use axml_xml::{forest_serialized_len, to_xml, Forest};
+use std::collections::HashMap;
+use std::sync::Mutex;
+
+/// Service name, serialized parameters, and (for pushed calls) the
+/// rendered pushed pattern plus its edge kind.
+type Key = (String, String, Option<(String, bool)>);
+
+fn key(service: &str, params: &Forest, pushed: Option<&PushedQuery>) -> Key {
+    (
+        service.to_string(),
+        to_xml(params),
+        pushed.map(|pq| (render(&pq.pattern), pq.via == EdgeKind::Child)),
+    )
+}
+
+struct Entry {
+    result: Forest,
+    bytes: usize,
+    size_bytes: usize,
+    pushed: bool,
+    inserted_at_ms: f64,
+    expires_at_ms: f64,
+    last_used: u64,
+}
+
+#[derive(Default)]
+struct Inner {
+    map: HashMap<Key, Entry>,
+    total_bytes: usize,
+    tick: u64,
+    stats: CacheStats,
+}
+
+impl Inner {
+    fn remove(&mut self, key: &Key) -> Option<Entry> {
+        let e = self.map.remove(key)?;
+        self.total_bytes -= e.size_bytes;
+        Some(e)
+    }
+
+    /// Removes every entry `doomed` selects, counting invalidations.
+    fn invalidate(&mut self, doomed: impl Fn(&Key, &Entry) -> bool) -> usize {
+        let keys: Vec<Key> = self
+            .map
+            .iter()
+            .filter(|(k, e)| doomed(k, e))
+            .map(|(k, _)| k.clone())
+            .collect();
+        for k in &keys {
+            self.remove(k);
+        }
+        self.stats.invalidations += keys.len() as u64;
+        keys.len()
+    }
+
+    /// Evicts least-recently-used entries until the budgets hold.
+    /// Deterministic: `last_used` ticks are unique, so the victim order
+    /// does not depend on hash-map iteration order.
+    fn evict_to_budget(&mut self, max_entries: usize, max_bytes: usize) {
+        while self.map.len() > max_entries || self.total_bytes > max_bytes {
+            let victim = self
+                .map
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| k.clone());
+            let Some(k) = victim else { break };
+            self.remove(&k);
+            self.stats.evictions += 1;
+        }
+    }
+}
+
+/// A call cache behind one mutex (`config.shards` is ignored).
+pub struct SingleLockCache {
+    config: CacheConfig,
+    inner: Mutex<Inner>,
+}
+
+impl SingleLockCache {
+    pub fn new(config: CacheConfig) -> Self {
+        SingleLockCache {
+            config,
+            inner: Mutex::new(Inner::default()),
+        }
+    }
+
+    pub fn stats(&self) -> CacheStats {
+        self.inner.lock().unwrap().stats
+    }
+
+    pub fn len(&self) -> usize {
+        self.inner.lock().unwrap().map.len()
+    }
+
+    pub fn total_bytes(&self) -> usize {
+        self.inner.lock().unwrap().total_bytes
+    }
+
+    /// Drops every entry belonging to `service`; returns how many.
+    pub fn invalidate_service(&self, service: &str) -> usize {
+        self.inner.lock().unwrap().invalidate(|k, _| k.0 == service)
+    }
+
+    /// Drops every entry; returns how many.
+    pub fn invalidate_all(&self) -> usize {
+        self.inner.lock().unwrap().invalidate(|_, _| true)
+    }
+
+    /// Drops entries expired at simulated time `now_ms`; returns how many.
+    pub fn purge_expired(&self, now_ms: f64) -> usize {
+        self.inner
+            .lock()
+            .unwrap()
+            .invalidate(|_, e| e.expires_at_ms <= now_ms)
+    }
+}
+
+impl InvokeCache for SingleLockCache {
+    fn lookup(
+        &self,
+        service: &str,
+        params: &Forest,
+        pushed: Option<&PushedQuery>,
+        now_ms: f64,
+    ) -> CacheLookup {
+        let key = key(service, params, pushed);
+        let mut inner = self.inner.lock().unwrap();
+        let Some(entry) = inner.map.get(&key) else {
+            inner.stats.misses += 1;
+            return CacheLookup::Miss;
+        };
+        if entry.expires_at_ms <= now_ms {
+            inner.remove(&key);
+            inner.stats.stale += 1;
+            return CacheLookup::Stale;
+        }
+        inner.tick += 1;
+        let tick = inner.tick;
+        let entry = inner.map.get_mut(&key).expect("entry just probed");
+        entry.last_used = tick;
+        let hit = CachedCall {
+            result: entry.result.clone(),
+            bytes: entry.bytes,
+            pushed: entry.pushed,
+            age_ms: now_ms - entry.inserted_at_ms,
+        };
+        inner.stats.hits += 1;
+        CacheLookup::Hit(hit)
+    }
+
+    fn store(
+        &self,
+        service: &str,
+        params: &Forest,
+        pushed: Option<&PushedQuery>,
+        outcome: &InvokeOutcome,
+        now_ms: f64,
+    ) {
+        let ttl = self
+            .config
+            .ttl_overrides
+            .get(service)
+            .copied()
+            .unwrap_or(self.config.default_ttl_ms);
+        if ttl <= 0.0 {
+            return; // caching disabled for this service
+        }
+        let size_bytes = forest_serialized_len(&outcome.result);
+        if size_bytes > self.config.max_bytes {
+            return; // a single over-budget result would evict everything
+        }
+        let key = key(service, params, pushed);
+        let mut inner = self.inner.lock().unwrap();
+        inner.tick += 1;
+        let entry = Entry {
+            result: outcome.result.clone(),
+            bytes: outcome.bytes,
+            size_bytes,
+            pushed: outcome.pushed,
+            inserted_at_ms: now_ms,
+            expires_at_ms: now_ms + ttl,
+            last_used: inner.tick,
+        };
+        // a replacement supersedes the old window
+        inner.remove(&key);
+        inner.total_bytes += entry.size_bytes;
+        inner.map.insert(key, entry);
+        inner.stats.insertions += 1;
+        inner.evict_to_budget(self.config.max_entries, self.config.max_bytes);
+    }
+
+    fn on_breaker_transition(&self, service: &str, open: bool) {
+        if open && self.config.invalidate_on_breaker_open {
+            self.invalidate_service(service);
+        }
+    }
+}
