@@ -3,6 +3,7 @@
 
 use axml_core::{build_nfqs, filter_candidates, FGuide};
 use axml_gen::scenario::{figure4_query, generate, ScenarioParams};
+use axml_query::EvalOptions;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_fguide(c: &mut Criterion) {
@@ -34,7 +35,7 @@ fn bench_fguide(c: &mut Criterion) {
                             .into_iter()
                             .map(|(n, _)| n)
                             .collect();
-                        found += filter_candidates(nfq, d, &cands).len();
+                        found += filter_candidates(nfq, d, &cands, EvalOptions::default()).len();
                     }
                     std::hint::black_box(found)
                 })

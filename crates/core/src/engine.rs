@@ -24,6 +24,7 @@
 //! round detects and how it dispatches. The calls themselves go through
 //! the gates of the `dispatch` child module.
 
+mod calls;
 mod dispatch;
 
 use crate::fguide::{filter_candidates, FGuide};
@@ -35,12 +36,11 @@ use crate::plan::{
 use crate::stats::EngineStats;
 use crate::typed::TypeRefiner;
 use axml_obs::{Event, EventKind, TraceSink};
-use axml_query::{
-    eval_with, render, EdgeKind, EvalOptions, PLabel, Pattern, PlanScratch, SnapshotResult,
-};
-use axml_schema::{Schema, SymDfa, SymNfa};
+use axml_query::{eval_with, render, EdgeKind, EvalOptions, Pattern, PlanScratch, SnapshotResult};
+use axml_schema::{Nfa, Schema, SymDfa, SymNfa};
 use axml_services::{Deadline, InvokeCache, PushedQuery, Registry, SimClock};
 use axml_xml::{CallId, Document, NodeId};
+pub(crate) use calls::{output_services, CallTable, ClassVerdicts};
 use dispatch::{Candidate, Dispatch};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -495,9 +495,9 @@ impl<'a> Engine<'a> {
             doc,
             |run, doc| {
                 let mut merged = BTreeMap::new();
-                for (nfqs, refiner) in per_query.iter_mut() {
+                for (qi, (nfqs, refiner)) in per_query.iter_mut().enumerate() {
                     let all: Vec<usize> = (0..nfqs.len()).collect();
-                    for c in run.detect_nfq_candidates(doc, nfqs, &all, refiner).0 {
+                    for c in run.detect_nfq_candidates(doc, qi, nfqs, &all, refiner).0 {
                         merged.entry(c.call).or_insert(c);
                     }
                 }
@@ -563,24 +563,15 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Cached candidate triple: node, call identity, service name.
-type CachedCandidate = (NodeId, CallId, String);
+/// A cached candidate: the call's node and identity.
+type CachedCandidate = (NodeId, CallId);
 
 /// The queries pushed along with a round's calls (§7), by call.
 type Pushes = BTreeMap<CallId, PushedQuery>;
 
-/// Is the node visible to queries: is every strict ancestor a data node,
-/// so that it is not nested inside another call's parameters?
-fn visible(doc: &Document, node: NodeId) -> bool {
-    let mut cur = doc.parent(node);
-    while let Some(p) = cur {
-        if !doc.is_data(p) {
-            return false;
-        }
-        cur = doc.parent(p);
-    }
-    true
-}
+/// Which NFQ of which query. `evaluate_many` runs every query's NFQ list
+/// through one run, so an index into one list does not name an NFQ.
+type NfqKey = (usize, usize);
 
 /// Does the slot `node` still hold the call `call`? Slots of spliced
 /// calls are reused, so a candidate found earlier may have gone stale.
@@ -594,38 +585,6 @@ fn parent_labels(doc: &Document, node: NodeId) -> Vec<String> {
     doc.parent(node)
         .map(|p| doc.path_labels(p))
         .unwrap_or_default()
-}
-
-/// The services type refinement must consider: the sorted names of the
-/// visible calls whose ids are not in `dead`. Read from the document's
-/// live-call index, so no document walk is needed. A name needs one
-/// qualifying call, so the calls of a name already found (by interned
-/// symbol) skip the ancestor walk.
-pub(crate) fn known_services(doc: &Document, dead: &HashSet<CallId>) -> Vec<String> {
-    let mut found = vec![false; doc.sym_count()];
-    let mut names = Vec::new();
-    for &c in doc.calls_unordered() {
-        let sym = doc.sym(c);
-        if !found[sym as usize]
-            && doc
-                .call_info(c)
-                .is_some_and(|(id, _)| !dead.contains(&id) && visible(doc, c))
-        {
-            found[sym as usize] = true;
-            names.push(doc.sym_text(sym).to_string());
-        }
-    }
-    names.sort_unstable();
-    names
-}
-
-/// Does the NFQ's output node accept a call to `service`? The output is a
-/// function node by construction; anything else never matches a call.
-fn output_accepts(nfq: &Nfq, service: &str) -> bool {
-    match &nfq.pattern.node(nfq.output).label {
-        PLabel::Fun(m) => m.accepts(service),
-        _ => false,
-    }
 }
 
 /// One splice, as remembered for incremental detection: which call was
@@ -663,6 +622,48 @@ struct NfqCacheEntry {
     retrieved: Vec<CachedCandidate>,
 }
 
+/// Everything a run keeps about one NFQ, built on first use.
+#[derive(Default)]
+struct NfqState {
+    /// incremental detection's cached candidates and their freshness
+    cache: Option<NfqCacheEntry>,
+    /// prefix-closed union of the pattern's path languages
+    affected: Option<Nfa>,
+    /// `affected` compiled to symbols, stamped with the `sym_count` it
+    /// was compiled at (recompiled when the symbol table grows)
+    affected_sym: Option<(usize, SymAuto)>,
+    /// label-level position language (the linear path, suffix-closed for
+    /// descendant-ended NFQs)
+    position: Option<Nfa>,
+    /// `position` compiled to symbols, with its verdict per call class
+    classes: Option<ClassVerdicts>,
+}
+
+impl NfqState {
+    /// The symbol-compiled affected language, current for `doc`'s symbol
+    /// table (a label unknown at compile time may have been interned
+    /// since).
+    fn affected(&mut self, nfq: &Nfq, doc: &Document) -> &SymAuto {
+        let sym_count = doc.sym_count();
+        if !matches!(&self.affected_sym, Some((stamp, _)) if *stamp == sym_count) {
+            let nfa = self.affected.get_or_insert_with(|| affected_language(nfq));
+            let compiled = SymAuto::compile(nfa.compile_syms(|l| doc.lookup_sym(l)));
+            self.affected_sym = Some((sym_count, compiled));
+        }
+        &self.affected_sym.as_ref().expect("compiled above").1
+    }
+
+    /// The position automaton's class verdicts, current for `doc`'s
+    /// symbol table.
+    fn classes(&mut self, nfq: &Nfq, doc: &Document) -> &mut ClassVerdicts {
+        if !self.classes.as_ref().is_some_and(|c| c.is_current(doc)) {
+            let nfa = self.position.get_or_insert_with(|| position_language(nfq));
+            self.classes = Some(ClassVerdicts::compile(nfa, doc));
+        }
+        self.classes.as_mut().expect("compiled above")
+    }
+}
+
 /// Per-run mutable state.
 struct Run<'e, 'a, 'q> {
     engine: &'e Engine<'a>,
@@ -682,18 +683,10 @@ struct Run<'e, 'a, 'q> {
     /// ring buffer (0 = nothing evicted); queries about older history
     /// must degrade to "assume affected"
     splice_floor: u64,
-    /// per-NFQ-index cached candidates and their freshness
-    nfq_cache: HashMap<usize, NfqCacheEntry>,
-    /// per-NFQ-index prefix-closed union of path languages
-    affected_nfas: HashMap<usize, axml_schema::Nfa>,
-    /// per-NFQ-index label-level *position* language (the linear path,
-    /// suffix-closed for descendant-ended NFQs)
-    pos_nfas: HashMap<usize, axml_schema::Nfa>,
-    /// symbol-compiled `affected_nfas`, stamped with the `sym_count` they
-    /// were compiled at (recompiled when the symbol table grows)
-    affected_sym: HashMap<usize, (usize, SymAuto)>,
-    /// symbol-compiled `pos_nfas`, same staleness stamp
-    pos_sym: HashMap<usize, (usize, SymAuto)>,
+    /// per-NFQ automata, class verdicts and cached candidates
+    nfqs: HashMap<NfqKey, NfqState>,
+    /// the live calls' visibility and parent-path classes
+    calls: CallTable,
     /// reusable evaluator memo tables (the NFQA loop re-evaluates
     /// patterns once per round)
     eval_cache: PlanScratch,
@@ -757,11 +750,8 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
             splice_seq: 0,
             splice_log: VecDeque::new(),
             splice_floor: 0,
-            nfq_cache: HashMap::new(),
-            affected_nfas: HashMap::new(),
-            pos_nfas: HashMap::new(),
-            affected_sym: HashMap::new(),
-            pos_sym: HashMap::new(),
+            nfqs: HashMap::new(),
+            calls: CallTable::default(),
             eval_cache: PlanScratch::default(),
             seq: 0,
             layer: 0,
@@ -963,8 +953,15 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                 // the compiled artifact: NFQs (relaxed/pruned), layers and
                 // label NFAs, from the same builders as the branch below
                 self.stats.queries_pruned = p.nfq_pruned;
-                self.affected_nfas = p.affected_nfas.iter().cloned().enumerate().collect();
-                self.pos_nfas = p.pos_nfas.iter().cloned().enumerate().collect();
+                for (i, (affected, position)) in p.affected_nfas.iter().zip(&p.pos_nfas).enumerate()
+                {
+                    let state = NfqState {
+                        affected: Some(affected.clone()),
+                        position: Some(position.clone()),
+                        ..NfqState::default()
+                    };
+                    self.nfqs.insert((0, i), state);
+                }
                 (p.nfqs.clone(), p.layers.clone())
             }
             None => {
@@ -1004,7 +1001,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
             let all: Vec<usize> = (0..nfqs.len()).collect();
             self.drive(
                 doc,
-                |run, doc| run.detect_nfq_candidates(doc, &nfqs, &all, &mut refiner),
+                |run, doc| run.detect_nfq_candidates(doc, 0, &nfqs, &all, &mut refiner),
                 Self::speculative_dispatch,
             );
             return;
@@ -1033,7 +1030,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
             });
             self.drive(
                 doc,
-                |run, doc| run.detect_nfq_candidates(doc, &nfqs, layer, &mut refiner),
+                |run, doc| run.detect_nfq_candidates(doc, 0, &nfqs, layer, &mut refiner),
                 |_| mode,
             );
             self.emit(EventKind::LayerEnd);
@@ -1059,11 +1056,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                     }
                 }
                 for ni in changed_nfqs {
-                    self.nfq_cache.remove(&ni);
-                    self.affected_nfas.remove(&ni);
-                    self.pos_nfas.remove(&ni);
-                    self.affected_sym.remove(&ni);
-                    self.pos_sym.remove(&ni);
+                    self.nfqs.remove(&(0, ni));
                 }
             }
         }
@@ -1094,12 +1087,12 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
     }
 
     /// Did any splice after `since` touch a position observable by NFQ
-    /// `i`'s pattern? Tested on the prefix closure of the union of the
+    /// `key`'s pattern? Tested on the prefix closure of the union of the
     /// pattern's root-path languages (conservative: may say yes
     /// needlessly, never no wrongly). When the ring buffer has evicted
     /// records newer than `since`, the answer degrades to `true` — the
     /// lost history might have contained a relevant splice.
-    fn affected_since(&mut self, doc: &Document, i: usize, nfq: &Nfq, since: u64) -> bool {
+    fn affected_since(&mut self, doc: &Document, key: NfqKey, nfq: &Nfq, since: u64) -> bool {
         if since < self.splice_floor {
             self.stats.splice_degradations += 1;
             return true; // history evicted: assume affected
@@ -1107,59 +1100,25 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         if self.splice_log.iter().all(|r| r.seq <= since) {
             return false;
         }
-        self.affected_nfas
-            .entry(i)
-            .or_insert_with(|| affected_language(nfq));
-        // symbol-compiled form, recompiled whenever the symbol table grew
-        // (a label unknown at compile time may have been interned since)
-        let sym_count = doc.sym_count();
-        if !matches!(self.affected_sym.get(&i), Some((stamp, _)) if *stamp == sym_count) {
-            let compiled =
-                SymAuto::compile(self.affected_nfas[&i].compile_syms(|l| doc.lookup_sym(l)));
-            self.affected_sym.insert(i, (sym_count, compiled));
-        }
-        let nfa = &self.affected_sym[&i].1;
+        let auto = self.nfqs.entry(key).or_default().affected(nfq, doc);
         self.splice_log
             .iter()
-            .any(|r| r.seq > since && nfa.accepts(&r.parent_syms))
+            .any(|r| r.seq > since && auto.accepts(&r.parent_syms))
     }
 
-    /// Is the call node visible (not nested inside another call's
-    /// parameters) and positioned where NFQ `i`'s linear path (via its
-    /// output edge) can retrieve it? Pure position test — side conditions
-    /// and service tests are checked elsewhere.
-    fn call_position_matches(&mut self, doc: &Document, i: usize, nfq: &Nfq, call: NodeId) -> bool {
-        if !visible(doc, call) {
-            return false;
-        }
-        let sym_count = doc.sym_count();
-        if !matches!(self.pos_sym.get(&i), Some((stamp, _)) if *stamp == sym_count) {
-            let nfa = self
-                .pos_nfas
-                .entry(i)
-                .or_insert_with(|| position_language(nfq));
-            let compiled = SymAuto::compile(nfa.compile_syms(|l| doc.lookup_sym(l)));
-            self.pos_sym.insert(i, (sym_count, compiled));
-        }
-        let word = match doc.parent(call) {
-            Some(p) => doc.path_syms(p),
-            None => Vec::new(),
-        };
-        self.pos_sym[&i].1.accepts(&word)
-    }
-
-    /// The *positional* candidate set of NFQ `i`: visible calls whose
-    /// parent path matches the NFQ's linear path. With a usable cache
-    /// entry (its history still covered by the splice log), this is
-    /// delta-scoped: cached candidates are kept unless their call was
-    /// consumed by a splice, and only calls created since the entry's
-    /// watermark are position-tested. Without one, it falls back to a
-    /// fresh scan of the document's (unordered) call list.
+    /// The *positional* candidate set of NFQ `key`: the visible calls
+    /// whose parent-path class its position automaton accepts, among the
+    /// calls of `services` when given. With a usable cache entry (its
+    /// history still covered by the splice log), this is delta-scoped:
+    /// cached candidates are kept unless their call was consumed by a
+    /// splice, and only calls created since the entry's watermark are
+    /// class-tested.
     fn positional_candidates(
         &mut self,
         doc: &Document,
-        i: usize,
+        key: NfqKey,
         nfq: &Nfq,
+        services: Option<&[u32]>,
         base: Option<NfqCacheEntry>,
     ) -> Vec<CachedCandidate> {
         let (mut out, watermark) = match base {
@@ -1171,11 +1130,8 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                     .filter(|r| r.seq > e.seq)
                     .map(|r| (r.node, r.consumed))
                     .collect();
-                let kept: Vec<CachedCandidate> = e
-                    .positional
-                    .into_iter()
-                    .filter(|&(n, id, _)| !retired.contains(&(n, id)))
-                    .collect();
+                let mut kept = e.positional;
+                kept.retain(|c| !retired.contains(c));
                 (kept, e.call_watermark)
             }
             Some(_) => {
@@ -1186,16 +1142,21 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
             }
             None => (Vec::new(), 0),
         };
-        for &c in doc.calls_unordered() {
-            let Some((id, svc)) = doc.call_info(c) else {
+        let classes = self.nfqs.entry(key).or_default().classes(nfq, doc);
+        for &node in doc.calls_unordered() {
+            if services.is_some_and(|s| !s.contains(&doc.sym(node))) {
+                continue;
+            }
+            let Some((id, _)) = doc.call_info(node) else {
                 continue;
             };
             if id.0 < watermark {
                 continue; // already covered by the cached set
             }
-            let svc = svc.clone();
-            if self.call_position_matches(doc, i, nfq, c) {
-                out.push((c, id, svc.to_string()));
+            if let Some(class) = self.calls.class_of(doc, node, id) {
+                if classes.accepts(&self.calls, class) {
+                    out.push((node, id));
+                }
             }
         }
         out.sort_by_key(|e| e.1);
@@ -1203,11 +1164,68 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         out
     }
 
-    /// Evaluates the NFQs of one layer and assembles the candidate set and
-    /// the pushed queries (for uniquely-retrieved calls).
+    /// The calls NFQ `key` retrieves, through one pipeline: a positional
+    /// source, the refined output's service test, then §6.2's residual
+    /// filter. The source is the F-guide's extents when a guide is kept,
+    /// and the call table otherwise (delta-maintained from `base` under
+    /// incremental detection). Without a guide, an NFQ with join variables
+    /// is evaluated in full instead: the residual filter is join-blind.
+    /// Also returns the call-table positional set, for the cache.
+    fn retrieve(
+        &mut self,
+        doc: &Document,
+        key: NfqKey,
+        nfq: &Nfq,
+        effective: &Nfq,
+        base: Option<NfqCacheEntry>,
+    ) -> (Vec<NodeId>, Vec<CachedCandidate>) {
+        let opts = self.config().eval_options;
+        let services = output_services(effective, doc);
+        let (source, positional): (Vec<NodeId>, _) = if let Some(g) = &self.guide {
+            let extents = g.eval_linear(doc, &effective.lin, effective.via);
+            (extents.into_iter().map(|(n, _)| n).collect(), Vec::new())
+        } else if nfq.pattern.join_variables().is_empty() {
+            // the scan may skip other services' calls unless incremental
+            // detection caches its result, which must stay service-blind
+            let scan_only = if self.config().incremental_detection {
+                None
+            } else {
+                services.as_deref()
+            };
+            let positional = self.positional_candidates(doc, key, nfq, scan_only, base);
+            (positional.iter().map(|&(n, _)| n).collect(), positional)
+        } else {
+            let r = eval_with(&effective.pattern, doc, opts, &mut self.eval_cache);
+            return (r.bindings_of(effective.output), Vec::new());
+        };
+        let accepted: Vec<NodeId> = source
+            .into_iter()
+            .filter(|&n| services.as_ref().is_none_or(|s| s.contains(&doc.sym(n))))
+            .collect();
+        let got = filter_candidates(effective, doc, &accepted, opts);
+        #[cfg(debug_assertions)]
+        if self.guide.is_none() {
+            // cross-check against the seed evaluator (string compares, no
+            // index) — an independent code path
+            let full: BTreeSet<NodeId> = axml_query::seed_eval(&effective.pattern, doc)
+                .bindings_of(effective.output)
+                .into_iter()
+                .collect();
+            let mine: BTreeSet<NodeId> = got.iter().copied().collect();
+            assert_eq!(
+                mine, full,
+                "call-anchored NFQ candidates diverged from full evaluation"
+            );
+        }
+        (got, positional)
+    }
+
+    /// Evaluates the NFQs of one layer of query `query` and assembles the
+    /// candidate set and the pushed queries (for uniquely-retrieved calls).
     fn detect_nfq_candidates(
         &mut self,
         doc: &Document,
+        query: usize,
         nfqs: &[Nfq],
         layer: &[usize],
         refiner: &mut Option<TypeRefiner<'_, '_>>,
@@ -1215,29 +1233,32 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         let t = Instant::now();
         // function names currently in the document (for refinement)
         let known = if refiner.is_some() {
-            known_services(doc, &self.dead)
+            self.calls.known_services(doc, &self.dead)
         } else {
             Vec::new()
         };
+        let incremental = self.config().incremental_detection;
         let mut by_call: BTreeMap<CallId, Candidate> = BTreeMap::new();
         for &i in layer {
+            let key = (query, i);
             let nfq = &nfqs[i];
             // incremental detection: reuse the cached candidate set when
             // no splice since the last evaluation touched a position this
             // NFQ's pattern can observe
             let mut delta_base: Option<NfqCacheEntry> = None;
-            if self.config().incremental_detection {
-                let entry = self.nfq_cache.get(&i).cloned();
+            if incremental {
+                let entry = self.nfqs.get(&key).and_then(|s| s.cache.clone());
                 if let Some(entry) = entry {
-                    if !self.affected_since(doc, i, nfq, entry.seq) {
+                    if !self.affected_since(doc, key, nfq, entry.seq) {
                         self.stats.nfq_evals_skipped += 1;
-                        for (node, id, svc) in entry.retrieved {
+                        for (node, id) in entry.retrieved {
                             if self.dead.contains(&id) || !holds_call(doc, node, id) {
                                 continue;
                             }
+                            // a call node's label is its service name
                             by_call
                                 .entry(id)
-                                .or_insert_with(|| Candidate::new(node, id, svc.clone()))
+                                .or_insert_with(|| Candidate::new(node, id, doc.label(node).into()))
                                 .foci
                                 .insert(nfq.focus);
                         }
@@ -1254,60 +1275,14 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                 None => nfq.clone(),
             };
             self.stats.relevance_evals += 1;
-            let mut positional: Vec<CachedCandidate> = Vec::new();
-            let retrieved: Vec<NodeId> = if let Some(g) = &self.guide {
-                let cands: Vec<NodeId> = g
-                    .eval_linear(doc, &effective.lin, effective.via)
-                    .into_iter()
-                    .filter(|(_, svc)| match refiner.as_mut() {
-                        Some(r) => r.satisfies(svc.as_str(), nfq.focus),
-                        None => true,
-                    })
-                    .map(|(n, _)| n)
-                    .collect();
-                filter_candidates(&effective, doc, &cands)
-            } else if self.config().incremental_detection && nfq.pattern.join_variables().is_empty()
-            {
-                // delta-scoped re-evaluation: maintain the positional set
-                // from the splice log / call-id watermark instead of
-                // re-walking the document, then re-check the (possibly
-                // non-monotone) residual conditions on the survivors.
-                // Join NFQs fall through to the full evaluation: residual
-                // filtering is join-blind.
-                positional = self.positional_candidates(doc, i, nfq, delta_base);
-                let pos_nodes: Vec<NodeId> = positional
-                    .iter()
-                    .filter(|(_, _, svc)| output_accepts(&effective, svc))
-                    .map(|&(n, _, _)| n)
-                    .collect();
-                let got = filter_candidates(&effective, doc, &pos_nodes);
-                #[cfg(debug_assertions)]
-                {
-                    // cross-check against the seed evaluator (string
-                    // compares, no index) — an independent code path
-                    let full: BTreeSet<NodeId> = axml_query::seed_eval(&effective.pattern, doc)
-                        .bindings_of(effective.output)
-                        .into_iter()
-                        .collect();
-                    let mine: BTreeSet<NodeId> = got.iter().copied().collect();
-                    assert_eq!(
-                        mine, full,
-                        "delta-scoped NFQ candidates diverged from full evaluation"
-                    );
-                }
-                got
-            } else {
-                let opts = self.config().eval_options;
-                eval_with(&effective.pattern, doc, opts, &mut self.eval_cache)
-                    .bindings_of(effective.output)
-            };
+            let (retrieved, positional) = self.retrieve(doc, key, nfq, &effective, delta_base);
             let mut cache_entry: Vec<CachedCandidate> = Vec::new();
             for node in retrieved {
                 let Some((id, svc)) = doc.call_info(node) else {
                     continue;
                 };
-                if self.config().incremental_detection {
-                    cache_entry.push((node, id, svc.to_string()));
+                if incremental {
+                    cache_entry.push((node, id));
                 }
                 if self.dead.contains(&id) {
                     continue;
@@ -1318,7 +1293,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                     .foci
                     .insert(nfq.focus);
             }
-            if self.config().incremental_detection {
+            if incremental {
                 // an empty positional set with watermark 0 makes a later
                 // delta attempt rescan every call — correct for entries
                 // built by the guide / full-eval branches
@@ -1327,15 +1302,12 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                 } else {
                     doc.next_call_id()
                 };
-                self.nfq_cache.insert(
-                    i,
-                    NfqCacheEntry {
-                        seq: self.splice_seq,
-                        call_watermark,
-                        positional,
-                        retrieved: cache_entry,
-                    },
-                );
+                self.nfqs.entry(key).or_default().cache = Some(NfqCacheEntry {
+                    seq: self.splice_seq,
+                    call_watermark,
+                    positional,
+                    retrieved: cache_entry,
+                });
             }
         }
         self.stats.relevance_cpu += t.elapsed();

@@ -13,7 +13,7 @@
 //! remaining NFQ conditions against the document ("NFQ filtering").
 
 use crate::nfq::Nfq;
-use axml_query::{EdgeKind, LinearPath, Matcher, PNodeId, StepTest};
+use axml_query::{EdgeKind, EvalOptions, LinearPath, Matcher, PNodeId, StepTest};
 use axml_xml::{Document, Label, NodeId};
 use std::collections::HashMap;
 
@@ -213,11 +213,21 @@ impl FGuide {
 }
 
 /// The residual NFQ check of Section 6.2: given candidate calls retrieved
-/// positionally (from the F-guide), keep those for which the NFQ's
-/// remaining conditions hold — i.e. some alignment of the NFQ's path onto
-/// the candidate's ancestor chain satisfies every side condition.
-pub fn filter_candidates(nfq: &Nfq, doc: &Document, candidates: &[NodeId]) -> Vec<NodeId> {
-    let mut matcher = Matcher::new(&nfq.pattern, doc);
+/// positionally (from the F-guide or the engine's call table), keep those
+/// for which the NFQ's remaining conditions hold — i.e. some alignment of
+/// the NFQ's path onto the candidate's ancestor chain satisfies every side
+/// condition. The conditions are checked under `opts`, which, like every
+/// evaluator option, changes only the cost.
+pub fn filter_candidates(
+    nfq: &Nfq,
+    doc: &Document,
+    candidates: &[NodeId],
+    opts: EvalOptions,
+) -> Vec<NodeId> {
+    if candidates.is_empty() {
+        return Vec::new();
+    }
+    let mut matcher = Matcher::with_options(&nfq.pattern, doc, opts);
     // the NFQ path: pattern root → parent of output (linear by construction)
     let mut path_nodes: Vec<PNodeId> = Vec::new();
     let mut cur = nfq.pattern.parent(nfq.output);
@@ -227,12 +237,13 @@ pub fn filter_candidates(nfq: &Nfq, doc: &Document, candidates: &[NodeId]) -> Ve
     }
     path_nodes.reverse();
 
+    let mut anc: Vec<NodeId> = Vec::new();
     candidates
         .iter()
         .copied()
         .filter(|&cand| {
             // ancestor chain of the candidate: root … parent(cand)
-            let mut anc: Vec<NodeId> = Vec::new();
+            anc.clear();
             let mut cur = doc.parent(cand);
             while let Some(n) = cur {
                 anc.push(n);
@@ -272,9 +283,9 @@ fn align(
     } else {
         nfq.pattern.node(p).edge
     };
-    let positions: Vec<usize> = match edge {
-        EdgeKind::Child => vec![aj],
-        EdgeKind::Descendant => (aj..anc.len()).collect(),
+    let positions = match edge {
+        EdgeKind::Child => aj..aj + 1,
+        EdgeKind::Descendant => aj..anc.len(),
     };
     for j in positions {
         let v = anc[j];
@@ -304,9 +315,16 @@ fn align(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{output_services, CallTable, ClassVerdicts, Engine, EngineConfig};
     use crate::nfq::{build_lpqs, build_nfq, build_nfqs};
-    use axml_query::{parse_query, PLabel};
+    use crate::plan::position_language;
+    use crate::typed::TypeRefiner;
+    use axml_gen::scenario::{figure4_query, generate, ScenarioParams};
+    use axml_query::{parse_query, render, PLabel};
+    use axml_schema::SatMode;
     use axml_xml::parse;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn fig1_doc() -> Document {
         parse(
@@ -446,7 +464,7 @@ mod tests {
                                          // conditions keep: BW's two (name matches, rating matches) and
                                          // Penn's one? Penn's name ≠ Best Western and its name is
                                          // extensional: pruned. BW keeps both nearby calls.
-        let kept = filter_candidates(&nfq, &d, &candidates);
+        let kept = filter_candidates(&nfq, &d, &candidates, EvalOptions::default());
         assert_eq!(kept.len(), 2);
         for c in kept {
             let hotel = d.parent(d.parent(c).unwrap()).unwrap();
@@ -456,27 +474,92 @@ mod tests {
         }
     }
 
-    #[test]
-    fn residual_filtering_agrees_with_full_nfq_evaluation() {
-        let d = fig1_doc();
-        let q = parse_query(
-            "/hotels/hotel[name=\"Best Western\"][rating=\"*****\"]\
-             /nearby//restaurant[name=$X] -> $X",
-        )
-        .unwrap();
-        let g = FGuide::build(&d);
-        for nfq in build_nfqs(&q) {
-            let full = axml_query::eval(&nfq.pattern, &d);
-            let mut via_nfq: Vec<NodeId> = full.bindings_of(nfq.output);
-            let candidates: Vec<NodeId> = g
-                .eval_linear(&d, &nfq.lin, nfq.via)
-                .into_iter()
-                .map(|(n, _)| n)
-                .collect();
-            let mut via_guide = filter_candidates(&nfq, &d, &candidates);
-            via_nfq.sort();
-            via_guide.sort();
-            assert_eq!(via_nfq, via_guide, "NFQ of {:?} differs", nfq.focus);
+    /// Queries with `//`, `*` and value conditions over the hotels
+    /// scenario (besides Figure 4's).
+    const QUERIES: &[&str] = &[
+        "//restaurant[rating=\"*****\"]/name/$N -> $N",
+        "/hotels/*[name=\"Best Western\"]//name/$N -> $N",
+        "/hotels/hotel[rating=\"*****\"]/nearby/*[name=$M] -> $M",
+        "//hotel[reviews//review]/address/$A -> $A",
+        "/hotels/hotel/rating/$R -> $R",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// §6.2's equivalence, on both positional sources the engine uses.
+        /// For every join-free NFQ, unrefined and refined, the candidates
+        /// whose service the output accepts — from the call table (visible
+        /// calls whose parent-path class the position automaton accepts)
+        /// or from the F-guide's extents — that pass `filter_candidates`
+        /// are exactly the calls a full evaluation binds to the output.
+        /// Documents are generated hotels scenarios part-materialized by a
+        /// naive run with a random invocation budget, so calls also sit
+        /// inside spliced results.
+        #[test]
+        fn residual_filtering_agrees_with_full_nfq_evaluation(
+            seed in any::<u64>(),
+            hotels in 1usize..6,
+            budget in 0usize..12,
+            interning in any::<bool>(),
+            index in any::<bool>(),
+        ) {
+            let sc = generate(&ScenarioParams {
+                hotels,
+                intensional_hotels: 2,
+                seed,
+                ..ScenarioParams::default()
+            });
+            let mut d = sc.doc.clone();
+            let partial = EngineConfig {
+                max_invocations: budget,
+                ..EngineConfig::naive()
+            };
+            Engine::new(&sc.registry, partial).complete_for(&mut d, &figure4_query());
+            let opts = EvalOptions { interning, index };
+            let mut table = CallTable::default();
+            let known = table.known_services(&d, &HashSet::new());
+            let guide = FGuide::build(&d);
+            let queries = std::iter::once(figure4_query())
+                .chain(QUERIES.iter().map(|q| parse_query(q).unwrap()));
+            for q in queries {
+                let mut refiner = TypeRefiner::new(&sc.schema, &q, SatMode::Exact);
+                for nfq in build_nfqs(&q) {
+                    if !nfq.pattern.join_variables().is_empty() {
+                        continue;
+                    }
+                    let mut classes = ClassVerdicts::compile(&position_language(&nfq), &d);
+                    let refined = refiner.refine(&nfq, &known);
+                    for effective in std::iter::once(nfq.clone()).chain(refined) {
+                        let services = output_services(&effective, &d);
+                        let served = |n: &NodeId| services.as_ref().is_none_or(|s| s.contains(&d.sym(*n)));
+                        let from_table: Vec<NodeId> = d
+                            .calls_unordered()
+                            .iter()
+                            .copied()
+                            .filter(|&n| {
+                                let (id, _) = d.call_info(n).unwrap();
+                                let class = table.class_of(&d, n, id);
+                                class.is_some_and(|c| classes.accepts(&table, c))
+                            })
+                            .filter(served)
+                            .collect();
+                        let from_guide: Vec<NodeId> = guide
+                            .eval_linear(&d, &effective.lin, effective.via)
+                            .into_iter()
+                            .map(|(n, _)| n)
+                            .filter(served)
+                            .collect();
+                        let full = axml_query::seed_eval(&effective.pattern, &d)
+                            .bindings_of(effective.output);
+                        for source in [from_table, from_guide] {
+                            let mut kept = filter_candidates(&effective, &d, &source, opts);
+                            kept.sort();
+                            prop_assert_eq!(&kept, &full, "{} / NFQ of {:?}", render(&q), nfq.focus);
+                        }
+                    }
+                }
+            }
         }
     }
 

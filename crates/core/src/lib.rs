@@ -83,7 +83,7 @@ pub fn relevant_calls(
     let nfqs = build_nfqs(query);
     let mut refiner = schema.map(|s| TypeRefiner::new(s, query, mode));
     let known = if refiner.is_some() {
-        engine::known_services(doc, &std::collections::HashSet::new())
+        engine::CallTable::default().known_services(doc, &std::collections::HashSet::new())
     } else {
         Vec::new()
     };

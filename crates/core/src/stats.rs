@@ -16,8 +16,11 @@ pub struct EngineStats {
     /// Simulated wall-clock spent on service calls — sequential calls sum,
     /// parallel batches contribute their maximum (Section 4.4).
     pub sim_time_ms: f64,
-    /// Number of call-finding query evaluations (NFQ/LPQ runs, or F-guide
-    /// lookups).
+    /// Number of call-finding query evaluations: LPQ runs, and one per
+    /// refined NFQ per detection pass, however it was answered — by a full
+    /// evaluation, an F-guide lookup, or a call-table lookup, including one
+    /// that found no live call at the NFQ's output position and so never
+    /// touched the document.
     pub relevance_evals: usize,
     /// CPU time spent detecting relevant calls.
     pub relevance_cpu: Duration,

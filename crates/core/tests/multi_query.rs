@@ -128,3 +128,40 @@ fn trace_records_each_invocation() {
         .evaluate(&mut doc2, &q);
     assert_eq!(quiet.stats.calls_invoked, report.stats.calls_invoked);
 }
+
+#[test]
+fn shared_incremental_run_keeps_per_query_nfq_state_apart() {
+    // every query's NFQ list runs through one shared run: the museum
+    // query's NFQ #k must not reuse figure4's cached candidates or
+    // automata for its own NFQ #k
+    let s = figure1();
+    let museums =
+        parse_query("/hotels/hotel[name=\"Best Western\"]/nearby//museum[name=$M] -> $M").unwrap();
+    let layered = EngineConfig {
+        incremental_detection: true,
+        ..EngineConfig::default()
+    };
+    let sequential = EngineConfig {
+        layering: false,
+        parallel: false,
+        ..layered.clone()
+    };
+    for config in [layered, sequential] {
+        let mut single = s.doc.clone();
+        let alone = Engine::new(&s.registry, config.clone())
+            .with_schema(&s.schema)
+            .evaluate(&mut single, &museums);
+        let expected: BTreeSet<_> = render_result(&single, &alone.result).into_iter().collect();
+        assert_eq!(expected, BTreeSet::from([vec!["MoMA".to_string()]]));
+
+        let mut shared = s.doc.clone();
+        let reports = Engine::new(&s.registry, config)
+            .with_schema(&s.schema)
+            .evaluate_many(&mut shared, &[figure4_query(), museums.clone()]);
+        assert!(reports[1].complete);
+        let got: BTreeSet<_> = render_result(&shared, &reports[1].result)
+            .into_iter()
+            .collect();
+        assert_eq!(got, expected);
+    }
+}

@@ -42,13 +42,17 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A memo table over `(pattern node, document node)` pairs.
-pub(crate) type Memo = HashMap<(PNodeId, NodeId), bool, BuildHasherDefault<FxHasher>>;
+pub(crate) type Memo = HashMap<(PNodeId, NodeId), bool, FxBuildHasher>;
 
-/// Fx-style multiply-rotate hasher for the memo tables. Their keys are
-/// pairs of small integers that no input controls, so SipHash's flood
-/// resistance buys nothing and costs most of a lookup.
+/// Fx-style multiply-rotate hasher for tables keyed by engine-internal
+/// integers, such as the evaluator's memo tables. No input controls
+/// those keys, so SipHash's flood resistance buys nothing and costs most
+/// of a lookup.
 #[derive(Default)]
-pub(crate) struct FxHasher(u64);
+pub struct FxHasher(u64);
+
+/// The [`std::hash::BuildHasher`] of [`FxHasher`], for `HashMap`s.
+pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 impl FxHasher {
     fn add(&mut self, word: u64) {
@@ -67,6 +71,14 @@ impl Hasher for FxHasher {
 
     fn write_u32(&mut self, i: u32) {
         self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
     }
 
     fn finish(&self) -> u64 {

@@ -1,33 +1,51 @@
 //! XML text/attribute escaping and unescaping.
 
+use std::fmt;
+
 /// Escapes a string for use as XML character data (`&`, `<`, `>`).
 pub fn escape_text(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            c => out.push(c),
-        }
-    }
+    let _ = write_text(&mut out, s);
     out
 }
 
 /// Escapes a string for use inside a double-quoted XML attribute.
 pub fn escape_attr(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            c => out.push(c),
-        }
-    }
+    let _ = write_attr(&mut out, s);
     out
+}
+
+/// Writes `s` to `out` escaped as XML character data, without building
+/// the escaped string.
+pub(crate) fn write_text<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    write_escaped(out, s, false)
+}
+
+/// Writes `s` to `out` escaped for a double-quoted XML attribute, without
+/// building the escaped string.
+pub(crate) fn write_attr<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    write_escaped(out, s, true)
+}
+
+/// Copies the runs between special characters straight through. The
+/// special characters are ASCII, so every cut falls on a char boundary.
+fn write_escaped<W: fmt::Write>(out: &mut W, s: &str, attr: bool) -> fmt::Result {
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' if attr => "&quot;",
+            b'\'' if attr => "&apos;",
+            _ => continue,
+        };
+        out.write_str(&s[start..i])?;
+        out.write_str(entity)?;
+        start = i + 1;
+    }
+    out.write_str(&s[start..])
 }
 
 /// Resolves the five predefined XML entities plus decimal/hex character

@@ -5,9 +5,9 @@
 //! Element children whose label starts with `@` are written back as XML
 //! attributes (the parser produces them for attributed input).
 
-use crate::escape::{escape_attr, escape_text};
+use crate::escape::{write_attr, write_text};
 use crate::tree::{Document, NodeId, NodeKind};
-use std::fmt::Write;
+use std::fmt::{self, Write};
 
 /// Serialization options.
 #[derive(Clone, Copy, Debug, Default)]
@@ -28,7 +28,7 @@ pub fn to_xml_with(doc: &Document, opts: SerializeOptions) -> String {
         }
     }
     for &r in doc.roots() {
-        write_node(doc, r, &mut out, opts.pretty, 0);
+        let _ = write_node(doc, r, &mut out, opts.pretty, 0);
         if opts.pretty {
             out.push('\n');
         }
@@ -44,14 +44,17 @@ pub fn to_xml(doc: &Document) -> String {
 /// Serializes a single subtree compactly.
 pub fn subtree_to_xml(doc: &Document, node: NodeId) -> String {
     let mut out = String::new();
-    write_node(doc, node, &mut out, false, 0);
+    let _ = write_node(doc, node, &mut out, false, 0);
     out
 }
 
 /// Byte size of the serialized subtree — the paper's unit for data-transfer
-/// accounting when results move across the (simulated) network.
+/// accounting when results move across the (simulated) network. Runs the
+/// compact serializer into a counter, so no string is built.
 pub fn serialized_len(doc: &Document, node: NodeId) -> usize {
-    subtree_to_xml(doc, node).len()
+    let mut count = ByteCount(0);
+    let _ = write_node(doc, node, &mut count, false, 0);
+    count.0
 }
 
 /// Byte size of a whole serialized forest.
@@ -59,96 +62,98 @@ pub fn forest_serialized_len(doc: &Document) -> usize {
     doc.roots().iter().map(|&r| serialized_len(doc, r)).sum()
 }
 
+/// A writer that keeps only the number of bytes written to it.
+struct ByteCount(usize);
+
+impl Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
 fn is_attr_child(doc: &Document, n: NodeId) -> bool {
     matches!(doc.kind(n), NodeKind::Element(l) if l.as_str().starts_with('@'))
 }
 
-fn write_node(doc: &Document, node: NodeId, out: &mut String, pretty: bool, depth: usize) {
-    let indent = |out: &mut String, depth: usize| {
-        if pretty {
-            for _ in 0..depth {
-                out.push_str("  ");
-            }
+fn indent<W: Write>(out: &mut W, pretty: bool, depth: usize) -> fmt::Result {
+    if pretty {
+        for _ in 0..depth {
+            out.write_str("  ")?;
         }
-    };
-    match doc.kind(node) {
-        NodeKind::Text(t) => {
-            indent(out, depth);
-            out.push_str(&escape_text(t));
-        }
+    }
+    Ok(())
+}
+
+fn write_node<W: Write>(
+    doc: &Document,
+    node: NodeId,
+    out: &mut W,
+    pretty: bool,
+    depth: usize,
+) -> fmt::Result {
+    indent(out, pretty, depth)?;
+    let is_element = match doc.kind(node) {
+        NodeKind::Text(t) => return write_text(out, t),
         NodeKind::Element(l) => {
-            indent(out, depth);
-            let _ = write!(out, "<{l}");
-            let mut content: Vec<NodeId> = Vec::new();
+            out.write_char('<')?;
+            out.write_str(l.as_str())?;
             for &c in doc.children(node) {
                 if is_attr_child(doc, c) {
-                    let name = &doc.label(c)[1..];
                     let value = doc
                         .children(c)
                         .first()
                         .and_then(|&v| doc.text_value(v))
                         .unwrap_or("");
-                    let _ = write!(out, " {}=\"{}\"", name, escape_attr(value));
-                } else {
-                    content.push(c);
+                    out.write_char(' ')?;
+                    out.write_str(&doc.label(c)[1..])?;
+                    out.write_str("=\"")?;
+                    write_attr(out, value)?;
+                    out.write_char('"')?;
                 }
             }
-            if content.is_empty() {
-                out.push_str("/>");
-                return;
-            }
-            out.push('>');
-            let inline = content.len() == 1 && matches!(doc.kind(content[0]), NodeKind::Text(_));
-            if inline {
-                if let NodeKind::Text(t) = doc.kind(content[0]) {
-                    out.push_str(&escape_text(t));
-                }
-            } else {
-                for &c in &content {
-                    if pretty {
-                        out.push('\n');
-                    }
-                    write_node(doc, c, out, pretty, depth + 1);
-                }
-                if pretty {
-                    out.push('\n');
-                    indent(out, depth);
-                }
-            }
-            let _ = write!(out, "</{l}>");
+            true
         }
         NodeKind::Call(_, service) => {
-            indent(out, depth);
-            let _ = write!(
-                out,
-                "<axml:call service=\"{}\"",
-                escape_attr(service.as_str())
-            );
-            let children = doc.children(node);
-            if children.is_empty() {
-                out.push_str("/>");
-                return;
-            }
-            out.push('>');
-            let inline = children.len() == 1 && matches!(doc.kind(children[0]), NodeKind::Text(_));
-            if inline {
-                if let NodeKind::Text(t) = doc.kind(children[0]) {
-                    out.push_str(&escape_text(t));
-                }
-            } else {
-                for &c in children {
-                    if pretty {
-                        out.push('\n');
-                    }
-                    write_node(doc, c, out, pretty, depth + 1);
-                }
-                if pretty {
-                    out.push('\n');
-                    indent(out, depth);
-                }
-            }
-            out.push_str("</axml:call>");
+            out.write_str("<axml:call service=\"")?;
+            write_attr(out, service.as_str())?;
+            out.write_char('"')?;
+            false
         }
+    };
+    // an element's content is its non-attribute children; a call's is
+    // all of its parameters
+    let mut content = doc
+        .children(node)
+        .iter()
+        .copied()
+        .filter(|&c| !(is_element && is_attr_child(doc, c)));
+    let Some(first) = content.next() else {
+        return out.write_str("/>");
+    };
+    out.write_char('>')?;
+    match (doc.kind(first), content.next()) {
+        (NodeKind::Text(t), None) => write_text(out, t)?,
+        (_, second) => {
+            for c in std::iter::once(first).chain(second).chain(content) {
+                if pretty {
+                    out.write_char('\n')?;
+                }
+                write_node(doc, c, out, pretty, depth + 1)?;
+            }
+            if pretty {
+                out.write_char('\n')?;
+                indent(out, pretty, depth)?;
+            }
+        }
+    }
+    match doc.kind(node) {
+        NodeKind::Element(l) => {
+            out.write_str("</")?;
+            out.write_str(l.as_str())?;
+            out.write_char('>')
+        }
+        _ => out.write_str("</axml:call>"),
     }
 }
 

@@ -1,7 +1,9 @@
 //! Property tests for the XML substrate: parse/serialize round-trips and
 //! arena integrity under random splice sequences.
 
-use axml_xml::{parse, to_xml, Document, Forest, NodeId};
+use axml_xml::{
+    forest_serialized_len, parse, serialized_len, subtree_to_xml, to_xml, Document, Forest, NodeId,
+};
 use proptest::prelude::*;
 
 /// A recipe for building a random document.
@@ -121,6 +123,87 @@ proptest! {
         let d = build(&ops);
         let f = d.subtree_to_forest(d.root());
         prop_assert_eq!(to_xml(&f), to_xml(&d));
+    }
+}
+
+/// A recipe step for forests that exercise every serializer branch.
+#[derive(Debug, Clone)]
+enum ForestOp {
+    /// One of [`Op`]'s steps (elements, escaped text, calls with one text
+    /// parameter, going up).
+    Base(Op),
+    /// An `@` attribute child, with an escaped value or none.
+    Attr(u8, bool),
+    /// A call without parameters.
+    BareCall(u8),
+    /// A call whose parameters the following steps build.
+    OpenCall(u8),
+    /// A new root element.
+    Root(u8),
+}
+
+fn forest_op_strategy() -> impl Strategy<Value = ForestOp> {
+    prop_oneof![
+        op_strategy().prop_map(ForestOp::Base),
+        (any::<u8>(), any::<bool>()).prop_map(|(i, v)| ForestOp::Attr(i, v)),
+        any::<u8>().prop_map(ForestOp::BareCall),
+        any::<u8>().prop_map(ForestOp::OpenCall),
+        any::<u8>().prop_map(ForestOp::Root),
+    ]
+}
+
+fn build_forest(ops: &[ForestOp]) -> Forest {
+    let mut d = Forest::new();
+    let mut stack = vec![d.add_root("root")];
+    for op in ops {
+        let top = *stack.last().unwrap();
+        match op {
+            ForestOp::Base(Op::Element(i)) => stack.push(d.add_element(top, label(*i))),
+            ForestOp::Base(Op::Text(i)) => {
+                d.add_text(top, value(*i));
+            }
+            ForestOp::Base(Op::Call(i)) => {
+                let c = d.add_call(top, service(*i));
+                d.add_text(c, value(*i));
+            }
+            ForestOp::Base(Op::Up) => {
+                if stack.len() > 1 {
+                    stack.pop();
+                }
+            }
+            ForestOp::Attr(i, with_value) => {
+                let a = d.add_element(top, format!("@a{}", i % 3));
+                if *with_value {
+                    d.add_text(a, value(*i));
+                }
+            }
+            ForestOp::BareCall(i) => {
+                d.add_call(top, service(*i));
+            }
+            ForestOp::OpenCall(i) => stack.push(d.add_call(top, service(*i))),
+            ForestOp::Root(i) => stack = vec![d.add_root(label(*i))],
+        }
+    }
+    d
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Byte counting runs the serializer into a counter: it must count
+    /// exactly the bytes the serializer writes, for every subtree and for
+    /// the whole forest.
+    #[test]
+    fn serialized_len_counts_the_serialized_bytes(
+        ops in proptest::collection::vec(forest_op_strategy(), 0..60),
+    ) {
+        let f = build_forest(&ops);
+        for n in f.all_nodes() {
+            prop_assert_eq!(serialized_len(&f, n), subtree_to_xml(&f, n).len());
+        }
+        let by_root: usize = f.roots().iter().map(|&r| subtree_to_xml(&f, r).len()).sum();
+        prop_assert_eq!(forest_serialized_len(&f), by_root);
+        prop_assert_eq!(forest_serialized_len(&f), to_xml(&f).len());
     }
 }
 

@@ -8,6 +8,7 @@
 
 use activexml::core::{build_nfqs, filter_candidates, FGuide};
 use activexml::gen::scenario::{figure4_query, generate, ScenarioParams};
+use activexml::query::EvalOptions;
 use std::time::Instant;
 
 fn main() {
@@ -49,7 +50,7 @@ fn main() {
             .into_iter()
             .map(|(n, _)| n)
             .collect();
-        via_guide += filter_candidates(nfq, &doc, &cands).len();
+        via_guide += filter_candidates(nfq, &doc, &cands, EvalOptions::default()).len();
     }
     let guide_ms = t.elapsed().as_secs_f64() * 1e3;
 
