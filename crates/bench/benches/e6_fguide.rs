@@ -1,10 +1,23 @@
-//! E6 (CPU side) — F-guide construction and guide-based candidate
-//! detection vs full NFQ evaluation on the document (§6.2).
+//! E6 (CPU side) — classifying a document's calls into the function-call
+//! guide, and guide-based candidate detection vs full NFQ evaluation on
+//! the document (§6.2).
 
-use axml_core::{build_nfqs, filter_candidates, FGuide};
+use axml_core::{build_nfqs, filter_candidates, position_language, ClassVerdicts, FGuide};
 use axml_gen::scenario::{figure4_query, generate, ScenarioParams};
 use axml_query::EvalOptions;
+use axml_xml::Document;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+
+/// A guide holding every call of `doc`.
+fn classify(doc: &Document) -> FGuide {
+    let mut guide = FGuide::default();
+    for &node in doc.calls_unordered() {
+        if let Some((id, _)) = doc.call_info(node) {
+            guide.class_of(doc, node, id);
+        }
+    }
+    guide
+}
 
 fn bench_fguide(c: &mut Criterion) {
     let mut group = c.benchmark_group("e6_fguide_cpu");
@@ -18,11 +31,11 @@ fn bench_fguide(c: &mut Criterion) {
         });
         let doc = sc.doc;
 
-        group.bench_with_input(BenchmarkId::new("build_guide", hotels), &doc, |b, d| {
-            b.iter(|| std::hint::black_box(FGuide::build(d).len()))
+        group.bench_with_input(BenchmarkId::new("classify_calls", hotels), &doc, |b, d| {
+            b.iter(|| std::hint::black_box(classify(d).len()))
         });
 
-        let guide = FGuide::build(&doc);
+        let mut guide = classify(&doc);
         group.bench_with_input(
             BenchmarkId::new("detect_via_guide", hotels),
             &doc,
@@ -30,8 +43,9 @@ fn bench_fguide(c: &mut Criterion) {
                 b.iter(|| {
                     let mut found = 0usize;
                     for nfq in &nfqs {
+                        let mut at = ClassVerdicts::new(position_language(&nfq.lin, nfq.via));
                         let cands: Vec<_> = guide
-                            .eval_linear(d, &nfq.lin, nfq.via)
+                            .extent(d, &mut at, None, 0)
                             .into_iter()
                             .map(|(n, _)| n)
                             .collect();

@@ -4,7 +4,7 @@
 //! parameters to rows; the `report` binary prints them, the Criterion
 //! benches measure the CPU-bound parts.
 
-use axml_core::{Engine, EngineConfig, EngineStats, Typing};
+use axml_core::{Engine, EngineConfig, EngineStats, FGuide, Typing};
 use axml_gen::scenario::{figure4_query, generate, Scenario, ScenarioParams};
 use axml_query::Pattern;
 use axml_services::{FaultProfile, NetProfile};
@@ -311,38 +311,40 @@ pub fn e5_push(selectivities: &[f64]) -> Vec<Row> {
     rows
 }
 
-/// E6 — the F-guide (§6.2): relevance-detection CPU with and without the
-/// guide, and the guide's compactness, as the document grows.
+/// E6 — the F-guide (§6.2): relevance-detection CPU on the guide, and
+/// the guide's compactness — its classes (guide nodes) over the input
+/// document's calls against the document's nodes — as the document grows.
 pub fn e6_fguide(hotel_counts: &[usize]) -> Vec<Row> {
     let mut rows = Vec::new();
     let q = figure4_query();
     for &hotels in hotel_counts {
-        let params = ScenarioParams {
+        let mut sc = generate(&ScenarioParams {
             hotels,
             ..Default::default()
-        };
-        for (name, fg) in [("nfq-on-document", false), ("nfq-on-fguide", true)] {
-            let config = EngineConfig {
-                use_fguide: fg,
-                push_queries: false,
-                parallel: true,
-                layering: true,
-                ..EngineConfig::default()
-            };
-            let mut sc = generate(&params);
-            let doc_nodes = sc.doc.len();
-            let (stats, _) = run_once(&mut sc, &q, config, NetProfile::free());
-            rows.push(Row {
-                label: name.to_string(),
-                x: hotels as f64,
-                metrics: vec![
-                    ("analysis_ms", stats.relevance_cpu.as_secs_f64() * 1e3),
-                    ("doc_nodes", doc_nodes as f64),
-                    ("guide_nodes", stats.guide_nodes as f64),
-                    ("calls", stats.calls_invoked as f64),
-                ],
-            });
+        });
+        let doc = &sc.doc;
+        let doc_nodes = doc.len();
+        let mut guide = FGuide::default();
+        for &node in doc.calls_unordered() {
+            if let Some((id, _)) = doc.call_info(node) {
+                guide.class_of(doc, node, id);
+            }
         }
+        let config = EngineConfig {
+            push_queries: false,
+            ..EngineConfig::default()
+        };
+        let (stats, _) = run_once(&mut sc, &q, config, NetProfile::free());
+        rows.push(Row {
+            label: "nfq-detection".to_string(),
+            x: hotels as f64,
+            metrics: vec![
+                ("analysis_ms", stats.relevance_cpu.as_secs_f64() * 1e3),
+                ("doc_nodes", doc_nodes as f64),
+                ("guide_classes", guide.len() as f64),
+                ("calls", stats.calls_invoked as f64),
+            ],
+        });
     }
     rows
 }
@@ -453,7 +455,6 @@ pub fn a2_nfq_evals(hotel_counts: &[usize]) -> Vec<Row> {
             "nfqa-layered",
             EngineConfig {
                 layering: true,
-                simplify_layers: true,
                 ..EngineConfig::nfq_plain()
             },
         ),
@@ -462,7 +463,6 @@ pub fn a2_nfq_evals(hotel_counts: &[usize]) -> Vec<Row> {
             EngineConfig {
                 layering: true,
                 parallel: true,
-                simplify_layers: true,
                 ..EngineConfig::nfq_plain()
             },
         ),

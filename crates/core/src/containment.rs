@@ -17,32 +17,27 @@
 //!   edges (like the underlying classical test), which only means some
 //!   redundancies survive — never that results change.
 
+use crate::fguide::position_language;
 use crate::nfq::{Lpq, Nfq};
 use axml_query::{EdgeKind, FunMatch, PLabel, PNodeId, Pattern};
 use axml_schema::{language_includes, Nfa};
-
-/// The position-language automaton of a call-finding query.
-fn position_nfa(lin: &axml_query::LinearPath, via: EdgeKind) -> Nfa {
-    let base = Nfa::from_linear_path(lin);
-    match via {
-        EdgeKind::Child => base,
-        EdgeKind::Descendant => base.suffix_closure(),
-    }
-}
 
 /// Exact: does `sup` retrieve (by position) a superset of `sub` on every
 /// document?
 pub fn lpq_subsumes(sup: &Lpq, sub: &Lpq) -> bool {
     language_includes(
-        &position_nfa(&sup.lin, sup.via),
-        &position_nfa(&sub.lin, sub.via),
+        &position_language(&sup.lin, sup.via),
+        &position_language(&sub.lin, sub.via),
     )
 }
 
 /// Drops LPQs whose retrieval set is covered by another LPQ in the set.
 /// Returns the surviving queries (order preserved) and the number pruned.
 pub fn prune_subsumed_lpqs(lpqs: Vec<Lpq>) -> (Vec<Lpq>, usize) {
-    let nfas: Vec<Nfa> = lpqs.iter().map(|l| position_nfa(&l.lin, l.via)).collect();
+    let nfas: Vec<Nfa> = lpqs
+        .iter()
+        .map(|l| position_language(&l.lin, l.via))
+        .collect();
     let n = lpqs.len();
     let mut dead = vec![false; n];
     for i in 0..n {

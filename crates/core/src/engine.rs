@@ -16,31 +16,31 @@
 //! | `parallel` — condition (✳) batch invocation | §4.4 |
 //! | `typing` — refined NFQs via satisfiability | §5 |
 //! | `relax_xpath` — drop value joins from NFQs | §6.1 |
-//! | `use_fguide` — function-call guide + residual filtering | §6.2 |
 //! | `push_queries` — ship `sub_q_v` to providers | §7 |
 //!
 //! Every strategy runs one round loop, `Run::drive`: detect the relevant
 //! calls, dispatch them, detect again. A strategy differs only in what a
-//! round detects and how it dispatches. The calls themselves go through
-//! the gates of the `dispatch` child module.
+//! round detects and how it dispatches. Detection finds calls by position
+//! on the run's function-call guide (§6.2, [`FGuide`]). The calls
+//! themselves go through the gates of the `dispatch` child module.
 
-mod calls;
 mod dispatch;
 
-use crate::fguide::{filter_candidates, FGuide};
+use crate::fguide::{
+    filter_candidates, output_services, position_language, ClassVerdicts, FGuide, SymAuto,
+};
 use crate::influence::{compute_layers, Layers};
 use crate::nfq::{Lpq, Nfq};
-use crate::plan::{
-    affected_language, lpq_set, nfq_set, position_language, typing_mode, CompiledQuery,
-};
+use crate::plan::{affected_language, lpq_set, nfq_set, typing_mode, CompiledQuery};
 use crate::stats::EngineStats;
 use crate::typed::TypeRefiner;
 use axml_obs::{Event, EventKind, TraceSink};
-use axml_query::{eval_with, render, EdgeKind, EvalOptions, Pattern, PlanScratch, SnapshotResult};
-use axml_schema::{Nfa, Schema, SymDfa, SymNfa};
+use axml_query::{
+    eval_with, render, EdgeKind, EvalOptions, PNodeId, Pattern, PlanScratch, SnapshotResult,
+};
+use axml_schema::{Nfa, Schema};
 use axml_services::{Deadline, InvokeCache, PushedQuery, Registry, SimClock};
 use axml_xml::{CallId, Document, NodeId};
-pub(crate) use calls::{output_services, CallTable, ClassVerdicts};
 use dispatch::{Candidate, Dispatch};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -93,17 +93,14 @@ pub struct EngineConfig {
     pub strategy: Strategy,
     /// Type-based pruning (needs a schema; ignored without one).
     pub typing: Typing,
-    /// Maintain an F-guide and detect candidates on it (§6.2).
-    pub use_fguide: bool,
     /// Push `sub_q_v` to capable providers (§7). NFQ strategy only.
     pub push_queries: bool,
     /// Invoke independent batches in parallel (§4.4); also batches the
     /// naive/LPQ strategies' rounds.
     pub parallel: bool,
-    /// Split NFQs into influence layers (§4.3).
+    /// Split NFQs into influence layers (§4.3). The `()` branches of a
+    /// finished layer are simplified away (§4.3's note).
     pub layering: bool,
-    /// Simplify finished layers' `()` branches away (§4.3's note).
-    pub simplify_layers: bool,
     /// Drop value-join variables from NFQs (§6.1 XPath relaxation).
     pub relax_xpath: bool,
     /// Hard cap on invocations — the paper's termination guard (§2 assumes
@@ -257,16 +254,14 @@ pub enum Speculation {
 
 impl Default for EngineConfig {
     /// The full lazy configuration: NFQ + layering + parallel + exact
-    /// typing + push, no F-guide.
+    /// typing + push.
     fn default() -> Self {
         EngineConfig {
             strategy: Strategy::Nfq,
             typing: Typing::Exact,
-            use_fguide: false,
             push_queries: true,
             parallel: true,
             layering: true,
-            simplify_layers: true,
             relax_xpath: false,
             max_invocations: 100_000,
             containment_pruning: true,
@@ -345,6 +340,10 @@ pub struct EvalReport {
     /// budget ran out — and the answer is a sound partial result: exactly
     /// the full answer minus subtrees below the unresolved calls.
     pub complete: bool,
+    /// The parent label path (root's label first) of every call the run
+    /// invoked and spliced, in splice order: where the document changed.
+    /// Cache hits and failed calls are not listed.
+    pub changed_paths: Vec<Vec<String>>,
 }
 
 /// The lazy query evaluation engine.
@@ -507,6 +506,7 @@ impl<'a> Engine<'a> {
         );
         run.close(doc, t0);
         let shared_stats = run.stats;
+        let changed_paths = run.changed_paths;
         let mut final_cache = PlanScratch::default();
         queries
             .iter()
@@ -521,6 +521,7 @@ impl<'a> Engine<'a> {
                     result,
                     stats,
                     complete,
+                    changed_paths: changed_paths.clone(),
                 }
             })
             .collect()
@@ -559,6 +560,7 @@ impl<'a> Engine<'a> {
             result,
             stats: run.stats,
             complete,
+            changed_paths: run.changed_paths,
         }
     }
 }
@@ -577,6 +579,30 @@ type NfqKey = (usize, usize);
 /// calls are reused, so a candidate found earlier may have gone stale.
 fn holds_call(doc: &Document, node: NodeId, call: CallId) -> bool {
     doc.is_alive(node) && matches!(doc.call_info(node), Some((id, _)) if id == call)
+}
+
+/// Debug builds check each candidate set the guide yields against the
+/// seed evaluator (string compares, no index): an independent code path.
+/// Release builds skip the check.
+fn cross_check(
+    pattern: &Pattern,
+    output: PNodeId,
+    doc: &Document,
+    found: impl Iterator<Item = NodeId>,
+    what: &str,
+) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    let full: BTreeSet<NodeId> = axml_query::seed_eval(pattern, doc)
+        .bindings_of(output)
+        .into_iter()
+        .collect();
+    let mine: BTreeSet<NodeId> = found.collect();
+    assert_eq!(
+        mine, full,
+        "{what} candidates from the guide diverged from full evaluation"
+    );
 }
 
 /// The label path of `node`'s parent (empty for a root) — the position a
@@ -632,10 +658,7 @@ struct NfqState {
     /// `affected` compiled to symbols, stamped with the `sym_count` it
     /// was compiled at (recompiled when the symbol table grows)
     affected_sym: Option<(usize, SymAuto)>,
-    /// label-level position language (the linear path, suffix-closed for
-    /// descendant-ended NFQs)
-    position: Option<Nfa>,
-    /// `position` compiled to symbols, with its verdict per call class
+    /// the position language's verdict per guide class
     classes: Option<ClassVerdicts>,
 }
 
@@ -653,14 +676,10 @@ impl NfqState {
         &self.affected_sym.as_ref().expect("compiled above").1
     }
 
-    /// The position automaton's class verdicts, current for `doc`'s
-    /// symbol table.
-    fn classes(&mut self, nfq: &Nfq, doc: &Document) -> &mut ClassVerdicts {
-        if !self.classes.as_ref().is_some_and(|c| c.is_current(doc)) {
-            let nfa = self.position.get_or_insert_with(|| position_language(nfq));
-            self.classes = Some(ClassVerdicts::compile(nfa, doc));
-        }
-        self.classes.as_mut().expect("compiled above")
+    /// The position language's class verdicts.
+    fn classes(&mut self, nfq: &Nfq) -> &mut ClassVerdicts {
+        self.classes
+            .get_or_insert_with(|| ClassVerdicts::new(position_language(&nfq.lin, nfq.via)))
     }
 }
 
@@ -672,7 +691,6 @@ struct Run<'e, 'a, 'q> {
     stats: EngineStats,
     /// calls that cannot be invoked (unknown services)
     dead: HashSet<CallId>,
-    guide: Option<FGuide>,
     budget: usize,
     total_call_cost_ms: f64,
     /// monotone splice counter + bounded log of splice records, for
@@ -686,7 +704,9 @@ struct Run<'e, 'a, 'q> {
     /// per-NFQ automata, class verdicts and cached candidates
     nfqs: HashMap<NfqKey, NfqState>,
     /// the live calls' visibility and parent-path classes
-    calls: CallTable,
+    guide: FGuide,
+    /// the parent label path of every invoked and spliced call
+    changed_paths: Vec<Vec<String>>,
     /// reusable evaluator memo tables (the NFQA loop re-evaluates
     /// patterns once per round)
     eval_cache: PlanScratch,
@@ -703,37 +723,6 @@ struct Run<'e, 'a, 'q> {
     batch_admitted: BTreeMap<String, usize>,
 }
 
-/// A symbol-compiled path automaton: determinized when the subset
-/// construction stays under a state cap, the NFA itself otherwise. Both
-/// forms accept exactly the same words (the schema crate pins agreement),
-/// so the choice never shows in answers or traces — only in per-word
-/// stepping cost on the incremental-detection hot path.
-enum SymAuto {
-    Dfa(SymDfa),
-    Nfa(SymNfa),
-}
-
-/// Subset-construction state cap: path-language NFAs are tiny (one state
-/// per query step plus closures), so blowups past this are pathological
-/// and fall back to NFA stepping.
-const SYM_DFA_MAX_STATES: usize = 64;
-
-impl SymAuto {
-    fn compile(nfa: SymNfa) -> SymAuto {
-        match nfa.determinize(SYM_DFA_MAX_STATES) {
-            Some(dfa) => SymAuto::Dfa(dfa),
-            None => SymAuto::Nfa(nfa),
-        }
-    }
-
-    fn accepts(&self, word: &[u32]) -> bool {
-        match self {
-            SymAuto::Dfa(d) => d.accepts(word),
-            SymAuto::Nfa(n) => n.accepts(word),
-        }
-    }
-}
-
 impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
     /// A fresh run of `engine` for `query`: the clock, budget and deadline
     /// start from the engine's configuration, every cache starts empty.
@@ -744,14 +733,14 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
             clock: SimClock::at(engine.start_ms),
             stats: EngineStats::default(),
             dead: HashSet::new(),
-            guide: None,
             budget: engine.config.max_invocations,
             total_call_cost_ms: 0.0,
             splice_seq: 0,
             splice_log: VecDeque::new(),
             splice_floor: 0,
             nfqs: HashMap::new(),
-            calls: CallTable::default(),
+            guide: FGuide::default(),
+            changed_paths: Vec::new(),
             eval_cache: PlanScratch::default(),
             seq: 0,
             layer: 0,
@@ -799,7 +788,6 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         self.stats.sim_time_ms = self.clock.now_ms() - self.engine.start_ms;
         self.stats.total_cpu = t0.elapsed();
         self.stats.final_doc_size = doc.len();
-        self.stats.guide_nodes = self.guide.as_ref().map_or(0, FGuide::len);
         if self.observing() {
             let kind = EventKind::QueryEnd {
                 complete: self.stats.is_complete(),
@@ -909,7 +897,10 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         };
         self.stats.queries_pruned = pruned;
         let lpqs: &[Lpq] = plan.map_or(&built, |p| &p.lpqs);
-        let lpq_plans = plan.map(|p| p.lpq_plans.as_slice());
+        let mut positions: Vec<ClassVerdicts> = lpqs
+            .iter()
+            .map(|l| ClassVerdicts::new(position_language(&l.lin, l.via)))
+            .collect();
         let mode = if one_at_a_time {
             Dispatch::First
         } else {
@@ -919,20 +910,22 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
             let t = Instant::now();
             let mut cands: Vec<Candidate> = Vec::new();
             let mut seen: HashSet<CallId> = HashSet::new();
-            for (li, lpq) in lpqs.iter().enumerate() {
+            for (lpq, at) in lpqs.iter().zip(&mut positions) {
+                // §6.2: an LPQ retrieves the same calls on the guide as on
+                // the document
                 run.stats.relevance_evals += 1;
-                let opts = run.config().eval_options;
-                let r = match lpq_plans {
-                    // LPQ patterns are immutable over the run, so the
-                    // compiled plan applies verbatim (remap per eval)
-                    Some(ps) => ps[li].eval_with(doc, opts, &mut run.eval_cache),
-                    None => eval_with(&lpq.pattern, doc, opts, &mut run.eval_cache),
-                };
-                for node in r.bindings_of(lpq.output) {
-                    if let Some((id, svc)) = doc.call_info(node) {
-                        if !run.dead.contains(&id) && seen.insert(id) {
-                            cands.push(Candidate::new(node, id, svc.to_string()));
-                        }
+                let found = run.guide.extent(doc, at, None, 0);
+                cross_check(
+                    &lpq.pattern,
+                    lpq.output,
+                    doc,
+                    found.iter().map(|c| c.0),
+                    "LPQ",
+                );
+                for (node, id) in found {
+                    if !run.dead.contains(&id) && seen.insert(id) {
+                        // a call node's label is its service name
+                        cands.push(Candidate::new(node, id, doc.label(node).into()));
                     }
                 }
             }
@@ -944,7 +937,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         self.drive(doc, detect, |_| mode);
     }
 
-    // ---------------- NFQ (NFQA + layers + typing + F-guide) ----------------
+    // ---------------- NFQ (NFQA + layers + typing) ----------------
 
     fn run_nfq(&mut self, doc: &mut Document) {
         let plan = self.engine.active_plan(self.query);
@@ -957,7 +950,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                 {
                     let state = NfqState {
                         affected: Some(affected.clone()),
-                        position: Some(position.clone()),
+                        classes: Some(ClassVerdicts::new(position.clone())),
                         ..NfqState::default()
                     };
                     self.nfqs.insert((0, i), state);
@@ -984,10 +977,6 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
             }
         };
 
-        if self.config().use_fguide {
-            self.guide = Some(FGuide::build(doc));
-        }
-
         let mut refiner =
             typing_mode(self.config().typing, self.engine.schema).map(|(s, mode)| match plan {
                 // share the plan's verdict store (keyed by the same
@@ -1008,7 +997,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         }
 
         // focus → layer index, for the post-layer simplification
-        let mut layer_of: BTreeMap<axml_query::PNodeId, usize> = BTreeMap::new();
+        let mut layer_of: BTreeMap<PNodeId, usize> = BTreeMap::new();
         for (li, layer) in layers.layers.iter().enumerate() {
             for &i in layer {
                 layer_of.insert(nfqs[i].focus, li);
@@ -1036,26 +1025,20 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
             self.emit(EventKind::LayerEnd);
             // §4.3: drop the `()` side branches guarding positions whose
             // layers are now fully processed
-            if self.config().simplify_layers {
-                let mut changed_nfqs: Vec<usize> = Vec::new();
-                for (ni, nfq) in nfqs.iter_mut().enumerate() {
-                    let doomed: Vec<axml_query::PNodeId> = nfq
-                        .fun_branches
-                        .iter()
-                        .filter(|&&(f, u)| {
-                            f != nfq.output && layer_of.get(&u).is_some_and(|&lu| lu <= li)
-                        })
-                        .map(|&(f, _)| f)
-                        .collect();
-                    if !doomed.is_empty() {
-                        for f in &doomed {
-                            nfq.pattern.remove_subtree(*f);
-                        }
-                        nfq.fun_branches.retain(|(f, _)| !doomed.contains(f));
-                        changed_nfqs.push(ni);
+            for (ni, nfq) in nfqs.iter_mut().enumerate() {
+                let doomed: Vec<PNodeId> = nfq
+                    .fun_branches
+                    .iter()
+                    .filter(|&&(f, u)| {
+                        f != nfq.output && layer_of.get(&u).is_some_and(|&lu| lu <= li)
+                    })
+                    .map(|&(f, _)| f)
+                    .collect();
+                if !doomed.is_empty() {
+                    for f in &doomed {
+                        nfq.pattern.remove_subtree(*f);
                     }
-                }
-                for ni in changed_nfqs {
+                    nfq.fun_branches.retain(|(f, _)| !doomed.contains(f));
                     self.nfqs.remove(&(0, ni));
                 }
             }
@@ -1106,13 +1089,12 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
             .any(|r| r.seq > since && auto.accepts(&r.parent_syms))
     }
 
-    /// The *positional* candidate set of NFQ `key`: the visible calls
-    /// whose parent-path class its position automaton accepts, among the
-    /// calls of `services` when given. With a usable cache entry (its
-    /// history still covered by the splice log), this is delta-scoped:
-    /// cached candidates are kept unless their call was consumed by a
-    /// splice, and only calls created since the entry's watermark are
-    /// class-tested.
+    /// The *positional* candidate set of NFQ `key`: the guide's extent at
+    /// its position, among the calls of `services` when given. With a
+    /// usable cache entry (its history still covered by the splice log),
+    /// this is delta-scoped: cached candidates are kept unless their call
+    /// was consumed by a splice, and only calls created since the entry's
+    /// watermark are class-tested.
     fn positional_candidates(
         &mut self,
         doc: &Document,
@@ -1121,7 +1103,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         services: Option<&[u32]>,
         base: Option<NfqCacheEntry>,
     ) -> Vec<CachedCandidate> {
-        let (mut out, watermark) = match base {
+        let (kept, watermark) = match base {
             Some(e) if e.seq >= self.splice_floor => {
                 self.stats.nfq_delta_evals += 1;
                 let retired: HashSet<(NodeId, CallId)> = self
@@ -1142,35 +1124,21 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
             }
             None => (Vec::new(), 0),
         };
-        let classes = self.nfqs.entry(key).or_default().classes(nfq, doc);
-        for &node in doc.calls_unordered() {
-            if services.is_some_and(|s| !s.contains(&doc.sym(node))) {
-                continue;
-            }
-            let Some((id, _)) = doc.call_info(node) else {
-                continue;
-            };
-            if id.0 < watermark {
-                continue; // already covered by the cached set
-            }
-            if let Some(class) = self.calls.class_of(doc, node, id) {
-                if classes.accepts(&self.calls, class) {
-                    out.push((node, id));
-                }
-            }
-        }
+        // calls below the watermark are already covered by the cached set
+        let at = self.nfqs.entry(key).or_default().classes(nfq);
+        let mut out = self.guide.extent(doc, at, services, watermark);
+        out.extend(kept);
         out.sort_by_key(|e| e.1);
         out.dedup_by_key(|e| e.1);
         out
     }
 
-    /// The calls NFQ `key` retrieves, through one pipeline: a positional
-    /// source, the refined output's service test, then §6.2's residual
-    /// filter. The source is the F-guide's extents when a guide is kept,
-    /// and the call table otherwise (delta-maintained from `base` under
-    /// incremental detection). Without a guide, an NFQ with join variables
-    /// is evaluated in full instead: the residual filter is join-blind.
-    /// Also returns the call-table positional set, for the cache.
+    /// The calls NFQ `key` retrieves, through one pipeline: the guide's
+    /// extent at its position (delta-maintained from `base` under
+    /// incremental detection), the refined output's service test, then
+    /// §6.2's residual filter. An NFQ with join variables is evaluated in
+    /// full instead: the residual filter is join-blind. Also returns the
+    /// positional set, for the cache.
     fn retrieve(
         &mut self,
         doc: &Document,
@@ -1180,43 +1148,32 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         base: Option<NfqCacheEntry>,
     ) -> (Vec<NodeId>, Vec<CachedCandidate>) {
         let opts = self.config().eval_options;
-        let services = output_services(effective, doc);
-        let (source, positional): (Vec<NodeId>, _) = if let Some(g) = &self.guide {
-            let extents = g.eval_linear(doc, &effective.lin, effective.via);
-            (extents.into_iter().map(|(n, _)| n).collect(), Vec::new())
-        } else if nfq.pattern.join_variables().is_empty() {
-            // the scan may skip other services' calls unless incremental
-            // detection caches its result, which must stay service-blind
-            let scan_only = if self.config().incremental_detection {
-                None
-            } else {
-                services.as_deref()
-            };
-            let positional = self.positional_candidates(doc, key, nfq, scan_only, base);
-            (positional.iter().map(|&(n, _)| n).collect(), positional)
-        } else {
+        if !nfq.pattern.join_variables().is_empty() {
             let r = eval_with(&effective.pattern, doc, opts, &mut self.eval_cache);
             return (r.bindings_of(effective.output), Vec::new());
+        }
+        let services = output_services(effective, doc);
+        // the scan may skip other services' calls unless incremental
+        // detection caches its result, which must stay service-blind
+        let scan_only = if self.config().incremental_detection {
+            None
+        } else {
+            services.as_deref()
         };
-        let accepted: Vec<NodeId> = source
-            .into_iter()
+        let positional = self.positional_candidates(doc, key, nfq, scan_only, base);
+        let accepted: Vec<NodeId> = positional
+            .iter()
+            .map(|&(n, _)| n)
             .filter(|&n| services.as_ref().is_none_or(|s| s.contains(&doc.sym(n))))
             .collect();
         let got = filter_candidates(effective, doc, &accepted, opts);
-        #[cfg(debug_assertions)]
-        if self.guide.is_none() {
-            // cross-check against the seed evaluator (string compares, no
-            // index) — an independent code path
-            let full: BTreeSet<NodeId> = axml_query::seed_eval(&effective.pattern, doc)
-                .bindings_of(effective.output)
-                .into_iter()
-                .collect();
-            let mine: BTreeSet<NodeId> = got.iter().copied().collect();
-            assert_eq!(
-                mine, full,
-                "call-anchored NFQ candidates diverged from full evaluation"
-            );
-        }
+        cross_check(
+            &effective.pattern,
+            effective.output,
+            doc,
+            got.iter().copied(),
+            "NFQ",
+        );
         (got, positional)
     }
 
@@ -1233,7 +1190,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         let t = Instant::now();
         // function names currently in the document (for refinement)
         let known = if refiner.is_some() {
-            self.calls.known_services(doc, &self.dead)
+            self.guide.known_services(doc, &self.dead)
         } else {
             Vec::new()
         };
@@ -1323,17 +1280,18 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                 if cand.foci.len() != 1 || !self.engine.registry.supports_push(&cand.service) {
                     continue;
                 }
-                let parent_word = parent_labels(doc, cand.node);
-                let word: Vec<&str> = parent_word.iter().map(String::as_str).collect();
-                let positional_foci: BTreeSet<axml_query::PNodeId> = nfqs
+                // every retrieved call is visible, so it has a class
+                let Some(class) = self.guide.class_of(doc, cand.node, cand.call) else {
+                    continue;
+                };
+                let positional_foci: BTreeSet<PNodeId> = nfqs
                     .iter()
-                    .filter(|n| match n.via {
-                        EdgeKind::Child => n.lin.matches_word(&word),
-                        EdgeKind::Descendant => {
-                            (0..=word.len()).any(|k| n.lin.matches_word(&word[..k]))
-                        }
+                    .enumerate()
+                    .filter(|&(i, n)| {
+                        let at = self.nfqs.entry((query, i)).or_default().classes(n);
+                        at.accepts(&self.guide, doc, class)
                     })
-                    .map(|n| n.focus)
+                    .map(|(_, n)| n.focus)
                     .collect();
                 if positional_foci.len() == 1 {
                     let &focus = cand.foci.iter().next().unwrap();

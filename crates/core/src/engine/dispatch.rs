@@ -457,7 +457,7 @@ impl Run<'_, '_, '_> {
             return false;
         };
         let parent_path = parent_labels(doc, cand.node);
-        self.splice_result(doc, cand, &parent_path, &hit.result);
+        self.splice_result(doc, cand, &hit.result);
         self.emit_resolved(cand, &parent_path, Resolved::Cached { pushed: hit.pushed });
         self.stats.cache_hits += 1;
         true
@@ -599,25 +599,12 @@ impl Run<'_, '_, '_> {
     }
 
     /// Splices a result forest over a call slot and does the shared
-    /// bookkeeping (F-guide maintenance, splice log for incremental
-    /// detection) — common to real invocations and cache hits.
-    fn splice_result(
-        &mut self,
-        doc: &mut Document,
-        cand: &Candidate,
-        parent_path: &[String],
-        result: &Forest,
-    ) {
-        if let Some(g) = &mut self.guide {
-            g.remove_call(doc, parent_path, cand.node);
-        }
+    /// bookkeeping (the splice log for incremental detection) — common to
+    /// real invocations and cache hits. The guide needs none: the spliced
+    /// calls are classified when detection first sees them.
+    fn splice_result(&mut self, doc: &mut Document, cand: &Candidate, result: &Forest) {
         let parent = doc.parent(cand.node);
-        let inserted = doc.splice_call(cand.node, result);
-        if let Some(g) = &mut self.guide {
-            for &r in &inserted {
-                g.add_subtree(doc, r, parent_path);
-            }
-        }
+        doc.splice_call(cand.node, result);
         self.splice_seq += 1;
         if self.config().incremental_detection {
             // ring buffer: evict the oldest record when full and remember
@@ -660,8 +647,9 @@ impl Run<'_, '_, '_> {
                 }
             }
         }
-        self.splice_result(doc, cand, &parent_path, &outcome.result);
+        self.splice_result(doc, cand, &outcome.result);
         self.emit_resolved(cand, &parent_path, Resolved::Invoked(&outcome));
+        self.changed_paths.push(parent_path);
         self.stats.calls_invoked += 1;
         self.stats.call_attempts += outcome.attempts;
         self.total_call_cost_ms += outcome.cost_ms;

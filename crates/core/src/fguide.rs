@@ -1,35 +1,49 @@
-//! The function-call guide (F-guide) of Section 6.2.
+//! The function-call guide (F-guide) of Section 6.2: the one index the
+//! engine asks "which calls sit at this position?".
 //!
-//! In the spirit of dataguides, the F-guide is a tree summarizing — with a
-//! single occurrence per path — **only the label paths that lead to
-//! function calls** in a document. Each guide node stores the *extent*:
-//! pointers to the call nodes reachable through that path. The guide is
-//! built in one document-order traversal, maintained incrementally as
-//! calls are invoked, and answers linear path queries with the same result
-//! they would have on the document, at a fraction of the size.
+//! In the spirit of dataguides, the paper's F-guide summarizes — with a
+//! single occurrence per path — only the label paths that lead to
+//! function calls, and each guide node keeps its *extent*: the calls
+//! reached through that path. A linear path query returns the same calls
+//! on the guide as on the document, and an NFQ only has its remaining
+//! conditions left to check on those calls ("NFQ filtering",
+//! [`filter_candidates`]).
 //!
-//! Candidate calls from the guide are then narrowed by type-based
-//! filtering (Section 6.2 "Type-based filtering") and by checking the
-//! remaining NFQ conditions against the document ("NFQ filtering").
+//! [`FGuide`] keeps that summary flat. A *class* — the interned label path
+//! of a visible call's parent — is a guide node, and the live calls of a
+//! class are the node's extent. A live call's two positional facts never
+//! change while it lives, because its ancestors are removed only together
+//! with it:
+//!
+//! * whether it is *visible* — every ancestor a data node, so it is not
+//!   nested inside another call's parameters;
+//! * the label path of its parent, its class.
+//!
+//! So the guide classifies each call once, when it is first seen, and
+//! needs no upkeep when a splice consumes calls or brings new ones: the
+//! paper's "maintained incrementally as calls are invoked".
+//!
+//! A call-finding query reads the guide through its position automaton
+//! ([`position_language`]), and [`ClassVerdicts`] decides once per class
+//! whether the automaton accepts it. A lookup then costs one table probe
+//! per live call plus one verdict per class. Every positional test of the
+//! engine reads the guide this way: NFQ candidates, LPQ candidates, the
+//! push check's "which NFQs reach this call?", and the services §5's type
+//! refinement considers.
 
 use crate::nfq::Nfq;
-use axml_query::{EdgeKind, EvalOptions, LinearPath, Matcher, PNodeId, StepTest};
-use axml_xml::{Document, Label, NodeId};
-use std::collections::HashMap;
+use axml_query::{
+    EdgeKind, EvalOptions, FunMatch, FxBuildHasher, LinearPath, Matcher, PLabel, PNodeId,
+};
+use axml_schema::{Nfa, SymDfa, SymNfa};
+use axml_xml::{CallId, Document, NodeId};
+use std::collections::{HashMap, HashSet};
 
-/// One node of the guide tree. Children are keyed by the document's
-/// interned label symbols, so guide navigation is integer compares.
-#[derive(Clone, Debug, Default)]
-struct GNode {
-    children: HashMap<u32, usize>,
-    /// Call nodes whose parent path ends at this guide node.
-    extent: Vec<(NodeId, Label)>,
-}
-
-/// A function-call guide over one document.
+/// A function-call guide over one document: every call seen so far, with
+/// its class.
 ///
 /// ```
-/// use axml_core::FGuide;
+/// use axml_core::{position_language, ClassVerdicts, FGuide};
 /// use axml_query::{parse_query, EdgeKind, LinearPath};
 /// use axml_xml::parse;
 ///
@@ -37,187 +51,238 @@ struct GNode {
 ///     "<hotels><hotel><nearby>\
 ///        <axml:call service=\"getNearbyRestos\"/></nearby></hotel></hotels>",
 /// ).unwrap();
-/// let guide = FGuide::build(&doc);
+/// let mut guide = FGuide::default();
 /// // calls strictly below /hotels/hotel
 /// let q = parse_query("/hotels/hotel/x").unwrap();
 /// let lin = LinearPath::to_node(&q, q.result_nodes()[0], false);
-/// assert_eq!(guide.eval_linear(&doc, &lin, EdgeKind::Descendant).len(), 1);
+/// let mut below = ClassVerdicts::new(position_language(&lin, EdgeKind::Descendant));
+/// assert_eq!(guide.extent(&doc, &mut below, None, 0).len(), 1);
+/// // one class: hotels/hotel/nearby
+/// assert_eq!(guide.len(), 1);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug, Default)]
 pub struct FGuide {
-    nodes: Vec<GNode>,
-    /// synthetic root above the document roots
-    root: usize,
+    /// The call's class, or `None` when the call is hidden inside another
+    /// call's parameters.
+    class: HashMap<CallId, Option<u32>, FxBuildHasher>,
+    /// Interned parent label paths (as document symbols) → class.
+    classes: HashMap<Vec<u32>, u32, FxBuildHasher>,
+    /// Class → its parent label path.
+    paths: Vec<Vec<u32>>,
+    /// Scratch for the path being classified.
+    path: Vec<u32>,
 }
 
 impl FGuide {
-    /// Builds the guide in a single traversal (linear in document size).
-    pub fn build(doc: &Document) -> FGuide {
-        let mut g = FGuide {
-            nodes: vec![GNode::default()],
-            root: 0,
-        };
-        for &r in doc.roots() {
-            g.scan(doc, r, 0);
-        }
-        g
-    }
-
-    fn scan(&mut self, doc: &Document, node: NodeId, at: usize) {
-        if let Some((_, service)) = doc.call_info(node) {
-            let service = service.clone();
-            self.nodes[at].extent.push((node, service));
-            return; // parameters are not document content
-        }
-        if doc.text_value(node).is_some() {
-            return;
-        }
-        // element: descend, creating the path lazily only when a call is
-        // found below (to keep the guide call-path-only, prune afterwards)
-        let next = self.child_or_create(at, doc.sym(node));
-        for &c in doc.children(node) {
-            self.scan(doc, c, next);
-        }
-    }
-
-    fn child_or_create(&mut self, at: usize, sym: u32) -> usize {
-        if let Some(&c) = self.nodes[at].children.get(&sym) {
-            return c;
-        }
-        let id = self.nodes.len();
-        self.nodes.push(GNode::default());
-        self.nodes[at].children.insert(sym, id);
-        id
-    }
-
-    /// Number of guide nodes (compactness metric reported in experiments).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the guide is trivial.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.len() <= 1
-    }
-
-    /// Total number of calls across all extents.
-    pub fn total_extent(&self) -> usize {
-        self.nodes.iter().map(|n| n.extent.len()).sum()
-    }
-
-    /// Removes one call (identified by node id) from the extent at the
-    /// given parent label path. Call this *before* splicing its result.
-    pub fn remove_call(&mut self, doc: &Document, parent_path: &[String], node: NodeId) {
-        if let Some(at) = self.walk(doc, parent_path) {
-            self.nodes[at].extent.retain(|(n, _)| *n != node);
-        }
-    }
-
-    /// Registers the calls found in the subtree of `node`, whose parent's
-    /// label path is `parent_path`. Call this for every root inserted by a
-    /// splice.
-    pub fn add_subtree(&mut self, doc: &Document, node: NodeId, parent_path: &[String]) {
-        let mut at = self.root;
-        for label in parent_path {
-            // labels on the path of a live node are always interned
-            let sym = doc
-                .lookup_sym(label)
-                .expect("parent-path label missing from document symbol table");
-            at = self.child_or_create(at, sym);
-        }
-        self.scan(doc, node, at);
-    }
-
-    fn walk(&self, doc: &Document, path: &[String]) -> Option<usize> {
-        let mut at = self.root;
-        for label in path {
-            at = *self.nodes[at].children.get(&doc.lookup_sym(label)?)?;
-        }
-        Some(at)
-    }
-
-    /// Evaluates a linear path query (`lin` followed by a `()` step via
-    /// `via`) on the guide. Returns the candidate call nodes — the same set
-    /// the LPQ would retrieve on the document (Section 6.2's equivalence).
-    /// Step tests are compiled to the document's label symbols up front,
-    /// so the walk itself is integer compares.
-    pub fn eval_linear(
-        &self,
-        doc: &Document,
-        lin: &LinearPath,
-        via: EdgeKind,
-    ) -> Vec<(NodeId, Label)> {
-        // compile step tests: None = any label; Some(None) = unmatchable
-        let steps: Vec<(EdgeKind, Option<Option<u32>>)> = lin
-            .steps
-            .iter()
-            .map(|s| {
-                let test = match &s.test {
-                    StepTest::Label(l) => Some(doc.lookup_sym(l.as_str())),
-                    StepTest::Any => None,
-                };
-                (s.edge, test)
-            })
-            .collect();
-        // NFA-style state set walk over the guide tree
-        let mut out = Vec::new();
-        self.eval_at(self.root, &steps, via, &mut out);
-        let mut seen = std::collections::HashSet::new();
-        out.retain(|(n, _)| seen.insert(*n));
-        out
-    }
-
-    fn eval_at(
-        &self,
-        at: usize,
-        steps: &[(EdgeKind, Option<Option<u32>>)],
-        via: EdgeKind,
-        out: &mut Vec<(NodeId, Label)>,
-    ) {
-        match steps.first() {
-            None => match via {
-                EdgeKind::Child => out.extend(self.nodes[at].extent.iter().cloned()),
-                EdgeKind::Descendant => {
-                    // calls whose parent path ends here are themselves
-                    // strict descendants of the matched node
-                    out.extend(self.nodes[at].extent.iter().cloned());
-                    self.collect_subtree(at, out);
+    /// The class of the live call `id` at `node`, or `None` when the call
+    /// is not visible to queries. Computed on the call's first sighting
+    /// only.
+    pub fn class_of(&mut self, doc: &Document, node: NodeId, id: CallId) -> Option<u32> {
+        *self.class.entry(id).or_insert_with(|| {
+            let path = &mut self.path;
+            path.clear();
+            let mut cur = doc.parent(node);
+            while let Some(p) = cur {
+                if !doc.is_data(p) {
+                    return None;
                 }
-            },
-            Some(&(edge, ref test)) => {
-                for (&sym, &c) in &self.nodes[at].children {
-                    let test_ok = match test {
-                        Some(Some(want)) => sym == *want,
-                        Some(None) => false, // label never interned: no match
-                        None => true,
-                    };
-                    if test_ok {
-                        self.eval_at(c, &steps[1..], via, out);
-                    }
-                    if edge == EdgeKind::Descendant {
-                        // the descendant step may skip this child
-                        self.eval_at(c, steps, via, out);
-                    }
+                path.push(doc.sym(p));
+                cur = doc.parent(p);
+            }
+            path.reverse();
+            if let Some(&class) = self.classes.get(path.as_slice()) {
+                return Some(class);
+            }
+            let class = self.paths.len() as u32;
+            self.paths.push(path.clone());
+            self.classes.insert(path.clone(), class);
+            Some(class)
+        })
+    }
+
+    /// Number of classes (guide nodes) seen so far.
+    pub fn len(&self) -> usize {
+        self.paths.len()
+    }
+
+    /// Whether no visible call has been seen yet.
+    pub fn is_empty(&self) -> bool {
+        self.paths.is_empty()
+    }
+
+    /// The extent of the guide nodes `at` accepts: the visible live calls
+    /// of `doc` whose class the position automaton accepts, among the calls
+    /// of `services` when given and among the calls with ids from `from`
+    /// on. Calls come in `Document::calls_unordered` order.
+    pub fn extent(
+        &mut self,
+        doc: &Document,
+        at: &mut ClassVerdicts,
+        services: Option<&[u32]>,
+        from: u64,
+    ) -> Vec<(NodeId, CallId)> {
+        at.sync(doc);
+        let mut out = Vec::new();
+        for &node in doc.calls_unordered() {
+            if services.is_some_and(|s| !s.contains(&doc.sym(node))) {
+                continue;
+            }
+            let Some((id, _)) = doc.call_info(node) else {
+                continue;
+            };
+            if id.0 < from {
+                continue;
+            }
+            if let Some(class) = self.class_of(doc, node, id) {
+                if at.verdict(self, class) {
+                    out.push((node, id));
                 }
             }
         }
+        out
     }
 
-    fn collect_subtree(&self, at: usize, out: &mut Vec<(NodeId, Label)>) {
-        let children: Vec<usize> = self.nodes[at].children.values().copied().collect();
-        for c in children {
-            out.extend(self.nodes[c].extent.iter().cloned());
-            self.collect_subtree(c, out);
+    /// The services type refinement must consider: the sorted names of the
+    /// visible calls whose ids are not in `dead`. A name needs one such
+    /// call, so the calls of a name already found skip the table.
+    pub(crate) fn known_services(&mut self, doc: &Document, dead: &HashSet<CallId>) -> Vec<String> {
+        let mut found = vec![false; doc.sym_count()];
+        let mut names = Vec::new();
+        for &node in doc.calls_unordered() {
+            let sym = doc.sym(node);
+            let Some((id, _)) = doc.call_info(node) else {
+                continue;
+            };
+            if !found[sym as usize] && !dead.contains(&id) && self.class_of(doc, node, id).is_some()
+            {
+                found[sym as usize] = true;
+                names.push(doc.sym_text(sym).to_string());
+            }
+        }
+        names.sort_unstable();
+        names
+    }
+}
+
+/// The position language of a call-finding query whose linear path is
+/// `lin` and whose output hangs off it through `via`: the parent label
+/// paths of the calls it retrieves. A descendant edge suffix-closes the
+/// path's language (calls strictly below any node matching it).
+pub fn position_language(lin: &LinearPath, via: EdgeKind) -> Nfa {
+    let nfa = Nfa::from_linear_path(lin);
+    match via {
+        EdgeKind::Child => nfa,
+        EdgeKind::Descendant => nfa.suffix_closure(),
+    }
+}
+
+/// The interned services the NFQ's output node accepts; `None` accepts
+/// every call. The output is a function node by construction; anything
+/// else never matches a call.
+pub(crate) fn output_services(nfq: &Nfq, doc: &Document) -> Option<Vec<u32>> {
+    match &nfq.pattern.node(nfq.output).label {
+        PLabel::Fun(FunMatch::Any) => None,
+        PLabel::Fun(FunMatch::OneOf(names)) => Some(
+            names
+                .iter()
+                .filter_map(|l| doc.lookup_sym(l.as_str()))
+                .collect(),
+        ),
+        _ => Some(Vec::new()),
+    }
+}
+
+/// One query's position automaton, with its memoized verdict per guide
+/// class. The automaton is compiled against a document's symbol table;
+/// a label the query names may be interned later, first by a splice, and
+/// the automaton compiled without it would reject every path through it.
+/// So a grown table means recompiling and forgetting every verdict. The
+/// verdicts are indexed by class, so one `ClassVerdicts` serves one guide.
+#[derive(Debug)]
+pub struct ClassVerdicts {
+    position: Nfa,
+    /// `Document::sym_count` at compile time, and the compiled automaton.
+    compiled: Option<(usize, SymAuto)>,
+    verdicts: Vec<Option<bool>>,
+}
+
+impl ClassVerdicts {
+    /// Verdicts of the position language `position` (see
+    /// [`position_language`]), compiled on first use.
+    pub fn new(position: Nfa) -> ClassVerdicts {
+        ClassVerdicts {
+            position,
+            compiled: None,
+            verdicts: Vec::new(),
+        }
+    }
+
+    /// Does the position automaton accept the parent path of `class`?
+    pub(crate) fn accepts(&mut self, guide: &FGuide, doc: &Document, class: u32) -> bool {
+        self.sync(doc);
+        self.verdict(guide, class)
+    }
+
+    /// Compiles the automaton against the document's current symbols,
+    /// unless it already was.
+    fn sync(&mut self, doc: &Document) {
+        let stamp = doc.sym_count();
+        if !matches!(&self.compiled, Some((s, _)) if *s == stamp) {
+            let nfa = self.position.compile_syms(|l| doc.lookup_sym(l));
+            self.compiled = Some((stamp, SymAuto::compile(nfa)));
+            self.verdicts.clear();
+        }
+    }
+
+    /// The verdict on `class`, with the automaton already synced.
+    fn verdict(&mut self, guide: &FGuide, class: u32) -> bool {
+        let i = class as usize;
+        if i >= self.verdicts.len() {
+            self.verdicts.resize(i + 1, None);
+        }
+        let (_, auto) = self.compiled.as_ref().expect("synced before use");
+        *self.verdicts[i].get_or_insert_with(|| auto.accepts(&guide.paths[i]))
+    }
+}
+
+/// A symbol-compiled path automaton: determinized when the subset
+/// construction stays under a state cap, the NFA itself otherwise. Both
+/// forms accept exactly the same words (the schema crate pins agreement),
+/// so the choice never shows in answers or traces — only in per-word
+/// stepping cost.
+#[derive(Debug)]
+pub(crate) enum SymAuto {
+    Dfa(SymDfa),
+    Nfa(SymNfa),
+}
+
+/// Subset-construction state cap: path-language NFAs are tiny (one state
+/// per query step plus closures), so blowups past this are pathological
+/// and fall back to NFA stepping.
+const SYM_DFA_MAX_STATES: usize = 64;
+
+impl SymAuto {
+    pub(crate) fn compile(nfa: SymNfa) -> SymAuto {
+        match nfa.determinize(SYM_DFA_MAX_STATES) {
+            Some(dfa) => SymAuto::Dfa(dfa),
+            None => SymAuto::Nfa(nfa),
+        }
+    }
+
+    pub(crate) fn accepts(&self, word: &[u32]) -> bool {
+        match self {
+            SymAuto::Dfa(d) => d.accepts(word),
+            SymAuto::Nfa(n) => n.accepts(word),
         }
     }
 }
 
 /// The residual NFQ check of Section 6.2: given candidate calls retrieved
-/// positionally (from the F-guide or the engine's call table), keep those
-/// for which the NFQ's remaining conditions hold — i.e. some alignment of
-/// the NFQ's path onto the candidate's ancestor chain satisfies every side
-/// condition. The conditions are checked under `opts`, which, like every
-/// evaluator option, changes only the cost.
+/// positionally from the guide, keep those for which the NFQ's remaining
+/// conditions hold — i.e. some alignment of the NFQ's path onto the
+/// candidate's ancestor chain satisfies every side condition. The
+/// conditions are checked under `opts`, which, like every evaluator
+/// option, changes only the cost.
 pub fn filter_candidates(
     nfq: &Nfq,
     doc: &Document,
@@ -315,16 +380,14 @@ fn align(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{output_services, CallTable, ClassVerdicts, Engine, EngineConfig};
+    use crate::engine::{Engine, EngineConfig};
     use crate::nfq::{build_lpqs, build_nfq, build_nfqs};
-    use crate::plan::position_language;
     use crate::typed::TypeRefiner;
     use axml_gen::scenario::{figure4_query, generate, ScenarioParams};
-    use axml_query::{parse_query, render, PLabel};
+    use axml_query::{parse_query, render, Pattern};
     use axml_schema::SatMode;
     use axml_xml::parse;
     use proptest::prelude::*;
-    use std::collections::HashSet;
 
     fn fig1_doc() -> Document {
         parse(
@@ -344,44 +407,68 @@ mod tests {
         .unwrap()
     }
 
+    /// The calls of `doc` the guide holds at `lin` followed by a `()` step
+    /// via `via`, sorted.
+    fn calls_at(
+        guide: &mut FGuide,
+        doc: &Document,
+        lin: &LinearPath,
+        via: EdgeKind,
+    ) -> Vec<NodeId> {
+        let mut at = ClassVerdicts::new(position_language(lin, via));
+        let mut found: Vec<NodeId> = guide
+            .extent(doc, &mut at, None, 0)
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect();
+        found.sort();
+        found
+    }
+
+    /// The linear path to the result node of a one-result query.
+    fn lin_of(src: &str) -> LinearPath {
+        let q = parse_query(src).unwrap();
+        LinearPath::to_node(&q, q.result_nodes()[0], false)
+    }
+
     #[test]
     fn build_summarizes_call_paths_once() {
         let d = fig1_doc();
-        let g = FGuide::build(&d);
-        // paths: hotels, hotels/hotel, hotels/hotel/rating,
-        // hotels/hotel/nearby (+ name/address paths without calls below —
-        // they are created during the scan but carry no extents)
-        assert_eq!(g.total_extent(), 5);
+        let mut g = FGuide::default();
+        let visible = d
+            .calls_unordered()
+            .iter()
+            .filter(|&&n| g.class_of(&d, n, d.call_info(n).unwrap().0).is_some())
+            .count();
+        // five calls at three paths: hotels, hotels/hotel/rating and
+        // hotels/hotel/nearby
+        assert_eq!(visible, 5);
+        assert_eq!(g.len(), 3);
         assert!(g.len() < d.len(), "guide is more compact than the document");
     }
 
     #[test]
     fn linear_queries_on_guide_match_lpqs_on_document() {
         let d = fig1_doc();
-        let g = FGuide::build(&d);
+        let mut g = FGuide::default();
         let q = parse_query(
             "/hotels/hotel[name=\"Best Western\"][rating=\"*****\"]\
              /nearby//restaurant[name=$X] -> $X",
         )
         .unwrap();
         for lpq in build_lpqs(&q) {
-            let on_doc = axml_query::eval(&lpq.pattern, &d);
-            let mut doc_calls: Vec<NodeId> = on_doc.bindings_of(lpq.output);
-            let mut guide_calls: Vec<NodeId> = g
-                .eval_linear(&d, &lpq.lin, lpq.via)
-                .into_iter()
-                .map(|(n, _)| n)
-                .collect();
-            doc_calls.sort();
-            guide_calls.sort();
-            assert_eq!(doc_calls, guide_calls, "LPQ {} differs", lpq.lin);
+            let on_doc = axml_query::eval(&lpq.pattern, &d).bindings_of(lpq.output);
+            let on_guide = calls_at(&mut g, &d, &lpq.lin, lpq.via);
+            assert_eq!(on_doc, on_guide, "LPQ {} differs", lpq.lin);
         }
     }
 
     #[test]
     fn maintenance_after_splice() {
         let mut d = fig1_doc();
-        let mut g = FGuide::build(&d);
+        let mut g = FGuide::default();
+        let nearby = lin_of("/hotels/hotel/nearby/x");
+        assert_eq!(calls_at(&mut g, &d, &nearby, EdgeKind::Child).len(), 3);
         // invoke the Best Western getNearbyRestos: result contains a
         // restaurant with a nested getRating call (like Figure 3)
         let call = d
@@ -389,54 +476,39 @@ mod tests {
             .into_iter()
             .find(|&c| d.call_info(c).unwrap().1.as_str() == "getNearbyRestos")
             .unwrap();
-        let parent = d.parent(call).unwrap();
-        let parent_path = d.path_labels(parent);
         let result = parse(
             "<restaurant><name>Mama</name>\
                <rating><axml:call service=\"getRating\">Mama</axml:call></rating>\
              </restaurant>",
         )
         .unwrap();
-        g.remove_call(&d, &parent_path, call);
-        let inserted = d.splice_call(call, &result);
-        for &r in &inserted {
-            g.add_subtree(&d, r, &parent_path);
+        d.splice_call(call, &result);
+        // the consumed call left its extent, and the nested getRating is
+        // classified at hotels/hotel/nearby/restaurant/rating when first
+        // seen — exactly what a guide started after the splice holds
+        let rating = lin_of("/hotels/hotel/nearby/restaurant/rating/x");
+        for lin in [&nearby, &rating] {
+            let kept = calls_at(&mut g, &d, lin, EdgeKind::Child);
+            assert_eq!(
+                kept,
+                calls_at(&mut FGuide::default(), &d, lin, EdgeKind::Child)
+            );
         }
-        // the old call is gone, the nested getRating is indexed at
-        // hotels/hotel/nearby/restaurant/rating
-        assert_eq!(g.total_extent(), 5);
-        let rebuilt = FGuide::build(&d);
-        let lin = LinearPath::to_node(
-            &parse_query("/hotels/hotel/nearby/restaurant/rating/x").unwrap(),
-            parse_query("/hotels/hotel/nearby/restaurant/rating/x")
-                .unwrap()
-                .result_nodes()[0],
-            false,
-        );
-        let mut a: Vec<NodeId> = g
-            .eval_linear(&d, &lin, EdgeKind::Child)
-            .into_iter()
-            .map(|x| x.0)
-            .collect();
-        let mut b: Vec<NodeId> = rebuilt
-            .eval_linear(&d, &lin, EdgeKind::Child)
-            .into_iter()
-            .map(|x| x.0)
-            .collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 1);
+        assert_eq!(calls_at(&mut g, &d, &nearby, EdgeKind::Child).len(), 2);
+        assert_eq!(calls_at(&mut g, &d, &rating, EdgeKind::Child).len(), 1);
+        assert_eq!(g.len(), 4);
     }
 
     #[test]
     fn descendant_output_collects_subtree_extents() {
         let d = fig1_doc();
-        let g = FGuide::build(&d);
         // //() under /hotels/hotel: rating + nearby calls of both hotels
-        let q = parse_query("/hotels/hotel/x").unwrap();
-        let lin = LinearPath::to_node(&q, q.result_nodes()[0], false);
-        let found = g.eval_linear(&d, &lin, EdgeKind::Descendant);
+        let found = calls_at(
+            &mut FGuide::default(),
+            &d,
+            &lin_of("/hotels/hotel/x"),
+            EdgeKind::Descendant,
+        );
         assert_eq!(found.len(), 4);
     }
 
@@ -454,12 +526,7 @@ mod tests {
             .unwrap();
         let nfq = build_nfq(&q, restaurant);
         // positional candidates: nearby calls of BOTH hotels
-        let g = FGuide::build(&d);
-        let candidates: Vec<NodeId> = g
-            .eval_linear(&d, &nfq.lin, nfq.via)
-            .into_iter()
-            .map(|(n, _)| n)
-            .collect();
+        let candidates = calls_at(&mut FGuide::default(), &d, &nfq.lin, nfq.via);
         assert_eq!(candidates.len(), 3); // 2 at BW (restos+museums), 1 at Penn
                                          // conditions keep: BW's two (name matches, rating matches) and
                                          // Penn's one? Penn's name ≠ Best Western and its name is
@@ -484,18 +551,48 @@ mod tests {
         "/hotels/hotel/rating/$R -> $R",
     ];
 
+    /// Figure 4's query and [`QUERIES`].
+    fn queries() -> impl Iterator<Item = Pattern> {
+        std::iter::once(figure4_query()).chain(QUERIES.iter().map(|q| parse_query(q).unwrap()))
+    }
+
+    /// A generated hotels scenario part-materialized by a naive run with
+    /// invocation budget `budget`, so calls also sit inside spliced
+    /// results, and with a call hidden inside the parameters of every
+    /// other remaining call: queries never see those (§2).
+    fn partial_scenario(
+        seed: u64,
+        hotels: usize,
+        budget: usize,
+    ) -> (axml_gen::scenario::Scenario, Document) {
+        let sc = generate(&ScenarioParams {
+            hotels,
+            intensional_hotels: 2,
+            seed,
+            ..ScenarioParams::default()
+        });
+        let mut d = sc.doc.clone();
+        let partial = EngineConfig {
+            max_invocations: budget,
+            ..EngineConfig::naive()
+        };
+        Engine::new(&sc.registry, partial).complete_for(&mut d, &figure4_query());
+        for call in d.calls().into_iter().step_by(2) {
+            let nearby = d.add_element(call, "nearby");
+            d.add_call(nearby, "getNearbyRestos");
+        }
+        (sc, d)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// §6.2's equivalence, on both positional sources the engine uses.
-        /// For every join-free NFQ, unrefined and refined, the candidates
-        /// whose service the output accepts — from the call table (visible
-        /// calls whose parent-path class the position automaton accepts)
-        /// or from the F-guide's extents — that pass `filter_candidates`
-        /// are exactly the calls a full evaluation binds to the output.
-        /// Documents are generated hotels scenarios part-materialized by a
-        /// naive run with a random invocation budget, so calls also sit
-        /// inside spliced results.
+        /// §6.2's equivalence, on the guide the engine reads. For every
+        /// LPQ of the queries, the guide's candidates are exactly the
+        /// calls the LPQ binds on the document. For every join-free NFQ,
+        /// unrefined and refined, the guide's candidates whose service the
+        /// output accepts that pass `filter_candidates` are exactly the
+        /// calls a full evaluation binds to the output.
         #[test]
         fn residual_filtering_agrees_with_full_nfq_evaluation(
             seed in any::<u64>(),
@@ -504,59 +601,76 @@ mod tests {
             interning in any::<bool>(),
             index in any::<bool>(),
         ) {
-            let sc = generate(&ScenarioParams {
-                hotels,
-                intensional_hotels: 2,
-                seed,
-                ..ScenarioParams::default()
-            });
-            let mut d = sc.doc.clone();
-            let partial = EngineConfig {
-                max_invocations: budget,
-                ..EngineConfig::naive()
-            };
-            Engine::new(&sc.registry, partial).complete_for(&mut d, &figure4_query());
+            let (sc, d) = partial_scenario(seed, hotels, budget);
             let opts = EvalOptions { interning, index };
-            let mut table = CallTable::default();
-            let known = table.known_services(&d, &HashSet::new());
-            let guide = FGuide::build(&d);
-            let queries = std::iter::once(figure4_query())
-                .chain(QUERIES.iter().map(|q| parse_query(q).unwrap()));
-            for q in queries {
+            let mut guide = FGuide::default();
+            let known = guide.known_services(&d, &HashSet::new());
+            for q in queries() {
+                for lpq in build_lpqs(&q) {
+                    let full = axml_query::seed_eval(&lpq.pattern, &d).bindings_of(lpq.output);
+                    let on_guide = calls_at(&mut guide, &d, &lpq.lin, lpq.via);
+                    prop_assert_eq!(&on_guide, &full, "{} / LPQ {}", render(&q), lpq.lin);
+                }
                 let mut refiner = TypeRefiner::new(&sc.schema, &q, SatMode::Exact);
                 for nfq in build_nfqs(&q) {
                     if !nfq.pattern.join_variables().is_empty() {
                         continue;
                     }
-                    let mut classes = ClassVerdicts::compile(&position_language(&nfq), &d);
+                    let mut at = ClassVerdicts::new(position_language(&nfq.lin, nfq.via));
                     let refined = refiner.refine(&nfq, &known);
                     for effective in std::iter::once(nfq.clone()).chain(refined) {
                         let services = output_services(&effective, &d);
-                        let served = |n: &NodeId| services.as_ref().is_none_or(|s| s.contains(&d.sym(*n)));
-                        let from_table: Vec<NodeId> = d
-                            .calls_unordered()
-                            .iter()
-                            .copied()
-                            .filter(|&n| {
-                                let (id, _) = d.call_info(n).unwrap();
-                                let class = table.class_of(&d, n, id);
-                                class.is_some_and(|c| classes.accepts(&table, c))
-                            })
-                            .filter(served)
-                            .collect();
-                        let from_guide: Vec<NodeId> = guide
-                            .eval_linear(&d, &effective.lin, effective.via)
+                        let source: Vec<NodeId> = guide
+                            .extent(&d, &mut at, services.as_deref(), 0)
                             .into_iter()
                             .map(|(n, _)| n)
-                            .filter(served)
                             .collect();
                         let full = axml_query::seed_eval(&effective.pattern, &d)
                             .bindings_of(effective.output);
-                        for source in [from_table, from_guide] {
-                            let mut kept = filter_candidates(&effective, &d, &source, opts);
-                            kept.sort();
-                            prop_assert_eq!(&kept, &full, "{} / NFQ of {:?}", render(&q), nfq.focus);
-                        }
+                        let mut kept = filter_candidates(&effective, &d, &source, opts);
+                        kept.sort();
+                        prop_assert_eq!(&kept, &full, "{} / NFQ of {:?}", render(&q), nfq.focus);
+                    }
+                }
+            }
+        }
+
+        /// The push check's positional test on the guide agrees with the
+        /// reference semantics of linear paths: an NFQ reaches a visible
+        /// call iff its linear path matches the call's parent label path
+        /// (child-ended) or some prefix of it (descendant-ended).
+        #[test]
+        fn class_verdicts_agree_with_linear_path_words(
+            seed in any::<u64>(),
+            hotels in 1usize..6,
+            budget in 0usize..12,
+        ) {
+            let (_, d) = partial_scenario(seed, hotels, budget);
+            let mut guide = FGuide::default();
+            for q in queries() {
+                for nfq in build_nfqs(&q) {
+                    let mut at = ClassVerdicts::new(position_language(&nfq.lin, nfq.via));
+                    for &node in d.calls_unordered() {
+                        let (id, _) = d.call_info(node).unwrap();
+                        let Some(class) = guide.class_of(&d, node, id) else {
+                            continue;
+                        };
+                        let labels = d.parent(node).map(|p| d.path_labels(p)).unwrap_or_default();
+                        let word: Vec<&str> = labels.iter().map(String::as_str).collect();
+                        let reference = match nfq.via {
+                            EdgeKind::Child => nfq.lin.matches_word(&word),
+                            EdgeKind::Descendant => {
+                                (0..=word.len()).any(|k| nfq.lin.matches_word(&word[..k]))
+                            }
+                        };
+                        prop_assert_eq!(
+                            at.accepts(&guide, &d, class),
+                            reference,
+                            "{} / NFQ {} at /{}",
+                            render(&q),
+                            nfq.lin,
+                            labels.join("/")
+                        );
                     }
                 }
             }
@@ -566,10 +680,8 @@ mod tests {
     #[test]
     fn empty_document_yields_empty_guide() {
         let d = parse("<hotels><hotel><name>X</name></hotel></hotels>").unwrap();
-        let g = FGuide::build(&d);
-        assert_eq!(g.total_extent(), 0);
-        let q = parse_query("/hotels/x").unwrap();
-        let lin = LinearPath::to_node(&q, q.result_nodes()[0], false);
-        assert!(g.eval_linear(&d, &lin, EdgeKind::Child).is_empty());
+        let mut g = FGuide::default();
+        assert!(calls_at(&mut g, &d, &lin_of("/hotels/x"), EdgeKind::Child).is_empty());
+        assert!(g.is_empty());
     }
 }

@@ -44,7 +44,7 @@ pub use containment::{lpq_subsumes, nfq_subsumes, prune_subsumed_lpqs, prune_sub
 pub use engine::{
     Engine, EngineConfig, EvalReport, HedgeConfig, ShedConfig, Speculation, Strategy, Typing,
 };
-pub use fguide::{filter_candidates, FGuide};
+pub use fguide::{filter_candidates, position_language, ClassVerdicts, FGuide};
 pub use influence::{compute_layers, may_influence, Layers};
 pub use nfq::{build_lpqs, build_nfq, build_nfqs, relax_nfq_to_xpath, Lpq, Nfq};
 pub use plan::{plan_fingerprint, CompiledQuery};
@@ -83,7 +83,7 @@ pub fn relevant_calls(
     let nfqs = build_nfqs(query);
     let mut refiner = schema.map(|s| TypeRefiner::new(s, query, mode));
     let known = if refiner.is_some() {
-        engine::CallTable::default().known_services(doc, &std::collections::HashSet::new())
+        FGuide::default().known_services(doc, &std::collections::HashSet::new())
     } else {
         Vec::new()
     };

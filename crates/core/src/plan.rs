@@ -9,11 +9,11 @@
 //!   label tests, bindable to any document by a symbol remap),
 //! * the NFQs (Figure 5) after XPath relaxation and containment pruning,
 //!   with the pruned count preserved for the stats,
-//! * the LPQs and their per-pattern [`QueryPlan`]s,
+//! * the LPQs,
 //! * the influence [`Layers`] (§4.2–4.3),
 //! * per-NFQ label-level NFAs: the prefix-closed *affected* language
-//!   driving incremental detection, and the *position* language of the
-//!   linear path (suffix-closed for descendant-ended NFQs),
+//!   driving incremental detection, and the *position* language the
+//!   function-call guide is read with ([`position_language`]),
 //! * a shared satisfiability-verdict store ([`SatVerdicts`]) so §5's
 //!   typing refinement never reproves a `(function, query-node)` pair,
 //!   across runs and sessions.
@@ -32,10 +32,11 @@
 
 use crate::containment::{prune_subsumed_lpqs, prune_subsumed_nfqs};
 use crate::engine::{EngineConfig, Typing};
+use crate::fguide::position_language;
 use crate::influence::{compute_layers, Layers};
 use crate::nfq::{build_lpqs, build_nfqs, relax_nfq_to_xpath, Lpq, Nfq};
 use crate::typed::SatVerdicts;
-use axml_query::{EdgeKind, LinearPath, Pattern, QueryPlan};
+use axml_query::{LinearPath, Pattern, QueryPlan};
 use axml_schema::{Nfa, SatMode, Schema};
 
 /// The compile-relevant slice of an [`EngineConfig`] plus the query and
@@ -89,17 +90,15 @@ pub struct CompiledQuery {
     /// NFQs after relaxation/pruning, exactly as `run_nfq` would build.
     pub(crate) nfqs: Vec<Nfq>,
     pub(crate) nfq_pruned: usize,
-    /// LPQs after pruning, with compiled plans (LPQ patterns are never
-    /// mutated during a run, so their plans can be used directly).
+    /// LPQs after pruning, exactly as `run_lpq` would build.
     pub(crate) lpqs: Vec<Lpq>,
-    pub(crate) lpq_plans: Vec<QueryPlan>,
     pub(crate) lpq_pruned: usize,
     /// Influence layers over `nfqs`.
     pub(crate) layers: Layers,
     /// Per-NFQ prefix-closed union of the pattern's path languages
     /// (incremental detection's "affected" test).
     pub(crate) affected_nfas: Vec<Nfa>,
-    /// Per-NFQ position language of the linear path.
+    /// Per-NFQ position language.
     pub(crate) pos_nfas: Vec<Nfa>,
     /// Shared §5 satisfiability verdicts for `(schema, query, typing)`.
     pub(crate) verdicts: SatVerdicts,
@@ -116,13 +115,12 @@ impl CompiledQuery {
     ) -> CompiledQuery {
         let (nfqs, nfq_pruned) = nfq_set(query, config);
         let (lpqs, lpq_pruned) = lpq_set(query, config);
-        let lpq_plans = lpqs
-            .iter()
-            .map(|l| QueryPlan::compile(&l.pattern))
-            .collect();
         let layers = compute_layers(&nfqs);
         let affected_nfas = nfqs.iter().map(affected_language).collect();
-        let pos_nfas = nfqs.iter().map(position_language).collect();
+        let pos_nfas = nfqs
+            .iter()
+            .map(|n| position_language(&n.lin, n.via))
+            .collect();
         CompiledQuery {
             key: PlanKey::new(query, schema, config),
             query: query.clone(),
@@ -130,7 +128,6 @@ impl CompiledQuery {
             nfqs,
             nfq_pruned,
             lpqs,
-            lpq_plans,
             lpq_pruned,
             layers,
             affected_nfas,
@@ -218,18 +215,6 @@ pub(crate) fn affected_language(nfq: &Nfq) -> Nfa {
         .map(|id| Nfa::from_linear_path(&LinearPath::to_node(&nfq.pattern, id, true)))
         .collect();
     Nfa::union_of(&parts).prefix_closure()
-}
-
-/// The position language of the NFQ's linear path, suffix-closed for
-/// descendant-ended NFQs (calls strictly below any node matching the
-/// path).
-pub(crate) fn position_language(nfq: &Nfq) -> Nfa {
-    let nfa = Nfa::from_linear_path(&nfq.lin);
-    if nfq.via == EdgeKind::Descendant {
-        nfa.suffix_closure()
-    } else {
-        nfa
-    }
 }
 
 #[cfg(test)]

@@ -18,8 +18,8 @@ pub struct EngineStats {
     pub sim_time_ms: f64,
     /// Number of call-finding query evaluations: LPQ runs, and one per
     /// refined NFQ per detection pass, however it was answered — by a full
-    /// evaluation, an F-guide lookup, or a call-table lookup, including one
-    /// that found no live call at the NFQ's output position and so never
+    /// evaluation or a function-call guide lookup, including one that
+    /// found no live call at the NFQ's output position and so never
     /// touched the document.
     pub relevance_evals: usize,
     /// CPU time spent detecting relevant calls.
@@ -93,8 +93,6 @@ pub struct EngineStats {
     pub final_eval_cpu: Duration,
     /// Total CPU time of the whole run.
     pub total_cpu: Duration,
-    /// F-guide size (nodes), when one was used.
-    pub guide_nodes: usize,
     /// Document size (live nodes) when evaluation finished.
     pub final_doc_size: usize,
 }

@@ -1,7 +1,7 @@
-//! The two lifetime assumptions behind call-anchored detection: a call's
-//! visibility and its parent path's class are computed once per call, and
-//! an NFQ's verdicts on those classes are recomputed whenever the
-//! document's symbol table grows.
+//! The two lifetime assumptions behind the function-call guide (§6.2): a
+//! call's visibility and its parent path's class are computed once per
+//! call, and a query's verdicts on those classes are recomputed whenever
+//! the document's symbol table grows.
 
 use axml_core::{Engine, EngineConfig, EvalReport};
 use axml_obs::{EventKind, RingSink};
@@ -10,13 +10,15 @@ use axml_services::{Registry, StaticService};
 use axml_xml::{parse, Document};
 use std::collections::BTreeSet;
 
-/// The configurations whose detection takes its positional candidates
-/// from the call table: the default, sequential NFQA, and incremental
-/// detection with and without layers.
+/// Configurations whose detection takes its positional candidates from
+/// the guide: the default, sequential NFQA, incremental detection with
+/// and without layers, and the LPQ and top-down baselines.
 fn configs() -> Vec<(&'static str, EngineConfig)> {
     vec![
         ("default", EngineConfig::default()),
         ("nfq-plain", EngineConfig::nfq_plain()),
+        ("lpq", EngineConfig::lpq()),
+        ("topdown", EngineConfig::top_down()),
         (
             "incremental",
             EngineConfig {

@@ -1,6 +1,6 @@
 //! Cross-strategy equivalence (the safety theorem behind Definition 4):
 //! on terminating workloads, every engine configuration — naive, top-down,
-//! LPQ, NFQ, with or without layering, parallelism, F-guide, pushing and
+//! LPQ, NFQ, with or without layering, parallelism, pushing and
 //! relaxations — must compute the same full query result.
 
 use axml_core::{Engine, EngineConfig, Speculation, Strategy};
@@ -38,7 +38,6 @@ fn configs() -> Vec<(&'static str, EngineConfig)> {
             "nfq-layered",
             EngineConfig {
                 layering: true,
-                simplify_layers: true,
                 ..EngineConfig::nfq_plain()
             },
         ),
@@ -47,13 +46,6 @@ fn configs() -> Vec<(&'static str, EngineConfig)> {
             EngineConfig {
                 layering: true,
                 parallel: true,
-                ..EngineConfig::nfq_plain()
-            },
-        ),
-        (
-            "nfq-fguide",
-            EngineConfig {
-                use_fguide: true,
                 ..EngineConfig::nfq_plain()
             },
         ),
@@ -84,7 +76,6 @@ fn configs() -> Vec<(&'static str, EngineConfig)> {
                 incremental_detection: true,
                 layering: true,
                 parallel: true,
-                simplify_layers: true,
                 ..EngineConfig::nfq_plain()
             },
         ),
@@ -116,11 +107,9 @@ fn configs() -> Vec<(&'static str, EngineConfig)> {
             "nfq-everything",
             EngineConfig {
                 strategy: Strategy::Nfq,
-                use_fguide: true,
                 push_queries: true,
                 parallel: true,
                 layering: true,
-                simplify_layers: true,
                 relax_xpath: false,
                 ..EngineConfig::default()
             },

@@ -111,28 +111,25 @@ fn all_strategy_combinations_agree() {
         Strategy::Nfq,
     ] {
         for typing in [Typing::None, Typing::Lenient, Typing::Exact] {
-            for use_fguide in [false, true] {
-                for push in [false, true] {
-                    for parallel in [false, true] {
-                        for layering in [false, true] {
-                            let config = EngineConfig {
-                                strategy,
-                                typing,
-                                use_fguide,
-                                push_queries: push,
-                                parallel,
-                                layering,
-                                ..EngineConfig::default()
-                            };
-                            let (answers, stats) = run(config);
-                            assert!(!stats.truncated);
-                            match &reference {
-                                None => reference = Some(answers),
-                                Some(r) => assert_eq!(
-                                    &answers, r,
-                                    "{strategy:?}/{typing:?}/fg={use_fguide}/push={push}/par={parallel}/lay={layering}"
-                                ),
-                            }
+            for push in [false, true] {
+                for parallel in [false, true] {
+                    for layering in [false, true] {
+                        let config = EngineConfig {
+                            strategy,
+                            typing,
+                            push_queries: push,
+                            parallel,
+                            layering,
+                            ..EngineConfig::default()
+                        };
+                        let (answers, stats) = run(config);
+                        assert!(!stats.truncated);
+                        match &reference {
+                            None => reference = Some(answers),
+                            Some(r) => assert_eq!(
+                                &answers, r,
+                                "{strategy:?}/{typing:?}/push={push}/par={parallel}/lay={layering}"
+                            ),
                         }
                     }
                 }

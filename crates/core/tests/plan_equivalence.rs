@@ -48,14 +48,12 @@ struct Observation {
         usize,
         usize,
         usize,
-        usize,
     ),
 }
 
 fn extra_counters(
     s: &EngineStats,
 ) -> (
-    usize,
     usize,
     usize,
     usize,
@@ -75,7 +73,6 @@ fn extra_counters(
         s.nfq_evals_skipped,
         s.nfq_delta_evals,
         s.splice_degradations,
-        s.guide_nodes,
         s.final_doc_size,
     )
 }
@@ -157,14 +154,6 @@ fn configs() -> Vec<(&'static str, EngineConfig)> {
             "nfq-layered",
             EngineConfig {
                 layering: true,
-                simplify_layers: true,
-                ..EngineConfig::nfq_plain()
-            },
-        ),
-        (
-            "nfq-fguide",
-            EngineConfig {
-                use_fguide: true,
                 ..EngineConfig::nfq_plain()
             },
         ),
@@ -187,7 +176,6 @@ fn configs() -> Vec<(&'static str, EngineConfig)> {
             EngineConfig {
                 incremental_detection: true,
                 layering: true,
-                simplify_layers: true,
                 ..EngineConfig::nfq_plain()
             },
         ),
@@ -209,10 +197,8 @@ fn configs() -> Vec<(&'static str, EngineConfig)> {
             "nfq-everything",
             EngineConfig {
                 strategy: Strategy::Nfq,
-                use_fguide: true,
                 push_queries: true,
                 layering: true,
-                simplify_layers: true,
                 ..EngineConfig::default()
             },
         ),
@@ -275,7 +261,6 @@ proptest! {
                 "layered",
                 EngineConfig {
                     layering: true,
-                    simplify_layers: true,
                     ..EngineConfig::nfq_plain()
                 },
             ),
@@ -304,7 +289,6 @@ proptest! {
                 "typed-layered",
                 EngineConfig {
                     layering: true,
-                    simplify_layers: true,
                     ..EngineConfig::nfq_plain()
                 },
             ),

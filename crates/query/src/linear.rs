@@ -137,7 +137,8 @@ impl LinearPath {
     }
 
     /// Whether this path matches a concrete word of labels (used in tests
-    /// as the reference semantics for the automata in `axml-schema`).
+    /// as the reference semantics for the automata in `axml-schema` and
+    /// for the function-call guide's class verdicts in `axml-core`).
     pub fn matches_word(&self, word: &[&str]) -> bool {
         fn go(steps: &[LinStep], word: &[&str]) -> bool {
             match steps.first() {

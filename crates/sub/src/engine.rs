@@ -31,8 +31,8 @@
 //! may have gone stale, not on a blind polling loop.
 
 use crate::delta::{Delta, DeltaSink};
-use axml_core::{EngineConfig, EngineStats, QueryScope};
-use axml_obs::{Event, EventKind, RingSink, TraceSink};
+use axml_core::{EngineConfig, EvalReport, QueryScope};
+use axml_obs::{Event, EventKind, TraceSink};
 use axml_query::{render, render_result, Pattern};
 use axml_schema::Schema;
 use axml_services::Registry;
@@ -315,13 +315,8 @@ impl<'a> SubscriptionEngine<'a> {
         let snapshot = self.doc.snapshot();
         let watermark = snapshot.version();
         let mut working = snapshot.to_document();
-        let (answers, stats) = self.run_engine(
-            &mut working,
-            &query,
-            self.options.engine.clone(),
-            self.observer,
-        );
-        self.clock_ms += stats.sim_time_ms;
+        let (answers, report) = self.run_engine(&mut working, &query, self.options.engine.clone());
+        self.clock_ms += report.stats.sim_time_ms;
         let query_text = render(&query);
         let scope = QueryScope::of(&query);
         self.emit(EventKind::SubscriptionStart {
@@ -433,7 +428,6 @@ impl<'a> SubscriptionEngine<'a> {
     fn refresh_inner(&mut self) -> Option<u64> {
         self.stats.refreshes += 1;
         let mut changed_paths: Vec<Vec<String>> = Vec::new();
-        let mut real_invocations = 0usize;
         loop {
             let base_version = self.doc.version();
             let mut working = self.base.clone();
@@ -449,30 +443,11 @@ impl<'a> SubscriptionEngine<'a> {
                     .min(self.options.refresh_depth)
                     .min(self.subs[i].refires_left);
                 let query = self.subs[i].query.clone();
-                // refresh reads the spliced paths off its own ring, then
-                // forwards the events to the observer
-                let ring = RingSink::unbounded();
-                let (_, stats) = self.run_engine(&mut working, &query, config, Some(&ring));
+                let (_, report) = self.run_engine(&mut working, &query, config);
+                let stats = report.stats;
                 self.clock_ms += stats.sim_time_ms;
                 self.stats.refresh_invocations += stats.calls_invoked;
-                let events = ring.events();
-                if let Some(observer) = self.observer {
-                    for e in &events {
-                        observer.emit(e);
-                    }
-                }
-                for e in &events {
-                    if let EventKind::Invocation {
-                        cached: false,
-                        ok: true,
-                        path,
-                        ..
-                    } = &e.kind
-                    {
-                        real_invocations += 1;
-                        changed_paths.push(path.split('/').map(str::to_string).collect());
-                    }
-                }
+                changed_paths.extend(report.changed_paths);
                 let sub = &mut self.subs[i];
                 sub.refires_left = sub.refires_left.saturating_sub(stats.calls_invoked);
                 if stats.truncated {
@@ -483,7 +458,7 @@ impl<'a> SubscriptionEngine<'a> {
                     incomplete = true;
                 }
             }
-            if truncated || incomplete || real_invocations == 0 {
+            if truncated || incomplete || changed_paths.is_empty() {
                 return None;
             }
             changed_paths.sort();
@@ -532,13 +507,9 @@ impl<'a> SubscriptionEngine<'a> {
                     self.stats.degradations += 1;
                     let mut working = snapshot.to_document();
                     let query = self.subs[i].query.clone();
-                    let (answers, stats) = self.run_engine(
-                        &mut working,
-                        &query,
-                        self.options.engine.clone(),
-                        self.observer,
-                    );
-                    self.clock_ms += stats.sim_time_ms;
+                    let (answers, report) =
+                        self.run_engine(&mut working, &query, self.options.engine.clone());
+                    self.clock_ms += report.stats.sim_time_ms;
                     if let Some(d) = self.deliver(i, version, answers, true) {
                         out.push(d);
                     }
@@ -562,13 +533,9 @@ impl<'a> SubscriptionEngine<'a> {
                         }
                         let mut working = (*record.doc).clone();
                         let query = self.subs[i].query.clone();
-                        let (answers, stats) = self.run_engine(
-                            &mut working,
-                            &query,
-                            self.options.engine.clone(),
-                            self.observer,
-                        );
-                        self.clock_ms += stats.sim_time_ms;
+                        let (answers, report) =
+                            self.run_engine(&mut working, &query, self.options.engine.clone());
+                        self.clock_ms += report.stats.sim_time_ms;
                         if let Some(d) = self.deliver(i, record.version, answers, full) {
                             out.push(d);
                         }
@@ -665,14 +632,13 @@ impl<'a> SubscriptionEngine<'a> {
 
     /// Evaluates `query` on `working` at the engine's clock, through the
     /// shared call cache and (when attached) the plan cache, emitting into
-    /// `observer` if one is given.
+    /// the observer if one is attached.
     fn run_engine(
         &self,
         working: &mut Document,
         query: &Pattern,
         config: EngineConfig,
-        observer: Option<&dyn TraceSink>,
-    ) -> (BTreeSet<Vec<String>>, EngineStats) {
+    ) -> (BTreeSet<Vec<String>>, EvalReport) {
         let plan = self
             .plans
             .as_ref()
@@ -686,13 +652,13 @@ impl<'a> SubscriptionEngine<'a> {
         if let Some(schema) = self.schema {
             engine = engine.with_schema(schema);
         }
-        if let Some(observer) = observer {
+        if let Some(observer) = self.observer {
             engine = engine.with_observer(observer);
         }
         let report = engine.evaluate(working, query);
         let answers: BTreeSet<Vec<String>> =
             render_result(working, &report.result).into_iter().collect();
-        (answers, report.stats)
+        (answers, report)
     }
 
     fn emit(&mut self, kind: EventKind) {

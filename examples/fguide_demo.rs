@@ -1,12 +1,12 @@
-//! The function-call guide (Section 6.2): a dataguide-style summary of the
-//! paths leading to service calls, used to detect relevant calls without
+//! The function-call guide (Section 6.2): a summary of the label paths
+//! leading to service calls, used to detect relevant calls without
 //! rescanning the document.
 //!
 //! ```text
 //! cargo run --example fguide_demo --release
 //! ```
 
-use activexml::core::{build_nfqs, filter_candidates, FGuide};
+use activexml::core::{build_nfqs, filter_candidates, position_language, ClassVerdicts, FGuide};
 use activexml::gen::scenario::{figure4_query, generate, ScenarioParams};
 use activexml::query::EvalOptions;
 use std::time::Instant;
@@ -19,14 +19,19 @@ fn main() {
     let doc = sc.doc;
     println!("document: {} nodes, {} calls", doc.len(), doc.calls().len());
 
+    // each call is classified by its parent's label path once, when first
+    // seen; a class is a guide node, its calls the node's extent
     let t = Instant::now();
-    let guide = FGuide::build(&doc);
+    let mut guide = FGuide::default();
+    for &node in doc.calls_unordered() {
+        let (id, _) = doc.call_info(node).expect("a call node");
+        guide.class_of(&doc, node, id);
+    }
     println!(
-        "F-guide: {} nodes ({}x more compact), built in {:.2} ms, {} extents",
+        "F-guide: {} classes ({}x more compact), classified in {:.2} ms",
         guide.len(),
-        doc.len() / guide.len(),
-        t.elapsed().as_secs_f64() * 1e3,
-        guide.total_extent()
+        doc.len() / guide.len().max(1),
+        t.elapsed().as_secs_f64() * 1e3
     );
 
     let query = figure4_query();
@@ -45,8 +50,9 @@ fn main() {
     let t = Instant::now();
     let mut via_guide = 0usize;
     for nfq in &nfqs {
+        let mut at = ClassVerdicts::new(position_language(&nfq.lin, nfq.via));
         let cands: Vec<_> = guide
-            .eval_linear(&doc, &nfq.lin, nfq.via)
+            .extent(&doc, &mut at, None, 0)
             .into_iter()
             .map(|(n, _)| n)
             .collect();

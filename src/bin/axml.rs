@@ -4,7 +4,7 @@
 //! axml query --doc doc.xml --query '/hotels/hotel/name' \
 //!            [--world world.xml] [--schema schema.txt] \
 //!            [--strategy nfq|lpq|topdown|naive] [--typing none|lenient|exact] \
-//!            [--push] [--fguide] [--no-parallel] [--speculate] [--stats] \
+//!            [--push] [--no-parallel] [--speculate] [--stats] \
 //!            [--retries N] [--timeout-ms X] [--fault-seed N] [--fail-prob P] \
 //!            [--latency-ms X] \
 //!            [--deadline-ms X] [--hedge-threshold-ms X] [--hedge-quantile F] \
@@ -73,25 +73,34 @@ struct Opts {
 }
 
 impl Opts {
-    fn parse(args: &[String]) -> Result<Opts, String> {
-        let mut flags = Vec::new();
-        let mut values: HashMap<String, Vec<String>> = HashMap::new();
+    /// Parses the options of `axml cmd`, which accepts the boolean `flags`
+    /// and the `valued` options, each taking one value; both are
+    /// space-separated names. An option the command does not accept, or a
+    /// valued option without its value, is an error naming the option.
+    fn parse(cmd: &str, args: &[String], flags: &str, valued: &str) -> Result<Opts, String> {
+        let names = |list: &str, name: &str| list.split_whitespace().any(|n| n == name);
+        let mut opts = Opts {
+            flags: Vec::new(),
+            values: HashMap::new(),
+        };
         let mut it = args.iter().peekable();
         while let Some(a) = it.next() {
             let Some(name) = a.strip_prefix("--") else {
                 return Err(format!("unexpected argument {a:?}"));
             };
-            match it.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    values
-                        .entry(name.to_string())
-                        .or_default()
-                        .push(it.next().unwrap().clone());
-                }
-                _ => flags.push(name.to_string()),
+            if names(flags, name) {
+                opts.flags.push(name.to_string());
+            } else if names(valued, name) {
+                let Some(value) = it.next_if(|v| !v.starts_with("--")) else {
+                    return Err(format!("option --{name} needs a value"));
+                };
+                let values = opts.values.entry(name.to_string()).or_default();
+                values.push(value.clone());
+            } else {
+                return Err(format!("unknown option --{name} for `axml {cmd}`"));
             }
         }
-        Ok(Opts { flags, values })
+        Ok(opts)
     }
 
     /// The last occurrence of a single-valued option.
@@ -117,6 +126,20 @@ impl Opts {
     }
 }
 
+/// The valued options `apply_fault_opts` reads.
+const FAULT_VALUES: &str = "latency-ms retries timeout-ms fault-seed fail-prob";
+/// The other valued options the evaluating commands share: their inputs
+/// and what `engine_config` and `cache_config` read.
+const EVAL_VALUES: &str = "doc query world schema strategy typing max-calls deadline-ms \
+    hedge-threshold-ms hedge-quantile shed-inflight shed-ewma-ms cache-ttl-ms cache-capacity \
+    cache-bytes cache-shards";
+/// The flags the evaluating commands share: what `engine_config` reads,
+/// and `--stats`.
+const EVAL_FLAGS: &str =
+    "push no-parallel relax no-containment enforce-types incremental threads speculate stats";
+/// The valued options of a store kept in a directory.
+const STORE_VALUES: &str = "durable checkpoint-every fsync plan-cache-capacity";
+
 fn run(args: Vec<String>) -> Result<(), String> {
     let Some((cmd, rest)) = args.split_first() else {
         print_usage();
@@ -126,22 +149,52 @@ fn run(args: Vec<String>) -> Result<(), String> {
         // `recover` takes its store directory as a positional argument.
         return cmd_recover(rest);
     }
-    let opts = Opts::parse(rest)?;
-    match cmd.as_str() {
-        "query" => cmd_query(&opts),
-        "session" => cmd_session(&opts),
-        "subscribe" => cmd_subscribe(&opts),
-        "relevant" => cmd_relevant(&opts),
-        "validate" => cmd_validate(&opts),
-        "termination" => cmd_termination(&opts),
-        "materialize" => cmd_materialize(&opts),
-        "explain" => cmd_explain(&opts),
-        "help" | "--help" | "-h" => {
-            print_usage();
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}; try `axml help`")),
-    }
+    type Command = fn(&Opts) -> Result<(), String>;
+    // each command with the flags and the valued options it accepts
+    let (command, flags, valued): (Command, String, String) = match cmd.as_str() {
+        "query" => (
+            cmd_query,
+            format!("{EVAL_FLAGS} cache trace trace-summary"),
+            format!("{EVAL_VALUES} {FAULT_VALUES} out trace-json"),
+        ),
+        "session" => (
+            cmd_session,
+            format!("{EVAL_FLAGS} persist quiet trace trace-summary"),
+            format!(
+                "{EVAL_VALUES} {FAULT_VALUES} {STORE_VALUES} \
+                 idle-ms sessions workers sched-seed trace-json"
+            ),
+        ),
+        "subscribe" => (
+            cmd_subscribe,
+            format!("{EVAL_FLAGS} quiet trace-summary"),
+            format!(
+                "{EVAL_VALUES} {FAULT_VALUES} {STORE_VALUES} \
+                 horizon-ms watch-ms max-refires refresh-depth history deltas-json trace-json"
+            ),
+        ),
+        "relevant" => (
+            cmd_relevant,
+            String::new(),
+            "doc query schema typing".into(),
+        ),
+        "validate" => (cmd_validate, String::new(), "doc schema".into()),
+        "termination" => (cmd_termination, String::new(), "doc schema".into()),
+        "materialize" => (
+            cmd_materialize,
+            String::new(),
+            format!("doc world max-calls {FAULT_VALUES}"),
+        ),
+        "explain" => (cmd_explain, String::new(), "query".into()),
+        "help" | "--help" | "-h" => (cmd_help, String::new(), String::new()),
+        other => return Err(format!("unknown command {other:?}; try `axml help`")),
+    };
+    command(&Opts::parse(cmd, rest, &flags, &valued)?)
+}
+
+fn cmd_help(_: &Opts) -> Result<(), String> {
+    print_usage();
+    Ok(())
 }
 
 fn print_usage() {
@@ -393,7 +446,7 @@ fn cmd_recover(args: &[String]) -> Result<(), String> {
     let Some(dir) = dir else {
         return Err("usage: axml recover DIR [--checkpoint-every N] [--fsync MODE]".into());
     };
-    let opts = Opts::parse(&rest)?;
+    let opts = Opts::parse("recover", &rest, "", "checkpoint-every fsync")?;
     let path = std::path::Path::new(dir);
     if !path.is_dir() {
         return Err(format!("store directory {dir:?} does not exist"));
@@ -471,11 +524,9 @@ fn engine_config(opts: &Opts) -> Result<EngineConfig, String> {
     Ok(EngineConfig {
         strategy,
         typing,
-        use_fguide: opts.flag("fguide"),
         push_queries: opts.flag("push"),
         parallel: !opts.flag("no-parallel"),
         layering: true,
-        simplify_layers: true,
         relax_xpath: opts.flag("relax"),
         max_invocations,
         containment_pruning: !opts.flag("no-containment"),

@@ -205,6 +205,38 @@ fn helpful_errors() {
     let out = axml().output().unwrap();
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("commands:"));
+
+    // an option the subcommand does not accept — unknown, misspelt,
+    // deleted, or another subcommand's — fails naming the first one, and
+    // a valued option without its value fails naming that option
+    let t = TempFiles::new("errors");
+    let doc = t.write("doc.xml", DOC);
+    let world = t.write("world.xml", WORLD);
+    let query = ["query", "--doc", &doc, "--world", &world, "--query", QUERY];
+    let validate = ["validate", "--doc", &doc, "--schema", &doc];
+    let cases: &[(&[&str], &[&str], &str)] = &[
+        (
+            &query,
+            &["--bogus-flag", "--no-interning", "--stats"],
+            "--bogus-flag",
+        ),
+        (&query, &["--no-paralel"], "--no-paralel"),
+        (&query, &["--fguide"], "--fguide"),
+        (&query, &["--watch-ms", "5"], "--watch-ms"),
+        (&query, &["--stats", "--retries"], "--retries"),
+        (&query, &["--retries", "--stats"], "--retries"),
+        (&validate, &["--stats"], "--stats"),
+        (&["explain", "--query", QUERY], &["--push"], "--push"),
+    ];
+    for (base, extra, named) in cases {
+        let out = axml().args(*base).args(*extra).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{extra:?}: {stderr}");
+        assert!(
+            stderr.contains(named),
+            "{extra:?} must name {named}: {stderr}"
+        );
+    }
 }
 
 #[test]

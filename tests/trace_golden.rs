@@ -7,8 +7,8 @@
 //! deadline, hedging and shedding under chaos faults, sequential and
 //! parallel batches over a warm call cache, and a hedge that ties its
 //! primary. Each case also asserts two-run determinism, parse-back
-//! round-tripping, and trace-oracle cleanliness against the engine's own
-//! accounting.
+//! round-tripping, trace-oracle cleanliness against the engine's own
+//! accounting, and that the report's changed paths are the trace's.
 //!
 //! Regenerate the pinned files with `AXML_UPDATE_GOLDEN=1 cargo test`.
 
@@ -75,6 +75,22 @@ fn run(case: &Case) -> (String, EngineStats) {
         .count();
     let s = &report.stats;
     assert_eq!(invocations, s.calls_invoked + s.failed_calls + s.cache_hits);
+    // the report names where the document changed: the parent paths of
+    // the non-cached successful invocations, in trace order
+    let spliced: Vec<&str> = events
+        .iter()
+        .filter_map(|e| match &e.kind {
+            EventKind::Invocation {
+                path,
+                cached: false,
+                ok: true,
+                ..
+            } => Some(path.as_str()),
+            _ => None,
+        })
+        .collect();
+    let reported: Vec<String> = report.changed_paths.iter().map(|p| p.join("/")).collect();
+    assert_eq!(reported, spliced, "EvalReport::changed_paths");
     (to_jsonl(&events), report.stats)
 }
 
