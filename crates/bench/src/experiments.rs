@@ -1573,7 +1573,7 @@ pub fn e16_parse_json(text: &str) -> Vec<E16Entry> {
 /// [`axml_core::CompiledQuery`] from scratch (`cold`) versus all of them
 /// fetching from one warm shard-locked [`axml_store::PlanCache`]
 /// (`cached`) — where per-session work collapses to a fingerprint lookup
-/// plus the per-document symbol-table remap ([`bind`]).
+/// plus the per-document label-test binding ([`bind`]).
 ///
 /// Three workloads exercise three plan shapes: `hotels` (Figure 4 over
 /// the Figure 2 schema — schema DFAs and typed NFQs baked in),
@@ -1629,7 +1629,7 @@ pub fn e17_plan_amortization(session_counts: &[usize], reps: usize) -> Vec<Row> 
                 let t = Instant::now();
                 for _ in 0..n {
                     let plan = CompiledQuery::compile(query, *schema, &config);
-                    std::hint::black_box(plan.main_plan().bind(*doc));
+                    std::hint::black_box(plan.main_plan().bind(doc));
                 }
                 cold_best = cold_best.min(t.elapsed().as_secs_f64() * 1e3);
 
@@ -1639,7 +1639,7 @@ pub fn e17_plan_amortization(session_counts: &[usize], reps: usize) -> Vec<Row> 
                 let t = Instant::now();
                 for _ in 0..n {
                     let plan = plans.fetch(query, *schema, &config);
-                    std::hint::black_box(plan.main_plan().bind(*doc));
+                    std::hint::black_box(plan.main_plan().bind(doc));
                 }
                 cached_best = cached_best.min(t.elapsed().as_secs_f64() * 1e3);
             }

@@ -26,9 +26,7 @@
 
 mod dispatch;
 
-use crate::fguide::{
-    filter_candidates, output_services, position_language, ClassVerdicts, FGuide, SymAuto,
-};
+use crate::fguide::{filter_candidates, output_services, position_language, ClassVerdicts, FGuide};
 use crate::influence::{compute_layers, Layers};
 use crate::nfq::{Lpq, Nfq};
 use crate::plan::{affected_language, lpq_set, nfq_set, typing_mode, CompiledQuery};
@@ -38,7 +36,7 @@ use axml_obs::{Event, EventKind, TraceSink};
 use axml_query::{
     eval_with, render, EdgeKind, EvalOptions, PNodeId, Pattern, PlanScratch, SnapshotResult,
 };
-use axml_schema::{Nfa, Schema};
+use axml_schema::{Nfa, Schema, SymNfa};
 use axml_services::{Deadline, InvokeCache, PushedQuery, Registry, SimClock};
 use axml_xml::{CallId, Document, NodeId};
 use dispatch::{Candidate, Dispatch};
@@ -375,8 +373,7 @@ impl<'a> Engine<'a> {
     /// match the plan's compile key skip NFQ/LPQ construction, containment
     /// pruning, layer computation and label-NFA builds, reuse the plan's
     /// satisfiability verdicts, and evaluate the final answer through the
-    /// plan's symbol remap. A non-matching plan is ignored — never
-    /// misapplied.
+    /// plan. A non-matching plan is ignored — never misapplied.
     pub fn with_plan(mut self, plan: Arc<CompiledQuery>) -> Self {
         self.plan = Some(plan);
         self
@@ -546,8 +543,8 @@ impl<'a> Engine<'a> {
         }
         let tq = Instant::now();
         let result = match self.active_plan(query) {
-            // the remap road: bind the compiled plan into this document's
-            // symbol space (identical tables ⇒ identical result)
+            // the plan's label tests compile against this document's
+            // symbols, as a transient evaluation's would
             Some(p) => p
                 .plan
                 .eval_with(doc, self.config.eval_options, &mut run.eval_cache),
@@ -657,7 +654,7 @@ struct NfqState {
     affected: Option<Nfa>,
     /// `affected` compiled to symbols, stamped with the `sym_count` it
     /// was compiled at (recompiled when the symbol table grows)
-    affected_sym: Option<(usize, SymAuto)>,
+    affected_sym: Option<(usize, SymNfa)>,
     /// the position language's verdict per guide class
     classes: Option<ClassVerdicts>,
 }
@@ -666,11 +663,11 @@ impl NfqState {
     /// The symbol-compiled affected language, current for `doc`'s symbol
     /// table (a label unknown at compile time may have been interned
     /// since).
-    fn affected(&mut self, nfq: &Nfq, doc: &Document) -> &SymAuto {
+    fn affected(&mut self, nfq: &Nfq, doc: &Document) -> &SymNfa {
         let sym_count = doc.sym_count();
         if !matches!(&self.affected_sym, Some((stamp, _)) if *stamp == sym_count) {
             let nfa = self.affected.get_or_insert_with(|| affected_language(nfq));
-            let compiled = SymAuto::compile(nfa.compile_syms(|l| doc.lookup_sym(l)));
+            let compiled = nfa.compile_syms(|l| doc.lookup_sym(l));
             self.affected_sym = Some((sym_count, compiled));
         }
         &self.affected_sym.as_ref().expect("compiled above").1

@@ -35,7 +35,7 @@ use crate::nfq::Nfq;
 use axml_query::{
     EdgeKind, EvalOptions, FunMatch, FxBuildHasher, LinearPath, Matcher, PLabel, PNodeId,
 };
-use axml_schema::{Nfa, SymDfa, SymNfa};
+use axml_schema::{Nfa, SymNfa};
 use axml_xml::{CallId, Document, NodeId};
 use std::collections::{HashMap, HashSet};
 
@@ -198,11 +198,14 @@ pub(crate) fn output_services(nfq: &Nfq, doc: &Document) -> Option<Vec<u32>> {
 /// the automaton compiled without it would reject every path through it.
 /// So a grown table means recompiling and forgetting every verdict. The
 /// verdicts are indexed by class, so one `ClassVerdicts` serves one guide.
+/// The automaton is stepped as an NFA: it answers once per class, and a
+/// document has a handful of classes, so determinizing it first would
+/// cost more than it saves.
 #[derive(Debug)]
 pub struct ClassVerdicts {
     position: Nfa,
     /// `Document::sym_count` at compile time, and the compiled automaton.
-    compiled: Option<(usize, SymAuto)>,
+    compiled: Option<(usize, SymNfa)>,
     verdicts: Vec<Option<bool>>,
 }
 
@@ -229,7 +232,7 @@ impl ClassVerdicts {
         let stamp = doc.sym_count();
         if !matches!(&self.compiled, Some((s, _)) if *s == stamp) {
             let nfa = self.position.compile_syms(|l| doc.lookup_sym(l));
-            self.compiled = Some((stamp, SymAuto::compile(nfa)));
+            self.compiled = Some((stamp, nfa));
             self.verdicts.clear();
         }
     }
@@ -240,40 +243,8 @@ impl ClassVerdicts {
         if i >= self.verdicts.len() {
             self.verdicts.resize(i + 1, None);
         }
-        let (_, auto) = self.compiled.as_ref().expect("synced before use");
-        *self.verdicts[i].get_or_insert_with(|| auto.accepts(&guide.paths[i]))
-    }
-}
-
-/// A symbol-compiled path automaton: determinized when the subset
-/// construction stays under a state cap, the NFA itself otherwise. Both
-/// forms accept exactly the same words (the schema crate pins agreement),
-/// so the choice never shows in answers or traces — only in per-word
-/// stepping cost.
-#[derive(Debug)]
-pub(crate) enum SymAuto {
-    Dfa(SymDfa),
-    Nfa(SymNfa),
-}
-
-/// Subset-construction state cap: path-language NFAs are tiny (one state
-/// per query step plus closures), so blowups past this are pathological
-/// and fall back to NFA stepping.
-const SYM_DFA_MAX_STATES: usize = 64;
-
-impl SymAuto {
-    pub(crate) fn compile(nfa: SymNfa) -> SymAuto {
-        match nfa.determinize(SYM_DFA_MAX_STATES) {
-            Some(dfa) => SymAuto::Dfa(dfa),
-            None => SymAuto::Nfa(nfa),
-        }
-    }
-
-    pub(crate) fn accepts(&self, word: &[u32]) -> bool {
-        match self {
-            SymAuto::Dfa(d) => d.accepts(word),
-            SymAuto::Nfa(n) => n.accepts(word),
-        }
+        let (_, nfa) = self.compiled.as_ref().expect("synced before use");
+        *self.verdicts[i].get_or_insert_with(|| nfa.accepts(&guide.paths[i]))
     }
 }
 
@@ -324,7 +295,7 @@ pub fn filter_candidates(
 /// `aj`; checks labels and side conditions along the way.
 fn align(
     nfq: &Nfq,
-    matcher: &mut Matcher<'_, Document>,
+    matcher: &mut Matcher<'_>,
     path: &[PNodeId],
     anc: &[NodeId],
     pi: usize,

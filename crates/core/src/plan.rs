@@ -5,8 +5,8 @@
 //! query alone — work that [`crate::Engine::evaluate`] otherwise redoes
 //! per run:
 //!
-//! * the main pattern's [`QueryPlan`] (interned symbol table + compiled
-//!   label tests, bindable to any document by a symbol remap),
+//! * the main pattern's [`QueryPlan`] (the pattern and its enumeration
+//!   tables),
 //! * the NFQs (Figure 5) after XPath relaxation and containment pruning,
 //!   with the pruned count preserved for the stats,
 //! * the LPQs,
@@ -18,14 +18,12 @@
 //!   typing refinement never reproves a `(function, query-node)` pair,
 //!   across runs and sessions.
 //!
-//! Per document, the remaining setup is a **symbol-table remap**: plan
-//! symbols translate through the document's interner
-//! ([`QueryPlan::bind`]), and the label NFAs compile to symbol automata
-//! (determinized up to a state cap) against the same table. Results,
-//! traces and statistics are byte-identical to a run without a plan —
-//! both call the same builders (below), and the remap produces *the
-//! same* compiled tables the engine would build transiently, an
-//! invariant the differential plan-equivalence oracle pins.
+//! Per document, the remaining setup is compiling against the document's
+//! interned symbols: the main pattern's label tests
+//! ([`QueryPlan::bind`]) and the label NFAs, which compile to symbol
+//! automata. Results, traces and statistics are byte-identical to a run
+//! without a plan — both call the same builders (below), an invariant the
+//! differential plan-equivalence oracle pins.
 //!
 //! The artifact is immutable and thread-safe; share it behind an `Arc`
 //! (the store's `PlanCache` does exactly that).

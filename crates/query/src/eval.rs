@@ -22,22 +22,20 @@
 //!   `u32` compare; join variables bind symbols, not owned strings;
 //!   descendant steps can enumerate candidates from the document's
 //!   label→node index instead of scanning subtrees; and memo tables can
-//!   be reused across evaluations via [`PlanScratch`]. Compilation
-//!   happens once per pattern in a [`crate::plan::QueryPlan`], which
-//!   rebinds to each document by a symbol-table remap; the convenience
-//!   entry points here compile transiently. The [`EvalOptions`] toggles
-//!   exist for debugging and benchmarking — every mode computes the same
-//!   result, and [`seed_eval`] is the executable spec they are all
-//!   checked against.
-//! * Evaluation is generic over [`DataSource`], so the same code (and the
-//!   same compiled plan) runs over the mutable arena [`Document`], a
-//!   frozen COW `DocSnapshot`, or any other node store.
-//!
-//! [`Document`]: axml_xml::Document
+//!   be reused across evaluations via [`PlanScratch`]. A
+//!   [`crate::plan::QueryPlan`] keeps the tables that depend on the
+//!   pattern alone and compiles the label tests against each document it
+//!   runs on; the convenience entry points here compile both per call.
+//!   The [`EvalOptions`] toggles exist for debugging and benchmarking —
+//!   every mode computes the same result, and [`seed_eval`] is the
+//!   executable spec they are all checked against.
+//! * Evaluation reads a [`Document`]. A frozen `DocSnapshot` derefs to
+//!   the document version it froze, so snapshots evaluate through the
+//!   same code.
 
 use crate::pattern::{EdgeKind, FunMatch, PLabel, PNodeId, Pattern};
 use crate::plan::PlanScratch;
-use axml_xml::{DataSource, NodeId};
+use axml_xml::{Document, NodeId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -120,7 +118,7 @@ impl SnapshotResult {
 
 /// Renders a snapshot result as borrowed label texts (one row per tuple).
 /// The zero-copy counterpart of [`render_result`].
-pub fn render_result_refs<'d, D: DataSource>(doc: &'d D, r: &SnapshotResult) -> Vec<Vec<&'d str>> {
+pub fn render_result_refs<'d>(doc: &'d Document, r: &SnapshotResult) -> Vec<Vec<&'d str>> {
     let mut out = Vec::with_capacity(r.tuples.len());
     for t in &r.tuples {
         let mut row = Vec::with_capacity(t.len());
@@ -131,7 +129,7 @@ pub fn render_result_refs<'d, D: DataSource>(doc: &'d D, r: &SnapshotResult) -> 
 }
 
 /// Renders a snapshot result as readable strings (label of each bound node).
-pub fn render_result<D: DataSource>(doc: &D, r: &SnapshotResult) -> Vec<Vec<String>> {
+pub fn render_result(doc: &Document, r: &SnapshotResult) -> Vec<Vec<String>> {
     render_result_refs(doc, r)
         .into_iter()
         .map(|row| row.into_iter().map(str::to_string).collect())
@@ -161,7 +159,7 @@ impl Default for EvalOptions {
 }
 
 /// Evaluates `q` on `d` and returns the snapshot result.
-pub fn eval<D: DataSource>(pattern: &Pattern, doc: &D) -> SnapshotResult {
+pub fn eval(pattern: &Pattern, doc: &Document) -> SnapshotResult {
     eval_with(
         pattern,
         doc,
@@ -174,32 +172,23 @@ pub fn eval<D: DataSource>(pattern: &Pattern, doc: &D) -> SnapshotResult {
 /// Compiles the pattern's tests transiently; callers that evaluate the
 /// same pattern repeatedly should compile a [`crate::plan::QueryPlan`]
 /// once and use [`crate::plan::QueryPlan::eval_with`] instead.
-pub fn eval_with<D: DataSource>(
+pub fn eval_with(
     pattern: &Pattern,
-    doc: &D,
+    doc: &Document,
     opts: EvalOptions,
     scratch: &mut PlanScratch,
 ) -> SnapshotResult {
-    if pattern.is_empty() {
-        return SnapshotResult::default();
-    }
-    let mut ev = Evaluator::with_scratch(pattern, doc, opts, scratch);
-    let mut out = SnapshotResult::default();
-    for &root in doc.roots() {
-        for (_, frag) in ev.embed(pattern.root(), root, &VarEnv::default()) {
-            out.tuples.insert(frag);
-        }
-    }
-    ev.release(scratch);
-    out
+    let (needs_enum, var_id) = enum_tables(pattern);
+    let ctest = compile_ctests(pattern, doc);
+    eval_compiled(pattern, doc, opts, ctest, needs_enum, var_id, scratch)
 }
 
 /// The **executable spec**: the seed evaluator — string-compared labels,
 /// no label→node index, fresh memo tables. Every optimized mode (interned
-/// tests, index-driven descendant steps, compiled plans with symbol-table
-/// remaps) must produce exactly this result; the differential
-/// plan-equivalence oracle diffs against it.
-pub fn seed_eval<D: DataSource>(pattern: &Pattern, doc: &D) -> SnapshotResult {
+/// tests, index-driven descendant steps, compiled plans) must produce
+/// exactly this result; the differential plan-equivalence oracles diff
+/// against it.
+pub fn seed_eval(pattern: &Pattern, doc: &Document) -> SnapshotResult {
     eval_with(
         pattern,
         doc,
@@ -212,28 +201,25 @@ pub fn seed_eval<D: DataSource>(pattern: &Pattern, doc: &D) -> SnapshotResult {
 }
 
 /// `true` iff at least one embedding of `q` in `d` exists.
-pub fn matches<D: DataSource>(pattern: &Pattern, doc: &D) -> bool {
-    if pattern.is_empty() {
-        return false;
-    }
-    let mut ev = Evaluator::new(pattern, doc);
-    doc.roots().iter().any(|&r| {
-        if ev.needs_enum[pattern.root().index()] {
-            !ev.embed(pattern.root(), r, &VarEnv::default()).is_empty()
-        } else {
-            ev.smatch(pattern.root(), r)
-        }
-    })
+pub fn matches(pattern: &Pattern, doc: &Document) -> bool {
+    let (needs_enum, var_id) = enum_tables(pattern);
+    let ctest = compile_ctests(pattern, doc);
+    matches_compiled(
+        pattern,
+        doc,
+        EvalOptions::default(),
+        ctest,
+        needs_enum,
+        var_id,
+        &mut PlanScratch::default(),
+    )
 }
 
 /// All document nodes that *contribute* to `q(d)` (Section 2): images of
 /// pattern nodes under some embedding, plus the nodes on the document paths
 /// realizing descendant edges. This is the "grey area" of Figure 3 and the
 /// basis of the pruned-result mode when pushing queries (Section 7).
-pub fn contributing_nodes<D: DataSource>(
-    pattern: &Pattern,
-    doc: &D,
-) -> std::collections::HashSet<NodeId> {
+pub fn contributing_nodes(pattern: &Pattern, doc: &Document) -> std::collections::HashSet<NodeId> {
     let mut out = std::collections::HashSet::new();
     if pattern.is_empty() {
         return out;
@@ -268,7 +254,7 @@ pub fn contributing_nodes<D: DataSource>(
 /// the worst case — intended for provider-side pruning of (small) service
 /// results, not for document-scale evaluation. Candidates are enumerated in
 /// document order, so the output order is stable across evaluator modes.
-pub fn embeddings<D: DataSource>(pattern: &Pattern, doc: &D) -> Vec<BTreeMap<PNodeId, NodeId>> {
+pub fn embeddings(pattern: &Pattern, doc: &Document) -> Vec<BTreeMap<PNodeId, NodeId>> {
     let mut out = Vec::new();
     if pattern.is_empty() {
         return out;
@@ -285,18 +271,18 @@ pub fn embeddings<D: DataSource>(pattern: &Pattern, doc: &D) -> Vec<BTreeMap<PNo
 /// F-guide's residual filtering (Section 6.2), where candidate call nodes
 /// are aligned against an NFQ's path and the side conditions are checked
 /// per document node.
-pub struct Matcher<'a, D: DataSource> {
-    ev: Evaluator<'a, D>,
+pub struct Matcher<'a> {
+    ev: Evaluator<'a>,
 }
 
-impl<'a, D: DataSource> Matcher<'a, D> {
+impl<'a> Matcher<'a> {
     /// Creates a matcher with default [`EvalOptions`].
-    pub fn new(pattern: &'a Pattern, doc: &'a D) -> Self {
+    pub fn new(pattern: &'a Pattern, doc: &'a Document) -> Self {
         Matcher::with_options(pattern, doc, EvalOptions::default())
     }
 
     /// Creates a matcher with explicit hot-path options.
-    pub fn with_options(pattern: &'a Pattern, doc: &'a D, opts: EvalOptions) -> Self {
+    pub fn with_options(pattern: &'a Pattern, doc: &'a Document, opts: EvalOptions) -> Self {
         Matcher {
             ev: Evaluator::with_opts(pattern, doc, opts),
         }
@@ -342,10 +328,9 @@ impl<'a, D: DataSource> Matcher<'a, D> {
 /// environment it replaces — without owned strings.
 type VarEnv = BTreeMap<u32, u32>;
 
-/// A pattern-node label test compiled against one document's symbol table.
-/// Produced either transiently (one pattern walk per evaluation) or by
-/// remapping a [`crate::plan::QueryPlan`]'s plan-local symbols through a
-/// per-document binding — both roads yield identical tables.
+/// A pattern-node label test compiled against one document's symbol table
+/// by [`compile_ctests`], for a transient evaluation and a
+/// [`crate::plan::QueryPlan`] alike.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum CTest {
     /// `Const(l)`: a data node whose label symbol equals the payload.
@@ -398,9 +383,10 @@ pub(crate) fn enum_tables(pat: &Pattern) -> (Vec<bool>, Vec<Option<u32>>) {
     (needs_enum, var_id)
 }
 
-/// Compiles the per-node label tests against one document's symbol table
-/// (the transient road; plans remap instead — same table either way).
-pub(crate) fn compile_ctests<D: DataSource>(pat: &Pattern, doc: &D) -> Vec<CTest> {
+/// Compiles the per-node label tests against one document's symbol table:
+/// one interner lookup per label the pattern names. The only place label
+/// tests meet a document.
+pub(crate) fn compile_ctests(pat: &Pattern, doc: &Document) -> Vec<CTest> {
     let mut ctest = Vec::with_capacity(pat.len());
     for id in pat.node_ids() {
         ctest.push(match &pat.node(id).label {
@@ -419,11 +405,11 @@ pub(crate) fn compile_ctests<D: DataSource>(pat: &Pattern, doc: &D) -> Vec<CTest
     ctest
 }
 
-/// Runs a fully pre-compiled evaluation: the plan layer hands the bound
-/// test tables in, so no pattern walk or symbol lookup happens here.
-pub(crate) fn eval_compiled<D: DataSource>(
+/// Runs an evaluation over already compiled tables: no pattern walk or
+/// symbol lookup happens here.
+pub(crate) fn eval_compiled(
     pat: &Pattern,
-    doc: &D,
+    doc: &Document,
     opts: EvalOptions,
     ctest: Vec<CTest>,
     needs_enum: Vec<bool>,
@@ -446,11 +432,10 @@ pub(crate) fn eval_compiled<D: DataSource>(
     out
 }
 
-/// Pre-compiled existence test (the plan-layer counterpart of
-/// [`matches`]).
-pub(crate) fn matches_compiled<D: DataSource>(
+/// The existence test over already compiled tables.
+pub(crate) fn matches_compiled(
     pat: &Pattern,
-    doc: &D,
+    doc: &Document,
     opts: EvalOptions,
     ctest: Vec<CTest>,
     needs_enum: Vec<bool>,
@@ -474,9 +459,9 @@ pub(crate) fn matches_compiled<D: DataSource>(
     hit
 }
 
-struct Evaluator<'a, D: DataSource> {
+struct Evaluator<'a> {
     pat: &'a Pattern,
-    doc: &'a D,
+    doc: &'a Document,
     opts: EvalOptions,
     /// per pattern node: label test compiled against `doc`'s symbol table
     ctest: Vec<CTest>,
@@ -491,12 +476,12 @@ struct Evaluator<'a, D: DataSource> {
     var_id: Vec<Option<u32>>,
 }
 
-impl<'a, D: DataSource> Evaluator<'a, D> {
-    fn new(pat: &'a Pattern, doc: &'a D) -> Self {
+impl<'a> Evaluator<'a> {
+    fn new(pat: &'a Pattern, doc: &'a Document) -> Self {
         Evaluator::with_opts(pat, doc, EvalOptions::default())
     }
 
-    fn with_opts(pat: &'a Pattern, doc: &'a D, opts: EvalOptions) -> Self {
+    fn with_opts(pat: &'a Pattern, doc: &'a Document, opts: EvalOptions) -> Self {
         let (needs_enum, var_id) = enum_tables(pat);
         let ctest = compile_ctests(pat, doc);
         Evaluator::from_tables(pat, doc, opts, ctest, needs_enum, var_id)
@@ -504,7 +489,7 @@ impl<'a, D: DataSource> Evaluator<'a, D> {
 
     fn from_tables(
         pat: &'a Pattern,
-        doc: &'a D,
+        doc: &'a Document,
         opts: EvalOptions,
         ctest: Vec<CTest>,
         needs_enum: Vec<bool>,
@@ -520,20 +505,6 @@ impl<'a, D: DataSource> Evaluator<'a, D> {
             needs_enum,
             var_id,
         }
-    }
-
-    /// Like [`Evaluator::with_opts`], but stealing the memo allocations of
-    /// a scratch. Pair with [`Evaluator::release`].
-    fn with_scratch(
-        pat: &'a Pattern,
-        doc: &'a D,
-        opts: EvalOptions,
-        scratch: &mut PlanScratch,
-    ) -> Self {
-        let mut ev = Evaluator::with_opts(pat, doc, opts);
-        ev.memo = scratch.take_memo();
-        ev.desc_memo = scratch.take_desc_memo();
-        ev
     }
 
     /// Returns the memo allocations to the scratch for the next

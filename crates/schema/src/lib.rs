@@ -22,7 +22,7 @@ pub mod termination;
 pub mod validate;
 
 pub use dfa::{language_equal, language_includes, Dfa};
-pub use nfa::{Nfa, SymDfa, SymNfa, TransTest};
+pub use nfa::{Nfa, SymNfa, TransTest};
 pub use regex::{parse_re, LabelRe, Occurring, Sym};
 pub use sat::{function_satisfies, SatMode, Satisfier};
 pub use schema::{figure2_schema, parse_schema, ClosureSet, FunSig, Schema, SchemaParseError};

@@ -388,97 +388,6 @@ pub struct SymNfa {
 }
 
 impl SymNfa {
-    /// Determinizes the automaton by subset construction, producing a
-    /// [`SymDfa`] whose stepping cost is one binary search per symbol
-    /// instead of an active-set sweep over all NFA edges. Subset
-    /// construction can blow up exponentially, so the build aborts and
-    /// returns `None` once more than `max_states` subset states exist —
-    /// callers keep the NFA as the fallback. Both machines accept exactly
-    /// the same words, so the choice is invisible to results and traces.
-    pub fn determinize(&self, max_states: usize) -> Option<SymDfa> {
-        // the symbols some transition tests explicitly; everything else
-        // behaves identically ("other") and shares one default transition
-        let mut alphabet: Vec<u32> = self
-            .edges
-            .iter()
-            .flatten()
-            .filter_map(|(t, _)| match t {
-                SymTest::Sym(s) => Some(*s),
-                _ => None,
-            })
-            .collect();
-        alphabet.sort_unstable();
-        alphabet.dedup();
-
-        let step = |set: &[usize], on: Option<u32>| -> Vec<usize> {
-            // `on = Some(sym)`: that mentioned symbol; `None`: any
-            // unmentioned symbol (only Any edges fire)
-            let mut next: Vec<usize> = Vec::new();
-            for &s in set {
-                for &(test, t) in &self.edges[s] {
-                    let fire = match (test, on) {
-                        (SymTest::Any, _) => true,
-                        (SymTest::Sym(want), Some(sym)) => want == sym,
-                        (SymTest::Sym(_), None) | (SymTest::Never, _) => false,
-                    };
-                    if fire {
-                        next.push(t);
-                    }
-                }
-            }
-            next.sort_unstable();
-            next.dedup();
-            next
-        };
-
-        let mut start: Vec<usize> = self.start.clone();
-        start.sort_unstable();
-        start.dedup();
-        let mut index: std::collections::HashMap<Vec<usize>, usize> =
-            std::collections::HashMap::new();
-        let mut sets: Vec<Vec<usize>> = Vec::new();
-        let mut trans: Vec<DfaState> = Vec::new();
-        let mut accept: Vec<bool> = Vec::new();
-        let mut intern = |set: Vec<usize>,
-                          sets: &mut Vec<Vec<usize>>,
-                          accept: &mut Vec<bool>|
-         -> Option<usize> {
-            if set.is_empty() {
-                return None; // the dead state is implicit
-            }
-            Some(*index.entry(set.clone()).or_insert_with(|| {
-                accept.push(set.iter().any(|&s| self.accept[s]));
-                sets.push(set);
-                sets.len() - 1
-            }))
-        };
-        let start_id = intern(start, &mut sets, &mut accept);
-        let mut done = 0;
-        while done < sets.len() {
-            if sets.len() > max_states {
-                return None;
-            }
-            let cur = sets[done].clone();
-            let default = intern(step(&cur, None), &mut sets, &mut accept);
-            let mut out: Vec<(u32, usize)> = Vec::new();
-            for &sym in &alphabet {
-                if let Some(t) = intern(step(&cur, Some(sym)), &mut sets, &mut accept) {
-                    out.push((sym, t));
-                } else if default.is_some() {
-                    // explicit dead edge so the default is not consulted
-                    out.push((sym, usize::MAX));
-                }
-            }
-            trans.push((out, default));
-            done += 1;
-        }
-        Some(SymDfa {
-            trans,
-            accept,
-            start: start_id,
-        })
-    }
-
     /// Does the automaton accept the word of name symbols?
     pub fn accepts(&self, word: &[u32]) -> bool {
         let n = self.edges.len();
@@ -513,57 +422,6 @@ impl SymNfa {
         cur.iter()
             .enumerate()
             .any(|(s, &active)| active && self.accept[s])
-    }
-}
-
-/// One [`SymDfa`] state: sorted `(symbol, target)` pairs (`usize::MAX` =
-/// dead) plus the default target for symbols no test mentions.
-type DfaState = (Vec<(u32, usize)>, Option<usize>);
-
-/// A determinized [`SymNfa`]: exactly one live subset state at a time, so
-/// a step is a binary search over the state's explicitly mentioned
-/// symbols (with a shared default edge for all unmentioned ones) instead
-/// of a sweep over every NFA edge. Accepts the same language as the NFA
-/// it was built from; used by the compiled-plan layer where one automaton
-/// is stepped over many label paths.
-#[derive(Clone, Debug)]
-pub struct SymDfa {
-    trans: Vec<DfaState>,
-    accept: Vec<bool>,
-    /// `None` when the start subset is empty (the empty language without
-    /// ε).
-    start: Option<usize>,
-}
-
-impl SymDfa {
-    /// Does the automaton accept the word of name symbols?
-    pub fn accepts(&self, word: &[u32]) -> bool {
-        let Some(mut cur) = self.start else {
-            return false;
-        };
-        for &sym in word {
-            let (ref out, default) = self.trans[cur];
-            let next = match out.binary_search_by_key(&sym, |&(s, _)| s) {
-                Ok(i) => {
-                    let t = out[i].1;
-                    if t == usize::MAX {
-                        return false;
-                    }
-                    Some(t)
-                }
-                Err(_) => default,
-            };
-            match next {
-                Some(t) => cur = t,
-                None => return false,
-            }
-        }
-        self.accept[cur]
-    }
-
-    /// Number of (live) DFA states.
-    pub fn num_states(&self) -> usize {
-        self.trans.len()
     }
 }
 
@@ -849,64 +707,34 @@ mod tests {
 
     #[test]
     fn sym_compiled_nfa_agrees_with_label_nfa() {
-        // a tiny symbol table over the test alphabet
-        let table = ["a", "b", "c", "x"]; // note: "y" is not interned
-        let lookup = |s: &str| table.iter().position(|t| *t == s).map(|i| i as u32);
-        for src in ["/a/b", "/a//b/c", "//x", "/a/*//b"] {
-            let nfa = Nfa::from_linear_path(&lin_of(src)).prefix_closure();
-            let sym_nfa = nfa.compile_syms(lookup);
-            for w in words(&["a", "b", "c", "x"], 4) {
-                let syms: Vec<u32> = w
-                    .iter()
-                    .map(|s| match s {
-                        Sym::Name(l) => lookup(l.as_str()).unwrap(),
-                        Sym::Data => unreachable!(),
-                    })
-                    .collect();
-                assert_eq!(
-                    sym_nfa.accepts(&syms),
-                    nfa.accepts(&w),
-                    "mismatch on {src} with {w:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn determinized_sym_dfa_agrees_with_sym_nfa() {
+        // a tiny symbol table over the test alphabet; "y" is not interned
+        // at compile time, and words spell it with the next free symbol,
+        // as a label a splice interns after compilation would be
         let table = ["a", "b", "c", "x"];
         let lookup = |s: &str| table.iter().position(|t| *t == s).map(|i| i as u32);
+        let late = |s: &str| lookup(s).unwrap_or(table.len() as u32);
         for src in ["/a/b", "/a//b/c", "//x", "/a/*//b", "/a/*/c"] {
-            for closed in [false, true] {
-                let mut nfa = Nfa::from_linear_path(&lin_of(src));
-                if closed {
-                    nfa = nfa.prefix_closure().suffix_closure();
-                }
+            let plain = Nfa::from_linear_path(&lin_of(src));
+            let prefix = plain.prefix_closure();
+            let both = prefix.suffix_closure();
+            for (closure, nfa) in [("none", plain), ("prefix", prefix), ("both", both)] {
                 let sym_nfa = nfa.compile_syms(lookup);
-                let dfa = sym_nfa.determinize(256).expect("small automaton");
-                for w in words(&["a", "b", "c", "x"], 4) {
+                for w in words(&["a", "b", "c", "x", "y"], 4) {
                     let syms: Vec<u32> = w
                         .iter()
                         .map(|s| match s {
-                            Sym::Name(l) => lookup(l.as_str()).unwrap(),
+                            Sym::Name(l) => late(l.as_str()),
                             Sym::Data => unreachable!(),
                         })
                         .collect();
                     assert_eq!(
-                        dfa.accepts(&syms),
                         sym_nfa.accepts(&syms),
-                        "mismatch on {src} (closed={closed}) with {w:?}"
+                        nfa.accepts(&w),
+                        "mismatch on {src} (closure {closure}) with {w:?}"
                     );
                 }
-                // symbols unknown to the automaton take the default edge
-                let unknown = [999u32, 7];
-                assert_eq!(dfa.accepts(&unknown), sym_nfa.accepts(&unknown));
             }
         }
-        // the cap aborts instead of blowing up
-        let big = Nfa::from_linear_path(&lin_of("/a//b//c//a//b//c"));
-        let sym = big.compile_syms(lookup);
-        assert!(sym.determinize(1).is_none());
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   `(query, schema, compile-relevant config)` is compiled **once per
 //!   store** into an [`axml_core::CompiledQuery`] (NFQs, LPQs, layers,
 //!   label automata, bytecode), and later sessions pay only a per-document
-//!   symbol-table remap. Answers, traces and stats are byte-identical
+//!   label-test binding. Answers, traces and stats are byte-identical
 //!   with the cache on or off.
 //! * [`DocumentStore`] — named documents that survive across queries,
 //!   sharing one cache. Documents are stored as atomically published

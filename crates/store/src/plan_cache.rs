@@ -1,7 +1,7 @@
 //! The cross-session compiled-plan cache: `(query, schema, config)` →
 //! [`CompiledQuery`], so a query's NFQs, LPQs, layers, label automata and
 //! bytecode are compiled **once per store** and every later session pays
-//! only a symbol-table remap per document.
+//! only a label-test binding per document.
 //!
 //! Correctness does not depend on the cache: a cached plan is attached to
 //! an engine via [`axml_core::Engine::with_plan`], and the engine consults

@@ -558,6 +558,9 @@ impl<'a> SubscriptionEngine<'a> {
     /// one is due (so refresh work happens exactly when cached answers
     /// may have gone stale), or by `watch_ms` idle ticks otherwise.
     /// Returns every delta emitted, in order.
+    ///
+    /// `t_end_ms` must be finite and non-negative: an infinite horizon
+    /// never returns, and a NaN one returns at once having done nothing.
     pub fn run_until(&mut self, t_end_ms: f64) -> Vec<Delta> {
         let mut out = Vec::new();
         while self.clock_ms < t_end_ms {

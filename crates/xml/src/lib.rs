@@ -13,6 +13,10 @@
 //! ordered labeled trees; invoking a call replaces the function node by the
 //! returned forest ([`Document::splice_call`]).
 //!
+//! Query evaluation (`axml-query`) reads a [`Document`] directly; a frozen
+//! [`DocSnapshot`] derefs to the document version it froze, so snapshots
+//! evaluate through the same code.
+//!
 //! ```
 //! use axml_xml::{Document, parse, to_xml};
 //!
@@ -31,7 +35,6 @@ pub mod label;
 pub mod parse;
 pub mod serialize;
 pub mod snapshot;
-pub mod source;
 pub mod tree;
 pub mod wire;
 
@@ -43,6 +46,5 @@ pub use serialize::{
 pub use snapshot::{
     CatchUp, DocSnapshot, Publication, PublicationRecord, PublicationTap, VersionedDocument,
 };
-pub use source::DataSource;
 pub use tree::{CallId, Descendants, Document, Forest, NodeId, NodeKind, SpliceOp};
 pub use wire::{decode_document, document_to_bytes, encode_document, WireError};

@@ -30,6 +30,8 @@
 //!                [--deltas-json PATH] [--quiet] [--stats] \
 //!                [--trace-json PATH] [--trace-summary]
 //! axml recover DIR                               # replay WALs, report per-doc
+//! axml relevant --doc doc.xml --query Q [--schema schema.txt] \
+//!               [--typing none|lenient|exact]
 //! axml validate --doc doc.xml --schema schema.txt
 //! axml termination --doc doc.xml --schema schema.txt
 //! axml materialize --doc doc.xml --world world.xml [--max-calls N]
@@ -473,6 +475,16 @@ fn wants_cache(opts: &Opts) -> bool {
         || opts.value("cache-bytes").is_some()
 }
 
+/// The `--typing` option: how §5's type refinement reads the schema.
+fn typing(opts: &Opts) -> Result<Typing, String> {
+    match opts.value("typing").unwrap_or("exact") {
+        "none" => Ok(Typing::None),
+        "lenient" => Ok(Typing::Lenient),
+        "exact" => Ok(Typing::Exact),
+        other => Err(format!("unknown typing {other:?}")),
+    }
+}
+
 fn engine_config(opts: &Opts) -> Result<EngineConfig, String> {
     let strategy = match opts.value("strategy").unwrap_or("nfq") {
         "nfq" => Strategy::Nfq,
@@ -481,12 +493,7 @@ fn engine_config(opts: &Opts) -> Result<EngineConfig, String> {
         "naive" => Strategy::Naive,
         other => return Err(format!("unknown strategy {other:?}")),
     };
-    let typing = match opts.value("typing").unwrap_or("exact") {
-        "none" => Typing::None,
-        "lenient" => Typing::Lenient,
-        "exact" => Typing::Exact,
-        other => return Err(format!("unknown typing {other:?}")),
-    };
+    let typing = typing(opts)?;
     let max_invocations = match opts.value("max-calls") {
         None => 100_000,
         Some(v) => v
@@ -868,11 +875,17 @@ fn cmd_subscribe(opts: &Opts) -> Result<(), String> {
             .parse()
             .map_err(|_| format!("--history expects a count, got {v:?}"))?;
     }
+    // `run_until` advances one tick at a time, so an infinite horizon
+    // never returns and a NaN one does nothing
     let horizon_ms: f64 = match opts.value("horizon-ms") {
         None => 1_000.0,
         Some(v) => v
             .parse()
-            .map_err(|_| format!("--horizon-ms expects milliseconds, got {v:?}"))?,
+            .ok()
+            .filter(|ms: &f64| ms.is_finite() && *ms >= 0.0)
+            .ok_or_else(|| {
+                format!("--horizon-ms expects finite non-negative milliseconds, got {v:?}")
+            })?,
     };
 
     let ring = trace_collector(opts);
@@ -1069,9 +1082,11 @@ fn cmd_relevant(opts: &Opts) -> Result<(), String> {
     let doc = load_doc(opts)?;
     let query = load_query(opts)?;
     let schema = load_schema(opts)?;
-    let mode = match opts.value("typing").unwrap_or("exact") {
-        "lenient" => activexml::schema::SatMode::Lenient,
-        _ => activexml::schema::SatMode::Exact,
+    // without typing the schema prunes nothing (Section 3's assumption)
+    let (schema, mode) = match typing(opts)? {
+        Typing::None => (None, activexml::schema::SatMode::Exact),
+        Typing::Lenient => (schema, activexml::schema::SatMode::Lenient),
+        Typing::Exact => (schema, activexml::schema::SatMode::Exact),
     };
     let relevant = activexml::core::relevant_calls(&doc, &query, schema.as_ref(), mode);
     let total = doc.calls().len();

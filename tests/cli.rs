@@ -214,6 +214,16 @@ fn helpful_errors() {
     let world = t.write("world.xml", WORLD);
     let query = ["query", "--doc", &doc, "--world", &world, "--query", QUERY];
     let validate = ["validate", "--doc", &doc, "--schema", &doc];
+    let relevant = ["relevant", "--doc", &doc, "--query", QUERY];
+    let subscribe = [
+        "subscribe",
+        "--doc",
+        &doc,
+        "--world",
+        &world,
+        "--query",
+        QUERY,
+    ];
     let cases: &[(&[&str], &[&str], &str)] = &[
         (
             &query,
@@ -227,6 +237,14 @@ fn helpful_errors() {
         (&query, &["--retries", "--stats"], "--retries"),
         (&validate, &["--stats"], "--stats"),
         (&["explain", "--query", QUERY], &["--push"], "--push"),
+        (
+            &relevant,
+            &["--typing", "bogus"],
+            "unknown typing \"bogus\"",
+        ),
+        // a horizon the subscription loop can never reach, or never start
+        (&subscribe, &["--horizon-ms", "inf"], "--horizon-ms"),
+        (&subscribe, &["--horizon-ms", "NaN"], "--horizon-ms"),
     ];
     for (base, extra, named) in cases {
         let out = axml().args(*base).args(*extra).output().unwrap();
@@ -314,6 +332,32 @@ fn relevant_command_lists_relevant_calls() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("of 4 embedded calls"), "{stdout}");
     assert!(stdout.contains("getNearbyRestos"), "{stdout}");
+
+    // the schema says getNearbyRestos returns restaurants only, so typing
+    // prunes every call for museums; `--typing none` ignores the schema
+    for (typing, relevant) in [("exact", 0), ("none", 2)] {
+        let out = axml()
+            .args([
+                "relevant",
+                "--doc",
+                &doc,
+                "--schema",
+                &schema,
+                "--query",
+                "/hotels/hotel/nearby//museum/name",
+                "--typing",
+                typing,
+            ])
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.starts_with(&format!("{relevant} of 4 embedded calls")),
+            "--typing {typing}: {stdout}"
+        );
+        assert_eq!(stdout.matches("getNearbyRestos").count(), relevant);
+    }
 }
 
 #[test]
