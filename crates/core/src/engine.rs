@@ -928,7 +928,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
             }
             run.stats.relevance_cpu += t.elapsed();
             // the `candidates` event lists LPQ candidates in document order
-            cands.sort_by(|a, b| doc.cmp_document_order(a.node, b.node));
+            cands.sort_by_cached_key(|c| doc.order_key(c.node));
             (cands, Pushes::new())
         };
         self.drive(doc, detect, |_| mode);

@@ -37,9 +37,12 @@
 use super::{holds_call, parent_labels, Pushes, Run, SpliceRecord};
 use axml_obs::{CacheOutcome, EventKind, ShedReason};
 use axml_query::PNodeId;
-use axml_services::{CacheLookup, FailedCall, InvokeError, InvokeOutcome, PushedQuery, Registry};
+use axml_services::{
+    CacheLookup, CallKey, FailedCall, InvokeError, InvokeOutcome, PushedQuery, Registry,
+};
 use axml_xml::{CallId, Document, Forest, NodeId};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// One invocation candidate.
 #[derive(Clone, Debug)]
@@ -100,6 +103,27 @@ struct HedgeLeg {
     /// The losing leg's elapsed run time up to the winner's completion —
     /// the work hedging wasted (never charged to the simulated clock).
     wasted_ms: f64,
+}
+
+/// What a cache probe left for the rest of a candidate's gates.
+// transient: matched where the probe returns, so boxing the miss's
+// forest would only add an allocation per probe
+#[allow(clippy::large_enum_variant)]
+enum Probe {
+    /// A valid entry was spliced: the candidate is resolved.
+    Hit,
+    /// No valid entry. When the probe got as far as building them, the
+    /// parameter forest and the cache key, for the dispatch and the store
+    /// to reuse.
+    Miss(Option<(Forest, CallKey)>),
+}
+
+/// A candidate the gates admitted: its parent label path and, with a
+/// cache attached, the key its answer is stored under.
+struct Admitted<'c> {
+    cand: &'c Candidate,
+    parent_path: Vec<String>,
+    key: Option<CallKey>,
 }
 
 /// How a resolved call reaches the trace.
@@ -236,7 +260,7 @@ impl Run<'_, '_, '_> {
             Dispatch::Sequential => self.dispatch_sequential(doc, cands.iter(), pushes, false),
             Dispatch::First => {
                 let mut order: Vec<&Candidate> = cands.iter().collect();
-                order.sort_by(|a, b| doc.cmp_document_order(a.node, b.node));
+                order.sort_by_cached_key(|c| doc.order_key(c.node));
                 self.dispatch_sequential(doc, order.into_iter(), pushes, true)
             }
         }
@@ -292,14 +316,19 @@ impl Run<'_, '_, '_> {
         // candidates are distinct call slots, and calls never nest inside
         // another call's parameters, so a hit cannot invalidate a batch
         // mate.
-        let mut prepared: Vec<(&Candidate, Forest, Vec<String>)> = Vec::new();
+        let mut admitted: Vec<Admitted<'_>> = Vec::new();
+        let mut params: Vec<Forest> = Vec::new();
         for c in cands {
-            if self.try_cache(doc, c, pushes.get(&c.call)) {
-                resolved += 1;
-                continue;
-            }
-            if let Some((params, path)) = self.prepare(doc, c) {
-                prepared.push((c, params, path));
+            let probed = match self.try_cache(doc, c, pushes.get(&c.call)) {
+                Probe::Hit => {
+                    resolved += 1;
+                    continue;
+                }
+                Probe::Miss(probed) => probed,
+            };
+            if let Some((p, a)) = self.prepare(doc, c, probed) {
+                params.push(p);
+                admitted.push(a);
             }
         }
         // the remaining deadline budget and each call's hedge trigger
@@ -309,9 +338,9 @@ impl Run<'_, '_, '_> {
         let remaining = self.deadline.remaining_ms(self.clock.now_ms());
         let hedge_cfg = self.config().hedge;
         let registry = self.engine.registry;
-        let triggers: Vec<f64> = prepared
+        let triggers: Vec<f64> = admitted
             .iter()
-            .map(|(c, _, _)| hedge_cfg.trigger_ms(registry.latency_ewma(&c.service)))
+            .map(|a| hedge_cfg.trigger_ms(registry.latency_ewma(&a.cand.service)))
             .collect();
         // phase 2: dispatch — one OS thread per call when configured,
         // sequentially under the logical clock otherwise. Either way
@@ -321,16 +350,16 @@ impl Run<'_, '_, '_> {
         type Dispatched = (Result<InvokeOutcome, InvokeError>, Option<HedgeLeg>);
         let results: Vec<Dispatched> = if self.config().real_threads {
             std::thread::scope(|scope| {
-                let handles: Vec<_> = prepared
+                let handles: Vec<_> = admitted
                     .iter()
+                    .zip(params)
                     .zip(&triggers)
-                    .map(|((c, params, _), trigger)| {
-                        let params = params.clone();
-                        let pushed = pushes.get(&c.call);
-                        let service = c.service.clone();
+                    .map(|((a, params), trigger)| {
+                        let pushed = pushes.get(&a.cand.call);
+                        let service = &a.cand.service;
                         let trigger = *trigger;
                         scope.spawn(move || {
-                            dispatch_hedged(registry, &service, params, pushed, remaining, trigger)
+                            dispatch_hedged(registry, service, params, pushed, remaining, trigger)
                         })
                     })
                     .collect();
@@ -340,15 +369,16 @@ impl Run<'_, '_, '_> {
                     .collect()
             })
         } else {
-            prepared
+            admitted
                 .iter()
+                .zip(params)
                 .zip(&triggers)
-                .map(|((c, params, _), trigger)| {
+                .map(|((a, params), trigger)| {
                     dispatch_hedged(
                         registry,
-                        &c.service,
-                        params.clone(),
-                        pushes.get(&c.call),
+                        &a.cand.service,
+                        params,
+                        pushes.get(&a.cand.call),
                         remaining,
                         *trigger,
                     )
@@ -359,7 +389,8 @@ impl Run<'_, '_, '_> {
         // hedge leg is accounted here, exactly once per logical call:
         // the `hedge` event precedes the single invocation outcome.
         let mut costs = Vec::new();
-        for ((c, params, path), (res, hedge)) in prepared.into_iter().zip(results) {
+        for (a, (res, hedge)) in admitted.into_iter().zip(results) {
+            let c = a.cand;
             if let Some(leg) = &hedge {
                 self.stats.hedged_calls += 1;
                 if leg.hedge_won {
@@ -377,8 +408,7 @@ impl Run<'_, '_, '_> {
                     });
                 }
             }
-            let pushed = pushes.get(&c.call);
-            if let Some(cost) = self.settle(doc, c, Some(&params), pushed, path, res) {
+            if let Some(cost) = self.settle(doc, a, res) {
                 costs.push(cost);
                 resolved += 1;
             }
@@ -404,37 +434,38 @@ impl Run<'_, '_, '_> {
         cand: &Candidate,
         pushed: Option<&PushedQuery>,
     ) -> Option<f64> {
-        if self.try_cache(doc, cand, pushed) {
-            return Some(0.0);
-        }
-        let (params, parent_path) = self.prepare(doc, cand)?;
-        let cache_params = self.engine.cache.map(|_| params.clone());
+        let probed = match self.try_cache(doc, cand, pushed) {
+            Probe::Hit => return Some(0.0),
+            Probe::Miss(probed) => probed,
+        };
+        let (params, admitted) = self.prepare(doc, cand, probed)?;
         let remaining = self.deadline.remaining_ms(self.clock.now_ms());
         let res = self
             .engine
             .registry
             .invoke_within(&cand.service, params, pushed, remaining);
-        self.settle(doc, cand, cache_params.as_ref(), pushed, parent_path, res)
+        self.settle(doc, admitted, res)
     }
 
     /// The cache-probe gate (reconstructed §7): on a valid entry the
-    /// cached forest is spliced in at **zero** network cost and `true` is
-    /// returned. Expired entries and misses return `false` and fall
-    /// through to the other gates.
+    /// cached forest is spliced in at **zero** network cost. Expired
+    /// entries and misses fall through to the other gates, with the
+    /// parameter forest and key the probe built.
     fn try_cache(
         &mut self,
         doc: &mut Document,
         cand: &Candidate,
         pushed: Option<&PushedQuery>,
-    ) -> bool {
+    ) -> Probe {
         let Some(cache) = self.engine.cache else {
-            return false;
+            return Probe::Miss(None);
         };
         if !holds_call(doc, cand.node, cand.call) {
-            return false;
+            return Probe::Miss(None);
         }
         let params = doc.children_to_forest(cand.node);
-        let lookup = cache.lookup(&cand.service, &params, pushed, self.clock.now_ms());
+        let key = CallKey::new(&cand.service, &params, pushed);
+        let lookup = cache.lookup(&key, self.clock.now_ms());
         let (outcome, hit) = match lookup {
             CacheLookup::Hit(hit) => (CacheOutcome::Hit, Some(hit)),
             CacheLookup::Stale => {
@@ -454,20 +485,31 @@ impl Run<'_, '_, '_> {
             });
         }
         let Some(hit) = hit else {
-            return false;
+            return Probe::Miss(Some((params, key)));
         };
-        let parent_path = parent_labels(doc, cand.node);
+        // only the trace reads a hit's path
+        let parent_path = if self.observing() {
+            parent_labels(doc, cand.node)
+        } else {
+            Vec::new()
+        };
         self.splice_result(doc, cand, &hit.result);
         self.emit_resolved(cand, &parent_path, Resolved::Cached { pushed: hit.pushed });
         self.stats.cache_hits += 1;
-        true
+        Probe::Hit
     }
 
     /// The budget, deadline, stale-slot, unknown-service, shed and breaker
     /// gates, in that order. An admitted candidate reserves one unit of
     /// budget (threaded batches dispatch before applying) and yields what
-    /// its dispatch needs: the parameter forest and the parent label path.
-    fn prepare(&mut self, doc: &Document, cand: &Candidate) -> Option<(Forest, Vec<String>)> {
+    /// its dispatch needs: the parameter forest — the probe's, when the
+    /// cache probe built one — and what settling it needs.
+    fn prepare<'c>(
+        &mut self,
+        doc: &Document,
+        cand: &'c Candidate,
+        probed: Option<(Forest, CallKey)>,
+    ) -> Option<(Forest, Admitted<'c>)> {
         if self.budget == 0 {
             // not marked truncated here: a failed batch mate may refund
             // budget and let this call proceed in a later round. The
@@ -525,11 +567,21 @@ impl Run<'_, '_, '_> {
             }
             return None;
         }
-        let params = doc.children_to_forest(cand.node);
+        let (params, key) = match probed {
+            Some((params, key)) => (params, Some(key)),
+            None => (doc.children_to_forest(cand.node), None),
+        };
         let parent_path = parent_labels(doc, cand.node);
         self.budget -= 1;
         *self.batch_admitted.entry(cand.service.clone()).or_default() += 1;
-        Some((params, parent_path))
+        Some((
+            params,
+            Admitted {
+                cand,
+                parent_path,
+                key,
+            },
+        ))
     }
 
     /// Marks a call naming an unregistered service dead and counts the
@@ -567,24 +619,25 @@ impl Run<'_, '_, '_> {
     }
 
     /// Settles one dispatched call: a success is stored in the call cache
-    /// (given the parameters it was keyed on) and spliced by
-    /// [`Run::apply`]; an unknown service refunds the budget `prepare`
-    /// reserved and is skipped; a permanent failure goes to
-    /// [`Run::apply_failure`]. Returns the simulated cost to charge, or
-    /// `None` for a skip.
+    /// (under the key it was probed with) and spliced by [`Run::apply`];
+    /// an unknown service refunds the budget `prepare` reserved and is
+    /// skipped; a permanent failure goes to [`Run::apply_failure`].
+    /// Returns the simulated cost to charge, or `None` for a skip.
     fn settle(
         &mut self,
         doc: &mut Document,
-        cand: &Candidate,
-        params: Option<&Forest>,
-        pushed: Option<&PushedQuery>,
-        parent_path: Vec<String>,
+        admitted: Admitted<'_>,
         res: Result<InvokeOutcome, InvokeError>,
     ) -> Option<f64> {
+        let Admitted {
+            cand,
+            parent_path,
+            key,
+        } = admitted;
         match res {
             Ok(outcome) => {
-                if let (Some(cache), Some(p)) = (self.engine.cache, params) {
-                    cache.store(&cand.service, p, pushed, &outcome, self.clock.now_ms());
+                if let (Some(cache), Some(key)) = (self.engine.cache, &key) {
+                    cache.store(key, &outcome, self.clock.now_ms());
                 }
                 Some(self.apply(doc, cand, parent_path, outcome))
             }
@@ -602,9 +655,9 @@ impl Run<'_, '_, '_> {
     /// bookkeeping (the splice log for incremental detection) — common to
     /// real invocations and cache hits. The guide needs none: the spliced
     /// calls are classified when detection first sees them.
-    fn splice_result(&mut self, doc: &mut Document, cand: &Candidate, result: &Forest) {
+    fn splice_result(&mut self, doc: &mut Document, cand: &Candidate, result: &Arc<Forest>) {
         let parent = doc.parent(cand.node);
-        doc.splice_call(cand.node, result);
+        doc.splice_shared(cand.node, result);
         self.splice_seq += 1;
         if self.config().incremental_detection {
             // ring buffer: evict the oldest record when full and remember
@@ -765,7 +818,7 @@ mod tests {
     /// A successful leg; `bytes` marks which leg's outcome was returned.
     fn ok(cost_ms: f64, bytes: usize) -> Result<InvokeOutcome, InvokeError> {
         Ok(InvokeOutcome {
-            result: Forest::new(),
+            result: Arc::new(Forest::new()),
             bytes,
             cost_ms,
             pushed: false,

@@ -105,6 +105,6 @@ pub fn relevant_calls(
             }
         }
     }
-    out.sort_by(|a, b| doc.cmp_document_order(a.0, b.0));
+    out.sort_by_cached_key(|c| doc.order_key(c.0));
     out
 }

@@ -315,7 +315,7 @@ mod tests {
         let has_nested_call = answer
             .roots()
             .iter()
-            .any(|&r| matches!(answer.kind(r), axml_xml::NodeKind::Call(_, _)));
+            .any(|&r| matches!(answer.kind(r), axml_xml::NodeKind::Call(_)));
         assert!(has_nested_call);
     }
 }

@@ -235,13 +235,14 @@ fn copy_into(
     parent: Option<axml_xml::NodeId>,
 ) {
     use axml_xml::NodeKind;
+    let label = src.label(node);
     let new = match (src.kind(node), parent) {
-        (NodeKind::Element(l), Some(p)) => out.add_element(p, l.clone()),
-        (NodeKind::Element(l), None) => out.add_root(l.clone()),
-        (NodeKind::Text(t), Some(p)) => out.add_text(p, t.clone()),
-        (NodeKind::Text(t), None) => out.add_root_text(t.clone()),
-        (NodeKind::Call(_, s), Some(p)) => out.add_call(p, s.clone()),
-        (NodeKind::Call(_, s), None) => out.add_root_call(s.clone()),
+        (NodeKind::Element, Some(p)) => out.add_element(p, label),
+        (NodeKind::Element, None) => out.add_root(label),
+        (NodeKind::Text, Some(p)) => out.add_text(p, label),
+        (NodeKind::Text, None) => out.add_root_text(label),
+        (NodeKind::Call(_), Some(p)) => out.add_call(p, label),
+        (NodeKind::Call(_), None) => out.add_root_call(label),
     };
     for &c in src.children(node) {
         copy_into(src, c, out, Some(new));
@@ -475,10 +476,11 @@ fn copy_subtree_under(
     parent: axml_xml::NodeId,
 ) {
     use axml_xml::NodeKind;
+    let label = src.label(node);
     let new = match src.kind(node) {
-        NodeKind::Element(l) => dst.add_element(parent, l.clone()),
-        NodeKind::Text(t) => dst.add_text(parent, t.clone()),
-        NodeKind::Call(_, s) => dst.add_call(parent, s.clone()),
+        NodeKind::Element => dst.add_element(parent, label),
+        NodeKind::Text => dst.add_text(parent, label),
+        NodeKind::Call(_) => dst.add_call(parent, label),
     };
     for &c in src.children(node) {
         copy_subtree_under(src, c, dst, new);

@@ -106,9 +106,10 @@ pub fn validate(doc: &Document, schema: &Schema) -> Vec<ValidationError> {
 
     for node in doc.all_nodes() {
         match doc.kind(node) {
-            NodeKind::Text(_) => {}
-            NodeKind::Element(label) => {
-                let Some(content) = schema.element(label.as_str()) else {
+            NodeKind::Text => {}
+            NodeKind::Element => {
+                let label = doc.label(node);
+                let Some(content) = schema.element(label) else {
                     errors.push(ValidationError::UndeclaredElement {
                         node,
                         label: label.to_string(),
@@ -127,8 +128,9 @@ pub fn validate(doc: &Document, schema: &Schema) -> Vec<ValidationError> {
                     });
                 }
             }
-            NodeKind::Call(_, service) => {
-                let Some(sig) = schema.function(service.as_str()) else {
+            NodeKind::Call(_) => {
+                let service = doc.label(node);
+                let Some(sig) = schema.function(service) else {
                     errors.push(ValidationError::UndeclaredFunction {
                         node,
                         service: service.to_string(),
@@ -165,9 +167,9 @@ pub fn forest_matches_type(forest: &Document, ty: &crate::regex::LabelRe) -> boo
 
 fn node_sym(doc: &Document, n: NodeId) -> Sym {
     match doc.kind(n) {
-        NodeKind::Element(l) => Sym::Name(l.clone()),
-        NodeKind::Text(_) => Sym::Data,
-        NodeKind::Call(_, svc) => Sym::Name(svc.clone()),
+        NodeKind::Element => Sym::Name(doc.label(n).into()),
+        NodeKind::Text => Sym::Data,
+        NodeKind::Call(_) => Sym::Name(doc.label(n).into()),
     }
 }
 

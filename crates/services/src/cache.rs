@@ -6,21 +6,78 @@
 //! only defines the contract between the engine's invoke path and any
 //! memoization layer. A call is identified by its *service* and its
 //! *parameter forest* (plus the pushed query, if any, since a pushed
-//! result is pruned for that query and must not be served to another).
-//! All freshness decisions are charged to the engine's simulated clock:
-//! `now_ms` is the caller's [`crate::SimClock`] time at lookup/store.
+//! result is pruned for that query and must not be served to another):
+//! its [`CallKey`]. All freshness decisions are charged to the engine's
+//! simulated clock: `now_ms` is the caller's [`crate::SimClock`] time at
+//! lookup/store.
 
 use crate::registry::InvokeOutcome;
 use crate::service::PushedQuery;
-use axml_xml::Forest;
+use axml_query::{render, EdgeKind};
+use axml_xml::{to_xml, Forest};
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
+
+/// What a call-result cache is keyed on: the service name, the serialized
+/// parameter forest, and (for pushed calls) the rendered pushed pattern
+/// plus its edge kind. Built once per candidate, hash included, so the
+/// probe and the store after a miss serialize and hash it once.
+// `hash` comes first so equality tests it before the strings
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CallKey {
+    hash: u64,
+    service: String,
+    params_xml: String,
+    pushed: Option<(String, bool)>,
+}
+
+impl CallKey {
+    /// The key of a call to `service` with `params` (and `pushed`).
+    pub fn new(service: &str, params: &Forest, pushed: Option<&PushedQuery>) -> Self {
+        let service = service.to_string();
+        let params_xml = to_xml(params);
+        let pushed = pushed.map(|pq| (render(&pq.pattern), pq.via == EdgeKind::Child));
+        // `DefaultHasher::new()` starts from fixed keys: deterministic
+        // within a build, which is all shard placement needs
+        let mut h = DefaultHasher::new();
+        service.hash(&mut h);
+        params_xml.hash(&mut h);
+        pushed.hash(&mut h);
+        CallKey {
+            hash: h.finish(),
+            service,
+            params_xml,
+            pushed,
+        }
+    }
+
+    /// The called service.
+    pub fn service(&self) -> &str {
+        &self.service
+    }
+
+    /// The hash computed at construction. [`Hash`] feeds only this value
+    /// to a hasher, so a map can pass it through instead of hashing the
+    /// strings again.
+    pub fn hash_value(&self) -> u64 {
+        self.hash
+    }
+}
+
+impl Hash for CallKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
 
 /// A cached invocation result, served in place of a network call.
 #[derive(Clone, Debug)]
 pub struct CachedCall {
     /// The memoized result forest, exactly as the service returned it
     /// (possibly provider-side pruned when a pushed query was part of the
-    /// cache key).
-    pub result: Forest,
+    /// cache key) — the same forest the invocation produced, shared.
+    pub result: Arc<Forest>,
     /// The wire size the original call transferred (informational — a hit
     /// transfers nothing).
     pub bytes: usize,
@@ -31,10 +88,6 @@ pub struct CachedCall {
 }
 
 /// The outcome of a cache probe.
-// `Hit` carries a whole result forest (its document now also holds the
-// symbol table and label index); the value is transient — destructured at
-// the probe site — so indirection would only add an allocation per hit.
-#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
 pub enum CacheLookup {
     /// A valid entry: splice it in at zero network cost.
@@ -56,26 +109,12 @@ pub enum CacheLookup {
 /// runs must answer identically — eviction order included — so that
 /// cached replays stay byte-for-byte reproducible.
 pub trait InvokeCache: Send + Sync {
-    /// Probes the cache for `(service, params, pushed)` at simulated time
-    /// `now_ms`.
-    fn lookup(
-        &self,
-        service: &str,
-        params: &Forest,
-        pushed: Option<&PushedQuery>,
-        now_ms: f64,
-    ) -> CacheLookup;
+    /// Probes the cache for `key` at simulated time `now_ms`.
+    fn lookup(&self, key: &CallKey, now_ms: f64) -> CacheLookup;
 
-    /// Memoizes a *successful* invocation outcome. Failed calls are never
-    /// stored — the cache holds answers, not outages.
-    fn store(
-        &self,
-        service: &str,
-        params: &Forest,
-        pushed: Option<&PushedQuery>,
-        outcome: &InvokeOutcome,
-        now_ms: f64,
-    );
+    /// Memoizes a *successful* invocation outcome under `key`. Failed
+    /// calls are never stored — the cache holds answers, not outages.
+    fn store(&self, key: &CallKey, outcome: &InvokeOutcome, now_ms: f64);
 
     /// Notifies the cache that `service`'s circuit-breaker state flipped
     /// (`open == true` when the breaker just tripped open). Implementations

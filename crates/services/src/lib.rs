@@ -25,7 +25,7 @@ pub mod registry;
 pub mod service;
 pub mod worldfile;
 
-pub use cache::{CacheLookup, CachedCall, InvokeCache};
+pub use cache::{CacheLookup, CachedCall, CallKey, InvokeCache};
 pub use fault::{
     BreakerConfig, BreakerState, FaultDecision, FaultProfile, FlakyService, RetryPolicy,
 };

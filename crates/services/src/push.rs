@@ -170,13 +170,14 @@ fn copy_kept(
     keep: &HashSet<NodeId>,
     out: &mut Forest,
 ) {
+    let label = src.label(node);
     let new = match (src.kind(node), parent) {
-        (axml_xml::NodeKind::Element(l), Some(p)) => out.add_element(p, l.clone()),
-        (axml_xml::NodeKind::Element(l), None) => out.add_root(l.clone()),
-        (axml_xml::NodeKind::Text(t), Some(p)) => out.add_text(p, t.clone()),
-        (axml_xml::NodeKind::Text(t), None) => out.add_root_text(t.clone()),
-        (axml_xml::NodeKind::Call(_, s), Some(p)) => out.add_call(p, s.clone()),
-        (axml_xml::NodeKind::Call(_, s), None) => out.add_root_call(s.clone()),
+        (axml_xml::NodeKind::Element, Some(p)) => out.add_element(p, label),
+        (axml_xml::NodeKind::Element, None) => out.add_root(label),
+        (axml_xml::NodeKind::Text, Some(p)) => out.add_text(p, label),
+        (axml_xml::NodeKind::Text, None) => out.add_root_text(label),
+        (axml_xml::NodeKind::Call(_), Some(p)) => out.add_call(p, label),
+        (axml_xml::NodeKind::Call(_), None) => out.add_root_call(label),
     };
     for &c in src.children(node) {
         if keep.contains(&c) {

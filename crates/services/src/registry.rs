@@ -76,11 +76,17 @@ impl fmt::Display for InvokeError {
 
 impl std::error::Error for InvokeError {}
 
+/// A provider's answer before accounting: the shared result forest, its
+/// wire size, whether a query was pushed, and the base cost.
+type Answer = (Arc<Forest>, usize, bool, f64);
+
 /// Everything the engine learns from one invocation.
 #[derive(Clone, Debug)]
 pub struct InvokeOutcome {
-    /// The (possibly provider-side pruned) result forest.
-    pub result: Forest,
+    /// The (possibly provider-side pruned) result forest. Shared: the call
+    /// cache, the splice journal and the WAL record keep this forest, not
+    /// copies of it.
+    pub result: Arc<Forest>,
     /// Result bytes on the wire.
     pub bytes: usize,
     /// Simulated cost of this call, including any failed attempts and
@@ -284,13 +290,10 @@ impl Registry {
         &self,
         service: &Arc<dyn Service>,
         name: &str,
-        params: &Forest,
+        req: &CallRequest,
         pushed: Option<&PushedQuery>,
-    ) -> (Forest, usize, bool, f64) {
-        let req = CallRequest {
-            params: params.clone(),
-        };
-        let full = service.invoke(&req);
+    ) -> Answer {
+        let full = service.invoke(req);
         let (result, was_pushed) = match pushed {
             Some(pq) if service.supports_push() => {
                 let reduced = match self.push_mode {
@@ -303,7 +306,7 @@ impl Registry {
         };
         let bytes = forest_serialized_len(&result);
         let cost_ms = self.net_profile(name).cost_ms(bytes);
-        (result, bytes, was_pushed, cost_ms)
+        (Arc::new(result), bytes, was_pushed, cost_ms)
     }
 
     fn net_profile(&self, name: &str) -> NetProfile {
@@ -346,7 +349,7 @@ impl Registry {
             .services
             .get(name)
             .ok_or_else(|| ServiceError::Unknown(name.to_string()))?;
-        let answer = self.answer(service, name, &params, pushed);
+        let answer = self.answer(service, name, &CallRequest { params }, pushed);
         Ok(self.succeed(name, answer, 1.0, 0.0, 1))
     }
 
@@ -412,10 +415,11 @@ impl Registry {
             // (the engine's deadline gate normally prevents this dispatch)
             return Err(self.fail(name, 0, 0.0, false, true));
         }
+        let req = CallRequest { params };
         let Some(fault) = self.fault_profile_for(name).filter(|f| !f.is_inert()) else {
             // fault-free: the single attempt either fits the budget or
             // burns the whole of it
-            let answer = self.answer(service, name, &params, pushed);
+            let answer = self.answer(service, name, &req, pushed);
             if answer.3 <= budget_ms {
                 return Ok(self.succeed(name, answer, 1.0, 0.0, 1));
             }
@@ -427,10 +431,10 @@ impl Registry {
         };
         let policy = self.retry;
         let net = self.net_profile(name);
-        let fingerprint = fnv64(to_xml(&params).as_bytes()) ^ fp_salt;
+        let fingerprint = fnv64(to_xml(&req.params).as_bytes()) ^ fp_salt;
         // deterministic services: the answer is computed at most once and
         // reused across attempts
-        let mut answer: Option<(Forest, usize, bool, f64)> = None;
+        let mut answer: Option<Answer> = None;
         let mut total_cost = 0.0;
         let mut timed_out = false;
         let mut deadline_exceeded = false;
@@ -482,7 +486,7 @@ impl Registry {
                         _ => 1.0,
                     };
                     let answer = answer
-                        .get_or_insert_with(|| self.answer(service, name, &params, pushed))
+                        .get_or_insert_with(|| self.answer(service, name, &req, pushed))
                         .clone();
                     if answer.3 * factor > attempt_timeout {
                         // the slowdown ran past the deadline
@@ -519,7 +523,7 @@ impl Registry {
     fn succeed(
         &self,
         name: &str,
-        (result, bytes, pushed, base_cost): (Forest, usize, bool, f64),
+        (result, bytes, pushed, base_cost): Answer,
         factor: f64,
         earlier_ms: f64,
         attempts: usize,

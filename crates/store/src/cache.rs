@@ -22,14 +22,12 @@
 //! implementation, kept as test support and pinned against this one by
 //! the equivalence proptests in `tests/sharded_props.rs`.
 
-use axml_query::render;
-use axml_services::{CacheLookup, CachedCall, InvokeCache, InvokeOutcome, PushedQuery};
-use axml_xml::{forest_serialized_len, to_xml, Forest};
-use std::collections::hash_map::DefaultHasher;
+use axml_services::{CacheLookup, CachedCall, CallKey, InvokeCache, InvokeOutcome};
+use axml_xml::Forest;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Configuration of a [`CallCache`].
 #[derive(Clone, Debug)]
@@ -140,37 +138,32 @@ impl CacheStats {
     }
 }
 
-/// Cache key: service name, serialized parameter forest, and (for pushed
-/// calls) the rendered pushed pattern plus its edge kind — a pruned
-/// result is only valid for the exact query it was pruned for.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-struct Key {
-    service: String,
-    params_xml: String,
-    pushed: Option<(String, bool)>,
-}
+/// Passes a [`CallKey`]'s precomputed hash through to the map, so a
+/// probe hashes its key once, for the shard and the map alike. Unlike the
+/// standard map's, that hash has a fixed seed, so parameters chosen to
+/// collide can lengthen a shard's probe sequences; the entry budget bounds
+/// a shard's size, and with it that cost.
+#[derive(Default)]
+struct KeyHash(u64);
 
-impl Key {
-    fn new(service: &str, params: &Forest, pushed: Option<&PushedQuery>) -> Self {
-        Key {
-            service: service.to_string(),
-            params_xml: to_xml(params),
-            pushed: pushed.map(|pq| (render(&pq.pattern), pq.via == axml_query::EdgeKind::Child)),
-        }
+impl Hasher for KeyHash {
+    fn finish(&self) -> u64 {
+        self.0
     }
 
-    /// Which of `n` shards this key lives in. `DefaultHasher` with a fixed
-    /// initial state is deterministic within a build, which is all the
-    /// placement needs — semantics never depend on the shard chosen.
-    fn shard(&self, n: usize) -> usize {
-        let mut h = DefaultHasher::new();
-        self.hash(&mut h);
-        (h.finish() % n as u64) as usize
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a CallKey hashes as one u64")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
     }
 }
+
+type KeyMap<V> = HashMap<CallKey, V, BuildHasherDefault<KeyHash>>;
 
 struct Entry {
-    result: Forest,
+    result: Arc<Forest>,
     bytes: usize,
     size_bytes: usize,
     pushed: bool,
@@ -185,20 +178,20 @@ struct Entry {
 
 #[derive(Default)]
 struct Shard {
-    map: HashMap<Key, Entry>,
+    map: KeyMap<Entry>,
     bytes: usize,
     stats: CacheStats,
 }
 
 impl Shard {
-    fn remove(&mut self, key: &Key) -> Option<Entry> {
+    fn remove(&mut self, key: &CallKey) -> Option<Entry> {
         let e = self.map.remove(key)?;
         self.bytes -= e.size_bytes;
         Some(e)
     }
 
     /// This shard's least-recently-used entry, as `(last_used, key)`.
-    fn lru_min(&self) -> Option<(u64, Key)> {
+    fn lru_min(&self) -> Option<(u64, CallKey)> {
         self.map
             .iter()
             .min_by_key(|(_, e)| e.last_used)
@@ -254,6 +247,12 @@ impl CallCache {
     /// Number of lock shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
+    }
+
+    /// The shard `key` lives in. Semantics never depend on the shard
+    /// chosen, only which mutex a key contends on.
+    fn shard(&self, key: &CallKey) -> &Mutex<Shard> {
+        &self.shards[(key.hash_value() % self.shards.len() as u64) as usize]
     }
 
     /// A snapshot of the cumulative counters, summed over all shards.
@@ -312,10 +311,10 @@ impl CallCache {
         let mut guards: Vec<_> = self.shards.iter().map(|s| s.lock().unwrap()).collect();
         let mut n = 0;
         for shard in guards.iter_mut() {
-            let doomed: Vec<Key> = shard
+            let doomed: Vec<CallKey> = shard
                 .map
                 .keys()
-                .filter(|k| k.service == service)
+                .filter(|k| k.service() == service)
                 .cloned()
                 .collect();
             for k in &doomed {
@@ -350,7 +349,7 @@ impl CallCache {
         let mut guards: Vec<_> = self.shards.iter().map(|s| s.lock().unwrap()).collect();
         let mut n = 0;
         for shard in guards.iter_mut() {
-            let doomed: Vec<Key> = shard
+            let doomed: Vec<CallKey> = shard
                 .map
                 .iter()
                 .filter(|(_, e)| e.expires_at_ms <= now_ms)
@@ -365,21 +364,14 @@ impl CallCache {
         n
     }
 
-    /// The end of the TTL validity window of the cached entry for
-    /// `(service, params, pushed)`, in simulated milliseconds —
-    /// `f64::INFINITY` for entries that never expire, `None` when
-    /// nothing is cached under that key. Purely observational: unlike a
-    /// lookup, this never counts as a probe, touches recency, or removes
-    /// an expired entry.
-    pub fn expiry_of(
-        &self,
-        service: &str,
-        params: &Forest,
-        pushed: Option<&PushedQuery>,
-    ) -> Option<f64> {
-        let key = Key::new(service, params, pushed);
-        let shard = self.shards[key.shard(self.shards.len())].lock().unwrap();
-        shard.map.get(&key).map(|e| e.expires_at_ms)
+    /// The end of the TTL validity window of the cached entry for `key`,
+    /// in simulated milliseconds — `f64::INFINITY` for entries that never
+    /// expire, `None` when nothing is cached under that key. Purely
+    /// observational: unlike a lookup, this never counts as a probe,
+    /// touches recency, or removes an expired entry.
+    pub fn expiry_of(&self, key: &CallKey) -> Option<f64> {
+        let shard = self.shard(key).lock().unwrap();
+        shard.map.get(key).map(|e| e.expires_at_ms)
     }
 
     /// The earliest *finite* expiry instant over all live entries: the
@@ -416,7 +408,7 @@ impl CallCache {
         if entries <= self.config.max_entries && bytes <= self.config.max_bytes {
             return;
         }
-        let mut minima: Vec<Option<(u64, Key)>> = guards.iter().map(|g| g.lru_min()).collect();
+        let mut minima: Vec<Option<(u64, CallKey)>> = guards.iter().map(|g| g.lru_min()).collect();
         while entries > self.config.max_entries || bytes > self.config.max_bytes {
             let victim = minima
                 .iter()
@@ -435,29 +427,20 @@ impl CallCache {
 }
 
 impl InvokeCache for CallCache {
-    fn lookup(
-        &self,
-        service: &str,
-        params: &Forest,
-        pushed: Option<&PushedQuery>,
-        now_ms: f64,
-    ) -> CacheLookup {
-        let key = Key::new(service, params, pushed);
-        let mut shard = self.shards[key.shard(self.shards.len())].lock().unwrap();
-        let Some(entry) = shard.map.get(&key) else {
+    fn lookup(&self, key: &CallKey, now_ms: f64) -> CacheLookup {
+        let mut shard = self.shard(key).lock().unwrap();
+        let Some(entry) = shard.map.get_mut(key) else {
             shard.stats.misses += 1;
             return CacheLookup::Miss;
         };
         if entry.expires_at_ms <= now_ms {
-            shard.remove(&key);
+            shard.remove(key);
             shard.stats.stale += 1;
             return CacheLookup::Stale;
         }
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let entry = shard.map.get_mut(&key).expect("entry just probed");
-        entry.last_used = tick;
+        entry.last_used = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let hit = CachedCall {
-            result: entry.result.clone(),
+            result: Arc::clone(&entry.result),
             bytes: entry.bytes,
             pushed: entry.pushed,
             age_ms: now_ms - entry.inserted_at_ms,
@@ -466,26 +449,19 @@ impl InvokeCache for CallCache {
         CacheLookup::Hit(hit)
     }
 
-    fn store(
-        &self,
-        service: &str,
-        params: &Forest,
-        pushed: Option<&PushedQuery>,
-        outcome: &InvokeOutcome,
-        now_ms: f64,
-    ) {
-        let ttl = self.config.ttl(service);
+    fn store(&self, key: &CallKey, outcome: &InvokeOutcome, now_ms: f64) {
+        let ttl = self.config.ttl(key.service());
         if ttl <= 0.0 {
             return; // caching disabled for this service
         }
-        let size_bytes = forest_serialized_len(&outcome.result);
+        // the registry measured the forest's serialized size already
+        let size_bytes = outcome.bytes;
         if size_bytes > self.config.max_bytes {
             return; // a single over-budget result would evict everything
         }
-        let key = Key::new(service, params, pushed);
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let entry = Entry {
-            result: outcome.result.clone(),
+            result: Arc::clone(&outcome.result),
             bytes: outcome.bytes,
             size_bytes,
             pushed: outcome.pushed,
@@ -494,13 +470,11 @@ impl InvokeCache for CallCache {
             last_used: tick,
         };
         {
-            let mut shard = self.shards[key.shard(self.shards.len())].lock().unwrap();
-            if let Some(old) = shard.remove(&key) {
-                // replacement: the old window is superseded by the fresh answer
-                let _ = old;
-            }
+            let mut shard = self.shard(key).lock().unwrap();
+            // replacement: the old window is superseded by the fresh answer
+            shard.remove(key);
             shard.bytes += entry.size_bytes;
-            shard.map.insert(key, entry);
+            shard.map.insert(key.clone(), entry);
             shard.stats.insertions += 1;
             // the shard lock is released before eviction takes all locks
         }
@@ -517,13 +491,14 @@ impl InvokeCache for CallCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use axml_xml::parse;
+    use axml_services::PushedQuery;
+    use axml_xml::{forest_serialized_len, parse};
 
     fn outcome(xml: &str) -> InvokeOutcome {
         let result = parse(xml).unwrap();
         let bytes = forest_serialized_len(&result);
         InvokeOutcome {
-            result,
+            result: Arc::new(result),
             bytes,
             cost_ms: 10.0,
             pushed: false,
@@ -531,28 +506,28 @@ mod tests {
         }
     }
 
-    fn params(text: &str) -> Forest {
-        let mut f = Forest::new();
-        f.add_root_text(text);
-        f
+    fn key(service: &str, text: &str, pushed: Option<&PushedQuery>) -> CallKey {
+        let mut params = Forest::new();
+        params.add_root_text(text);
+        CallKey::new(service, &params, pushed)
     }
 
     #[test]
     fn hit_within_window_stale_after() {
         let cache = CallCache::new(CacheConfig::with_ttl_ms(100.0));
-        cache.store("s", &params("k"), None, &outcome("<a/>"), 0.0);
+        cache.store(&key("s", "k", None), &outcome("<a/>"), 0.0);
         assert!(matches!(
-            cache.lookup("s", &params("k"), None, 50.0),
+            cache.lookup(&key("s", "k", None), 50.0),
             CacheLookup::Hit(_)
         ));
         // at exactly the boundary the entry is expired
         assert!(matches!(
-            cache.lookup("s", &params("k"), None, 100.0),
+            cache.lookup(&key("s", "k", None), 100.0),
             CacheLookup::Stale
         ));
         // the expired entry was removed on sight: next probe is a miss
         assert!(matches!(
-            cache.lookup("s", &params("k"), None, 100.0),
+            cache.lookup(&key("s", "k", None), 100.0),
             CacheLookup::Miss
         ));
         let s = cache.stats();
@@ -562,13 +537,13 @@ mod tests {
     #[test]
     fn keys_distinguish_service_params_and_push() {
         let cache = CallCache::default();
-        cache.store("s", &params("a"), None, &outcome("<a/>"), 0.0);
+        cache.store(&key("s", "a", None), &outcome("<a/>"), 0.0);
         assert!(matches!(
-            cache.lookup("s", &params("b"), None, 0.0),
+            cache.lookup(&key("s", "b", None), 0.0),
             CacheLookup::Miss
         ));
         assert!(matches!(
-            cache.lookup("t", &params("a"), None, 0.0),
+            cache.lookup(&key("t", "a", None), 0.0),
             CacheLookup::Miss
         ));
         let pq = PushedQuery {
@@ -577,11 +552,11 @@ mod tests {
         };
         // a plain entry must not answer a pushed probe, nor vice versa
         assert!(matches!(
-            cache.lookup("s", &params("a"), Some(&pq), 0.0),
+            cache.lookup(&key("s", "a", Some(&pq)), 0.0),
             CacheLookup::Miss
         ));
-        cache.store("s", &params("a"), Some(&pq), &outcome("<b/>"), 0.0);
-        let CacheLookup::Hit(h) = cache.lookup("s", &params("a"), Some(&pq), 0.0) else {
+        cache.store(&key("s", "a", Some(&pq)), &outcome("<b/>"), 0.0);
+        let CacheLookup::Hit(h) = cache.lookup(&key("s", "a", Some(&pq)), 0.0) else {
             panic!("pushed entry should hit");
         };
         assert_eq!(axml_xml::to_xml(&h.result), "<b/>");
@@ -593,21 +568,21 @@ mod tests {
             max_entries: 2,
             ..CacheConfig::default()
         });
-        cache.store("s", &params("1"), None, &outcome("<a/>"), 0.0);
-        cache.store("s", &params("2"), None, &outcome("<b/>"), 0.0);
+        cache.store(&key("s", "1", None), &outcome("<a/>"), 0.0);
+        cache.store(&key("s", "2", None), &outcome("<b/>"), 0.0);
         // touch 1 so 2 becomes the LRU victim
         assert!(matches!(
-            cache.lookup("s", &params("1"), None, 1.0),
+            cache.lookup(&key("s", "1", None), 1.0),
             CacheLookup::Hit(_)
         ));
-        cache.store("s", &params("3"), None, &outcome("<c/>"), 2.0);
+        cache.store(&key("s", "3", None), &outcome("<c/>"), 2.0);
         assert_eq!(cache.len(), 2);
         assert!(matches!(
-            cache.lookup("s", &params("2"), None, 3.0),
+            cache.lookup(&key("s", "2", None), 3.0),
             CacheLookup::Miss
         ));
         assert!(matches!(
-            cache.lookup("s", &params("1"), None, 3.0),
+            cache.lookup(&key("s", "1", None), 3.0),
             CacheLookup::Hit(_)
         ));
         assert_eq!(cache.stats().evictions, 1);
@@ -621,17 +596,17 @@ mod tests {
             max_bytes: 2 * unit,
             ..CacheConfig::default()
         });
-        cache.store("s", &params("1"), None, &small, 0.0);
-        cache.store("s", &params("2"), None, &small, 0.0);
+        cache.store(&key("s", "1", None), &small, 0.0);
+        cache.store(&key("s", "2", None), &small, 0.0);
         assert_eq!(cache.len(), 2);
-        cache.store("s", &params("3"), None, &small, 0.0);
+        cache.store(&key("s", "3", None), &small, 0.0);
         assert_eq!(cache.len(), 2, "byte budget evicts the LRU entry");
         assert!(cache.total_bytes() <= 2 * unit);
         // a result bigger than the whole budget is not stored at all
         let big = outcome("<a><b>xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx</b></a>");
-        cache.store("s", &params("4"), None, &big, 0.0);
+        cache.store(&key("s", "4", None), &big, 0.0);
         assert!(matches!(
-            cache.lookup("s", &params("4"), None, 0.0),
+            cache.lookup(&key("s", "4", None), 0.0),
             CacheLookup::Miss
         ));
     }
@@ -639,9 +614,9 @@ mod tests {
     #[test]
     fn invalidation_hooks() {
         let cache = CallCache::default();
-        cache.store("s", &params("1"), None, &outcome("<a/>"), 0.0);
-        cache.store("s", &params("2"), None, &outcome("<a/>"), 0.0);
-        cache.store("t", &params("1"), None, &outcome("<a/>"), 0.0);
+        cache.store(&key("s", "1", None), &outcome("<a/>"), 0.0);
+        cache.store(&key("s", "2", None), &outcome("<a/>"), 0.0);
+        cache.store(&key("t", "1", None), &outcome("<a/>"), 0.0);
         assert_eq!(cache.invalidate_service("s"), 2);
         assert_eq!(cache.len(), 1);
         // breaker hook is inert by default (availability over freshness)
@@ -654,7 +629,7 @@ mod tests {
             invalidate_on_breaker_open: true,
             ..CacheConfig::default()
         });
-        strict.store("t", &params("1"), None, &outcome("<a/>"), 0.0);
+        strict.store(&key("t", "1", None), &outcome("<a/>"), 0.0);
         strict.on_breaker_transition("t", false);
         assert_eq!(strict.len(), 1, "closing transition keeps entries");
         strict.on_breaker_transition("t", true);
@@ -668,13 +643,13 @@ mod tests {
                 .ttl_for("fast", 10.0)
                 .ttl_for("never", 0.0),
         );
-        cache.store("fast", &params("1"), None, &outcome("<a/>"), 0.0);
-        cache.store("slow", &params("1"), None, &outcome("<a/>"), 0.0);
-        cache.store("never", &params("1"), None, &outcome("<a/>"), 0.0);
+        cache.store(&key("fast", "1", None), &outcome("<a/>"), 0.0);
+        cache.store(&key("slow", "1", None), &outcome("<a/>"), 0.0);
+        cache.store(&key("never", "1", None), &outcome("<a/>"), 0.0);
         assert_eq!(cache.len(), 2, "ttl 0 disables caching for a service");
         assert_eq!(cache.purge_expired(500.0), 1, "fast expired, slow lives");
         assert!(matches!(
-            cache.lookup("slow", &params("1"), None, 500.0),
+            cache.lookup(&key("slow", "1", None), 500.0),
             CacheLookup::Hit(_)
         ));
     }
@@ -687,9 +662,9 @@ mod tests {
                 .ttl_for("forever", f64::INFINITY),
         );
         assert_eq!(cache.earliest_expiry(), None, "empty cache: nothing lapses");
-        cache.store("forever", &params("1"), None, &outcome("<a/>"), 0.0);
+        cache.store(&key("forever", "1", None), &outcome("<a/>"), 0.0);
         assert_eq!(
-            cache.expiry_of("forever", &params("1"), None),
+            cache.expiry_of(&key("forever", "1", None)),
             Some(f64::INFINITY)
         );
         assert_eq!(
@@ -697,19 +672,19 @@ mod tests {
             None,
             "infinite windows never lapse"
         );
-        cache.store("slow", &params("1"), None, &outcome("<a/>"), 5.0);
-        cache.store("fast", &params("1"), None, &outcome("<a/>"), 5.0);
-        assert_eq!(cache.expiry_of("fast", &params("1"), None), Some(15.0));
-        assert_eq!(cache.expiry_of("slow", &params("1"), None), Some(1_005.0));
-        assert_eq!(cache.expiry_of("fast", &params("other"), None), None);
+        cache.store(&key("slow", "1", None), &outcome("<a/>"), 5.0);
+        cache.store(&key("fast", "1", None), &outcome("<a/>"), 5.0);
+        assert_eq!(cache.expiry_of(&key("fast", "1", None)), Some(15.0));
+        assert_eq!(cache.expiry_of(&key("slow", "1", None)), Some(1_005.0));
+        assert_eq!(cache.expiry_of(&key("fast", "other", None)), None);
         assert_eq!(cache.earliest_expiry(), Some(15.0));
         // observation is not a probe: no stats moved, and an expired
         // entry is still visible until a real lookup removes it
         let before = cache.stats();
-        assert_eq!(cache.expiry_of("fast", &params("1"), None), Some(15.0));
+        assert_eq!(cache.expiry_of(&key("fast", "1", None)), Some(15.0));
         assert_eq!(cache.stats(), before);
         assert!(matches!(
-            cache.lookup("fast", &params("1"), None, 20.0),
+            cache.lookup(&key("fast", "1", None), 20.0),
             CacheLookup::Stale
         ));
         assert_eq!(cache.earliest_expiry(), Some(1_005.0));
@@ -720,9 +695,9 @@ mod tests {
         let cache = CallCache::new(CacheConfig::default().with_shards(4));
         assert_eq!(cache.shard_count(), 4);
         for i in 0..20 {
-            cache.store("s", &params(&format!("{i}")), None, &outcome("<a/>"), 0.0);
-            cache.lookup("s", &params(&format!("{i}")), None, 1.0);
-            cache.lookup("s", &params(&format!("missing-{i}")), None, 1.0);
+            cache.store(&key("s", &format!("{i}"), None), &outcome("<a/>"), 0.0);
+            cache.lookup(&key("s", &format!("{i}"), None), 1.0);
+            cache.lookup(&key("s", &format!("missing-{i}"), None), 1.0);
         }
         let per_shard = cache.shard_stats();
         assert_eq!(per_shard.len(), 4);

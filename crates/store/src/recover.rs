@@ -281,6 +281,7 @@ mod tests {
     use super::*;
     use crate::wal::{encode_record, frame, WAL_MAGIC};
     use axml_xml::Document;
+    use std::sync::Arc;
 
     fn doc_with_call() -> (Document, axml_xml::CallId) {
         let mut d = Document::default();
@@ -311,7 +312,7 @@ mod tests {
             WalRecord::Splices {
                 version: 1,
                 changed_paths: None,
-                ops: vec![(cid.0, result.clone())],
+                ops: vec![(cid.0, Arc::new(result.clone()))],
             },
             WalRecord::Watermark {
                 subscription: "s".into(),
@@ -345,7 +346,7 @@ mod tests {
             WalRecord::Splices {
                 version: 2, // gap: v1 missing
                 changed_paths: None,
-                ops: vec![(cid.0, result)],
+                ops: vec![(cid.0, Arc::new(result))],
             },
         ]);
         let rec = recover_log(&buf);
@@ -367,7 +368,7 @@ mod tests {
             WalRecord::Splices {
                 version: 1,
                 changed_paths: None,
-                ops: vec![(999, result)],
+                ops: vec![(999, Arc::new(result))],
             },
         ]);
         let rec = recover_log(&buf);
@@ -403,7 +404,7 @@ mod tests {
             WalRecord::Splices {
                 version: 1,
                 changed_paths: None,
-                ops: vec![(cid.0, result.clone())],
+                ops: vec![(cid.0, Arc::new(result.clone()))],
             },
             WalRecord::Checkpoint {
                 version: 1,

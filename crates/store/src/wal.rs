@@ -578,8 +578,9 @@ pub enum WalRecord {
         version: u64,
         /// Changed root paths the publisher tagged, if any.
         changed_paths: Option<Vec<Vec<String>>>,
-        /// `(call id, result forest)` pairs, in splice order.
-        ops: Vec<(u64, Forest)>,
+        /// `(call id, result forest)` pairs, in splice order. The forests
+        /// are the ones the splice journal recorded, shared, not copies.
+        ops: Vec<(u64, Arc<Forest>)>,
     },
     /// Full-image fallback when a publication's delta is unknown (the
     /// document was mutated outside `splice_call` since the last publish).
@@ -796,7 +797,7 @@ pub fn decode_record(buf: &[u8]) -> Result<WalRecord, WalError> {
             for _ in 0..n {
                 let call = r.u64()?;
                 let result = r.doc()?;
-                ops.push((call, result));
+                ops.push((call, Arc::new(result)));
             }
             WalRecord::Splices {
                 version,
@@ -1112,7 +1113,7 @@ impl DurabilityManager {
                 changed_paths: publication.changed_paths.map(|p| p.to_vec()),
                 ops: ops
                     .iter()
-                    .map(|op: &SpliceOp| (op.call.0, op.result.clone()))
+                    .map(|op: &SpliceOp| (op.call.0, Arc::clone(&op.result)))
                     .collect(),
             },
             None => WalRecord::Snapshot {
@@ -1342,7 +1343,7 @@ mod tests {
             WalRecord::Splices {
                 version: 8,
                 changed_paths: Some(vec![vec!["site".into(), "item".into()], vec![]]),
-                ops: vec![(3, tiny_doc()), (5, Document::default())],
+                ops: vec![(3, Arc::new(tiny_doc())), (5, Arc::default())],
             },
             WalRecord::Snapshot {
                 version: 9,

@@ -12,7 +12,7 @@
 
 mod support;
 
-use axml_services::{CacheLookup, InvokeCache, InvokeOutcome, PushedQuery};
+use axml_services::{CacheLookup, CallKey, InvokeCache, InvokeOutcome, PushedQuery};
 use axml_store::{CacheConfig, CallCache};
 use axml_xml::{forest_serialized_len, parse, to_xml, Forest};
 use proptest::prelude::*;
@@ -26,17 +26,17 @@ const PAYLOADS: [&str; 4] = [
     "<e>xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx</e>",
 ];
 
-fn params(i: usize) -> Forest {
-    let mut f = Forest::new();
-    f.add_root_text(format!("param-{i}"));
-    f
+fn call_key(service: &str, i: usize, pushed: Option<&PushedQuery>) -> CallKey {
+    let mut params = Forest::new();
+    params.add_root_text(format!("param-{i}"));
+    CallKey::new(service, &params, pushed)
 }
 
 fn payload(i: usize) -> InvokeOutcome {
     let result = parse(PAYLOADS[i % PAYLOADS.len()]).unwrap();
     let bytes = forest_serialized_len(&result);
     InvokeOutcome {
-        result,
+        result: std::sync::Arc::new(result),
         bytes,
         cost_ms: 10.0,
         pushed: false,
@@ -95,19 +95,14 @@ fn apply<C: InvokeCache>(
     let pushed = (key % 2 == 1).then(pushed_query);
     match kind % 6 {
         0 | 1 => (
-            Some(probe(cache.lookup(
-                service,
-                &params(key),
-                pushed.as_ref(),
-                now_ms,
-            ))),
+            Some(probe(
+                cache.lookup(&call_key(service, key, pushed.as_ref()), now_ms),
+            )),
             None,
         ),
         2 | 3 => {
             cache.store(
-                service,
-                &params(key),
-                pushed.as_ref(),
+                &call_key(service, key, pushed.as_ref()),
                 &payload(pay),
                 now_ms,
             );
@@ -130,17 +125,17 @@ fn single_lock_reference_matches_on_a_smoke_sequence() {
     let sharded = CallCache::new(CacheConfig::with_ttl_ms(100.0).with_shards(4));
     let single = SingleLockCache::new(CacheConfig::with_ttl_ms(100.0));
     for (i, now) in [(1, 0.0), (2, 10.0), (3, 20.0)] {
-        sharded.store("s", &params(i), None, &payload(0), now);
-        single.store("s", &params(i), None, &payload(0), now);
+        sharded.store(&call_key("s", i, None), &payload(0), now);
+        single.store(&call_key("s", i, None), &payload(0), now);
     }
     for now in [50.0, 99.9, 100.0, 200.0] {
         for i in 1..=3 {
             let a = matches!(
-                sharded.lookup("s", &params(i), None, now),
+                sharded.lookup(&call_key("s", i, None), now),
                 CacheLookup::Hit(_)
             );
             let b = matches!(
-                single.lookup("s", &params(i), None, now),
+                single.lookup(&call_key("s", i, None), now),
                 CacheLookup::Hit(_)
             );
             assert_eq!(a, b, "divergence at t={now} key={i}");
@@ -236,10 +231,10 @@ proptest! {
     ) {
         let shards = [1usize, 2, 4, 8][shards_idx];
         let cache = CallCache::new(CacheConfig::default().with_shards(shards));
-        for &(key, pay) in &keys {
+        for &(i, pay) in &keys {
             // probe-then-store so hits, misses, and replacements all occur
-            cache.lookup("s", &params(key), None, 0.0);
-            cache.store("s", &params(key), None, &payload(pay), 0.0);
+            cache.lookup(&call_key("s", i, None), 0.0);
+            cache.store(&call_key("s", i, None), &payload(pay), 0.0);
         }
         let totals = cache.stats();
         let view = axml_obs::StatsView {

@@ -3,31 +3,17 @@
 //! specification the sharded cache is tested against. Under identical
 //! single-threaded event sequences both make identical
 //! hit/miss/stale/LRU/invalidation decisions. Built on the store's public
-//! API only: `CacheConfig`'s fields, `CacheStats`, and the same key
-//! material (`to_xml` of the parameters, `render` of a pushed query) and
-//! entry size (`forest_serialized_len`).
+//! API only: `CacheConfig`'s fields, `CacheStats`, the same key
+//! ([`CallKey`]) and the same entry size (the outcome's measured bytes).
 
-use axml_query::{render, EdgeKind};
-use axml_services::{CacheLookup, CachedCall, InvokeCache, InvokeOutcome, PushedQuery};
+use axml_services::{CacheLookup, CachedCall, CallKey, InvokeCache, InvokeOutcome};
 use axml_store::{CacheConfig, CacheStats};
-use axml_xml::{forest_serialized_len, to_xml, Forest};
+use axml_xml::Forest;
 use std::collections::HashMap;
-use std::sync::Mutex;
-
-/// Service name, serialized parameters, and (for pushed calls) the
-/// rendered pushed pattern plus its edge kind.
-type Key = (String, String, Option<(String, bool)>);
-
-fn key(service: &str, params: &Forest, pushed: Option<&PushedQuery>) -> Key {
-    (
-        service.to_string(),
-        to_xml(params),
-        pushed.map(|pq| (render(&pq.pattern), pq.via == EdgeKind::Child)),
-    )
-}
+use std::sync::{Arc, Mutex};
 
 struct Entry {
-    result: Forest,
+    result: Arc<Forest>,
     bytes: usize,
     size_bytes: usize,
     pushed: bool,
@@ -38,22 +24,22 @@ struct Entry {
 
 #[derive(Default)]
 struct Inner {
-    map: HashMap<Key, Entry>,
+    map: HashMap<CallKey, Entry>,
     total_bytes: usize,
     tick: u64,
     stats: CacheStats,
 }
 
 impl Inner {
-    fn remove(&mut self, key: &Key) -> Option<Entry> {
+    fn remove(&mut self, key: &CallKey) -> Option<Entry> {
         let e = self.map.remove(key)?;
         self.total_bytes -= e.size_bytes;
         Some(e)
     }
 
     /// Removes every entry `doomed` selects, counting invalidations.
-    fn invalidate(&mut self, doomed: impl Fn(&Key, &Entry) -> bool) -> usize {
-        let keys: Vec<Key> = self
+    fn invalidate(&mut self, doomed: impl Fn(&CallKey, &Entry) -> bool) -> usize {
+        let keys: Vec<CallKey> = self
             .map
             .iter()
             .filter(|(k, e)| doomed(k, e))
@@ -111,7 +97,10 @@ impl SingleLockCache {
 
     /// Drops every entry belonging to `service`; returns how many.
     pub fn invalidate_service(&self, service: &str) -> usize {
-        self.inner.lock().unwrap().invalidate(|k, _| k.0 == service)
+        self.inner
+            .lock()
+            .unwrap()
+            .invalidate(|k, _| k.service() == service)
     }
 
     /// Drops every entry; returns how many.
@@ -129,30 +118,23 @@ impl SingleLockCache {
 }
 
 impl InvokeCache for SingleLockCache {
-    fn lookup(
-        &self,
-        service: &str,
-        params: &Forest,
-        pushed: Option<&PushedQuery>,
-        now_ms: f64,
-    ) -> CacheLookup {
-        let key = key(service, params, pushed);
+    fn lookup(&self, key: &CallKey, now_ms: f64) -> CacheLookup {
         let mut inner = self.inner.lock().unwrap();
-        let Some(entry) = inner.map.get(&key) else {
+        let Some(entry) = inner.map.get(key) else {
             inner.stats.misses += 1;
             return CacheLookup::Miss;
         };
         if entry.expires_at_ms <= now_ms {
-            inner.remove(&key);
+            inner.remove(key);
             inner.stats.stale += 1;
             return CacheLookup::Stale;
         }
         inner.tick += 1;
         let tick = inner.tick;
-        let entry = inner.map.get_mut(&key).expect("entry just probed");
+        let entry = inner.map.get_mut(key).expect("entry just probed");
         entry.last_used = tick;
         let hit = CachedCall {
-            result: entry.result.clone(),
+            result: Arc::clone(&entry.result),
             bytes: entry.bytes,
             pushed: entry.pushed,
             age_ms: now_ms - entry.inserted_at_ms,
@@ -161,32 +143,24 @@ impl InvokeCache for SingleLockCache {
         CacheLookup::Hit(hit)
     }
 
-    fn store(
-        &self,
-        service: &str,
-        params: &Forest,
-        pushed: Option<&PushedQuery>,
-        outcome: &InvokeOutcome,
-        now_ms: f64,
-    ) {
+    fn store(&self, key: &CallKey, outcome: &InvokeOutcome, now_ms: f64) {
         let ttl = self
             .config
             .ttl_overrides
-            .get(service)
+            .get(key.service())
             .copied()
             .unwrap_or(self.config.default_ttl_ms);
         if ttl <= 0.0 {
             return; // caching disabled for this service
         }
-        let size_bytes = forest_serialized_len(&outcome.result);
+        let size_bytes = outcome.bytes;
         if size_bytes > self.config.max_bytes {
             return; // a single over-budget result would evict everything
         }
-        let key = key(service, params, pushed);
         let mut inner = self.inner.lock().unwrap();
         inner.tick += 1;
         let entry = Entry {
-            result: outcome.result.clone(),
+            result: Arc::clone(&outcome.result),
             bytes: outcome.bytes,
             size_bytes,
             pushed: outcome.pushed,
@@ -195,9 +169,9 @@ impl InvokeCache for SingleLockCache {
             last_used: inner.tick,
         };
         // a replacement supersedes the old window
-        inner.remove(&key);
+        inner.remove(key);
         inner.total_bytes += entry.size_bytes;
-        inner.map.insert(key, entry);
+        inner.map.insert(key.clone(), entry);
         inner.stats.insertions += 1;
         inner.evict_to_budget(self.config.max_entries, self.config.max_bytes);
     }

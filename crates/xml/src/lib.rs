@@ -13,6 +13,14 @@
 //! ordered labeled trees; invoking a call replaces the function node by the
 //! returned forest ([`Document::splice_call`]).
 //!
+//! A node names its label by an interned symbol of its document: a
+//! [`NodeKind`] says only whether the node is an element, a text value or
+//! a call (with its [`CallId`]), and [`Document::label`] reads the label
+//! from the document's symbol table. Splicing a service result therefore
+//! costs the result's size, not the document's: the forest's symbols are
+//! mapped into the document once each, and a copy-on-write page clone
+//! copies integers and shares child lists.
+//!
 //! Query evaluation (`axml-query`) reads a [`Document`] directly; a frozen
 //! [`DocSnapshot`] derefs to the document version it froze, so snapshots
 //! evaluate through the same code.

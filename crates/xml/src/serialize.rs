@@ -73,7 +73,7 @@ impl Write for ByteCount {
 }
 
 fn is_attr_child(doc: &Document, n: NodeId) -> bool {
-    matches!(doc.kind(n), NodeKind::Element(l) if l.as_str().starts_with('@'))
+    doc.kind(n) == NodeKind::Element && doc.label(n).starts_with('@')
 }
 
 fn indent<W: Write>(out: &mut W, pretty: bool, depth: usize) -> fmt::Result {
@@ -94,10 +94,10 @@ fn write_node<W: Write>(
 ) -> fmt::Result {
     indent(out, pretty, depth)?;
     let is_element = match doc.kind(node) {
-        NodeKind::Text(t) => return write_text(out, t),
-        NodeKind::Element(l) => {
+        NodeKind::Text => return write_text(out, doc.label(node)),
+        NodeKind::Element => {
             out.write_char('<')?;
-            out.write_str(l.as_str())?;
+            out.write_str(doc.label(node))?;
             for &c in doc.children(node) {
                 if is_attr_child(doc, c) {
                     let value = doc
@@ -114,9 +114,9 @@ fn write_node<W: Write>(
             }
             true
         }
-        NodeKind::Call(_, service) => {
+        NodeKind::Call(_) => {
             out.write_str("<axml:call service=\"")?;
-            write_attr(out, service.as_str())?;
+            write_attr(out, doc.label(node))?;
             out.write_char('"')?;
             false
         }
@@ -133,7 +133,7 @@ fn write_node<W: Write>(
     };
     out.write_char('>')?;
     match (doc.kind(first), content.next()) {
-        (NodeKind::Text(t), None) => write_text(out, t)?,
+        (NodeKind::Text, None) => write_text(out, doc.label(first))?,
         (_, second) => {
             for c in std::iter::once(first).chain(second).chain(content) {
                 if pretty {
@@ -148,9 +148,9 @@ fn write_node<W: Write>(
         }
     }
     match doc.kind(node) {
-        NodeKind::Element(l) => {
+        NodeKind::Element => {
             out.write_str("</")?;
-            out.write_str(l.as_str())?;
+            out.write_str(doc.label(node))?;
             out.write_char('>')
         }
         _ => out.write_str("</axml:call>"),

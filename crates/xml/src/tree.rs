@@ -7,11 +7,20 @@
 //! when the call is invoked its result forest replaces the function node
 //! in place (see [`Document::splice_call`]).
 //!
+//! A node names its label — element name, data value or service name — by
+//! an interned symbol only; the text lives once, in the document's symbol
+//! table. [`NodeKind`] therefore carries no label, and a node slot holds
+//! only integers and one shared child list.
+//!
 //! Storage is paged and copy-on-write: nodes live in fixed-size pages held
 //! behind [`Arc`]s, and the symbol table and label index share structure the
 //! same way. `Document::clone` therefore copies only page *pointers* — O(n /
 //! PAGE_SIZE) — and a clone that mutates pays for exactly the pages it
-//! touches. This is what makes per-query snapshots and the multi-session
+//! touches. Copying a page copies each node's kind, parent and symbol and
+//! bumps the count of its child buffer, which stays shared until one side
+//! writes it. The label-index back-pointers live in side pages of `u32`s,
+//! so the swap-removes that keep the index dense never copy a page of
+//! nodes. This is what makes per-query snapshots and the multi-session
 //! serving layer (see `axml-store`) affordable: N concurrent sessions
 //! snapshot one shared document and each works on a logically private copy.
 
@@ -23,6 +32,12 @@ use std::sync::Arc;
 const PAGE_BITS: usize = 6;
 const PAGE_SIZE: usize = 1 << PAGE_BITS;
 const PAGE_MASK: usize = PAGE_SIZE - 1;
+
+/// A forest symbol a splice has not mapped into the document yet.
+const UNMAPPED: u32 = u32::MAX;
+
+/// Fills the unused tail of a child buffer.
+const NO_CHILD: NodeId = NodeId(u32::MAX);
 
 /// Index of a node inside a [`Document`] arena.
 ///
@@ -56,16 +71,18 @@ impl fmt::Debug for CallId {
     }
 }
 
-/// What a tree node is.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// What a tree node is. The node's label lives in the document's symbol
+/// table: read it with [`Document::label`] (or [`Document::element_label`],
+/// [`Document::text_value`] and [`Document::call_info`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NodeKind {
     /// A data node labeled with an element name.
-    Element(Label),
+    Element,
     /// A leaf data node labeled with a data value.
-    Text(String),
-    /// A function node: an embedded call to the named service.
+    Text,
+    /// A function node: an embedded call to the service its label names.
     /// Children of the node are the call parameters.
-    Call(CallId, Label),
+    Call(CallId),
 }
 
 impl NodeKind {
@@ -78,17 +95,17 @@ impl NodeKind {
 #[derive(Clone, Debug)]
 struct Node {
     kind: NodeKind,
+    /// The node's child ids in document order are the first `child_len`
+    /// entries of this buffer (`None` until the first child). The buffer
+    /// is shared with the copies a page clone makes until one side writes
+    /// it, and reading it is one indirection, as with a `Vec`.
+    children: Option<Arc<[NodeId]>>,
     parent: Option<NodeId>,
-    children: Vec<NodeId>,
-    alive: bool,
     /// Interned symbol of the node's label (element name, text value or
     /// service name) in the document's symbol table.
     sym: u32,
-    /// Position of this node inside its label bucket (see
-    /// [`Document::nodes_with_sym`]); maintained for O(1) removal.
-    bucket_pos: u32,
-    /// Position inside the call registry (call nodes only).
-    call_pos: u32,
+    child_len: u32,
+    alive: bool,
 }
 
 /// A fixed-capacity run of up to [`PAGE_SIZE`] consecutive arena slots.
@@ -96,6 +113,41 @@ struct Node {
 #[derive(Clone, Debug, Default)]
 struct Page {
     nodes: Vec<Node>,
+}
+
+/// Arena slots per side page of a [`SlotTable`]: eight node pages, so a
+/// document clone bumps one count per eight node pages for each table.
+const SIDE_BITS: usize = PAGE_BITS + 3;
+const SIDE_MASK: usize = (1 << SIDE_BITS) - 1;
+
+/// One `u32` per arena slot, in pages shared between clones until
+/// written: the label-index back-pointers. A swap-remove in the index
+/// rewrites the moved node's position, so keeping positions here means
+/// that write copies a page of integers (at most 2 KiB), not a page of
+/// nodes. Like a node page, the last page holds only the slots in use, so
+/// a small forest keeps small tables.
+#[derive(Clone, Debug, Default)]
+struct SlotTable {
+    pages: Vec<Arc<Vec<u32>>>,
+}
+
+impl SlotTable {
+    fn get(&self, slot: usize) -> u32 {
+        self.pages[slot >> SIDE_BITS][slot & SIDE_MASK]
+    }
+
+    fn set(&mut self, slot: usize, value: u32) {
+        let page = slot >> SIDE_BITS;
+        if page >= self.pages.len() {
+            self.pages.resize_with(page + 1, Default::default);
+        }
+        let entries = Arc::make_mut(&mut self.pages[page]);
+        let at = slot & SIDE_MASK;
+        if at >= entries.len() {
+            entries.resize(at + 1, 0);
+        }
+        entries[at] = value;
+    }
 }
 
 /// Per-document label interner: every distinct label text gets a stable
@@ -161,8 +213,12 @@ pub struct Document {
     /// mutator, including [`Document::splice_call`]. Buckets are shared
     /// between clones until written.
     buckets: std::collections::HashMap<u32, Arc<Vec<NodeId>>>,
+    /// Each live node's position inside its label bucket, for O(1) removal.
+    bucket_pos: SlotTable,
     /// All live function-call nodes, in arbitrary order.
     call_list: Vec<NodeId>,
+    /// Each live call node's position inside `call_list`.
+    call_pos: SlotTable,
     /// When `true`, [`Document::splice_call`] records every splice in
     /// `journal_ops` so a durability layer can persist the delta between
     /// two published versions instead of the whole document.
@@ -188,8 +244,9 @@ pub type Forest = Document;
 pub struct SpliceOp {
     /// The call that was consumed.
     pub call: CallId,
-    /// The forest spliced in its place.
-    pub result: Forest,
+    /// The forest spliced in its place, shared with whoever produced it
+    /// (see [`Document::splice_shared`]).
+    pub result: Arc<Forest>,
 }
 
 impl Document {
@@ -201,8 +258,7 @@ impl Document {
     /// A document with a single element root.
     pub fn with_root(label: impl Into<Label>) -> Self {
         let mut d = Document::new();
-        let r = d.alloc(NodeKind::Element(label.into()), None);
-        d.roots.push(r);
+        d.add_root(label);
         d
     }
 
@@ -239,6 +295,22 @@ impl Document {
         &mut page.nodes[index & PAGE_MASK]
     }
 
+    /// Appends `child` to `parent`'s child list: in place while the
+    /// buffer has room and no other document shares it, otherwise into a
+    /// copy twice as long, so appends stay amortized O(1).
+    fn push_child(&mut self, parent: NodeId, child: NodeId) {
+        let n = self.node_raw_mut(parent.index());
+        let len = n.child_len as usize;
+        match n.children.as_mut().and_then(Arc::get_mut) {
+            Some(buf) if len < buf.len() => buf[len] = child,
+            _ => {
+                let ids = n.children.as_deref().map_or(&[][..], |b| &b[..len]);
+                n.children = Some(child_buffer(&[ids, &[child]], (2 * len).max(4)));
+            }
+        }
+        n.child_len += 1;
+    }
+
     fn intern_str(&mut self, text: &str) -> u32 {
         // Look up first so already-interned labels never unshare the table.
         if let Some(s) = self.symtab.lookup(text) {
@@ -254,20 +326,28 @@ impl Document {
         Arc::make_mut(&mut self.symtab).intern_label(l)
     }
 
-    fn alloc(&mut self, kind: NodeKind, parent: Option<NodeId>) -> NodeId {
-        let sym = match &kind {
-            NodeKind::Element(l) | NodeKind::Call(_, l) => self.intern_label(l),
-            NodeKind::Text(t) => self.intern_str(t),
-        };
-        let is_call = matches!(kind, NodeKind::Call(..));
+    fn fresh_call_id(&mut self) -> CallId {
+        let cid = CallId(self.next_call);
+        self.next_call += 1;
+        cid
+    }
+
+    /// Allocates a node whose child list has room for `child_capacity`
+    /// ids and enters it in the label index (and the call registry).
+    fn alloc(
+        &mut self,
+        kind: NodeKind,
+        sym: u32,
+        parent: Option<NodeId>,
+        child_capacity: usize,
+    ) -> NodeId {
         let node = Node {
             kind,
+            children: (child_capacity > 0).then(|| child_buffer(&[], child_capacity)),
             parent,
-            children: Vec::new(),
-            alive: true,
             sym,
-            bucket_pos: 0,
-            call_pos: 0,
+            child_len: 0,
+            alive: true,
         };
         let id = if let Some(slot) = self.free.pop() {
             *self.node_raw_mut(slot as usize) = node;
@@ -284,51 +364,48 @@ impl Document {
             page.nodes.push(node);
             NodeId(slot)
         };
-        let pos = {
-            let bucket = Arc::make_mut(self.buckets.entry(sym).or_default());
-            bucket.push(id);
-            (bucket.len() - 1) as u32
-        };
-        self.node_raw_mut(id.index()).bucket_pos = pos;
-        if is_call {
-            self.node_raw_mut(id.index()).call_pos = self.call_list.len() as u32;
+        let bucket = Arc::make_mut(self.buckets.entry(sym).or_default());
+        bucket.push(id);
+        self.bucket_pos.set(id.index(), (bucket.len() - 1) as u32);
+        if let NodeKind::Call(_) = kind {
+            self.call_pos.set(id.index(), self.call_list.len() as u32);
             self.call_list.push(id);
+        }
+        id
+    }
+
+    /// Allocates a childless node as the last child of `parent`, or as
+    /// the last root. Every public builder goes through here, so each one
+    /// marks the splice journal dirty.
+    fn add_node(&mut self, parent: Option<NodeId>, kind: NodeKind, sym: u32) -> NodeId {
+        self.journal_dirty = true;
+        let id = self.alloc(kind, sym, parent, 0);
+        match parent {
+            Some(p) => self.push_child(p, id),
+            None => self.roots.push(id),
         }
         id
     }
 
     /// Unlinks a node from its label bucket (and the call registry) in O(1).
     fn index_remove(&mut self, id: NodeId) {
-        let (sym, pos, is_call, call_pos) = {
-            let n = self.node_raw(id.index());
-            (
-                n.sym,
-                n.bucket_pos as usize,
-                matches!(n.kind, NodeKind::Call(..)),
-                n.call_pos as usize,
-            )
-        };
-        let moved = {
-            let bucket = Arc::make_mut(
-                self.buckets
-                    .get_mut(&sym)
-                    .expect("freed node missing from its label bucket"),
-            );
-            bucket.swap_remove(pos);
-            if pos < bucket.len() {
-                Some(bucket[pos])
-            } else {
-                None
-            }
-        };
-        if let Some(m) = moved {
-            self.node_raw_mut(m.index()).bucket_pos = pos as u32;
+        let n = self.node_raw(id.index());
+        let (sym, is_call) = (n.sym, matches!(n.kind, NodeKind::Call(_)));
+        let pos = self.bucket_pos.get(id.index()) as usize;
+        let bucket = Arc::make_mut(
+            self.buckets
+                .get_mut(&sym)
+                .expect("freed node missing from its label bucket"),
+        );
+        bucket.swap_remove(pos);
+        if let Some(&moved) = bucket.get(pos) {
+            self.bucket_pos.set(moved.index(), pos as u32);
         }
         if is_call {
-            self.call_list.swap_remove(call_pos);
-            if call_pos < self.call_list.len() {
-                let m = self.call_list[call_pos];
-                self.node_raw_mut(m.index()).call_pos = call_pos as u32;
+            let pos = self.call_pos.get(id.index()) as usize;
+            self.call_list.swap_remove(pos);
+            if let Some(&moved) = self.call_list.get(pos) {
+                self.call_pos.set(moved.index(), pos as u32);
             }
         }
     }
@@ -339,45 +416,46 @@ impl Document {
         n
     }
 
+    /// The label text of a symbol-table entry.
+    fn sym_label(&self, sym: u32) -> &Label {
+        &self.symtab.labels[sym as usize]
+    }
+
     /// Whether `id` refers to a live node of this document.
     pub fn is_alive(&self, id: NodeId) -> bool {
         id.index() < self.slots as usize && self.node_raw(id.index()).alive
     }
 
     /// The node's kind.
-    pub fn kind(&self, id: NodeId) -> &NodeKind {
-        &self.node(id).kind
+    pub fn kind(&self, id: NodeId) -> NodeKind {
+        self.node(id).kind
     }
 
     /// The node's label: element name, data value, or service name.
     pub fn label(&self, id: NodeId) -> &str {
-        match &self.node(id).kind {
-            NodeKind::Element(l) => l.as_str(),
-            NodeKind::Text(t) => t,
-            NodeKind::Call(_, l) => l.as_str(),
-        }
+        self.sym_label(self.node(id).sym).as_str()
     }
 
     /// The element label, if this is an element node.
     pub fn element_label(&self, id: NodeId) -> Option<&Label> {
-        match &self.node(id).kind {
-            NodeKind::Element(l) => Some(l),
-            _ => None,
-        }
+        let n = self.node(id);
+        (n.kind == NodeKind::Element).then(|| self.sym_label(n.sym))
     }
 
     /// The text value, if this is a text node.
     pub fn text_value(&self, id: NodeId) -> Option<&str> {
-        match &self.node(id).kind {
-            NodeKind::Text(t) => Some(t),
-            _ => None,
-        }
+        let n = self.node(id);
+        (n.kind == NodeKind::Text).then(|| self.sym_label(n.sym).as_str())
     }
 
     /// The `(CallId, service name)` pair, if this is a function node.
     pub fn call_info(&self, id: NodeId) -> Option<(CallId, &Label)> {
-        match &self.node(id).kind {
-            NodeKind::Call(c, l) => Some((*c, l)),
+        match self.node(id) {
+            Node {
+                kind: NodeKind::Call(c),
+                sym,
+                ..
+            } => Some((*c, self.sym_label(*sym))),
             _ => None,
         }
     }
@@ -399,7 +477,10 @@ impl Document {
 
     /// Children of the node, in document order.
     pub fn children(&self, id: NodeId) -> &[NodeId] {
-        &self.node(id).children
+        let n = self.node(id);
+        n.children
+            .as_deref()
+            .map_or(&[], |b| &b[..n.child_len as usize])
     }
 
     /// Number of live nodes in the document.
@@ -414,82 +495,56 @@ impl Document {
 
     /// Appends a new element child and returns its id.
     pub fn add_element(&mut self, parent: NodeId, label: impl Into<Label>) -> NodeId {
-        self.journal_dirty = true;
-        let id = self.alloc(NodeKind::Element(label.into()), Some(parent));
-        self.node_raw_mut(parent.index()).children.push(id);
-        id
+        let sym = self.intern_label(&label.into());
+        self.add_node(Some(parent), NodeKind::Element, sym)
     }
 
     /// Appends a new text child and returns its id.
     pub fn add_text(&mut self, parent: NodeId, value: impl Into<String>) -> NodeId {
-        self.journal_dirty = true;
-        let id = self.alloc(NodeKind::Text(value.into()), Some(parent));
-        self.node_raw_mut(parent.index()).children.push(id);
-        id
+        let sym = self.intern_str(&value.into());
+        self.add_node(Some(parent), NodeKind::Text, sym)
     }
 
     /// Appends a new function-call child and returns its id. A fresh
     /// [`CallId`] is assigned.
     pub fn add_call(&mut self, parent: NodeId, service: impl Into<Label>) -> NodeId {
-        self.journal_dirty = true;
-        let cid = CallId(self.next_call);
-        self.next_call += 1;
-        let id = self.alloc(NodeKind::Call(cid, service.into()), Some(parent));
-        self.node_raw_mut(parent.index()).children.push(id);
-        id
+        let sym = self.intern_label(&service.into());
+        let cid = self.fresh_call_id();
+        self.add_node(Some(parent), NodeKind::Call(cid), sym)
     }
 
     /// Adds a new root element to the forest.
     pub fn add_root(&mut self, label: impl Into<Label>) -> NodeId {
-        self.journal_dirty = true;
-        let id = self.alloc(NodeKind::Element(label.into()), None);
-        self.roots.push(id);
-        id
+        let sym = self.intern_label(&label.into());
+        self.add_node(None, NodeKind::Element, sym)
     }
 
     /// Adds a new root text node to the forest.
     pub fn add_root_text(&mut self, value: impl Into<String>) -> NodeId {
-        self.journal_dirty = true;
-        let id = self.alloc(NodeKind::Text(value.into()), None);
-        self.roots.push(id);
-        id
+        let sym = self.intern_str(&value.into());
+        self.add_node(None, NodeKind::Text, sym)
     }
 
     /// Adds a new root function-call node to the forest.
     pub fn add_root_call(&mut self, service: impl Into<Label>) -> NodeId {
-        self.journal_dirty = true;
-        let cid = CallId(self.next_call);
-        self.next_call += 1;
-        let id = self.alloc(NodeKind::Call(cid, service.into()), None);
-        self.roots.push(id);
-        id
+        let sym = self.intern_label(&service.into());
+        let cid = self.fresh_call_id();
+        self.add_node(None, NodeKind::Call(cid), sym)
     }
 
-    /// Appends a function-call child carrying an *explicit* call id,
-    /// without advancing the call counter. Only the wire codec may use
-    /// this: decoding must reproduce ids exactly, and it restores the
-    /// counter separately via [`Document::set_next_call`].
+    /// Appends a function-call node carrying an *explicit* call id under
+    /// `parent` (or as a root), without advancing the call counter. Only
+    /// the wire codec may use this: decoding must reproduce ids exactly,
+    /// and it restores the counter separately via
+    /// [`Document::set_next_call`].
     pub(crate) fn add_call_with_id(
         &mut self,
-        parent: NodeId,
-        service: &Label,
+        parent: Option<NodeId>,
+        service: &str,
         raw_id: u64,
     ) -> NodeId {
-        self.journal_dirty = true;
-        let id = self.alloc(
-            NodeKind::Call(CallId(raw_id), service.clone()),
-            Some(parent),
-        );
-        self.node_raw_mut(parent.index()).children.push(id);
-        id
-    }
-
-    /// Root variant of [`Document::add_call_with_id`] (wire codec only).
-    pub(crate) fn add_root_call_with_id(&mut self, service: &Label, raw_id: u64) -> NodeId {
-        self.journal_dirty = true;
-        let id = self.alloc(NodeKind::Call(CallId(raw_id), service.clone()), None);
-        self.roots.push(id);
-        id
+        let sym = self.intern_str(service);
+        self.add_node(parent, NodeKind::Call(CallId(raw_id)), sym)
     }
 
     /// Restores the call counter (wire codec only; see
@@ -563,10 +618,14 @@ impl Document {
         self.all_nodes().filter(|&n| self.is_call(n)).collect()
     }
 
-    /// Finds the live node carrying the given call id, if any.
+    /// Finds the live node carrying the given call id, if any. Scans the
+    /// live-call registry, which holds every call node — calls inside
+    /// another call's parameters included — so no tree walk is needed.
     pub fn find_call(&self, call: CallId) -> Option<NodeId> {
-        self.all_nodes()
-            .find(|&n| matches!(self.node(n).kind, NodeKind::Call(c, _) if c == call))
+        self.call_list
+            .iter()
+            .copied()
+            .find(|&n| self.node(n).kind == NodeKind::Call(call))
     }
 
     /// The next [`CallId`] value this document will assign. Call ids are
@@ -594,7 +653,7 @@ impl Document {
     /// # Panics
     /// Panics if `sym` was not produced by this document's interner.
     pub fn sym_text(&self, sym: u32) -> &str {
-        self.symtab.labels[sym as usize].as_str()
+        self.sym_label(sym).as_str()
     }
 
     /// Number of distinct interned label texts. Monotonically increasing;
@@ -667,7 +726,7 @@ impl Document {
     /// roots).
     pub fn sibling_index(&self, id: NodeId) -> usize {
         let list = match self.parent(id) {
-            Some(p) => &self.node_raw(p.index()).children,
+            Some(p) => self.children(p),
             None => &self.roots,
         };
         list.iter()
@@ -680,12 +739,14 @@ impl Document {
         if a == b {
             return std::cmp::Ordering::Equal;
         }
-        let pa = self.index_path(a);
-        let pb = self.index_path(b);
-        pa.cmp(&pb)
+        self.order_key(a).cmp(&self.order_key(b))
     }
 
-    fn index_path(&self, id: NodeId) -> Vec<usize> {
+    /// The node's sibling positions from its root down: its root's index
+    /// among the roots, then each child index on the path. Keys compare
+    /// as their nodes do in document order, so a sort can compute each
+    /// key once (`sort_by_cached_key`) instead of twice per comparison.
+    pub fn order_key(&self, id: NodeId) -> Vec<usize> {
         let mut path = Vec::new();
         let mut cur = id;
         loop {
@@ -719,14 +780,16 @@ impl Document {
     /// a new child of `parent` in this one. Call ids are re-assigned.
     pub fn append_copy(&mut self, parent: NodeId, src: &Document, src_node: NodeId) -> NodeId {
         self.journal_dirty = true;
-        self.copy_from(src, src_node, Some(parent))
+        let id = self.copy_from(src, src_node, Some(parent), None);
+        self.push_child(parent, id);
+        id
     }
 
     /// Deep-copies the subtree rooted at `src_node` of another document as
     /// a new root of this forest. Call ids are re-assigned.
     pub fn append_copy_as_root(&mut self, src: &Document, src_node: NodeId) -> NodeId {
         self.journal_dirty = true;
-        let id = self.copy_from(src, src_node, None);
+        let id = self.copy_from(src, src_node, None, None);
         self.roots.push(id);
         id
     }
@@ -735,7 +798,7 @@ impl Document {
     /// forest (fresh call ids).
     pub fn subtree_to_forest(&self, node: NodeId) -> Forest {
         let mut f = Forest::new();
-        let new_root = f.copy_from(self, node, None);
+        let new_root = f.copy_from(self, node, None, None);
         f.roots.push(new_root);
         f
     }
@@ -745,43 +808,82 @@ impl Document {
     pub fn children_to_forest(&self, node: NodeId) -> Forest {
         let mut f = Forest::new();
         for &c in self.children(node) {
-            let copied = f.copy_from(self, c, None);
+            let copied = f.copy_from(self, c, None, None);
             f.roots.push(copied);
         }
         f
     }
 
-    fn copy_from(&mut self, src: &Document, node: NodeId, parent: Option<NodeId>) -> NodeId {
-        let kind = match &src.node(node).kind {
-            NodeKind::Call(_, l) => {
-                let cid = CallId(self.next_call);
-                self.next_call += 1;
-                NodeKind::Call(cid, l.clone())
+    /// Deep-copies the subtree of `src` rooted at `node` and returns the
+    /// copy's root, linked up to `parent` but not yet in its child list or
+    /// among the roots: the caller places it. Nodes are allocated in
+    /// pre-order, so fresh call ids follow document order, and an explicit
+    /// stack bounds the recursion no matter how deep the subtree is.
+    ///
+    /// With `remap` (one slot per `src` symbol, [`UNMAPPED`] until used),
+    /// each source symbol is interned here once. Without it, each label is
+    /// looked up by its text — cheaper when the copy is a small part of a
+    /// document with many symbols.
+    fn copy_from(
+        &mut self,
+        src: &Document,
+        node: NodeId,
+        parent: Option<NodeId>,
+        mut remap: Option<&mut [u32]>,
+    ) -> NodeId {
+        let mut root = None;
+        let mut stack = vec![(node, parent)];
+        while let Some((s, p)) = stack.pop() {
+            let n = src.node(s);
+            let label = src.sym_label(n.sym);
+            let sym = match remap.as_deref_mut() {
+                Some(map) => {
+                    let slot = &mut map[n.sym as usize];
+                    if *slot == UNMAPPED {
+                        *slot = self.intern_label(label);
+                    }
+                    *slot
+                }
+                None => self.intern_label(label),
+            };
+            let kind = match n.kind {
+                NodeKind::Call(_) => NodeKind::Call(self.fresh_call_id()),
+                k => k,
+            };
+            let children = src.children(s);
+            let id = self.alloc(kind, sym, p, children.len());
+            match (root, p) {
+                (None, _) => root = Some(id),
+                (Some(_), Some(p)) => self.push_child(p, id),
+                (Some(_), None) => unreachable!("only the copy's root lacks a parent"),
             }
-            k => k.clone(),
-        };
-        let id = self.alloc(kind, parent);
-        if let Some(p) = parent {
-            self.node_raw_mut(p.index()).children.push(id);
+            stack.extend(children.iter().rev().map(|&c| (c, Some(id))));
         }
-        for &c in &src.node(node).children.clone() {
-            self.copy_from(src, c, Some(id));
-        }
-        id
+        root.expect("the copy has a root")
     }
 
     /// Frees the subtree rooted at `id` (without detaching it from its
-    /// parent — callers must fix the child list).
+    /// parent — callers must fix the child list). Nodes are freed in
+    /// post-order, children in order, and an explicit stack bounds the
+    /// recursion no matter how deep the subtree is.
     fn free_subtree(&mut self, id: NodeId) {
-        let children = std::mem::take(&mut self.node_raw_mut(id.index()).children);
-        for c in children {
-            self.free_subtree(c);
+        // pre-order with children pushed in order visits the mirror image;
+        // reversed, that is the post-order
+        let mut order = Vec::new();
+        let mut stack = vec![id];
+        while let Some(n) = stack.pop() {
+            order.push(n);
+            stack.extend_from_slice(self.children(n));
         }
-        self.index_remove(id);
-        let n = self.node_raw_mut(id.index());
-        n.alive = false;
-        n.parent = None;
-        self.free.push(id.0);
+        for &n in order.iter().rev() {
+            self.index_remove(n);
+            let node = self.node_raw_mut(n.index());
+            node.alive = false;
+            node.parent = None;
+            node.children = None;
+            node.child_len = 0;
+            self.free.push(n.0);
+        }
     }
 
     /// Replaces the function node `call` by the trees of `result`, in place
@@ -789,43 +891,63 @@ impl Document {
     /// deleted, and the forest is plugged in place of it).
     ///
     /// Returns the ids of the inserted roots. Call ids occurring in the
-    /// result are re-assigned so they stay unique in this document.
+    /// result are re-assigned so they stay unique in this document. With
+    /// the splice journal on, the journal keeps a copy of `result`;
+    /// [`Document::splice_shared`] keeps a reference instead.
     ///
     /// # Panics
     /// Panics if `call` is not a live function node of this document.
     pub fn splice_call(&mut self, call: NodeId, result: &Forest) -> Vec<NodeId> {
+        self.splice(call, result, || Arc::new(result.clone()))
+    }
+
+    /// [`Document::splice_call`] for a result held in an [`Arc`]: the
+    /// splice journal records the same forest, not a copy.
+    pub fn splice_shared(&mut self, call: NodeId, result: &Arc<Forest>) -> Vec<NodeId> {
+        self.splice(call, result, || Arc::clone(result))
+    }
+
+    /// The splice itself; `journaled` yields the forest the journal keeps.
+    /// Costs O(siblings + result nodes): the result's symbols are mapped
+    /// into this document once each, and one `Vec::splice` puts the copied
+    /// roots in the call's place.
+    fn splice(
+        &mut self,
+        call: NodeId,
+        result: &Forest,
+        journaled: impl FnOnce() -> Arc<Forest>,
+    ) -> Vec<NodeId> {
         assert!(self.is_alive(call), "splice on freed node");
-        assert!(self.is_call(call), "splice on a non-function node");
+        let NodeKind::Call(cid) = self.kind(call) else {
+            panic!("splice on a non-function node");
+        };
         if self.journal_on {
-            let (cid, _) = self.call_info(call).expect("asserted call node");
             self.journal_ops.push(SpliceOp {
                 call: cid,
-                result: result.clone(),
+                result: journaled(),
             });
         }
         let parent = self.parent(call);
         let pos = self.sibling_index(call);
         self.free_subtree(call);
-        let mut inserted = Vec::with_capacity(result.roots.len());
-        for &r in &result.roots {
-            inserted.push(self.copy_from(result, r, parent));
-        }
-        // `copy_from` appended the copies at the end of the parent's child
-        // list (or nowhere for roots); move them to the call's position.
+        let mut remap = vec![UNMAPPED; result.sym_count()];
+        let inserted: Vec<NodeId> = result
+            .roots
+            .iter()
+            .map(|&r| self.copy_from(result, r, parent, Some(&mut remap)))
+            .collect();
         match parent {
             Some(p) => {
-                let ch = &mut self.node_raw_mut(p.index()).children;
-                // Remove the freed call node and the appended copies.
-                ch.retain(|c| *c != call && !inserted.contains(c));
-                for (i, &n) in inserted.iter().enumerate() {
-                    ch.insert(pos + i, n);
-                }
+                let n = self.node_raw_mut(p.index());
+                let old = n.children.as_deref().expect("the call is a child");
+                let old = &old[..n.child_len as usize];
+                let len = old.len() - 1 + inserted.len();
+                let parts = [&old[..pos], &inserted[..], &old[pos + 1..]];
+                n.children = (len > 0).then(|| child_buffer(&parts, len));
+                n.child_len = len as u32;
             }
             None => {
-                self.roots.retain(|c| *c != call);
-                for (i, &n) in inserted.iter().enumerate() {
-                    self.roots.insert(pos + i, n);
-                }
+                self.roots.splice(pos..=pos, inserted.iter().copied());
             }
         }
         inserted
@@ -842,11 +964,13 @@ impl Document {
 
     /// Exhaustive structural integrity check, used by tests and property
     /// tests: every live node is reachable exactly once, parent/child links
-    /// agree, freed slots are not referenced, and the paged storage layout
-    /// is well-formed.
+    /// agree, freed slots are not referenced, the paged storage layout is
+    /// well-formed, and the label index and call registry — with the side
+    /// pages holding each live node's position in them — agree with the
+    /// nodes.
     pub fn check_integrity(&self) -> Result<(), String> {
-        // paged storage layout: every page but the last is full, and the
-        // page vector covers exactly `slots` slots
+        // paged storage layout: every page but the last is full, the page
+        // vector covers exactly `slots` slots, and so do the side pages
         let covered: usize = self.pages.iter().map(|p| p.nodes.len()).sum();
         if covered != self.slots as usize {
             return Err(format!(
@@ -858,6 +982,15 @@ impl Document {
             if i + 1 < self.pages.len() && p.nodes.len() != PAGE_SIZE {
                 return Err(format!("interior page {i} holds {} slots", p.nodes.len()));
             }
+        }
+        let side_pages = (self.slots as usize).div_ceil(SIDE_MASK + 1);
+        if self.bucket_pos.pages.len() != side_pages || self.call_pos.pages.len() > side_pages {
+            return Err(format!(
+                "{} slots but {} bucket and {} call position pages",
+                self.slots,
+                self.bucket_pos.pages.len(),
+                self.call_pos.pages.len()
+            ));
         }
         let mut seen = vec![false; self.slots as usize];
         let mut stack: Vec<(Option<NodeId>, NodeId)> =
@@ -882,7 +1015,10 @@ impl Document {
                     n.parent, parent
                 ));
             }
-            for &c in &n.children {
+            if n.sym as usize >= self.symtab.labels.len() {
+                return Err(format!("{id:?} has unknown symbol {}", n.sym));
+            }
+            for &c in self.children(id) {
                 stack.push((Some(id), c));
             }
         }
@@ -894,8 +1030,15 @@ impl Document {
             ));
         }
         for (i, reached) in seen.iter().enumerate().take(self.slots as usize) {
-            if self.node_raw(i).alive && !reached {
+            let n = self.node_raw(i);
+            if n.alive && !reached {
                 return Err(format!("n{i} alive but unreachable"));
+            }
+            if !n.alive && (n.children.is_some() || n.child_len > 0) {
+                return Err(format!("freed n{i} still holds a child list"));
+            }
+            if n.child_len as usize > n.children.as_deref().map_or(0, <[NodeId]>::len) {
+                return Err(format!("n{i} lists more children than its buffer holds"));
             }
         }
         let mut free_sorted: Vec<u32> = self.free.clone();
@@ -910,8 +1053,8 @@ impl Document {
             }
         }
         // label→node index: every live node sits in exactly the bucket of
-        // its symbol at its recorded position, and buckets hold only live
-        // nodes of the right symbol
+        // its symbol at the position its side page records, and buckets
+        // hold only live nodes of the right symbol
         let bucket_total: usize = self.buckets.values().map(|b| b.len()).sum();
         if bucket_total != self.len() {
             return Err(format!(
@@ -928,8 +1071,9 @@ impl Document {
                 if n.sym != *sym {
                     return Err(format!("{id:?} in bucket {sym} but has sym {}", n.sym));
                 }
-                if n.bucket_pos as usize != pos {
-                    return Err(format!("{id:?} bucket_pos {} != {pos}", n.bucket_pos));
+                let recorded = self.bucket_pos.get(id.index());
+                if recorded as usize != pos {
+                    return Err(format!("{id:?} bucket position {recorded} != {pos}"));
                 }
                 if self.symtab.lookup(self.label(id)) != Some(*sym) {
                     return Err(format!("{id:?} label not interned as {sym}"));
@@ -953,12 +1097,26 @@ impl Document {
             if !n.alive || !matches!(n.kind, NodeKind::Call(..)) {
                 return Err(format!("call registry entry {id:?} is not a live call"));
             }
-            if n.call_pos as usize != pos {
-                return Err(format!("{id:?} call_pos {} != {pos}", n.call_pos));
+            let recorded = self.call_pos.get(id.index());
+            if recorded as usize != pos {
+                return Err(format!("{id:?} call position {recorded} != {pos}"));
             }
         }
         Ok(())
     }
+}
+
+/// A child buffer of `capacity` slots holding the ids of `parts` in
+/// order, then [`NO_CHILD`] fillers. One allocation.
+fn child_buffer(parts: &[&[NodeId]], capacity: usize) -> Arc<[NodeId]> {
+    let mut buf: Arc<[NodeId]> = std::iter::repeat_n(NO_CHILD, capacity).collect();
+    let slots = Arc::get_mut(&mut buf).expect("a fresh buffer is unshared");
+    let mut at = 0;
+    for part in parts {
+        slots[at..at + part.len()].copy_from_slice(part);
+        at += part.len();
+    }
+    buf
 }
 
 /// Pre-order iterator over document nodes.
@@ -1162,9 +1320,89 @@ mod tests {
 
     #[test]
     fn find_call_by_id() {
-        let (d, _, call) = sample();
+        let (mut d, _, call) = sample();
         let (cid, _) = d.call_info(call).unwrap();
         assert_eq!(d.find_call(cid), Some(call));
+        // a call nested in another call's parameters is found too
+        let nested = d.add_call(call, "getAddress");
+        let (nested_cid, _) = d.call_info(nested).unwrap();
+        assert_eq!(d.find_call(nested_cid), Some(nested));
+        // a consumed call is gone, and so is the call in its parameters
+        d.splice_call(call, &Forest::new());
+        assert_eq!(d.find_call(cid), None);
+        assert_eq!(d.find_call(nested_cid), None);
+        assert_eq!(d.find_call(CallId(d.next_call_id())), None);
+    }
+
+    #[test]
+    fn deep_results_splice_and_free_without_recursion() {
+        // a forest built with `add_element` has no depth bound, so neither
+        // splicing it in nor freeing it may recurse per level
+        const DEPTH: usize = 100_000;
+        let run = || {
+            let mut chain = Forest::new();
+            let mut last = chain.add_root("level");
+            for _ in 1..DEPTH {
+                last = chain.add_element(last, "level");
+            }
+            let mut d = Document::with_root("r");
+            let call = d.add_call(d.root(), "deep");
+            d.splice_call(call, &chain);
+            d.check_integrity().unwrap();
+            assert_eq!(d.len(), DEPTH + 1);
+            // a call whose parameter is such a chain: splicing frees it
+            let call = d.add_call(d.root(), "consume");
+            let mut last = d.add_element(call, "param");
+            for _ in 1..DEPTH {
+                last = d.add_element(last, "param");
+            }
+            d.splice_call(call, &Forest::new());
+            d.check_integrity().unwrap();
+            assert_eq!(d.len(), DEPTH + 1);
+        };
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(run)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    fn splice_on_a_clone_copies_only_the_pages_it_writes() {
+        // calls of one service (each with a shared parameter text) spread
+        // over every page, so freeing one moves index entries of nodes that
+        // live in other pages
+        let mut d = Document::with_root("r");
+        let mut calls = Vec::new();
+        while d.pages.len() < 8 || d.pages.last().unwrap().nodes.len() < PAGE_SIZE / 2 {
+            let item = d.add_element(d.root(), "item");
+            let call = d.add_call(item, "svc");
+            d.add_text(call, "p");
+            calls.push(call);
+        }
+        let call = calls[calls.len() / 8];
+        let mut clone = d.clone();
+        let mut result = Forest::new();
+        let done = result.add_root("done");
+        result.add_text(done, "ok");
+        let inserted = clone.splice_call(call, &result);
+        clone.check_integrity().unwrap();
+        let page_of = |n: NodeId| n.index() >> PAGE_BITS;
+        let mut written = vec![page_of(call), page_of(d.parent(call).unwrap())];
+        for &r in &inserted {
+            written.extend(clone.descendants(r).map(page_of));
+        }
+        for (i, (a, b)) in d.pages.iter().zip(&clone.pages).enumerate() {
+            assert_eq!(
+                Arc::ptr_eq(a, b),
+                !written.contains(&i),
+                "page {i} (written: {written:?})"
+            );
+        }
+        d.check_integrity().unwrap();
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(std::mem::size_of::<Node>(), 56);
     }
 
     #[test]

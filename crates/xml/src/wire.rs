@@ -28,7 +28,6 @@
 //!
 //! [`CallId`]: crate::CallId
 
-use crate::label::Label;
 use crate::tree::{Document, NodeId, NodeKind};
 use std::fmt;
 
@@ -74,18 +73,18 @@ pub fn document_to_bytes(doc: &Document) -> Vec<u8> {
 
 fn encode_node(doc: &Document, id: NodeId, out: &mut Vec<u8>) {
     match doc.kind(id) {
-        NodeKind::Element(l) => {
+        NodeKind::Element => {
             out.push(TAG_ELEMENT);
-            put_str(out, l.as_str());
+            put_str(out, doc.label(id));
         }
-        NodeKind::Text(t) => {
+        NodeKind::Text => {
             out.push(TAG_TEXT);
-            put_str(out, t);
+            put_str(out, doc.label(id));
             return; // text nodes are leaves
         }
-        NodeKind::Call(cid, l) => {
+        NodeKind::Call(cid) => {
             out.push(TAG_CALL);
-            put_str(out, l.as_str());
+            put_str(out, doc.label(id));
             put_u64(out, cid.0);
         }
     }
@@ -152,11 +151,7 @@ fn decode_node(
         TAG_CALL => {
             let raw = r.take_u64()?;
             *max_call = Some(max_call.map_or(raw, |m: u64| m.max(raw)));
-            let service = Label::from(label.as_str());
-            match parent {
-                Some(p) => doc.add_call_with_id(p, &service, raw),
-                None => doc.add_root_call_with_id(&service, raw),
-            }
+            doc.add_call_with_id(parent, &label, raw)
         }
         other => return Err(WireError(format!("unknown node tag 0x{other:02x}"))),
     };

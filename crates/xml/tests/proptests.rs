@@ -2,7 +2,8 @@
 //! arena integrity under random splice sequences.
 
 use axml_xml::{
-    forest_serialized_len, parse, serialized_len, subtree_to_xml, to_xml, Document, Forest, NodeId,
+    document_to_bytes, forest_serialized_len, parse, serialized_len, subtree_to_xml, to_xml,
+    Document, Forest, NodeId,
 };
 use proptest::prelude::*;
 
@@ -103,6 +104,46 @@ proptest! {
             d.splice_call(target, &result);
             d.check_integrity().unwrap();
         }
+    }
+
+    /// Clones share pages until written, and a splice writes only pages
+    /// its own document owns: splicing in a clone — results with nested
+    /// calls, only text, or nothing — leaves the source's bytes, calls
+    /// and integrity as they were, and splicing in the source leaves the
+    /// clone's.
+    #[test]
+    fn splices_in_one_clone_never_show_in_the_other(
+        ops in proptest::collection::vec(op_strategy(), 0..150),
+        picks in proptest::collection::vec((any::<u16>(), any::<u8>()), 1..12),
+        swap in any::<bool>(),
+    ) {
+        let source = build(&ops);
+        let mut docs = [source.clone(), source];
+        let (kept, spliced) = if swap { (1, 0) } else { (0, 1) };
+        let observe = |d: &Document| (to_xml(d), document_to_bytes(d), d.calls());
+        let before = observe(&docs[kept]);
+        for &(pick, shape) in &picks {
+            let d = &mut docs[spliced];
+            let calls = d.calls();
+            if calls.is_empty() { break; }
+            let target = calls[(pick as usize) % calls.len()];
+            let mut result = Forest::new();
+            match shape % 3 {
+                0 => {
+                    let e = result.add_root(label(shape));
+                    result.add_call(e, "nested");
+                    result.add_root_call(service(shape));
+                }
+                1 => {
+                    result.add_root_text(value(shape));
+                }
+                _ => {}
+            }
+            d.splice_call(target, &result);
+            d.check_integrity().unwrap();
+        }
+        prop_assert_eq!(observe(&docs[kept]), before);
+        docs[kept].check_integrity().unwrap();
     }
 
     /// Document order is a strict total order on live nodes.
