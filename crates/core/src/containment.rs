@@ -105,9 +105,11 @@ pub fn prune_subsumed_nfqs(query: &Pattern, nfqs: Vec<Nfq>) -> (Vec<Nfq>, usize)
             if dead[j] {
                 continue;
             }
-            if nfq_subsumes(&nfqs[i], &nfqs[j])
+            // isomorphic focus subqueries are the cheap necessary
+            // condition: test them before either homomorphism
+            if patterns_isomorphic(&subs[i], &subs[j])
+                && nfq_subsumes(&nfqs[i], &nfqs[j])
                 && nfq_subsumes(&nfqs[j], &nfqs[i])
-                && patterns_isomorphic(&subs[i], &subs[j])
             {
                 dead[j] = true;
             }

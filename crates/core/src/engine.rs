@@ -73,7 +73,7 @@ impl Strategy {
 }
 
 /// Type-based pruning level (Section 5 / §6.1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Typing {
     /// Ignore signatures (Section 3's assumption).
     None,
@@ -379,14 +379,6 @@ impl<'a> Engine<'a> {
         self
     }
 
-    /// The attached plan, iff compiled for exactly this
-    /// `(query, schema, config)`.
-    fn active_plan(&self, query: &Pattern) -> Option<&CompiledQuery> {
-        self.plan
-            .as_deref()
-            .filter(|p| p.compatible(query, self.schema, &self.config))
-    }
-
     /// Attaches a structured-trace observer: every observable step of a
     /// run (query/layer spans, candidate sets, cache probes, attempts,
     /// invocations, breaker transitions, batch clock charges) is emitted
@@ -542,7 +534,7 @@ impl<'a> Engine<'a> {
             Strategy::Nfq => run.run_nfq(doc),
         }
         let tq = Instant::now();
-        let result = match self.active_plan(query) {
+        let result = match run.plan {
             // the plan's label tests compile against this document's
             // symbols, as a transient evaluation's would
             Some(p) => p
@@ -684,6 +676,9 @@ impl NfqState {
 struct Run<'e, 'a, 'q> {
     engine: &'e Engine<'a>,
     query: &'q Pattern,
+    /// the engine's plan, iff compiled for exactly this
+    /// `(query, schema, config)`: resolved once per run
+    plan: Option<&'e CompiledQuery>,
     clock: SimClock,
     stats: EngineStats,
     /// calls that cannot be invoked (unknown services)
@@ -727,6 +722,10 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         Run {
             engine,
             query,
+            plan: engine
+                .plan
+                .as_deref()
+                .filter(|p| p.compatible(query, engine.schema, &engine.config)),
             clock: SimClock::at(engine.start_ms),
             stats: EngineStats::default(),
             dead: HashSet::new(),
@@ -887,7 +886,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
     // ---------------- LPQ / top-down ----------------
 
     fn run_lpq(&mut self, doc: &mut Document, one_at_a_time: bool) {
-        let plan = self.engine.active_plan(self.query);
+        let plan = self.plan;
         let (built, pruned) = match plan {
             Some(p) => (Vec::new(), p.lpq_pruned),
             None => lpq_set(self.query, self.config()),
@@ -937,7 +936,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
     // ---------------- NFQ (NFQA + layers + typing) ----------------
 
     fn run_nfq(&mut self, doc: &mut Document) {
-        let plan = self.engine.active_plan(self.query);
+        let plan = self.plan;
         let (mut nfqs, computed) = match plan {
             Some(p) => {
                 // the compiled artifact: NFQs (relaxed/pruned), layers and

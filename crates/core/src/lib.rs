@@ -47,7 +47,7 @@ pub use engine::{
 pub use fguide::{filter_candidates, position_language, ClassVerdicts, FGuide};
 pub use influence::{compute_layers, may_influence, Layers};
 pub use nfq::{build_lpqs, build_nfq, build_nfqs, relax_nfq_to_xpath, Lpq, Nfq};
-pub use plan::{plan_fingerprint, CompiledQuery};
+pub use plan::{plan_fingerprint, plan_hash, CompiledQuery};
 pub use scope::QueryScope;
 pub use stats::{plural, EngineStats};
 pub use typed::{SatVerdicts, TypeRefiner};

@@ -36,25 +36,21 @@ use crate::nfq::{build_lpqs, build_nfqs, relax_nfq_to_xpath, Lpq, Nfq};
 use crate::typed::SatVerdicts;
 use axml_query::{LinearPath, Pattern, QueryPlan};
 use axml_schema::{Nfa, SatMode, Schema};
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 
-/// The compile-relevant slice of an [`EngineConfig`] plus the query and
-/// schema identities, captured at compile time. A plan is consulted only
-/// when the run's key matches — a mismatched plan is silently ignored
-/// (the engine builds what the run reads itself), never misapplied.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct PlanKey {
-    query: String,
-    schema: Option<String>,
+/// The compile-relevant slice of an [`EngineConfig`]: strategy,
+/// parallelism, budgets etc. don't invalidate a plan.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct CompileBits {
     typing: Typing,
     relax_xpath: bool,
     containment_pruning: bool,
 }
 
-impl PlanKey {
-    fn new(query: &Pattern, schema: Option<&Schema>, config: &EngineConfig) -> PlanKey {
-        PlanKey {
-            query: format!("{query:?}"),
-            schema: schema.map(|s| format!("{s:?}")),
+impl CompileBits {
+    fn of(config: &EngineConfig) -> CompileBits {
+        CompileBits {
             typing: config.typing,
             relax_xpath: config.relax_xpath,
             containment_pruning: config.containment_pruning,
@@ -62,13 +58,42 @@ impl PlanKey {
     }
 }
 
+/// A structural hash of the compile-relevant key `(query, schema,
+/// config)`: equal for every triple [`CompiledQuery::compatible`] accepts,
+/// so a plan cache can place and key plans by it without rendering
+/// anything. It is not stable across builds; a plan's stable name is
+/// [`CompiledQuery::fingerprint`].
+pub fn plan_hash(query: &Pattern, schema: Option<&Schema>, config: &EngineConfig) -> u64 {
+    let mut h = DefaultHasher::new();
+    (query, schema, CompileBits::of(config)).hash(&mut h);
+    h.finish()
+}
+
 /// A stable hex fingerprint of the compile-relevant plan key — what a
-/// plan cache indexes on, and what a `plan_cache` trace event reports.
-/// FNV-1a over the key's canonical rendering: deterministic across
-/// builds and platforms (unlike `DefaultHasher`), so cached-plan traces
-/// are reproducible byte for byte.
+/// `plan_cache` trace event reports. FNV-1a over the key's canonical
+/// rendering: deterministic across builds and platforms (unlike
+/// `DefaultHasher`), so cached-plan traces are reproducible byte for byte.
+/// [`CompiledQuery::compile`] computes it once per plan.
 pub fn plan_fingerprint(query: &Pattern, schema: Option<&Schema>, config: &EngineConfig) -> String {
-    let key = PlanKey::new(query, schema, config);
+    /// The rendering the fingerprint hashes; its bytes name plans in
+    /// traces, so neither its fields nor its name may change. The fields
+    /// are read only through `Debug`.
+    #[allow(dead_code)]
+    #[derive(Debug)]
+    struct PlanKey {
+        query: String,
+        schema: Option<String>,
+        typing: Typing,
+        relax_xpath: bool,
+        containment_pruning: bool,
+    }
+    let key = PlanKey {
+        query: format!("{query:?}"),
+        schema: schema.map(|s| format!("{s:?}")),
+        typing: config.typing,
+        relax_xpath: config.relax_xpath,
+        containment_pruning: config.containment_pruning,
+    };
     let text = format!("{key:?}");
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in text.as_bytes() {
@@ -81,8 +106,10 @@ pub fn plan_fingerprint(query: &Pattern, schema: Option<&Schema>, config: &Engin
 /// Everything the engine can precompute from a query before seeing any
 /// document. See the module docs for the artifact inventory.
 pub struct CompiledQuery {
-    key: PlanKey,
     query: Pattern,
+    schema: Option<Schema>,
+    bits: CompileBits,
+    fingerprint: String,
     /// Plan for the main pattern (the final evaluation).
     pub(crate) plan: QueryPlan,
     /// NFQs after relaxation/pruning, exactly as `run_nfq` would build.
@@ -120,8 +147,10 @@ impl CompiledQuery {
             .map(|n| position_language(&n.lin, n.via))
             .collect();
         CompiledQuery {
-            key: PlanKey::new(query, schema, config),
             query: query.clone(),
+            schema: schema.cloned(),
+            bits: CompileBits::of(config),
+            fingerprint: plan_fingerprint(query, schema, config),
             plan: QueryPlan::compile(query),
             nfqs,
             nfq_pruned,
@@ -135,15 +164,22 @@ impl CompiledQuery {
     }
 
     /// Is this plan the compiled form of exactly `(query, schema, config)`?
-    /// Compared on the compile-relevant key — strategy, parallelism,
-    /// budgets etc. don't invalidate a plan.
+    /// Compared structurally on the compile-relevant key — strategy,
+    /// parallelism, budgets etc. don't invalidate a plan.
     pub fn compatible(
         &self,
         query: &Pattern,
         schema: Option<&Schema>,
         config: &EngineConfig,
     ) -> bool {
-        self.key == PlanKey::new(query, schema, config)
+        self.bits == CompileBits::of(config)
+            && self.query == *query
+            && self.schema.as_ref() == schema
+    }
+
+    /// The plan's [`plan_fingerprint`], computed at compile time.
+    pub fn fingerprint(&self) -> &str {
+        &self.fingerprint
     }
 
     /// The compiled query.

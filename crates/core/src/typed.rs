@@ -11,14 +11,16 @@
 use crate::nfq::Nfq;
 use axml_query::{EdgeKind, FunMatch, PLabel, PNodeId, Pattern};
 use axml_schema::{SatMode, Satisfier, Schema};
+use axml_xml::Label;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Shared satisfiability-verdict store: (function name, guarded query
-/// node) → satisfies? Verdicts depend only on the `(schema, query, mode)`
-/// triple, never on a document, so a [`crate::CompiledQuery`] can carry
-/// one across sessions and hand it to every run's refiner.
-pub type SatVerdicts = Arc<Mutex<HashMap<(String, PNodeId), bool>>>;
+/// Shared satisfiability-verdict store: guarded query node → function
+/// name → satisfies? Nested so that a lookup borrows the name. Verdicts
+/// depend only on the `(schema, query, mode)` triple, never on a
+/// document, so a [`crate::CompiledQuery`] can carry one across sessions
+/// and hand it to every run's refiner.
+pub type SatVerdicts = Arc<Mutex<HashMap<PNodeId, HashMap<Label, bool>>>>;
 
 /// Caching refinement engine for one `(schema, query)` pair.
 pub struct TypeRefiner<'s, 'q> {
@@ -26,7 +28,7 @@ pub struct TypeRefiner<'s, 'q> {
     /// One checker over the whole query: a node's verdict depends on its
     /// subquery `sub_q_u` alone, so its fixpoint answers every node.
     sat: Satisfier<'s, 'q>,
-    /// (function name, guarded query node) → satisfies?
+    /// guarded query node → function name → satisfies?
     cache: SatVerdicts,
 }
 
@@ -53,14 +55,11 @@ impl<'s, 'q> TypeRefiner<'s, 'q> {
     }
 
     /// Does `fname` satisfy the subquery rooted at query node `u`
-    /// (Definition 6), memoized?
+    /// (Definition 6), memoized? One lock per lookup: a miss computes its
+    /// verdict under it.
     pub fn satisfies(&mut self, fname: &str, u: PNodeId) -> bool {
-        if let Some(&b) = self
-            .cache
-            .lock()
-            .expect("verdict cache poisoned")
-            .get(&(fname.to_string(), u))
-        {
+        let mut cache = self.cache.lock().expect("verdict cache poisoned");
+        if let Some(&b) = cache.get(&u).and_then(|by_name| by_name.get(fname)) {
             return b;
         }
         let via = if self.query.parent(u).is_none() {
@@ -69,10 +68,7 @@ impl<'s, 'q> TypeRefiner<'s, 'q> {
             self.query.node(u).edge
         };
         let b = self.sat.function_satisfies_at(fname, u, via);
-        self.cache
-            .lock()
-            .expect("verdict cache poisoned")
-            .insert((fname.to_string(), u), b);
+        cache.entry(u).or_default().insert(Label::new(fname), b);
         b
     }
 
@@ -87,10 +83,10 @@ impl<'s, 'q> TypeRefiner<'s, 'q> {
         let mut refined = nfq.clone();
         let mut dead_side_branches: Vec<PNodeId> = Vec::new();
         for &(fnode, u) in &nfq.fun_branches {
-            let allowed: Vec<axml_xml::Label> = known_functions
+            let allowed: Vec<Label> = known_functions
                 .iter()
                 .filter(|f| self.satisfies(f, u))
-                .map(axml_xml::Label::new)
+                .map(Label::new)
                 .collect();
             if allowed.is_empty() {
                 if fnode == nfq.output {

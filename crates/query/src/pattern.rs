@@ -37,7 +37,7 @@ pub enum EdgeKind {
 }
 
 /// Which function names a function pattern node accepts.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum FunMatch {
     /// The star-labeled function node `()` — any service.
     Any,
@@ -56,7 +56,7 @@ impl FunMatch {
 }
 
 /// The label of a pattern node.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum PLabel {
     /// Constant: matches a data node with exactly this label
     /// (element name or data value).
@@ -73,7 +73,7 @@ pub enum PLabel {
 }
 
 /// One pattern node.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct PNode {
     /// Node label / kind.
     pub label: PLabel,
@@ -86,8 +86,10 @@ pub struct PNode {
     pub(crate) parent: Option<PNodeId>,
 }
 
-/// A (possibly extended) tree-pattern query.
-#[derive(Clone, Debug, Default)]
+/// A (possibly extended) tree-pattern query. Equality and hashing are
+/// structural over every node, detached ones included: two patterns are
+/// equal exactly when their `Debug` renderings are.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Pattern {
     nodes: Vec<PNode>,
     root: Option<PNodeId>,

@@ -29,7 +29,7 @@ impl fmt::Display for Sym {
 }
 
 /// A regular expression over label symbols.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum LabelRe {
     /// The empty language.
     Empty,

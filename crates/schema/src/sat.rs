@@ -25,7 +25,7 @@ use crate::regex::LabelRe;
 use crate::schema::{ClosureSet, Schema};
 use axml_query::{EdgeKind, PLabel, PNodeId, Pattern};
 use axml_xml::Label;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// Which satisfiability algorithm to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,12 +51,12 @@ enum GSym {
 
 /// Satisfiability checker for one `(schema, query)` pair.
 ///
-/// Construction pre-computes nothing; results are memoized per graph
-/// symbol and pattern node. A node's verdict depends on its own subtree
-/// alone, so one checker per query answers every node of it
-/// ([`Satisfier::function_satisfies_at`]) for every candidate function —
-/// Section 5's refined NFQs need one exact fixpoint per query, not one
-/// per `(function, node)` verdict.
+/// A node's verdict depends on its own subtree alone, so one checker per
+/// query answers every node of it ([`Satisfier::function_satisfies_at`])
+/// for every candidate function — Section 5's refined NFQs need one exact
+/// fixpoint per query, not one per `(function, node)` verdict. The exact
+/// fixpoint runs on the first exact verdict; lenient verdicts are
+/// memoized per graph symbol and pattern node.
 pub struct Satisfier<'s, 'p> {
     schema: &'s Schema,
     pattern: &'p Pattern,
@@ -67,7 +67,7 @@ pub struct Satisfier<'s, 'p> {
     closure_memo: HashMap<Label, ClosureSet>,
     /// strict-descendant reachability per element label
     reach_memo: HashMap<Label, ReachSet>,
-    /// exact tables (computed lazily on first exact query)
+    /// exact tables (computed on the first exact verdict)
     exact: Option<ExactTables>,
 }
 
@@ -77,11 +77,6 @@ struct ReachSet {
     functions: BTreeSet<Label>,
     data: bool,
     any: bool,
-}
-
-struct ExactTables {
-    can_root: HashMap<(GSym, PNodeId), bool>,
-    can_within: HashMap<(GSym, PNodeId), bool>,
 }
 
 impl<'s, 'p> Satisfier<'s, 'p> {
@@ -104,10 +99,15 @@ impl<'s, 'p> Satisfier<'s, 'p> {
     /// With a child edge `u` must embed at a root of the result forest;
     /// with a descendant edge it may embed anywhere inside it. Undeclared
     /// functions are treated as `any*`-typed (never pruned). The answer
-    /// equals [`function_satisfies`] on `pattern.subtree(u)`: the tables
-    /// hold symbols for constants outside that subtree too, but no
-    /// function's output closure reaches them.
+    /// equals [`function_satisfies`] on `pattern.subtree(u)`.
     pub fn function_satisfies_at(&mut self, fname: &str, u: PNodeId, via: EdgeKind) -> bool {
+        if self.mode == SatMode::Exact {
+            if self.exact.is_none() {
+                self.exact = Some(self.build_exact());
+            }
+            let exact = self.exact.as_ref().expect("exact tables were just built");
+            return exact.satisfies(fname, u, via);
+        }
         let schema = self.schema;
         let Some(sig) = schema.function(fname) else {
             return true;
@@ -118,40 +118,8 @@ impl<'s, 'p> Satisfier<'s, 'p> {
         }
         let syms = closure_syms(&closure);
         match via {
-            EdgeKind::Child => syms.iter().any(|s| self.can_root(s, u)),
-            EdgeKind::Descendant => syms.iter().any(|s| self.can_within(s, u)),
-        }
-    }
-
-    fn can_root(&mut self, sym: &GSym, p: PNodeId) -> bool {
-        match self.mode {
-            SatMode::Lenient => self.lenient_can_root(sym.clone(), p),
-            SatMode::Exact => {
-                self.ensure_exact();
-                *self
-                    .exact
-                    .as_ref()
-                    .unwrap()
-                    .can_root
-                    .get(&(sym.clone(), p))
-                    .unwrap_or(&false)
-            }
-        }
-    }
-
-    fn can_within(&mut self, sym: &GSym, p: PNodeId) -> bool {
-        match self.mode {
-            SatMode::Lenient => self.lenient_can_within(sym.clone(), p),
-            SatMode::Exact => {
-                self.ensure_exact();
-                *self
-                    .exact
-                    .as_ref()
-                    .unwrap()
-                    .can_within
-                    .get(&(sym.clone(), p))
-                    .unwrap_or(&false)
-            }
+            EdgeKind::Child => syms.into_iter().any(|s| self.lenient_can_root(s, u)),
+            EdgeKind::Descendant => syms.into_iter().any(|s| self.lenient_can_within(s, u)),
         }
     }
 
@@ -161,14 +129,7 @@ impl<'s, 'p> Satisfier<'s, 'p> {
         if let Some(c) = self.closure_memo.get(name) {
             return c.clone();
         }
-        let c = match self.schema.element(name.as_str()) {
-            Some(content) => self.schema.expansion_closure(content),
-            // undeclared elements are unconstrained
-            None => ClosureSet {
-                any: true,
-                ..Default::default()
-            },
-        };
+        let c = element_closure(self.schema, name);
         self.closure_memo.insert(name.clone(), c.clone());
         c
     }
@@ -275,246 +236,416 @@ impl<'s, 'p> Satisfier<'s, 'p> {
 
     // ---------- exact (coverage-set fixpoint) ----------
 
-    fn ensure_exact(&mut self) {
-        if self.exact.is_some() {
-            return;
-        }
-        let syms = self.sym_universe();
-        let pnodes: Vec<PNodeId> = self.pattern.node_ids().collect();
-        let mut can_root: HashMap<(GSym, PNodeId), bool> = HashMap::new();
-        let mut can_within: HashMap<(GSym, PNodeId), bool> = HashMap::new();
-        for s in &syms {
-            for &p in &pnodes {
-                can_root.insert((s.clone(), p), false);
-                can_within.insert((s.clone(), p), false);
+    /// The least fixpoint of `can_root` and `can_within` over every
+    /// pattern node, one stratum at a time: `can_root(s, p)` reads only the
+    /// tables of `p`'s children and `can_within(s, p)` only `can_root(·, p)`
+    /// and `can_within(·, p)`, so a post-order visit computes each node
+    /// once, from final child rows. Every node id is covered, detached
+    /// subtrees included.
+    fn build_exact(&mut self) -> ExactTables {
+        let syms = Symbols::new(self.schema);
+        let pattern = self.pattern;
+        let n = syms.syms.len();
+        let mut can_root = vec![false; pattern.len() * n];
+        let mut can_within = vec![false; pattern.len() * n];
+        for p in post_order(pattern) {
+            let node = pattern.node(p);
+            let row = p.index() * n;
+            if let PLabel::Or = node.label {
+                for s in 0..n {
+                    can_root[row + s] = node.children.iter().any(|&b| can_root[b.index() * n + s]);
+                }
+            } else if node.children.len() > MASK_BITS {
+                // too many child constraints for a coverage mask: take the
+                // lenient verdict, which never rules out more (§6.1)
+                for s in 0..n {
+                    can_root[row + s] = self.lenient_can_root(syms.syms[s].clone(), p);
+                }
+            } else {
+                let masks = child_masks(pattern, p, n, &can_root, &can_within);
+                let mut coverage = Coverage::new(&syms, &masks, node.children.len());
+                for (s, sym) in syms.syms.iter().enumerate() {
+                    can_root[row + s] = match sym {
+                        GSym::AnyTree => true,
+                        GSym::Data => data_label_ok(&node.label) && node.children.is_empty(),
+                        GSym::Fun(g) => fun_label_ok(&node.label, g) && node.children.is_empty(),
+                        GSym::Elem(a) => elem_label_ok(&node.label, a) && coverage.covers(s),
+                    };
+                }
             }
-        }
-        loop {
-            let mut changed = false;
-            for s in &syms {
-                for &p in &pnodes {
-                    if !can_root[&(s.clone(), p)]
-                        && self.compute_can_root(s, p, &can_root, &can_within)
-                    {
-                        can_root.insert((s.clone(), p), true);
-                        changed = true;
+            // can_within(s, p): s reaches, through element closures, a
+            // symbol that embeds p at its root, or an `any` position
+            let within = &mut can_within[row..row + n];
+            let mut work: Vec<usize> = Vec::new();
+            for s in 0..n {
+                if can_root[row + s] || syms.within_seed[s] {
+                    within[s] = true;
+                    work.push(s);
+                }
+            }
+            while let Some(t) = work.pop() {
+                for &s in &syms.closure_pred[t] {
+                    if !within[s] {
+                        within[s] = true;
+                        work.push(s);
                     }
                 }
             }
-            for s in &syms {
-                for &p in &pnodes {
-                    if !can_within[&(s.clone(), p)]
-                        && self.compute_can_within(s, p, &can_root, &can_within)
-                    {
-                        can_within.insert((s.clone(), p), true);
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
         }
-        self.exact = Some(ExactTables {
+        ExactTables {
+            width: n,
+            outputs: syms.outputs,
             can_root,
             can_within,
-        });
-    }
-
-    /// All graph symbols relevant to this schema + pattern.
-    fn sym_universe(&mut self) -> Vec<GSym> {
-        let mut labels: BTreeSet<Label> = BTreeSet::new();
-        for (name, _) in self.schema.elements() {
-            labels.insert(name.clone());
-        }
-        for name in self.schema.referenced_names() {
-            labels.insert(name);
-        }
-        // pattern constants may name undeclared elements
-        for id in self.pattern.node_ids() {
-            if let PLabel::Const(l) = &self.pattern.node(id).label {
-                labels.insert(l.clone());
-            }
-        }
-        let mut out: Vec<GSym> = Vec::new();
-        for l in labels {
-            if self.schema.is_function(l.as_str()) {
-                out.push(GSym::Fun(l));
-            } else {
-                out.push(GSym::Elem(l));
-            }
-        }
-        out.push(GSym::Data);
-        out.push(GSym::AnyTree);
-        out
-    }
-
-    fn compute_can_root(
-        &mut self,
-        sym: &GSym,
-        p: PNodeId,
-        can_root: &HashMap<(GSym, PNodeId), bool>,
-        can_within: &HashMap<(GSym, PNodeId), bool>,
-    ) -> bool {
-        let node = self.pattern.node(p);
-        if let PLabel::Or = node.label {
-            return node.children.iter().any(|&b| can_root[&(sym.clone(), b)]);
-        }
-        match sym {
-            GSym::AnyTree => true,
-            GSym::Data => data_label_ok(&node.label) && node.children.is_empty(),
-            GSym::Fun(g) => fun_label_ok(&node.label, g) && node.children.is_empty(),
-            GSym::Elem(a) => {
-                if !elem_label_ok(&node.label, a) {
-                    return false;
-                }
-                let content = match self.schema.element(a.as_str()) {
-                    Some(c) => c.clone(),
-                    None => LabelRe::any_forest(),
-                };
-                let children: Vec<PNodeId> = node.children.clone();
-                let k = children.len();
-                if k == 0 {
-                    return !content.language_empty();
-                }
-                let full: u32 = (1u32 << k) - 1;
-                // mask of one symbol: which child constraints it satisfies
-                let mask = |s: &GSym| -> u32 {
-                    let mut m = 0;
-                    for (j, &pc) in children.iter().enumerate() {
-                        let ok = match self.pattern.node(pc).edge {
-                            EdgeKind::Child => can_root[&(s.clone(), pc)],
-                            EdgeKind::Descendant => can_within[&(s.clone(), pc)],
-                        };
-                        if ok {
-                            m |= 1 << j;
-                        }
-                    }
-                    m
-                };
-                let cov = self.coverage(&content, &mask);
-                cov.contains(&full)
-            }
         }
     }
+}
 
-    fn compute_can_within(
-        &mut self,
-        sym: &GSym,
-        p: PNodeId,
-        can_root: &HashMap<(GSym, PNodeId), bool>,
-        can_within: &HashMap<(GSym, PNodeId), bool>,
-    ) -> bool {
-        if can_root[&(sym.clone(), p)] {
+/// The widest node a `u32` coverage mask can describe.
+const MASK_BITS: usize = u32::BITS as usize;
+
+/// The exact verdict tables, dense over (pattern node, symbol).
+struct ExactTables {
+    /// symbols per node row
+    width: usize,
+    /// per declared function: its output closure's symbols, or `None`
+    /// when the closure reaches an `any` position
+    outputs: HashMap<Label, Option<Vec<usize>>>,
+    can_root: Vec<bool>,
+    can_within: Vec<bool>,
+}
+
+impl ExactTables {
+    fn satisfies(&self, fname: &str, u: PNodeId, via: EdgeKind) -> bool {
+        let Some(Some(syms)) = self.outputs.get(fname) else {
+            // undeclared, or able to produce anything
             return true;
-        }
-        match sym {
-            GSym::AnyTree => true,
-            GSym::Data | GSym::Fun(_) => false,
-            GSym::Elem(a) => {
-                let closure = self.closure_of_element(a);
-                if closure.any {
-                    return true;
-                }
-                closure_syms(&closure)
-                    .into_iter()
-                    .any(|s| can_within[&(s, p)])
-            }
-        }
+        };
+        let table = match via {
+            EdgeKind::Child => &self.can_root,
+            EdgeKind::Descendant => &self.can_within,
+        };
+        let row = u.index() * self.width;
+        syms.iter().any(|&s| table[row + s])
     }
+}
 
-    /// Achievable coverage masks of the *derived* words of `re`: each
-    /// function symbol may stay (contributing its own mask) or expand into
-    /// a derived word of its output type — computed as a fixpoint over the
-    /// declared functions.
-    fn coverage(&self, re: &LabelRe, mask: &dyn Fn(&GSym) -> u32) -> BTreeSet<u32> {
-        let mut cov_der: BTreeMap<Label, BTreeSet<u32>> = BTreeMap::new();
-        for sig in self.schema.functions() {
-            cov_der.insert(sig.name.clone(), BTreeSet::new());
-        }
-        loop {
-            let mut changed = false;
-            for sig in self.schema.functions() {
-                let new = self.cov_re(&sig.output, mask, &cov_der);
-                let cur = cov_der.get_mut(&sig.name).unwrap();
-                let before = cur.len();
-                cur.extend(new);
-                if cur.len() != before {
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        self.cov_re(re, mask, &cov_der)
-    }
+/// The graph symbols of a schema as dense indices — every name the
+/// schema references, plus data and `any` — with what the exact fixpoint
+/// reads of the schema compiled against them. Pattern constants outside
+/// the schema need no symbol: no function's output closure reaches one.
+struct Symbols {
+    syms: Vec<GSym>,
+    /// per element symbol: its content model (undeclared: `any*`) and
+    /// whether that language has a word
+    content: Vec<Option<(CovRe, bool)>>,
+    /// declared functions' output types, by function slot
+    functions: Vec<CovRe>,
+    /// per symbol: the element symbols whose one-level closure holds it
+    closure_pred: Vec<Vec<usize>>,
+    /// symbols that embed every pattern somewhere inside: `any` trees and
+    /// elements whose closure reaches an `any` position
+    within_seed: Vec<bool>,
+    outputs: HashMap<Label, Option<Vec<usize>>>,
+}
 
-    fn cov_re(
-        &self,
-        re: &LabelRe,
-        mask: &dyn Fn(&GSym) -> u32,
-        cov_der: &BTreeMap<Label, BTreeSet<u32>>,
-    ) -> BTreeSet<u32> {
-        match re {
-            LabelRe::Empty => BTreeSet::new(),
-            LabelRe::Epsilon => [0u32].into_iter().collect(),
-            LabelRe::Data => [mask(&GSym::Data)].into_iter().collect(),
-            // an `any` position can be any single derived tree: it can
-            // satisfy every individual constraint simultaneously only as
-            // far as one tree can — each constraint is satisfiable by an
-            // arbitrary tree, so an `any` symbol covers everything.
-            LabelRe::Any => [mask(&GSym::AnyTree)].into_iter().collect(),
-            LabelRe::Sym(l) => {
-                let mut out = BTreeSet::new();
-                if self.schema.is_function(l.as_str()) {
-                    out.insert(mask(&GSym::Fun(l.clone())));
-                    if let Some(der) = cov_der.get(l) {
-                        out.extend(der.iter().copied());
-                    }
+impl Symbols {
+    fn new(schema: &Schema) -> Symbols {
+        let mut syms: Vec<GSym> = schema
+            .referenced_names()
+            .into_iter()
+            .map(|l| {
+                if schema.is_function(l.as_str()) {
+                    GSym::Fun(l)
                 } else {
-                    out.insert(mask(&GSym::Elem(l.clone())));
+                    GSym::Elem(l)
                 }
-                out
+            })
+            .collect();
+        let index: HashMap<Label, usize> = syms
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| match s {
+                GSym::Elem(l) | GSym::Fun(l) => Some((l.clone(), i)),
+                _ => None,
+            })
+            .collect();
+        let data = syms.len();
+        let any = data + 1;
+        syms.push(GSym::Data);
+        syms.push(GSym::AnyTree);
+        let slots: HashMap<&str, usize> = schema
+            .functions()
+            .enumerate()
+            .map(|(slot, sig)| (sig.name.as_str(), slot))
+            .collect();
+        let ctx = Compile {
+            index: &index,
+            slots: &slots,
+            data,
+            any,
+        };
+        // the symbol indices of a closure without `any`
+        let closure_indices = |c: &ClosureSet| -> Vec<usize> {
+            let mut out: Vec<usize> = c
+                .elements
+                .iter()
+                .chain(&c.functions)
+                .map(|l| index[l])
+                .collect();
+            if c.data {
+                out.push(data);
             }
-            LabelRe::Seq(ps) => {
-                let mut acc: BTreeSet<u32> = [0u32].into_iter().collect();
-                for p in ps {
-                    let cov = self.cov_re(p, mask, cov_der);
-                    if cov.is_empty() {
-                        return BTreeSet::new();
-                    }
-                    let mut next = BTreeSet::new();
-                    for &a in &acc {
-                        for &b in &cov {
-                            next.insert(a | b);
-                        }
-                    }
-                    acc = next;
+            out
+        };
+        let n = syms.len();
+        let mut content = Vec::with_capacity(n);
+        let mut closure_pred = vec![Vec::new(); n];
+        let mut within_seed = vec![false; n];
+        within_seed[any] = true;
+        for (s, sym) in syms.iter().enumerate() {
+            let GSym::Elem(a) = sym else {
+                content.push(None);
+                continue;
+            };
+            let re = schema
+                .element(a.as_str())
+                .cloned()
+                .unwrap_or_else(LabelRe::any_forest);
+            content.push(Some((ctx.compile(&re), !re.language_empty())));
+            let closure = element_closure(schema, a);
+            if closure.any {
+                within_seed[s] = true;
+            } else {
+                for t in closure_indices(&closure) {
+                    closure_pred[t].push(s);
                 }
-                acc
-            }
-            LabelRe::Alt(ps) => {
-                let mut out = BTreeSet::new();
-                for p in ps {
-                    out.extend(self.cov_re(p, mask, cov_der));
-                }
-                out
-            }
-            LabelRe::Star(p) => {
-                let base = self.cov_re(p, mask, cov_der);
-                union_closure(base, true)
-            }
-            LabelRe::Plus(p) => {
-                let base = self.cov_re(p, mask, cov_der);
-                union_closure(base, false)
-            }
-            LabelRe::Opt(p) => {
-                let mut out = self.cov_re(p, mask, cov_der);
-                out.insert(0);
-                out
             }
         }
+        let functions = schema
+            .functions()
+            .map(|sig| ctx.compile(&sig.output))
+            .collect();
+        let outputs = schema
+            .functions()
+            .map(|sig| {
+                let closure = schema.expansion_closure(&sig.output);
+                let syms = (!closure.any).then(|| closure_indices(&closure));
+                (sig.name.clone(), syms)
+            })
+            .collect();
+        Symbols {
+            syms,
+            content,
+            functions,
+            closure_pred,
+            within_seed,
+            outputs,
+        }
+    }
+}
+
+/// Label-to-index maps for compiling content models.
+struct Compile<'a> {
+    index: &'a HashMap<Label, usize>,
+    slots: &'a HashMap<&'a str, usize>,
+    data: usize,
+    any: usize,
+}
+
+impl Compile<'_> {
+    fn compile(&self, re: &LabelRe) -> CovRe {
+        let all = |ps: &[LabelRe]| ps.iter().map(|p| self.compile(p)).collect();
+        match re {
+            LabelRe::Empty => CovRe::Empty,
+            LabelRe::Epsilon => CovRe::Epsilon,
+            LabelRe::Data => CovRe::Sym(self.data, None),
+            // an `any` position can be any single derived tree, and each
+            // constraint is satisfiable by an arbitrary tree
+            LabelRe::Any => CovRe::Sym(self.any, None),
+            LabelRe::Sym(l) => CovRe::Sym(self.index[l], self.slots.get(l.as_str()).copied()),
+            LabelRe::Seq(ps) => CovRe::Seq(all(ps)),
+            LabelRe::Alt(ps) => CovRe::Alt(all(ps)),
+            LabelRe::Star(p) => CovRe::Repeat(Box::new(self.compile(p)), true),
+            LabelRe::Plus(p) => CovRe::Repeat(Box::new(self.compile(p)), false),
+            LabelRe::Opt(p) => CovRe::Opt(Box::new(self.compile(p))),
+        }
+    }
+}
+
+/// A content model over symbol indices.
+enum CovRe {
+    Empty,
+    Epsilon,
+    /// One child: its symbol, and for a function its slot (a call may
+    /// stay, or expand into a derived word of its output type).
+    Sym(usize, Option<usize>),
+    Seq(Vec<CovRe>),
+    Alt(Vec<CovRe>),
+    /// `p*` (ε allowed) or `p+`.
+    Repeat(Box<CovRe>, bool),
+    Opt(Box<CovRe>),
+}
+
+/// Achievable coverage masks at one pattern node: which subsets of the
+/// node's child constraints a derived word can cover simultaneously.
+struct Coverage<'a> {
+    syms: &'a Symbols,
+    /// per symbol: the child constraints it satisfies
+    masks: &'a [u32],
+    full: u32,
+    /// per function slot: the masks of its derived output words,
+    /// computed on first need
+    derived: Option<Vec<BTreeSet<u32>>>,
+}
+
+impl<'a> Coverage<'a> {
+    fn new(syms: &'a Symbols, masks: &'a [u32], children: usize) -> Self {
+        Coverage {
+            syms,
+            masks,
+            full: if children == 0 {
+                0
+            } else {
+                u32::MAX >> (MASK_BITS - children)
+            },
+            derived: None,
+        }
+    }
+
+    /// Can the element symbol `s`'s content cover every child constraint?
+    fn covers(&mut self, s: usize) -> bool {
+        let (content, nonempty) = self.syms.content[s].as_ref().expect("an element symbol");
+        if self.full == 0 {
+            return *nonempty;
+        }
+        let derived = self.derived.get_or_insert_with(|| {
+            // the function fixpoint: a call's derived words are its output
+            // type's, with nested calls expanded in turn
+            let mut der = vec![BTreeSet::new(); self.syms.functions.len()];
+            loop {
+                let mut changed = false;
+                for (slot, out) in self.syms.functions.iter().enumerate() {
+                    let new = cov(out, self.masks, &der);
+                    let before = der[slot].len();
+                    der[slot].extend(new);
+                    changed |= der[slot].len() != before;
+                }
+                if !changed {
+                    return der;
+                }
+            }
+        });
+        cov(content, self.masks, derived).contains(&self.full)
+    }
+}
+
+/// Per symbol, the child constraints of `p` it satisfies: bit `j` for a
+/// child-edge child `j` it embeds at its root, or a descendant-edge child
+/// it embeds anywhere inside.
+fn child_masks(
+    pattern: &Pattern,
+    p: PNodeId,
+    n: usize,
+    can_root: &[bool],
+    can_within: &[bool],
+) -> Vec<u32> {
+    let mut masks = vec![0u32; n];
+    for (j, &c) in pattern.node(p).children.iter().enumerate() {
+        let table = match pattern.node(c).edge {
+            EdgeKind::Child => can_root,
+            EdgeKind::Descendant => can_within,
+        };
+        let row = &table[c.index() * n..(c.index() + 1) * n];
+        for (m, &ok) in masks.iter_mut().zip(row) {
+            if ok {
+                *m |= 1 << j;
+            }
+        }
+    }
+    masks
+}
+
+/// The masks the words of `re` achieve, with each function symbol either
+/// kept (its own mask) or expanded (`der`, the masks of its derived words).
+fn cov(re: &CovRe, masks: &[u32], der: &[BTreeSet<u32>]) -> BTreeSet<u32> {
+    match re {
+        CovRe::Empty => BTreeSet::new(),
+        CovRe::Epsilon => [0u32].into_iter().collect(),
+        CovRe::Sym(s, slot) => {
+            let mut out: BTreeSet<u32> = [masks[*s]].into_iter().collect();
+            if let Some(slot) = slot {
+                out.extend(der[*slot].iter().copied());
+            }
+            out
+        }
+        CovRe::Seq(ps) => {
+            let mut acc: BTreeSet<u32> = [0u32].into_iter().collect();
+            for p in ps {
+                let cov = cov(p, masks, der);
+                if cov.is_empty() {
+                    return BTreeSet::new();
+                }
+                let mut next = BTreeSet::new();
+                for &a in &acc {
+                    for &b in &cov {
+                        next.insert(a | b);
+                    }
+                }
+                acc = next;
+            }
+            acc
+        }
+        CovRe::Alt(ps) => ps.iter().flat_map(|p| cov(p, masks, der)).collect(),
+        CovRe::Repeat(p, with_empty) => union_closure(cov(p, masks, der), *with_empty),
+        CovRe::Opt(p) => {
+            let mut out = cov(p, masks, der);
+            out.insert(0);
+            out
+        }
+    }
+}
+
+/// Every node id of `pattern`, children before parents, detached subtrees
+/// included.
+fn post_order(pattern: &Pattern) -> Vec<PNodeId> {
+    let mut seen = vec![false; pattern.len()];
+    let mut out = Vec::with_capacity(pattern.len());
+    for start in pattern.node_ids() {
+        if seen[start.index()] {
+            continue;
+        }
+        seen[start.index()] = true;
+        let mut stack = vec![(start, 0usize)];
+        while let Some((p, next)) = stack.last_mut() {
+            let p = *p;
+            match pattern.node(p).children.get(*next) {
+                Some(&c) => {
+                    *next += 1;
+                    if !seen[c.index()] {
+                        seen[c.index()] = true;
+                        stack.push((c, 0));
+                    }
+                }
+                None => {
+                    out.push(p);
+                    stack.pop();
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The one-level expansion closure of an element's content (an undeclared
+/// element is unconstrained).
+fn element_closure(schema: &Schema, name: &Label) -> ClosureSet {
+    match schema.element(name.as_str()) {
+        Some(content) => schema.expansion_closure(content),
+        None => ClosureSet {
+            any: true,
+            ..Default::default()
+        },
     }
 }
 
@@ -850,6 +981,40 @@ mod tests {
                 EdgeKind::Child,
                 mode
             ));
+        }
+    }
+
+    #[test]
+    fn wide_nodes_stay_within_lenient() {
+        // the hotel node has `conditions + 1` children: 32 fill a coverage
+        // mask, 33 and 41 overflow it and take the lenient verdict there
+        let s = figure2_schema();
+        let funs = [
+            "getHotels",
+            "getRating",
+            "getNearbyRestos",
+            "getNearbyMuseums",
+        ];
+        for conditions in [31, 32, 40] {
+            let q = sub(&format!(
+                "/hotel{}/nearby",
+                "[name=\"Best Western\"]".repeat(conditions)
+            ));
+            let mut exact = Satisfier::new(&s, &q, SatMode::Exact);
+            let mut lenient = Satisfier::new(&s, &q, SatMode::Lenient);
+            for u in q.node_ids() {
+                for f in funs {
+                    for via in [EdgeKind::Child, EdgeKind::Descendant] {
+                        let e = exact.function_satisfies_at(f, u, via);
+                        assert!(
+                            !e || lenient.function_satisfies_at(f, u, via),
+                            "exact ⊆ lenient violated for {f} at {u:?} ({conditions})"
+                        );
+                    }
+                }
+            }
+            // one name element meets every condition
+            assert!(exact.function_satisfies_at("getHotels", q.root(), EdgeKind::Child));
         }
     }
 

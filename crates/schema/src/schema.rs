@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// A Web-service signature: the input and output types of Figure 2.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct FunSig {
     /// Service name.
     pub name: Label,
@@ -32,7 +32,9 @@ pub struct FunSig {
 }
 
 /// A schema `τ`: element content models plus function signatures.
-#[derive(Clone, Debug, Default)]
+/// Equality and hashing are structural: two schemas are equal exactly
+/// when their `Debug` renderings are.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Schema {
     elements: BTreeMap<Label, LabelRe>,
     functions: BTreeMap<Label, FunSig>,

@@ -14,6 +14,9 @@ use axml_schema::{
 };
 use proptest::prelude::*;
 
+mod support;
+use support::{schema_strategy, SCHEMA_QUERIES};
+
 /// Random regexes over a 3-label alphabet + data.
 fn re_strategy() -> impl Strategy<Value = LabelRe> {
     let leaf = prop_oneof![
@@ -147,52 +150,6 @@ proptest! {
         // the converse needs unbounded words; not sampled
     }
 }
-
-/// Random small schemas: 3 elements, 2 functions over them.
-fn schema_strategy() -> impl Strategy<Value = String> {
-    let content = prop_oneof![
-        Just("data"),
-        Just("e0"),
-        Just("e1?"),
-        Just("(e0 | e1)"),
-        Just("(e0 | f0)*"),
-        Just("e0.e1"),
-        Just("(data | f1)"),
-        Just("e2*"),
-    ];
-    let out = prop_oneof![
-        Just("data"),
-        Just("e0*"),
-        Just("(e1 | e2)"),
-        Just("e2.e2"),
-        Just("f1?"),
-        Just("any*"),
-    ];
-    (
-        proptest::collection::vec(content, 3),
-        proptest::collection::vec(out, 2),
-    )
-        .prop_map(|(cs, os)| {
-            let mut text = String::new();
-            for (i, c) in cs.iter().enumerate() {
-                text.push_str(&format!("element e{i} = {c}\n"));
-            }
-            for (i, o) in os.iter().enumerate() {
-                text.push_str(&format!("function f{i} = in: data, out: {o}\n"));
-            }
-            text
-        })
-}
-
-/// The queries asked of every random schema.
-const SCHEMA_QUERIES: [&str; 6] = [
-    "/e0",
-    "/e0[e1]",
-    "/e1/\"v\"",
-    "/e2[e0][e1]",
-    "/e0//data0",
-    "/e0/e1[e2=\"x\"]",
-];
 
 /// Every `(mode, node, function, edge)` whose verdict from one checker
 /// over the whole query differs from a fresh checker over that node's

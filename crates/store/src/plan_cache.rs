@@ -19,7 +19,7 @@
 //! sink — never into an engine's query span, which must not change with
 //! cache state.
 
-use axml_core::{plan_fingerprint, CompiledQuery, EngineConfig};
+use axml_core::{plan_hash, CompiledQuery, EngineConfig};
 use axml_obs::{Event, EventKind, TraceSink};
 use axml_query::{render, Pattern};
 use axml_schema::Schema;
@@ -67,7 +67,7 @@ pub struct PlanCacheStats {
     /// Probes that found nothing under the key (each one compiled).
     pub misses: u64,
     /// Plans actually compiled (= misses, plus recompiles after a
-    /// fingerprint collision with an incompatible resident plan).
+    /// key-hash collision with an incompatible resident plan).
     pub compiles: u64,
     /// Plans evicted by the LRU capacity.
     pub evictions: u64,
@@ -102,23 +102,23 @@ struct PlanEntry {
 
 #[derive(Default)]
 struct PlanShard {
-    map: HashMap<String, PlanEntry>,
+    map: HashMap<u64, PlanEntry>,
     stats: PlanCacheStats,
 }
 
 impl PlanShard {
     /// This shard's least-recently-used entry, as `(last_used, key)`.
-    fn lru_min(&self) -> Option<(u64, String)> {
+    fn lru_min(&self) -> Option<(u64, u64)> {
         self.map
             .iter()
             .min_by_key(|(_, e)| e.last_used)
-            .map(|(k, e)| (e.last_used, k.clone()))
+            .map(|(&k, e)| (e.last_used, k))
     }
 }
 
 /// A shared, internally synchronized cache of [`CompiledQuery`] plans,
-/// keyed by the stable fingerprint of the compile-relevant plan key
-/// ([`plan_fingerprint`]). See the module docs.
+/// placed and keyed by the structural hash of the compile-relevant plan
+/// key ([`plan_hash`]). See the module docs.
 pub struct PlanCache {
     config: PlanCacheConfig,
     shards: Vec<Mutex<PlanShard>>,
@@ -195,18 +195,17 @@ impl PlanCache {
 
     /// The compiled plan for `(query, schema, config)` — served from the
     /// cache when present, compiled (and inserted) when not. The returned
-    /// plan is always compatible with the arguments; a fingerprint
-    /// collision with an incompatible resident plan is treated as a miss
-    /// and the slot is recompiled for the new key.
+    /// plan is always compatible with the arguments; a key-hash collision
+    /// with an incompatible resident plan is treated as a miss and the
+    /// slot is recompiled for the new key.
     pub fn fetch(
         &self,
         query: &Pattern,
         schema: Option<&Schema>,
         config: &EngineConfig,
     ) -> Arc<CompiledQuery> {
-        let key = plan_fingerprint(query, schema, config);
-        let n = self.shards.len();
-        let idx = fnv(&key) as usize % n;
+        let key = plan_hash(query, schema, config);
+        let idx = (key % self.shards.len() as u64) as usize;
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let plan;
         let hit;
@@ -226,7 +225,7 @@ impl PlanCache {
                             shard.map.remove(&key);
                         }
                         shard.map.insert(
-                            key.clone(),
+                            key,
                             PlanEntry {
                                 plan: Arc::clone(&compiled),
                                 last_used: tick,
@@ -245,7 +244,7 @@ impl PlanCache {
             }
             // emitted under the shard lock: probes of one key are totally
             // ordered, so the first probe of a key is always the miss
-            self.emit(query, &key, hit);
+            self.emit(query, plan.fingerprint(), hit);
         }
         if !hit {
             self.evict_to_capacity();
@@ -282,7 +281,7 @@ impl PlanCache {
         if entries <= self.config.capacity {
             return;
         }
-        let mut minima: Vec<Option<(u64, String)>> = guards.iter().map(|g| g.lru_min()).collect();
+        let mut minima: Vec<Option<(u64, u64)>> = guards.iter().map(|g| g.lru_min()).collect();
         while entries > self.config.capacity {
             let victim = minima
                 .iter()
@@ -297,18 +296,6 @@ impl PlanCache {
             minima[i] = guards[i].lru_min();
         }
     }
-}
-
-/// FNV-1a over the fingerprint string, for shard placement only (the
-/// fingerprint itself is already a hash; this just folds it to an index
-/// deterministically across builds).
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -408,6 +395,43 @@ mod tests {
         assert!(vs.is_empty(), "{vs:?}");
         // a wrong counter is caught
         assert!(!check_plan_cache(&events, 0, 3).is_empty());
+    }
+
+    #[test]
+    fn probes_report_the_plan_fingerprint_on_miss_and_hit() {
+        let cache = PlanCache::default();
+        let sink = Arc::new(RingSink::unbounded());
+        cache.set_sink(Arc::clone(&sink) as Arc<dyn TraceSink>);
+        let config = EngineConfig::default();
+        let schema = figure2_schema();
+        for s in [None, Some(&schema)] {
+            cache.fetch(&q(1), s, &config);
+            cache.fetch(&q(1), s, &config);
+        }
+        let probes: Vec<(String, bool)> = sink
+            .events()
+            .into_iter()
+            .map(|e| match e.kind {
+                EventKind::PlanCacheProbe { key, hit, .. } => (key, hit),
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        let none = axml_core::plan_fingerprint(&q(1), None, &config);
+        let typed = axml_core::plan_fingerprint(&q(1), Some(&schema), &config);
+        // the bytes traces carry for these keys
+        assert_eq!(
+            (none.as_str(), typed.as_str()),
+            ("e84bd93ae6658945", "aa2b4574c42104e5")
+        );
+        assert_eq!(
+            probes,
+            vec![
+                (none.clone(), false),
+                (none, true),
+                (typed.clone(), false),
+                (typed, true)
+            ]
+        );
     }
 
     #[test]

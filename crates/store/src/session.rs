@@ -12,10 +12,10 @@ use crate::cache::{CacheStats, CallCache};
 use crate::plan_cache::PlanCache;
 use axml_core::{Engine, EngineConfig, EngineStats, EvalReport};
 use axml_obs::TraceSink;
-use axml_query::{construct_results, render_result, Pattern};
+use axml_query::{render_result, Pattern};
 use axml_schema::Schema;
 use axml_services::Registry;
-use axml_xml::{to_xml, DocSnapshot, Document, VersionedDocument};
+use axml_xml::{DocSnapshot, Document, VersionedDocument};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -63,8 +63,6 @@ pub struct SessionReport {
     pub complete: bool,
     /// The rendered answer tuples, deduplicated and ordered.
     pub answers: BTreeSet<Vec<String>>,
-    /// The constructed `<results>` document, serialized.
-    pub result_xml: String,
     /// Cumulative cache counters *after* this query.
     pub cache: CacheStats,
     /// The session's simulated clock *after* this query, in ms.
@@ -234,25 +232,17 @@ impl<'a> Session<'a> {
                 }
             }
             self.queries_run += 1;
-            return self.package(query, &working, report, doc_version);
+            return self.package(&working, report, doc_version);
         }
     }
 
-    fn package(
-        &self,
-        query: &Pattern,
-        doc: &Document,
-        report: EvalReport,
-        doc_version: u64,
-    ) -> SessionReport {
+    fn package(&self, doc: &Document, report: EvalReport, doc_version: u64) -> SessionReport {
         let answers: BTreeSet<Vec<String>> =
             render_result(doc, &report.result).into_iter().collect();
-        let result_xml = to_xml(&construct_results(doc, query, &report.result));
         SessionReport {
             stats: report.stats,
             complete: report.complete,
             answers,
-            result_xml,
             cache: self.cache.stats(),
             clock_ms: self.clock_ms,
             doc_version,
