@@ -4,7 +4,6 @@
 
 use axml_core::{build_nfqs, filter_candidates, position_language, ClassVerdicts, FGuide};
 use axml_gen::scenario::{figure4_query, generate, ScenarioParams};
-use axml_query::EvalOptions;
 use axml_xml::Document;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -45,11 +44,11 @@ fn bench_fguide(c: &mut Criterion) {
                     for nfq in &nfqs {
                         let mut at = ClassVerdicts::new(position_language(&nfq.lin, nfq.via));
                         let cands: Vec<_> = guide
-                            .extent(d, &mut at, None, 0)
+                            .extent(d, &mut at, None)
                             .into_iter()
                             .map(|(n, _)| n)
                             .collect();
-                        found += filter_candidates(nfq, d, &cands, EvalOptions::default()).len();
+                        found += filter_candidates(nfq, d, &cands).len();
                     }
                     std::hint::black_box(found)
                 })

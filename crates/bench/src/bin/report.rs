@@ -21,12 +21,14 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // --csv DIR writes each selected experiment as CSV next to printing it
     let csv_dir: Option<String> = take_value(&mut args, "--csv");
-    // E14 artifact/assertion knobs (see EXPERIMENTS.md):
+    // E14 artifact/assertion knobs (see EXPERIMENTS.md and `ex::e14_gate`):
     //   --e14-json PATH          write the BENCH_E14.json artifact
-    //   --e14-min-speedup N      exit nonzero unless the full hot path hits
-    //                            an N× speedup on the largest NFQA profile
+    //   --e14-min-speedup N      exit nonzero unless production detection
+    //                            beats the whole-document detector N× at
+    //                            the largest size, on the best shape
     //   --e14-baseline PATH      exit nonzero if any speedup ratio regressed
     //                            >20% vs the committed baseline artifact
+    // either gate flag also bounds detection's growth from 50 to 400 hotels
     let e14_json: Option<String> = take_value(&mut args, "--e14-json");
     let e14_min_speedup: Option<f64> =
         take_value(&mut args, "--e14-min-speedup").map(|v| v.parse().expect("--e14-min-speedup"));
@@ -209,26 +211,25 @@ fn main() {
         );
         emit("e13", "trigger/deadline_ms", &rows);
     }
-    if want("a4") {
-        let rows = ex::a4_incremental(&[20, 50, 100]);
-        ex::print_table("A4 — incremental relevance detection", "hotels", &rows);
-        emit("a4", "hotels", &rows);
-    }
     if want("a2") {
         let rows = ex::a2_nfq_evals(&[20, 50, 100]);
         ex::print_table("A2 — NFQ re-evaluation counts", "hotels", &rows);
         emit("a2", "hotels", &rows);
     }
-    if want("e14") || want("hotpath") {
-        let rows = ex::e14_hotpath(&[50, 200, 400], 2);
+    if want("e14") || want("detection") {
+        let rows = ex::e14_detection(&[50, 200, 400, 4000], 20);
         ex::print_table(
-            "E14 — hot-path evaluator ablation (interning / index / delta)",
+            "E14 — production relevance detection vs the whole-document detector",
             "hotels",
             &rows,
         );
         emit("e14", "hotels", &rows);
+        let nfqa = ex::e14_nfqa(&[50, 200, 400], 2);
+        ex::print_table("E14 — sequential NFQA, production path", "hotels", &nfqa);
+        emit("e14_nfqa", "hotels", &nfqa);
         if let Some(path) = &e14_json {
-            match std::fs::write(path, ex::e14_to_json(&rows)) {
+            let all: Vec<ex::Row> = rows.iter().chain(&nfqa).cloned().collect();
+            match std::fs::write(path, ex::e14_to_json(&all)) {
                 Ok(()) => eprintln!("report: wrote {path}"),
                 Err(e) => {
                     eprintln!("report: writing {path}: {e}");
@@ -236,74 +237,19 @@ fn main() {
                 }
             }
         }
-        let speedup_of = |rows: &[ex::Row], series: &str, hotels: f64| -> Option<f64> {
-            rows.iter()
-                .find(|r| r.label == series && r.x == hotels)
-                .and_then(|r| {
-                    r.metrics
-                        .iter()
-                        .find(|(n, _)| *n == "speedup")
-                        .map(|(_, v)| *v)
-                })
-        };
-        let largest = rows.iter().map(|r| r.x).fold(0.0_f64, f64::max);
-        if let Some(min) = e14_min_speedup {
-            // the headline claim: the full hot path (interned+index+delta vs
-            // the seed evaluator) at the largest document size, best query
-            // shape — sequential NFQA is where the delta scoping pays
-            let (series, got) = rows
-                .iter()
-                .filter(|r| r.x == largest && r.label.ends_with("/interned+index+delta"))
-                .filter_map(|r| speedup_of(&rows, &r.label, largest).map(|s| (r.label.clone(), s)))
-                .fold((String::new(), 0.0_f64), |best, cur| {
-                    if cur.1 > best.1 {
-                        cur
-                    } else {
-                        best
-                    }
-                });
-            if got < min {
-                eprintln!(
-                    "report: E14 speedup regression — best full hot-path series \
-                     ({series}) at {largest} hotels reached {got:.2}x, needs >= {min}x"
-                );
-                std::process::exit(1);
-            }
-            eprintln!("report: E14 headline speedup {got:.2}x ({series}, floor {min}x) — ok");
-        }
-        if let Some(bpath) = &e14_baseline {
-            // compare speedup *ratios* only — cpu_ms is machine-dependent,
-            // the ratio of seed to optimised CPU on the same machine is not
+        let baseline = e14_baseline.as_ref().map(|bpath| {
             let text = std::fs::read_to_string(bpath)
                 .unwrap_or_else(|e| panic!("report: reading {bpath}: {e}"));
-            let mut regressed = false;
-            for b in ex::e14_parse_json(&text) {
-                // gate only the rows where the baseline claims a real win:
-                // rows near 1.0x (e.g. interning alone) jitter ±10% and
-                // would flake a 20% tolerance
-                if b.speedup < 2.0 {
-                    continue;
-                }
-                let Some(got) = speedup_of(&rows, &b.series, b.hotels) else {
-                    continue; // sweep changed shape; baseline row is obsolete
-                };
-                if got < b.speedup * 0.8 {
-                    eprintln!(
-                        "report: E14 regression — {} at {} hotels: {:.2}x, \
-                         baseline {:.2}x (-{:.0}%)",
-                        b.series,
-                        b.hotels,
-                        got,
-                        b.speedup,
-                        (1.0 - got / b.speedup) * 100.0
-                    );
-                    regressed = true;
+            ex::e14_parse_json(&text)
+        });
+        if e14_min_speedup.is_some() || baseline.is_some() {
+            match ex::e14_gate(&rows, e14_min_speedup, baseline.as_deref()) {
+                Ok(passed) => eprintln!("report: E14 gate — {passed} — ok"),
+                Err(failure) => {
+                    eprintln!("report: {failure}");
+                    std::process::exit(1);
                 }
             }
-            if regressed {
-                std::process::exit(1);
-            }
-            eprintln!("report: E14 within 20% of baseline {bpath} — ok");
         }
     }
     if want("e15") || want("serving") {

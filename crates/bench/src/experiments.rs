@@ -583,38 +583,6 @@ pub fn a3_containment(hotel_counts: &[usize]) -> Vec<Row> {
     rows
 }
 
-/// A4 (ablation) — incremental relevance detection: NFQ evaluations
-/// performed vs skipped (cached candidate sets reused) and analysis CPU.
-pub fn a4_incremental(hotel_counts: &[usize]) -> Vec<Row> {
-    let mut rows = Vec::new();
-    let q = figure4_query();
-    for &hotels in hotel_counts {
-        let params = ScenarioParams {
-            hotels,
-            ..Default::default()
-        };
-        for (name, inc) in [("full-reeval", false), ("incremental", true)] {
-            let config = EngineConfig {
-                incremental_detection: inc,
-                ..EngineConfig::nfq_plain()
-            };
-            let mut sc = generate(&params);
-            let (stats, _) = run_once(&mut sc, &q, config, NetProfile::free());
-            rows.push(Row {
-                label: name.to_string(),
-                x: hotels as f64,
-                metrics: vec![
-                    ("nfq_evals", stats.relevance_evals as f64),
-                    ("skipped", stats.nfq_evals_skipped as f64),
-                    ("analysis_ms", stats.relevance_cpu.as_secs_f64() * 1e3),
-                    ("calls", stats.calls_invoked as f64),
-                ],
-            });
-        }
-    }
-    rows
-}
-
 /// E9 — cross-domain sanity: the strategy ranking of E1 must hold on the
 /// second (auctions) domain too, whose schema is deeper and join-heavier.
 /// E10 — fault tolerance: graceful degradation under permanently failing
@@ -908,120 +876,248 @@ pub fn e9_auctions(auction_counts: &[usize]) -> Vec<Row> {
     rows
 }
 
-/// E14 — the hot-path evaluator ablation: interned-label matching, the
-/// label→node index, and delta-scoped NFQ re-evaluation, measured as real
-/// CPU milliseconds per full lazy evaluation. `NetProfile::free()` zeroes
-/// the simulated network, so wall-clock ≈ evaluator CPU. Four cumulative
-/// modes per (query shape, document size) cell:
-///
-/// * `seed` — string-compare evaluator, no index, full NFQ re-evaluation
-///   every round (the pre-optimisation engine),
-/// * `interned` — u32 symbol compares,
-/// * `interned+index` — plus index-driven descendant steps,
-/// * `interned+index+delta` — plus delta-scoped NFQ re-evaluation.
-///
-/// Answers are asserted identical across all modes (the flags are pure CPU
-/// trades); `speedup` is seed-mode CPU over this mode's CPU for the same
-/// cell, so the ratio is machine-independent. Best-of-`reps` damps
-/// scheduler noise. `BENCH_E14.json` (written by the `report` binary) is
-/// the machine artifact CI asserts against.
-pub fn e14_hotpath(hotel_counts: &[usize], reps: usize) -> Vec<Row> {
-    use axml_query::{parse_query, EvalOptions};
-    use std::time::Instant;
-    let shapes: Vec<(&str, Pattern)> = vec![
+/// E14's two query shapes: Figure 4's query, whose NFQs sit on child
+/// paths, and a descendant query whose NFQs reach calls at any depth.
+fn e14_shapes() -> Vec<(&'static str, Pattern)> {
+    vec![
         ("figure4", figure4_query()),
         (
             "descendant",
-            parse_query("//restaurant[rating=\"*****\"]/name/$N -> $N").unwrap(),
+            axml_query::parse_query("//restaurant[rating=\"*****\"]/name/$N -> $N")
+                .expect("descendant query"),
         ),
-    ];
-    let modes: Vec<(&'static str, bool, EvalOptions)> = vec![
-        (
-            "seed",
-            false,
-            EvalOptions {
-                interning: false,
-                index: false,
-            },
-        ),
-        (
-            "interned",
-            false,
-            EvalOptions {
-                interning: true,
-                index: false,
-            },
-        ),
-        (
-            "interned+index",
-            false,
-            EvalOptions {
-                interning: true,
-                index: true,
-            },
-        ),
-        (
-            "interned+index+delta",
-            true,
-            EvalOptions {
-                interning: true,
-                index: true,
-            },
-        ),
-    ];
+    ]
+}
+
+/// The least time E14 spends timing one row: passes of the two detectors
+/// alternate until their timed total reaches this, so a sub-millisecond
+/// row is the best of hundreds of passes.
+const E14_ROW_MS: f64 = 500.0;
+
+/// E14 — production relevance detection against the whole-document
+/// detector, on freshly generated hotel documents. One `{shape}/detect`
+/// row per shape and size:
+///
+/// * `detect_ms` — the engine's detection CPU (`relevance_cpu`) with a
+///   budget of zero invocations, no layering and no push: one detection
+///   pass over every NFQ through the F-guide, the service test and the
+///   residual filter, then the run stops;
+/// * `scan_ms` — [`axml_core::relevant_calls`], which evaluates every
+///   refined NFQ over the whole document. It also builds the NFQs and a
+///   type refiner on every call, which the engine does outside
+///   `relevance_cpu`: a fixed cost, whose share shrinks as the document
+///   grows;
+/// * `calls` — the relevant calls both detectors find, asserted equal
+///   (the engine's count is the `pending` of its `truncated` event, from
+///   an observed run kept apart from the timed ones);
+/// * `speedup` — `scan_ms / detect_ms`, a same-machine ratio.
+///
+/// Each timing is the detector's best single pass. Passes of the two
+/// detectors alternate, at least `reps` of each and until the row has
+/// spent 500 ms (`E14_ROW_MS`): the best of many passes keeps each ratio steady
+/// from run to run even on a shared machine whose speed drifts.
+/// [`e14_gate`] checks the rows; `BENCH_E14.json` (written by the
+/// `report` binary) carries them.
+pub fn e14_detection(hotel_counts: &[usize], reps: usize) -> Vec<Row> {
+    use axml_obs::{EventKind, RingSink};
+    use axml_schema::SatMode;
+    use std::time::Instant;
+    let config = EngineConfig {
+        max_invocations: 0,
+        layering: false,
+        push_queries: false,
+        ..EngineConfig::default()
+    };
+    let mut rows = Vec::new();
+    for &hotels in hotel_counts {
+        let sc = generate(&ScenarioParams {
+            hotels,
+            ..Default::default()
+        });
+        let engine = Engine::new(&sc.registry, config.clone()).with_schema(&sc.schema);
+        for (shape, q) in e14_shapes() {
+            // a run without a budget splices nothing, so one copy serves
+            // every run
+            let mut doc = sc.doc.clone();
+            let ring = RingSink::unbounded();
+            Engine::new(&sc.registry, config.clone())
+                .with_schema(&sc.schema)
+                .with_observer(&ring)
+                .evaluate(&mut doc, &q);
+            let pending = ring
+                .events()
+                .iter()
+                .find_map(|e| match e.kind {
+                    EventKind::Truncated { pending } => Some(pending),
+                    _ => None,
+                })
+                .unwrap_or(0);
+            let (mut detect_ms, mut scan_ms) = (f64::INFINITY, f64::INFINITY);
+            let (mut passes, mut spent, mut scanned) = (0, 0.0, 0);
+            while passes < reps.max(1) || spent < E14_ROW_MS {
+                let stats = engine.evaluate(&mut doc, &q).stats;
+                let detect = stats.relevance_cpu.as_secs_f64() * 1e3;
+                let t = Instant::now();
+                scanned =
+                    axml_core::relevant_calls(&doc, &q, Some(&sc.schema), SatMode::Exact).len();
+                let scan = t.elapsed().as_secs_f64() * 1e3;
+                detect_ms = detect_ms.min(detect);
+                scan_ms = scan_ms.min(scan);
+                passes += 1;
+                spent += detect + scan;
+            }
+            assert_eq!(
+                pending, scanned,
+                "the detectors disagree on {shape} at {hotels} hotels"
+            );
+            rows.push(Row {
+                label: format!("{shape}/detect"),
+                x: hotels as f64,
+                metrics: vec![
+                    ("detect_ms", detect_ms),
+                    ("scan_ms", scan_ms),
+                    ("calls", pending as f64),
+                    ("speedup", scan_ms / detect_ms.max(1e-9)),
+                ],
+            });
+        }
+    }
+    rows
+}
+
+/// E14's production rows beside the detection rows: one full sequential
+/// NFQA run ([`EngineConfig::nfq_plain`], free network) per shape and
+/// size, as `{shape}/nfqa` rows with the run's CPU (`cpu_ms`, best of
+/// `reps`) and its detection share (`analysis_ms`). Reported, not gated.
+pub fn e14_nfqa(hotel_counts: &[usize], reps: usize) -> Vec<Row> {
+    use std::time::Instant;
     let mut rows = Vec::new();
     for &hotels in hotel_counts {
         let params = ScenarioParams {
             hotels,
             ..Default::default()
         };
-        for (shape, q) in &shapes {
-            let mut seed_ms: Option<f64> = None;
-            let mut reference: Option<BTreeSet<Vec<String>>> = None;
-            for (mode, incremental, opts) in &modes {
-                let config = EngineConfig {
-                    incremental_detection: *incremental,
-                    eval_options: *opts,
-                    ..EngineConfig::nfq_plain()
-                };
-                let mut best = f64::INFINITY;
-                let mut best_analysis = f64::INFINITY;
-                let mut answers = BTreeSet::new();
-                for _ in 0..reps.max(1) {
-                    let mut sc = generate(&params);
-                    let t = Instant::now();
-                    let (stats, a) = run_once(&mut sc, q, config.clone(), NetProfile::free());
-                    best = best.min(t.elapsed().as_secs_f64() * 1e3);
-                    best_analysis = best_analysis.min(stats.relevance_cpu.as_secs_f64() * 1e3);
-                    answers = a;
-                }
-                match &reference {
-                    None => reference = Some(answers),
-                    Some(r) => assert_eq!(
-                        &answers, r,
-                        "{mode} changed the {shape} answer at {hotels} hotels"
-                    ),
-                }
-                let speedup = match seed_ms {
-                    None => {
-                        seed_ms = Some(best);
-                        1.0
-                    }
-                    Some(s) => s / best.max(1e-9),
-                };
-                rows.push(Row {
-                    label: format!("{shape}/{mode}"),
-                    x: hotels as f64,
-                    metrics: vec![
-                        ("cpu_ms", best),
-                        ("analysis_ms", best_analysis),
-                        ("speedup", speedup),
-                    ],
-                });
+        for (shape, q) in e14_shapes() {
+            let mut best = f64::INFINITY;
+            let mut best_analysis = f64::INFINITY;
+            for _ in 0..reps.max(1) {
+                let mut sc = generate(&params);
+                let t = Instant::now();
+                let (stats, _) =
+                    run_once(&mut sc, &q, EngineConfig::nfq_plain(), NetProfile::free());
+                best = best.min(t.elapsed().as_secs_f64() * 1e3);
+                best_analysis = best_analysis.min(stats.relevance_cpu.as_secs_f64() * 1e3);
             }
+            rows.push(Row {
+                label: format!("{shape}/nfqa"),
+                x: hotels as f64,
+                metrics: vec![("cpu_ms", best), ("analysis_ms", best_analysis)],
+            });
         }
     }
     rows
+}
+
+/// The document sizes (hotels) between which [`e14_gate`] bounds the
+/// growth of `detect_ms`.
+const E14_GROWTH_HOTELS: (f64, f64) = (50.0, 400.0);
+
+/// The most `detect_ms` may grow between the [`E14_GROWTH_HOTELS`] sizes:
+/// 12x for 8x the document.
+const E14_MAX_GROWTH: f64 = 12.0;
+
+/// E14's gate over the `/detect` rows of [`e14_detection`]:
+///
+/// * `min_speedup` (if given): the best shape's `speedup` at the largest
+///   size must reach it;
+/// * always: for every shape, `detect_ms` at 400 hotels may be at most
+///   12 times (`E14_MAX_GROWTH`) its value at 50 hotels;
+/// * `baseline` (if given): a row whose baseline `speedup` is at least 2
+///   may lose at most 20% of it (a row the sweep no longer has is
+///   skipped).
+///
+/// A check with no row to read fails. Returns what passed, or the
+/// failure message.
+pub fn e14_gate(
+    rows: &[Row],
+    min_speedup: Option<f64>,
+    baseline: Option<&[E14Entry]>,
+) -> Result<String, String> {
+    let metric = |r: &Row, name: &str| r.metrics.iter().find(|(n, _)| *n == name).map(|m| m.1);
+    let detect: Vec<&Row> = rows
+        .iter()
+        .filter(|r| r.label.ends_with("/detect"))
+        .collect();
+    let at = |series: &str, hotels: f64, name: &str| {
+        detect
+            .iter()
+            .find(|r| r.label == series && r.x == hotels)
+            .and_then(|r| metric(r, name))
+    };
+    if detect.is_empty() {
+        return Err("E14 has no /detect rows to gate".into());
+    }
+    let mut passed = Vec::new();
+    if let Some(min) = min_speedup {
+        let largest = detect.iter().map(|r| r.x).fold(0.0_f64, f64::max);
+        let (series, got) = detect
+            .iter()
+            .filter(|r| r.x == largest)
+            .filter_map(|r| metric(r, "speedup").map(|s| (r.label.as_str(), s)))
+            .fold(
+                ("", 0.0_f64),
+                |best, cur| if cur.1 > best.1 { cur } else { best },
+            );
+        if got < min {
+            return Err(format!(
+                "E14 speedup below the floor — the best shape ({series}) at {largest} hotels \
+                 reached {got:.2}x over the whole-document detector, needs >= {min}x"
+            ));
+        }
+        passed.push(format!(
+            "best speedup {got:.2}x ({series} at {largest} hotels, floor {min}x)"
+        ));
+    }
+    let (from, to) = E14_GROWTH_HOTELS;
+    let max = E14_MAX_GROWTH;
+    let series: BTreeSet<&str> = detect.iter().map(|r| r.label.as_str()).collect();
+    for s in series {
+        let (Some(small), Some(large)) = (at(s, from, "detect_ms"), at(s, to, "detect_ms")) else {
+            return Err(format!(
+                "E14 growth bound has no {s} rows at {from} and {to} hotels"
+            ));
+        };
+        let growth = large / small.max(1e-9);
+        if growth > max {
+            return Err(format!(
+                "E14 detection grows too fast — {s}: {large:.3} ms at {to} hotels is \
+                 {growth:.1}x its {small:.3} ms at {from} hotels, bound {max}x"
+            ));
+        }
+        passed.push(format!(
+            "{s} grows {growth:.1}x from {from} to {to} hotels (bound {max}x)"
+        ));
+    }
+    if let Some(baseline) = baseline {
+        // ratios of CPU times on one machine, unlike raw milliseconds,
+        // compare across machines; rows near 1.0x jitter too much to gate
+        for b in baseline.iter().filter(|b| b.speedup >= 2.0) {
+            let Some(got) = at(&b.series, b.hotels, "speedup") else {
+                continue; // the sweep changed shape; the baseline row is obsolete
+            };
+            if got < b.speedup * 0.8 {
+                return Err(format!(
+                    "E14 regression — {} at {} hotels: {got:.2}x, baseline {:.2}x (-{:.0}%)",
+                    b.series,
+                    b.hotels,
+                    b.speedup,
+                    (1.0 - got / b.speedup) * 100.0
+                ));
+            }
+        }
+        passed.push("within 20% of the baseline".into());
+    }
+    Ok(passed.join("; "))
 }
 
 /// Serializes E14 rows as the `BENCH_E14.json` artifact: one row object
@@ -1047,16 +1143,18 @@ pub fn e14_to_json(rows: &[Row]) -> String {
     out
 }
 
-/// One parsed `BENCH_E14.json` row.
+/// One parsed `/detect` row of `BENCH_E14.json`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct E14Entry {
-    /// `shape/mode` series label.
+    /// `shape/detect` series label.
     pub series: String,
     /// Document size (hotels).
     pub hotels: f64,
-    /// Measured CPU milliseconds (machine-dependent — not compared).
-    pub cpu_ms: f64,
-    /// Seed-mode CPU over this mode's CPU (machine-independent).
+    /// Production detection CPU milliseconds (machine-dependent — not
+    /// compared with another machine's).
+    pub detect_ms: f64,
+    /// Whole-document detection CPU over production detection CPU
+    /// (machine-independent).
     pub speedup: f64,
 }
 
@@ -1079,16 +1177,16 @@ fn json_num_field(line: &str, key: &str) -> Option<f64> {
     line[start..end].parse().ok()
 }
 
-/// Parses the artifact written by [`e14_to_json`] (line-per-row; no JSON
-/// library needed). Unknown lines are skipped, so the format may grow
-/// fields without breaking old readers.
+/// Parses the `/detect` rows of the artifact written by [`e14_to_json`]
+/// (line-per-row; no JSON library needed). Other lines are skipped, so the
+/// format may grow fields without breaking old readers.
 pub fn e14_parse_json(text: &str) -> Vec<E14Entry> {
     text.lines()
         .filter_map(|line| {
             Some(E14Entry {
                 series: json_str_field(line, "series")?,
                 hotels: json_num_field(line, "hotels")?,
-                cpu_ms: json_num_field(line, "cpu_ms")?,
+                detect_ms: json_num_field(line, "detect_ms")?,
                 speedup: json_num_field(line, "speedup")?,
             })
         })
@@ -1975,4 +2073,115 @@ pub fn e18_parse_json(text: &str) -> Vec<E18Entry> {
             })
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A `/detect` row.
+    fn detect(series: &str, hotels: f64, detect_ms: f64, speedup: f64) -> Row {
+        Row {
+            label: format!("{series}/detect"),
+            x: hotels,
+            metrics: vec![
+                ("detect_ms", detect_ms),
+                ("scan_ms", detect_ms * speedup),
+                ("calls", 10.0),
+                ("speedup", speedup),
+            ],
+        }
+    }
+
+    /// Two shapes at every size: detection 8x slower at 8x the document,
+    /// 30x faster than the whole-document scan at 4,000 hotels.
+    fn conforming() -> Vec<Row> {
+        let mut rows = Vec::new();
+        for shape in ["figure4", "descendant"] {
+            for (hotels, ms, speedup) in [
+                (50.0, 0.5, 3.0),
+                (200.0, 2.0, 8.0),
+                (400.0, 4.0, 12.0),
+                (4000.0, 40.0, 30.0),
+            ] {
+                rows.push(detect(shape, hotels, ms, speedup));
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn e14_gate_passes_conforming_rows() {
+        let rows = conforming();
+        let baseline = e14_parse_json(&e14_to_json(&rows));
+        let ok = e14_gate(&rows, Some(5.0), Some(&baseline));
+        assert!(ok.is_ok(), "{ok:?}");
+    }
+
+    #[test]
+    fn e14_gate_fails_a_whole_document_detector() {
+        let rows: Vec<Row> = conforming()
+            .into_iter()
+            .map(|mut r| {
+                for m in &mut r.metrics {
+                    if m.0 == "speedup" {
+                        m.1 = 1.0;
+                    }
+                }
+                r
+            })
+            .collect();
+        let err = e14_gate(&rows, Some(5.0), None).unwrap_err();
+        assert!(err.contains("floor") && err.contains("1.00x"), "{err}");
+    }
+
+    #[test]
+    fn e14_gate_fails_growth_over_the_bound() {
+        let mut rows = conforming();
+        // 64x the time at 8x the document
+        rows.retain(|r| !(r.label == "descendant/detect" && r.x == 400.0));
+        rows.push(detect("descendant", 400.0, 32.0, 12.0));
+        let err = e14_gate(&rows, None, None).unwrap_err();
+        assert!(
+            err.contains("descendant/detect") && err.contains("64.0x"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn e14_gate_fails_missing_rows() {
+        let nfqa = Row {
+            label: "figure4/nfqa".into(),
+            x: 400.0,
+            metrics: vec![("cpu_ms", 1.0), ("analysis_ms", 0.5)],
+        };
+        assert!(e14_gate(&[nfqa], Some(5.0), None).is_err());
+        let mut rows = conforming();
+        rows.retain(|r| r.x != 50.0);
+        assert!(e14_gate(&rows, Some(5.0), None).is_err());
+    }
+
+    #[test]
+    fn e14_gate_fails_a_baseline_regression() {
+        let rows = conforming();
+        let mut baseline = e14_parse_json(&e14_to_json(&rows));
+        for b in &mut baseline {
+            b.speedup *= 2.0;
+        }
+        let err = e14_gate(&rows, None, Some(&baseline)).unwrap_err();
+        assert!(err.contains("regression"), "{err}");
+    }
+
+    #[test]
+    fn e14_json_round_trips_the_detect_rows() {
+        let rows = conforming();
+        let parsed = e14_parse_json(&e14_to_json(&rows));
+        assert_eq!(parsed.len(), rows.len());
+        for (r, e) in rows.iter().zip(&parsed) {
+            assert_eq!(e.series, r.label);
+            assert_eq!(e.hotels, r.x);
+            assert_eq!(e.detect_ms, r.metrics[0].1);
+            assert_eq!(e.speedup, r.metrics[3].1);
+        }
+    }
 }

@@ -29,18 +29,16 @@ mod dispatch;
 use crate::fguide::{filter_candidates, output_services, position_language, ClassVerdicts, FGuide};
 use crate::influence::{compute_layers, Layers};
 use crate::nfq::{Lpq, Nfq};
-use crate::plan::{affected_language, lpq_set, nfq_set, typing_mode, CompiledQuery};
+use crate::plan::{lpq_set, nfq_set, typing_mode, CompiledQuery};
 use crate::stats::EngineStats;
 use crate::typed::TypeRefiner;
 use axml_obs::{Event, EventKind, TraceSink};
-use axml_query::{
-    eval_with, render, EdgeKind, EvalOptions, PNodeId, Pattern, PlanScratch, SnapshotResult,
-};
-use axml_schema::{Nfa, Schema, SymNfa};
+use axml_query::{eval_with, render, EdgeKind, PNodeId, Pattern, PlanScratch, SnapshotResult};
+use axml_schema::Schema;
 use axml_services::{Deadline, InvokeCache, PushedQuery, Registry, SimClock};
 use axml_xml::{CallId, Document, NodeId};
 use dispatch::{Candidate, Dispatch};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -114,26 +112,6 @@ pub struct EngineConfig {
     /// the stats; the result is spliced regardless (the algorithms stay
     /// correct, the guarantee was the provider's).
     pub enforce_output_types: bool,
-    /// Incremental relevance detection: re-evaluate an NFQ only when some
-    /// splice since its last evaluation happened at a position its pattern
-    /// can observe (tested on the prefix closure of the union of the
-    /// pattern's path languages). Unaffected NFQs reuse their cached
-    /// candidate sets. A further answer to §4.1's "costly reevaluation of
-    /// NFQs after each call".
-    pub incremental_detection: bool,
-    /// Capacity of the splice log backing incremental detection, a ring
-    /// buffer mirroring the registry's `set_call_log_capacity` model: the
-    /// newest records win. When records an NFQ would need have been
-    /// evicted, incremental detection degrades *soundly* to a full
-    /// re-evaluation for that NFQ — never to a stale answer. Keeps
-    /// long-running sessions (many queries over one engine) from growing
-    /// the log without bound.
-    pub splice_log_capacity: usize,
-    /// Hot-path toggles of the tree-pattern evaluator (label interning,
-    /// label→node index). Both on by default; the E14 ablation and the
-    /// eval-mode invariance tests switch them off. Every combination
-    /// computes identical results.
-    pub eval_options: EvalOptions,
     /// Dispatch parallel batches on real OS threads (one per call), the
     /// way the original system issued asynchronous SOAP calls. Results are
     /// still spliced sequentially and deterministically (document order),
@@ -264,9 +242,6 @@ impl Default for EngineConfig {
             max_invocations: 100_000,
             containment_pruning: true,
             enforce_output_types: false,
-            incremental_detection: false,
-            splice_log_capacity: 4096,
-            eval_options: EvalOptions::default(),
             real_threads: false,
             speculation: Speculation::Off,
             deadline_ms: f64::INFINITY,
@@ -501,7 +476,7 @@ impl<'a> Engine<'a> {
             .iter()
             .map(|q| {
                 let tq = Instant::now();
-                let result = eval_with(q, doc, self.config.eval_options, &mut final_cache);
+                let result = eval_with(q, doc, &mut final_cache);
                 let mut stats = shared_stats.clone();
                 stats.final_eval_cpu = tq.elapsed();
                 stats.total_cpu = t0.elapsed();
@@ -537,10 +512,8 @@ impl<'a> Engine<'a> {
         let result = match run.plan {
             // the plan's label tests compile against this document's
             // symbols, as a transient evaluation's would
-            Some(p) => p
-                .plan
-                .eval_with(doc, self.config.eval_options, &mut run.eval_cache),
-            None => eval_with(query, doc, self.config.eval_options, &mut run.eval_cache),
+            Some(p) => p.plan.eval_with(doc, &mut run.eval_cache),
+            None => eval_with(query, doc, &mut run.eval_cache),
         };
         run.stats.final_eval_cpu = tq.elapsed();
         run.close(doc, t0);
@@ -553,9 +526,6 @@ impl<'a> Engine<'a> {
         }
     }
 }
-
-/// A cached candidate: the call's node and identity.
-type CachedCandidate = (NodeId, CallId);
 
 /// The queries pushed along with a round's calls (§7), by call.
 type Pushes = BTreeMap<CallId, PushedQuery>;
@@ -602,74 +572,14 @@ fn parent_labels(doc: &Document, node: NodeId) -> Vec<String> {
         .unwrap_or_default()
 }
 
-/// One splice, as remembered for incremental detection: which call was
-/// consumed, where, and under which label path (interned against the
-/// document's symbol table).
-#[derive(Clone, Debug)]
-struct SpliceRecord {
-    /// Monotone splice sequence number.
-    seq: u64,
-    /// The node slot the consumed call occupied (slots are reused; pair
-    /// with `consumed` for a reliable identity).
-    node: NodeId,
-    /// The call the splice consumed.
-    consumed: CallId,
-    /// Label path of the call's parent, as interned symbols.
-    parent_syms: Vec<u32>,
-}
-
-/// Cached relevance state of one NFQ, for incremental detection.
-#[derive(Clone, Debug, Default)]
-struct NfqCacheEntry {
-    /// `splice_seq` at evaluation time.
-    seq: u64,
-    /// `Document::next_call_id` at evaluation time — calls with an id at
-    /// or above it appeared after this entry was built.
-    call_watermark: u64,
-    /// *Positional* candidates: visible calls whose parent path matches
-    /// the NFQ's linear path (via the `via` edge), **before** side
-    /// conditions and service tests. Positions of surviving nodes never
-    /// change under splices, so this set is delta-maintainable; the
-    /// non-monotone residual conditions are re-checked on every use.
-    positional: Vec<CachedCandidate>,
-    /// The fully filtered candidates of the last evaluation — reused
-    /// verbatim while no splice touches the NFQ's observable region.
-    retrieved: Vec<CachedCandidate>,
-}
-
-/// Everything a run keeps about one NFQ, built on first use.
-#[derive(Default)]
-struct NfqState {
-    /// incremental detection's cached candidates and their freshness
-    cache: Option<NfqCacheEntry>,
-    /// prefix-closed union of the pattern's path languages
-    affected: Option<Nfa>,
-    /// `affected` compiled to symbols, stamped with the `sym_count` it
-    /// was compiled at (recompiled when the symbol table grows)
-    affected_sym: Option<(usize, SymNfa)>,
-    /// the position language's verdict per guide class
-    classes: Option<ClassVerdicts>,
-}
-
-impl NfqState {
-    /// The symbol-compiled affected language, current for `doc`'s symbol
-    /// table (a label unknown at compile time may have been interned
-    /// since).
-    fn affected(&mut self, nfq: &Nfq, doc: &Document) -> &SymNfa {
-        let sym_count = doc.sym_count();
-        if !matches!(&self.affected_sym, Some((stamp, _)) if *stamp == sym_count) {
-            let nfa = self.affected.get_or_insert_with(|| affected_language(nfq));
-            let compiled = nfa.compile_syms(|l| doc.lookup_sym(l));
-            self.affected_sym = Some((sym_count, compiled));
-        }
-        &self.affected_sym.as_ref().expect("compiled above").1
-    }
-
-    /// The position language's class verdicts.
-    fn classes(&mut self, nfq: &Nfq) -> &mut ClassVerdicts {
-        self.classes
-            .get_or_insert_with(|| ClassVerdicts::new(position_language(&nfq.lin, nfq.via)))
-    }
+/// NFQ `key`'s class verdicts, built on first use.
+fn class_verdicts<'m>(
+    nfqs: &'m mut HashMap<NfqKey, ClassVerdicts>,
+    key: NfqKey,
+    nfq: &Nfq,
+) -> &'m mut ClassVerdicts {
+    nfqs.entry(key)
+        .or_insert_with(|| ClassVerdicts::new(position_language(&nfq.lin, nfq.via)))
 }
 
 /// Per-run mutable state.
@@ -685,16 +595,8 @@ struct Run<'e, 'a, 'q> {
     dead: HashSet<CallId>,
     budget: usize,
     total_call_cost_ms: f64,
-    /// monotone splice counter + bounded log of splice records, for
-    /// incremental detection
-    splice_seq: u64,
-    splice_log: VecDeque<SpliceRecord>,
-    /// sequence number below which records have been evicted from the
-    /// ring buffer (0 = nothing evicted); queries about older history
-    /// must degrade to "assume affected"
-    splice_floor: u64,
-    /// per-NFQ automata, class verdicts and cached candidates
-    nfqs: HashMap<NfqKey, NfqState>,
+    /// per-NFQ class verdicts of the position language
+    nfqs: HashMap<NfqKey, ClassVerdicts>,
     /// the live calls' visibility and parent-path classes
     guide: FGuide,
     /// the parent label path of every invoked and spliced call
@@ -731,9 +633,6 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
             dead: HashSet::new(),
             budget: engine.config.max_invocations,
             total_call_cost_ms: 0.0,
-            splice_seq: 0,
-            splice_log: VecDeque::new(),
-            splice_floor: 0,
             nfqs: HashMap::new(),
             guide: FGuide::default(),
             changed_paths: Vec::new(),
@@ -910,7 +809,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                 // §6.2: an LPQ retrieves the same calls on the guide as on
                 // the document
                 run.stats.relevance_evals += 1;
-                let found = run.guide.extent(doc, at, None, 0);
+                let found = run.guide.extent(doc, at, None);
                 cross_check(
                     &lpq.pattern,
                     lpq.output,
@@ -940,16 +839,12 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         let (mut nfqs, computed) = match plan {
             Some(p) => {
                 // the compiled artifact: NFQs (relaxed/pruned), layers and
-                // label NFAs, from the same builders as the branch below
+                // position languages, from the same builders as the branch
+                // below
                 self.stats.queries_pruned = p.nfq_pruned;
-                for (i, (affected, position)) in p.affected_nfas.iter().zip(&p.pos_nfas).enumerate()
-                {
-                    let state = NfqState {
-                        affected: Some(affected.clone()),
-                        classes: Some(ClassVerdicts::new(position.clone())),
-                        ..NfqState::default()
-                    };
-                    self.nfqs.insert((0, i), state);
+                for (i, position) in p.pos_nfas.iter().enumerate() {
+                    self.nfqs
+                        .insert((0, i), ClassVerdicts::new(position.clone()));
                 }
                 (p.nfqs.clone(), p.layers.clone())
             }
@@ -1020,8 +915,9 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
             );
             self.emit(EventKind::LayerEnd);
             // §4.3: drop the `()` side branches guarding positions whose
-            // layers are now fully processed
-            for (ni, nfq) in nfqs.iter_mut().enumerate() {
+            // layers are now fully processed; the class verdicts stay, as
+            // they depend only on the NFQ's linear path
+            for nfq in nfqs.iter_mut() {
                 let doomed: Vec<PNodeId> = nfq
                     .fun_branches
                     .iter()
@@ -1035,7 +931,6 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                         nfq.pattern.remove_subtree(*f);
                     }
                     nfq.fun_branches.retain(|(f, _)| !doomed.contains(f));
-                    self.nfqs.remove(&(0, ni));
                 }
             }
         }
@@ -1065,104 +960,24 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         }
     }
 
-    /// Did any splice after `since` touch a position observable by NFQ
-    /// `key`'s pattern? Tested on the prefix closure of the union of the
-    /// pattern's root-path languages (conservative: may say yes
-    /// needlessly, never no wrongly). When the ring buffer has evicted
-    /// records newer than `since`, the answer degrades to `true` — the
-    /// lost history might have contained a relevant splice.
-    fn affected_since(&mut self, doc: &Document, key: NfqKey, nfq: &Nfq, since: u64) -> bool {
-        if since < self.splice_floor {
-            self.stats.splice_degradations += 1;
-            return true; // history evicted: assume affected
-        }
-        if self.splice_log.iter().all(|r| r.seq <= since) {
-            return false;
-        }
-        let auto = self.nfqs.entry(key).or_default().affected(nfq, doc);
-        self.splice_log
-            .iter()
-            .any(|r| r.seq > since && auto.accepts(&r.parent_syms))
-    }
-
-    /// The *positional* candidate set of NFQ `key`: the guide's extent at
-    /// its position, among the calls of `services` when given. With a
-    /// usable cache entry (its history still covered by the splice log),
-    /// this is delta-scoped: cached candidates are kept unless their call
-    /// was consumed by a splice, and only calls created since the entry's
-    /// watermark are class-tested.
-    fn positional_candidates(
-        &mut self,
-        doc: &Document,
-        key: NfqKey,
-        nfq: &Nfq,
-        services: Option<&[u32]>,
-        base: Option<NfqCacheEntry>,
-    ) -> Vec<CachedCandidate> {
-        let (kept, watermark) = match base {
-            Some(e) if e.seq >= self.splice_floor => {
-                self.stats.nfq_delta_evals += 1;
-                let retired: HashSet<(NodeId, CallId)> = self
-                    .splice_log
-                    .iter()
-                    .filter(|r| r.seq > e.seq)
-                    .map(|r| (r.node, r.consumed))
-                    .collect();
-                let mut kept = e.positional;
-                kept.retain(|c| !retired.contains(c));
-                (kept, e.call_watermark)
-            }
-            Some(_) => {
-                // cached entry predates the splice log's floor: its
-                // history is gone, so degrade to a full fresh scan
-                self.stats.splice_degradations += 1;
-                (Vec::new(), 0)
-            }
-            None => (Vec::new(), 0),
-        };
-        // calls below the watermark are already covered by the cached set
-        let at = self.nfqs.entry(key).or_default().classes(nfq);
-        let mut out = self.guide.extent(doc, at, services, watermark);
-        out.extend(kept);
-        out.sort_by_key(|e| e.1);
-        out.dedup_by_key(|e| e.1);
-        out
-    }
-
     /// The calls NFQ `key` retrieves, through one pipeline: the guide's
-    /// extent at its position (delta-maintained from `base` under
-    /// incremental detection), the refined output's service test, then
-    /// §6.2's residual filter. An NFQ with join variables is evaluated in
-    /// full instead: the residual filter is join-blind. Also returns the
-    /// positional set, for the cache.
-    fn retrieve(
-        &mut self,
-        doc: &Document,
-        key: NfqKey,
-        nfq: &Nfq,
-        effective: &Nfq,
-        base: Option<NfqCacheEntry>,
-    ) -> (Vec<NodeId>, Vec<CachedCandidate>) {
-        let opts = self.config().eval_options;
+    /// extent at its position among the calls of the refined output's
+    /// services, then §6.2's residual filter. An NFQ with join variables
+    /// is evaluated in full instead: the residual filter is join-blind.
+    fn retrieve(&mut self, doc: &Document, key: NfqKey, nfq: &Nfq, effective: &Nfq) -> Vec<NodeId> {
         if !nfq.pattern.join_variables().is_empty() {
-            let r = eval_with(&effective.pattern, doc, opts, &mut self.eval_cache);
-            return (r.bindings_of(effective.output), Vec::new());
+            let r = eval_with(&effective.pattern, doc, &mut self.eval_cache);
+            return r.bindings_of(effective.output);
         }
         let services = output_services(effective, doc);
-        // the scan may skip other services' calls unless incremental
-        // detection caches its result, which must stay service-blind
-        let scan_only = if self.config().incremental_detection {
-            None
-        } else {
-            services.as_deref()
-        };
-        let positional = self.positional_candidates(doc, key, nfq, scan_only, base);
-        let accepted: Vec<NodeId> = positional
-            .iter()
-            .map(|&(n, _)| n)
-            .filter(|&n| services.as_ref().is_none_or(|s| s.contains(&doc.sym(n))))
+        let at = class_verdicts(&mut self.nfqs, key, nfq);
+        let positional: Vec<NodeId> = self
+            .guide
+            .extent(doc, at, services.as_deref())
+            .into_iter()
+            .map(|(n, _)| n)
             .collect();
-        let got = filter_candidates(effective, doc, &accepted, opts);
+        let got = filter_candidates(effective, doc, &positional);
         cross_check(
             &effective.pattern,
             effective.output,
@@ -1170,7 +985,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
             got.iter().copied(),
             "NFQ",
         );
-        (got, positional)
+        got
     }
 
     /// Evaluates the NFQs of one layer of query `query` and assembles the
@@ -1190,36 +1005,9 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         } else {
             Vec::new()
         };
-        let incremental = self.config().incremental_detection;
         let mut by_call: BTreeMap<CallId, Candidate> = BTreeMap::new();
         for &i in layer {
-            let key = (query, i);
             let nfq = &nfqs[i];
-            // incremental detection: reuse the cached candidate set when
-            // no splice since the last evaluation touched a position this
-            // NFQ's pattern can observe
-            let mut delta_base: Option<NfqCacheEntry> = None;
-            if incremental {
-                let entry = self.nfqs.get(&key).and_then(|s| s.cache.clone());
-                if let Some(entry) = entry {
-                    if !self.affected_since(doc, key, nfq, entry.seq) {
-                        self.stats.nfq_evals_skipped += 1;
-                        for (node, id) in entry.retrieved {
-                            if self.dead.contains(&id) || !holds_call(doc, node, id) {
-                                continue;
-                            }
-                            // a call node's label is its service name
-                            by_call
-                                .entry(id)
-                                .or_insert_with(|| Candidate::new(node, id, doc.label(node).into()))
-                                .foci
-                                .insert(nfq.focus);
-                        }
-                        continue;
-                    }
-                    delta_base = Some(entry);
-                }
-            }
             let effective = match refiner.as_mut() {
                 Some(r) => match r.refine(nfq, &known) {
                     Some(refined) => refined,
@@ -1228,15 +1016,10 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                 None => nfq.clone(),
             };
             self.stats.relevance_evals += 1;
-            let (retrieved, positional) = self.retrieve(doc, key, nfq, &effective, delta_base);
-            let mut cache_entry: Vec<CachedCandidate> = Vec::new();
-            for node in retrieved {
+            for node in self.retrieve(doc, (query, i), nfq, &effective) {
                 let Some((id, svc)) = doc.call_info(node) else {
                     continue;
                 };
-                if incremental {
-                    cache_entry.push((node, id));
-                }
                 if self.dead.contains(&id) {
                     continue;
                 }
@@ -1245,22 +1028,6 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                     .or_insert_with(|| Candidate::new(node, id, svc.to_string()))
                     .foci
                     .insert(nfq.focus);
-            }
-            if incremental {
-                // an empty positional set with watermark 0 makes a later
-                // delta attempt rescan every call — correct for entries
-                // built by the guide / full-eval branches
-                let call_watermark = if positional.is_empty() {
-                    0
-                } else {
-                    doc.next_call_id()
-                };
-                self.nfqs.entry(key).or_default().cache = Some(NfqCacheEntry {
-                    seq: self.splice_seq,
-                    call_watermark,
-                    positional,
-                    retrieved: cache_entry,
-                });
             }
         }
         self.stats.relevance_cpu += t.elapsed();
@@ -1284,7 +1051,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                     .iter()
                     .enumerate()
                     .filter(|&(i, n)| {
-                        let at = self.nfqs.entry((query, i)).or_default().classes(n);
+                        let at = class_verdicts(&mut self.nfqs, (query, i), n);
                         at.accepts(&self.guide, doc, class)
                     })
                     .map(|(_, n)| n.focus)

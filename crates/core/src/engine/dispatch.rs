@@ -34,7 +34,7 @@
 //! the admitted calls together, optionally on OS threads, and settles them
 //! in candidate order.
 
-use super::{holds_call, parent_labels, Pushes, Run, SpliceRecord};
+use super::{holds_call, parent_labels, Pushes, Run};
 use axml_obs::{CacheOutcome, EventKind, ShedReason};
 use axml_query::PNodeId;
 use axml_services::{
@@ -42,7 +42,6 @@ use axml_services::{
 };
 use axml_xml::{CallId, Document, Forest, NodeId};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// One invocation candidate.
 #[derive(Clone, Debug)]
@@ -493,7 +492,7 @@ impl Run<'_, '_, '_> {
         } else {
             Vec::new()
         };
-        self.splice_result(doc, cand, &hit.result);
+        doc.splice_shared(cand.node, &hit.result);
         self.emit_resolved(cand, &parent_path, Resolved::Cached { pushed: hit.pushed });
         self.stats.cache_hits += 1;
         Probe::Hit
@@ -651,32 +650,6 @@ impl Run<'_, '_, '_> {
         }
     }
 
-    /// Splices a result forest over a call slot and does the shared
-    /// bookkeeping (the splice log for incremental detection) — common to
-    /// real invocations and cache hits. The guide needs none: the spliced
-    /// calls are classified when detection first sees them.
-    fn splice_result(&mut self, doc: &mut Document, cand: &Candidate, result: &Arc<Forest>) {
-        let parent = doc.parent(cand.node);
-        doc.splice_shared(cand.node, result);
-        self.splice_seq += 1;
-        if self.config().incremental_detection {
-            // ring buffer: evict the oldest record when full and remember
-            // the eviction horizon, so stale queries degrade soundly
-            let cap = self.config().splice_log_capacity.max(1);
-            if self.splice_log.len() >= cap {
-                if let Some(evicted) = self.splice_log.pop_front() {
-                    self.splice_floor = self.splice_floor.max(evicted.seq);
-                }
-            }
-            self.splice_log.push_back(SpliceRecord {
-                seq: self.splice_seq,
-                node: cand.node,
-                consumed: cand.call,
-                parent_syms: parent.map(|p| doc.path_syms(p)).unwrap_or_default(),
-            });
-        }
-    }
-
     /// Splices a dispatched call's outcome into the document and accounts
     /// for it; returns the simulated cost.
     fn apply(
@@ -700,7 +673,7 @@ impl Run<'_, '_, '_> {
                 }
             }
         }
-        self.splice_result(doc, cand, &outcome.result);
+        doc.splice_shared(cand.node, &outcome.result);
         self.emit_resolved(cand, &parent_path, Resolved::Invoked(&outcome));
         self.changed_paths.push(parent_path);
         self.stats.calls_invoked += 1;
@@ -814,6 +787,7 @@ impl Run<'_, '_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     /// A successful leg; `bytes` marks which leg's outcome was returned.
     fn ok(cost_ms: f64, bytes: usize) -> Result<InvokeOutcome, InvokeError> {

@@ -32,9 +32,7 @@
 //! refinement considers.
 
 use crate::nfq::Nfq;
-use axml_query::{
-    EdgeKind, EvalOptions, FunMatch, FxBuildHasher, LinearPath, Matcher, PLabel, PNodeId,
-};
+use axml_query::{EdgeKind, FunMatch, FxBuildHasher, LinearPath, Matcher, PLabel, PNodeId};
 use axml_schema::{Nfa, SymNfa};
 use axml_xml::{CallId, Document, NodeId};
 use std::collections::{HashMap, HashSet};
@@ -56,7 +54,7 @@ use std::collections::{HashMap, HashSet};
 /// let q = parse_query("/hotels/hotel/x").unwrap();
 /// let lin = LinearPath::to_node(&q, q.result_nodes()[0], false);
 /// let mut below = ClassVerdicts::new(position_language(&lin, EdgeKind::Descendant));
-/// assert_eq!(guide.extent(&doc, &mut below, None, 0).len(), 1);
+/// assert_eq!(guide.extent(&doc, &mut below, None).len(), 1);
 /// // one class: hotels/hotel/nearby
 /// assert_eq!(guide.len(), 1);
 /// ```
@@ -112,14 +110,13 @@ impl FGuide {
 
     /// The extent of the guide nodes `at` accepts: the visible live calls
     /// of `doc` whose class the position automaton accepts, among the calls
-    /// of `services` when given and among the calls with ids from `from`
-    /// on. Calls come in `Document::calls_unordered` order.
+    /// of `services` when given. Calls come in `Document::calls_unordered`
+    /// order.
     pub fn extent(
         &mut self,
         doc: &Document,
         at: &mut ClassVerdicts,
         services: Option<&[u32]>,
-        from: u64,
     ) -> Vec<(NodeId, CallId)> {
         at.sync(doc);
         let mut out = Vec::new();
@@ -130,9 +127,6 @@ impl FGuide {
             let Some((id, _)) = doc.call_info(node) else {
                 continue;
             };
-            if id.0 < from {
-                continue;
-            }
             if let Some(class) = self.class_of(doc, node, id) {
                 if at.verdict(self, class) {
                     out.push((node, id));
@@ -251,19 +245,12 @@ impl ClassVerdicts {
 /// The residual NFQ check of Section 6.2: given candidate calls retrieved
 /// positionally from the guide, keep those for which the NFQ's remaining
 /// conditions hold — i.e. some alignment of the NFQ's path onto the
-/// candidate's ancestor chain satisfies every side condition. The
-/// conditions are checked under `opts`, which, like every evaluator
-/// option, changes only the cost.
-pub fn filter_candidates(
-    nfq: &Nfq,
-    doc: &Document,
-    candidates: &[NodeId],
-    opts: EvalOptions,
-) -> Vec<NodeId> {
+/// candidate's ancestor chain satisfies every side condition.
+pub fn filter_candidates(nfq: &Nfq, doc: &Document, candidates: &[NodeId]) -> Vec<NodeId> {
     if candidates.is_empty() {
         return Vec::new();
     }
-    let mut matcher = Matcher::with_options(&nfq.pattern, doc, opts);
+    let mut matcher = Matcher::new(&nfq.pattern, doc);
     // the NFQ path: pattern root → parent of output (linear by construction)
     let mut path_nodes: Vec<PNodeId> = Vec::new();
     let mut cur = nfq.pattern.parent(nfq.output);
@@ -388,7 +375,7 @@ mod tests {
     ) -> Vec<NodeId> {
         let mut at = ClassVerdicts::new(position_language(lin, via));
         let mut found: Vec<NodeId> = guide
-            .extent(doc, &mut at, None, 0)
+            .extent(doc, &mut at, None)
             .into_iter()
             .map(|(n, _)| n)
             .collect();
@@ -502,7 +489,7 @@ mod tests {
                                          // conditions keep: BW's two (name matches, rating matches) and
                                          // Penn's one? Penn's name ≠ Best Western and its name is
                                          // extensional: pruned. BW keeps both nearby calls.
-        let kept = filter_candidates(&nfq, &d, &candidates, EvalOptions::default());
+        let kept = filter_candidates(&nfq, &d, &candidates);
         assert_eq!(kept.len(), 2);
         for c in kept {
             let hotel = d.parent(d.parent(c).unwrap()).unwrap();
@@ -569,11 +556,8 @@ mod tests {
             seed in any::<u64>(),
             hotels in 1usize..6,
             budget in 0usize..12,
-            interning in any::<bool>(),
-            index in any::<bool>(),
         ) {
             let (sc, d) = partial_scenario(seed, hotels, budget);
-            let opts = EvalOptions { interning, index };
             let mut guide = FGuide::default();
             let known = guide.known_services(&d, &HashSet::new());
             for q in queries() {
@@ -592,13 +576,13 @@ mod tests {
                     for effective in std::iter::once(nfq.clone()).chain(refined) {
                         let services = output_services(&effective, &d);
                         let source: Vec<NodeId> = guide
-                            .extent(&d, &mut at, services.as_deref(), 0)
+                            .extent(&d, &mut at, services.as_deref())
                             .into_iter()
                             .map(|(n, _)| n)
                             .collect();
                         let full = axml_query::seed_eval(&effective.pattern, &d)
                             .bindings_of(effective.output);
-                        let mut kept = filter_candidates(&effective, &d, &source, opts);
+                        let mut kept = filter_candidates(&effective, &d, &source);
                         kept.sort();
                         prop_assert_eq!(&kept, &full, "{} / NFQ of {:?}", render(&q), nfq.focus);
                     }

@@ -11,8 +11,7 @@
 //!   with the pruned count preserved for the stats,
 //! * the LPQs,
 //! * the influence [`Layers`] (§4.2–4.3),
-//! * per-NFQ label-level NFAs: the prefix-closed *affected* language
-//!   driving incremental detection, and the *position* language the
+//! * per-NFQ *position* languages, the label-level NFAs the
 //!   function-call guide is read with ([`position_language`]),
 //! * a shared satisfiability-verdict store ([`SatVerdicts`]) so §5's
 //!   typing refinement never reproves a `(function, query-node)` pair,
@@ -20,8 +19,8 @@
 //!
 //! Per document, the remaining setup is compiling against the document's
 //! interned symbols: the main pattern's label tests
-//! ([`QueryPlan::bind`]) and the label NFAs, which compile to symbol
-//! automata. Results, traces and statistics are byte-identical to a run
+//! ([`QueryPlan::bind`]) and the position languages, which compile to
+//! symbol automata. Results, traces and statistics are byte-identical to a run
 //! without a plan — both call the same builders (below), an invariant the
 //! differential plan-equivalence oracle pins.
 //!
@@ -34,7 +33,7 @@ use crate::fguide::position_language;
 use crate::influence::{compute_layers, Layers};
 use crate::nfq::{build_lpqs, build_nfqs, relax_nfq_to_xpath, Lpq, Nfq};
 use crate::typed::SatVerdicts;
-use axml_query::{LinearPath, Pattern, QueryPlan};
+use axml_query::{Pattern, QueryPlan};
 use axml_schema::{Nfa, SatMode, Schema};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -120,9 +119,6 @@ pub struct CompiledQuery {
     pub(crate) lpq_pruned: usize,
     /// Influence layers over `nfqs`.
     pub(crate) layers: Layers,
-    /// Per-NFQ prefix-closed union of the pattern's path languages
-    /// (incremental detection's "affected" test).
-    pub(crate) affected_nfas: Vec<Nfa>,
     /// Per-NFQ position language.
     pub(crate) pos_nfas: Vec<Nfa>,
     /// Shared §5 satisfiability verdicts for `(schema, query, typing)`.
@@ -141,7 +137,6 @@ impl CompiledQuery {
         let (nfqs, nfq_pruned) = nfq_set(query, config);
         let (lpqs, lpq_pruned) = lpq_set(query, config);
         let layers = compute_layers(&nfqs);
-        let affected_nfas = nfqs.iter().map(affected_language).collect();
         let pos_nfas = nfqs
             .iter()
             .map(|n| position_language(&n.lin, n.via))
@@ -157,7 +152,6 @@ impl CompiledQuery {
             lpqs,
             lpq_pruned,
             layers,
-            affected_nfas,
             pos_nfas,
             verdicts: SatVerdicts::default(),
         }
@@ -239,18 +233,6 @@ pub(crate) fn typing_mode(typing: Typing, schema: Option<&Schema>) -> Option<(&S
     schema.map(|s| (s, mode))
 }
 
-/// The prefix-closed union of the root-path languages of every node of
-/// the NFQ's pattern — the language of positions whose splices can change
-/// the NFQ's answer (incremental detection's "affected" test).
-pub(crate) fn affected_language(nfq: &Nfq) -> Nfa {
-    let parts: Vec<Nfa> = nfq
-        .pattern
-        .node_ids()
-        .map(|id| Nfa::from_linear_path(&LinearPath::to_node(&nfq.pattern, id, true)))
-        .collect();
-    Nfa::union_of(&parts).prefix_closure()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,7 +257,6 @@ mod tests {
         let (kept, pruned) = crate::containment::prune_subsumed_nfqs(&q, nfqs);
         assert_eq!(plan.nfqs.len(), kept.len());
         assert_eq!(plan.nfq_pruned, pruned);
-        assert_eq!(plan.affected_nfas.len(), plan.nfqs.len());
         assert_eq!(plan.pos_nfas.len(), plan.nfqs.len());
         assert_eq!(plan.layers.layers.len(), compute_layers(&kept).layers.len());
     }

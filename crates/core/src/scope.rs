@@ -2,10 +2,9 @@
 //! splice (the parent whose children a publication changed), decide
 //! whether the splice can possibly change a query's answer.
 //!
-//! This exports the engine's internal incremental-detection machinery
-//! (the prefix-closed path NFAs of `affected_since`) in a form the
-//! subscription layer can use *across* documents and versions: a
-//! [`QueryScope`] is built once per standing query and consulted for
+//! The test is a prefix-closed path NFA over the query's positions, in a
+//! form the subscription layer can use *across* documents and versions:
+//! a [`QueryScope`] is built once per standing query and consulted for
 //! every published splice path.
 //!
 //! Soundness: a splice with parent path `P` replaces children of the

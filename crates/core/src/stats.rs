@@ -46,20 +46,10 @@ pub struct EngineStats {
     /// Service results that violated their declared output type (only
     /// counted when `enforce_output_types` is on).
     pub type_violations: usize,
-    /// NFQ evaluations skipped by incremental detection (cached candidate
-    /// sets reused because no splice touched the NFQ's region).
+    /// Always 0: the engine evaluates every NFQ a round detects with. Kept
+    /// only because the `perfbench` benchmark still reads it for its
+    /// `core.nfq_evals_skipped_per_op` metric; both go together.
     pub nfq_evals_skipped: usize,
-    /// NFQ re-evaluations served by the delta-scoped path: the cached
-    /// positional candidate set was updated from the splice log and the
-    /// call-id watermark instead of re-walking the whole document. Counted
-    /// inside `relevance_evals` (a delta evaluation is still an
-    /// evaluation).
-    pub nfq_delta_evals: usize,
-    /// Incremental-detection degradations: a cached NFQ state predated
-    /// the splice log's floor (ring overflow evicted its history), so the
-    /// evaluator fell back to a sound full re-evaluation. Nonzero means
-    /// `splice_log_capacity` is too small for the document's churn.
-    pub splice_degradations: usize,
     /// Relevant calls answered from the cross-query call-result cache at
     /// zero network cost (reconstructed §7). Not counted in
     /// `calls_invoked` — a hit performs no service invocation.
@@ -239,27 +229,6 @@ impl fmt::Display for EngineStats {
             self.rounds,
             self.relevance_cpu.as_secs_f64() * 1e3
         )?;
-        if self.nfq_evals_skipped > 0 {
-            writeln!(
-                f,
-                "  {} evaluations skipped (incremental)",
-                self.nfq_evals_skipped
-            )?;
-        }
-        if self.nfq_delta_evals > 0 {
-            writeln!(
-                f,
-                "  {} evaluations delta-scoped (incremental)",
-                self.nfq_delta_evals
-            )?;
-        }
-        if self.splice_degradations > 0 {
-            writeln!(
-                f,
-                "  {} degraded to full re-evaluation (splice log overflow)",
-                self.splice_degradations
-            )?;
-        }
         if self.cache_hits + self.cache_misses + self.cache_stale > 0 {
             writeln!(
                 f,

@@ -11,28 +11,14 @@ use axml_xml::{parse, Document};
 use std::collections::BTreeSet;
 
 /// Configurations whose detection takes its positional candidates from
-/// the guide: the default, sequential NFQA, incremental detection with
-/// and without layers, and the LPQ and top-down baselines.
+/// the guide: the default, sequential NFQA, and the LPQ and top-down
+/// baselines.
 fn configs() -> Vec<(&'static str, EngineConfig)> {
     vec![
         ("default", EngineConfig::default()),
         ("nfq-plain", EngineConfig::nfq_plain()),
         ("lpq", EngineConfig::lpq()),
         ("topdown", EngineConfig::top_down()),
-        (
-            "incremental",
-            EngineConfig {
-                incremental_detection: true,
-                ..EngineConfig::nfq_plain()
-            },
-        ),
-        (
-            "incremental-layered",
-            EngineConfig {
-                incremental_detection: true,
-                ..EngineConfig::default()
-            },
-        ),
     ]
 }
 

@@ -64,22 +64,6 @@ fn configs() -> Vec<(&'static str, EngineConfig)> {
             },
         ),
         (
-            "nfq-incremental",
-            EngineConfig {
-                incremental_detection: true,
-                ..EngineConfig::nfq_plain()
-            },
-        ),
-        (
-            "nfq-incremental-layered",
-            EngineConfig {
-                incremental_detection: true,
-                layering: true,
-                parallel: true,
-                ..EngineConfig::nfq_plain()
-            },
-        ),
-        (
             "nfq-no-containment",
             EngineConfig {
                 containment_pruning: false,

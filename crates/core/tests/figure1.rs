@@ -199,22 +199,6 @@ fn unknown_services_are_skipped_not_fatal() {
 }
 
 #[test]
-fn incremental_detection_skips_and_agrees() {
-    let (answers, stats) = run(EngineConfig {
-        incremental_detection: true,
-        ..EngineConfig::nfq_plain()
-    });
-    assert_eq!(answers, expected_answers());
-    assert!(stats.nfq_evals_skipped > 0, "{stats}");
-    // and with the full lazy stack on top
-    let (answers2, _) = run(EngineConfig {
-        incremental_detection: true,
-        ..EngineConfig::default()
-    });
-    assert_eq!(answers2, expected_answers());
-}
-
-#[test]
 fn completed_document_retrieves_no_more_calls() {
     // Proposition 2: when NFQA terminates, the document is complete for
     // the query — re-running every NFQ on the final document must retrieve

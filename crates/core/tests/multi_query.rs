@@ -130,17 +130,14 @@ fn trace_records_each_invocation() {
 }
 
 #[test]
-fn shared_incremental_run_keeps_per_query_nfq_state_apart() {
+fn shared_run_keeps_per_query_nfq_state_apart() {
     // every query's NFQ list runs through one shared run: the museum
-    // query's NFQ #k must not reuse figure4's cached candidates or
-    // automata for its own NFQ #k
+    // query's NFQ #k must not reuse figure4's class verdicts for its own
+    // NFQ #k
     let s = figure1();
     let museums =
         parse_query("/hotels/hotel[name=\"Best Western\"]/nearby//museum[name=$M] -> $M").unwrap();
-    let layered = EngineConfig {
-        incremental_detection: true,
-        ..EngineConfig::default()
-    };
+    let layered = EngineConfig::default();
     let sequential = EngineConfig {
         layering: false,
         parallel: false,

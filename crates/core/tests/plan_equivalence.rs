@@ -38,41 +38,16 @@ struct Observation {
     stats: StatsView,
     /// Engine-internal counters not part of the [`StatsView`] projection
     /// (the CPU `Duration`s stay excluded: wall clock is not semantics).
-    extra: (
-        usize,
-        usize,
-        usize,
-        usize,
-        usize,
-        usize,
-        usize,
-        usize,
-        usize,
-    ),
+    extra: (usize, usize, usize, usize, usize, usize),
 }
 
-fn extra_counters(
-    s: &EngineStats,
-) -> (
-    usize,
-    usize,
-    usize,
-    usize,
-    usize,
-    usize,
-    usize,
-    usize,
-    usize,
-) {
+fn extra_counters(s: &EngineStats) -> (usize, usize, usize, usize, usize, usize) {
     (
         s.rounds,
         s.relevance_evals,
         s.queries_pruned,
         s.speculative_rounds,
         s.type_violations,
-        s.nfq_evals_skipped,
-        s.nfq_delta_evals,
-        s.splice_degradations,
         s.final_doc_size,
     )
 }
@@ -168,14 +143,6 @@ fn configs() -> Vec<(&'static str, EngineConfig)> {
             "nfq-relaxed",
             EngineConfig {
                 relax_xpath: true,
-                ..EngineConfig::nfq_plain()
-            },
-        ),
-        (
-            "nfq-incremental-layered",
-            EngineConfig {
-                incremental_detection: true,
-                layering: true,
                 ..EngineConfig::nfq_plain()
             },
         ),

@@ -26,9 +26,10 @@
 //!   [`crate::plan::QueryPlan`] keeps the tables that depend on the
 //!   pattern alone and compiles the label tests against each document it
 //!   runs on; the convenience entry points here compile both per call.
-//!   The [`EvalOptions`] toggles exist for debugging and benchmarking —
-//!   every mode computes the same result, and [`seed_eval`] is the
-//!   executable spec they are all checked against.
+//! * Two evaluators share this code: the production one above and
+//!   [`seed_eval`], the executable spec (string-compared labels, subtree
+//!   scans) every optimization is checked against. Nothing outside this
+//!   module chooses between them.
 //! * Evaluation reads a [`Document`]. A frozen `DocSnapshot` derefs to
 //!   the document version it froze, so snapshots evaluate through the
 //!   same code.
@@ -136,68 +137,30 @@ pub fn render_result(doc: &Document, r: &SnapshotResult) -> Vec<Vec<String>> {
         .collect()
 }
 
-/// Debug/bench toggles for the evaluator's hot-path machinery. Every
-/// combination computes the same result — the flags only trade CPU.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EvalOptions {
-    /// Compare labels as interned `u32` symbols (compiled per pattern ×
-    /// document) instead of string compares.
-    pub interning: bool,
-    /// Let descendant steps enumerate candidates from the document's
-    /// label→node index instead of scanning subtrees (used where the index
-    /// is the cheaper side; see `Evaluator::desc_candidates`).
-    pub index: bool,
-}
-
-impl Default for EvalOptions {
-    fn default() -> Self {
-        EvalOptions {
-            interning: true,
-            index: true,
-        }
-    }
-}
-
 /// Evaluates `q` on `d` and returns the snapshot result.
 pub fn eval(pattern: &Pattern, doc: &Document) -> SnapshotResult {
-    eval_with(
-        pattern,
-        doc,
-        EvalOptions::default(),
-        &mut PlanScratch::default(),
-    )
+    eval_with(pattern, doc, &mut PlanScratch::default())
 }
 
-/// [`eval`] with explicit hot-path options and reusable memo allocations.
-/// Compiles the pattern's tests transiently; callers that evaluate the
-/// same pattern repeatedly should compile a [`crate::plan::QueryPlan`]
-/// once and use [`crate::plan::QueryPlan::eval_with`] instead.
-pub fn eval_with(
-    pattern: &Pattern,
-    doc: &Document,
-    opts: EvalOptions,
-    scratch: &mut PlanScratch,
-) -> SnapshotResult {
+/// [`eval`] with reusable memo allocations. Compiles the pattern's tests
+/// transiently; callers that evaluate the same pattern repeatedly should
+/// compile a [`crate::plan::QueryPlan`] once and use
+/// [`crate::plan::QueryPlan::eval_with`] instead.
+pub fn eval_with(pattern: &Pattern, doc: &Document, scratch: &mut PlanScratch) -> SnapshotResult {
     let (needs_enum, var_id) = enum_tables(pattern);
     let ctest = compile_ctests(pattern, doc);
-    eval_compiled(pattern, doc, opts, ctest, needs_enum, var_id, scratch)
+    eval_compiled(pattern, doc, ctest, needs_enum, var_id, scratch)
 }
 
 /// The **executable spec**: the seed evaluator — string-compared labels,
-/// no label→node index, fresh memo tables. Every optimized mode (interned
-/// tests, index-driven descendant steps, compiled plans) must produce
-/// exactly this result; the differential plan-equivalence oracles diff
-/// against it.
+/// no label→node index, fresh memo tables. The production evaluator
+/// (interned tests, index-driven descendant steps, compiled plans) must
+/// produce exactly this result; the differential plan-equivalence oracles
+/// and the engine's debug cross-check diff against it.
 pub fn seed_eval(pattern: &Pattern, doc: &Document) -> SnapshotResult {
-    eval_with(
-        pattern,
-        doc,
-        EvalOptions {
-            interning: false,
-            index: false,
-        },
-        &mut PlanScratch::default(),
-    )
+    let mut ev = Evaluator::new(pattern, doc);
+    ev.spec = true;
+    ev.results()
 }
 
 /// `true` iff at least one embedding of `q` in `d` exists.
@@ -207,7 +170,6 @@ pub fn matches(pattern: &Pattern, doc: &Document) -> bool {
     matches_compiled(
         pattern,
         doc,
-        EvalOptions::default(),
         ctest,
         needs_enum,
         var_id,
@@ -276,15 +238,10 @@ pub struct Matcher<'a> {
 }
 
 impl<'a> Matcher<'a> {
-    /// Creates a matcher with default [`EvalOptions`].
+    /// Creates a matcher for `pattern` over `doc`.
     pub fn new(pattern: &'a Pattern, doc: &'a Document) -> Self {
-        Matcher::with_options(pattern, doc, EvalOptions::default())
-    }
-
-    /// Creates a matcher with explicit hot-path options.
-    pub fn with_options(pattern: &'a Pattern, doc: &'a Document, opts: EvalOptions) -> Self {
         Matcher {
-            ev: Evaluator::with_opts(pattern, doc, opts),
+            ev: Evaluator::new(pattern, doc),
         }
     }
 
@@ -410,24 +367,15 @@ pub(crate) fn compile_ctests(pat: &Pattern, doc: &Document) -> Vec<CTest> {
 pub(crate) fn eval_compiled(
     pat: &Pattern,
     doc: &Document,
-    opts: EvalOptions,
     ctest: Vec<CTest>,
     needs_enum: Vec<bool>,
     var_id: Vec<Option<u32>>,
     scratch: &mut PlanScratch,
 ) -> SnapshotResult {
-    if pat.is_empty() {
-        return SnapshotResult::default();
-    }
-    let mut ev = Evaluator::from_tables(pat, doc, opts, ctest, needs_enum, var_id);
+    let mut ev = Evaluator::from_tables(pat, doc, ctest, needs_enum, var_id);
     ev.memo = scratch.take_memo();
     ev.desc_memo = scratch.take_desc_memo();
-    let mut out = SnapshotResult::default();
-    for &root in doc.roots() {
-        for (_, frag) in ev.embed(pat.root(), root, &VarEnv::default()) {
-            out.tuples.insert(frag);
-        }
-    }
+    let out = ev.results();
     ev.release(scratch);
     out
 }
@@ -436,7 +384,6 @@ pub(crate) fn eval_compiled(
 pub(crate) fn matches_compiled(
     pat: &Pattern,
     doc: &Document,
-    opts: EvalOptions,
     ctest: Vec<CTest>,
     needs_enum: Vec<bool>,
     var_id: Vec<Option<u32>>,
@@ -445,7 +392,7 @@ pub(crate) fn matches_compiled(
     if pat.is_empty() {
         return false;
     }
-    let mut ev = Evaluator::from_tables(pat, doc, opts, ctest, needs_enum, var_id);
+    let mut ev = Evaluator::from_tables(pat, doc, ctest, needs_enum, var_id);
     ev.memo = scratch.take_memo();
     ev.desc_memo = scratch.take_desc_memo();
     let hit = doc.roots().iter().any(|&r| {
@@ -462,7 +409,9 @@ pub(crate) fn matches_compiled(
 struct Evaluator<'a> {
     pat: &'a Pattern,
     doc: &'a Document,
-    opts: EvalOptions,
+    /// run as [`seed_eval`], the executable spec: string-compared labels
+    /// and subtree scans instead of `ctest` and the label→node index
+    spec: bool,
     /// per pattern node: label test compiled against `doc`'s symbol table
     ctest: Vec<CTest>,
     /// memoized join-blind structural match
@@ -478,19 +427,14 @@ struct Evaluator<'a> {
 
 impl<'a> Evaluator<'a> {
     fn new(pat: &'a Pattern, doc: &'a Document) -> Self {
-        Evaluator::with_opts(pat, doc, EvalOptions::default())
-    }
-
-    fn with_opts(pat: &'a Pattern, doc: &'a Document, opts: EvalOptions) -> Self {
         let (needs_enum, var_id) = enum_tables(pat);
         let ctest = compile_ctests(pat, doc);
-        Evaluator::from_tables(pat, doc, opts, ctest, needs_enum, var_id)
+        Evaluator::from_tables(pat, doc, ctest, needs_enum, var_id)
     }
 
     fn from_tables(
         pat: &'a Pattern,
         doc: &'a Document,
-        opts: EvalOptions,
         ctest: Vec<CTest>,
         needs_enum: Vec<bool>,
         var_id: Vec<Option<u32>>,
@@ -498,13 +442,28 @@ impl<'a> Evaluator<'a> {
         Evaluator {
             pat,
             doc,
-            opts,
+            spec: false,
             ctest,
             memo: Memo::default(),
             desc_memo: Memo::default(),
             needs_enum,
             var_id,
         }
+    }
+
+    /// The snapshot result: every root's embeddings of the pattern.
+    fn results(&mut self) -> SnapshotResult {
+        let (pat, doc) = (self.pat, self.doc);
+        let mut out = SnapshotResult::default();
+        if pat.is_empty() {
+            return out;
+        }
+        for &root in doc.roots() {
+            for (_, frag) in self.embed(pat.root(), root, &VarEnv::default()) {
+                out.tuples.insert(frag);
+            }
+        }
+        out
     }
 
     /// Returns the memo allocations to the scratch for the next
@@ -516,7 +475,7 @@ impl<'a> Evaluator<'a> {
     /// Does the local (label-only) test of pattern node `p` accept doc node
     /// `v`, ignoring variables' join constraints?
     fn local_ok(&self, p: PNodeId, v: NodeId) -> bool {
-        if !self.opts.interning {
+        if self.spec {
             return self.local_ok_str(p, v);
         }
         match &self.ctest[p.index()] {
@@ -529,8 +488,7 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// The pre-interning label test (string compares), kept for the
-    /// `interning: false` debug/bench mode.
+    /// The spec's label test: string compares.
     fn local_ok_str(&self, p: PNodeId, v: NodeId) -> bool {
         match &self.pat.node(p).label {
             PLabel::Const(l) => self.doc.is_data(v) && self.doc.label(v) == l.as_str(),
@@ -578,7 +536,7 @@ impl<'a> Evaluator<'a> {
     /// `None` means "scan the subtree". Only a perf choice: both sides
     /// compute the same answer.
     fn desc_bucket(&self, p: PNodeId, v: NodeId) -> Option<&'a [NodeId]> {
-        if !self.opts.index {
+        if self.spec {
             return None;
         }
         let bucket = match &self.ctest[p.index()] {
@@ -900,22 +858,15 @@ mod tests {
         .unwrap()
     }
 
-    /// Every flag combination — and the compiled plan — must produce the
+    /// The production evaluator and the compiled plan must produce the
     /// seed evaluator's result.
     fn eval_all_modes(q: &Pattern, d: &Document) -> SnapshotResult {
         let reference = seed_eval(q, d);
         let mut scratch = PlanScratch::default();
-        for interning in [false, true] {
-            for index in [false, true] {
-                let got = eval_with(q, d, EvalOptions { interning, index }, &mut scratch);
-                assert_eq!(
-                    got, reference,
-                    "interning={interning} index={index} diverged"
-                );
-            }
-        }
+        let got = eval_with(q, d, &mut scratch);
+        assert_eq!(got, reference, "production evaluator diverged");
         let plan = crate::plan::QueryPlan::compile(q);
-        let planned = plan.eval_with(d, EvalOptions::default(), &mut scratch);
+        let planned = plan.eval_with(d, &mut scratch);
         assert_eq!(planned, reference, "compiled plan diverged");
         reference
     }
@@ -1122,15 +1073,15 @@ mod tests {
         let mut scratch = PlanScratch::default();
         let d1 = hotels_doc();
         let q1 = parse_query("/hotels/hotel/name").unwrap();
-        let r1 = eval_with(&q1, &d1, EvalOptions::default(), &mut scratch);
+        let r1 = eval_with(&q1, &d1, &mut scratch);
         assert_eq!(r1.len(), 2);
         // a different document reusing NodeId/PNodeId coordinates: stale
         // memo entries would be visible here
         let d2 = parse("<hotels><hotel><name>X</name></hotel></hotels>").unwrap();
-        let r2 = eval_with(&q1, &d2, EvalOptions::default(), &mut scratch);
+        let r2 = eval_with(&q1, &d2, &mut scratch);
         assert_eq!(r2.len(), 1);
         let q2 = parse_query("/hotels/hotel/rating").unwrap();
-        let r3 = eval_with(&q2, &d2, EvalOptions::default(), &mut scratch);
+        let r3 = eval_with(&q2, &d2, &mut scratch);
         assert!(r3.is_empty());
     }
 

@@ -30,7 +30,7 @@ pub use construct::construct_results;
 pub use display::render;
 pub use eval::{
     contributing_nodes, embeddings, eval, eval_with, matches, render_result, render_result_refs,
-    seed_eval, EvalOptions, FxBuildHasher, FxHasher, Matcher, ResultTuple, SnapshotResult,
+    seed_eval, FxBuildHasher, FxHasher, Matcher, ResultTuple, SnapshotResult,
 };
 pub use linear::{LinStep, LinearPath, StepTest};
 pub use parser::{parse_query, QueryParseError};

@@ -17,8 +17,7 @@
 //! reuse across snapshots, documents, and patterns is always sound.
 
 use crate::eval::{
-    compile_ctests, enum_tables, eval_compiled, matches_compiled, CTest, EvalOptions, Memo,
-    SnapshotResult,
+    compile_ctests, enum_tables, eval_compiled, matches_compiled, CTest, Memo, SnapshotResult,
 };
 use crate::pattern::Pattern;
 use axml_xml::Document;
@@ -97,23 +96,16 @@ impl QueryPlan {
         }
     }
 
-    /// Evaluates the plan on `doc` with default options and a fresh
-    /// scratch.
+    /// Evaluates the plan on `doc` with a fresh scratch.
     pub fn eval(&self, doc: &Document) -> SnapshotResult {
-        self.eval_with(doc, EvalOptions::default(), &mut PlanScratch::default())
+        self.eval_with(doc, &mut PlanScratch::default())
     }
 
     /// Binds and evaluates in one step.
-    pub fn eval_with(
-        &self,
-        doc: &Document,
-        opts: EvalOptions,
-        scratch: &mut PlanScratch,
-    ) -> SnapshotResult {
+    pub fn eval_with(&self, doc: &Document, scratch: &mut PlanScratch) -> SnapshotResult {
         eval_compiled(
             &self.pattern,
             doc,
-            opts,
             self.bind(doc).ctest,
             self.needs_enum.clone(),
             self.var_id.clone(),
@@ -126,7 +118,6 @@ impl QueryPlan {
         matches_compiled(
             &self.pattern,
             doc,
-            EvalOptions::default(),
             self.bind(doc).ctest,
             self.needs_enum.clone(),
             self.var_id.clone(),
@@ -173,9 +164,7 @@ mod tests {
         let plan = QueryPlan::compile(&q);
         let d = parse("<auctions><item><bid>5</bid></item></auctions>").unwrap();
         let mut scratch = PlanScratch::default();
-        assert!(plan
-            .eval_with(&d, EvalOptions::default(), &mut scratch)
-            .is_empty());
+        assert!(plan.eval_with(&d, &mut scratch).is_empty());
         assert!(!plan.matches(&d, &mut scratch));
         assert!(seed_eval(&q, &d).is_empty());
     }
@@ -189,13 +178,11 @@ mod tests {
         let mut d = parse("<root><common>x</common></root>").unwrap();
         let before = plan.bind(&d);
         let mut scratch = PlanScratch::default();
-        assert!(plan
-            .eval_with(&d, EvalOptions::default(), &mut scratch)
-            .is_empty());
+        assert!(plan.eval_with(&d, &mut scratch).is_empty());
         // the document interns "rare" only now
         d.add_element(d.roots()[0], "rare");
         assert_ne!(plan.bind(&d), before, "the old binding compiled rare dead");
-        let r = plan.eval_with(&d, EvalOptions::default(), &mut scratch);
+        let r = plan.eval_with(&d, &mut scratch);
         assert_eq!(r.len(), 1);
         assert_eq!(r, seed_eval(&q, &d));
         assert!(plan.matches(&d, &mut scratch));

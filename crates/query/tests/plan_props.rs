@@ -9,8 +9,7 @@
 //! shares no code with the binding it checks.
 
 use axml_query::{
-    seed_eval, EdgeKind, EvalOptions, FunMatch, PLabel, PNodeId, Pattern, PlanScratch, QueryPlan,
-    ResultTuple,
+    seed_eval, EdgeKind, FunMatch, PLabel, PNodeId, Pattern, PlanScratch, QueryPlan, ResultTuple,
 };
 use axml_xml::Document;
 use proptest::prelude::*;
@@ -145,7 +144,7 @@ proptest! {
             // in a different shuffled order
             let doc = random_doc(dseed, Some(i as u64 * 7919 + 1));
             let compiled = plan
-                .eval_with(&doc, EvalOptions::default(), &mut scratch)
+                .eval_with(&doc, &mut scratch)
                 .tuples;
             prop_assert_eq!(
                 compiled,
@@ -169,7 +168,7 @@ proptest! {
         let q = random_pattern(qseed);
         let plan = QueryPlan::compile(&q);
         let mut scratch = PlanScratch::default();
-        let before = plan.eval_with(&doc, EvalOptions::default(), &mut scratch).tuples;
+        let before = plan.eval_with(&doc, &mut scratch).tuples;
         prop_assert_eq!(before, tuples(&q, &doc), "dseed={} qseed={}", dseed, qseed);
 
         // grow: new subtree with labels the document had never interned
@@ -180,7 +179,7 @@ proptest! {
             doc.add_text(e, format!("v{}", i % 3));
         }
 
-        let after = plan.eval_with(&doc, EvalOptions::default(), &mut scratch).tuples;
+        let after = plan.eval_with(&doc, &mut scratch).tuples;
         prop_assert_eq!(after, tuples(&q, &doc), "dseed={} qseed={}", dseed, qseed);
     }
 

@@ -22,7 +22,7 @@
 //!   When the publication history has evicted the records a subscriber
 //!   needs — or a publication carries no change tags — reconciliation
 //!   degrades *soundly* to a full re-evaluation, never to a stale
-//!   answer (mirroring the engine's `splice_floor` semantics).
+//!   answer.
 //!
 //! [`SubscriptionEngine::run_until`] drives both on a schedule derived
 //! from the cache's TTL horizon ([`CallCache::earliest_expiry`]): the

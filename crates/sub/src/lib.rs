@@ -10,14 +10,13 @@
 //! and cached call results lapse out of their TTL validity windows.
 //!
 //! The paper evaluates one query lazily against one document state; this
-//! crate extends the same machinery along the time axis. The lazy
-//! engine's incremental-detection NFAs become a per-query
-//! [`QueryScope`] consulted for every published splice; the call
-//! cache's TTL validity windows (§7's coherency horizon) become the
-//! refresh schedule; and the store's publication chain becomes a
-//! multi-subscriber log with per-subscriber watermarks that degrade
-//! soundly to full re-evaluation when the history is evicted — the
-//! subscription-level mirror of the engine's `splice_floor` semantics.
+//! crate extends the same machinery along the time axis. A query's
+//! position automata become a per-query [`QueryScope`] consulted for
+//! every published splice; the call cache's TTL validity windows (§7's
+//! coherency horizon) become the refresh schedule; and the store's
+//! publication chain becomes a multi-subscriber log with per-subscriber
+//! watermarks that degrade soundly to full re-evaluation when the
+//! history is evicted.
 //!
 //! See [`SubscriptionEngine`] for the two halves (refresh / reconcile),
 //! [`Delta`] and [`DeltaSink`] for delivery, and [`oracle`] for the

@@ -105,9 +105,7 @@ pub struct PublicationRecord {
 /// every publication it missed, in order, or — when the bounded history
 /// ring already evicted some of them — a degradation signal carrying the
 /// current snapshot, so the subscriber can fall back to a sound full
-/// re-evaluation. This is the multi-subscriber generalization of the
-/// engine's `splice_floor` rule: eviction never loses soundness, only
-/// incrementality.
+/// re-evaluation. Eviction never loses soundness, only incrementality.
 #[derive(Clone, Debug)]
 pub enum CatchUp {
     /// Every publication with version > the watermark, oldest first.

@@ -697,19 +697,6 @@ impl Document {
         false
     }
 
-    /// Interned symbols on the path from a root down to `id` (inclusive).
-    /// The symbol-level counterpart of [`Document::path_labels`].
-    pub fn path_syms(&self, id: NodeId) -> Vec<u32> {
-        let mut path = Vec::new();
-        let mut cur = Some(id);
-        while let Some(n) = cur {
-            path.push(self.sym(n));
-            cur = self.parent(n);
-        }
-        path.reverse();
-        path
-    }
-
     /// Labels on the path from a root down to `id` (inclusive).
     pub fn path_labels(&self, id: NodeId) -> Vec<String> {
         let mut path = Vec::new();
@@ -1092,14 +1079,18 @@ impl Document {
                 self.call_list.len()
             ));
         }
+        let mut call_ids = std::collections::HashSet::new();
         for (pos, &id) in self.call_list.iter().enumerate() {
             let n = self.node_raw(id.index());
-            if !n.alive || !matches!(n.kind, NodeKind::Call(..)) {
+            let (true, NodeKind::Call(cid)) = (n.alive, n.kind) else {
                 return Err(format!("call registry entry {id:?} is not a live call"));
-            }
+            };
             let recorded = self.call_pos.get(id.index());
             if recorded as usize != pos {
                 return Err(format!("{id:?} call position {recorded} != {pos}"));
+            }
+            if !call_ids.insert(cid) {
+                return Err(format!("{id:?} repeats the live call id {}", cid.0));
             }
         }
         Ok(())
@@ -1426,13 +1417,17 @@ mod tests {
                 assert_eq!(d.sym(a) == d.sym(b), d.label(a) == d.label(b));
             }
         }
-        assert_eq!(
-            d.path_syms(call),
-            d.path_labels(call)
-                .iter()
-                .map(|l| d.lookup_sym(l).unwrap())
-                .collect::<Vec<_>>()
-        );
+    }
+
+    #[test]
+    fn integrity_catches_a_repeated_call_id() {
+        let mut d = Document::with_root("r");
+        let root = d.root();
+        d.add_call_with_id(Some(root), "f", 0);
+        d.check_integrity().unwrap();
+        d.add_call_with_id(Some(root), "g", 0);
+        let err = d.check_integrity().unwrap_err();
+        assert!(err.contains("repeats the live call id 0"), "{err}");
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! [`CallId`]: crate::CallId
 
 use crate::tree::{Document, NodeId, NodeKind};
+use std::collections::HashSet;
 use std::fmt;
 
 /// Decoding failed: the buffer is not a well-formed document encoding.
@@ -97,14 +98,15 @@ fn encode_node(doc: &Document, id: NodeId, out: &mut Vec<u8>) {
 
 /// Decodes a document previously produced by [`encode_document`]. The
 /// result carries the original call ids and call counter, so splice
-/// replay against it behaves exactly as against the original.
+/// replay against it behaves exactly as against the original. A call id
+/// that appears twice is rejected: a document names each call once.
 pub fn decode_document(buf: &[u8]) -> Result<Document, WireError> {
     let mut r = Reader { buf, pos: 0 };
     let mut doc = Document::new();
-    let mut max_call = None;
+    let mut calls = HashSet::new();
     let roots = r.take_u32()?;
     for _ in 0..roots {
-        decode_node(&mut r, &mut doc, None, 0, &mut max_call)?;
+        decode_node(&mut r, &mut doc, None, 0, &mut calls)?;
     }
     let next_call = r.take_u64()?;
     if r.pos != buf.len() {
@@ -113,7 +115,7 @@ pub fn decode_document(buf: &[u8]) -> Result<Document, WireError> {
             buf.len() - r.pos
         )));
     }
-    if let Some(m) = max_call {
+    if let Some(&m) = calls.iter().max() {
         if next_call <= m {
             return Err(WireError(format!(
                 "call counter {next_call} not above largest call id {m}"
@@ -129,7 +131,7 @@ fn decode_node(
     doc: &mut Document,
     parent: Option<NodeId>,
     depth: usize,
-    max_call: &mut Option<u64>,
+    calls: &mut HashSet<u64>,
 ) -> Result<(), WireError> {
     if depth > MAX_WIRE_DEPTH {
         return Err(WireError(format!("nesting deeper than {MAX_WIRE_DEPTH}")));
@@ -150,7 +152,9 @@ fn decode_node(
         }
         TAG_CALL => {
             let raw = r.take_u64()?;
-            *max_call = Some(max_call.map_or(raw, |m: u64| m.max(raw)));
+            if !calls.insert(raw) {
+                return Err(WireError(format!("call id {raw} appears twice")));
+            }
             doc.add_call_with_id(parent, &label, raw)
         }
         other => return Err(WireError(format!("unknown node tag 0x{other:02x}"))),
@@ -165,7 +169,7 @@ fn decode_node(
         )));
     }
     for _ in 0..children {
-        decode_node(r, doc, Some(id), depth + 1, max_call)?;
+        decode_node(r, doc, Some(id), depth + 1, calls)?;
     }
     Ok(())
 }
@@ -283,6 +287,22 @@ mod tests {
         let (na, _) = d.call_info(d.calls()[0]).unwrap();
         let (nb, _) = back.call_info(back.calls()[0]).unwrap();
         assert_eq!(na, nb, "fresh splice ids must match after round trip");
+    }
+
+    #[test]
+    fn repeated_call_ids_are_rejected() {
+        // two root calls, both with id 0, the counter at 1
+        let mut buf = Vec::new();
+        put_u32(&mut buf, 2);
+        for _ in 0..2 {
+            buf.push(TAG_CALL);
+            put_str(&mut buf, "f");
+            put_u64(&mut buf, 0);
+            put_u32(&mut buf, 0);
+        }
+        put_u64(&mut buf, 1);
+        let err = decode_document(&buf).unwrap_err();
+        assert!(err.0.contains("call id 0 appears twice"), "{err}");
     }
 
     #[test]

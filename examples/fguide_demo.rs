@@ -8,7 +8,6 @@
 
 use activexml::core::{build_nfqs, filter_candidates, position_language, ClassVerdicts, FGuide};
 use activexml::gen::scenario::{figure4_query, generate, ScenarioParams};
-use activexml::query::EvalOptions;
 use std::time::Instant;
 
 fn main() {
@@ -52,11 +51,11 @@ fn main() {
     for nfq in &nfqs {
         let mut at = ClassVerdicts::new(position_language(&nfq.lin, nfq.via));
         let cands: Vec<_> = guide
-            .extent(&doc, &mut at, None, 0)
+            .extent(&doc, &mut at, None)
             .into_iter()
             .map(|(n, _)| n)
             .collect();
-        via_guide += filter_candidates(nfq, &doc, &cands, EvalOptions::default()).len();
+        via_guide += filter_candidates(nfq, &doc, &cands).len();
     }
     let guide_ms = t.elapsed().as_secs_f64() * 1e3;
 

@@ -138,7 +138,7 @@ const EVAL_VALUES: &str = "doc query world schema strategy typing max-calls dead
 /// The flags the evaluating commands share: what `engine_config` reads,
 /// and `--stats`.
 const EVAL_FLAGS: &str =
-    "push no-parallel relax no-containment enforce-types incremental threads speculate stats";
+    "push no-parallel relax no-containment enforce-types threads speculate stats";
 /// The valued options of a store kept in a directory.
 const STORE_VALUES: &str = "durable checkpoint-every fsync plan-cache-capacity";
 
@@ -538,7 +538,6 @@ fn engine_config(opts: &Opts) -> Result<EngineConfig, String> {
         max_invocations,
         containment_pruning: !opts.flag("no-containment"),
         enforce_output_types: opts.flag("enforce-types"),
-        incremental_detection: opts.flag("incremental"),
         real_threads: opts.flag("threads"),
         speculation: if opts.flag("speculate") {
             Speculation::Always
@@ -548,7 +547,6 @@ fn engine_config(opts: &Opts) -> Result<EngineConfig, String> {
         deadline_ms,
         hedge,
         shed,
-        ..EngineConfig::default()
     })
 }
 

@@ -232,6 +232,7 @@ fn helpful_errors() {
         ),
         (&query, &["--no-paralel"], "--no-paralel"),
         (&query, &["--fguide"], "--fguide"),
+        (&query, &["--incremental"], "--incremental"),
         (&query, &["--watch-ms", "5"], "--watch-ms"),
         (&query, &["--stats", "--retries"], "--retries"),
         (&query, &["--retries", "--stats"], "--retries"),

@@ -163,34 +163,6 @@ fn golden_threaded_parallel_batches() {
     );
 }
 
-/// The hot-path machinery must be trace-invisible: the *same* golden file
-/// as the default schedule, byte for byte, with delta-scoped incremental
-/// detection on and with the whole hot path off. No new golden is pinned —
-/// divergence from `figure1_default.jsonl` is the failure.
-#[test]
-fn golden_default_schedule_is_eval_mode_invariant() {
-    use activexml::query::EvalOptions;
-    check_golden(
-        "figure1_default.jsonl",
-        EngineConfig {
-            incremental_detection: true,
-            ..EngineConfig::default()
-        },
-        None,
-    );
-    check_golden(
-        "figure1_default.jsonl",
-        EngineConfig {
-            eval_options: EvalOptions {
-                interning: false,
-                index: false,
-            },
-            ..EngineConfig::default()
-        },
-        None,
-    );
-}
-
 /// A warm cross-session plan cache must be trace-invisible too: fetching
 /// the Figure 4 plan from a [`PlanCache`] (cold compile, then a cache
 /// hit) and evaluating with the shared plan reproduces the default

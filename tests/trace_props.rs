@@ -151,104 +151,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The hot-path evaluator flags are pure CPU trades: on random chaos
-    /// scenarios, the seed evaluator (string compares, no index), the
-    /// interned evaluator, the indexed evaluator and the delta-scoped
-    /// incremental path must produce byte-identical traces, identical
-    /// answers and identical engine accounting. (Incremental detection
-    /// legitimately changes only its own counters: evaluations skipped or
-    /// delta-scoped instead of performed.)
-    #[test]
-    fn eval_modes_are_equivalent(
-        seed in 0u64..10_000,
-        hotels in 1usize..25,
-        intensional_rating_fraction in 0.0f64..1.0,
-        intensional_restos_fraction in 0.0f64..1.0,
-        fault_seed in 0u64..100,   // 0 = fault-free
-        plain in any::<bool>(), // pure NFQA vs the typed default
-    ) {
-        use activexml::obs::to_jsonl;
-        use activexml::query::EvalOptions;
-
-        let fail_prob = (fault_seed % 7) as f64 / 10.0;
-        let params = ScenarioParams {
-            seed,
-            hotels,
-            intensional_rating_fraction,
-            intensional_restos_fraction,
-            ..Default::default()
-        };
-        let fault = (fault_seed > 0).then(|| FaultProfile::chaos(fault_seed, fail_prob));
-        let base = if plain {
-            EngineConfig::nfq_plain()
-        } else {
-            EngineConfig::default()
-        };
-        let modes: Vec<(&str, bool, EvalOptions)> = vec![
-            ("seed", false, EvalOptions { interning: false, index: false }),
-            ("interned", false, EvalOptions { interning: true, index: false }),
-            ("interned+index", false, EvalOptions { interning: true, index: true }),
-            ("delta", true, EvalOptions { interning: true, index: true }),
-        ];
-        let mut reference: Option<(String, EngineStats, String)> = None;
-        for (name, incremental, opts) in modes {
-            let config = EngineConfig {
-                incremental_detection: incremental,
-                eval_options: opts,
-                ..base.clone()
-            };
-            let mut sc = generate(&params);
-            sc.registry.set_default_profile(NetProfile::latency(5.0));
-            if let Some(f) = fault {
-                sc.registry.set_default_fault_profile(f);
-            }
-            let ring = RingSink::unbounded();
-            let engine = Engine::new(&sc.registry, config)
-                .with_schema(&sc.schema)
-                .with_observer(&ring);
-            let report = engine.evaluate(&mut sc.doc, &figure4_query());
-            let answers = format!(
-                "{:?}",
-                activexml::query::render_result(&sc.doc, &report.result)
-            );
-            let trace = to_jsonl(&ring.events());
-            match &reference {
-                None => reference = Some((answers, report.stats, trace)),
-                Some((ref_answers, ref_stats, ref_trace)) => {
-                    prop_assert_eq!(
-                        &answers, ref_answers,
-                        "{} changed the answer (seed={}, fseed={})", name, seed, fault_seed
-                    );
-                    prop_assert_eq!(
-                        &trace, ref_trace,
-                        "{} changed the trace bytes (seed={}, fseed={})", name, seed, fault_seed
-                    );
-                    let s = &report.stats;
-                    prop_assert_eq!(s.calls_invoked, ref_stats.calls_invoked, "{}", name);
-                    prop_assert_eq!(s.failed_calls, ref_stats.failed_calls, "{}", name);
-                    prop_assert_eq!(s.call_attempts, ref_stats.call_attempts, "{}", name);
-                    prop_assert_eq!(s.rounds, ref_stats.rounds, "{}", name);
-                    prop_assert_eq!(s.bytes_transferred, ref_stats.bytes_transferred, "{}", name);
-                    prop_assert!((s.sim_time_ms - ref_stats.sim_time_ms).abs() < 1e-9, "{}", name);
-                    prop_assert_eq!(s.pushed_calls, ref_stats.pushed_calls, "{}", name);
-                    prop_assert_eq!(s.queries_pruned, ref_stats.queries_pruned, "{}", name);
-                    prop_assert_eq!(s.is_complete(), ref_stats.is_complete(), "{}", name);
-                    if !incremental {
-                        // same detection discipline ⇒ the evaluation count
-                        // itself is also invariant (skips/deltas are 0)
-                        prop_assert_eq!(s.relevance_evals, ref_stats.relevance_evals, "{}", name);
-                        prop_assert_eq!(s.nfq_evals_skipped, 0, "{}", name);
-                        prop_assert_eq!(s.nfq_delta_evals, 0, "{}", name);
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// A cached session stream: two identical queries with an infinite
 /// validity window — the second run's probes all hit, and the combined
 /// stream still satisfies the oracle and the aggregator identities.
