@@ -4,9 +4,37 @@
 //! cargo run -p axml-bench --release --bin report            # everything
 //! cargo run -p axml-bench --release --bin report e1 e5      # a subset
 //! ```
+//!
+//! A name that selects no experiment exits 1 before anything runs.
 
 use axml_bench::experiments as ex;
 use axml_services::NetProfile;
+
+/// Every experiment the report runs, in run order, each with the names
+/// that select it on the command line (its table name first).
+const EXPERIMENTS: &[&[&str]] = &[
+    &["e1"],
+    &["e2"],
+    &["e3"],
+    &["e4"],
+    &["e5"],
+    &["e6"],
+    &["e7"],
+    &["e8"],
+    &["a1"],
+    &["a3"],
+    &["e9"],
+    &["e10", "faults"],
+    &["e11", "cache"],
+    &["e12", "trace"],
+    &["e13", "hedging"],
+    &["a2"],
+    &["e14", "detection"],
+    &["e15", "serving"],
+    &["e16", "subscriptions"],
+    &["e17", "plans"],
+    &["e18", "durability"],
+];
 
 /// Removes `--flag VALUE` from `args`, returning the value.
 fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
@@ -85,7 +113,23 @@ fn main() {
             }
         }
     };
-    let want = |k: &str| args.is_empty() || args.iter().any(|a| a == k);
+    let known = |a: &String| EXPERIMENTS.iter().any(|names| names.contains(&a.as_str()));
+    if let Some(unknown) = args.iter().find(|a| !known(a)) {
+        let names: Vec<&str> = EXPERIMENTS.iter().flat_map(|n| n.iter().copied()).collect();
+        eprintln!(
+            "report: unknown experiment {unknown:?}; known: {}",
+            names.join(" ")
+        );
+        std::process::exit(1);
+    }
+    // whether the experiment whose table is `table` was selected
+    let want = |table: &str| {
+        let names = EXPERIMENTS
+            .iter()
+            .find(|names| names[0] == table)
+            .unwrap_or_else(|| panic!("{table} is missing from EXPERIMENTS"));
+        args.is_empty() || args.iter().any(|a| names.contains(&a.as_str()))
+    };
 
     if want("e1") || want("e2") {
         let rows = ex::e1_e2_strategies(&[10, 50, 100, 200, 400], NetProfile::default());
@@ -175,7 +219,7 @@ fn main() {
         );
         emit("e9", "auctions", &rows);
     }
-    if want("e10") || want("faults") {
+    if want("e10") {
         let rows = ex::e10_faults(&[0.0, 0.1, 0.3, 0.6]);
         ex::print_table(
             "E10 — fault tolerance: partial answers under permanent failures",
@@ -184,7 +228,7 @@ fn main() {
         );
         emit("e10", "fail_prob", &rows);
     }
-    if want("e11") || want("cache") {
+    if want("e11") {
         let rows = ex::e11_cache(&[0.0, 150.0, 1_000_000.0]);
         ex::print_table(
             "E11 — cross-query call-result cache (reconstructed §7 sessions)",
@@ -193,7 +237,7 @@ fn main() {
         );
         emit("e11", "ttl_ms", &rows);
     }
-    if want("e12") || want("trace") {
+    if want("e12") {
         let rows = ex::e12_trace_overhead(&[50, 100, 200]);
         ex::print_table(
             "E12 — tracing overhead (structured observability stream)",
@@ -202,7 +246,7 @@ fn main() {
         );
         emit("e12", "hotels", &rows);
     }
-    if want("e13") || want("hedging") {
+    if want("e13") {
         let rows = ex::e13_hedging_deadlines(&[15.0, 30.0, 60.0], &[50.0, 250.0, 450.0, 600.0]);
         ex::print_table(
             "E13 — deadline-aware evaluation: hedging and end-to-end deadlines",
@@ -216,7 +260,7 @@ fn main() {
         ex::print_table("A2 — NFQ re-evaluation counts", "hotels", &rows);
         emit("a2", "hotels", &rows);
     }
-    if want("e14") || want("detection") {
+    if want("e14") {
         let rows = ex::e14_detection(&[50, 200, 400, 4000], 20);
         ex::print_table(
             "E14 — production relevance detection vs the whole-document detector",
@@ -252,7 +296,7 @@ fn main() {
             }
         }
     }
-    if want("e15") || want("serving") {
+    if want("e15") {
         let rows = ex::e15_concurrent(&[1, 2, 4, 8], 16, 4);
         ex::print_table(
             "E15 — multi-tenant serving throughput (work-stealing session pool)",
@@ -327,7 +371,7 @@ fn main() {
             eprintln!("report: E15 within 20% of baseline {bpath} — ok");
         }
     }
-    if want("e16") || want("subscriptions") {
+    if want("e16") {
         let rows = ex::e16_subscriptions(&[50, 200, 400], 4_000.0);
         ex::print_table(
             "E16 — continuous subscriptions: delta maintenance vs full re-evaluation",
@@ -405,7 +449,7 @@ fn main() {
             eprintln!("report: E16 within 40% of baseline {bpath} — ok");
         }
     }
-    if want("e17") || want("plans") {
+    if want("e17") {
         let rows = ex::e17_plan_amortization(&[1, 4, 16, 64], 3);
         ex::print_table(
             "E17 — compiled-plan amortization (cold compile vs warm plan cache)",
@@ -495,7 +539,7 @@ fn main() {
             eprintln!("report: E17 within 40% of baseline {bpath} — ok");
         }
     }
-    if want("e18") || want("durability") {
+    if want("e18") {
         let recovery = ex::e18_recovery(&[200, 1000, 4000], 2);
         ex::print_table(
             "E18 — durability: crash-recovery time vs write-ahead log length",

@@ -583,8 +583,6 @@ pub fn a3_containment(hotel_counts: &[usize]) -> Vec<Row> {
     rows
 }
 
-/// E9 — cross-domain sanity: the strategy ranking of E1 must hold on the
-/// second (auctions) domain too, whose schema is deeper and join-heavier.
 /// E10 — fault tolerance: graceful degradation under permanently failing
 /// services. Every strategy runs the hotel workload under the same
 /// deterministic fault schedule (seed 7): a `fail_prob` share of call
@@ -844,6 +842,8 @@ pub fn e12_trace_overhead(hotel_counts: &[usize]) -> Vec<Row> {
     rows
 }
 
+/// E9 — cross-domain sanity: the strategy ranking of E1 must hold on the
+/// second (auctions) domain too, whose schema is deeper and join-heavier.
 pub fn e9_auctions(auction_counts: &[usize]) -> Vec<Row> {
     use axml_gen::auctions::{auction_query, generate_auctions, AuctionParams};
     let mut rows = Vec::new();
@@ -1193,6 +1193,12 @@ pub fn e14_parse_json(text: &str) -> Vec<E14Entry> {
         .collect()
 }
 
+/// The passes E15 times each pool size over. A pass takes about one
+/// second (the provider sleeps), and with the best of 20 the 8-worker
+/// scaling of nine runs on a 2-vCPU VM stayed within about 10% of its
+/// median, inside the baseline rule's 20%.
+const E15_PASSES: usize = 20;
+
 /// E15 — multi-tenant serving throughput: N sessions, each a stream of
 /// queries over its *own* stored document, scheduled onto the store's
 /// work-stealing worker pool, swept over pool sizes.
@@ -1208,12 +1214,19 @@ pub fn e14_parse_json(text: &str) -> Vec<E14Entry> {
 /// provider cost — no cross-query reuse flatters the numbers.
 ///
 /// Asserted invariant: per-session answers are identical across all pool
-/// sizes (scheduling moves waits, never answers).
+/// sizes and passes (scheduling moves waits, never answers).
 ///
-/// Reported per pool size: `qps`, latency `p50_ms`/`max_ms` (from the
-/// run's `axml-obs` histogram; 64 samples are too few for a p99 that
-/// differs from the maximum), `wall_ms`, and `scaling`. `BENCH_E15.json`
-/// (written by the `report` binary) is the machine artifact CI gates on.
+/// Each pool size is timed the way E14 times a detector: `E15_PASSES`
+/// passes each serve the whole workload once at every pool size in turn,
+/// and a pool size reports its best pass (the least `wall_ms`). A pass
+/// that a busy machine slowed down only loses, so `scaling` stays steady
+/// from run to run.
+///
+/// Reported per pool size, from its best pass: `qps`, latency
+/// `p50_ms`/`max_ms` (from the run's `axml-obs` histogram; 64 samples are
+/// too few for a p99 that differs from the maximum), `wall_ms`, and
+/// `scaling`. `BENCH_E15.json` (written by the `report` binary) is the
+/// machine artifact CI gates on.
 pub fn e15_concurrent(
     worker_counts: &[usize],
     sessions: usize,
@@ -1259,49 +1272,55 @@ pub fn e15_concurrent(
         })
         .collect();
 
-    let mut rows = Vec::new();
-    let mut base_qps: Option<f64> = None;
-    // (session name, per-query answer sets) — the 1-worker run pins it
+    // (session name, per-query answer sets) — the first run pins it
     type SessionAnswers = Vec<(String, Vec<BTreeSet<Vec<String>>>)>;
     let mut reference: Option<SessionAnswers> = None;
-    for &workers in worker_counts {
-        let report = store.serve(
-            &specs,
-            &registry,
-            None,
-            &SchedulerMode::Concurrent { workers },
-            None,
-        );
-        let answers = report.answers_by_session();
-        match &reference {
-            None => reference = Some(answers),
-            Some(r) => assert_eq!(
-                &answers, r,
-                "worker count {workers} changed a session's answers"
-            ),
-        }
-        let hist = report.latency_histogram();
-        let qps = report.queries_per_sec();
-        let scaling = match base_qps {
-            None => {
-                base_qps = Some(qps);
-                1.0
+    // the best pass of each pool size: (wall_ms, qps, p50_ms, max_ms)
+    let mut best = vec![(f64::INFINITY, 0.0, 0.0, 0.0); worker_counts.len()];
+    for _ in 0..E15_PASSES {
+        for (&workers, best) in worker_counts.iter().zip(&mut best) {
+            let report = store.serve(
+                &specs,
+                &registry,
+                None,
+                &SchedulerMode::Concurrent { workers },
+                None,
+            );
+            let answers = report.answers_by_session();
+            match &reference {
+                None => reference = Some(answers),
+                Some(r) => assert_eq!(
+                    &answers, r,
+                    "worker count {workers} changed a session's answers"
+                ),
             }
-            Some(b) => qps / b.max(1e-9),
-        };
-        rows.push(Row {
+            if report.wall_ms < best.0 {
+                let hist = report.latency_histogram();
+                *best = (
+                    report.wall_ms,
+                    report.queries_per_sec(),
+                    hist.quantile(0.5),
+                    hist.max(),
+                );
+            }
+        }
+    }
+    let base_qps = best.first().map_or(1.0, |b| b.1);
+    worker_counts
+        .iter()
+        .zip(best)
+        .map(|(&workers, (wall_ms, qps, p50_ms, max_ms))| Row {
             label: "serve".to_string(),
             x: workers as f64,
             metrics: vec![
                 ("qps", qps),
-                ("p50_ms", hist.quantile(0.5)),
-                ("max_ms", hist.max()),
-                ("wall_ms", report.wall_ms),
-                ("scaling", scaling),
+                ("p50_ms", p50_ms),
+                ("max_ms", max_ms),
+                ("wall_ms", wall_ms),
+                ("scaling", qps / base_qps.max(1e-9)),
             ],
-        });
-    }
-    rows
+        })
+        .collect()
 }
 
 /// Serializes E15 rows as the `BENCH_E15.json` artifact (same

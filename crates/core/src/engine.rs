@@ -112,12 +112,6 @@ pub struct EngineConfig {
     /// the stats; the result is spliced regardless (the algorithms stay
     /// correct, the guarantee was the provider's).
     pub enforce_output_types: bool,
-    /// Dispatch parallel batches on real OS threads (one per call), the
-    /// way the original system issued asynchronous SOAP calls. Results are
-    /// still spliced sequentially and deterministically (document order),
-    /// so answers and statistics are identical — only wall-clock changes
-    /// when services do real work or real I/O.
-    pub real_threads: bool,
     /// Speculative invocation — the paper's §4.4 closing direction:
     /// "calling functions in parallel *just in case*", trading possibly
     /// wasted calls for wall-clock.
@@ -242,7 +236,6 @@ impl Default for EngineConfig {
             max_invocations: 100_000,
             containment_pruning: true,
             enforce_output_types: false,
-            real_threads: false,
             speculation: Speculation::Off,
             deadline_ms: f64::INFINITY,
             hedge: HedgeConfig::default(),
@@ -319,6 +312,17 @@ pub struct EvalReport {
     pub changed_paths: Vec<Vec<String>>,
 }
 
+/// What [`Engine::complete_for`] did to a document: the rewriting of an
+/// [`EvalReport`], without an answer.
+#[derive(Clone, Debug)]
+pub struct Completion {
+    /// Measurements; `final_eval_cpu` is zero, since no answer was
+    /// evaluated.
+    pub stats: EngineStats,
+    /// As [`EvalReport::changed_paths`].
+    pub changed_paths: Vec<Vec<String>>,
+}
+
 /// The lazy query evaluation engine.
 pub struct Engine<'a> {
     registry: &'a Registry,
@@ -357,10 +361,9 @@ impl<'a> Engine<'a> {
     /// Attaches a structured-trace observer: every observable step of a
     /// run (query/layer spans, candidate sets, cache probes, attempts,
     /// invocations, breaker transitions, batch clock charges) is emitted
-    /// as an [`axml_obs::Event`]. Emission happens only on the engine's
-    /// sequential phases — detection, splice, accounting — never on
-    /// dispatch threads, so the stream's order is deterministic even for
-    /// `real_threads` parallel batches.
+    /// as an [`axml_obs::Event`], in the deterministic order the run takes
+    /// them: a parallel batch's events follow its candidates' order, not
+    /// the order its calls would finish in.
     pub fn with_observer(mut self, observer: &'a dyn TraceSink) -> Self {
         self.observer = Some(observer);
         self
@@ -396,118 +399,23 @@ impl<'a> Engine<'a> {
     /// final evaluation — the exchange use case of Section 1's closing
     /// remark ("our technique can be used to evaluate queries on exchanged
     /// AXML data"): materialize exactly what a recipient needs for `query`
-    /// and ship the document.
-    pub fn complete_for(&self, doc: &mut Document, query: &Pattern) -> EngineStats {
-        let mut report = self.evaluate(doc, query);
-        report.stats.final_eval_cpu = std::time::Duration::ZERO;
-        report.stats
-    }
-
-    /// Evaluates several queries over one document with a **shared**
-    /// rewriting — the multi-query optimization Section 4.1 points to
-    /// ("techniques for multi-query optimization \[7\] are essential"):
-    /// a call relevant to any of the queries is invoked exactly once.
-    ///
-    /// The shared loop batches the union of all queries' relevant calls per
-    /// round (every fired call is relevant to some query at firing time, a
-    /// lenient rewriting in the sense of Section 2); pushed queries are
-    /// disabled because a pruned result safe for one query may starve
-    /// another.
-    pub fn evaluate_many(&self, doc: &mut Document, queries: &[Pattern]) -> Vec<EvalReport> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
+    /// and ship the document. The trace and the stats are those of
+    /// [`Engine::evaluate`], minus the final evaluation's CPU.
+    pub fn complete_for(&self, doc: &mut Document, query: &Pattern) -> Completion {
         let t0 = Instant::now();
-        let shared_config = EngineConfig {
-            push_queries: false,
-            ..self.config.clone()
-        };
-        let engine = Engine {
-            registry: self.registry,
-            schema: self.schema,
-            cache: self.cache,
-            observer: self.observer,
-            start_ms: self.start_ms,
-            config: shared_config,
-            // the shared loop mixes several queries; per-query plans
-            // don't apply (and push is off anyway)
-            plan: None,
-        };
-        // the query is unused: push is off and refiners are per query
-        let mut run = Run::new(&engine, &queries[0]);
-        let typing = typing_mode(self.config.typing, self.schema);
-        let mut per_query: Vec<(Vec<Nfq>, Option<TypeRefiner<'_, '_>>)> = queries
-            .iter()
-            .map(|q| {
-                let (nfqs, pruned) = nfq_set(q, &self.config);
-                run.stats.queries_pruned += pruned;
-                let refiner = typing.map(|(s, mode)| TypeRefiner::new(s, q, mode));
-                (nfqs, refiner)
-            })
-            .collect();
-
-        if run.observing() {
-            let rendered: Vec<String> = queries.iter().map(render).collect();
-            run.emit(EventKind::QueryStart {
-                strategy: "shared".to_string(),
-                query: rendered.join(" ; "),
-            });
-        }
-        // a round's candidates: every query's relevant calls, by call id
-        run.drive(
-            doc,
-            |run, doc| {
-                let mut merged = BTreeMap::new();
-                for (qi, (nfqs, refiner)) in per_query.iter_mut().enumerate() {
-                    let all: Vec<usize> = (0..nfqs.len()).collect();
-                    for c in run.detect_nfq_candidates(doc, qi, nfqs, &all, refiner).0 {
-                        merged.entry(c.call).or_insert(c);
-                    }
-                }
-                (merged.into_values().collect(), Pushes::new())
-            },
-            |_| Dispatch::batch(self.config.parallel),
-        );
+        let mut run = self.rewrite(doc, query);
         run.close(doc, t0);
-        let shared_stats = run.stats;
-        let changed_paths = run.changed_paths;
-        let mut final_cache = PlanScratch::default();
-        queries
-            .iter()
-            .map(|q| {
-                let tq = Instant::now();
-                let result = eval_with(q, doc, &mut final_cache);
-                let mut stats = shared_stats.clone();
-                stats.final_eval_cpu = tq.elapsed();
-                stats.total_cpu = t0.elapsed();
-                let complete = stats.is_complete();
-                EvalReport {
-                    result,
-                    stats,
-                    complete,
-                    changed_paths: changed_paths.clone(),
-                }
-            })
-            .collect()
+        Completion {
+            stats: run.stats,
+            changed_paths: run.changed_paths,
+        }
     }
 
     /// Runs the rewriting on `doc` (mutated in place) and evaluates the
     /// query on the completed document.
     pub fn evaluate(&self, doc: &mut Document, query: &Pattern) -> EvalReport {
         let t0 = Instant::now();
-        let mut run = Run::new(self, query);
-        if run.observing() {
-            run.emit(EventKind::QueryStart {
-                strategy: self.config.strategy.name().to_string(),
-                query: render(query),
-            });
-        }
-        match self.config.strategy {
-            Strategy::Naive => run.run_naive(doc),
-            Strategy::TopDown => run.run_lpq(doc, true),
-            Strategy::Lpq => run.run_lpq(doc, false),
-            Strategy::Nfq => run.run_nfq(doc),
-        }
+        let mut run = self.rewrite(doc, query);
         let tq = Instant::now();
         let result = match run.plan {
             // the plan's label tests compile against this document's
@@ -525,14 +433,29 @@ impl<'a> Engine<'a> {
             changed_paths: run.changed_paths,
         }
     }
+
+    /// Opens the query span and runs the configured strategy's rewriting
+    /// on `doc`; the caller closes the span.
+    fn rewrite<'e, 'q>(&'e self, doc: &mut Document, query: &'q Pattern) -> Run<'e, 'a, 'q> {
+        let mut run = Run::new(self, query);
+        if run.observing() {
+            run.emit(EventKind::QueryStart {
+                strategy: self.config.strategy.name().to_string(),
+                query: render(query),
+            });
+        }
+        match self.config.strategy {
+            Strategy::Naive => run.run_naive(doc),
+            Strategy::TopDown => run.run_lpq(doc, true),
+            Strategy::Lpq => run.run_lpq(doc, false),
+            Strategy::Nfq => run.run_nfq(doc),
+        }
+        run
+    }
 }
 
 /// The queries pushed along with a round's calls (§7), by call.
 type Pushes = BTreeMap<CallId, PushedQuery>;
-
-/// Which NFQ of which query. `evaluate_many` runs every query's NFQ list
-/// through one run, so an index into one list does not name an NFQ.
-type NfqKey = (usize, usize);
 
 /// Does the slot `node` still hold the call `call`? Slots of spliced
 /// calls are reused, so a candidate found earlier may have gone stale.
@@ -572,13 +495,13 @@ fn parent_labels(doc: &Document, node: NodeId) -> Vec<String> {
         .unwrap_or_default()
 }
 
-/// NFQ `key`'s class verdicts, built on first use.
+/// NFQ `i`'s class verdicts, built on first use.
 fn class_verdicts<'m>(
-    nfqs: &'m mut HashMap<NfqKey, ClassVerdicts>,
-    key: NfqKey,
+    nfqs: &'m mut HashMap<usize, ClassVerdicts>,
+    i: usize,
     nfq: &Nfq,
 ) -> &'m mut ClassVerdicts {
-    nfqs.entry(key)
+    nfqs.entry(i)
         .or_insert_with(|| ClassVerdicts::new(position_language(&nfq.lin, nfq.via)))
 }
 
@@ -596,7 +519,7 @@ struct Run<'e, 'a, 'q> {
     budget: usize,
     total_call_cost_ms: f64,
     /// per-NFQ class verdicts of the position language
-    nfqs: HashMap<NfqKey, ClassVerdicts>,
+    nfqs: HashMap<usize, ClassVerdicts>,
     /// the live calls' visibility and parent-path classes
     guide: FGuide,
     /// the parent label path of every invoked and spliced call
@@ -843,8 +766,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                 // below
                 self.stats.queries_pruned = p.nfq_pruned;
                 for (i, position) in p.pos_nfas.iter().enumerate() {
-                    self.nfqs
-                        .insert((0, i), ClassVerdicts::new(position.clone()));
+                    self.nfqs.insert(i, ClassVerdicts::new(position.clone()));
                 }
                 (p.nfqs.clone(), p.layers.clone())
             }
@@ -881,7 +803,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
             let all: Vec<usize> = (0..nfqs.len()).collect();
             self.drive(
                 doc,
-                |run, doc| run.detect_nfq_candidates(doc, 0, &nfqs, &all, &mut refiner),
+                |run, doc| run.detect_nfq_candidates(doc, &nfqs, &all, &mut refiner),
                 Self::speculative_dispatch,
             );
             return;
@@ -910,7 +832,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
             });
             self.drive(
                 doc,
-                |run, doc| run.detect_nfq_candidates(doc, 0, &nfqs, layer, &mut refiner),
+                |run, doc| run.detect_nfq_candidates(doc, &nfqs, layer, &mut refiner),
                 |_| mode,
             );
             self.emit(EventKind::LayerEnd);
@@ -960,17 +882,17 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         }
     }
 
-    /// The calls NFQ `key` retrieves, through one pipeline: the guide's
+    /// The calls NFQ `i` retrieves, through one pipeline: the guide's
     /// extent at its position among the calls of the refined output's
     /// services, then §6.2's residual filter. An NFQ with join variables
     /// is evaluated in full instead: the residual filter is join-blind.
-    fn retrieve(&mut self, doc: &Document, key: NfqKey, nfq: &Nfq, effective: &Nfq) -> Vec<NodeId> {
+    fn retrieve(&mut self, doc: &Document, i: usize, nfq: &Nfq, effective: &Nfq) -> Vec<NodeId> {
         if !nfq.pattern.join_variables().is_empty() {
             let r = eval_with(&effective.pattern, doc, &mut self.eval_cache);
             return r.bindings_of(effective.output);
         }
         let services = output_services(effective, doc);
-        let at = class_verdicts(&mut self.nfqs, key, nfq);
+        let at = class_verdicts(&mut self.nfqs, i, nfq);
         let positional: Vec<NodeId> = self
             .guide
             .extent(doc, at, services.as_deref())
@@ -988,12 +910,11 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         got
     }
 
-    /// Evaluates the NFQs of one layer of query `query` and assembles the
-    /// candidate set and the pushed queries (for uniquely-retrieved calls).
+    /// Evaluates the NFQs of one layer and assembles the candidate set and
+    /// the pushed queries (for uniquely-retrieved calls).
     fn detect_nfq_candidates(
         &mut self,
         doc: &Document,
-        query: usize,
         nfqs: &[Nfq],
         layer: &[usize],
         refiner: &mut Option<TypeRefiner<'_, '_>>,
@@ -1016,7 +937,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                 None => nfq.clone(),
             };
             self.stats.relevance_evals += 1;
-            for node in self.retrieve(doc, (query, i), nfq, &effective) {
+            for node in self.retrieve(doc, i, nfq, &effective) {
                 let Some((id, svc)) = doc.call_info(node) else {
                     continue;
                 };
@@ -1051,7 +972,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                     .iter()
                     .enumerate()
                     .filter(|&(i, n)| {
-                        let at = class_verdicts(&mut self.nfqs, (query, i), n);
+                        let at = class_verdicts(&mut self.nfqs, i, n);
                         at.accepts(&self.guide, doc, class)
                     })
                     .map(|(_, n)| n.focus)

@@ -31,8 +31,8 @@
 //! the clock before the next starts; NFQA and the top-down baseline stop
 //! it after the first resolved call. The parallel one (§4.4's condition
 //! (✳) batches) probes and gates every candidate first, then dispatches
-//! the admitted calls together, optionally on OS threads, and settles them
-//! in candidate order.
+//! the admitted calls, settles them in candidate order, and charges the
+//! clock once, for the batch's slowest call.
 
 use super::{holds_call, parent_labels, Pushes, Run};
 use axml_obs::{CacheOutcome, EventKind, ShedReason};
@@ -215,8 +215,8 @@ fn combine_hedge(
 /// under the full remaining deadline budget; when its elapsed cost
 /// passes `hedge_after_ms` a duplicate hedge leg fires (with an
 /// independent deterministic fault fate) and the race is resolved by
-/// [`combine_hedge`]. Pure with respect to engine state, so threaded and
-/// sequential batch dispatch behave identically.
+/// [`combine_hedge`]. Reads no engine state: the batch fixed the budget
+/// and the trigger before its first dispatch.
 fn dispatch_hedged(
     registry: &Registry,
     service: &str,
@@ -300,9 +300,9 @@ impl Run<'_, '_, '_> {
         resolved
     }
 
-    /// Runs candidates as one parallel batch under the logical clock
-    /// (real OS threads when configured). The batch's costs exclude cache
-    /// hits, which resolve at zero cost before any dispatch.
+    /// Runs candidates as one parallel batch under the logical clock. The
+    /// batch's costs exclude cache hits, which resolve at zero cost before
+    /// any dispatch.
     fn dispatch_parallel(
         &mut self,
         doc: &mut Document,
@@ -330,10 +330,10 @@ impl Run<'_, '_, '_> {
                 admitted.push(a);
             }
         }
-        // the remaining deadline budget and each call's hedge trigger
-        // are fixed here, on the sequential phase, before any dispatch
-        // — the latency EWMA only moves during phase 3, so threaded
-        // and sequential dispatch see identical values
+        // the remaining deadline budget and each call's hedge trigger are
+        // fixed before any dispatch: every call of the batch starts at the
+        // same instant, so a batch mate's outcome (which moves the latency
+        // EWMA in phase 3) cannot change them
         let remaining = self.deadline.remaining_ms(self.clock.now_ms());
         let hedge_cfg = self.config().hedge;
         let registry = self.engine.registry;
@@ -341,49 +341,22 @@ impl Run<'_, '_, '_> {
             .iter()
             .map(|a| hedge_cfg.trigger_ms(registry.latency_ewma(&a.cand.service)))
             .collect();
-        // phase 2: dispatch — one OS thread per call when configured,
-        // sequentially under the logical clock otherwise. Either way
-        // the whole batch is dispatched before any result is applied,
-        // so a mid-batch failure cannot starve its siblings and both
-        // modes observe identical fault and breaker schedules.
-        type Dispatched = (Result<InvokeOutcome, InvokeError>, Option<HedgeLeg>);
-        let results: Vec<Dispatched> = if self.config().real_threads {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = admitted
-                    .iter()
-                    .zip(params)
-                    .zip(&triggers)
-                    .map(|((a, params), trigger)| {
-                        let pushed = pushes.get(&a.cand.call);
-                        let service = &a.cand.service;
-                        let trigger = *trigger;
-                        scope.spawn(move || {
-                            dispatch_hedged(registry, service, params, pushed, remaining, trigger)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("service panicked"))
-                    .collect()
+        // phase 2: dispatch the whole batch before any result is applied
+        let results: Vec<_> = admitted
+            .iter()
+            .zip(params)
+            .zip(&triggers)
+            .map(|((a, params), trigger)| {
+                dispatch_hedged(
+                    registry,
+                    &a.cand.service,
+                    params,
+                    pushes.get(&a.cand.call),
+                    remaining,
+                    *trigger,
+                )
             })
-        } else {
-            admitted
-                .iter()
-                .zip(params)
-                .zip(&triggers)
-                .map(|((a, params), trigger)| {
-                    dispatch_hedged(
-                        registry,
-                        &a.cand.service,
-                        params,
-                        pushes.get(&a.cand.call),
-                        remaining,
-                        *trigger,
-                    )
-                })
-                .collect()
-        };
+            .collect();
         // phase 3: splice sequentially, deterministically. A fired
         // hedge leg is accounted here, exactly once per logical call:
         // the `hedge` event precedes the single invocation outcome.
@@ -500,9 +473,10 @@ impl Run<'_, '_, '_> {
 
     /// The budget, deadline, stale-slot, unknown-service, shed and breaker
     /// gates, in that order. An admitted candidate reserves one unit of
-    /// budget (threaded batches dispatch before applying) and yields what
-    /// its dispatch needs: the parameter forest — the probe's, when the
-    /// cache probe built one — and what settling it needs.
+    /// budget (a parallel batch admits every call before dispatching any)
+    /// and yields what its dispatch needs: the parameter forest — the
+    /// probe's, when the cache probe built one — and what settling it
+    /// needs.
     fn prepare<'c>(
         &mut self,
         doc: &Document,

@@ -5,7 +5,7 @@
 //! schedules, so assertions are exact: hedging never makes a batch
 //! slower, a hedged pair records exactly one breaker outcome, shedding
 //! degrades to a sound partial answer, and two runs with the same seed
-//! and flags produce byte-identical JSONL traces — threaded or not.
+//! and flags produce byte-identical JSONL traces.
 
 use axml_core::{Engine, EngineConfig, EngineStats, HedgeConfig, ShedConfig};
 use axml_obs::{check_all, to_jsonl, Event, EventKind, RingSink};
@@ -383,9 +383,8 @@ fn fingerprint(doc: &Document, report: &axml_core::EvalReport, events: &[Event])
 }
 
 #[test]
-fn all_mechanisms_on_are_deterministic_even_with_real_threads() {
-    let config_for = |threads: bool| EngineConfig {
-        real_threads: threads,
+fn all_mechanisms_on_are_deterministic() {
+    let config = EngineConfig {
         deadline_ms: 150.0,
         hedge: HedgeConfig {
             threshold_ms: 15.0,
@@ -397,24 +396,13 @@ fn all_mechanisms_on_are_deterministic_even_with_real_threads() {
         },
         ..EngineConfig::default()
     };
-    let one = |threads: bool| {
+    let one = || {
         let mut r = registry();
         r.set_default_fault_profile(FaultProfile::chaos(42, 0.5));
         r.set_retry_policy(RetryPolicy::default().with_timeout_ms(200.0));
-        let (report, d, events) = run_traced(&r, config_for(threads));
+        let (report, d, events) = run_traced(&r, config.clone());
         assert_oracle_clean(&events, &report.stats, "all-on");
         fingerprint(&d, &report, &events)
     };
-    let sequential = one(false);
-    assert_eq!(
-        sequential,
-        one(false),
-        "two sequential runs must agree byte-for-byte"
-    );
-    assert_eq!(
-        sequential,
-        one(true),
-        "threaded dispatch must reproduce the sequential trace exactly"
-    );
-    assert_eq!(sequential, one(true), "and be stable across its own runs");
+    assert_eq!(one(), one(), "two runs must agree byte-for-byte");
 }

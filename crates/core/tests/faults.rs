@@ -234,33 +234,87 @@ fn mode_timeout_burns_the_deadline_then_degrades() {
 
 #[test]
 fn mode_parallel_batch_failure_spares_batch_mates() {
-    // failures inside a §4.4 batch, logical clock and real threads
-    for threads in [false, true] {
-        for (name, base) in strategies() {
-            let config = EngineConfig {
-                parallel: true,
-                real_threads: threads,
-                ..base
-            };
-            let reference = fault_free_answers(config.clone());
-            let expected_partial: BTreeSet<Vec<String>> = reference
-                .iter()
-                .filter(|row| row.iter().all(|v| v.starts_with("svcA-")))
-                .cloned()
-                .collect();
-            let mut r = registry();
-            r.set_fault_profile("svcB", FaultProfile::permanent(seed()));
-            r.set_breaker_config(BreakerConfig::disabled());
-            let (report, d) = run(&r, config);
-            assert!(!report.complete, "{name} threads={threads}");
-            assert_eq!(report.stats.failed_calls, 4, "{name} threads={threads}");
-            assert_eq!(
-                answers(&d, &report),
-                expected_partial,
-                "{name} threads={threads}: batch mates of failed calls must survive"
-            );
-        }
+    // failures inside a §4.4 batch
+    for (name, base) in strategies() {
+        let config = EngineConfig {
+            parallel: true,
+            ..base
+        };
+        let reference = fault_free_answers(config.clone());
+        let expected_partial: BTreeSet<Vec<String>> = reference
+            .iter()
+            .filter(|row| row.iter().all(|v| v.starts_with("svcA-")))
+            .cloned()
+            .collect();
+        let mut r = registry();
+        r.set_fault_profile("svcB", FaultProfile::permanent(seed()));
+        r.set_breaker_config(BreakerConfig::disabled());
+        let (report, d) = run(&r, config);
+        assert!(!report.complete, "{name}");
+        assert_eq!(report.stats.failed_calls, 4, "{name}");
+        assert_eq!(
+            answers(&d, &report),
+            expected_partial,
+            "{name}: batch mates of failed calls must survive"
+        );
     }
+}
+
+/// A mid-batch failure: the batch's doomed calls are admitted (reserving
+/// budget) and fail, and must refund the reservation so their healthy
+/// successors still run. The doomed calls come first in document order
+/// and their reservations cover the *entire* budget — without the
+/// refund, zero healthy calls would ever be invoked.
+#[test]
+fn mode_parallel_mid_batch_failure_refunds_the_budget() {
+    let mut r = registry();
+    r.set_fault_profile("svcB", FaultProfile::permanent(seed()));
+    r.set_breaker_config(BreakerConfig::disabled());
+    let q = parse_query("/r/item/id/$I -> $I").unwrap();
+    let mut d = Document::with_root("r");
+    let root = d.root();
+    for svc in [
+        "svcB", "svcB", "svcB", "svcB", "svcA", "svcA", "svcA", "svcA",
+    ] {
+        let c = d.add_call(root, svc);
+        d.add_text(c, svc);
+    }
+    let config = EngineConfig {
+        parallel: true,
+        max_invocations: 4, // exactly the doomed calls' count
+        push_queries: false,
+        ..EngineConfig::default()
+    };
+    let report = Engine::new(&r, config).evaluate(&mut d, &q);
+    d.check_integrity().unwrap();
+    assert_eq!(
+        report.stats.calls_invoked, 4,
+        "the refunded budget must cover the healthy calls"
+    );
+    assert_eq!(report.stats.failed_calls, 4);
+    assert_eq!(report.result.len(), 4, "every healthy answer is present");
+    assert!(!report.complete, "failures must flag the answer");
+    assert!(
+        !report.stats.truncated,
+        "a refunded budget is not an exhausted budget"
+    );
+}
+
+/// A parallel batch admits no more calls than the invocation budget
+/// left, and the run reports the truncation.
+#[test]
+fn parallel_batch_respects_the_invocation_budget() {
+    let q = parse_query("/r/item/id/$I -> $I").unwrap();
+    let mut d = doc();
+    let config = EngineConfig {
+        parallel: true,
+        max_invocations: 4,
+        ..EngineConfig::default()
+    };
+    let report = Engine::new(&registry(), config).evaluate(&mut d, &q);
+    d.check_integrity().unwrap();
+    assert_eq!(report.stats.calls_invoked, 4);
+    assert!(report.stats.truncated);
 }
 
 /// A printable fingerprint of everything an EvalReport determines

@@ -6,12 +6,9 @@
 //! every event carries the enclosing round and layer, a `query_start`
 //! opens a span that the matching `query_end` closes, and `seq` orders
 //! events totally within one query span. The stream is **deterministic**:
-//! all emission happens on the engine's sequential phases (detection,
-//! splice, accounting), never on dispatch threads, so two runs with the
-//! same seed produce byte-identical streams even when parallel batches
-//! run on real OS threads. Events are therefore sequenced by the engine's
-//! own order — (simulated time, layer index, document position) — not by
-//! OS scheduling.
+//! events are sequenced by the engine's own order — (simulated time,
+//! layer index, document position) — so two runs with the same seed
+//! produce byte-identical streams.
 
 /// The outcome of one cross-query cache probe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

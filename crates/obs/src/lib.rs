@@ -9,7 +9,7 @@
 //!   ([`json::to_jsonl`] / [`json::parse_jsonl`]); byte-identical
 //!   across runs with the same seed because all emission happens on the
 //!   engine's sequential phases and wall-clock `cpu_ms` is omitted.
-//! * [`sink`] — in-memory ring, JSONL writer, null sink.
+//! * [`sink`] — the in-memory ring, one per session if need be.
 //! * [`metrics`] — per-service / per-layer histograms (latency, retries
 //!   absorbed, bytes, cache hit rates) derived purely from the stream.
 //! * [`check`] — the trace-oracle harness: laziness, layer-order,
@@ -35,4 +35,4 @@ pub use check::{
 pub use event::{CacheOutcome, Event, EventKind, ShedReason};
 pub use json::{event_from_json, event_to_json, parse_jsonl, to_jsonl, ParseError};
 pub use metrics::{aggregate, Histogram, LayerMetrics, MetricsReport, ServiceMetrics};
-pub use sink::{JsonlSink, NullSink, PerSessionSinks, RingSink, TraceSink};
+pub use sink::{PerSessionSinks, RingSink, TraceSink};

@@ -245,12 +245,6 @@ impl<'a> Matcher<'a> {
         }
     }
 
-    /// Join-blind: can pattern node `p`'s subtree match at document node
-    /// `v`?
-    pub fn matches_at(&mut self, p: PNodeId, v: NodeId) -> bool {
-        self.ev.smatch(p, v)
-    }
-
     /// Label-only test: does `p`'s own label accept `v`, ignoring `p`'s
     /// children? (OR nodes test their branches' labels.)
     pub fn label_matches(&mut self, p: PNodeId, v: NodeId) -> bool {

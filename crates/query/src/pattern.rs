@@ -236,14 +236,6 @@ impl Pattern {
         }
     }
 
-    /// Structural deep clone that also returns the id mapping old → new.
-    pub fn clone_with_map(&self) -> (Pattern, Vec<PNodeId>) {
-        // ids are dense and copied in order, so the mapping is the identity;
-        // still produce it explicitly so callers don't rely on that detail.
-        let map: Vec<PNodeId> = self.node_ids().collect();
-        (self.clone(), map)
-    }
-
     /// Removes the subtree rooted at `id` (must not be the root).
     pub fn remove_subtree(&mut self, id: PNodeId) {
         let parent = self
@@ -257,11 +249,6 @@ impl Pattern {
     /// Replaces node `id`'s label in place.
     pub fn set_label(&mut self, id: PNodeId, label: PLabel) {
         self.nodes[id.index()].label = label;
-    }
-
-    /// Replaces the node's incoming edge kind.
-    pub fn set_edge(&mut self, id: PNodeId, edge: EdgeKind) {
-        self.nodes[id.index()].edge = edge;
     }
 
     /// Inserts a new OR node between `id` and its parent, returning the OR

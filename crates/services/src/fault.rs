@@ -7,7 +7,7 @@
 //! not random: whether attempt `k` of a call fails is a pure function of
 //! the profile seed, the service name, a fingerprint of the call
 //! parameters, and `k`. The schedule is therefore identical across
-//! evaluation strategies, push modes, and thread interleavings, and two
+//! evaluation strategies, pushed queries and thread interleavings, and two
 //! runs with the same seed produce byte-identical reports.
 //!
 //! All fault costs are charged to the existing [`crate::SimClock`]

@@ -30,10 +30,7 @@ pub use fault::{
     BreakerConfig, BreakerState, FaultDecision, FaultProfile, FlakyService, RetryPolicy,
 };
 pub use net::{Deadline, NetProfile, NetStats, SimClock};
-pub use push::{bindings_result, prune_result, PushMode};
-pub use registry::{
-    CallRecord, FailedCall, InvokeError, InvokeOutcome, Registry, ServiceError,
-    DEFAULT_CALL_LOG_CAPACITY,
-};
+pub use push::{bindings_result, prune_result};
+pub use registry::{FailedCall, InvokeError, InvokeOutcome, Registry, ServiceError};
 pub use service::{CallRequest, FnService, PushedQuery, Service, StaticService, TableService};
 pub use worldfile::{load_registry, load_registry_str, WorldFileError};

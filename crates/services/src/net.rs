@@ -104,7 +104,7 @@ impl SimClock {
 /// decision asks how much budget remains at the current simulated time.
 /// Because the simulated clock is deterministic, so is every deadline
 /// decision — the same seed and flags expire at the same instant on
-/// every run, threaded or not.
+/// every run.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Deadline {
     expiry_ms: f64,

@@ -2,16 +2,17 @@
 //!
 //! When a call is invoked with a pushed subquery `sub_q_v`, the provider
 //! does not return the whole result but only the part useful for the
-//! query. Two faithful modes are implemented (the paper's text describing
-//! re-integration is truncated in our source — see DESIGN.md):
+//! query. Two faithful encodings are implemented (the paper's text
+//! describing re-integration is truncated in our source — see DESIGN.md):
 //!
-//! * **Pruned-result** (default): the provider keeps only the nodes of its
-//!   result that *contribute* to `sub_q_v` (images of pattern nodes, paths
-//!   realizing descendant edges, full subtrees under images of pattern
-//!   leaves), **plus any remaining function nodes** — nested calls may
-//!   still produce relevant data later, so dropping them would break
+//! * **Pruned-result** ([`prune_result`], what the registry's providers
+//!   return): the provider keeps only the nodes of its result that
+//!   *contribute* to `sub_q_v` (images of pattern nodes, paths realizing
+//!   descendant edges, full subtrees under images of pattern leaves),
+//!   **plus any remaining function nodes** — nested calls may still
+//!   produce relevant data later, so dropping them would break
 //!   completeness. Splicing the pruned forest preserves the query answer.
-//! * **Bindings**: the provider returns `<tuple>` elements binding the
+//! * **Bindings** ([`bindings_result`]): `<tuple>` elements binding the
 //!   result variables, exactly like the paper's `getNearbyRestos` example
 //!   (`<tuple><x>In Delis</x><y>2nd Ave.</y></tuple>…`). Only meaningful
 //!   for extensional results.
@@ -50,16 +51,6 @@ fn copy_relaxed(src: &Pattern, u: PNodeId, out: &mut Pattern, parent: PNodeId) {
     for &c in &src.node(u).children {
         copy_relaxed(src, c, out, data);
     }
-}
-
-/// How a provider answers a pushed query.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum PushMode {
-    /// Return the contributing part of the result (answer-preserving).
-    #[default]
-    PrunedResult,
-    /// Return `<tuple>` bindings of the subquery's result variables.
-    Bindings,
 }
 
 /// Wraps `pattern` for embedding anywhere in a forest: `*//pattern ∪ pattern

@@ -8,10 +8,10 @@ use crate::fault::{
     fnv64, BreakerConfig, BreakerState, FaultDecision, FaultProfile, RetryPolicy, SALT_HEDGE,
 };
 use crate::net::{NetProfile, NetStats};
-use crate::push::{bindings_result, prune_result, PushMode};
+use crate::push::prune_result;
 use crate::service::{CallRequest, PushedQuery, Service};
 use axml_xml::{forest_serialized_len, to_xml, Forest};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -98,66 +98,12 @@ pub struct InvokeOutcome {
     pub attempts: usize,
 }
 
-/// One line of the registry's call log.
-#[derive(Clone, Debug)]
-pub struct CallRecord {
-    /// Service name.
-    pub service: String,
-    /// Result bytes (0 for failed calls).
-    pub bytes: usize,
-    /// Simulated cost, including failed attempts and backoff.
-    pub cost_ms: f64,
-    /// Whether the provider evaluated a pushed query.
-    pub pushed: bool,
-    /// Attempts made.
-    pub attempts: usize,
-    /// Whether the call ultimately succeeded.
-    pub ok: bool,
-}
-
-/// Default call-log capacity — generous enough to hold every call of
-/// the paper-scale experiments, small enough that a long-lived store
-/// session cannot grow without bound. Override with
-/// [`Registry::set_call_log_capacity`].
-pub const DEFAULT_CALL_LOG_CAPACITY: usize = 65_536;
-
-/// The registry's bounded call log: a ring buffer that drops its oldest
-/// record once `capacity` is reached, counting what it dropped.
-struct CallLog {
-    entries: VecDeque<CallRecord>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl CallLog {
-    fn new(capacity: usize) -> Self {
-        CallLog {
-            entries: VecDeque::new(),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    fn push(&mut self, record: CallRecord) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        while self.entries.len() >= self.capacity {
-            self.entries.pop_front();
-            self.dropped += 1;
-        }
-        self.entries.push_back(record);
-    }
-}
-
 /// A registry of services with network profiles, fault schedules, and
 /// statistics.
 pub struct Registry {
     services: HashMap<String, Arc<dyn Service>>,
     profiles: HashMap<String, NetProfile>,
     default_profile: NetProfile,
-    push_mode: PushMode,
     fault_profiles: HashMap<String, FaultProfile>,
     default_fault: Option<FaultProfile>,
     retry: RetryPolicy,
@@ -165,7 +111,6 @@ pub struct Registry {
     breakers: Mutex<HashMap<String, BreakerState>>,
     latency: Mutex<HashMap<String, f64>>,
     stats: Mutex<NetStats>,
-    log: Mutex<CallLog>,
 }
 
 /// Smoothing factor of the per-service latency EWMA: each observation
@@ -185,7 +130,6 @@ impl Registry {
             services: HashMap::new(),
             profiles: HashMap::new(),
             default_profile: NetProfile::free(),
-            push_mode: PushMode::PrunedResult,
             fault_profiles: HashMap::new(),
             default_fault: None,
             retry: RetryPolicy::default(),
@@ -193,7 +137,6 @@ impl Registry {
             breakers: Mutex::new(HashMap::new()),
             latency: Mutex::new(HashMap::new()),
             stats: Mutex::new(NetStats::default()),
-            log: Mutex::new(CallLog::new(DEFAULT_CALL_LOG_CAPACITY)),
         }
     }
 
@@ -201,12 +144,6 @@ impl Registry {
     pub fn register(&mut self, service: impl Service + 'static) -> &mut Self {
         self.services
             .insert(service.name().to_string(), Arc::new(service));
-        self
-    }
-
-    /// Registers a boxed service.
-    pub fn register_arc(&mut self, service: Arc<dyn Service>) -> &mut Self {
-        self.services.insert(service.name().to_string(), service);
         self
     }
 
@@ -219,12 +156,6 @@ impl Registry {
     /// Sets the default network profile for services without a specific one.
     pub fn set_default_profile(&mut self, profile: NetProfile) -> &mut Self {
         self.default_profile = profile;
-        self
-    }
-
-    /// Chooses how providers answer pushed queries.
-    pub fn set_push_mode(&mut self, mode: PushMode) -> &mut Self {
-        self.push_mode = mode;
         self
     }
 
@@ -295,13 +226,7 @@ impl Registry {
     ) -> Answer {
         let full = service.invoke(req);
         let (result, was_pushed) = match pushed {
-            Some(pq) if service.supports_push() => {
-                let reduced = match self.push_mode {
-                    PushMode::PrunedResult => prune_result(&pq.pattern, &full, pq.via),
-                    PushMode::Bindings => bindings_result(&pq.pattern, &full, pq.via),
-                };
-                (reduced, true)
-            }
+            Some(pq) if service.supports_push() => (prune_result(&pq.pattern, &full, pq.via), true),
             _ => (full, false),
         };
         let bytes = forest_serialized_len(&result);
@@ -350,7 +275,7 @@ impl Registry {
             .get(name)
             .ok_or_else(|| ServiceError::Unknown(name.to_string()))?;
         let answer = self.answer(service, name, &CallRequest { params }, pushed);
-        Ok(self.succeed(name, answer, 1.0, 0.0, 1))
+        Ok(self.succeed(answer, 1.0, 0.0, 1))
     }
 
     /// Invokes a service under the configured fault schedule and retry
@@ -421,7 +346,7 @@ impl Registry {
             // burns the whole of it
             let answer = self.answer(service, name, &req, pushed);
             if answer.3 <= budget_ms {
-                return Ok(self.succeed(name, answer, 1.0, 0.0, 1));
+                return Ok(self.succeed(answer, 1.0, 0.0, 1));
             }
             self.stats
                 .lock()
@@ -497,7 +422,7 @@ impl Registry {
                             .unwrap()
                             .record_failed_attempt(attempt_timeout, true);
                     } else {
-                        return Ok(self.succeed(name, answer, factor, total_cost, attempt + 1));
+                        return Ok(self.succeed(answer, factor, total_cost, attempt + 1));
                     }
                 }
             }
@@ -516,13 +441,11 @@ impl Registry {
         ))
     }
 
-    /// Records a successful call in the stats and the call log and builds
-    /// its outcome. The last attempt transferred the `answer` (result,
+    /// Records a successful call in the stats and builds its outcome. The last attempt transferred the `answer` (result,
     /// bytes, pushed, base cost) at `factor` times the base cost, after
     /// `earlier_ms` of failed attempts and backoff.
     fn succeed(
         &self,
-        name: &str,
         (result, bytes, pushed, base_cost): Answer,
         factor: f64,
         earlier_ms: f64,
@@ -531,14 +454,6 @@ impl Registry {
         let attempt_ms = base_cost * factor;
         let cost_ms = earlier_ms + attempt_ms;
         self.stats.lock().unwrap().record(bytes, attempt_ms, pushed);
-        self.log.lock().unwrap().push(CallRecord {
-            service: name.to_string(),
-            bytes,
-            cost_ms,
-            pushed,
-            attempts,
-            ok: true,
-        });
         InvokeOutcome {
             result,
             bytes,
@@ -548,8 +463,8 @@ impl Registry {
         }
     }
 
-    /// Records a call that failed for good in the stats and the call log
-    /// and builds its error.
+    /// Records a call that failed for good in the stats and builds its
+    /// error.
     fn fail(
         &self,
         name: &str,
@@ -559,14 +474,6 @@ impl Registry {
         deadline_exceeded: bool,
     ) -> InvokeError {
         self.stats.lock().unwrap().record_failed_call();
-        self.log.lock().unwrap().push(CallRecord {
-            service: name.to_string(),
-            bytes: 0,
-            cost_ms,
-            pushed: false,
-            attempts,
-            ok: false,
-        });
         InvokeError::Failed(FailedCall {
             service: name.to_string(),
             attempts,
@@ -643,43 +550,11 @@ impl Registry {
         self.stats.lock().unwrap().clone()
     }
 
-    /// A snapshot of the call log (the most recent records, bounded by
-    /// [`Registry::set_call_log_capacity`]).
-    pub fn call_log(&self) -> Vec<CallRecord> {
-        self.log.lock().unwrap().entries.iter().cloned().collect()
-    }
-
-    /// Bounds the call log to the most recent `capacity` records
-    /// (default: [`DEFAULT_CALL_LOG_CAPACITY`]). Older records are dropped
-    /// and counted in [`Registry::dropped_log_entries`], so long-lived
-    /// store sessions don't grow memory without bound. Shrinking the
-    /// capacity trims existing excess immediately.
-    pub fn set_call_log_capacity(&mut self, capacity: usize) -> &mut Self {
-        let mut log = self.log.lock().unwrap();
-        log.capacity = capacity;
-        while log.entries.len() > capacity {
-            log.entries.pop_front();
-            log.dropped += 1;
-        }
-        drop(log);
-        self
-    }
-
-    /// Call records dropped from the bounded log since the last
-    /// [`Registry::reset_stats`].
-    pub fn dropped_log_entries(&self) -> u64 {
-        self.log.lock().unwrap().dropped
-    }
-
-    /// Clears statistics, the call log, and all circuit-breaker state, so
-    /// a reused registry starts its next run from a clean slate instead of
-    /// with breakers already open from the previous one.
+    /// Clears statistics, all circuit-breaker state and the latency
+    /// EWMAs, so a reused registry starts its next run from a clean slate
+    /// instead of with breakers already open from the previous one.
     pub fn reset_stats(&self) {
         *self.stats.lock().unwrap() = NetStats::default();
-        let mut log = self.log.lock().unwrap();
-        log.entries.clear();
-        log.dropped = 0;
-        drop(log);
         self.reset_breakers();
         self.latency.lock().unwrap().clear();
     }
@@ -712,7 +587,7 @@ mod tests {
     }
 
     #[test]
-    fn invoke_records_stats_and_log() {
+    fn invoke_records_stats() {
         let r = registry();
         let out = r.invoke("getNearbyRestos", Forest::new(), None).unwrap();
         assert_eq!(out.result.roots().len(), 2);
@@ -720,7 +595,6 @@ mod tests {
         let s = r.stats();
         assert_eq!(s.calls, 1);
         assert_eq!(s.bytes, out.bytes);
-        assert_eq!(r.call_log().len(), 1);
         r.reset_stats();
         assert_eq!(r.stats().calls, 0);
     }
@@ -844,10 +718,7 @@ mod tests {
         assert_eq!(s.calls, 0);
         assert_eq!(s.failed_calls, 1);
         assert_eq!(s.failed_attempts, 3);
-        let log = r.call_log();
-        assert_eq!(log.len(), 1);
-        assert!(!log[0].ok);
-        assert_eq!(log[0].bytes, 0);
+        assert_eq!(s.bytes, 0);
     }
 
     #[test]
@@ -1097,26 +968,6 @@ mod tests {
         assert!(r.breaker_allows("getNearbyRestos", 30.0));
         assert!(r.breaker_state("getNearbyRestos").is_none());
         assert_eq!(r.stats().calls, 0);
-    }
-
-    #[test]
-    fn call_log_is_a_bounded_ring_buffer() {
-        let mut r = registry();
-        r.set_call_log_capacity(3);
-        for _ in 0..5 {
-            r.invoke("getNearbyRestos", Forest::new(), None).unwrap();
-        }
-        assert_eq!(r.call_log().len(), 3);
-        assert_eq!(r.dropped_log_entries(), 2);
-        // stats are unaffected by log truncation
-        assert_eq!(r.stats().calls, 5);
-        // shrinking trims immediately
-        r.set_call_log_capacity(1);
-        assert_eq!(r.call_log().len(), 1);
-        assert_eq!(r.dropped_log_entries(), 4);
-        r.reset_stats();
-        assert_eq!(r.call_log().len(), 0);
-        assert_eq!(r.dropped_log_entries(), 0);
     }
 
     #[test]

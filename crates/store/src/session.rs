@@ -99,7 +99,7 @@ pub struct Session<'a> {
     registry: &'a Registry,
     schema: Option<&'a Schema>,
     cache: Arc<CallCache>,
-    plans: Option<Arc<PlanCache>>,
+    plans: Arc<PlanCache>,
     options: SessionOptions,
     observer: Option<&'a dyn TraceSink>,
     clock_ms: f64,
@@ -107,12 +107,19 @@ pub struct Session<'a> {
 }
 
 impl<'a> Session<'a> {
-    /// A session over `doc` using the given cache; the clock starts at 0.
-    pub fn new(
+    /// A session over `doc` using the given call cache and compiled-plan
+    /// cache; the clock starts at 0. Each query fetches its
+    /// [`axml_core::CompiledQuery`] from `plans` (compiling on first use)
+    /// and hands the plan to the engine, which consults it only when its
+    /// compatibility key matches — so a mismatched plan is ignored, never
+    /// misapplied. [`crate::DocumentStore::session`] passes the store's
+    /// caches.
+    pub(crate) fn new(
         doc: Arc<VersionedDocument>,
         registry: &'a Registry,
         schema: Option<&'a Schema>,
         cache: Arc<CallCache>,
+        plans: Arc<PlanCache>,
         options: SessionOptions,
     ) -> Self {
         Session {
@@ -120,23 +127,12 @@ impl<'a> Session<'a> {
             registry,
             schema,
             cache,
-            plans: None,
+            plans,
             options,
             observer: None,
             clock_ms: 0.0,
             queries_run: 0,
         }
-    }
-
-    /// Attaches the shared compiled-plan cache: each query fetches its
-    /// [`axml_core::CompiledQuery`] from it (compiling on first use) and
-    /// hands the plan to the engine, which consults it only when its
-    /// compatibility key matches — so a mismatched plan is ignored, never
-    /// misapplied. [`crate::DocumentStore::session`] attaches the store's
-    /// cache to every session it opens.
-    pub fn with_plans(mut self, plans: Arc<PlanCache>) -> Self {
-        self.plans = Some(plans);
-        self
     }
 
     /// Attaches a structured-trace observer shared by every query in the
@@ -200,17 +196,12 @@ impl<'a> Session<'a> {
     pub fn query(&mut self, query: &Pattern) -> SessionReport {
         // one fetch per query() call: the plan key is fixed across CAS
         // retries, so conflict re-evaluations reuse the same plan
-        let plan = self
-            .plans
-            .as_ref()
-            .map(|pc| pc.fetch(query, self.schema, &self.options.engine));
+        let plan = self.plans.fetch(query, self.schema, &self.options.engine);
         loop {
             let mut engine = Engine::new(self.registry, self.options.engine.clone())
                 .with_cache(self.cache.as_ref())
+                .with_plan(Arc::clone(&plan))
                 .starting_at(self.clock_ms);
-            if let Some(plan) = &plan {
-                engine = engine.with_plan(Arc::clone(plan));
-            }
             if let Some(schema) = self.schema {
                 engine = engine.with_schema(schema);
             }

@@ -47,14 +47,6 @@ impl DocumentStore {
         }
     }
 
-    /// An empty store whose shared compiled-plan cache uses `config`.
-    pub fn with_plan_config(config: PlanCacheConfig) -> Self {
-        DocumentStore {
-            plans: Arc::new(PlanCache::new(config)),
-            ..DocumentStore::default()
-        }
-    }
-
     /// An empty store with explicit call-cache and plan-cache configs.
     pub fn with_configs(cache: CacheConfig, plans: PlanCacheConfig) -> Self {
         DocumentStore {
@@ -250,14 +242,6 @@ impl DocumentStore {
         }
     }
 
-    /// The next simulated instant at which some cached call result lapses
-    /// — the subscription refresh driver's scheduling hook: before that
-    /// time every re-invocation is a zero-cost hit, so a refresh pass can
-    /// sleep until it. `None` when nothing ever expires.
-    pub fn next_refresh_ms(&self) -> Option<f64> {
-        self.cache.earliest_expiry()
-    }
-
     /// Opens a [`Session`] over the document stored under `name`: a
     /// stream of queries evaluated against the document with the store's
     /// shared cache and a simulated clock that persists between queries.
@@ -272,11 +256,10 @@ impl DocumentStore {
         schema: Option<&'a Schema>,
         options: SessionOptions,
     ) -> Option<Session<'a>> {
-        let cache = Arc::clone(&self.cache);
         let doc = Arc::clone(self.docs.get(name)?);
-        Some(
-            Session::new(doc, registry, schema, cache, options).with_plans(Arc::clone(&self.plans)),
-        )
+        let cache = Arc::clone(&self.cache);
+        let plans = Arc::clone(&self.plans);
+        Some(Session::new(doc, registry, schema, cache, plans, options))
     }
 }
 

@@ -1,20 +1,16 @@
-//! Answer deltas and the sinks that deliver them.
+//! Answer deltas.
 //!
 //! A [`Delta`] is the unit a standing query emits: the rows its answer
 //! gained and lost at one published document version, tagged with that
 //! version and the engine's simulated clock. Deltas are *replayable*:
 //! applying a subscription's deltas in order to its initial answer
 //! reconstructs the answer at any emitted version — the invariant the
-//! oracle in [`crate::oracle`] checks against full re-evaluation.
-//!
-//! [`DeltaSink`] mirrors `axml_obs::TraceSink`: the engine pushes every
-//! delta to one sink; sinks keep it in memory ([`RingDeltaSink`]), append
-//! it as JSONL ([`JsonlDeltaSink`]), hand it to a closure
-//! ([`CallbackSink`]) or drop it ([`NullDeltaSink`]).
+//! oracle in [`crate::oracle`] checks against full re-evaluation. The
+//! engine returns every delta it emits, in order, from
+//! [`crate::SubscriptionEngine::reconcile`] and
+//! [`crate::SubscriptionEngine::run_until`].
 
 use std::collections::BTreeSet;
-use std::io::Write;
-use std::sync::Mutex;
 
 /// One change to a standing query's answer, emitted when a published
 /// document version altered the rows the query returns.
@@ -123,114 +119,6 @@ fn escape(s: &str) -> String {
     out
 }
 
-/// Receives a subscription engine's delta stream. Delivery happens from
-/// the engine's sequential reconcile phase, so a sink observes deltas in
-/// their deterministic order.
-pub trait DeltaSink: Send + Sync {
-    /// Accept one delta.
-    fn deliver(&self, delta: &Delta);
-}
-
-/// Keeps the most recent `capacity` deltas in memory (unbounded via
-/// [`RingDeltaSink::unbounded`]).
-pub struct RingDeltaSink {
-    capacity: usize,
-    deltas: Mutex<Vec<Delta>>,
-}
-
-impl RingDeltaSink {
-    /// A ring holding at most `capacity` deltas; older ones are dropped.
-    pub fn new(capacity: usize) -> Self {
-        RingDeltaSink {
-            capacity,
-            deltas: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// A ring that never drops deltas.
-    pub fn unbounded() -> Self {
-        RingDeltaSink::new(usize::MAX)
-    }
-
-    /// Snapshot of the retained deltas, oldest first.
-    pub fn deltas(&self) -> Vec<Delta> {
-        self.deltas.lock().unwrap().clone()
-    }
-
-    /// Retained delta count.
-    pub fn len(&self) -> usize {
-        self.deltas.lock().unwrap().len()
-    }
-
-    /// Whether nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl DeltaSink for RingDeltaSink {
-    fn deliver(&self, delta: &Delta) {
-        let mut deltas = self.deltas.lock().unwrap();
-        if deltas.len() == self.capacity {
-            deltas.remove(0);
-        }
-        deltas.push(delta.clone());
-    }
-}
-
-/// Streams deltas as JSONL to any writer.
-pub struct JsonlDeltaSink<W: Write + Send> {
-    writer: Mutex<W>,
-}
-
-impl<W: Write + Send> JsonlDeltaSink<W> {
-    /// JSONL stream to `writer`.
-    pub fn new(writer: W) -> Self {
-        JsonlDeltaSink {
-            writer: Mutex::new(writer),
-        }
-    }
-
-    /// Flush and recover the underlying writer.
-    pub fn into_inner(self) -> W {
-        let mut w = self.writer.into_inner().unwrap();
-        let _ = w.flush();
-        w
-    }
-}
-
-impl<W: Write + Send> DeltaSink for JsonlDeltaSink<W> {
-    fn deliver(&self, delta: &Delta) {
-        let mut w = self.writer.lock().unwrap();
-        let _ = writeln!(w, "{}", delta.to_json());
-    }
-}
-
-/// Hands every delta to a closure.
-pub struct CallbackSink<F: Fn(&Delta) + Send + Sync> {
-    f: F,
-}
-
-impl<F: Fn(&Delta) + Send + Sync> CallbackSink<F> {
-    /// Calls `f` for every delivered delta.
-    pub fn new(f: F) -> Self {
-        CallbackSink { f }
-    }
-}
-
-impl<F: Fn(&Delta) + Send + Sync> DeltaSink for CallbackSink<F> {
-    fn deliver(&self, delta: &Delta) {
-        (self.f)(delta)
-    }
-}
-
-/// Discards everything.
-pub struct NullDeltaSink;
-
-impl DeltaSink for NullDeltaSink {
-    fn deliver(&self, _delta: &Delta) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,28 +169,5 @@ mod tests {
         let mut no_latency = delta();
         no_latency.latency_ms = None;
         assert!(!no_latency.to_json().contains("latency_ms"));
-    }
-
-    #[test]
-    fn ring_and_jsonl_and_callback_sinks_deliver() {
-        let ring = RingDeltaSink::new(1);
-        ring.deliver(&delta());
-        let mut second = delta();
-        second.version = 4;
-        ring.deliver(&second);
-        assert_eq!(ring.len(), 1);
-        assert_eq!(ring.deltas()[0].version, 4);
-
-        let jsonl = JsonlDeltaSink::new(Vec::new());
-        jsonl.deliver(&delta());
-        let text = String::from_utf8(jsonl.into_inner()).unwrap();
-        assert!(text.starts_with("{\"subscription\":\"watch\""), "{text}");
-
-        let count = Mutex::new(0usize);
-        let cb = CallbackSink::new(|_d: &Delta| *count.lock().unwrap() += 1);
-        cb.deliver(&delta());
-        cb.deliver(&delta());
-        assert_eq!(*count.lock().unwrap(), 2);
-        NullDeltaSink.deliver(&delta());
     }
 }

@@ -3,8 +3,9 @@
 //!
 //! Two halves, usable together (feed mode) or separately:
 //!
-//! * **refresh** — the producer. Re-evaluates every standing query
-//!   against the engine's *base* document (the original, calls intact)
+//! * **refresh** — the producer. Completes the engine's *base* document
+//!   (the original, calls intact) for every standing query
+//!   ([`axml_core::Engine::complete_for`], no answer is evaluated)
 //!   through the store's shared [`CallCache`]: calls whose TTL validity
 //!   window still covers the simulated clock are zero-cost hits, lapsed
 //!   ones are really re-invoked and may answer differently. When any
@@ -30,8 +31,8 @@
 //! repeats — so refresh work happens exactly when some cached answer
 //! may have gone stale, not on a blind polling loop.
 
-use crate::delta::{Delta, DeltaSink};
-use axml_core::{EngineConfig, EvalReport, QueryScope};
+use crate::delta::Delta;
+use axml_core::{Engine, EngineConfig, QueryScope};
 use axml_obs::{Event, EventKind, TraceSink};
 use axml_query::{render, render_result, Pattern};
 use axml_schema::Schema;
@@ -151,11 +152,10 @@ pub struct SubscriptionEngine<'a> {
     registry: &'a Registry,
     schema: Option<&'a Schema>,
     cache: Arc<CallCache>,
-    plans: Option<Arc<PlanCache>>,
+    plans: Arc<PlanCache>,
     durability: Option<(Arc<DurabilityManager>, String)>,
     options: SubscriptionOptions,
     subs: Vec<SubState>,
-    sinks: Vec<Box<dyn DeltaSink + 'a>>,
     observer: Option<&'a dyn TraceSink>,
     clock_ms: f64,
     event_seq: u64,
@@ -165,9 +165,11 @@ pub struct SubscriptionEngine<'a> {
 
 impl<'a> SubscriptionEngine<'a> {
     /// An engine over the document stored under `name`, sharing the
-    /// store's call cache; enables publication history on the document
-    /// (capacity from the options). `None` when the store has no such
-    /// document.
+    /// store's call cache and compiled-plan cache: every evaluation
+    /// fetches its [`axml_core::CompiledQuery`] from the latter. Enables
+    /// publication history on the document (capacity from the options)
+    /// and, on a durable store, attaches its durability manager. `None`
+    /// when the store has no such document.
     pub fn over_store(
         store: &DocumentStore,
         name: &str,
@@ -176,58 +178,29 @@ impl<'a> SubscriptionEngine<'a> {
         options: SubscriptionOptions,
     ) -> Option<Self> {
         let doc = Arc::clone(store.versioned(name)?);
-        let cache = Arc::clone(store.cache());
-        let plans = Arc::clone(store.plans());
-        let mut engine =
-            SubscriptionEngine::new(doc, registry, schema, cache, options).with_plans(plans);
-        if let Some(manager) = store.durability() {
-            engine = engine.with_durability(Arc::clone(manager), name);
-        }
-        Some(engine)
-    }
-
-    /// An engine over `doc` directly. Enables publication history on the
-    /// document (capacity from the options).
-    pub fn new(
-        doc: Arc<VersionedDocument>,
-        registry: &'a Registry,
-        schema: Option<&'a Schema>,
-        cache: Arc<CallCache>,
-        options: SubscriptionOptions,
-    ) -> Self {
         assert!(options.watch_ms > 0.0, "watch_ms must be positive");
         doc.enable_history(options.history_capacity);
         let base = doc.snapshot().to_document();
-        SubscriptionEngine {
+        let engine = SubscriptionEngine {
             doc,
             base,
             registry,
             schema,
-            cache,
-            plans: None,
+            cache: Arc::clone(store.cache()),
+            plans: Arc::clone(store.plans()),
             durability: None,
             options,
             subs: Vec::new(),
-            sinks: Vec::new(),
             observer: None,
             clock_ms: 0.0,
             event_seq: 0,
             pending_lapse: None,
             stats: SubscriptionEngineStats::default(),
-        }
-    }
-
-    /// Attaches the shared compiled-plan cache: every refresh and
-    /// reconcile evaluation fetches its [`axml_core::CompiledQuery`]
-    /// from it; without one, each evaluation builds what it reads
-    /// itself. [`over_store`] wires this automatically.
-    /// Performance-only: answers, deltas, traces and stats are
-    /// byte-identical either way.
-    ///
-    /// [`over_store`]: SubscriptionEngine::over_store
-    pub fn with_plans(mut self, plans: Arc<PlanCache>) -> Self {
-        self.plans = Some(plans);
-        self
+        };
+        Some(match store.durability() {
+            Some(manager) => engine.with_durability(Arc::clone(manager), name),
+            None => engine,
+        })
     }
 
     /// Attaches the store's durability manager: every watermark advance
@@ -252,12 +225,6 @@ impl<'a> SubscriptionEngine<'a> {
     pub fn with_observer(mut self, observer: &'a dyn TraceSink) -> Self {
         self.observer = Some(observer);
         self
-    }
-
-    /// Adds a delivery sink; every emitted delta reaches every sink, in
-    /// registration order.
-    pub fn add_sink(&mut self, sink: impl DeltaSink + 'a) {
-        self.sinks.push(Box::new(sink));
     }
 
     /// The engine's simulated clock, in ms.
@@ -315,8 +282,8 @@ impl<'a> SubscriptionEngine<'a> {
         let snapshot = self.doc.snapshot();
         let watermark = snapshot.version();
         let mut working = snapshot.to_document();
-        let (answers, report) = self.run_engine(&mut working, &query, self.options.engine.clone());
-        self.clock_ms += report.stats.sim_time_ms;
+        let (answers, sim_ms) = self.run_engine(&mut working, &query, self.options.engine.clone());
+        self.clock_ms += sim_ms;
         let query_text = render(&query);
         let scope = QueryScope::of(&query);
         self.emit(EventKind::SubscriptionStart {
@@ -396,16 +363,16 @@ impl<'a> SubscriptionEngine<'a> {
         }
     }
 
-    /// One refresh pass: re-evaluates every (non-exhausted) standing
-    /// query against the base document through the shared cache. When
-    /// any call was really re-invoked (a TTL had lapsed), publishes the
-    /// spliced working copy as the document's next version, tagged with
-    /// the splice paths. Returns the published version, or `None` when
-    /// everything was still cache-valid.
+    /// One refresh pass: completes the base document for every
+    /// (non-exhausted) standing query through the shared cache, without
+    /// evaluating any answer. When any call was really re-invoked (a TTL
+    /// had lapsed), publishes the spliced working copy as the document's
+    /// next version, tagged with the splice paths. Returns the published
+    /// version, or `None` when everything was still cache-valid.
     ///
     /// If a guardrail (`refresh_depth`, `max_refires`, or the engine's
-    /// own invocation budget) truncates an evaluation — or any refresh
-    /// evaluation is otherwise *incomplete* (a failed call, an open
+    /// own invocation budget) truncates a completion — or any refresh
+    /// completion is otherwise *incomplete* (a failed call, an open
     /// circuit breaker refusing a refreshed service mid-round, an
     /// unknown service) — the whole round is abandoned: a partial
     /// materialization is never published, so the history only ever
@@ -442,12 +409,13 @@ impl<'a> SubscriptionEngine<'a> {
                     .max_invocations
                     .min(self.options.refresh_depth)
                     .min(self.subs[i].refires_left);
-                let query = self.subs[i].query.clone();
-                let (_, report) = self.run_engine(&mut working, &query, config);
-                let stats = report.stats;
+                let done = self
+                    .engine(&self.subs[i].query, config)
+                    .complete_for(&mut working, &self.subs[i].query);
+                let stats = done.stats;
                 self.clock_ms += stats.sim_time_ms;
                 self.stats.refresh_invocations += stats.calls_invoked;
-                changed_paths.extend(report.changed_paths);
+                changed_paths.extend(done.changed_paths);
                 let sub = &mut self.subs[i];
                 sub.refires_left = sub.refires_left.saturating_sub(stats.calls_invoked);
                 if stats.truncated {
@@ -507,9 +475,9 @@ impl<'a> SubscriptionEngine<'a> {
                     self.stats.degradations += 1;
                     let mut working = snapshot.to_document();
                     let query = self.subs[i].query.clone();
-                    let (answers, report) =
+                    let (answers, sim_ms) =
                         self.run_engine(&mut working, &query, self.options.engine.clone());
-                    self.clock_ms += report.stats.sim_time_ms;
+                    self.clock_ms += sim_ms;
                     if let Some(d) = self.deliver(i, version, answers, true) {
                         out.push(d);
                     }
@@ -533,9 +501,9 @@ impl<'a> SubscriptionEngine<'a> {
                         }
                         let mut working = (*record.doc).clone();
                         let query = self.subs[i].query.clone();
-                        let (answers, report) =
+                        let (answers, sim_ms) =
                             self.run_engine(&mut working, &query, self.options.engine.clone());
-                        self.clock_ms += report.stats.sim_time_ms;
+                        self.clock_ms += sim_ms;
                         if let Some(d) = self.deliver(i, record.version, answers, full) {
                             out.push(d);
                         }
@@ -627,41 +595,37 @@ impl<'a> SubscriptionEngine<'a> {
             changed: delta.changed,
             full_reeval: delta.full_reeval,
         });
-        for sink in &self.sinks {
-            sink.deliver(&delta);
-        }
         Some(delta)
     }
 
-    /// Evaluates `query` on `working` at the engine's clock, through the
-    /// shared call cache and (when attached) the plan cache, emitting into
-    /// the observer if one is attached.
-    fn run_engine(
-        &self,
-        working: &mut Document,
-        query: &Pattern,
-        config: EngineConfig,
-    ) -> (BTreeSet<Vec<String>>, EvalReport) {
-        let plan = self
-            .plans
-            .as_ref()
-            .map(|plans| plans.fetch(query, self.schema, &config));
-        let mut engine = axml_core::Engine::new(self.registry, config)
+    /// An engine at this engine's clock, wired to the shared call cache,
+    /// `query`'s compiled plan, the schema and the observer.
+    fn engine(&self, query: &Pattern, config: EngineConfig) -> Engine<'_> {
+        let plan = self.plans.fetch(query, self.schema, &config);
+        let mut engine = Engine::new(self.registry, config)
             .with_cache(self.cache.as_ref())
+            .with_plan(plan)
             .starting_at(self.clock_ms);
-        if let Some(plan) = plan {
-            engine = engine.with_plan(plan);
-        }
         if let Some(schema) = self.schema {
             engine = engine.with_schema(schema);
         }
         if let Some(observer) = self.observer {
             engine = engine.with_observer(observer);
         }
-        let report = engine.evaluate(working, query);
-        let answers: BTreeSet<Vec<String>> =
-            render_result(working, &report.result).into_iter().collect();
-        (answers, report)
+        engine
+    }
+
+    /// Evaluates `query` on `working` at the engine's clock; returns the
+    /// rendered answer and the simulated time the evaluation took.
+    fn run_engine(
+        &self,
+        working: &mut Document,
+        query: &Pattern,
+        config: EngineConfig,
+    ) -> (BTreeSet<Vec<String>>, f64) {
+        let report = self.engine(query, config).evaluate(working, query);
+        let answers = render_result(working, &report.result).into_iter().collect();
+        (answers, report.stats.sim_time_ms)
     }
 
     fn emit(&mut self, kind: EventKind) {

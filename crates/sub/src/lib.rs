@@ -19,7 +19,7 @@
 //! history is evicted.
 //!
 //! See [`SubscriptionEngine`] for the two halves (refresh / reconcile),
-//! [`Delta`] and [`DeltaSink`] for delivery, and [`oracle`] for the
+//! [`Delta`] for what they deliver, and [`oracle`] for the
 //! replay-equals-full-re-evaluation invariant the whole design is
 //! tested against.
 //!
@@ -30,7 +30,7 @@ pub mod delta;
 pub mod engine;
 pub mod oracle;
 
-pub use delta::{CallbackSink, Delta, DeltaSink, JsonlDeltaSink, NullDeltaSink, RingDeltaSink};
+pub use delta::Delta;
 pub use engine::{
     SubscriptionEngine, SubscriptionEngineStats, SubscriptionOptions, SubscriptionStatus,
 };

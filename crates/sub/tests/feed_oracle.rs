@@ -7,7 +7,7 @@ use axml_gen::feeds::{auction_feed, price_feed, AuctionFeedParams, Feed, PriceFe
 use axml_obs::{check_trace, RingSink};
 use axml_services::{FaultProfile, RetryPolicy};
 use axml_store::{CacheConfig, DocumentStore};
-use axml_sub::{check_subscription, Delta, RingDeltaSink, SubscriptionEngine, SubscriptionOptions};
+use axml_sub::{check_subscription, Delta, SubscriptionEngine, SubscriptionOptions};
 use std::collections::BTreeSet;
 
 fn cache_config(feed: &Feed) -> CacheConfig {
@@ -78,8 +78,6 @@ fn price_feed_deltas_replay_to_full_reevaluation() {
     )
     .expect("document exists")
     .with_observer(&trace);
-    let ring = RingDeltaSink::unbounded();
-    engine.add_sink(ring);
 
     let initials = subscribe_all(&mut engine, &feed);
     let deltas = engine.run_until(2000.0);

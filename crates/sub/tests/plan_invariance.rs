@@ -1,10 +1,11 @@
 //! Subscriptions leg of the plan-equivalence oracle: a standing-query
-//! engine whose refresh and reconcile evaluations fetch compiled plans
-//! from the store's [`PlanCache`] (`SubscriptionEngine::over_store`)
-//! must deliver exactly the delta stream of one with no plan cache
-//! attached (`SubscriptionEngine::new`) — same initial answers, same
-//! deltas, same structured trace byte for byte, same stats. The plan
-//! layer is pure mechanism; subscription semantics never see it.
+//! engine whose refresh and reconcile evaluations reuse compiled plans
+//! from the store's [`PlanCache`] must deliver exactly the delta stream
+//! of one over a zero-capacity plan cache, which compiles every
+//! evaluation's plan afresh and keeps none — the contract the serving
+//! leg (`plan_equivalence.rs`) checks too: same initial answers, same
+//! deltas, same structured trace byte for byte, same stats. Plan reuse
+//! is pure mechanism; subscription semantics never see it.
 //!
 //! [`PlanCache`]: axml_store::PlanCache
 
@@ -14,7 +15,6 @@ use axml_obs::{to_jsonl, RingSink};
 use axml_store::{CacheConfig, DocumentStore, PlanCacheConfig};
 use axml_sub::{Delta, SubscriptionEngine, SubscriptionEngineStats, SubscriptionOptions};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 fn cache_config(feed: &Feed) -> CacheConfig {
     let mut config = CacheConfig::with_ttl_ms(f64::INFINITY);
@@ -33,16 +33,16 @@ struct Run {
     plan_hits: u64,
 }
 
-/// Drives the price feed to 1500 ms with or without the store's plan
-/// cache attached; the feed (the volatile services are stateful), the
-/// store and hence the plan cache are all fresh per run, so the two runs
-/// share nothing but the generator seed.
-fn run_feed(with_plans: bool) -> Run {
+/// Drives the price feed to 1500 ms over a store whose plan cache uses
+/// `plans`; the feed (the volatile services are stateful), the store and
+/// hence the plan cache are all fresh per run, so two runs share nothing
+/// but the generator seed.
+fn run_feed(plans: PlanCacheConfig) -> Run {
     let feed = &price_feed(&PriceFeedParams {
         hotels: 12,
         volatile_stride: 2,
     });
-    let mut store = DocumentStore::with_configs(cache_config(feed), PlanCacheConfig::default());
+    let mut store = DocumentStore::with_configs(cache_config(feed), plans);
     store.insert("feed", feed.doc.clone());
     let trace = RingSink::unbounded();
     let options = SubscriptionOptions {
@@ -50,19 +50,9 @@ fn run_feed(with_plans: bool) -> Run {
         engine: EngineConfig::default(),
         ..SubscriptionOptions::default()
     };
-    let engine = if with_plans {
-        SubscriptionEngine::over_store(&store, "feed", &feed.registry, None, options)
-            .expect("document exists")
-    } else {
-        SubscriptionEngine::new(
-            Arc::clone(store.versioned("feed").expect("document exists")),
-            &feed.registry,
-            None,
-            Arc::clone(store.cache()),
-            options,
-        )
-    };
-    let mut engine = engine.with_observer(&trace);
+    let mut engine = SubscriptionEngine::over_store(&store, "feed", &feed.registry, None, options)
+        .expect("document exists")
+        .with_observer(&trace);
 
     let initials = feed
         .watchers
@@ -83,9 +73,9 @@ fn run_feed(with_plans: bool) -> Run {
 }
 
 #[test]
-fn delta_streams_are_identical_with_and_without_compiled_plans() {
-    let compiled = run_feed(true);
-    let unplanned = run_feed(false);
+fn delta_streams_are_identical_with_plan_reuse_on_and_off() {
+    let compiled = run_feed(PlanCacheConfig::default());
+    let unplanned = run_feed(PlanCacheConfig::with_capacity(0));
 
     assert!(
         !compiled.deltas.is_empty(),
@@ -124,10 +114,12 @@ fn delta_streams_are_identical_with_and_without_compiled_plans() {
         compiled.plan_hits,
         compiled.plan_compiles
     );
-    // the run without a plan cache must not have touched the store's
+    // the zero-capacity run compiled a fresh plan for every evaluation
+    // the reusing run served from its cache
+    assert_eq!(unplanned.plan_hits, 0, "a zero-capacity cache hit");
     assert_eq!(
-        unplanned.plan_compiles + unplanned.plan_hits,
-        0,
-        "an engine built without with_plans still consulted the plan cache"
+        unplanned.plan_compiles,
+        compiled.plan_compiles + compiled.plan_hits,
+        "the two runs fetched different numbers of plans"
     );
 }

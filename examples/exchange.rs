@@ -27,10 +27,10 @@ fn main() {
 
     // the sender materializes exactly what the recipient's query needs
     let engine = Engine::new(&s.registry, EngineConfig::default()).with_schema(&s.schema);
-    let stats = engine.complete_for(&mut doc, &query);
+    let done = engine.complete_for(&mut doc, &query);
     println!(
         "sender completed the document for the query: {} calls invoked, {} still pending",
-        stats.calls_invoked,
+        done.stats.calls_invoked,
         doc.calls().len()
     );
 

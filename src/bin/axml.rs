@@ -137,8 +137,7 @@ const EVAL_VALUES: &str = "doc query world schema strategy typing max-calls dead
     cache-bytes cache-shards";
 /// The flags the evaluating commands share: what `engine_config` reads,
 /// and `--stats`.
-const EVAL_FLAGS: &str =
-    "push no-parallel relax no-containment enforce-types threads speculate stats";
+const EVAL_FLAGS: &str = "push no-parallel relax no-containment enforce-types speculate stats";
 /// The valued options of a store kept in a directory.
 const STORE_VALUES: &str = "durable checkpoint-every fsync plan-cache-capacity";
 
@@ -538,7 +537,6 @@ fn engine_config(opts: &Opts) -> Result<EngineConfig, String> {
         max_invocations,
         containment_pruning: !opts.flag("no-containment"),
         enforce_output_types: opts.flag("enforce-types"),
-        real_threads: opts.flag("threads"),
         speculation: if opts.flag("speculate") {
             Speculation::Always
         } else {
@@ -1153,8 +1151,8 @@ fn cmd_materialize(opts: &Opts) -> Result<(), String> {
     };
     // materialization = naive completion for the match-anything query
     let query = parse_query("/*").map_err(|e| e.to_string())?;
-    let stats = Engine::new(&registry, config).complete_for(&mut doc, &query);
-    eprintln!("{stats}");
+    let done = Engine::new(&registry, config).complete_for(&mut doc, &query);
+    eprintln!("{}", done.stats);
     println!(
         "{}",
         to_xml_with(

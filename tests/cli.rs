@@ -233,6 +233,7 @@ fn helpful_errors() {
         (&query, &["--no-paralel"], "--no-paralel"),
         (&query, &["--fguide"], "--fguide"),
         (&query, &["--incremental"], "--incremental"),
+        (&query, &["--threads"], "--threads"),
         (&query, &["--watch-ms", "5"], "--watch-ms"),
         (&query, &["--stats", "--retries"], "--retries"),
         (&query, &["--retries", "--stats"], "--retries"),
@@ -277,7 +278,6 @@ fn trace_json_is_deterministic_and_parses_back() {
                 &schema,
                 "--query",
                 QUERY,
-                "--threads",
                 "--fault-seed",
                 "1",
                 "--trace-json",
@@ -294,10 +294,7 @@ fn trace_json_is_deterministic_and_parses_back() {
     };
     let first = run("a.jsonl");
     let second = run("b.jsonl");
-    assert_eq!(
-        first, second,
-        "same-seed traces must be byte-identical (threaded batches included)"
-    );
+    assert_eq!(first, second, "same-seed traces must be byte-identical");
     let events = activexml::obs::parse_jsonl(&first).expect("trace parses back");
     assert!(events
         .iter()
@@ -414,7 +411,6 @@ fn hedge_and_shed_flags_keep_traces_deterministic() {
                 &schema,
                 "--query",
                 QUERY,
-                "--threads",
                 "--fault-seed",
                 "1",
                 "--latency-ms",
@@ -445,7 +441,7 @@ fn hedge_and_shed_flags_keep_traces_deterministic() {
     let (second, _) = run("b.jsonl");
     assert_eq!(
         first, second,
-        "same-seed hedged traces must be byte-identical (threaded batches included)"
+        "same-seed hedged traces must be byte-identical"
     );
     let events = activexml::obs::parse_jsonl(&first).expect("trace parses back");
     let hedges = events
@@ -498,7 +494,6 @@ fn trace_lines_mark_exactly_the_hedged_calls() {
             &schema,
             "--query",
             QUERY,
-            "--threads",
             "--fault-seed",
             "6",
             "--latency-ms",

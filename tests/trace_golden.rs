@@ -1,9 +1,8 @@
 //! Golden structured-trace snapshots: the paper-walkthrough (Figure 1)
 //! scenario's event stream is pinned byte-for-byte as JSONL under the
-//! default schedule, under a threaded parallel schedule, and under a
-//! deterministic fault seed, and once for every other strategy of the
-//! engine's round loop: the naive, top-down and LPQ baselines, sequential
-//! NFQA, speculation, a shared multi-query run, a parallel run with a
+//! default schedule and under a deterministic fault seed, and once for
+//! every other strategy of the engine's round loop: the naive, top-down
+//! and LPQ baselines, sequential NFQA, speculation, a parallel run with a
 //! deadline, hedging and shedding under chaos faults, sequential and
 //! parallel batches over a warm call cache, and a hedge that ties its
 //! primary. Each case also asserts two-run determinism, parse-back
@@ -26,9 +25,6 @@ struct Case {
     config: EngineConfig,
     /// The registry's default fault schedule.
     faults: Option<FaultProfile>,
-    /// A second query rides along through [`Engine::evaluate_many`]'s
-    /// shared rewriting.
-    shared: bool,
     /// A call cache is attached, warmed by a run of [`RATINGS`] with push
     /// off: rating and hotel calls hit, restaurant calls miss.
     warm_cache: bool,
@@ -59,13 +55,7 @@ fn run(case: &Case) -> (String, EngineStats) {
     if case.warm_cache {
         engine = engine.with_cache(&cache);
     }
-    let report = if case.shared {
-        let ratings = parse_query(RATINGS).unwrap();
-        let mut reports = engine.evaluate_many(&mut sc.doc, &[figure4_query(), ratings]);
-        reports.swap_remove(0)
-    } else {
-        engine.evaluate(&mut sc.doc, &figure4_query())
-    };
+    let report = engine.evaluate(&mut sc.doc, &figure4_query());
     let events = ring.events();
     // the CLI's `--trace` prints one line per invocation event: exactly
     // one per resolved call
@@ -148,19 +138,6 @@ fn check_case(name: &str, case: Case) -> Vec<Event> {
 #[test]
 fn golden_default_schedule() {
     check_golden("figure1_default.jsonl", EngineConfig::default(), None);
-}
-
-#[test]
-fn golden_threaded_parallel_batches() {
-    check_golden(
-        "figure1_threads.jsonl",
-        EngineConfig {
-            parallel: true,
-            real_threads: true,
-            ..EngineConfig::default()
-        },
-        None,
-    );
 }
 
 /// A warm cross-session plan cache must be trace-invisible too: fetching
@@ -286,27 +263,14 @@ fn golden_speculation_always() {
     );
 }
 
-/// Two queries through one shared rewriting (`evaluate_many`).
-#[test]
-fn golden_shared_two_queries() {
-    check_case(
-        "figure1_shared.jsonl",
-        Case {
-            shared: true,
-            ..Case::default()
-        },
-    );
-}
-
-/// Threaded parallel batches under a deadline, hedging and in-flight
-/// shedding, with chaos faults: the call-site gates in their fixed order.
+/// Parallel batches under a deadline, hedging and in-flight shedding,
+/// with chaos faults: the call-site gates in their fixed order.
 #[test]
 fn golden_deadline_hedge_shed_under_chaos() {
     let events = check_case(
         "figure1_deadline_hedge_shed.jsonl",
         Case {
             config: EngineConfig {
-                real_threads: true,
                 deadline_ms: 60.0,
                 hedge: HedgeConfig {
                     threshold_ms: 5.0,

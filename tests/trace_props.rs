@@ -19,14 +19,9 @@ fn config_matrix() -> Vec<EngineConfig> {
         },
         EngineConfig::nfq_plain(),
         EngineConfig::default(),
-        EngineConfig {
-            real_threads: true,
-            ..EngineConfig::default()
-        },
         // everything on: deadline, hedging and shedding compose with the
         // fault layer without breaking a single accounting identity
         EngineConfig {
-            real_threads: true,
             deadline_ms: 90.0,
             hedge: HedgeConfig {
                 threshold_ms: 8.0,
@@ -68,7 +63,7 @@ proptest! {
         hotels in 1usize..25,
         intensional_rating_fraction in 0.0f64..1.0,
         intensional_restos_fraction in 0.0f64..1.0,
-        cfg_idx in 0usize..6,
+        cfg_idx in 0usize..5,
         fault_seed in 0u64..100,   // 0 = fault-free
     ) {
         // (the vendored proptest caps strategies at 6-tuples)
