@@ -1,14 +1,23 @@
 //! Prints the paper-style experiment tables.
 //!
 //! ```text
-//! cargo run -p axml-bench --release --bin report            # everything
-//! cargo run -p axml-bench --release --bin report e1 e5      # a subset
+//! cargo run -p axml-bench --release --bin report               # everything
+//! cargo run -p axml-bench --release --bin report e1 e5         # a subset
+//! cargo run -p axml-bench --release --bin report e14 --out DIR # and files
 //! ```
 //!
-//! A name that selects no experiment exits 1 before anything runs.
+//! `--out DIR` writes each printed table as `DIR/<name>.csv`. A gated
+//! experiment (one with an entry in [`axml_bench::GATES`]) always writes
+//! its `BENCH_<E>.json` artifact, into `DIR` or else the working
+//! directory, and checks its rows against its committed baseline in
+//! `crates/bench/baselines`. Once the selected experiments have run,
+//! `report` exits 1 if any gate failed. A name that selects no
+//! experiment, or `--out` without a directory, exits 1 before anything
+//! runs.
 
 use axml_bench::experiments as ex;
 use axml_services::NetProfile;
+use std::path::Path;
 
 /// Every experiment the report runs, in run order, each with the names
 /// that select it on the command line (its table name first).
@@ -36,83 +45,28 @@ const EXPERIMENTS: &[&[&str]] = &[
     &["e18", "durability"],
 ];
 
-/// Removes `--flag VALUE` from `args`, returning the value.
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).map(|i| {
-        let v = args.get(i + 1).cloned().unwrap_or_else(|| ".".into());
-        args.drain(i..=(i + 1).min(args.len() - 1));
-        v
-    })
+/// Removes `--flag VALUE` from `args`, returning the value. A flag that is
+/// last, or followed by another `--flag`, has no value: an error.
+fn take_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => {
+            let v = v.clone();
+            args.drain(i..=i + 1);
+            Ok(Some(v))
+        }
+        _ => Err(format!("{flag} needs a value")),
+    }
 }
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // --csv DIR writes each selected experiment as CSV next to printing it
-    let csv_dir: Option<String> = take_value(&mut args, "--csv");
-    // E14 artifact/assertion knobs (see EXPERIMENTS.md and `ex::e14_gate`):
-    //   --e14-json PATH          write the BENCH_E14.json artifact
-    //   --e14-min-speedup N      exit nonzero unless production detection
-    //                            beats the whole-document detector N× at
-    //                            the largest size, on the best shape
-    //   --e14-baseline PATH      exit nonzero if any speedup ratio regressed
-    //                            >20% vs the committed baseline artifact
-    // either gate flag also bounds detection's growth from 50 to 400 hotels
-    let e14_json: Option<String> = take_value(&mut args, "--e14-json");
-    let e14_min_speedup: Option<f64> =
-        take_value(&mut args, "--e14-min-speedup").map(|v| v.parse().expect("--e14-min-speedup"));
-    let e14_baseline: Option<String> = take_value(&mut args, "--e14-baseline");
-    // E15 artifact/assertion knobs (see EXPERIMENTS.md):
-    //   --e15-json PATH          write the BENCH_E15.json artifact
-    //   --e15-min-scaling N      exit nonzero unless the largest worker pool
-    //                            reaches an N× qps scaling over 1 worker
-    //   --e15-baseline PATH      exit nonzero if any scaling ratio regressed
-    //                            >20% vs the committed baseline artifact
-    let e15_json: Option<String> = take_value(&mut args, "--e15-json");
-    let e15_min_scaling: Option<f64> =
-        take_value(&mut args, "--e15-min-scaling").map(|v| v.parse().expect("--e15-min-scaling"));
-    let e15_baseline: Option<String> = take_value(&mut args, "--e15-baseline");
-    // E16 artifact/assertion knobs (see EXPERIMENTS.md):
-    //   --e16-json PATH          write the BENCH_E16.json artifact
-    //   --e16-min-ratio N        exit nonzero unless delta maintenance beats
-    //                            full re-evaluation by N× CPU at the largest
-    //                            feed size
-    //   --e16-baseline PATH      exit nonzero if any cpu_ratio regressed
-    //                            >40% vs the committed baseline artifact
-    let e16_json: Option<String> = take_value(&mut args, "--e16-json");
-    let e16_min_ratio: Option<f64> =
-        take_value(&mut args, "--e16-min-ratio").map(|v| v.parse().expect("--e16-min-ratio"));
-    let e16_baseline: Option<String> = take_value(&mut args, "--e16-baseline");
-    // E17 artifact/assertion knobs (see EXPERIMENTS.md):
-    //   --e17-json PATH            write the BENCH_E17.json artifact
-    //   --e17-min-amortization N   exit nonzero unless the warm plan cache
-    //                              beats per-session compilation N× at the
-    //                              largest session fan-out
-    //   --e17-baseline PATH        exit nonzero if any amortization ratio
-    //                              regressed >40% vs the committed baseline
-    let e17_json: Option<String> = take_value(&mut args, "--e17-json");
-    let e17_min_amortization: Option<f64> = take_value(&mut args, "--e17-min-amortization")
-        .map(|v| v.parse().expect("--e17-min-amortization"));
-    let e17_baseline: Option<String> = take_value(&mut args, "--e17-baseline");
-    // E18 artifact/assertion knobs (see EXPERIMENTS.md):
-    //   --e18-json PATH          write the BENCH_E18.json artifact
-    //   --e18-max-overhead F     exit nonzero if write-ahead logging adds
-    //                            more than F (fraction) to serving wall time
-    //   --e18-baseline PATH      exit nonzero if the overhead exceeds the
-    //                            committed baseline by more than 8 points
-    let e18_json: Option<String> = take_value(&mut args, "--e18-json");
-    let e18_max_overhead: Option<f64> =
-        take_value(&mut args, "--e18-max-overhead").map(|v| v.parse().expect("--e18-max-overhead"));
-    let e18_baseline: Option<String> = take_value(&mut args, "--e18-baseline");
-    let emit = |name: &str, xname: &str, rows: &[ex::Row]| {
-        if let Some(dir) = &csv_dir {
-            let path = format!("{dir}/{name}.csv");
-            if let Err(e) = std::fs::write(&path, ex::to_csv(xname, rows)) {
-                eprintln!("report: writing {path}: {e}");
-            } else {
-                eprintln!("report: wrote {path}");
-            }
-        }
-    };
+    let out = take_value(&mut args, "--out").unwrap_or_else(|e| {
+        eprintln!("report: {e}");
+        std::process::exit(1);
+    });
     let known = |a: &String| EXPERIMENTS.iter().any(|names| names.contains(&a.as_str()));
     if let Some(unknown) = args.iter().find(|a| !known(a)) {
         let names: Vec<&str> = EXPERIMENTS.iter().flat_map(|n| n.iter().copied()).collect();
@@ -130,493 +84,169 @@ fn main() {
             .unwrap_or_else(|| panic!("{table} is missing from EXPERIMENTS"));
         args.is_empty() || args.iter().any(|a| names.contains(&a.as_str()))
     };
+    let write = |path: &Path, text: String| match std::fs::write(path, text) {
+        Ok(()) => {
+            eprintln!("report: wrote {}", path.display());
+            Ok(())
+        }
+        Err(e) => Err(format!("writing {}: {e}", path.display())),
+    };
+    // prints a table, and with --out writes it as DIR/NAME.csv
+    let show = |name: &str, title: &str, xname: &str, rows: &[ex::Row]| {
+        ex::print_table(title, xname, rows);
+        if let Some(dir) = &out {
+            let path = Path::new(dir).join(format!("{name}.csv"));
+            if let Err(e) = write(&path, ex::to_csv(xname, rows)) {
+                eprintln!("report: {e}");
+            }
+        }
+    };
+    let mut failed: Vec<&str> = Vec::new();
+    // writes a gated experiment's artifact, then checks its rows against
+    // the committed baseline
+    let mut gate = |experiment: &'static str, rows: &[ex::Row]| {
+        let gate = ex::gate(experiment).expect("a gated experiment");
+        let artifact = Path::new(out.as_deref().unwrap_or(".")).join(gate.artifact_name());
+        let baseline = gate.baseline_path();
+        let verdict = write(&artifact, ex::to_artifact(experiment, rows))
+            .and_then(|()| {
+                std::fs::read_to_string(&baseline)
+                    .map_err(|e| format!("reading {}: {e}", baseline.display()))
+            })
+            .and_then(|text| {
+                ex::parse_artifact(&text).map_err(|e| format!("{}: {e}", baseline.display()))
+            })
+            .and_then(|base| gate.check(rows, &base));
+        let name = experiment.to_uppercase();
+        match verdict {
+            Ok(passed) => eprintln!("report: {name} gate — {passed} — ok"),
+            Err(failure) => {
+                eprintln!("report: {name} gate FAILED — {failure}");
+                failed.push(experiment);
+            }
+        }
+    };
 
     if want("e1") || want("e2") {
         let rows = ex::e1_e2_strategies(&[10, 50, 100, 200, 400], NetProfile::default());
         if want("e1") {
-            ex::print_table(
-                "E1 — total query evaluation time by strategy (Fig. 9-style)",
-                "hotels",
-                &rows,
-            );
-            emit("e1", "hotels", &rows);
+            let title = "E1 — total query evaluation time by strategy (Fig. 9-style)";
+            show("e1", title, "hotels", &rows);
+            gate("e1", &rows);
         }
         if want("e2") {
-            ex::print_table("E2 — service calls invoked by strategy", "hotels", &rows);
-            emit("e2", "hotels", &rows);
+            let title = "E2 — service calls invoked by strategy";
+            show("e2", title, "hotels", &rows);
         }
     }
     if want("e3") {
         let rows = ex::e3_exact_vs_lenient(&[0.0, 10.0, 50.0, 200.0, 500.0]);
-        ex::print_table(
-            "E3 — exact vs lenient relevance detection (accuracy/efficiency trade-off)",
-            "latency_ms",
-            &rows,
-        );
-        emit("e3", "latency_ms", &rows);
+        let title = "E3 — exact vs lenient relevance detection (accuracy/efficiency trade-off)";
+        show("e3", title, "latency_ms", &rows);
     }
     if want("e4") {
         let rows = ex::e4_layering_parallel(&[10.0, 50.0, 200.0]);
-        ex::print_table(
-            "E4 — layering and condition-(✳) parallel invocation",
-            "latency_ms",
-            &rows,
-        );
-        emit("e4", "latency_ms", &rows);
+        let title = "E4 — layering and condition-(✳) parallel invocation";
+        show("e4", title, "latency_ms", &rows);
     }
     if want("e5") {
         let rows = ex::e5_push(&[0.05, 0.2, 0.5, 1.0]);
-        ex::print_table("E5 — pushing queries to providers", "selectivity", &rows);
-        emit("e5", "selectivity", &rows);
+        let title = "E5 — pushing queries to providers";
+        show("e5", title, "selectivity", &rows);
     }
     if want("e6") {
         let rows = ex::e6_fguide(&[50, 200, 800]);
-        ex::print_table("E6 — the function-call guide", "hotels", &rows);
-        emit("e6", "hotels", &rows);
+        show("e6", "E6 — the function-call guide", "hotels", &rows);
     }
     if want("e7") {
         let rows = ex::e7_typing(&[0, 3, 10]);
-        ex::print_table(
-            "E7 — type-based pruning vs distractor volume",
-            "museums/hotel",
-            &rows,
-        );
-        emit("e7", "museums/hotel", &rows);
+        let title = "E7 — type-based pruning vs distractor volume";
+        show("e7", title, "museums/hotel", &rows);
     }
     if want("e8") {
         let rows = ex::e8_speculation(&[10.0, 50.0, 200.0]);
-        ex::print_table(
-            "E8 — speculative invocation (§4.4 'just in case')",
-            "latency_ms",
-            &rows,
-        );
-        emit("e8", "latency_ms", &rows);
+        let title = "E8 — speculative invocation (§4.4 'just in case')";
+        show("e8", title, "latency_ms", &rows);
     }
     if want("a1") {
         let rows = ex::a1_sat_ablation(&[2, 3, 4, 5]);
-        ex::print_table(
-            "A1 — satisfiability: exact vs lenient qualification",
-            "alt width",
-            &rows,
-        );
-        emit("a1", "alt width", &rows);
+        let title = "A1 — satisfiability: exact vs lenient qualification";
+        show("a1", title, "alt width", &rows);
     }
     if want("a3") {
         let rows = ex::a3_containment(&[50, 200]);
-        ex::print_table(
-            "A3 — containment pruning of call-finding queries",
-            "hotels",
-            &rows,
-        );
-        emit("a3", "hotels", &rows);
+        let title = "A3 — containment pruning of call-finding queries";
+        show("a3", title, "hotels", &rows);
     }
     if want("e9") {
         let rows = ex::e9_auctions(&[50, 200]);
-        ex::print_table(
-            "E9 — cross-domain sanity (auctions workload)",
-            "auctions",
-            &rows,
-        );
-        emit("e9", "auctions", &rows);
+        let title = "E9 — cross-domain sanity (auctions workload)";
+        show("e9", title, "auctions", &rows);
     }
     if want("e10") {
         let rows = ex::e10_faults(&[0.0, 0.1, 0.3, 0.6]);
-        ex::print_table(
-            "E10 — fault tolerance: partial answers under permanent failures",
-            "fail_prob",
-            &rows,
-        );
-        emit("e10", "fail_prob", &rows);
+        let title = "E10 — fault tolerance: partial answers under permanent failures";
+        show("e10", title, "fail_prob", &rows);
     }
     if want("e11") {
         let rows = ex::e11_cache(&[0.0, 150.0, 1_000_000.0]);
-        ex::print_table(
-            "E11 — cross-query call-result cache (reconstructed §7 sessions)",
-            "ttl_ms",
-            &rows,
-        );
-        emit("e11", "ttl_ms", &rows);
+        let title = "E11 — cross-query call-result cache (reconstructed §7 sessions)";
+        show("e11", title, "ttl_ms", &rows);
     }
     if want("e12") {
         let rows = ex::e12_trace_overhead(&[50, 100, 200]);
-        ex::print_table(
-            "E12 — tracing overhead (structured observability stream)",
-            "hotels",
-            &rows,
-        );
-        emit("e12", "hotels", &rows);
+        let title = "E12 — tracing overhead (structured observability stream)";
+        show("e12", title, "hotels", &rows);
     }
     if want("e13") {
         let rows = ex::e13_hedging_deadlines(&[15.0, 30.0, 60.0], &[50.0, 250.0, 450.0, 600.0]);
-        ex::print_table(
-            "E13 — deadline-aware evaluation: hedging and end-to-end deadlines",
-            "trigger/deadline_ms",
-            &rows,
-        );
-        emit("e13", "trigger/deadline_ms", &rows);
+        let title = "E13 — deadline-aware evaluation: hedging and end-to-end deadlines";
+        show("e13", title, "trigger/deadline_ms", &rows);
     }
     if want("a2") {
         let rows = ex::a2_nfq_evals(&[20, 50, 100]);
-        ex::print_table("A2 — NFQ re-evaluation counts", "hotels", &rows);
-        emit("a2", "hotels", &rows);
+        show("a2", "A2 — NFQ re-evaluation counts", "hotels", &rows);
     }
     if want("e14") {
-        let rows = ex::e14_detection(&[50, 200, 400, 4000], 20);
-        ex::print_table(
-            "E14 — production relevance detection vs the whole-document detector",
-            "hotels",
-            &rows,
-        );
-        emit("e14", "hotels", &rows);
+        let mut rows = ex::e14_detection(&[50, 200, 400, 4000], 20);
+        let title = "E14 — production relevance detection vs the whole-document detector";
+        show("e14", title, "hotels", &rows);
         let nfqa = ex::e14_nfqa(&[50, 200, 400], 2);
-        ex::print_table("E14 — sequential NFQA, production path", "hotels", &nfqa);
-        emit("e14_nfqa", "hotels", &nfqa);
-        if let Some(path) = &e14_json {
-            let all: Vec<ex::Row> = rows.iter().chain(&nfqa).cloned().collect();
-            match std::fs::write(path, ex::e14_to_json(&all)) {
-                Ok(()) => eprintln!("report: wrote {path}"),
-                Err(e) => {
-                    eprintln!("report: writing {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        let baseline = e14_baseline.as_ref().map(|bpath| {
-            let text = std::fs::read_to_string(bpath)
-                .unwrap_or_else(|e| panic!("report: reading {bpath}: {e}"));
-            ex::e14_parse_json(&text)
-        });
-        if e14_min_speedup.is_some() || baseline.is_some() {
-            match ex::e14_gate(&rows, e14_min_speedup, baseline.as_deref()) {
-                Ok(passed) => eprintln!("report: E14 gate — {passed} — ok"),
-                Err(failure) => {
-                    eprintln!("report: {failure}");
-                    std::process::exit(1);
-                }
-            }
-        }
+        let title = "E14 — sequential NFQA, production path";
+        show("e14_nfqa", title, "hotels", &nfqa);
+        rows.extend(nfqa);
+        gate("e14", &rows);
     }
     if want("e15") {
         let rows = ex::e15_concurrent(&[1, 2, 4, 8], 16, 4);
-        ex::print_table(
-            "E15 — multi-tenant serving throughput (work-stealing session pool)",
-            "workers",
-            &rows,
-        );
-        emit("e15", "workers", &rows);
-        if let Some(path) = &e15_json {
-            match std::fs::write(path, ex::e15_to_json(&rows)) {
-                Ok(()) => eprintln!("report: wrote {path}"),
-                Err(e) => {
-                    eprintln!("report: writing {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        let scaling_of = |rows: &[ex::Row], series: &str, workers: f64| -> Option<f64> {
-            rows.iter()
-                .find(|r| r.label == series && r.x == workers)
-                .and_then(|r| {
-                    r.metrics
-                        .iter()
-                        .find(|(n, _)| *n == "scaling")
-                        .map(|(_, v)| *v)
-                })
-        };
-        let largest = rows.iter().map(|r| r.x).fold(0.0_f64, f64::max);
-        if let Some(min) = e15_min_scaling {
-            // the headline claim: qps at the largest pool over qps at 1
-            // worker — wait-overlap scaling, independent of core count
-            let got = scaling_of(&rows, "serve", largest).unwrap_or(0.0);
-            if got < min {
-                eprintln!(
-                    "report: E15 scaling regression — {largest} workers reached \
-                     {got:.2}x the single-worker throughput, needs >= {min}x"
-                );
-                std::process::exit(1);
-            }
-            eprintln!("report: E15 scaling {got:.2}x at {largest} workers (floor {min}x) — ok");
-        }
-        if let Some(bpath) = &e15_baseline {
-            // compare scaling *ratios* only — qps is machine-dependent, the
-            // ratio of pooled to single-worker qps on the same machine is not
-            let text = std::fs::read_to_string(bpath)
-                .unwrap_or_else(|e| panic!("report: reading {bpath}: {e}"));
-            let mut regressed = false;
-            for b in ex::e15_parse_json(&text) {
-                // gate only rows where the baseline claims a real win; the
-                // 1-worker row is 1.0x by construction and would only jitter
-                if b.scaling < 1.5 {
-                    continue;
-                }
-                let Some(got) = scaling_of(&rows, &b.series, b.workers) else {
-                    continue; // sweep changed shape; baseline row is obsolete
-                };
-                if got < b.scaling * 0.8 {
-                    eprintln!(
-                        "report: E15 regression — {} at {} workers: {:.2}x, \
-                         baseline {:.2}x (-{:.0}%)",
-                        b.series,
-                        b.workers,
-                        got,
-                        b.scaling,
-                        (1.0 - got / b.scaling) * 100.0
-                    );
-                    regressed = true;
-                }
-            }
-            if regressed {
-                std::process::exit(1);
-            }
-            eprintln!("report: E15 within 20% of baseline {bpath} — ok");
-        }
+        let title = "E15 — multi-tenant serving throughput (work-stealing session pool)";
+        show("e15", title, "workers", &rows);
+        gate("e15", &rows);
     }
     if want("e16") {
         let rows = ex::e16_subscriptions(&[50, 200, 400], 4_000.0);
-        ex::print_table(
-            "E16 — continuous subscriptions: delta maintenance vs full re-evaluation",
-            "hotels",
-            &rows,
-        );
-        emit("e16", "hotels", &rows);
-        if let Some(path) = &e16_json {
-            match std::fs::write(path, ex::e16_to_json(&rows)) {
-                Ok(()) => eprintln!("report: wrote {path}"),
-                Err(e) => {
-                    eprintln!("report: writing {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        let ratio_of = |rows: &[ex::Row], series: &str, hotels: f64| -> Option<f64> {
-            rows.iter()
-                .find(|r| r.label == series && r.x == hotels)
-                .and_then(|r| {
-                    r.metrics
-                        .iter()
-                        .find(|(n, _)| *n == "cpu_ratio")
-                        .map(|(_, v)| *v)
-                })
-        };
-        let largest = rows.iter().map(|r| r.x).fold(0.0_f64, f64::max);
-        if let Some(min) = e16_min_ratio {
-            // the headline claim: scope-filtered delta maintenance beats
-            // full per-version re-evaluation on consumer-side CPU at the
-            // largest feed — same-machine ratio, so machine-independent
-            let got = ratio_of(&rows, "price-feed", largest).unwrap_or(0.0);
-            if got < min {
-                eprintln!(
-                    "report: E16 ratio regression — delta maintenance at {largest} hotels \
-                     reached {got:.2}x full re-evaluation, needs >= {min}x"
-                );
-                std::process::exit(1);
-            }
-            eprintln!("report: E16 cpu_ratio {got:.2}x at {largest} hotels (floor {min}x) — ok");
-        }
-        if let Some(bpath) = &e16_baseline {
-            // compare CPU *ratios* only — absolute ms are machine-dependent,
-            // the delta-vs-full ratio on the same machine is not. Both
-            // sides of this ratio are tens of milliseconds, so it jitters
-            // more than E14/E15's — hence a 40% tolerance, with the
-            // absolute floor enforced separately by --e16-min-ratio
-            let text = std::fs::read_to_string(bpath)
-                .unwrap_or_else(|e| panic!("report: reading {bpath}: {e}"));
-            let mut regressed = false;
-            for b in ex::e16_parse_json(&text) {
-                // gate only rows where the baseline claims a real win
-                if b.cpu_ratio < 2.0 {
-                    continue;
-                }
-                let Some(got) = ratio_of(&rows, &b.series, b.hotels) else {
-                    continue; // sweep changed shape; baseline row is obsolete
-                };
-                if got < b.cpu_ratio * 0.6 {
-                    eprintln!(
-                        "report: E16 regression — {} at {} hotels: {:.2}x, \
-                         baseline {:.2}x (-{:.0}%)",
-                        b.series,
-                        b.hotels,
-                        got,
-                        b.cpu_ratio,
-                        (1.0 - got / b.cpu_ratio) * 100.0
-                    );
-                    regressed = true;
-                }
-            }
-            if regressed {
-                std::process::exit(1);
-            }
-            eprintln!("report: E16 within 40% of baseline {bpath} — ok");
-        }
+        let title = "E16 — continuous subscriptions: delta maintenance vs full re-evaluation";
+        show("e16", title, "hotels", &rows);
+        gate("e16", &rows);
     }
     if want("e17") {
         let rows = ex::e17_plan_amortization(&[1, 4, 16, 64], 3);
-        ex::print_table(
-            "E17 — compiled-plan amortization (cold compile vs warm plan cache)",
-            "sessions",
-            &rows,
-        );
-        emit("e17", "sessions", &rows);
-        if let Some(path) = &e17_json {
-            match std::fs::write(path, ex::e17_to_json(&rows)) {
-                Ok(()) => eprintln!("report: wrote {path}"),
-                Err(e) => {
-                    eprintln!("report: writing {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        let amortization_of = |rows: &[ex::Row], series: &str, sessions: f64| -> Option<f64> {
-            rows.iter()
-                .find(|r| r.label == series && r.x == sessions)
-                .and_then(|r| {
-                    r.metrics
-                        .iter()
-                        .find(|(n, _)| *n == "amortization")
-                        .map(|(_, v)| *v)
-                })
-        };
-        let largest = rows.iter().map(|r| r.x).fold(0.0_f64, f64::max);
-        if let Some(min) = e17_min_amortization {
-            // the headline claim: at the largest session fan-out, the warm
-            // plan cache beats per-session compilation by at least N× on
-            // the best workload — same-machine ratio, machine-independent
-            let (series, got) = rows
-                .iter()
-                .filter(|r| r.x == largest)
-                .filter_map(|r| {
-                    amortization_of(&rows, &r.label, largest).map(|s| (r.label.clone(), s))
-                })
-                .fold((String::new(), 0.0_f64), |best, cur| {
-                    if cur.1 > best.1 {
-                        cur
-                    } else {
-                        best
-                    }
-                });
-            if got < min {
-                eprintln!(
-                    "report: E17 amortization regression — best workload ({series}) \
-                     at {largest} sessions reached {got:.2}x, needs >= {min}x"
-                );
-                std::process::exit(1);
-            }
-            eprintln!("report: E17 amortization {got:.2}x ({series}, floor {min}x) — ok");
-        }
-        if let Some(bpath) = &e17_baseline {
-            // compare amortization *ratios* only — cold_ms is machine-
-            // dependent, the cold-to-cached ratio on the same machine is
-            // not. Cached fetches are sub-microsecond, so the ratio
-            // jitters like E16's — 40% tolerance, with the absolute floor
-            // enforced separately by --e17-min-amortization
-            let text = std::fs::read_to_string(bpath)
-                .unwrap_or_else(|e| panic!("report: reading {bpath}: {e}"));
-            let mut regressed = false;
-            for b in ex::e17_parse_json(&text) {
-                // gate only rows where the baseline claims a real win
-                if b.amortization < 2.0 {
-                    continue;
-                }
-                let Some(got) = amortization_of(&rows, &b.series, b.sessions) else {
-                    continue; // sweep changed shape; baseline row is obsolete
-                };
-                if got < b.amortization * 0.6 {
-                    eprintln!(
-                        "report: E17 regression — {} at {} sessions: {:.2}x, \
-                         baseline {:.2}x (-{:.0}%)",
-                        b.series,
-                        b.sessions,
-                        got,
-                        b.amortization,
-                        (1.0 - got / b.amortization) * 100.0
-                    );
-                    regressed = true;
-                }
-            }
-            if regressed {
-                std::process::exit(1);
-            }
-            eprintln!("report: E17 within 40% of baseline {bpath} — ok");
-        }
+        let title = "E17 — compiled-plan amortization (cold compile vs warm plan cache)";
+        show("e17", title, "sessions", &rows);
+        gate("e17", &rows);
     }
     if want("e18") {
-        let recovery = ex::e18_recovery(&[200, 1000, 4000], 2);
-        ex::print_table(
-            "E18 — durability: crash-recovery time vs write-ahead log length",
-            "records",
-            &recovery,
-        );
-        emit("e18-recovery", "records", &recovery);
+        let mut rows = ex::e18_recovery(&[200, 1000, 4000], 2);
+        let title = "E18 — durability: crash-recovery time vs write-ahead log length";
+        show("e18-recovery", title, "records", &rows);
         let serve = ex::e18_wal_overhead(8, 4, 3);
-        ex::print_table(
-            "E18 — durability: WAL overhead on persistent multi-tenant serving",
-            "sessions",
-            &serve,
-        );
-        emit("e18-serve", "sessions", &serve);
-        if let Some(path) = &e18_json {
-            match std::fs::write(path, ex::e18_to_json(&recovery, &serve)) {
-                Ok(()) => eprintln!("report: wrote {path}"),
-                Err(e) => {
-                    eprintln!("report: writing {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        let overhead = serve
-            .iter()
-            .find(|r| r.label == "serve")
-            .and_then(|r| {
-                r.metrics
-                    .iter()
-                    .find(|(n, _)| *n == "overhead")
-                    .map(|(_, v)| *v)
-            })
-            .unwrap_or(f64::INFINITY);
-        if let Some(max) = e18_max_overhead {
-            // the headline claim: logging every publication (fsync always)
-            // adds at most `max` to the wall time of the provider-bound
-            // serving regime — same-machine ratio, machine-independent
-            if overhead > max {
-                eprintln!(
-                    "report: E18 WAL overhead regression — durable serving ran \
-                     {:.1}% over the plain store, ceiling {:.1}%",
-                    overhead * 100.0,
-                    max * 100.0
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "report: E18 WAL overhead {:.1}% (ceiling {:.1}%) — ok",
-                overhead * 100.0,
-                max * 100.0
-            );
-        }
-        if let Some(bpath) = &e18_baseline {
-            // the overhead is a small wall-ratio delta, so relative
-            // comparison against a near-zero baseline is meaningless —
-            // gate on an absolute slack of 8 percentage points instead.
-            // recovery_ms is machine-dependent and is reported, not gated.
-            let text = std::fs::read_to_string(bpath)
-                .unwrap_or_else(|e| panic!("report: reading {bpath}: {e}"));
-            let mut regressed = false;
-            for b in ex::e18_parse_json(&text) {
-                let Some(base) = b.overhead else { continue };
-                if overhead > base + 0.08 {
-                    eprintln!(
-                        "report: E18 regression — WAL overhead {:.1}%, baseline {:.1}% \
-                         (+{:.1} points over the 8-point slack)",
-                        overhead * 100.0,
-                        base * 100.0,
-                        (overhead - base) * 100.0
-                    );
-                    regressed = true;
-                }
-            }
-            if regressed {
-                std::process::exit(1);
-            }
-            eprintln!("report: E18 within 8 points of baseline {bpath} — ok");
-        }
+        let title = "E18 — durability: WAL overhead on persistent multi-tenant serving";
+        show("e18-serve", title, "sessions", &serve);
+        rows.extend(serve);
+        gate("e18", &rows);
+    }
+    if !failed.is_empty() {
+        eprintln!("report: failed gates: {}", failed.join(" "));
+        std::process::exit(1);
     }
 }

@@ -21,6 +21,13 @@ pub struct Row {
     pub metrics: Vec<(&'static str, f64)>,
 }
 
+impl Row {
+    /// The value of metric `name`, if the row carries it.
+    pub fn metric(&self, name: &str) -> Option<f64> {
+        self.metrics.iter().find(|(n, _)| *n == name).map(|m| m.1)
+    }
+}
+
 /// Renders rows as CSV (`series,<xname>,<metric…>`), for plotting.
 pub fn to_csv(xname: &str, rows: &[Row]) -> String {
     let mut out = String::new();
@@ -123,6 +130,8 @@ pub fn strategy_matrix() -> Vec<(&'static str, EngineConfig)> {
 
 /// E1/E2 — total query evaluation time and calls invoked, per strategy,
 /// scaling the document (the paper's headline orders-of-magnitude figure).
+/// `vs_naive` is naive's `sim_net_ms` over the row's at the same size:
+/// simulated time, so the ratio reads the same on every machine.
 pub fn e1_e2_strategies(hotel_counts: &[usize], profile: NetProfile) -> Vec<Row> {
     let mut rows = Vec::new();
     let q = figure4_query();
@@ -131,14 +140,14 @@ pub fn e1_e2_strategies(hotel_counts: &[usize], profile: NetProfile) -> Vec<Row>
             hotels,
             ..Default::default()
         };
-        let mut reference: Option<BTreeSet<Vec<String>>> = None;
+        // naive runs first: its answers and its simulated time are the reference
+        let mut reference: Option<(BTreeSet<Vec<String>>, f64)> = None;
         for (name, config) in strategy_matrix() {
             let mut sc = generate(&params);
             let (stats, answers) = run_once(&mut sc, &q, config, profile);
-            match &reference {
-                None => reference = Some(answers),
-                Some(r) => assert_eq!(&answers, r, "{name} disagrees at {hotels} hotels"),
-            }
+            let (r, naive_ms) =
+                reference.get_or_insert_with(|| (answers.clone(), stats.sim_time_ms));
+            assert_eq!(&answers, r, "{name} disagrees at {hotels} hotels");
             rows.push(Row {
                 label: name.to_string(),
                 x: hotels as f64,
@@ -147,6 +156,7 @@ pub fn e1_e2_strategies(hotel_counts: &[usize], profile: NetProfile) -> Vec<Row>
                     ("sim_net_ms", stats.sim_time_ms),
                     ("calls", stats.calls_invoked as f64),
                     ("bytes", stats.bytes_transferred as f64),
+                    ("vs_naive", *naive_ms / stats.sim_time_ms.max(1e-9)),
                 ],
             });
         }
@@ -916,8 +926,8 @@ const E14_ROW_MS: f64 = 500.0;
 /// detectors alternate, at least `reps` of each and until the row has
 /// spent 500 ms (`E14_ROW_MS`): the best of many passes keeps each ratio steady
 /// from run to run even on a shared machine whose speed drifts.
-/// [`e14_gate`] checks the rows; `BENCH_E14.json` (written by the
-/// `report` binary) carries them.
+/// E14's entry in [`GATES`] checks the rows; `BENCH_E14.json` (written by
+/// the `report` binary) carries them.
 pub fn e14_detection(hotel_counts: &[usize], reps: usize) -> Vec<Row> {
     use axml_obs::{EventKind, RingSink};
     use axml_schema::SatMode;
@@ -1016,181 +1026,6 @@ pub fn e14_nfqa(hotel_counts: &[usize], reps: usize) -> Vec<Row> {
         }
     }
     rows
-}
-
-/// The document sizes (hotels) between which [`e14_gate`] bounds the
-/// growth of `detect_ms`.
-const E14_GROWTH_HOTELS: (f64, f64) = (50.0, 400.0);
-
-/// The most `detect_ms` may grow between the [`E14_GROWTH_HOTELS`] sizes:
-/// 12x for 8x the document.
-const E14_MAX_GROWTH: f64 = 12.0;
-
-/// E14's gate over the `/detect` rows of [`e14_detection`]:
-///
-/// * `min_speedup` (if given): the best shape's `speedup` at the largest
-///   size must reach it;
-/// * always: for every shape, `detect_ms` at 400 hotels may be at most
-///   12 times (`E14_MAX_GROWTH`) its value at 50 hotels;
-/// * `baseline` (if given): a row whose baseline `speedup` is at least 2
-///   may lose at most 20% of it (a row the sweep no longer has is
-///   skipped).
-///
-/// A check with no row to read fails. Returns what passed, or the
-/// failure message.
-pub fn e14_gate(
-    rows: &[Row],
-    min_speedup: Option<f64>,
-    baseline: Option<&[E14Entry]>,
-) -> Result<String, String> {
-    let metric = |r: &Row, name: &str| r.metrics.iter().find(|(n, _)| *n == name).map(|m| m.1);
-    let detect: Vec<&Row> = rows
-        .iter()
-        .filter(|r| r.label.ends_with("/detect"))
-        .collect();
-    let at = |series: &str, hotels: f64, name: &str| {
-        detect
-            .iter()
-            .find(|r| r.label == series && r.x == hotels)
-            .and_then(|r| metric(r, name))
-    };
-    if detect.is_empty() {
-        return Err("E14 has no /detect rows to gate".into());
-    }
-    let mut passed = Vec::new();
-    if let Some(min) = min_speedup {
-        let largest = detect.iter().map(|r| r.x).fold(0.0_f64, f64::max);
-        let (series, got) = detect
-            .iter()
-            .filter(|r| r.x == largest)
-            .filter_map(|r| metric(r, "speedup").map(|s| (r.label.as_str(), s)))
-            .fold(
-                ("", 0.0_f64),
-                |best, cur| if cur.1 > best.1 { cur } else { best },
-            );
-        if got < min {
-            return Err(format!(
-                "E14 speedup below the floor — the best shape ({series}) at {largest} hotels \
-                 reached {got:.2}x over the whole-document detector, needs >= {min}x"
-            ));
-        }
-        passed.push(format!(
-            "best speedup {got:.2}x ({series} at {largest} hotels, floor {min}x)"
-        ));
-    }
-    let (from, to) = E14_GROWTH_HOTELS;
-    let max = E14_MAX_GROWTH;
-    let series: BTreeSet<&str> = detect.iter().map(|r| r.label.as_str()).collect();
-    for s in series {
-        let (Some(small), Some(large)) = (at(s, from, "detect_ms"), at(s, to, "detect_ms")) else {
-            return Err(format!(
-                "E14 growth bound has no {s} rows at {from} and {to} hotels"
-            ));
-        };
-        let growth = large / small.max(1e-9);
-        if growth > max {
-            return Err(format!(
-                "E14 detection grows too fast — {s}: {large:.3} ms at {to} hotels is \
-                 {growth:.1}x its {small:.3} ms at {from} hotels, bound {max}x"
-            ));
-        }
-        passed.push(format!(
-            "{s} grows {growth:.1}x from {from} to {to} hotels (bound {max}x)"
-        ));
-    }
-    if let Some(baseline) = baseline {
-        // ratios of CPU times on one machine, unlike raw milliseconds,
-        // compare across machines; rows near 1.0x jitter too much to gate
-        for b in baseline.iter().filter(|b| b.speedup >= 2.0) {
-            let Some(got) = at(&b.series, b.hotels, "speedup") else {
-                continue; // the sweep changed shape; the baseline row is obsolete
-            };
-            if got < b.speedup * 0.8 {
-                return Err(format!(
-                    "E14 regression — {} at {} hotels: {got:.2}x, baseline {:.2}x (-{:.0}%)",
-                    b.series,
-                    b.hotels,
-                    b.speedup,
-                    (1.0 - got / b.speedup) * 100.0
-                ));
-            }
-        }
-        passed.push("within 20% of the baseline".into());
-    }
-    Ok(passed.join("; "))
-}
-
-/// Serializes E14 rows as the `BENCH_E14.json` artifact: one row object
-/// per line so the file diffs cleanly and [`e14_parse_json`] can read it
-/// back without a JSON library.
-pub fn e14_to_json(rows: &[Row]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"e14\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"series\": \"{}\", \"hotels\": {}, ",
-            r.label, r.x
-        ));
-        let m: Vec<String> = r
-            .metrics
-            .iter()
-            .map(|(n, v)| format!("\"{n}\": {v:.4}"))
-            .collect();
-        out.push_str(&m.join(", "));
-        out.push_str(&format!("}}{sep}\n"));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// One parsed `/detect` row of `BENCH_E14.json`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct E14Entry {
-    /// `shape/detect` series label.
-    pub series: String,
-    /// Document size (hotels).
-    pub hotels: f64,
-    /// Production detection CPU milliseconds (machine-dependent — not
-    /// compared with another machine's).
-    pub detect_ms: f64,
-    /// Whole-document detection CPU over production detection CPU
-    /// (machine-independent).
-    pub speedup: f64,
-}
-
-/// Extracts a `"key": "value"` string field from one artifact line.
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\": \"");
-    let start = line.find(&tag)? + tag.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-/// Extracts a `"key": number` field from one artifact line.
-fn json_num_field(line: &str, key: &str) -> Option<f64> {
-    let tag = format!("\"{key}\": ");
-    let start = line.find(&tag)? + tag.len();
-    let end = line[start..]
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .map(|i| i + start)
-        .unwrap_or(line.len());
-    line[start..end].parse().ok()
-}
-
-/// Parses the `/detect` rows of the artifact written by [`e14_to_json`]
-/// (line-per-row; no JSON library needed). Other lines are skipped, so the
-/// format may grow fields without breaking old readers.
-pub fn e14_parse_json(text: &str) -> Vec<E14Entry> {
-    text.lines()
-        .filter_map(|line| {
-            Some(E14Entry {
-                series: json_str_field(line, "series")?,
-                hotels: json_num_field(line, "hotels")?,
-                detect_ms: json_num_field(line, "detect_ms")?,
-                speedup: json_num_field(line, "speedup")?,
-            })
-        })
-        .collect()
 }
 
 /// The passes E15 times each pool size over. A pass takes about one
@@ -1319,55 +1154,6 @@ pub fn e15_concurrent(
                 ("wall_ms", wall_ms),
                 ("scaling", qps / base_qps.max(1e-9)),
             ],
-        })
-        .collect()
-}
-
-/// Serializes E15 rows as the `BENCH_E15.json` artifact (same
-/// line-per-row shape as [`e14_to_json`]).
-pub fn e15_to_json(rows: &[Row]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"e15\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"series\": \"{}\", \"workers\": {}, ",
-            r.label, r.x
-        ));
-        let m: Vec<String> = r
-            .metrics
-            .iter()
-            .map(|(n, v)| format!("\"{n}\": {v:.4}"))
-            .collect();
-        out.push_str(&m.join(", "));
-        out.push_str(&format!("}}{sep}\n"));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// One parsed `BENCH_E15.json` row.
-#[derive(Clone, Debug, PartialEq)]
-pub struct E15Entry {
-    /// Series label (currently always `serve`).
-    pub series: String,
-    /// Worker-pool size.
-    pub workers: f64,
-    /// Measured queries/sec (machine-dependent — not compared).
-    pub qps: f64,
-    /// qps at this pool size over qps at 1 worker (machine-independent).
-    pub scaling: f64,
-}
-
-/// Parses the artifact written by [`e15_to_json`].
-pub fn e15_parse_json(text: &str) -> Vec<E15Entry> {
-    text.lines()
-        .filter_map(|line| {
-            Some(E15Entry {
-                series: json_str_field(line, "series")?,
-                workers: json_num_field(line, "workers")?,
-                qps: json_num_field(line, "qps")?,
-                scaling: json_num_field(line, "scaling")?,
-            })
         })
         .collect()
 }
@@ -1635,56 +1421,6 @@ pub fn e16_subscriptions(hotel_counts: &[usize], horizon_ms: f64) -> Vec<Row> {
     rows
 }
 
-/// Serializes E16 rows as the `BENCH_E16.json` artifact (same
-/// line-per-row shape as [`e14_to_json`] / [`e15_to_json`]).
-pub fn e16_to_json(rows: &[Row]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"e16\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"series\": \"{}\", \"hotels\": {}, ",
-            r.label, r.x
-        ));
-        let m: Vec<String> = r
-            .metrics
-            .iter()
-            .map(|(n, v)| format!("\"{n}\": {v:.4}"))
-            .collect();
-        out.push_str(&m.join(", "));
-        out.push_str(&format!("}}{sep}\n"));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// One parsed `BENCH_E16.json` row.
-#[derive(Clone, Debug, PartialEq)]
-pub struct E16Entry {
-    /// Series label (currently always `price-feed`).
-    pub series: String,
-    /// Document size (hotels).
-    pub hotels: f64,
-    /// Deltas per wall second (machine-dependent — not compared).
-    pub deltas_per_sec: f64,
-    /// Full-re-evaluation CPU over delta-maintenance CPU on the same
-    /// machine (machine-independent).
-    pub cpu_ratio: f64,
-}
-
-/// Parses the artifact written by [`e16_to_json`].
-pub fn e16_parse_json(text: &str) -> Vec<E16Entry> {
-    text.lines()
-        .filter_map(|line| {
-            Some(E16Entry {
-                series: json_str_field(line, "series")?,
-                hotels: json_num_field(line, "hotels")?,
-                deltas_per_sec: json_num_field(line, "deltas_per_sec")?,
-                cpu_ratio: json_num_field(line, "cpu_ratio")?,
-            })
-        })
-        .collect()
-}
-
 /// E17 — compiled-plan amortization: the cost of standing up N sessions
 /// that all ask the same query, with each session compiling its own
 /// [`axml_core::CompiledQuery`] from scratch (`cold`) versus all of them
@@ -1772,55 +1508,6 @@ pub fn e17_plan_amortization(session_counts: &[usize], reps: usize) -> Vec<Row> 
         }
     }
     rows
-}
-
-/// Serializes E17 rows as the `BENCH_E17.json` artifact (same
-/// line-per-row shape as [`e14_to_json`]).
-pub fn e17_to_json(rows: &[Row]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"e17\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"series\": \"{}\", \"sessions\": {}, ",
-            r.label, r.x
-        ));
-        let m: Vec<String> = r
-            .metrics
-            .iter()
-            .map(|(n, v)| format!("\"{n}\": {v:.4}"))
-            .collect();
-        out.push_str(&m.join(", "));
-        out.push_str(&format!("}}{sep}\n"));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// One parsed `BENCH_E17.json` row.
-#[derive(Clone, Debug, PartialEq)]
-pub struct E17Entry {
-    /// Workload series label.
-    pub series: String,
-    /// Sessions standing up the same query.
-    pub sessions: f64,
-    /// Cold per-session compile CPU, ms (machine-dependent — not compared).
-    pub cold_ms: f64,
-    /// Cold CPU over warm-cache CPU (machine-independent).
-    pub amortization: f64,
-}
-
-/// Parses the artifact written by [`e17_to_json`].
-pub fn e17_parse_json(text: &str) -> Vec<E17Entry> {
-    text.lines()
-        .filter_map(|line| {
-            Some(E17Entry {
-                series: json_str_field(line, "series")?,
-                sessions: json_num_field(line, "sessions")?,
-                cold_ms: json_num_field(line, "cold_ms")?,
-                amortization: json_num_field(line, "amortization")?,
-            })
-        })
-        .collect()
 }
 
 /// E18 (part 1) — durability: crash-recovery time as the write-ahead log
@@ -1912,8 +1599,8 @@ pub fn e18_recovery(log_lengths: &[usize], reps: usize) -> Vec<Row> {
 /// backed by a service that really sleeps 2 ms wall-clock) runs twice:
 /// on a plain store, and on a durable store logging every publication
 /// with `fsync always`. The headline is `overhead` — durable wall time
-/// over plain wall time, minus one — which CI gates at ≤ 10%
-/// (`--e18-max-overhead 0.10`): durability must ride the latency the
+/// over plain wall time, minus one — which E18's entry in [`GATES`]
+/// holds to ≤ 10%: durability must ride the latency the
 /// serving path already pays waiting on providers, not add to it.
 /// Best-of-`reps` on both sides damps scheduler noise.
 ///
@@ -2041,62 +1728,375 @@ pub fn e18_wal_overhead(sessions: usize, queries_per_session: usize, reps: usize
     }]
 }
 
-/// Serializes both E18 sweeps as the `BENCH_E18.json` artifact (same
-/// line-per-row shape as the other artifacts; the two series carry
-/// different metric sets).
-pub fn e18_to_json(recovery: &[Row], serve: &[Row]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"e18\",\n  \"rows\": [\n");
-    let total = recovery.len() + serve.len();
-    for (i, r) in recovery.iter().chain(serve.iter()).enumerate() {
-        let sep = if i + 1 == total { "" } else { "," };
+/// Renders an experiment's rows as its `BENCH_<E>.json` artifact: one row
+/// object per line, keyed `"series"`, `"x"` and then by metric, so the
+/// file diffs cleanly and [`parse_artifact`] reads it back without a JSON
+/// library.
+pub fn to_artifact(experiment: &str, rows: &[Row]) -> String {
+    let mut out = format!("{{\n  \"experiment\": \"{experiment}\",\n  \"rows\": [\n");
+    for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"series\": \"{}\", \"x\": {}, ",
+            "    {{\"series\": \"{}\", \"x\": {}",
             r.label, r.x
         ));
-        let m: Vec<String> = r
-            .metrics
-            .iter()
-            .map(|(n, v)| format!("\"{n}\": {v:.4}"))
-            .collect();
-        out.push_str(&m.join(", "));
-        out.push_str(&format!("}}{sep}\n"));
+        for (n, v) in &r.metrics {
+            out.push_str(&format!(", \"{n}\": {v:.4}"));
+        }
+        out.push_str(if i + 1 == rows.len() { "}\n" } else { "},\n" });
     }
     out.push_str("  ]\n}\n");
     out
 }
 
-/// One parsed `BENCH_E18.json` row. The two series carry different
-/// metrics, so the series-specific ones are optional.
-#[derive(Clone, Debug, PartialEq)]
-pub struct E18Entry {
-    /// Series label (`recovery` or `serve`).
+/// One row of a `BENCH_<E>.json` artifact, as [`parse_artifact`] reads it.
+#[derive(Clone, Debug)]
+pub struct ArtifactRow {
+    /// The row's series.
     pub series: String,
-    /// Sweep coordinate: log length in records, or tenant count.
+    /// Its sweep coordinate.
     pub x: f64,
-    /// `serve` rows: durable-over-plain wall ratio minus one.
-    pub overhead: Option<f64>,
-    /// `recovery` rows: best-of-reps recovery wall time, ms
-    /// (machine-dependent — reported, not gated).
-    pub recovery_ms: Option<f64>,
+    /// Its named metrics, in file order.
+    pub metrics: Vec<(String, f64)>,
 }
 
-/// Parses the artifact written by [`e18_to_json`].
-pub fn e18_parse_json(text: &str) -> Vec<E18Entry> {
-    text.lines()
-        .filter_map(|line| {
-            Some(E18Entry {
-                series: json_str_field(line, "series")?,
-                x: json_num_field(line, "x")?,
-                overhead: json_num_field(line, "overhead"),
-                recovery_ms: json_num_field(line, "recovery_ms"),
-            })
+impl ArtifactRow {
+    /// The value of metric `name`, if the row carries it.
+    pub fn metric(&self, name: &str) -> Option<f64> {
+        self.metrics.iter().find(|(n, _)| n == name).map(|m| m.1)
+    }
+}
+
+/// Reads back an artifact written by [`to_artifact`]. Every line must be
+/// one the writer writes: a row starts with its `"series"` and `"x"`, and
+/// every number in it is finite. An error names the first line that is
+/// not.
+pub fn parse_artifact(text: &str) -> Result<Vec<ArtifactRow>, String> {
+    let mut rows = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if matches!(line, "{" | "}" | "]" | "\"rows\": [") || line.starts_with("\"experiment\": \"")
+        {
+            continue;
+        }
+        rows.push(parse_row(line).ok_or_else(|| format!("line {}: not an artifact row", i + 1))?);
+    }
+    Ok(rows)
+}
+
+/// One `{"series": "S", "x": X, "metric": V, ...}` line.
+fn parse_row(line: &str) -> Option<ArtifactRow> {
+    let number = |v: &str| v.parse::<f64>().ok().filter(|v| v.is_finite());
+    let body = line.strip_suffix(',').unwrap_or(line);
+    let mut fields = body.strip_prefix('{')?.strip_suffix('}')?.split(", ");
+    let series = fields
+        .next()?
+        .strip_prefix("\"series\": \"")?
+        .strip_suffix('"')?;
+    let x = number(fields.next()?.strip_prefix("\"x\": ")?)?;
+    let metrics = fields
+        .map(|field| {
+            let (key, value) = field.split_once(": ")?;
+            let key = key.strip_prefix('"')?.strip_suffix('"')?;
+            Some((key.to_string(), number(value)?))
         })
-        .collect()
+        .collect::<Option<Vec<_>>>()?;
+    Some(ArtifactRow {
+        series: series.to_string(),
+        x,
+        metrics,
+    })
+}
+
+/// Where a gate's bound lies, and so which direction is better.
+#[derive(Clone, Copy, Debug)]
+pub enum Bound {
+    /// Higher is better: the best row must reach at least this.
+    Floor(f64),
+    /// Lower is better: the best row may reach at most this.
+    Ceiling(f64),
+}
+
+/// How far a row may fall behind its baseline row, in the worse direction.
+#[derive(Clone, Copy, Debug)]
+pub enum Tolerance {
+    /// This share of the baseline value (0.2 allows a 20% loss).
+    Loss(f64),
+    /// This much of the metric itself (0.08 of a fraction is 8 points).
+    Slack(f64),
+}
+
+/// A bound on how much `metric` may grow from x = `from` to x = `to`, in
+/// every series that carries it.
+#[derive(Clone, Copy, Debug)]
+pub struct Growth {
+    /// The metric bounded.
+    pub metric: &'static str,
+    /// The smaller sweep point.
+    pub from: f64,
+    /// The larger sweep point.
+    pub to: f64,
+    /// The largest allowed value at `to` over the value at `from`.
+    pub max: f64,
+}
+
+/// One gated experiment: what a run's rows must show, alone and against
+/// the experiment's committed baseline (`crates/bench/baselines`). A gate
+/// reads only the rows that carry its metric. Every gated metric is a
+/// ratio of two times measured on one machine, or of simulated times, so
+/// it compares across machines where raw milliseconds do not.
+#[derive(Clone, Copy, Debug)]
+pub struct Gate {
+    /// The experiment, as `report` names it.
+    pub experiment: &'static str,
+    /// The metric gated.
+    pub metric: &'static str,
+    /// The sweep's largest x, where the best row must meet `bound`.
+    pub x: f64,
+    /// What x counts, for messages.
+    pub x_name: &'static str,
+    /// The bound on the best row at `x`.
+    pub bound: Bound,
+    /// The least baseline value that is gated: rows near 1.0x jitter too
+    /// much to gate.
+    pub gated_from: f64,
+    /// How far a row may fall behind its baseline row.
+    pub tolerance: Tolerance,
+    /// E14's one extra check.
+    pub growth: Option<Growth>,
+}
+
+/// Every gated experiment, with the bounds CI enforces.
+pub const GATES: &[Gate] = &[
+    // the paper's headline: two orders of magnitude over naive
+    // evaluation; simulated time, so the baseline is exact
+    Gate {
+        experiment: "e1",
+        metric: "vs_naive",
+        x: 400.0,
+        x_name: "hotels",
+        bound: Bound::Floor(100.0),
+        gated_from: 2.0,
+        tolerance: Tolerance::Loss(0.2),
+        growth: None,
+    },
+    // detection 8x the document may cost at most 12x the time
+    Gate {
+        experiment: "e14",
+        metric: "speedup",
+        x: 4000.0,
+        x_name: "hotels",
+        bound: Bound::Floor(5.0),
+        gated_from: 2.0,
+        tolerance: Tolerance::Loss(0.2),
+        growth: Some(Growth {
+            metric: "detect_ms",
+            from: 50.0,
+            to: 400.0,
+            max: 12.0,
+        }),
+    },
+    // qps over 1 worker: wait overlap, independent of the core count
+    Gate {
+        experiment: "e15",
+        metric: "scaling",
+        x: 8.0,
+        x_name: "workers",
+        bound: Bound::Floor(3.0),
+        gated_from: 1.5,
+        tolerance: Tolerance::Loss(0.2),
+        growth: None,
+    },
+    // both sides of the ratio are tens of milliseconds, so it jitters
+    // more than E14's and E15's
+    Gate {
+        experiment: "e16",
+        metric: "cpu_ratio",
+        x: 400.0,
+        x_name: "hotels",
+        bound: Bound::Floor(3.0),
+        gated_from: 2.0,
+        tolerance: Tolerance::Loss(0.4),
+        growth: None,
+    },
+    // cached fetches are sub-microsecond, so the ratio jitters like E16's
+    Gate {
+        experiment: "e17",
+        metric: "amortization",
+        x: 64.0,
+        x_name: "sessions",
+        bound: Bound::Floor(5.0),
+        gated_from: 2.0,
+        tolerance: Tolerance::Loss(0.4),
+        growth: None,
+    },
+    // the overhead is near zero, so a share of it means nothing: every
+    // baseline row is gated with an absolute slack
+    Gate {
+        experiment: "e18",
+        metric: "overhead",
+        x: 8.0,
+        x_name: "sessions",
+        bound: Bound::Ceiling(0.10),
+        gated_from: f64::NEG_INFINITY,
+        tolerance: Tolerance::Slack(0.08),
+        growth: None,
+    },
+];
+
+/// The gate of `experiment`, if it has one.
+pub fn gate(experiment: &str) -> Option<&'static Gate> {
+    GATES.iter().find(|g| g.experiment == experiment)
+}
+
+impl Gate {
+    /// The artifact's file name, `BENCH_<E>.json`.
+    pub fn artifact_name(&self) -> String {
+        format!("BENCH_{}.json", self.experiment.to_uppercase())
+    }
+
+    /// The committed baseline, found from this crate's directory.
+    pub fn baseline_path(&self) -> std::path::PathBuf {
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("baselines")
+            .join(self.artifact_name())
+    }
+
+    /// The worst value a row whose baseline value is `base` may take.
+    pub fn limit(&self, base: f64) -> f64 {
+        let allowed = match self.tolerance {
+            Tolerance::Loss(share) => base * share,
+            Tolerance::Slack(amount) => amount,
+        };
+        match self.bound {
+            Bound::Floor(_) => base - allowed,
+            Bound::Ceiling(_) => base + allowed,
+        }
+    }
+
+    /// Whether `a` is worse than `b` in this gate's direction.
+    fn worse(&self, a: f64, b: f64) -> bool {
+        match self.bound {
+            Bound::Floor(_) => a < b,
+            Bound::Ceiling(_) => a > b,
+        }
+    }
+
+    /// Checks one run's rows: the best row at `x` against the bound, the
+    /// growth bound if there is one, and every baseline row of at least
+    /// `gated_from` against the run's row of the same series and x (a row
+    /// the sweep no longer has is skipped). A check with no row to read
+    /// fails. Returns what passed, or every failure.
+    pub fn check(&self, rows: &[Row], baseline: &[ArtifactRow]) -> Result<String, String> {
+        let (metric, x, unit) = (self.metric, self.x, self.x_name);
+        let (mut passed, mut failed) = (Vec::new(), Vec::new());
+
+        let best = rows
+            .iter()
+            .filter(|r| r.x == x)
+            .filter_map(|r| Some((r.metric(metric)?, r.label.as_str())))
+            .reduce(|best, r| if self.worse(best.0, r.0) { r } else { best });
+        match best {
+            None => failed.push(format!("no row carries {metric} at {x} {unit}")),
+            Some((got, series)) => {
+                let (bound, side) = match self.bound {
+                    Bound::Floor(min) => (min, "floor"),
+                    Bound::Ceiling(max) => (max, "ceiling"),
+                };
+                let what = format!("best {metric} {got:.3} ({series} at {x} {unit})");
+                if self.worse(got, bound) {
+                    failed.push(format!("{what} is past the {side} {bound}"));
+                } else {
+                    passed.push(format!("{what}, {side} {bound}"));
+                }
+            }
+        }
+
+        if let Some(Growth {
+            metric,
+            from,
+            to,
+            max,
+        }) = self.growth
+        {
+            let series: BTreeSet<&str> = rows
+                .iter()
+                .filter(|r| r.metric(metric).is_some())
+                .map(|r| r.label.as_str())
+                .collect();
+            if series.is_empty() {
+                failed.push(format!("no row carries {metric}"));
+            }
+            for s in series {
+                let at = |x: f64| {
+                    rows.iter()
+                        .find(|r| r.label == s && r.x == x)
+                        .and_then(|r| r.metric(metric))
+                };
+                let (Some(small), Some(large)) = (at(from), at(to)) else {
+                    failed.push(format!("{s} has no {metric} at {from} and {to} {unit}"));
+                    continue;
+                };
+                let growth = large / small.max(1e-9);
+                let what = format!("{s} {metric} grows {growth:.1}x from {from} to {to} {unit}");
+                if growth > max {
+                    failed.push(format!("{what}, past the bound {max}x"));
+                } else {
+                    passed.push(format!("{what}, bound {max}x"));
+                }
+            }
+        }
+
+        let mut regressed = Vec::new();
+        if !baseline
+            .iter()
+            .any(|b| b.x == x && b.metric(metric).is_some())
+        {
+            regressed.push(format!(
+                "the baseline has no row carrying {metric} at {x} {unit}"
+            ));
+        }
+        for b in baseline {
+            let Some(base) = b.metric(metric).filter(|&v| v >= self.gated_from) else {
+                continue;
+            };
+            let Some(got) = rows
+                .iter()
+                .find(|r| r.label == b.series && r.x == b.x)
+                .and_then(|r| r.metric(metric))
+            else {
+                continue;
+            };
+            let limit = self.limit(base);
+            if self.worse(got, limit) {
+                regressed.push(format!(
+                    "regression: {} at {} {unit} reads {metric} {got:.3}, baseline {base:.3}, \
+                     limit {limit:.3}",
+                    b.series, b.x
+                ));
+            }
+        }
+        if regressed.is_empty() {
+            passed.push(match self.tolerance {
+                Tolerance::Loss(share) => format!("within {}% of the baseline", share * 100.0),
+                Tolerance::Slack(amount) => format!("within {amount} of the baseline"),
+            });
+        }
+        failed.extend(regressed);
+        if failed.is_empty() {
+            Ok(passed.join("; "))
+        } else {
+            Err(failed.join("; "))
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn e14() -> &'static Gate {
+        gate("e14").expect("E14 is gated")
+    }
 
     /// A `/detect` row.
     fn detect(series: &str, hotels: f64, detect_ms: f64, speedup: f64) -> Row {
@@ -2129,16 +2129,21 @@ mod tests {
         rows
     }
 
+    /// `rows` written out and read back, as a committed baseline.
+    fn baseline_of(experiment: &str, rows: &[Row]) -> Vec<ArtifactRow> {
+        parse_artifact(&to_artifact(experiment, rows)).expect("an artifact parses")
+    }
+
     #[test]
     fn e14_gate_passes_conforming_rows() {
         let rows = conforming();
-        let baseline = e14_parse_json(&e14_to_json(&rows));
-        let ok = e14_gate(&rows, Some(5.0), Some(&baseline));
+        let ok = e14().check(&rows, &baseline_of("e14", &rows));
         assert!(ok.is_ok(), "{ok:?}");
     }
 
     #[test]
     fn e14_gate_fails_a_whole_document_detector() {
+        let baseline = baseline_of("e14", &conforming());
         let rows: Vec<Row> = conforming()
             .into_iter()
             .map(|mut r| {
@@ -2150,17 +2155,18 @@ mod tests {
                 r
             })
             .collect();
-        let err = e14_gate(&rows, Some(5.0), None).unwrap_err();
-        assert!(err.contains("floor") && err.contains("1.00x"), "{err}");
+        let err = e14().check(&rows, &baseline).unwrap_err();
+        assert!(err.contains("floor") && err.contains("1.000"), "{err}");
     }
 
     #[test]
     fn e14_gate_fails_growth_over_the_bound() {
         let mut rows = conforming();
+        let baseline = baseline_of("e14", &rows);
         // 64x the time at 8x the document
         rows.retain(|r| !(r.label == "descendant/detect" && r.x == 400.0));
         rows.push(detect("descendant", 400.0, 32.0, 12.0));
-        let err = e14_gate(&rows, None, None).unwrap_err();
+        let err = e14().check(&rows, &baseline).unwrap_err();
         assert!(
             err.contains("descendant/detect") && err.contains("64.0x"),
             "{err}"
@@ -2169,38 +2175,193 @@ mod tests {
 
     #[test]
     fn e14_gate_fails_missing_rows() {
+        let baseline = baseline_of("e14", &conforming());
         let nfqa = Row {
             label: "figure4/nfqa".into(),
-            x: 400.0,
+            x: 4000.0,
             metrics: vec![("cpu_ms", 1.0), ("analysis_ms", 0.5)],
         };
-        assert!(e14_gate(&[nfqa], Some(5.0), None).is_err());
+        assert!(e14().check(&[nfqa], &baseline).is_err());
         let mut rows = conforming();
         rows.retain(|r| r.x != 50.0);
-        assert!(e14_gate(&rows, Some(5.0), None).is_err());
+        let err = e14().check(&rows, &baseline).unwrap_err();
+        assert!(err.contains("no detect_ms at 50"), "{err}");
     }
 
     #[test]
     fn e14_gate_fails_a_baseline_regression() {
         let rows = conforming();
-        let mut baseline = e14_parse_json(&e14_to_json(&rows));
+        let mut baseline = baseline_of("e14", &rows);
         for b in &mut baseline {
-            b.speedup *= 2.0;
+            for m in &mut b.metrics {
+                if m.0 == "speedup" {
+                    m.1 *= 2.0;
+                }
+            }
         }
-        let err = e14_gate(&rows, None, Some(&baseline)).unwrap_err();
+        let err = e14().check(&rows, &baseline).unwrap_err();
         assert!(err.contains("regression"), "{err}");
     }
 
     #[test]
     fn e14_json_round_trips_the_detect_rows() {
         let rows = conforming();
-        let parsed = e14_parse_json(&e14_to_json(&rows));
+        let parsed = baseline_of("e14", &rows);
         assert_eq!(parsed.len(), rows.len());
         for (r, e) in rows.iter().zip(&parsed) {
             assert_eq!(e.series, r.label);
-            assert_eq!(e.hotels, r.x);
-            assert_eq!(e.detect_ms, r.metrics[0].1);
-            assert_eq!(e.speedup, r.metrics[3].1);
+            assert_eq!(e.x, r.x);
+            let names: Vec<&str> = e.metrics.iter().map(|m| m.0.as_str()).collect();
+            let want: Vec<&str> = r.metrics.iter().map(|m| m.0).collect();
+            assert_eq!(names, want);
+            assert_eq!(e.metric("detect_ms"), r.metric("detect_ms"));
+            assert_eq!(e.metric("speedup"), r.metric("speedup"));
+        }
+    }
+
+    /// A value that passes `gate`'s bound, and one just past it.
+    fn passing_and_failing(gate: &Gate) -> (f64, f64) {
+        match gate.bound {
+            Bound::Floor(min) => (min * 2.0, min * (1.0 - 1e-9)),
+            Bound::Ceiling(max) => (max / 2.0, max * (1.0 + 1e-9)),
+        }
+    }
+
+    /// One series of rows for `gate`: `at_x` at the gate's x and `mid` at
+    /// a smaller sweep point, with the growth metric, if any, flat at
+    /// every growth point.
+    fn sweep(gate: &Gate, at_x: f64, mid: f64) -> Vec<Row> {
+        let mut xs = vec![(gate.x / 2.0, mid), (gate.x, at_x)];
+        if let Some(g) = gate.growth {
+            xs.extend([(g.from, mid), (g.to, mid)]);
+        }
+        xs.into_iter()
+            .map(|(x, v)| {
+                let mut metrics = vec![(gate.metric, v)];
+                if let Some(g) = gate.growth {
+                    metrics.push((g.metric, 1.0));
+                }
+                Row {
+                    label: "s".into(),
+                    x,
+                    metrics,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_gate_passes_a_conforming_sweep_and_fails_past_its_bound() {
+        for gate in GATES {
+            let (pass, fail) = passing_and_failing(gate);
+            let mut rows = sweep(gate, pass, pass);
+            // the best row at x decides, so a second series past the
+            // bound does not fail the gate
+            let mut other = rows.iter().find(|r| r.x == gate.x).unwrap().clone();
+            other.label = "t".into();
+            other.metrics = vec![(gate.metric, fail)];
+            rows.push(other);
+            let baseline = baseline_of(gate.experiment, &rows);
+            let ok = gate.check(&rows, &baseline);
+            assert!(ok.is_ok(), "{}: {ok:?}", gate.experiment);
+            let err = gate.check(&sweep(gate, fail, pass), &baseline).unwrap_err();
+            assert!(err.contains("past the"), "{}: {err}", gate.experiment);
+        }
+    }
+
+    #[test]
+    fn every_gate_allows_exactly_its_tolerance() {
+        for gate in GATES {
+            let (pass, _) = passing_and_failing(gate);
+            // a baseline value every gate gates, away from the bound's x
+            let base = 10.0;
+            let baseline = baseline_of(gate.experiment, &sweep(gate, pass, base));
+            let limit = gate.limit(base);
+            let at = gate.check(&sweep(gate, pass, limit), &baseline);
+            assert!(at.is_ok(), "{}: {at:?}", gate.experiment);
+            let step = 1e-9 * base;
+            let past = if gate.worse(limit - step, limit) {
+                limit - step
+            } else {
+                limit + step
+            };
+            let err = gate.check(&sweep(gate, pass, past), &baseline).unwrap_err();
+            assert!(err.contains("regression"), "{}: {err}", gate.experiment);
+        }
+    }
+
+    #[test]
+    fn every_gate_skips_baseline_rows_under_its_gated_floor() {
+        for gate in GATES.iter().filter(|g| g.gated_from.is_finite()) {
+            let (pass, _) = passing_and_failing(gate);
+            // the artifact keeps four decimals
+            let base = gate.gated_from - 1e-4;
+            let baseline = baseline_of(gate.experiment, &sweep(gate, pass, base));
+            let ok = gate.check(&sweep(gate, pass, 0.0), &baseline);
+            assert!(ok.is_ok(), "{}: {ok:?}", gate.experiment);
+        }
+    }
+
+    #[test]
+    fn every_gate_fails_without_its_largest_x_row() {
+        for gate in GATES {
+            let (pass, _) = passing_and_failing(gate);
+            let mut rows = sweep(gate, pass, pass);
+            let baseline = baseline_of(gate.experiment, &rows);
+            rows.retain(|r| r.x != gate.x);
+            let err = gate.check(&rows, &baseline).unwrap_err();
+            assert!(err.contains("no row carries"), "{}: {err}", gate.experiment);
+            // a baseline without that row gates nothing, so it fails too
+            let full = sweep(gate, pass, pass);
+            let err = gate.check(&full, &baseline_of(gate.experiment, &rows));
+            assert!(err.is_err(), "{}", gate.experiment);
+        }
+    }
+
+    #[test]
+    fn every_committed_baseline_parses_and_carries_its_metric() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines");
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .expect("the baselines directory")
+            .map(|e| {
+                e.expect("a directory entry")
+                    .file_name()
+                    .into_string()
+                    .unwrap()
+            })
+            .collect();
+        files.sort();
+        let mut gated: Vec<String> = GATES.iter().map(Gate::artifact_name).collect();
+        gated.sort();
+        assert_eq!(files, gated, "one committed baseline per gate");
+        for gate in GATES {
+            let text = std::fs::read_to_string(gate.baseline_path()).unwrap();
+            let rows = parse_artifact(&text).unwrap_or_else(|e| panic!("{}: {e}", gate.experiment));
+            assert!(
+                rows.iter()
+                    .any(|r| r.x == gate.x && r.metric(gate.metric).is_some()),
+                "{} has no {} row at {}",
+                gate.artifact_name(),
+                gate.metric,
+                gate.x
+            );
+        }
+    }
+
+    #[test]
+    fn the_artifact_parser_rejects_what_the_writer_never_writes() {
+        let good = "    {\"series\": \"s\", \"x\": 8, \"scaling\": 7.8853},";
+        assert!(parse_artifact(good).is_ok());
+        for bad in [
+            "    {\"series\": \"s\", \"workers\": 8, \"scaling\": 7.8853},",
+            "    {\"series\": \"s\", \"x\": 8, \"scaling\": 7.88.53},",
+            "    {\"series\": \"s\", \"x\": 8, \"scaling\": inf},",
+            "    {\"series\": \"s\", \"x\": 8, scaling: 7.8853},",
+            "    \"series\": \"s\", \"x\": 8",
+            "  \"rows\": {",
+        ] {
+            let err = parse_artifact(&format!("{{\n{bad}\n}}\n")).unwrap_err();
+            assert!(err.starts_with("line 2"), "{bad}: {err}");
         }
     }
 }

@@ -295,13 +295,13 @@ fn concurrent_persistent_publications_are_not_lost() {
 /// well-formed even while other sessions emit in parallel into theirs.
 #[test]
 fn per_session_trace_streams_stay_well_formed_under_concurrency() {
-    use axml_obs::PerSessionSinks;
+    use axml_obs::{RingSink, TraceSink};
 
     let (doc, registry, alphabet) = world(11, 60, 0.3);
     let specs = session_mix(23, alphabet, 4, 0);
     let store = fresh_store(&doc, 4, f64::INFINITY);
-    let sinks = PerSessionSinks::new(specs.len());
-    let handles = sinks.handles();
+    let sinks: Vec<RingSink> = specs.iter().map(|_| RingSink::unbounded()).collect();
+    let handles: Vec<&dyn TraceSink> = sinks.iter().map(|r| r as &dyn TraceSink).collect();
     let report = store.serve(
         &specs,
         &registry,
@@ -310,8 +310,8 @@ fn per_session_trace_streams_stay_well_formed_under_concurrency() {
         Some(&handles),
     );
     assert_eq!(report.total_queries, 12);
-    for i in 0..specs.len() {
-        let events = sinks.events(i);
+    for (i, sink) in sinks.iter().enumerate() {
+        let events = sink.events();
         assert!(
             !events.is_empty(),
             "session {i} produced no events with observe on"

@@ -1,8 +1,8 @@
 //! JSONL encoding of event streams — hand-rolled (the workspace takes no
 //! external dependencies) and **deterministic**: field order is fixed,
 //! floats print Rust's shortest round-trip representation, and the
-//! wall-clock-dependent `cpu_ms` field is omitted unless explicitly
-//! requested, so two runs with the same seed serialize byte-identically.
+//! wall-clock-dependent `cpu_ms` field is never written, so two runs with
+//! the same seed serialize byte-identically.
 
 use crate::event::{CacheOutcome, Event, EventKind, ShedReason};
 use std::fmt::Write as _;
@@ -48,20 +48,13 @@ fn push_f64_slice(out: &mut String, vs: &[f64]) {
     out.push(']');
 }
 
-/// Encodes one event as a single JSON object (no trailing newline).
-/// `include_cpu` adds the wall-clock `cpu_ms` field, breaking run-to-run
-/// byte identity — keep it off for goldens and determinism checks.
-pub fn event_to_json(e: &Event, include_cpu: bool) -> String {
+/// Encodes one event as a single JSON object (no trailing newline),
+/// without its wall-clock `cpu_ms`.
+pub fn event_to_json(e: &Event) -> String {
     let mut s = String::with_capacity(128);
     let _ = write!(s, "{{\"seq\":{},\"sim_ms\":", e.seq);
     push_f64(&mut s, e.sim_ms);
     let _ = write!(s, ",\"round\":{},\"layer\":{}", e.round, e.layer);
-    if include_cpu {
-        if let Some(cpu) = e.cpu_ms {
-            s.push_str(",\"cpu_ms\":");
-            push_f64(&mut s, cpu);
-        }
-    }
     s.push_str(",\"kind\":");
     push_escaped(&mut s, e.kind.name());
     match &e.kind {
@@ -276,7 +269,7 @@ pub fn event_to_json(e: &Event, include_cpu: bool) -> String {
 pub fn to_jsonl(events: &[Event]) -> String {
     let mut out = String::new();
     for e in events {
-        out.push_str(&event_to_json(e, false));
+        out.push_str(&event_to_json(e));
         out.push('\n');
     }
     out
@@ -728,7 +721,7 @@ pub fn event_from_json(line: &str) -> Result<Event, String> {
         sim_ms: req_num(&v, "sim_ms")?,
         round: req_usize(&v, "round")?,
         layer: req_usize(&v, "layer")?,
-        cpu_ms: v.get("cpu_ms").and_then(Value::num),
+        cpu_ms: None,
         kind,
     })
 }
@@ -952,15 +945,6 @@ mod tests {
     }
 
     #[test]
-    fn cpu_field_roundtrips_when_requested() {
-        let e = &sample()[4];
-        let line = event_to_json(e, true);
-        assert!(line.contains("\"cpu_ms\":1.25"), "{line}");
-        let back = event_from_json(&line).unwrap();
-        assert_eq!(back.cpu_ms, Some(1.25));
-    }
-
-    #[test]
     fn parse_errors_carry_line_numbers() {
         let err = parse_jsonl("{\"seq\":0}\nnot json\n").unwrap_err();
         assert_eq!(err.line, 1); // first line is missing fields already
@@ -985,7 +969,7 @@ mod tests {
                 query: nasty.into(),
             },
         };
-        let back = event_from_json(&event_to_json(&e, false)).unwrap();
+        let back = event_from_json(&event_to_json(&e)).unwrap();
         assert_eq!(back, e);
     }
 }

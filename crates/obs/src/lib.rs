@@ -35,4 +35,4 @@ pub use check::{
 pub use event::{CacheOutcome, Event, EventKind, ShedReason};
 pub use json::{event_from_json, event_to_json, parse_jsonl, to_jsonl, ParseError};
 pub use metrics::{aggregate, Histogram, LayerMetrics, MetricsReport, ServiceMetrics};
-pub use sink::{PerSessionSinks, RingSink, TraceSink};
+pub use sink::{RingSink, TraceSink};

@@ -49,42 +49,3 @@ impl TraceSink for RingSink {
         self.events.lock().unwrap().push(event.clone());
     }
 }
-
-/// One unbounded [`RingSink`] per session, for harnesses that run N
-/// sessions concurrently and want each session's event stream isolated —
-/// the trace oracle checks each stream on its own, since ordering *across*
-/// sessions is scheduler-dependent while each per-session stream stays
-/// deterministic.
-pub struct PerSessionSinks {
-    rings: Vec<RingSink>,
-}
-
-impl PerSessionSinks {
-    /// `n` empty unbounded rings.
-    pub fn new(n: usize) -> Self {
-        PerSessionSinks {
-            rings: (0..n).map(|_| RingSink::unbounded()).collect(),
-        }
-    }
-
-    /// Borrows the rings as trace-sink handles, index-aligned with the
-    /// sessions they observe (pass as the scheduler's `sinks` slice).
-    pub fn handles(&self) -> Vec<&dyn TraceSink> {
-        self.rings.iter().map(|r| r as &dyn TraceSink).collect()
-    }
-
-    /// Session `i`'s retained events, oldest first.
-    pub fn events(&self, i: usize) -> Vec<Event> {
-        self.rings[i].events()
-    }
-
-    /// Number of per-session streams.
-    pub fn len(&self) -> usize {
-        self.rings.len()
-    }
-
-    /// Whether no streams were allocated.
-    pub fn is_empty(&self) -> bool {
-        self.rings.is_empty()
-    }
-}

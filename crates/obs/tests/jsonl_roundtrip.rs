@@ -214,7 +214,7 @@ fn events_from(seed: u64) -> Vec<Event> {
 fn assert_events_equal(a: &[Event], b: &[Event]) {
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(b) {
-        assert_eq!(event_to_json(x, false), event_to_json(y, false));
+        assert_eq!(event_to_json(x), event_to_json(y));
     }
 }
 
@@ -259,9 +259,9 @@ proptest! {
 
         // Line-level round-trip.
         for e in &events {
-            let line = event_to_json(e, false);
+            let line = event_to_json(e);
             let back = event_from_json(&line).expect("line parses");
-            assert_eq!(event_to_json(&back, false), line, "re-encode must be identical");
+            assert_eq!(event_to_json(&back), line, "re-encode must be identical");
         }
 
         // Stream-level round-trip.

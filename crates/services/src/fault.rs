@@ -16,9 +16,6 @@
 //! multiplies the transfer cost, and retry backoff burns simulated idle
 //! time. Nothing here consumes wall-clock time.
 
-use crate::service::{CallRequest, Service};
-use axml_xml::Forest;
-
 /// The fate of one attempt of one call, drawn from a [`FaultProfile`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultDecision {
@@ -269,39 +266,6 @@ pub struct BreakerState {
     pub trips: usize,
 }
 
-/// Wraps any service with an attached fault profile; the registry applies
-/// the profile whenever no explicit per-service or default profile is
-/// configured for the call.
-pub struct FlakyService<S> {
-    inner: S,
-    profile: FaultProfile,
-}
-
-impl<S: Service> FlakyService<S> {
-    /// Attach `profile` to `inner`.
-    pub fn new(inner: S, profile: FaultProfile) -> Self {
-        FlakyService { inner, profile }
-    }
-}
-
-impl<S: Service> Service for FlakyService<S> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn invoke(&self, req: &CallRequest) -> Forest {
-        self.inner.invoke(req)
-    }
-
-    fn supports_push(&self) -> bool {
-        self.inner.supports_push()
-    }
-
-    fn fault_profile(&self) -> Option<&FaultProfile> {
-        Some(&self.profile)
-    }
-}
-
 const SALT_FLAKY: u64 = 0xf1ab_f1ab_f1ab_f1ab;
 const SALT_TIMEOUT: u64 = 0x7134_e007_7134_e007;
 const SALT_SLOW: u64 = 0x510d_0000_510d_0000;
@@ -410,15 +374,5 @@ mod tests {
         assert_eq!(p.backoff_within(2, 100.0), 100.0);
         assert_eq!(p.backoff_within(0, 0.0), 0.0);
         assert_eq!(p.backoff_within(0, -5.0), 0.0);
-    }
-
-    #[test]
-    fn flaky_service_delegates_and_exposes_profile() {
-        use crate::service::StaticService;
-        let inner = StaticService::new("s", Forest::new());
-        let flaky = FlakyService::new(inner, FaultProfile::permanent(3));
-        assert_eq!(flaky.name(), "s");
-        assert!(flaky.supports_push());
-        assert_eq!(flaky.fault_profile(), Some(&FaultProfile::permanent(3)));
     }
 }

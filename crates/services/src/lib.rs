@@ -26,9 +26,7 @@ pub mod service;
 pub mod worldfile;
 
 pub use cache::{CacheLookup, CachedCall, CallKey, InvokeCache};
-pub use fault::{
-    BreakerConfig, BreakerState, FaultDecision, FaultProfile, FlakyService, RetryPolicy,
-};
+pub use fault::{BreakerConfig, BreakerState, FaultDecision, FaultProfile, RetryPolicy};
 pub use net::{Deadline, NetProfile, NetStats, SimClock};
 pub use push::{bindings_result, prune_result};
 pub use registry::{FailedCall, InvokeError, InvokeOutcome, Registry, ServiceError};

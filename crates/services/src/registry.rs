@@ -242,19 +242,12 @@ impl Registry {
     }
 
     /// The fault schedule governing calls to `name`, if any: an explicit
-    /// per-service profile wins, then the registry default, then a
-    /// profile attached to the service itself (see
-    /// [`crate::fault::FlakyService`]).
+    /// per-service profile wins, then the registry default.
     pub fn fault_profile_for(&self, name: &str) -> Option<FaultProfile> {
         self.fault_profiles
             .get(name)
             .copied()
             .or(self.default_fault)
-            .or_else(|| {
-                self.services
-                    .get(name)
-                    .and_then(|s| s.fault_profile().copied())
-            })
     }
 
     /// Invokes a service with the given parameters and optional pushed
@@ -773,24 +766,6 @@ mod tests {
         };
         assert!(failed.timed_out);
         assert!((failed.cost_ms - 300.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn flaky_service_profile_applies_when_nothing_configured() {
-        let mut r = Registry::new();
-        r.register(crate::fault::FlakyService::new(
-            StaticService::new("s", axml_xml::parse("<a/>").unwrap()),
-            FaultProfile::permanent(5),
-        ));
-        r.set_retry_policy(RetryPolicy::none());
-        assert!(r
-            .invoke_within("s", Forest::new(), None, f64::INFINITY)
-            .is_err());
-        // an explicit per-service profile overrides the attached one
-        r.set_fault_profile("s", FaultProfile::none());
-        assert!(r
-            .invoke_within("s", Forest::new(), None, f64::INFINITY)
-            .is_ok());
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! the part useful to the query is returned. The actual pushing logic lives
 //! in [`crate::registry::Registry`], which plays the provider's side.
 
-use crate::fault::FaultProfile;
 use axml_query::Pattern;
 use axml_xml::Forest;
 
@@ -41,13 +40,6 @@ pub trait Service: Send + Sync {
     /// literature; incapable providers receive plain calls).
     fn supports_push(&self) -> bool {
         true
-    }
-
-    /// A fault schedule carried by the service itself (see
-    /// [`crate::fault::FlakyService`]). The registry consults it only when
-    /// no explicit per-service or default profile is configured.
-    fn fault_profile(&self) -> Option<&FaultProfile> {
-        None
     }
 }
 
