@@ -219,7 +219,7 @@ fn main() {
     }
     if want("e15") {
         let rows = ex::e15_concurrent(&[1, 2, 4, 8], 16, 4);
-        let title = "E15 — multi-tenant serving throughput (work-stealing session pool)";
+        let title = "E15 — multi-tenant serving throughput (session worker pool)";
         show("e15", title, "workers", &rows);
         gate("e15", &rows);
     }

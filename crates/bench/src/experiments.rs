@@ -1036,7 +1036,7 @@ const E15_PASSES: usize = 20;
 
 /// E15 — multi-tenant serving throughput: N sessions, each a stream of
 /// queries over its *own* stored document, scheduled onto the store's
-/// work-stealing worker pool, swept over pool sizes.
+/// worker pool, swept over pool sizes.
 ///
 /// Every call is backed by a service that really sleeps (wall-clock, not
 /// simulated) — the serving regime the scheduler exists for, where query
@@ -1276,6 +1276,124 @@ pub fn e13_hedging_deadlines(triggers_ms: &[f64], deadlines_ms: &[f64]) -> Vec<R
     rows
 }
 
+/// What one E16 pass measured at one document size.
+struct E16Pass {
+    versions: usize,
+    deltas: usize,
+    deltas_per_sec: f64,
+    delta_cpu_ms: f64,
+    full_cpu_ms: f64,
+    latencies: Vec<f64>,
+}
+
+/// One E16 pass at one document size: a fresh store and engine,
+/// `run_until`, the full re-evaluation baseline, and the replay oracle.
+fn e16_pass(hotels: usize, horizon_ms: f64) -> E16Pass {
+    use axml_gen::feeds::{price_feed, PriceFeedParams};
+    use axml_store::{CacheConfig, DocumentStore};
+    use axml_sub::{replay, Delta, SubscriptionEngine, SubscriptionOptions};
+    use axml_xml::CatchUp;
+    use std::time::Instant;
+
+    let feed = price_feed(&PriceFeedParams {
+        hotels,
+        volatile_stride: 2,
+    });
+    let mut config = CacheConfig::with_ttl_ms(f64::INFINITY);
+    for (service, ttl) in &feed.ttls {
+        config = config.ttl_for(service.clone(), *ttl);
+    }
+    let mut store = DocumentStore::with_cache_config(config);
+    store.insert("feed", feed.doc.clone());
+    let mut engine = SubscriptionEngine::over_store(
+        &store,
+        "feed",
+        &feed.registry,
+        None,
+        SubscriptionOptions {
+            history_capacity: 1 << 16,
+            ..SubscriptionOptions::default()
+        },
+    )
+    .expect("feed document");
+    let mut initials: Vec<(String, BTreeSet<Vec<String>>)> = Vec::new();
+    for (name, query) in &feed.watchers {
+        initials.push((name.clone(), engine.subscribe(name.clone(), query.clone())));
+    }
+
+    let wall0 = Instant::now();
+    let deltas = engine.run_until(horizon_ms);
+    let wall_s = wall0.elapsed().as_secs_f64();
+    let delta_cpu_ms = engine.stats().reconcile_cpu_ms;
+
+    // the baseline: every watcher fully re-evaluated at every
+    // published version (records are materialized, so this is pure
+    // CPU — no calls left to invoke in any watcher's scope)
+    let doc = store.versioned("feed").expect("feed document");
+    let records = match doc.publications_since(0) {
+        CatchUp::Records(records) => records,
+        CatchUp::Degraded(_) => unreachable!("history sized for the horizon"),
+    };
+    let full0 = Instant::now();
+    let mut full_answers: Vec<Vec<BTreeSet<Vec<String>>>> = Vec::new();
+    for record in &records {
+        let mut at_version = Vec::new();
+        for (_, query) in &feed.watchers {
+            let mut working = (*record.doc).clone();
+            let report =
+                Engine::new(&feed.registry, EngineConfig::default()).evaluate(&mut working, query);
+            at_version.push(
+                axml_query::render_result(&working, &report.result)
+                    .into_iter()
+                    .collect::<BTreeSet<Vec<String>>>(),
+            );
+        }
+        full_answers.push(at_version);
+    }
+    let full_cpu_ms = full0.elapsed().as_secs_f64() * 1000.0;
+
+    // the oracle: replayed deltas == full answers at every version
+    for (w, (name, initial)) in initials.iter().enumerate() {
+        let mine: Vec<Delta> = deltas
+            .iter()
+            .filter(|d| &d.subscription == name)
+            .cloned()
+            .collect();
+        let mut next = 0usize;
+        let mut replayed = initial.clone();
+        for (v, record) in records.iter().enumerate() {
+            let upto: Vec<Delta> = mine[next..]
+                .iter()
+                .take_while(|d| d.version <= record.version)
+                .cloned()
+                .collect();
+            next += upto.len();
+            replayed = replay(&replayed, &upto);
+            assert_eq!(
+                replayed, full_answers[v][w],
+                "E16: {name} diverged from full re-evaluation at version {}",
+                record.version
+            );
+        }
+    }
+
+    let mut latencies: Vec<f64> = deltas.iter().filter_map(|d| d.latency_ms).collect();
+    latencies.sort_by(|a, b| a.total_cmp(b));
+    E16Pass {
+        versions: records.len(),
+        deltas: deltas.len(),
+        deltas_per_sec: deltas.len() as f64 / wall_s.max(1e-9),
+        delta_cpu_ms,
+        full_cpu_ms,
+        latencies,
+    }
+}
+
+/// The passes E16 times each document size over. The whole sweep takes
+/// about 11 s; with the best of 10, the 400-hotel `cpu_ratio` of 21 runs
+/// on a 2-vCPU VM read 3.3–4.3×, and no row left the baseline rule's 40%.
+const E16_PASSES: usize = 10;
+
 /// E16 — continuous subscriptions: delta maintenance vs full
 /// re-evaluation, over the hotel price-watcher feed swept by document
 /// size.
@@ -1296,135 +1414,68 @@ pub fn e13_hedging_deadlines(triggers_ms: &[f64], deadlines_ms: &[f64]) -> Vec<R
 /// Asserted invariant, not just a reported number: per watcher, the
 /// initial answer plus the accumulated deltas replays to exactly the
 /// baseline's full answer at every published version (the E16 run
-/// doubles as the subscription oracle).
+/// doubles as the subscription oracle, on every pass).
+///
+/// Each document size is timed the way E15 times a pool size:
+/// `E16_PASSES` passes each run every size once in turn, a pass being a
+/// fresh store and engine, `run_until` and the full re-evaluation
+/// baseline. A size reports the least `delta_cpu_ms` and the least
+/// `full_cpu_ms` over its passes, so a pass that a busy machine slowed
+/// down only loses.
 ///
 /// Reported per document size: published `versions`, `deltas`,
-/// `deltas_per_sec` (machine-dependent), `delta_cpu_ms` (reconcile),
-/// `full_cpu_ms` (baseline), `cpu_ratio` = full/delta (gated in CI),
-/// and simulated notification latency `p50_ms`/`max_ms` (from TTL lapse
-/// to delta emission; a few dozen deltas per run are too few for a p99
-/// that differs from the maximum).
+/// `deltas_per_sec` (machine-dependent; the best pass), `delta_cpu_ms`
+/// (reconcile), `full_cpu_ms` (baseline), `cpu_ratio` = full/delta (gated
+/// in CI), and simulated notification latency `p50_ms`/`max_ms` (from TTL
+/// lapse to delta emission; a few dozen deltas per run are too few for a
+/// p99 that differs from the maximum).
 pub fn e16_subscriptions(hotel_counts: &[usize], horizon_ms: f64) -> Vec<Row> {
-    use axml_gen::feeds::{price_feed, PriceFeedParams};
-    use axml_store::{CacheConfig, DocumentStore};
-    use axml_sub::{replay, Delta, SubscriptionEngine, SubscriptionOptions};
-    use axml_xml::CatchUp;
-    use std::time::Instant;
-
-    let mut rows = Vec::new();
-    for &hotels in hotel_counts {
-        let feed = price_feed(&PriceFeedParams {
-            hotels,
-            volatile_stride: 2,
-        });
-        let mut config = CacheConfig::with_ttl_ms(f64::INFINITY);
-        for (service, ttl) in &feed.ttls {
-            config = config.ttl_for(service.clone(), *ttl);
+    let mut best: Vec<Option<E16Pass>> = hotel_counts.iter().map(|_| None).collect();
+    for _ in 0..E16_PASSES {
+        for (&hotels, best) in hotel_counts.iter().zip(&mut best) {
+            let pass = e16_pass(hotels, horizon_ms);
+            *best = Some(match best.take() {
+                None => pass,
+                Some(b) => E16Pass {
+                    deltas_per_sec: b.deltas_per_sec.max(pass.deltas_per_sec),
+                    delta_cpu_ms: b.delta_cpu_ms.min(pass.delta_cpu_ms),
+                    full_cpu_ms: b.full_cpu_ms.min(pass.full_cpu_ms),
+                    ..b
+                },
+            });
         }
-        let mut store = DocumentStore::with_cache_config(config);
-        store.insert("feed", feed.doc.clone());
-        let mut engine = SubscriptionEngine::over_store(
-            &store,
-            "feed",
-            &feed.registry,
-            None,
-            SubscriptionOptions {
-                history_capacity: 1 << 16,
-                ..SubscriptionOptions::default()
-            },
-        )
-        .expect("feed document");
-        let mut initials: Vec<(String, BTreeSet<Vec<String>>)> = Vec::new();
-        for (name, query) in &feed.watchers {
-            initials.push((name.clone(), engine.subscribe(name.clone(), query.clone())));
-        }
-
-        let wall0 = Instant::now();
-        let deltas = engine.run_until(horizon_ms);
-        let wall_s = wall0.elapsed().as_secs_f64();
-        let stats = engine.stats().clone();
-        let delta_cpu_ms = stats.reconcile_cpu_ms;
-
-        // the baseline: every watcher fully re-evaluated at every
-        // published version (records are materialized, so this is pure
-        // CPU — no calls left to invoke in any watcher's scope)
-        let doc = store.versioned("feed").expect("feed document");
-        let records = match doc.publications_since(0) {
-            CatchUp::Records(records) => records,
-            CatchUp::Degraded(_) => unreachable!("history sized for the horizon"),
-        };
-        let full0 = Instant::now();
-        let mut full_answers: Vec<Vec<BTreeSet<Vec<String>>>> = Vec::new();
-        for record in &records {
-            let mut at_version = Vec::new();
-            for (_, query) in &feed.watchers {
-                let mut working = (*record.doc).clone();
-                let report = Engine::new(&feed.registry, EngineConfig::default())
-                    .evaluate(&mut working, query);
-                at_version.push(
-                    axml_query::render_result(&working, &report.result)
-                        .into_iter()
-                        .collect::<BTreeSet<Vec<String>>>(),
-                );
-            }
-            full_answers.push(at_version);
-        }
-        let full_cpu_ms = full0.elapsed().as_secs_f64() * 1000.0;
-
-        // the oracle: replayed deltas == full answers at every version
-        for (w, (name, initial)) in initials.iter().enumerate() {
-            let mine: Vec<Delta> = deltas
-                .iter()
-                .filter(|d| &d.subscription == name)
-                .cloned()
-                .collect();
-            let mut next = 0usize;
-            let mut replayed = initial.clone();
-            for (v, record) in records.iter().enumerate() {
-                let upto: Vec<Delta> = mine[next..]
-                    .iter()
-                    .take_while(|d| d.version <= record.version)
-                    .cloned()
-                    .collect();
-                next += upto.len();
-                replayed = replay(&replayed, &upto);
-                assert_eq!(
-                    replayed, full_answers[v][w],
-                    "E16: {name} diverged from full re-evaluation at version {}",
-                    record.version
-                );
-            }
-        }
-
-        let mut latencies: Vec<f64> = deltas.iter().filter_map(|d| d.latency_ms).collect();
-        latencies.sort_by(|a, b| a.total_cmp(b));
-        let p50_ms = match latencies.len() {
-            0 => 0.0,
-            n => latencies[((n - 1) as f64 * 0.5).round() as usize],
-        };
-        let cpu_ratio = full_cpu_ms / delta_cpu_ms.max(1e-9);
-        rows.push(Row {
-            label: "price-feed".to_string(),
-            x: hotels as f64,
-            metrics: vec![
-                ("versions", records.len() as f64),
-                ("deltas", deltas.len() as f64),
-                ("deltas_per_sec", deltas.len() as f64 / wall_s.max(1e-9)),
-                ("delta_cpu_ms", delta_cpu_ms),
-                ("full_cpu_ms", full_cpu_ms),
-                ("cpu_ratio", cpu_ratio),
-                ("p50_ms", p50_ms),
-                ("max_ms", latencies.last().copied().unwrap_or(0.0)),
-            ],
-        });
     }
-    rows
+    hotel_counts
+        .iter()
+        .zip(best)
+        .map(|(&hotels, pass)| {
+            let pass = pass.expect("E16_PASSES is positive");
+            let p50_ms = match pass.latencies.len() {
+                0 => 0.0,
+                n => pass.latencies[((n - 1) as f64 * 0.5).round() as usize],
+            };
+            Row {
+                label: "price-feed".to_string(),
+                x: hotels as f64,
+                metrics: vec![
+                    ("versions", pass.versions as f64),
+                    ("deltas", pass.deltas as f64),
+                    ("deltas_per_sec", pass.deltas_per_sec),
+                    ("delta_cpu_ms", pass.delta_cpu_ms),
+                    ("full_cpu_ms", pass.full_cpu_ms),
+                    ("cpu_ratio", pass.full_cpu_ms / pass.delta_cpu_ms.max(1e-9)),
+                    ("p50_ms", p50_ms),
+                    ("max_ms", pass.latencies.last().copied().unwrap_or(0.0)),
+                ],
+            }
+        })
+        .collect()
 }
 
 /// E17 — compiled-plan amortization: the cost of standing up N sessions
 /// that all ask the same query, with each session compiling its own
 /// [`axml_core::CompiledQuery`] from scratch (`cold`) versus all of them
-/// fetching from one warm shard-locked [`axml_store::PlanCache`]
+/// fetching from one warm [`axml_store::PlanCache`]
 /// (`cached`) — where per-session work collapses to a fingerprint lookup
 /// plus the per-document label-test binding ([`bind`]).
 ///

@@ -735,25 +735,19 @@ impl Run<'_, '_, '_> {
         });
     }
 
-    /// Records a completed call with the circuit breaker and notifies the
-    /// cache when the recorded outcome flipped the breaker's state (the
-    /// automatic-invalidation hook of the reconstructed §7).
+    /// Records a completed call with the circuit breaker and traces the
+    /// transition when the recorded outcome flipped the breaker's state.
     fn record_breaker(&mut self, service: &str, ok: bool) {
         let now = self.clock.now_ms();
         let registry = self.engine.registry;
         let allowed_before = registry.breaker_allows(service, now);
         registry.breaker_record(service, ok, now);
         let allowed_after = registry.breaker_allows(service, now);
-        if allowed_before != allowed_after {
-            if let Some(cache) = self.engine.cache {
-                cache.on_breaker_transition(service, !allowed_after);
-            }
-            if self.observing() {
-                self.emit(EventKind::BreakerTransition {
-                    service: service.to_string(),
-                    open: !allowed_after,
-                });
-            }
+        if allowed_before != allowed_after && self.observing() {
+            self.emit(EventKind::BreakerTransition {
+                service: service.to_string(),
+                open: !allowed_after,
+            });
         }
     }
 }

@@ -146,9 +146,6 @@ impl EngineStats {
             hedge_wins: self.hedge_wins,
             complete: self.is_complete(),
             invoked_by_service: self.invoked_by_service.clone(),
-            // the engine doesn't know the cache's shard layout; harnesses
-            // that hold the cache fill this in (see CallCache::shard_stats)
-            cache_shards: Vec::new(),
         }
     }
 }

@@ -91,9 +91,8 @@ fn session_mix(qseed: u64, alphabet: usize, n: usize, persist_mask: u8) -> Vec<S
         .collect()
 }
 
-fn fresh_store(doc: &Document, shards: usize, ttl_ms: f64) -> DocumentStore {
-    let mut store =
-        DocumentStore::with_cache_config(CacheConfig::with_ttl_ms(ttl_ms).with_shards(shards));
+fn fresh_store(doc: &Document, ttl_ms: f64) -> DocumentStore {
+    let mut store = DocumentStore::with_cache_config(CacheConfig::with_ttl_ms(ttl_ms));
     store.insert("d", doc.clone());
     store
 }
@@ -112,32 +111,30 @@ proptest! {
         seed in 0u64..10_000,
         sessions in 2usize..6,
         persist_mask in 0u8..64,
-        shards_idx in 0usize..3,
     ) {
-        let shards = [1usize, 4, 8][shards_idx];
         let (doc, registry, alphabet) = world(wseed, 60, 0.2);
         let specs = session_mix(qseed, alphabet, sessions, persist_mask);
         let mode = SchedulerMode::DeterministicSeeded { seed };
 
-        let one = fresh_store(&doc, shards, f64::INFINITY)
+        let one = fresh_store(&doc, f64::INFINITY)
             .serve(&specs, &registry, None, &mode, None);
         prop_assert_eq!(one.total_queries, 3 * sessions);
         prop_assert_eq!(one.schedule.len(), 3 * sessions);
 
         // same seed, fresh world: identical schedule and outcomes
-        let again = fresh_store(&doc, shards, f64::INFINITY)
+        let again = fresh_store(&doc, f64::INFINITY)
             .serve(&specs, &registry, None, &mode, None);
         prop_assert_eq!(&one.schedule, &again.schedule);
         prop_assert_eq!(project(&one), project(&again));
 
         // the recorded schedule replayed serially on a fresh world
-        let replay = fresh_store(&doc, shards, f64::INFINITY)
+        let replay = fresh_store(&doc, f64::INFINITY)
             .serve_schedule(&specs, &registry, None, &one.schedule, None);
         prop_assert_eq!(project(&one), project(&replay));
     }
 
     /// Answer independence: per-session answers under the concurrent
-    /// work-stealing pool equal the answers the same query stream
+    /// pool equal the answers the same query stream
     /// produces alone on a private store — the interleaving moves cache
     /// costs between tenants but never changes what anyone sees.
     #[test]
@@ -154,7 +151,7 @@ proptest! {
         // across tenants, so "standalone" is only an oracle without it
         let specs = session_mix(qseed, alphabet, sessions, 0);
 
-        let shared = fresh_store(&doc, 4, ttl_ms);
+        let shared = fresh_store(&doc, ttl_ms);
         let report = shared.serve(
             &specs,
             &registry,
@@ -164,7 +161,7 @@ proptest! {
         );
 
         for (i, spec) in specs.iter().enumerate() {
-            let solo_store = fresh_store(&doc, 1, ttl_ms);
+            let solo_store = fresh_store(&doc, ttl_ms);
             let mut solo = solo_store
                 .session("d", &registry, None, spec.options.clone())
                 .unwrap();
@@ -194,7 +191,7 @@ proptest! {
     ) {
         let (doc, registry, alphabet) = world(wseed, 60, 0.3);
         let specs = session_mix(qseed, alphabet, sessions, 0xFF); // all persistent
-        let store = fresh_store(&doc, 4, f64::INFINITY);
+        let store = fresh_store(&doc, f64::INFINITY);
         let report = store.serve(
             &specs,
             &registry,
@@ -299,7 +296,7 @@ fn per_session_trace_streams_stay_well_formed_under_concurrency() {
 
     let (doc, registry, alphabet) = world(11, 60, 0.3);
     let specs = session_mix(23, alphabet, 4, 0);
-    let store = fresh_store(&doc, 4, f64::INFINITY);
+    let store = fresh_store(&doc, f64::INFINITY);
     let sinks: Vec<RingSink> = specs.iter().map(|_| RingSink::unbounded()).collect();
     let handles: Vec<&dyn TraceSink> = sinks.iter().map(|r| r as &dyn TraceSink).collect();
     let report = store.serve(

@@ -87,11 +87,6 @@ pub struct StatsView {
     pub complete: bool,
     /// Per-service invocation counts.
     pub invoked_by_service: BTreeMap<String, usize>,
-    /// Per-shard `(hits, misses, stale)` counters of the sharded call
-    /// cache, in shard-index order. Empty means "not captured" and skips
-    /// the shard-sum identity check — engines don't know shard layouts,
-    /// so this is filled by harnesses that hold the cache itself.
-    pub cache_shards: Vec<(usize, usize, usize)>,
 }
 
 /// Whether an event belongs to the subscription stream rather than to an
@@ -848,32 +843,6 @@ pub fn check_stats(events: &[Event], stats: &StatsView) -> Vec<Violation> {
             ),
         ));
     }
-    if !stats.cache_shards.is_empty() {
-        let (shard_hits, shard_misses, shard_stale) = stats
-            .cache_shards
-            .iter()
-            .fold((0usize, 0usize, 0usize), |acc, (h, m, s)| {
-                (acc.0 + h, acc.1 + m, acc.2 + s)
-            });
-        let shard_sums = [
-            ("cache_hits", shard_hits, stats.cache_hits),
-            ("cache_misses", shard_misses, stats.cache_misses),
-            ("cache_stale", shard_stale, stats.cache_stale),
-        ];
-        for (name, got, want) in shard_sums {
-            if got != want {
-                out.push(violation(
-                    "accounting",
-                    None,
-                    format!(
-                        "per-shard cache counters sum to {name}={got} across {} shard(s) \
-                         but stats report {want}",
-                        stats.cache_shards.len()
-                    ),
-                ));
-            }
-        }
-    }
     let per_service_total: usize = stats.invoked_by_service.values().sum();
     if per_service_total != stats.calls_invoked {
         out.push(violation(
@@ -1188,29 +1157,6 @@ mod tests {
         stats.complete = false;
         let vs = check_stats(&clean_span(), &stats);
         assert!(vs.iter().any(|v| v.check == "completeness"), "{vs:?}");
-    }
-
-    #[test]
-    fn matching_shard_sums_pass() {
-        // empty = "not captured": never checked
-        assert_clean(&clean_span(), Some(&clean_stats()));
-        // captured shards whose components sum to the totals are clean
-        let mut stats = clean_stats();
-        stats.cache_shards = vec![(0, 0, 0), (0, 0, 0)];
-        assert_clean(&clean_span(), Some(&stats));
-    }
-
-    #[test]
-    fn shard_sum_mismatch_flagged() {
-        let mut stats = clean_stats();
-        // totals say zero hits, but a shard claims one
-        stats.cache_shards = vec![(1, 0, 0), (0, 0, 0)];
-        let vs = check_stats(&clean_span(), &stats);
-        assert!(
-            vs.iter()
-                .any(|v| v.check == "accounting" && v.message.contains("per-shard")),
-            "{vs:?}"
-        );
     }
 
     #[test]

@@ -177,40 +177,6 @@ pub fn matches(pattern: &Pattern, doc: &Document) -> bool {
     )
 }
 
-/// All document nodes that *contribute* to `q(d)` (Section 2): images of
-/// pattern nodes under some embedding, plus the nodes on the document paths
-/// realizing descendant edges. This is the "grey area" of Figure 3 and the
-/// basis of the pruned-result mode when pushing queries (Section 7).
-pub fn contributing_nodes(pattern: &Pattern, doc: &Document) -> std::collections::HashSet<NodeId> {
-    let mut out = std::collections::HashSet::new();
-    if pattern.is_empty() {
-        return out;
-    }
-    let mut ev = Evaluator::new(pattern, doc);
-    for &root in doc.roots() {
-        let embeddings = ev.embed_full(pattern.root(), root, &VarEnv::default());
-        for emb in embeddings {
-            for (&p, &v) in &emb {
-                out.insert(v);
-                // close the path up to the image of the parent pattern node
-                if let Some(pp) = pattern.parent(p) {
-                    if let Some(&pv) = emb.get(&pp) {
-                        let mut cur = doc.parent(v);
-                        while let Some(n) = cur {
-                            if n == pv {
-                                break;
-                            }
-                            out.insert(n);
-                            cur = doc.parent(n);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Enumerates the *full embeddings* of the pattern (every pattern node's
 /// image). OR nodes map to the image of their chosen branch. Exponential in
 /// the worst case — intended for provider-side pruning of (small) service
@@ -1014,27 +980,6 @@ mod tests {
         let q = parse_query("/hotels/hotel[rating=\"*****\"]/nearby//restaurant[name=$X] -> $X")
             .unwrap();
         assert!(eval_all_modes(&q, &d).is_empty());
-    }
-
-    #[test]
-    fn contributing_nodes_cover_paths() {
-        let d = parse("<a><m><b><c>x</c></b></m></a>").unwrap();
-        let q = parse_query("/a//c").unwrap();
-        let contrib = contributing_nodes(&q, &d);
-        // a, m, b, c — everything on the path (m and b realize the
-        // descendant edge); the text leaf "x" is not an image
-        assert_eq!(contrib.len(), 4);
-    }
-
-    #[test]
-    fn contributing_nodes_exclude_unmatched_branches() {
-        let d = parse("<a><b><c>x</c></b><z><w>y</w></z></a>").unwrap();
-        let q = parse_query("/a//c").unwrap();
-        let contrib = contributing_nodes(&q, &d);
-        let labels: BTreeSet<&str> = contrib.iter().map(|&n| d.label(n)).collect();
-        assert!(labels.contains("c"));
-        assert!(!labels.contains("z"));
-        assert!(!labels.contains("w"));
     }
 
     #[test]

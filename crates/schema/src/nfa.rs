@@ -138,29 +138,6 @@ impl Nfa {
             .any(|(s, &active)| active && self.accept[s])
     }
 
-    /// Is the language empty?
-    pub fn is_language_empty(&self) -> bool {
-        let reach = self.reachable();
-        !reach.iter().enumerate().any(|(s, &r)| r && self.accept[s])
-    }
-
-    fn reachable(&self) -> Vec<bool> {
-        let mut seen = vec![false; self.num_states()];
-        let mut stack: Vec<usize> = self.start.clone();
-        for &s in &self.start {
-            seen[s] = true;
-        }
-        while let Some(s) = stack.pop() {
-            for (_, t) in &self.edges[s] {
-                if !seen[*t] {
-                    seen[*t] = true;
-                    stack.push(*t);
-                }
-            }
-        }
-        seen
-    }
-
     /// The prefix closure: accepts every prefix (including ε) of every word
     /// of the language. States from which an accepting state is reachable
     /// become accepting.
@@ -693,16 +670,7 @@ mod tests {
         assert!(u.accepts(&[n("c"), n("c")]));
         assert!(!u.accepts(&[n("a")]));
         let empty = Nfa::union_of(&[]);
-        assert!(empty.is_language_empty());
-    }
-
-    #[test]
-    fn empty_language_detection() {
-        assert!(Nfa::from_re(&LabelRe::Empty).is_language_empty());
-        assert!(!Nfa::from_re(&parse_re("a*").unwrap()).is_language_empty());
-        let dead = parse_re("a").unwrap();
-        let nfa = Nfa::from_re(&LabelRe::Seq(vec![LabelRe::Empty, dead]));
-        assert!(nfa.is_language_empty());
+        assert!(!empty.accepts(&[]) && !empty.accepts(&[n("a")]));
     }
 
     #[test]

@@ -39,7 +39,7 @@ impl CallKey {
         let params_xml = to_xml(params);
         let pushed = pushed.map(|pq| (render(&pq.pattern), pq.via == EdgeKind::Child));
         // `DefaultHasher::new()` starts from fixed keys: deterministic
-        // within a build, which is all shard placement needs
+        // within a build, which is all the cache's map needs
         let mut h = DefaultHasher::new();
         service.hash(&mut h);
         params_xml.hash(&mut h);
@@ -115,13 +115,4 @@ pub trait InvokeCache: Send + Sync {
     /// Memoizes a *successful* invocation outcome under `key`. Failed
     /// calls are never stored — the cache holds answers, not outages.
     fn store(&self, key: &CallKey, outcome: &InvokeOutcome, now_ms: f64);
-
-    /// Notifies the cache that `service`'s circuit-breaker state flipped
-    /// (`open == true` when the breaker just tripped open). Implementations
-    /// may invalidate the service's entries, or keep serving them within
-    /// their validity windows (availability over freshness) — the default
-    /// does nothing.
-    fn on_breaker_transition(&self, service: &str, open: bool) {
-        let _ = (service, open);
-    }
 }

@@ -102,8 +102,7 @@ pub struct InvokeOutcome {
 /// statistics.
 pub struct Registry {
     services: HashMap<String, Arc<dyn Service>>,
-    profiles: HashMap<String, NetProfile>,
-    default_profile: NetProfile,
+    net_profile: NetProfile,
     fault_profiles: HashMap<String, FaultProfile>,
     default_fault: Option<FaultProfile>,
     retry: RetryPolicy,
@@ -128,8 +127,7 @@ impl Registry {
     pub fn new() -> Self {
         Registry {
             services: HashMap::new(),
-            profiles: HashMap::new(),
-            default_profile: NetProfile::free(),
+            net_profile: NetProfile::free(),
             fault_profiles: HashMap::new(),
             default_fault: None,
             retry: RetryPolicy::default(),
@@ -147,15 +145,9 @@ impl Registry {
         self
     }
 
-    /// Sets the network profile of one service.
-    pub fn set_profile(&mut self, service: &str, profile: NetProfile) -> &mut Self {
-        self.profiles.insert(service.to_string(), profile);
-        self
-    }
-
-    /// Sets the default network profile for services without a specific one.
+    /// Sets the network profile every service's calls are charged by.
     pub fn set_default_profile(&mut self, profile: NetProfile) -> &mut Self {
-        self.default_profile = profile;
+        self.net_profile = profile;
         self
     }
 
@@ -220,7 +212,6 @@ impl Registry {
     fn answer(
         &self,
         service: &Arc<dyn Service>,
-        name: &str,
         req: &CallRequest,
         pushed: Option<&PushedQuery>,
     ) -> Answer {
@@ -230,15 +221,8 @@ impl Registry {
             _ => (full, false),
         };
         let bytes = forest_serialized_len(&result);
-        let cost_ms = self.net_profile(name).cost_ms(bytes);
+        let cost_ms = self.net_profile.cost_ms(bytes);
         (Arc::new(result), bytes, was_pushed, cost_ms)
-    }
-
-    fn net_profile(&self, name: &str) -> NetProfile {
-        self.profiles
-            .get(name)
-            .copied()
-            .unwrap_or(self.default_profile)
     }
 
     /// The fault schedule governing calls to `name`, if any: an explicit
@@ -267,7 +251,7 @@ impl Registry {
             .services
             .get(name)
             .ok_or_else(|| ServiceError::Unknown(name.to_string()))?;
-        let answer = self.answer(service, name, &CallRequest { params }, pushed);
+        let answer = self.answer(service, &CallRequest { params }, pushed);
         Ok(self.succeed(answer, 1.0, 0.0, 1))
     }
 
@@ -337,7 +321,7 @@ impl Registry {
         let Some(fault) = self.fault_profile_for(name).filter(|f| !f.is_inert()) else {
             // fault-free: the single attempt either fits the budget or
             // burns the whole of it
-            let answer = self.answer(service, name, &req, pushed);
+            let answer = self.answer(service, &req, pushed);
             if answer.3 <= budget_ms {
                 return Ok(self.succeed(answer, 1.0, 0.0, 1));
             }
@@ -348,7 +332,7 @@ impl Registry {
             return Err(self.fail(name, 1, budget_ms, true, true));
         };
         let policy = self.retry;
-        let net = self.net_profile(name);
+        let net = self.net_profile;
         let fingerprint = fnv64(to_xml(&req.params).as_bytes()) ^ fp_salt;
         // deterministic services: the answer is computed at most once and
         // reused across attempts
@@ -404,7 +388,7 @@ impl Registry {
                         _ => 1.0,
                     };
                     let answer = answer
-                        .get_or_insert_with(|| self.answer(service, name, &req, pushed))
+                        .get_or_insert_with(|| self.answer(service, &req, pushed))
                         .clone();
                     if answer.3 * factor > attempt_timeout {
                         // the slowdown ran past the deadline
@@ -664,7 +648,7 @@ mod tests {
     #[test]
     fn transient_faults_are_absorbed_by_retries() {
         let mut r = registry();
-        r.set_profile("getNearbyRestos", NetProfile::latency(10.0));
+        r.set_default_profile(NetProfile::latency(10.0));
         r.set_default_fault_profile(FaultProfile::transient(1, 2));
         r.set_retry_policy(RetryPolicy {
             max_retries: 3,
@@ -690,7 +674,7 @@ mod tests {
     #[test]
     fn permanent_faults_exhaust_retries() {
         let mut r = registry();
-        r.set_profile("getNearbyRestos", NetProfile::latency(10.0));
+        r.set_default_profile(NetProfile::latency(10.0));
         r.set_fault_profile("getNearbyRestos", FaultProfile::permanent(1));
         r.set_retry_policy(RetryPolicy {
             max_retries: 2,
@@ -717,7 +701,7 @@ mod tests {
     #[test]
     fn timeouts_burn_the_deadline() {
         let mut r = registry();
-        r.set_profile("getNearbyRestos", NetProfile::latency(10.0));
+        r.set_default_profile(NetProfile::latency(10.0));
         r.set_fault_profile("getNearbyRestos", FaultProfile::timeouts(1));
         r.set_retry_policy(RetryPolicy {
             max_retries: 1,
@@ -739,7 +723,7 @@ mod tests {
     #[test]
     fn slowdowns_past_the_deadline_time_out() {
         let mut r = registry();
-        r.set_profile("getNearbyRestos", NetProfile::latency(100.0));
+        r.set_default_profile(NetProfile::latency(100.0));
         r.set_fault_profile(
             "getNearbyRestos",
             FaultProfile {
@@ -772,7 +756,7 @@ mod tests {
     fn policy_invoke_is_deterministic() {
         let run = || {
             let mut r = registry();
-            r.set_profile("getNearbyRestos", NetProfile::default());
+            r.set_default_profile(NetProfile::default());
             r.set_default_fault_profile(FaultProfile::chaos(99, 0.9));
             r.set_retry_policy(RetryPolicy::default().with_timeout_ms(2_000.0));
             let out = r.invoke_within("getNearbyRestos", Forest::new(), None, f64::INFINITY);
@@ -784,7 +768,7 @@ mod tests {
     #[test]
     fn deadline_expires_during_backoff() {
         let mut r = registry();
-        r.set_profile("getNearbyRestos", NetProfile::latency(10.0));
+        r.set_default_profile(NetProfile::latency(10.0));
         r.set_fault_profile("getNearbyRestos", FaultProfile::permanent(1));
         r.set_retry_policy(RetryPolicy {
             max_retries: 3,
@@ -810,7 +794,7 @@ mod tests {
     #[test]
     fn deadline_clips_the_final_attempt() {
         let mut r = registry();
-        r.set_profile("getNearbyRestos", NetProfile::latency(10.0));
+        r.set_default_profile(NetProfile::latency(10.0));
         r.set_fault_profile("getNearbyRestos", FaultProfile::timeouts(1));
         r.set_retry_policy(RetryPolicy {
             max_retries: 0,
@@ -833,7 +817,7 @@ mod tests {
     #[test]
     fn fault_free_call_past_its_budget_fails_deadline() {
         let mut r = registry();
-        r.set_profile("getNearbyRestos", NetProfile::latency(10.0));
+        r.set_default_profile(NetProfile::latency(10.0));
         let err = r
             .invoke_within("getNearbyRestos", Forest::new(), None, 4.0)
             .unwrap_err();
@@ -870,7 +854,7 @@ mod tests {
     #[test]
     fn hedge_legs_draw_an_independent_fault_schedule() {
         let mut r = registry();
-        r.set_profile("getNearbyRestos", NetProfile::latency(10.0));
+        r.set_default_profile(NetProfile::latency(10.0));
         // the primary site is permanently down; the hedge leg's salted
         // fingerprint dodges it for some seed — find one deterministically
         let hedged_survives = (0u64..64).any(|seed| {
@@ -948,16 +932,13 @@ mod tests {
     #[test]
     fn network_profile_drives_cost() {
         let mut r = registry();
-        r.set_profile("getNearbyRestos", NetProfile::latency(250.0));
+        r.set_default_profile(NetProfile::latency(250.0));
         let out = r.invoke("getNearbyRestos", Forest::new(), None).unwrap();
         assert_eq!(out.cost_ms, 250.0);
-        r.set_profile(
-            "getNearbyRestos",
-            NetProfile {
-                latency_ms: 10.0,
-                bytes_per_ms: 1.0,
-            },
-        );
+        r.set_default_profile(NetProfile {
+            latency_ms: 10.0,
+            bytes_per_ms: 1.0,
+        });
         let out2 = r.invoke("getNearbyRestos", Forest::new(), None).unwrap();
         assert!((out2.cost_ms - (10.0 + out2.bytes as f64)).abs() < 1e-9);
     }

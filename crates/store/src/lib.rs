@@ -14,9 +14,8 @@
 //! * [`CallCache`] — a memoized call-result cache keyed by
 //!   `(service, parameters, pushed query)` with per-service validity
 //!   windows (TTLs) charged to the **simulated** clock, deterministic
-//!   LRU eviction under entry/byte budgets, and invalidation hooks
-//!   (explicit, TTL expiry, and optional purge when a service's circuit
-//!   breaker trips open). It implements the engine-facing
+//!   LRU eviction under entry/byte budgets, and an eager purge of expired
+//!   entries. It implements the engine-facing
 //!   [`axml_services::InvokeCache`] contract: the engine probes it
 //!   before invoking, splices hits at zero network cost, and populates
 //!   it on successful invocations only.
@@ -34,7 +33,7 @@
 //!   simulated clock persisting between queries so validity windows
 //!   measure real elapsed (simulated) time.
 //! * [`DocumentStore::serve`] — the multi-tenant scheduler: N session
-//!   specs run on a work-stealing worker pool, or under a seeded
+//!   specs run on worker threads over one run queue, or under a seeded
 //!   deterministic interleaving whose recorded schedule replays serially
 //!   (the concurrency test oracle; see [`sched`]).
 //! * [`wal`] / [`checkpoint`] / [`recover`] — the durability subsystem:

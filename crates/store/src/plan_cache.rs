@@ -12,50 +12,37 @@
 //! oracle and the golden-trace tests); the cache changes *when* the
 //! compile work happens, not *what* is computed.
 //!
-//! Shape follows [`crate::CallCache`]: hash-**sharded** so concurrent
-//! sessions probing different queries do not serialize on one lock, with
-//! a global LRU capacity enforced by locking the shards in index order.
-//! Probes emit [`EventKind::PlanCacheProbe`] events into the cache's own
-//! sink — never into an engine's query span, which must not change with
-//! cache state.
+//! A session fetches its plan once per query, so one mutex guards the
+//! map, the LRU ticks and the counters. Probes emit
+//! [`EventKind::PlanCacheProbe`] events into the cache's own sink — never
+//! into an engine's query span, which must not change with cache state.
 
 use axml_core::{plan_hash, CompiledQuery, EngineConfig};
 use axml_obs::{Event, EventKind, TraceSink};
 use axml_query::{render, Pattern};
 use axml_schema::Schema;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Configuration of a [`PlanCache`].
 #[derive(Clone, Debug)]
 pub struct PlanCacheConfig {
     /// Maximum number of cached plans before LRU eviction (default 64).
-    /// The budget is global, not per shard. A capacity of 0 disables
-    /// caching: every fetch compiles (still correct, never reused).
+    /// A capacity of 0 disables caching: every fetch compiles (still
+    /// correct, never reused).
     pub capacity: usize,
-    /// Number of lock shards (default 8, minimum 1). Purely a concurrency
-    /// knob: shard count never changes hit/miss/LRU decisions, only which
-    /// mutex a key contends on.
-    pub shards: usize,
 }
 
 impl Default for PlanCacheConfig {
     fn default() -> Self {
-        PlanCacheConfig {
-            capacity: 64,
-            shards: 8,
-        }
+        PlanCacheConfig { capacity: 64 }
     }
 }
 
 impl PlanCacheConfig {
     /// A config with the given capacity.
     pub fn with_capacity(capacity: usize) -> Self {
-        PlanCacheConfig {
-            capacity,
-            ..PlanCacheConfig::default()
-        }
+        PlanCacheConfig { capacity }
     }
 }
 
@@ -84,7 +71,7 @@ impl PlanCacheStats {
         }
     }
 
-    /// Component-wise sum (folds per-shard counters into totals).
+    /// Component-wise sum (folds the counters of several caches).
     pub fn merged(&self, other: &PlanCacheStats) -> PlanCacheStats {
         PlanCacheStats {
             hits: self.hits + other.hits,
@@ -101,29 +88,36 @@ struct PlanEntry {
 }
 
 #[derive(Default)]
-struct PlanShard {
+struct Inner {
     map: HashMap<u64, PlanEntry>,
+    tick: u64,
+    seq: u64,
     stats: PlanCacheStats,
 }
 
-impl PlanShard {
-    /// This shard's least-recently-used entry, as `(last_used, key)`.
-    fn lru_min(&self) -> Option<(u64, u64)> {
-        self.map
-            .iter()
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(&k, e)| (e.last_used, k))
+impl Inner {
+    /// Evicts least-recently-used plans until at most `capacity` remain.
+    /// Ticks are unique, so the victim is deterministic.
+    fn evict_to(&mut self, capacity: usize) {
+        while self.map.len() > capacity {
+            let victim = self
+                .map
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(&k, _)| k);
+            let Some(key) = victim else { return };
+            self.map.remove(&key);
+            self.stats.evictions += 1;
+        }
     }
 }
 
 /// A shared, internally synchronized cache of [`CompiledQuery`] plans,
-/// placed and keyed by the structural hash of the compile-relevant plan
-/// key ([`plan_hash`]). See the module docs.
+/// keyed by the structural hash of the compile-relevant plan key
+/// ([`plan_hash`]). See the module docs.
 pub struct PlanCache {
     config: PlanCacheConfig,
-    shards: Vec<Mutex<PlanShard>>,
-    tick: AtomicU64,
-    seq: AtomicU64,
+    inner: Mutex<Inner>,
     sink: Mutex<Option<Arc<dyn TraceSink>>>,
 }
 
@@ -136,12 +130,9 @@ impl Default for PlanCache {
 impl PlanCache {
     /// An empty cache with the given configuration.
     pub fn new(config: PlanCacheConfig) -> Self {
-        let n = config.shards.max(1);
         PlanCache {
             config,
-            shards: (0..n).map(|_| Mutex::new(PlanShard::default())).collect(),
-            tick: AtomicU64::new(0),
-            seq: AtomicU64::new(0),
+            inner: Mutex::new(Inner::default()),
             sink: Mutex::new(None),
         }
     }
@@ -149,6 +140,10 @@ impl PlanCache {
     /// The configuration this cache enforces.
     pub fn config(&self) -> &PlanCacheConfig {
         &self.config
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("plan cache poisoned")
     }
 
     /// Attaches the sink that receives this cache's `plan_cache` probe
@@ -159,20 +154,14 @@ impl PlanCache {
         *self.sink.lock().unwrap() = Some(sink);
     }
 
-    /// A snapshot of the cumulative counters, summed over all shards.
+    /// A snapshot of the cumulative counters.
     pub fn stats(&self) -> PlanCacheStats {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap().stats)
-            .fold(PlanCacheStats::default(), |acc, s| acc.merged(&s))
+        self.lock().stats
     }
 
     /// Live plans currently held.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap().map.len())
-            .sum()
+        self.lock().map.len()
     }
 
     /// Whether the cache holds no plans.
@@ -184,12 +173,9 @@ impl PlanCache {
     /// pure functions of their key, so invalidation is never *required* —
     /// this is a memory hook, not a correctness one.)
     pub fn clear(&self) -> usize {
-        let mut guards: Vec<_> = self.shards.iter().map(|s| s.lock().unwrap()).collect();
-        let mut n = 0;
-        for shard in guards.iter_mut() {
-            n += shard.map.len();
-            shard.map.clear();
-        }
+        let mut inner = self.lock();
+        let n = inner.map.len();
+        inner.map.clear();
         n
     }
 
@@ -205,58 +191,53 @@ impl PlanCache {
         config: &EngineConfig,
     ) -> Arc<CompiledQuery> {
         let key = plan_hash(query, schema, config);
-        let idx = (key % self.shards.len() as u64) as usize;
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let plan;
-        let hit;
-        {
-            let mut shard = self.shards[idx].lock().unwrap();
-            match shard.map.get_mut(&key) {
-                Some(entry) if entry.plan.compatible(query, schema, config) => {
-                    entry.last_used = tick;
-                    plan = Arc::clone(&entry.plan);
-                    hit = true;
-                }
-                resident => {
-                    let collision = resident.is_some();
-                    let compiled = Arc::new(CompiledQuery::compile(query, schema, config));
-                    if self.config.capacity > 0 {
-                        if collision {
-                            shard.map.remove(&key);
-                        }
-                        shard.map.insert(
-                            key,
-                            PlanEntry {
-                                plan: Arc::clone(&compiled),
-                                last_used: tick,
-                            },
-                        );
-                    }
-                    plan = compiled;
-                    hit = false;
-                }
+        let mut inner = self.lock();
+        inner.tick += 1;
+        let tick = inner.tick;
+        let cached = match inner.map.get_mut(&key) {
+            Some(entry) if entry.plan.compatible(query, schema, config) => {
+                entry.last_used = tick;
+                Some(Arc::clone(&entry.plan))
             }
-            if hit {
-                shard.stats.hits += 1;
-            } else {
-                shard.stats.misses += 1;
-                shard.stats.compiles += 1;
+            _ => None,
+        };
+        let hit = cached.is_some();
+        let plan = match cached {
+            Some(plan) => {
+                inner.stats.hits += 1;
+                plan
             }
-            // emitted under the shard lock: probes of one key are totally
-            // ordered, so the first probe of a key is always the miss
-            self.emit(query, plan.fingerprint(), hit);
-        }
-        if !hit {
-            self.evict_to_capacity();
-        }
+            None => {
+                inner.stats.misses += 1;
+                inner.stats.compiles += 1;
+                let compiled = Arc::new(CompiledQuery::compile(query, schema, config));
+                if self.config.capacity > 0 {
+                    // replaces an incompatible resident plan on a collision
+                    inner.map.insert(
+                        key,
+                        PlanEntry {
+                            plan: Arc::clone(&compiled),
+                            last_used: tick,
+                        },
+                    );
+                    inner.evict_to(self.config.capacity);
+                }
+                compiled
+            }
+        };
+        // emitted under the lock: probes are totally ordered, so the
+        // first probe of a key is always the miss
+        self.emit(&mut inner, query, plan.fingerprint(), hit);
         plan
     }
 
-    fn emit(&self, query: &Pattern, key: &str, hit: bool) {
+    fn emit(&self, inner: &mut Inner, query: &Pattern, key: &str, hit: bool) {
         let sink = self.sink.lock().unwrap().clone();
         if let Some(sink) = sink {
+            let seq = inner.seq;
+            inner.seq += 1;
             sink.emit(&Event {
-                seq: self.seq.fetch_add(1, Ordering::Relaxed),
+                seq,
                 sim_ms: 0.0,
                 round: 0,
                 layer: 0,
@@ -267,33 +248,6 @@ impl PlanCache {
                     hit,
                 },
             });
-        }
-    }
-
-    /// Evicts globally least-recently-used plans until the capacity
-    /// holds. Locks every shard in index order (a fixed total order, so
-    /// two concurrent evictors cannot deadlock) and picks victims by
-    /// global minimum `last_used` — ticks are unique, so the choice is
-    /// deterministic.
-    fn evict_to_capacity(&self) {
-        let mut guards: Vec<_> = self.shards.iter().map(|s| s.lock().unwrap()).collect();
-        let mut entries: usize = guards.iter().map(|g| g.map.len()).sum();
-        if entries <= self.config.capacity {
-            return;
-        }
-        let mut minima: Vec<Option<(u64, u64)>> = guards.iter().map(|g| g.lru_min()).collect();
-        while entries > self.config.capacity {
-            let victim = minima
-                .iter()
-                .enumerate()
-                .filter_map(|(i, m)| m.as_ref().map(|(tick, _)| (*tick, i)))
-                .min();
-            let Some((_, i)) = victim else { return };
-            let (_, key) = minima[i].take().expect("victim shard has a minimum");
-            guards[i].map.remove(&key).expect("minimum key is present");
-            entries -= 1;
-            guards[i].stats.evictions += 1;
-            minima[i] = guards[i].lru_min();
         }
     }
 }
@@ -344,10 +298,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_under_capacity() {
-        let cache = PlanCache::new(PlanCacheConfig {
-            capacity: 2,
-            shards: 4,
-        });
+        let cache = PlanCache::new(PlanCacheConfig::with_capacity(2));
         let config = EngineConfig::default();
         cache.fetch(&q(1), None, &config);
         cache.fetch(&q(2), None, &config);

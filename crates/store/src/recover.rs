@@ -79,7 +79,7 @@ pub fn recover_log(buf: &[u8]) -> RecoveredLog {
                 records_since_checkpoint = 0;
                 state = Some((version, doc));
             }
-            WalRecord::Splices { version, ops, .. } => {
+            WalRecord::Splices { version, ops } => {
                 let Some((v, doc)) = &mut state else {
                     truncated = Some((offset, "splice record before any checkpoint".to_string()));
                     valid_len = offset;
@@ -108,7 +108,7 @@ pub fn recover_log(buf: &[u8]) -> RecoveredLog {
                 *v = version;
                 records_since_checkpoint += 1;
             }
-            WalRecord::Snapshot { version, doc, .. } => {
+            WalRecord::Snapshot { version, doc } => {
                 if let Some((v, _)) = &state {
                     if version != *v + 1 {
                         truncated = Some((
@@ -311,7 +311,6 @@ mod tests {
             },
             WalRecord::Splices {
                 version: 1,
-                changed_paths: None,
                 ops: vec![(cid.0, Arc::new(result.clone()))],
             },
             WalRecord::Watermark {
@@ -345,7 +344,6 @@ mod tests {
             },
             WalRecord::Splices {
                 version: 2, // gap: v1 missing
-                changed_paths: None,
                 ops: vec![(cid.0, Arc::new(result))],
             },
         ]);
@@ -367,7 +365,6 @@ mod tests {
             WalRecord::Checkpoint { version: 0, doc: d },
             WalRecord::Splices {
                 version: 1,
-                changed_paths: None,
                 ops: vec![(999, Arc::new(result))],
             },
         ]);
@@ -403,7 +400,6 @@ mod tests {
             },
             WalRecord::Splices {
                 version: 1,
-                changed_paths: None,
                 ops: vec![(cid.0, Arc::new(result.clone()))],
             },
             WalRecord::Checkpoint {
@@ -412,7 +408,6 @@ mod tests {
             },
             WalRecord::Snapshot {
                 version: 2,
-                changed_paths: None,
                 doc: d1,
             },
         ]);

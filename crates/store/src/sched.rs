@@ -2,14 +2,11 @@
 //!
 //! Two modes share one outcome shape:
 //!
-//! * [`SchedulerMode::Concurrent`] — a work-stealing pool of real worker
-//!   threads. Each worker owns a LIFO deque of runnable sessions; idle
-//!   workers steal FIFO from the shared injector or from other workers,
-//!   and park on a condvar (rather than spinning) while nothing is
-//!   runnable. After each query a session goes back on its worker's own
-//!   deque, so
-//!   a session's queries stay on one worker when the pool is not starved
-//!   (cache-warm), while starved workers still make progress by stealing.
+//! * [`SchedulerMode::Concurrent`] — a pool of real worker threads over
+//!   one run queue. A worker pops a session, runs its next query without
+//!   holding the queue's lock, and pushes the session back; it waits on
+//!   the queue's condvar while the queue is empty and exits once no
+//!   session is live.
 //! * [`SchedulerMode::DeterministicSeeded`] — a single thread picks the
 //!   next runnable session with a seeded [SplitMix64] generator and
 //!   records the resulting interleaving as a [`ScheduleEntry`] list. The
@@ -35,7 +32,6 @@ use axml_query::Pattern;
 use axml_schema::Schema;
 use axml_services::Registry;
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
@@ -72,7 +68,7 @@ impl SessionSpec {
 /// How [`DocumentStore::serve`] interleaves sessions.
 #[derive(Clone, Debug)]
 pub enum SchedulerMode {
-    /// Real concurrency: a work-stealing pool of `workers` threads.
+    /// Real concurrency: `workers` threads over one run queue.
     Concurrent {
         /// Worker threads (clamped to ≥ 1).
         workers: usize,
@@ -190,7 +186,7 @@ impl SplitMix64 {
 }
 
 /// A session moving through the scheduler, together with what it has
-/// produced so far. Owned by exactly one queue or worker at a time.
+/// produced so far. Owned by the run queue or by one worker at a time.
 struct Running<'a> {
     idx: usize,
     session: Session<'a>,
@@ -225,6 +221,49 @@ impl Running<'_> {
                 queries: self.outcomes,
             },
         )
+    }
+}
+
+/// The concurrent pool's shared state: the sessions waiting for a
+/// worker, and how many sessions have queries left (waiting or running).
+struct RunQueue<'a> {
+    ready: VecDeque<Running<'a>>,
+    live: usize,
+}
+
+impl<'a> RunQueue<'a> {
+    /// One worker's loop over the queue and its condvar. Returns the
+    /// sessions this worker retired.
+    fn work(
+        pool: &(Mutex<RunQueue<'a>>, Condvar),
+        specs: &[SessionSpec],
+    ) -> Vec<(usize, SessionOutcome)> {
+        let (lock, ready) = pool;
+        let mut retired = Vec::new();
+        let mut queue = lock.lock().expect("run queue poisoned");
+        loop {
+            let Some(mut r) = queue.ready.pop_front() else {
+                if queue.live == 0 {
+                    return retired;
+                }
+                queue = ready.wait(queue).expect("run queue poisoned");
+                continue;
+            };
+            drop(queue);
+            let more = r.step(specs);
+            queue = lock.lock().expect("run queue poisoned");
+            if more {
+                queue.ready.push_back(r);
+                ready.notify_one();
+            } else {
+                retired.push(r.finish(specs));
+                queue.live -= 1;
+                if queue.live == 0 {
+                    // wake every waiting worker to exit
+                    ready.notify_all();
+                }
+            }
+        }
     }
 }
 
@@ -305,96 +344,30 @@ impl DocumentStore {
                 }
             }
             SchedulerMode::Concurrent { workers } => {
-                let workers = (*workers).max(1);
-                let locals: Vec<Mutex<VecDeque<Running>>> =
-                    (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-                let injector: Mutex<VecDeque<Running>> = Mutex::new(VecDeque::new());
-                let live = AtomicUsize::new(0);
-                let finished: Mutex<Vec<(usize, SessionOutcome)>> = Mutex::new(Vec::new());
-                // Idle workers park on this condvar instead of spinning.
-                // The no-lost-wakeup protocol: a parking worker re-scans
-                // the queues *while holding* `idle.0` before it waits, and
-                // a worker that makes work visible (or retires the last
-                // live session) takes `idle.0` — with no deque lock held —
-                // before notifying. A push therefore either lands before
-                // the parker's scan (and is seen) or blocks on `idle.0`
-                // until the parker is actually waiting (and wakes it).
-                let idle: (Mutex<()>, Condvar) = (Mutex::new(()), Condvar::new());
-                {
-                    let mut inj = injector.lock().unwrap();
-                    for r in self.start_sessions(specs, registry, schema, sinks) {
-                        if specs[r.idx].queries.is_empty() {
-                            finished.lock().unwrap().push(r.finish(specs));
-                        } else {
-                            live.fetch_add(1, Ordering::SeqCst);
-                            inj.push_back(r);
-                        }
+                let mut queue = RunQueue {
+                    ready: VecDeque::new(),
+                    live: 0,
+                };
+                for r in self.start_sessions(specs, registry, schema, sinks) {
+                    if specs[r.idx].queries.is_empty() {
+                        let (idx, out) = r.finish(specs);
+                        slots[idx] = Some(out);
+                    } else {
+                        queue.live += 1;
+                        queue.ready.push_back(r);
                     }
                 }
-                std::thread::scope(|scope| {
-                    for w in 0..workers {
-                        let locals = &locals;
-                        let injector = &injector;
-                        let live = &live;
-                        let finished = &finished;
-                        let idle = &idle;
-                        scope.spawn(move || {
-                            // Every deque guard below is scoped to its own
-                            // statement, so a worker never holds one deque's
-                            // lock while taking another's — no lock-order
-                            // cycle between two idle workers stealing from
-                            // each other.
-                            let take = || {
-                                // own deque first (LIFO: keep a session
-                                // hot), then the injector, then steal FIFO.
-                                if let Some(r) = locals[w].lock().unwrap().pop_back() {
-                                    return Some(r);
-                                }
-                                if let Some(r) = injector.lock().unwrap().pop_front() {
-                                    return Some(r);
-                                }
-                                (1..workers).find_map(|d| {
-                                    locals[(w + d) % workers].lock().unwrap().pop_front()
-                                })
-                            };
-                            let queued = || {
-                                !injector.lock().unwrap().is_empty()
-                                    || locals.iter().any(|l| !l.lock().unwrap().is_empty())
-                            };
-                            loop {
-                                match take() {
-                                    Some(mut r) => {
-                                        if r.step(specs) {
-                                            locals[w].lock().unwrap().push_back(r);
-                                            // a parked worker may now have
-                                            // something to steal
-                                            let _g = idle.0.lock().unwrap();
-                                            idle.1.notify_all();
-                                        } else {
-                                            finished.lock().unwrap().push(r.finish(specs));
-                                            if live.fetch_sub(1, Ordering::SeqCst) == 1 {
-                                                // last session retired:
-                                                // wake everyone to exit
-                                                let _g = idle.0.lock().unwrap();
-                                                idle.1.notify_all();
-                                            }
-                                        }
-                                    }
-                                    None => {
-                                        let mut g = idle.0.lock().unwrap();
-                                        while live.load(Ordering::SeqCst) != 0 && !queued() {
-                                            g = idle.1.wait(g).unwrap();
-                                        }
-                                        if live.load(Ordering::SeqCst) == 0 {
-                                            return;
-                                        }
-                                    }
-                                }
-                            }
-                        });
-                    }
+                let pool = (Mutex::new(queue), Condvar::new());
+                let finished: Vec<(usize, SessionOutcome)> = std::thread::scope(|scope| {
+                    let handles: Vec<_> = (0..(*workers).max(1))
+                        .map(|_| scope.spawn(|| RunQueue::work(&pool, specs)))
+                        .collect();
+                    handles
+                        .into_iter()
+                        .flat_map(|h| h.join().expect("pool worker panicked"))
+                        .collect()
                 });
-                for (idx, out) in finished.into_inner().unwrap() {
+                for (idx, out) in finished {
                     slots[idx] = Some(out);
                 }
             }
@@ -532,33 +505,35 @@ mod tests {
         let mut store = DocumentStore::new();
         store.insert("d", doc());
         let specs = specs(5, 3);
-        let report = store.serve(
-            &specs,
-            &registry,
-            None,
-            &SchedulerMode::Concurrent { workers: 4 },
-            None,
-        );
-        assert_eq!(report.total_queries, 15);
-        assert!(report.schedule.is_empty());
-        for (i, s) in report.sessions.iter().enumerate() {
-            assert_eq!(s.name, format!("s{i}"), "outcomes keep spec order");
-            assert_eq!(s.queries.len(), 3);
-            for q in &s.queries {
-                assert!(q.complete);
-                assert_eq!(q.answers.len(), 1);
+        // one worker must cycle every session back through the queue
+        // with no peer to wake it
+        for workers in [1, 4] {
+            let report = store.serve(
+                &specs,
+                &registry,
+                None,
+                &SchedulerMode::Concurrent { workers },
+                None,
+            );
+            assert_eq!(report.total_queries, 15);
+            assert!(report.schedule.is_empty());
+            for (i, s) in report.sessions.iter().enumerate() {
+                assert_eq!(s.name, format!("s{i}"), "outcomes keep spec order");
+                assert_eq!(s.queries.len(), 3);
+                for q in &s.queries {
+                    assert!(q.complete);
+                    assert_eq!(q.answers.len(), 1);
+                }
             }
+            assert!(report.latency_histogram().count() == 15);
         }
-        assert!(report.latency_histogram().count() == 15);
     }
 
     #[test]
     fn idle_heavy_pool_terminates() {
-        // Regression: with more workers than runnable sessions, most
-        // workers are idle and stealing from each other the whole run —
-        // the configuration that deadlocked when a worker held its own
-        // deque lock while probing another's. The run must terminate
-        // with every query answered.
+        // With more workers than sessions, most workers wait on the
+        // queue the whole run; the last retirement must wake them all
+        // to exit, with every query answered.
         let registry = Registry::new();
         let mut store = DocumentStore::new();
         store.insert("d", doc());

@@ -25,7 +25,7 @@
 //!
 //! ## Frame format
 //!
-//! A log file is `AXMLWAL1` (8 magic bytes) followed by frames:
+//! A log file is `AXMLWAL2` (8 magic bytes) followed by frames:
 //!
 //! ```text
 //! [len: u32 LE] [crc32: u32 LE over payload] [payload: len bytes]
@@ -35,6 +35,9 @@
 //! frames in order and truncates the file at the first frame whose
 //! length is implausible, whose payload is short, or whose CRC or
 //! decoding fails — everything before that point is the *valid prefix*.
+//! A file whose magic names another format version (`AXMLWAL1`, whose
+//! publication records also carried change-scope paths) has no valid
+//! prefix: recovery reports it unrecoverable and leaves it in place.
 
 use crate::checkpoint::{DurabilityOptions, DurabilityStats};
 use axml_obs::{Event, EventKind, TraceSink};
@@ -48,7 +51,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Magic bytes opening every log file; doubles as a format version.
-pub const WAL_MAGIC: &[u8; 8] = b"AXMLWAL1";
+pub const WAL_MAGIC: &[u8; 8] = b"AXMLWAL2";
 
 /// Upper bound on a single frame payload; anything larger in a length
 /// field is treated as corruption rather than attempted as an allocation.
@@ -576,8 +579,6 @@ pub enum WalRecord {
     Splices {
         /// Version this publication produced.
         version: u64,
-        /// Changed root paths the publisher tagged, if any.
-        changed_paths: Option<Vec<Vec<String>>>,
         /// `(call id, result forest)` pairs, in splice order. The forests
         /// are the ones the splice journal recorded, shared, not copies.
         ops: Vec<(u64, Arc<Forest>)>,
@@ -587,8 +588,6 @@ pub enum WalRecord {
     Snapshot {
         /// Version this publication produced.
         version: u64,
-        /// Changed root paths the publisher tagged, if any.
-        changed_paths: Option<Vec<Vec<String>>>,
         /// The full document after the publication.
         doc: Document,
     },
@@ -630,22 +629,6 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     put_u32(out, b.len() as u32);
     out.extend_from_slice(b);
-}
-
-fn put_paths(out: &mut Vec<u8>, paths: &Option<Vec<Vec<String>>>) {
-    match paths {
-        None => out.push(0),
-        Some(list) => {
-            out.push(1);
-            put_u32(out, list.len() as u32);
-            for path in list {
-                put_u32(out, path.len() as u32);
-                for step in path {
-                    put_bytes(out, step.as_bytes());
-                }
-            }
-        }
-    }
 }
 
 struct Reader<'a> {
@@ -704,26 +687,6 @@ impl<'a> Reader<'a> {
         decode_document(b).map_err(|e| WalError(format!("embedded document: {e}")))
     }
 
-    fn paths(&mut self) -> Result<Option<Vec<Vec<String>>>, WalError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => {
-                let n = self.u32()? as usize;
-                let mut list = Vec::new();
-                for _ in 0..n {
-                    let m = self.u32()? as usize;
-                    let mut path = Vec::new();
-                    for _ in 0..m {
-                        path.push(self.string()?);
-                    }
-                    list.push(path);
-                }
-                Ok(Some(list))
-            }
-            other => Err(WalError(format!("invalid path flag {other}"))),
-        }
-    }
-
     fn finish(&self) -> Result<(), WalError> {
         if self.pos != self.buf.len() {
             return Err(WalError(format!(
@@ -744,28 +707,18 @@ pub fn encode_record(record: &WalRecord) -> Vec<u8> {
             put_u64(&mut out, *version);
             put_bytes(&mut out, &document_to_bytes(doc));
         }
-        WalRecord::Splices {
-            version,
-            changed_paths,
-            ops,
-        } => {
+        WalRecord::Splices { version, ops } => {
             out.push(TAG_SPLICES);
             put_u64(&mut out, *version);
-            put_paths(&mut out, changed_paths);
             put_u32(&mut out, ops.len() as u32);
             for (call, result) in ops {
                 put_u64(&mut out, *call);
                 put_bytes(&mut out, &document_to_bytes(result));
             }
         }
-        WalRecord::Snapshot {
-            version,
-            changed_paths,
-            doc,
-        } => {
+        WalRecord::Snapshot { version, doc } => {
             out.push(TAG_SNAPSHOT);
             put_u64(&mut out, *version);
-            put_paths(&mut out, changed_paths);
             put_bytes(&mut out, &document_to_bytes(doc));
         }
         WalRecord::Watermark {
@@ -791,7 +744,6 @@ pub fn decode_record(buf: &[u8]) -> Result<WalRecord, WalError> {
         }
         TAG_SPLICES => {
             let version = r.u64()?;
-            let changed_paths = r.paths()?;
             let n = r.u32()? as usize;
             let mut ops = Vec::new();
             for _ in 0..n {
@@ -799,21 +751,12 @@ pub fn decode_record(buf: &[u8]) -> Result<WalRecord, WalError> {
                 let result = r.doc()?;
                 ops.push((call, Arc::new(result)));
             }
-            WalRecord::Splices {
-                version,
-                changed_paths,
-                ops,
-            }
+            WalRecord::Splices { version, ops }
         }
         TAG_SNAPSHOT => {
             let version = r.u64()?;
-            let changed_paths = r.paths()?;
             let doc = r.doc()?;
-            WalRecord::Snapshot {
-                version,
-                changed_paths,
-                doc,
-            }
+            WalRecord::Snapshot { version, doc }
         }
         TAG_WATERMARK => {
             let subscription = r.string()?;
@@ -855,6 +798,12 @@ pub fn scan_frames(buf: &[u8]) -> FrameScan {
     if buf.len() < WAL_MAGIC.len() || &buf[..WAL_MAGIC.len()] != WAL_MAGIC {
         let reason = if buf.is_empty() {
             "empty log file".to_string()
+        } else if buf.len() >= WAL_MAGIC.len() && buf.starts_with(&WAL_MAGIC[..7]) {
+            format!(
+                "log format {} is not {}",
+                String::from_utf8_lossy(&buf[..WAL_MAGIC.len()]),
+                String::from_utf8_lossy(WAL_MAGIC)
+            )
         } else {
             "bad or torn log header".to_string()
         };
@@ -1110,7 +1059,6 @@ impl DurabilityManager {
         let record = match publication.splices {
             Some(ops) => WalRecord::Splices {
                 version: publication.version,
-                changed_paths: publication.changed_paths.map(|p| p.to_vec()),
                 ops: ops
                     .iter()
                     .map(|op: &SpliceOp| (op.call.0, Arc::clone(&op.result)))
@@ -1118,7 +1066,6 @@ impl DurabilityManager {
             },
             None => WalRecord::Snapshot {
                 version: publication.version,
-                changed_paths: publication.changed_paths.map(|p| p.to_vec()),
                 doc: publication.doc.clone(),
             },
         };
@@ -1342,12 +1289,10 @@ mod tests {
             },
             WalRecord::Splices {
                 version: 8,
-                changed_paths: Some(vec![vec!["site".into(), "item".into()], vec![]]),
                 ops: vec![(3, Arc::new(tiny_doc())), (5, Arc::default())],
             },
             WalRecord::Snapshot {
                 version: 9,
-                changed_paths: None,
                 doc: tiny_doc(),
             },
             WalRecord::Watermark {
@@ -1480,7 +1425,6 @@ mod tests {
             tap.on_publish(&Publication {
                 version,
                 doc: &doc,
-                changed_paths: None,
                 splices: Some(&[]),
             });
         }

@@ -172,58 +172,6 @@ fn cached_success_serves_hits_while_the_breaker_is_open() {
 }
 
 #[test]
-fn breaker_open_purges_when_configured_for_freshness() {
-    let mut store = DocumentStore::with_cache_config(CacheConfig {
-        invalidate_on_breaker_open: true,
-        ..CacheConfig::default()
-    });
-    store.insert("d", doc());
-    // a second document whose calls carry fresh parameters, so its
-    // evaluation cannot be served by the cold run's entries
-    let mut d2 = Document::with_root("r");
-    let root = d2.root();
-    for i in 4..8 {
-        for svc in ["svcA", "svcB"] {
-            let c = d2.add_call(root, svc);
-            d2.add_text(c, format!("{i}"));
-        }
-    }
-    store.insert("d2", d2);
-
-    let mut r = registry();
-    r.set_breaker_config(BreakerConfig {
-        failure_threshold: 1,
-        cooldown_ms: 1e9,
-    });
-    r.set_retry_policy(RetryPolicy::none());
-    let cold = run_query(&mut store, &r);
-    assert!(cold.complete);
-    assert_eq!(store.cache().len(), 8);
-
-    // svcB goes down. Evaluating d2 forces fresh svcB invocations; the
-    // first failure flips the breaker open, and the opening transition
-    // purges every cached svcB entry — including the cold run's.
-    r.set_fault_profile("svcB", FaultProfile::permanent(seed()));
-    let mut session = store
-        .session("d2", &r, None, SessionOptions::default())
-        .unwrap();
-    let broken = session.query(&query());
-    assert!(!broken.complete);
-    drop(session);
-    assert!(
-        store.cache().stats().invalidations >= 4,
-        "the opening transition must purge svcB's entries"
-    );
-
-    // the original document's svcB half is gone from the cache too; its
-    // calls now miss and are refused by the still-open breaker
-    let after = run_query(&mut store, &r);
-    assert!(!after.complete);
-    assert_eq!(after.stats.cache_hits, 4, "only svcA's entries survive");
-    assert_eq!(after.stats.breaker_skips, 4);
-}
-
-#[test]
 fn expired_entry_falls_through_to_the_retry_and_breaker_path() {
     // 500 ms validity: the cold run populates, then the clock advances
     // past every horizon, then svcB goes down. The expired entries must

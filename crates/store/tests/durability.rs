@@ -28,8 +28,9 @@
 use axml_query::{parse_query, Pattern};
 use axml_services::{CallRequest, FnService, Registry};
 use axml_store::{
-    log_file_name, scan_frames, CrashProfile, DocumentStore, DurabilityOptions, FsyncPolicy,
-    RecoveryReport, SessionOptions, SimDir,
+    encode_record, frame, log_file_name, scan_frames, CrashProfile, DocumentStore,
+    DurabilityOptions, FsyncPolicy, LogDir, RecoveryReport, SessionOptions, SimDir, WalRecord,
+    WAL_MAGIC,
 };
 use axml_xml::{parse, to_xml};
 use proptest::prelude::*;
@@ -368,6 +369,42 @@ fn garbage_log_is_reported_unrecoverable() {
     let diag = report.first_error().expect("diagnostic");
     assert!(diag.contains("doc"), "{diag}");
     assert!(diag.contains("offset 0"), "{diag}");
+}
+
+/// A log in the previous format (`AXMLWAL1`, whose publication records
+/// carried a change-scope field after the version) is reported
+/// unrecoverable at offset 0 and left untouched, instead of being decoded
+/// up to its first publication record and truncated there.
+#[test]
+fn previous_format_log_is_reported_unrecoverable_and_kept() {
+    let mut splices = encode_record(&WalRecord::Splices {
+        version: 1,
+        ops: Vec::new(),
+    });
+    // the previous layout's "scope unknown" flag, after tag and version
+    splices.insert(9, 0);
+    let mut old = b"AXMLWAL1".to_vec();
+    old.extend(frame(&encode_record(&WalRecord::Checkpoint {
+        version: 0,
+        doc: doc(),
+    })));
+    old.extend(frame(&splices));
+    assert_ne!(&old[..8], WAL_MAGIC);
+
+    let file = log_file_name("doc");
+    let dir = SimDir::new(CrashProfile::default());
+    dir.set_persisted(&file, old.clone());
+    let (store, report) = recover(dir.clone(), DurabilityOptions::default());
+    assert!(store.is_empty());
+    let diag = report.first_error().expect("diagnostic");
+    assert!(diag.contains(&file), "{diag}");
+    assert!(diag.contains("offset 0"), "{diag}");
+    assert!(diag.contains("AXMLWAL1"), "{diag}");
+    assert_eq!(
+        dir.read(&file).unwrap(),
+        old,
+        "the old log is left in place"
+    );
 }
 
 /// The wal_* trace stream satisfies the durability oracle checks and the

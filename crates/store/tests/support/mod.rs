@@ -1,10 +1,10 @@
-//! The single-lock call cache: the original one-mutex implementation of
-//! `axml_store::CallCache`'s semantics, kept as the executable
-//! specification the sharded cache is tested against. Under identical
-//! single-threaded event sequences both make identical
-//! hit/miss/stale/LRU/invalidation decisions. Built on the store's public
-//! API only: `CacheConfig`'s fields, `CacheStats`, the same key
-//! ([`CallKey`]) and the same entry size (the outcome's measured bytes).
+//! The reference call cache: `axml_store::CallCache`'s semantics written
+//! as plainly as possible, kept as the executable specification the
+//! production cache is tested against. Under identical event sequences
+//! both make identical hit/miss/stale/LRU/purge decisions. Built on the
+//! store's public API only: `CacheConfig`'s fields, `CacheStats`, the
+//! same key ([`CallKey`]) and the same entry size (the outcome's measured
+//! bytes).
 
 use axml_services::{CacheLookup, CachedCall, CallKey, InvokeCache, InvokeOutcome};
 use axml_store::{CacheConfig, CacheStats};
@@ -37,12 +37,12 @@ impl Inner {
         Some(e)
     }
 
-    /// Removes every entry `doomed` selects, counting invalidations.
-    fn invalidate(&mut self, doomed: impl Fn(&CallKey, &Entry) -> bool) -> usize {
+    /// Removes every entry expired at `now_ms`, counting invalidations.
+    fn purge(&mut self, now_ms: f64) -> usize {
         let keys: Vec<CallKey> = self
             .map
             .iter()
-            .filter(|(k, e)| doomed(k, e))
+            .filter(|(_, e)| e.expires_at_ms <= now_ms)
             .map(|(k, _)| k.clone())
             .collect();
         for k in &keys {
@@ -69,7 +69,7 @@ impl Inner {
     }
 }
 
-/// A call cache behind one mutex (`config.shards` is ignored).
+/// A call cache behind one mutex, with a standard hash map.
 pub struct SingleLockCache {
     config: CacheConfig,
     inner: Mutex<Inner>,
@@ -95,25 +95,9 @@ impl SingleLockCache {
         self.inner.lock().unwrap().total_bytes
     }
 
-    /// Drops every entry belonging to `service`; returns how many.
-    pub fn invalidate_service(&self, service: &str) -> usize {
-        self.inner
-            .lock()
-            .unwrap()
-            .invalidate(|k, _| k.service() == service)
-    }
-
-    /// Drops every entry; returns how many.
-    pub fn invalidate_all(&self) -> usize {
-        self.inner.lock().unwrap().invalidate(|_, _| true)
-    }
-
     /// Drops entries expired at simulated time `now_ms`; returns how many.
     pub fn purge_expired(&self, now_ms: f64) -> usize {
-        self.inner
-            .lock()
-            .unwrap()
-            .invalidate(|_, e| e.expires_at_ms <= now_ms)
+        self.inner.lock().unwrap().purge(now_ms)
     }
 }
 
@@ -174,11 +158,5 @@ impl InvokeCache for SingleLockCache {
         inner.map.insert(key.clone(), entry);
         inner.stats.insertions += 1;
         inner.evict_to_budget(self.config.max_entries, self.config.max_bytes);
-    }
-
-    fn on_breaker_transition(&self, service: &str, open: bool) {
-        if open && self.config.invalidate_on_breaker_open {
-            self.invalidate_service(service);
-        }
     }
 }

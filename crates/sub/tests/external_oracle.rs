@@ -3,7 +3,7 @@
 //! carry no splice tags, so every reconcile degrades to a (sound) full
 //! re-evaluation, and the delta stream must still replay to full
 //! re-evaluation at every published version, under both the
-//! deterministic seeded scheduler and the work-stealing pool.
+//! deterministic seeded scheduler and the concurrent worker pool.
 //!
 //! The scenario services are static tables, so evaluating a historical
 //! version is deterministic even though external publications may leave

@@ -22,18 +22,16 @@ use std::sync::{Arc, Mutex, RwLock};
 
 /// What one publication looked like, as seen by a [`PublicationTap`]:
 /// the freshly assigned version, the frozen document, and — when
-/// available — the change scope and the splice delta since the previous
-/// version. `splices: None` means the delta is unknown (the working copy
-/// was mutated outside [`Document::splice_call`], or journaling is off),
-/// so a durability layer must persist the whole document instead.
+/// available — the splice delta since the previous version.
+/// `splices: None` means the delta is unknown (the working copy was
+/// mutated outside [`Document::splice_call`], or journaling is off), so a
+/// durability layer must persist the whole document instead.
 #[derive(Debug)]
 pub struct Publication<'a> {
     /// The version number this publication produced.
     pub version: u64,
     /// The document at that version.
     pub doc: &'a Document,
-    /// Label paths the publication changed (`None` = unknown scope).
-    pub changed_paths: Option<&'a [Vec<String>]>,
     /// The splices that turned the previous version into this one, in
     /// application order (`None` = unknown delta).
     pub splices: Option<&'a [SpliceOp]>,
@@ -87,10 +85,10 @@ impl std::ops::Deref for DocSnapshot {
 
 /// One retained publication on a [`VersionedDocument`]'s history ring:
 /// the published version, its frozen document, and — when the writer
-/// used a `*_tagged` publish — the label paths (root → changed node) the
-/// publication touched. `changed_paths: None` means the scope of the
-/// change is unknown, so consumers must assume everything may have
-/// changed.
+/// used [`VersionedDocument::publish_if_tagged`] — the label paths
+/// (root → changed node) the publication touched. `changed_paths: None`
+/// means the scope of the change is unknown, so consumers must assume
+/// everything may have changed.
 #[derive(Clone, Debug)]
 pub struct PublicationRecord {
     /// The version number this publication produced.
@@ -212,16 +210,6 @@ impl VersionedDocument {
         h.entries.clear();
     }
 
-    /// The oldest watermark that [`VersionedDocument::publications_since`]
-    /// can still serve from retained records (subscribers below it get
-    /// [`CatchUp::Degraded`]).
-    pub fn history_floor(&self) -> u64 {
-        self.history
-            .lock()
-            .expect("publication history poisoned")
-            .floor
-    }
-
     /// The currently published version, as a frozen snapshot.
     pub fn snapshot(&self) -> DocSnapshot {
         let g = self.current.read().expect("versioned document poisoned");
@@ -240,21 +228,13 @@ impl VersionedDocument {
     /// wins) and returns the new version number. Existing snapshots are
     /// unaffected; future [`VersionedDocument::snapshot`] calls see `doc`.
     /// The publication is retained with unknown change scope.
-    pub fn publish(&self, doc: Document) -> u64 {
-        self.publish_tagged(doc, None)
-    }
-
-    /// [`VersionedDocument::publish`] with an explicit change scope: the
-    /// label paths (root → changed node) this publication touched, which
-    /// subscribers use to skip versions provably outside their queries.
-    pub fn publish_tagged(&self, doc: Document, changed_paths: Option<Vec<Vec<String>>>) -> u64 {
-        let mut doc = doc;
+    pub fn publish(&self, mut doc: Document) -> u64 {
         let splices = doc.take_splice_journal();
         let mut g = self.current.write().expect("versioned document poisoned");
         g.0 += 1;
         g.1 = Arc::new(doc);
-        self.tap_locked(g.0, &g.1, changed_paths.as_deref(), splices.as_deref());
-        self.record_locked(g.0, &g.1, changed_paths);
+        self.tap_locked(g.0, &g.1, splices.as_deref());
+        self.record_locked(g.0, &g.1, None);
         g.0
     }
 
@@ -267,8 +247,10 @@ impl VersionedDocument {
         self.publish_if_tagged(base_version, doc, None)
     }
 
-    /// [`VersionedDocument::publish_if`] with an explicit change scope
-    /// (see [`VersionedDocument::publish_tagged`]).
+    /// [`VersionedDocument::publish_if`] with an explicit change scope:
+    /// the label paths (root → changed node) this publication touched,
+    /// which subscribers use to skip versions provably outside their
+    /// queries.
     pub fn publish_if_tagged(
         &self,
         base_version: u64,
@@ -283,26 +265,19 @@ impl VersionedDocument {
         let splices = doc.take_splice_journal();
         g.0 += 1;
         g.1 = Arc::new(doc);
-        self.tap_locked(g.0, &g.1, changed_paths.as_deref(), splices.as_deref());
+        self.tap_locked(g.0, &g.1, splices.as_deref());
         self.record_locked(g.0, &g.1, changed_paths);
         Ok(g.0)
     }
 
     /// Runs the write-ahead tap inside the publication critical section:
     /// the version the tap sees is not yet visible to any reader.
-    fn tap_locked(
-        &self,
-        version: u64,
-        doc: &Arc<Document>,
-        changed_paths: Option<&[Vec<String>]>,
-        splices: Option<&[SpliceOp]>,
-    ) {
+    fn tap_locked(&self, version: u64, doc: &Arc<Document>, splices: Option<&[SpliceOp]>) {
         let tap = self.tap.lock().expect("publication tap poisoned").clone();
         if let Some(tap) = tap {
             tap.on_publish(&Publication {
                 version,
                 doc,
-                changed_paths,
                 splices,
             });
         }
@@ -389,7 +364,8 @@ mod tests {
     fn history_replays_publications_from_a_watermark() {
         let v = VersionedDocument::new(doc("r"));
         v.enable_history(8);
-        v.publish_tagged(doc("a"), Some(vec![vec!["r".into(), "a".into()]]));
+        let tagged = Some(vec![vec!["r".into(), "a".into()]]);
+        assert_eq!(v.publish_if_tagged(0, doc("a"), tagged), Ok(1));
         v.publish(doc("b")); // unknown scope
         let CatchUp::Records(recs) = v.publications_since(0) else {
             panic!("watermark 0 is at the floor; no degradation expected");
@@ -418,10 +394,11 @@ mod tests {
             v.publish(doc(&format!("v{i}")));
         }
         // versions 1 and 2 were evicted; floor is at 2
-        assert_eq!(v.history_floor(), 2);
-        match v.publications_since(0) {
-            CatchUp::Degraded(snap) => assert_eq!(snap.version(), 4),
-            CatchUp::Records(_) => panic!("stale watermark must degrade"),
+        for stale in [0, 1] {
+            match v.publications_since(stale) {
+                CatchUp::Degraded(snap) => assert_eq!(snap.version(), 4),
+                CatchUp::Records(_) => panic!("stale watermark must degrade"),
+            }
         }
         // a watermark at the floor still catches up from records
         let CatchUp::Records(recs) = v.publications_since(2) else {

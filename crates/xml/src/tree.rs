@@ -563,11 +563,6 @@ impl Document {
         self.journal_ops.clear();
     }
 
-    /// Whether the splice journal is recording.
-    pub fn splice_journal_enabled(&self) -> bool {
-        self.journal_on
-    }
-
     /// Declares the journal's pending delta unknown: the next
     /// [`Document::take_splice_journal`] returns `None`, so a durable
     /// publisher falls back to a full-snapshot record. For *rebasing*
@@ -745,22 +740,6 @@ impl Document {
         }
         path.reverse();
         path
-    }
-
-    /// `true` if `anc` is an ancestor of `desc` (strict) or equal when
-    /// `or_self` is set.
-    pub fn is_ancestor(&self, anc: NodeId, desc: NodeId, or_self: bool) -> bool {
-        if anc == desc {
-            return or_self;
-        }
-        let mut cur = self.parent(desc);
-        while let Some(n) = cur {
-            if n == anc {
-                return true;
-            }
-            cur = self.parent(n);
-        }
-        false
     }
 
     /// Deep-copies the subtree rooted at `src_node` of another document as
@@ -1276,16 +1255,6 @@ mod tests {
     }
 
     #[test]
-    fn ancestor_tests() {
-        let (d, hotel, call) = sample();
-        assert!(d.is_ancestor(d.root(), call, false));
-        assert!(d.is_ancestor(hotel, call, false));
-        assert!(!d.is_ancestor(call, hotel, false));
-        assert!(!d.is_ancestor(hotel, hotel, false));
-        assert!(d.is_ancestor(hotel, hotel, true));
-    }
-
-    #[test]
     fn subtree_copy_is_deep_and_independent() {
         let (d, hotel, _) = sample();
         let f = d.subtree_to_forest(hotel);
@@ -1565,7 +1534,6 @@ mod tests {
     #[test]
     fn journal_disabled_reports_unknown_delta() {
         let (mut d, _, call) = sample();
-        assert!(!d.splice_journal_enabled());
         d.splice_call(call, &Forest::new());
         assert!(d.take_splice_journal().is_none());
     }

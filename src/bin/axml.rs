@@ -19,7 +19,6 @@
 //!              [--deadline-ms X] [--hedge-threshold-ms X] [--hedge-quantile F] \
 //!              [--shed-inflight N] [--shed-ewma-ms X] \
 //!              [--cache-ttl-ms X] [--cache-capacity N] [--cache-bytes N] \
-//!              [--cache-shards N] \
 //!              [--durable DIR] [--checkpoint-every N] [--fsync always|never|every:N] \
 //!              [--quiet] [--stats] [--trace] [--trace-json PATH] [--trace-summary]
 //! axml subscribe --doc doc.xml --world world.xml \
@@ -134,7 +133,7 @@ const FAULT_VALUES: &str = "latency-ms retries timeout-ms fault-seed fail-prob";
 /// and what `engine_config` and `cache_config` read.
 const EVAL_VALUES: &str = "doc query world schema strategy typing max-calls deadline-ms \
     hedge-threshold-ms hedge-quantile shed-inflight shed-ewma-ms cache-ttl-ms cache-capacity \
-    cache-bytes cache-shards";
+    cache-bytes";
 /// The flags the evaluating commands share: what `engine_config` reads,
 /// and `--stats`.
 const EVAL_FLAGS: &str = "push no-parallel relax no-containment enforce-types speculate stats";
@@ -319,12 +318,6 @@ fn cache_config(opts: &Opts) -> Result<CacheConfig, String> {
         config.max_bytes = v
             .parse()
             .map_err(|_| format!("--cache-bytes expects a number, got {v:?}"))?;
-    }
-    if let Some(v) = opts.value("cache-shards") {
-        let shards: usize = v
-            .parse()
-            .map_err(|_| format!("--cache-shards expects a number, got {v:?}"))?;
-        config = config.with_shards(shards);
     }
     Ok(config)
 }
@@ -983,7 +976,7 @@ fn cmd_subscribe(opts: &Opts) -> Result<(), String> {
 
 /// The multi-tenant path of `axml session` (`--sessions N`): N sessions,
 /// each running the full query stream against the stored document, on the
-/// store's scheduler — the work-stealing pool (`--workers`), or the
+/// store's scheduler — the worker pool (`--workers`), or the
 /// seeded deterministic interleaving (`--sched-seed`, single-threaded and
 /// reproducible).
 fn serve_sessions(
@@ -1057,8 +1050,7 @@ fn serve_sessions(
     };
     println!(
         "== serve: {} sessions x {} queries on {sched}: {:.1} q/s \
-         (p50 {:.2} ms, p99 {:.2} ms, wall {:.1} ms), cache {} hits / {} misses \
-         across {} shard(s)",
+         (p50 {:.2} ms, p99 {:.2} ms, wall {:.1} ms), cache {} hits / {} misses",
         sessions,
         queries.len(),
         report.queries_per_sec(),
@@ -1067,7 +1059,6 @@ fn serve_sessions(
         report.wall_ms,
         cs.hits,
         cs.misses,
-        store.cache().shard_count()
     );
     Ok(())
 }
