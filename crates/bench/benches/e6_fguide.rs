@@ -1,22 +1,11 @@
-//! E6 (CPU side) — classifying a document's calls into the function-call
-//! guide, and guide-based candidate detection vs full NFQ evaluation on
-//! the document (§6.2).
+//! E6 (CPU side) — guide-based candidate detection vs full NFQ
+//! evaluation on the document (§6.2). The document classifies its calls
+//! into the function-call guide as it is built, so there is no separate
+//! classification step to time.
 
-use axml_core::{build_nfqs, filter_candidates, position_language, ClassVerdicts, FGuide};
+use axml_core::{build_nfqs, extent, filter_candidates, position_language, ClassVerdicts};
 use axml_gen::scenario::{figure4_query, generate, ScenarioParams};
-use axml_xml::Document;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
-/// A guide holding every call of `doc`.
-fn classify(doc: &Document) -> FGuide {
-    let mut guide = FGuide::default();
-    for &node in doc.calls_unordered() {
-        if let Some((id, _)) = doc.call_info(node) {
-            guide.class_of(doc, node, id);
-        }
-    }
-    guide
-}
 
 fn bench_fguide(c: &mut Criterion) {
     let mut group = c.benchmark_group("e6_fguide_cpu");
@@ -29,12 +18,6 @@ fn bench_fguide(c: &mut Criterion) {
             ..Default::default()
         });
         let doc = sc.doc;
-
-        group.bench_with_input(BenchmarkId::new("classify_calls", hotels), &doc, |b, d| {
-            b.iter(|| std::hint::black_box(classify(d).len()))
-        });
-
-        let mut guide = classify(&doc);
         group.bench_with_input(
             BenchmarkId::new("detect_via_guide", hotels),
             &doc,
@@ -43,8 +26,7 @@ fn bench_fguide(c: &mut Criterion) {
                     let mut found = 0usize;
                     for nfq in &nfqs {
                         let mut at = ClassVerdicts::new(position_language(&nfq.lin, nfq.via));
-                        let cands: Vec<_> = guide
-                            .extent(d, &mut at, None)
+                        let cands: Vec<_> = extent(d, &mut at, None)
                             .into_iter()
                             .map(|(n, _)| n)
                             .collect();

@@ -21,12 +21,14 @@
 //! Every strategy runs one round loop, `Run::drive`: detect the relevant
 //! calls, dispatch them, detect again. A strategy differs only in what a
 //! round detects and how it dispatches. Detection finds calls by position
-//! on the run's function-call guide (§6.2, [`FGuide`]). The calls
-//! themselves go through the gates of the `dispatch` child module.
+//! on the document's function-call guide (§6.2, [`crate::fguide`]). The
+//! calls themselves go through the gates of the `dispatch` child module.
 
 mod dispatch;
 
-use crate::fguide::{filter_candidates, output_services, position_language, ClassVerdicts, FGuide};
+use crate::fguide::{
+    extent, filter_candidates, known_services, output_services, position_language, ClassVerdicts,
+};
 use crate::influence::{compute_layers, Layers};
 use crate::nfq::{Lpq, Nfq};
 use crate::plan::{lpq_set, nfq_set, typing_mode, CompiledQuery};
@@ -520,8 +522,12 @@ struct Run<'e, 'a, 'q> {
     total_call_cost_ms: f64,
     /// per-NFQ class verdicts of the position language
     nfqs: HashMap<usize, ClassVerdicts>,
-    /// the live calls' visibility and parent-path classes
-    guide: FGuide,
+    /// the services §5's refinement last ran against, and per NFQ its
+    /// refinement then (`None`: no function satisfies the output); an
+    /// entry goes when the NFQ's pattern changes, all go when the
+    /// services do
+    known: Vec<String>,
+    refined: HashMap<usize, Option<Nfq>>,
     /// the parent label path of every invoked and spliced call
     changed_paths: Vec<Vec<String>>,
     /// reusable evaluator memo tables (the NFQA loop re-evaluates
@@ -557,7 +563,8 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
             budget: engine.config.max_invocations,
             total_call_cost_ms: 0.0,
             nfqs: HashMap::new(),
-            guide: FGuide::default(),
+            known: Vec::new(),
+            refined: HashMap::new(),
             changed_paths: Vec::new(),
             eval_cache: PlanScratch::default(),
             seq: 0,
@@ -732,7 +739,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                 // §6.2: an LPQ retrieves the same calls on the guide as on
                 // the document
                 run.stats.relevance_evals += 1;
-                let found = run.guide.extent(doc, at, None);
+                let found = extent(doc, at, None);
                 cross_check(
                     &lpq.pattern,
                     lpq.output,
@@ -838,8 +845,9 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
             self.emit(EventKind::LayerEnd);
             // §4.3: drop the `()` side branches guarding positions whose
             // layers are now fully processed; the class verdicts stay, as
-            // they depend only on the NFQ's linear path
-            for nfq in nfqs.iter_mut() {
+            // they depend only on the NFQ's linear path, but the NFQ's
+            // refinement must run again
+            for (i, nfq) in nfqs.iter_mut().enumerate() {
                 let doomed: Vec<PNodeId> = nfq
                     .fun_branches
                     .iter()
@@ -853,6 +861,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                         nfq.pattern.remove_subtree(*f);
                     }
                     nfq.fun_branches.retain(|(f, _)| !doomed.contains(f));
+                    self.refined.remove(&i);
                 }
             }
         }
@@ -893,9 +902,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         }
         let services = output_services(effective, doc);
         let at = class_verdicts(&mut self.nfqs, i, nfq);
-        let positional: Vec<NodeId> = self
-            .guide
-            .extent(doc, at, services.as_deref())
+        let positional: Vec<NodeId> = extent(doc, at, services.as_deref())
             .into_iter()
             .map(|(n, _)| n)
             .collect();
@@ -920,24 +927,31 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         refiner: &mut Option<TypeRefiner<'_, '_>>,
     ) -> (Vec<Candidate>, Pushes) {
         let t = Instant::now();
-        // function names currently in the document (for refinement)
-        let known = if refiner.is_some() {
-            self.guide.known_services(doc, &self.dead)
-        } else {
-            Vec::new()
-        };
+        if refiner.is_some() {
+            // function names currently in the document (for refinement)
+            let known = known_services(doc, &self.dead);
+            if known != self.known {
+                self.known = known;
+                self.refined.clear();
+            }
+        }
+        // taken out for the loop, which borrows the run for retrieval
+        let mut refined = std::mem::take(&mut self.refined);
         let mut by_call: BTreeMap<CallId, Candidate> = BTreeMap::new();
         for &i in layer {
             let nfq = &nfqs[i];
             let effective = match refiner.as_mut() {
-                Some(r) => match r.refine(nfq, &known) {
-                    Some(refined) => refined,
+                Some(r) => match refined
+                    .entry(i)
+                    .or_insert_with(|| r.refine(nfq, &self.known))
+                {
+                    Some(refined) => &*refined,
                     None => continue, // no function can ever satisfy v
                 },
-                None => nfq.clone(),
+                None => nfq,
             };
             self.stats.relevance_evals += 1;
-            for node in self.retrieve(doc, i, nfq, &effective) {
+            for node in self.retrieve(doc, i, nfq, effective) {
                 let Some((id, svc)) = doc.call_info(node) else {
                     continue;
                 };
@@ -951,6 +965,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                     .insert(nfq.focus);
             }
         }
+        self.refined = refined;
         self.stats.relevance_cpu += t.elapsed();
 
         let mut pushes = BTreeMap::new();
@@ -965,16 +980,13 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                     continue;
                 }
                 // every retrieved call is visible, so it has a class
-                let Some(class) = self.guide.class_of(doc, cand.node, cand.call) else {
+                let Some(class) = doc.call_class(cand.node) else {
                     continue;
                 };
                 let positional_foci: BTreeSet<PNodeId> = nfqs
                     .iter()
                     .enumerate()
-                    .filter(|&(i, n)| {
-                        let at = class_verdicts(&mut self.nfqs, i, n);
-                        at.accepts(&self.guide, doc, class)
-                    })
+                    .filter(|&(i, n)| class_verdicts(&mut self.nfqs, i, n).accepts(doc, class))
                     .map(|(_, n)| n.focus)
                     .collect();
                 if positional_foci.len() == 1 {

@@ -9,39 +9,33 @@
 //! conditions left to check on those calls ("NFQ filtering",
 //! [`filter_candidates`]).
 //!
-//! [`FGuide`] keeps that summary flat. A *class* — the interned label path
-//! of a visible call's parent — is a guide node, and the live calls of a
-//! class are the node's extent. A live call's two positional facts never
-//! change while it lives, because its ancestors are removed only together
-//! with it:
-//!
-//! * whether it is *visible* — every ancestor a data node, so it is not
-//!   nested inside another call's parameters;
-//! * the label path of its parent, its class.
-//!
-//! So the guide classifies each call once, when it is first seen, and
-//! needs no upkeep when a splice consumes calls or brings new ones: the
-//! paper's "maintained incrementally as calls are invoked".
+//! The document owns the guide and keeps it flat (see `axml_xml`'s tree
+//! module). A *class* — the interned label path of a visible call's parent
+//! — is a guide node, and the live calls of a class are the node's extent
+//! ([`Document::class_extent`]). A call is classified once, when it is
+//! allocated, and every splice keeps the extents current: the paper's
+//! "maintained incrementally as calls are invoked".
 //!
 //! A call-finding query reads the guide through its position automaton
 //! ([`position_language`]), and [`ClassVerdicts`] decides once per class
-//! whether the automaton accepts it. A lookup then costs one table probe
-//! per live call plus one verdict per class. Every positional test of the
-//! engine reads the guide this way: NFQ candidates, LPQ candidates, the
-//! push check's "which NFQs reach this call?", and the services §5's type
-//! refinement considers.
+//! whether the automaton accepts it. A lookup then costs one verdict per
+//! class plus the extents accepted, not the document's live calls. Every
+//! positional test of the engine reads the guide this way: NFQ candidates,
+//! LPQ candidates, the push check's "which NFQs reach this call?", and the
+//! services §5's type refinement considers.
 
 use crate::nfq::Nfq;
-use axml_query::{EdgeKind, FunMatch, FxBuildHasher, LinearPath, Matcher, PLabel, PNodeId};
+use axml_query::{EdgeKind, FunMatch, LinearPath, Matcher, PLabel, PNodeId};
 use axml_schema::{Nfa, SymNfa};
 use axml_xml::{CallId, Document, NodeId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-/// A function-call guide over one document: every call seen so far, with
-/// its class.
+/// The extent of the guide nodes `at` accepts: the visible live calls of
+/// `doc` whose class the position automaton accepts, among the calls of
+/// `services` when given, class by class.
 ///
 /// ```
-/// use axml_core::{position_language, ClassVerdicts, FGuide};
+/// use axml_core::{extent, position_language, ClassVerdicts};
 /// use axml_query::{parse_query, EdgeKind, LinearPath};
 /// use axml_xml::parse;
 ///
@@ -49,113 +43,56 @@ use std::collections::{HashMap, HashSet};
 ///     "<hotels><hotel><nearby>\
 ///        <axml:call service=\"getNearbyRestos\"/></nearby></hotel></hotels>",
 /// ).unwrap();
-/// let mut guide = FGuide::default();
 /// // calls strictly below /hotels/hotel
 /// let q = parse_query("/hotels/hotel/x").unwrap();
 /// let lin = LinearPath::to_node(&q, q.result_nodes()[0], false);
 /// let mut below = ClassVerdicts::new(position_language(&lin, EdgeKind::Descendant));
-/// assert_eq!(guide.extent(&doc, &mut below, None).len(), 1);
+/// assert_eq!(extent(&doc, &mut below, None).len(), 1);
 /// // one class: hotels/hotel/nearby
-/// assert_eq!(guide.len(), 1);
+/// assert_eq!(doc.class_count(), 1);
 /// ```
-#[derive(Debug, Default)]
-pub struct FGuide {
-    /// The call's class, or `None` when the call is hidden inside another
-    /// call's parameters.
-    class: HashMap<CallId, Option<u32>, FxBuildHasher>,
-    /// Interned parent label paths (as document symbols) → class.
-    classes: HashMap<Vec<u32>, u32, FxBuildHasher>,
-    /// Class → its parent label path.
-    paths: Vec<Vec<u32>>,
-    /// Scratch for the path being classified.
-    path: Vec<u32>,
-}
-
-impl FGuide {
-    /// The class of the live call `id` at `node`, or `None` when the call
-    /// is not visible to queries. Computed on the call's first sighting
-    /// only.
-    pub fn class_of(&mut self, doc: &Document, node: NodeId, id: CallId) -> Option<u32> {
-        *self.class.entry(id).or_insert_with(|| {
-            let path = &mut self.path;
-            path.clear();
-            let mut cur = doc.parent(node);
-            while let Some(p) = cur {
-                if !doc.is_data(p) {
-                    return None;
-                }
-                path.push(doc.sym(p));
-                cur = doc.parent(p);
-            }
-            path.reverse();
-            if let Some(&class) = self.classes.get(path.as_slice()) {
-                return Some(class);
-            }
-            let class = self.paths.len() as u32;
-            self.paths.push(path.clone());
-            self.classes.insert(path.clone(), class);
-            Some(class)
-        })
-    }
-
-    /// Number of classes (guide nodes) seen so far.
-    pub fn len(&self) -> usize {
-        self.paths.len()
-    }
-
-    /// Whether no visible call has been seen yet.
-    pub fn is_empty(&self) -> bool {
-        self.paths.is_empty()
-    }
-
-    /// The extent of the guide nodes `at` accepts: the visible live calls
-    /// of `doc` whose class the position automaton accepts, among the calls
-    /// of `services` when given. Calls come in `Document::calls_unordered`
-    /// order.
-    pub fn extent(
-        &mut self,
-        doc: &Document,
-        at: &mut ClassVerdicts,
-        services: Option<&[u32]>,
-    ) -> Vec<(NodeId, CallId)> {
-        at.sync(doc);
-        let mut out = Vec::new();
-        for &node in doc.calls_unordered() {
+pub fn extent(
+    doc: &Document,
+    at: &mut ClassVerdicts,
+    services: Option<&[u32]>,
+) -> Vec<(NodeId, CallId)> {
+    at.sync(doc);
+    let mut out = Vec::new();
+    for class in 0..doc.class_count() as u32 {
+        if !at.verdict(doc, class) {
+            continue;
+        }
+        for &node in doc.class_extent(class) {
             if services.is_some_and(|s| !s.contains(&doc.sym(node))) {
                 continue;
             }
-            let Some((id, _)) = doc.call_info(node) else {
-                continue;
-            };
-            if let Some(class) = self.class_of(doc, node, id) {
-                if at.verdict(self, class) {
-                    out.push((node, id));
-                }
+            if let Some((id, _)) = doc.call_info(node) {
+                out.push((node, id));
             }
         }
-        out
     }
+    out
+}
 
-    /// The services type refinement must consider: the sorted names of the
-    /// visible calls whose ids are not in `dead`. A name needs one such
-    /// call, so the calls of a name already found skip the table.
-    pub(crate) fn known_services(&mut self, doc: &Document, dead: &HashSet<CallId>) -> Vec<String> {
-        let mut found = vec![false; doc.sym_count()];
-        let mut names = Vec::new();
-        for &node in doc.calls_unordered() {
-            let sym = doc.sym(node);
-            let Some((id, _)) = doc.call_info(node) else {
-                continue;
-            };
-            if !found[sym as usize] && !dead.contains(&id) && self.class_of(doc, node, id).is_some()
-            {
-                found[sym as usize] = true;
-                names.push(doc.sym_text(sym).to_string());
-            }
-        }
-        names.sort_unstable();
-        names
-    }
+/// The services type refinement must consider: the sorted names of the
+/// visible calls whose ids are not in `dead`. The document counts its
+/// visible calls per service, so only when some call is dead does a
+/// service's label bucket need a look.
+pub(crate) fn known_services(doc: &Document, dead: &HashSet<CallId>) -> Vec<String> {
+    let mut names: Vec<String> = doc
+        .visible_services()
+        .iter()
+        .filter(|&&(sym, _)| {
+            dead.is_empty()
+                || doc.nodes_with_sym(sym).iter().any(|&n| {
+                    doc.call_class(n).is_some()
+                        && doc.call_info(n).is_some_and(|(id, _)| !dead.contains(&id))
+                })
+        })
+        .map(|&(sym, _)| doc.sym_text(sym).to_string())
+        .collect();
+    names.sort_unstable();
+    names
 }
 
 /// The position language of a call-finding query whose linear path is
@@ -187,19 +124,22 @@ pub(crate) fn output_services(nfq: &Nfq, doc: &Document) -> Option<Vec<u32>> {
 }
 
 /// One query's position automaton, with its memoized verdict per guide
-/// class. The automaton is compiled against a document's symbol table;
-/// a label the query names may be interned later, first by a splice, and
-/// the automaton compiled without it would reject every path through it.
-/// So a grown table means recompiling and forgetting every verdict. The
-/// verdicts are indexed by class, so one `ClassVerdicts` serves one guide.
-/// The automaton is stepped as an NFA: it answers once per class, and a
-/// document has a handful of classes, so determinizing it first would
-/// cost more than it saves.
+/// class. The automaton is compiled against a document's symbol table; a
+/// label the query names may be interned later, first by a splice, and the
+/// automaton compiled without it would reject every path through it. So
+/// the automaton is recompiled, and every verdict forgotten, when a label
+/// that was missing at compile time has since been interned. Other new
+/// symbols change nothing: symbol tables and class paths never change what
+/// they already hold. The verdicts are indexed by class, so one
+/// `ClassVerdicts` serves one document. The automaton is stepped as an
+/// NFA: it answers once per class, and a document has a handful of
+/// classes, so determinizing it first would cost more than it saves.
 #[derive(Debug)]
 pub struct ClassVerdicts {
     position: Nfa,
-    /// `Document::sym_count` at compile time, and the compiled automaton.
-    compiled: Option<(usize, SymNfa)>,
+    /// The compiled automaton, and the labels it names that the document
+    /// had not interned when it was compiled.
+    compiled: Option<(SymNfa, Vec<String>)>,
     verdicts: Vec<Option<bool>>,
 }
 
@@ -215,30 +155,41 @@ impl ClassVerdicts {
     }
 
     /// Does the position automaton accept the parent path of `class`?
-    pub(crate) fn accepts(&mut self, guide: &FGuide, doc: &Document, class: u32) -> bool {
+    pub(crate) fn accepts(&mut self, doc: &Document, class: u32) -> bool {
         self.sync(doc);
-        self.verdict(guide, class)
+        self.verdict(doc, class)
     }
 
     /// Compiles the automaton against the document's current symbols,
-    /// unless it already was.
+    /// unless it already was and no label it missed has been interned
+    /// since.
     fn sync(&mut self, doc: &Document) {
-        let stamp = doc.sym_count();
-        if !matches!(&self.compiled, Some((s, _)) if *s == stamp) {
-            let nfa = self.position.compile_syms(|l| doc.lookup_sym(l));
-            self.compiled = Some((stamp, nfa));
+        let stale = match &self.compiled {
+            None => true,
+            Some((_, missing)) => missing.iter().any(|l| doc.lookup_sym(l).is_some()),
+        };
+        if stale {
+            let mut missing = Vec::new();
+            let nfa = self.position.compile_syms(|l| {
+                let sym = doc.lookup_sym(l);
+                if sym.is_none() && !missing.iter().any(|m: &String| m == l) {
+                    missing.push(l.to_string());
+                }
+                sym
+            });
+            self.compiled = Some((nfa, missing));
             self.verdicts.clear();
         }
     }
 
     /// The verdict on `class`, with the automaton already synced.
-    fn verdict(&mut self, guide: &FGuide, class: u32) -> bool {
+    fn verdict(&mut self, doc: &Document, class: u32) -> bool {
         let i = class as usize;
         if i >= self.verdicts.len() {
             self.verdicts.resize(i + 1, None);
         }
-        let (_, nfa) = self.compiled.as_ref().expect("synced before use");
-        *self.verdicts[i].get_or_insert_with(|| nfa.accepts(&guide.paths[i]))
+        let (nfa, _) = self.compiled.as_ref().expect("synced before use");
+        *self.verdicts[i].get_or_insert_with(|| nfa.accepts(doc.class_path(class)))
     }
 }
 
@@ -344,7 +295,7 @@ mod tests {
     use axml_gen::scenario::{figure4_query, generate, ScenarioParams};
     use axml_query::{parse_query, render, Pattern};
     use axml_schema::SatMode;
-    use axml_xml::parse;
+    use axml_xml::{decode_document, document_to_bytes, parse};
     use proptest::prelude::*;
 
     fn fig1_doc() -> Document {
@@ -367,20 +318,24 @@ mod tests {
 
     /// The calls of `doc` the guide holds at `lin` followed by a `()` step
     /// via `via`, sorted.
-    fn calls_at(
-        guide: &mut FGuide,
-        doc: &Document,
-        lin: &LinearPath,
-        via: EdgeKind,
-    ) -> Vec<NodeId> {
+    fn calls_at(doc: &Document, lin: &LinearPath, via: EdgeKind) -> Vec<NodeId> {
         let mut at = ClassVerdicts::new(position_language(lin, via));
-        let mut found: Vec<NodeId> = guide
-            .extent(doc, &mut at, None)
+        let mut found: Vec<NodeId> = extent(doc, &mut at, None)
             .into_iter()
             .map(|(n, _)| n)
             .collect();
         found.sort();
         found
+    }
+
+    /// The ids of the calls `calls_at` finds, sorted.
+    fn ids_at(doc: &Document, lin: &LinearPath, via: EdgeKind) -> Vec<CallId> {
+        let mut ids: Vec<CallId> = calls_at(doc, lin, via)
+            .into_iter()
+            .map(|n| doc.call_info(n).unwrap().0)
+            .collect();
+        ids.sort();
+        ids
     }
 
     /// The linear path to the result node of a one-result query.
@@ -392,23 +347,24 @@ mod tests {
     #[test]
     fn build_summarizes_call_paths_once() {
         let d = fig1_doc();
-        let mut g = FGuide::default();
         let visible = d
             .calls_unordered()
             .iter()
-            .filter(|&&n| g.class_of(&d, n, d.call_info(n).unwrap().0).is_some())
+            .filter(|&&n| d.call_class(n).is_some())
             .count();
         // five calls at three paths: hotels, hotels/hotel/rating and
         // hotels/hotel/nearby
         assert_eq!(visible, 5);
-        assert_eq!(g.len(), 3);
-        assert!(g.len() < d.len(), "guide is more compact than the document");
+        assert_eq!(d.class_count(), 3);
+        assert!(
+            d.class_count() < d.len(),
+            "guide is more compact than the document"
+        );
     }
 
     #[test]
     fn linear_queries_on_guide_match_lpqs_on_document() {
         let d = fig1_doc();
-        let mut g = FGuide::default();
         let q = parse_query(
             "/hotels/hotel[name=\"Best Western\"][rating=\"*****\"]\
              /nearby//restaurant[name=$X] -> $X",
@@ -416,7 +372,7 @@ mod tests {
         .unwrap();
         for lpq in build_lpqs(&q) {
             let on_doc = axml_query::eval(&lpq.pattern, &d).bindings_of(lpq.output);
-            let on_guide = calls_at(&mut g, &d, &lpq.lin, lpq.via);
+            let on_guide = calls_at(&d, &lpq.lin, lpq.via);
             assert_eq!(on_doc, on_guide, "LPQ {} differs", lpq.lin);
         }
     }
@@ -424,9 +380,8 @@ mod tests {
     #[test]
     fn maintenance_after_splice() {
         let mut d = fig1_doc();
-        let mut g = FGuide::default();
         let nearby = lin_of("/hotels/hotel/nearby/x");
-        assert_eq!(calls_at(&mut g, &d, &nearby, EdgeKind::Child).len(), 3);
+        assert_eq!(calls_at(&d, &nearby, EdgeKind::Child).len(), 3);
         // invoke the Best Western getNearbyRestos: result contains a
         // restaurant with a nested getRating call (like Figure 3)
         let call = d
@@ -442,31 +397,27 @@ mod tests {
         .unwrap();
         d.splice_call(call, &result);
         // the consumed call left its extent, and the nested getRating is
-        // classified at hotels/hotel/nearby/restaurant/rating when first
-        // seen — exactly what a guide started after the splice holds
+        // classified at hotels/hotel/nearby/restaurant/rating by the
+        // splice — exactly what a document decoded afresh holds
+        let rebuilt = decode_document(&document_to_bytes(&d)).unwrap();
         let rating = lin_of("/hotels/hotel/nearby/restaurant/rating/x");
         for lin in [&nearby, &rating] {
-            let kept = calls_at(&mut g, &d, lin, EdgeKind::Child);
             assert_eq!(
-                kept,
-                calls_at(&mut FGuide::default(), &d, lin, EdgeKind::Child)
+                ids_at(&d, lin, EdgeKind::Child),
+                ids_at(&rebuilt, lin, EdgeKind::Child)
             );
         }
-        assert_eq!(calls_at(&mut g, &d, &nearby, EdgeKind::Child).len(), 2);
-        assert_eq!(calls_at(&mut g, &d, &rating, EdgeKind::Child).len(), 1);
-        assert_eq!(g.len(), 4);
+        assert_eq!(calls_at(&d, &nearby, EdgeKind::Child).len(), 2);
+        assert_eq!(calls_at(&d, &rating, EdgeKind::Child).len(), 1);
+        assert_eq!(d.class_count(), 4);
+        d.check_integrity().unwrap();
     }
 
     #[test]
     fn descendant_output_collects_subtree_extents() {
         let d = fig1_doc();
         // //() under /hotels/hotel: rating + nearby calls of both hotels
-        let found = calls_at(
-            &mut FGuide::default(),
-            &d,
-            &lin_of("/hotels/hotel/x"),
-            EdgeKind::Descendant,
-        );
+        let found = calls_at(&d, &lin_of("/hotels/hotel/x"), EdgeKind::Descendant);
         assert_eq!(found.len(), 4);
     }
 
@@ -484,7 +435,7 @@ mod tests {
             .unwrap();
         let nfq = build_nfq(&q, restaurant);
         // positional candidates: nearby calls of BOTH hotels
-        let candidates = calls_at(&mut FGuide::default(), &d, &nfq.lin, nfq.via);
+        let candidates = calls_at(&d, &nfq.lin, nfq.via);
         assert_eq!(candidates.len(), 3); // 2 at BW (restos+museums), 1 at Penn
                                          // conditions keep: BW's two (name matches, rating matches) and
                                          // Penn's one? Penn's name ≠ Best Western and its name is
@@ -558,12 +509,12 @@ mod tests {
             budget in 0usize..12,
         ) {
             let (sc, d) = partial_scenario(seed, hotels, budget);
-            let mut guide = FGuide::default();
-            let known = guide.known_services(&d, &HashSet::new());
+            d.check_integrity().unwrap();
+            let known = known_services(&d, &HashSet::new());
             for q in queries() {
                 for lpq in build_lpqs(&q) {
                     let full = axml_query::seed_eval(&lpq.pattern, &d).bindings_of(lpq.output);
-                    let on_guide = calls_at(&mut guide, &d, &lpq.lin, lpq.via);
+                    let on_guide = calls_at(&d, &lpq.lin, lpq.via);
                     prop_assert_eq!(&on_guide, &full, "{} / LPQ {}", render(&q), lpq.lin);
                 }
                 let mut refiner = TypeRefiner::new(&sc.schema, &q, SatMode::Exact);
@@ -575,8 +526,7 @@ mod tests {
                     let refined = refiner.refine(&nfq, &known);
                     for effective in std::iter::once(nfq.clone()).chain(refined) {
                         let services = output_services(&effective, &d);
-                        let source: Vec<NodeId> = guide
-                            .extent(&d, &mut at, services.as_deref())
+                        let source: Vec<NodeId> = extent(&d, &mut at, services.as_deref())
                             .into_iter()
                             .map(|(n, _)| n)
                             .collect();
@@ -601,13 +551,11 @@ mod tests {
             budget in 0usize..12,
         ) {
             let (_, d) = partial_scenario(seed, hotels, budget);
-            let mut guide = FGuide::default();
             for q in queries() {
                 for nfq in build_nfqs(&q) {
                     let mut at = ClassVerdicts::new(position_language(&nfq.lin, nfq.via));
                     for &node in d.calls_unordered() {
-                        let (id, _) = d.call_info(node).unwrap();
-                        let Some(class) = guide.class_of(&d, node, id) else {
+                        let Some(class) = d.call_class(node) else {
                             continue;
                         };
                         let labels = d.parent(node).map(|p| d.path_labels(p)).unwrap_or_default();
@@ -619,7 +567,7 @@ mod tests {
                             }
                         };
                         prop_assert_eq!(
-                            at.accepts(&guide, &d, class),
+                            at.accepts(&d, class),
                             reference,
                             "{} / NFQ {} at /{}",
                             render(&q),
@@ -633,10 +581,24 @@ mod tests {
     }
 
     #[test]
+    fn known_services_skip_hidden_and_dead_calls() {
+        // `f` and `h` are visible, `g` sits in `f`'s parameters, and the
+        // `h` label also names a data node
+        let d = parse(
+            "<r><axml:call service=\"f\"><axml:call service=\"g\"/></axml:call>\
+               <axml:call service=\"h\"/><h/></r>",
+        )
+        .unwrap();
+        assert_eq!(known_services(&d, &HashSet::new()), ["f", "h"]);
+        let h = d.calls().into_iter().find(|&n| d.label(n) == "h").unwrap();
+        let dead = HashSet::from([d.call_info(h).unwrap().0]);
+        assert_eq!(known_services(&d, &dead), ["f"]);
+    }
+
+    #[test]
     fn empty_document_yields_empty_guide() {
         let d = parse("<hotels><hotel><name>X</name></hotel></hotels>").unwrap();
-        let mut g = FGuide::default();
-        assert!(calls_at(&mut g, &d, &lin_of("/hotels/x"), EdgeKind::Child).is_empty());
-        assert!(g.is_empty());
+        assert!(calls_at(&d, &lin_of("/hotels/x"), EdgeKind::Child).is_empty());
+        assert_eq!(d.class_count(), 0);
     }
 }

@@ -45,7 +45,7 @@ pub use engine::{
     Completion, Engine, EngineConfig, EvalReport, HedgeConfig, ShedConfig, Speculation, Strategy,
     Typing,
 };
-pub use fguide::{filter_candidates, position_language, ClassVerdicts, FGuide};
+pub use fguide::{extent, filter_candidates, position_language, ClassVerdicts};
 pub use influence::{compute_layers, may_influence, Layers};
 pub use nfq::{build_lpqs, build_nfq, build_nfqs, relax_nfq_to_xpath, Lpq, Nfq};
 pub use plan::{plan_fingerprint, plan_hash, CompiledQuery};
@@ -84,7 +84,7 @@ pub fn relevant_calls(
     let nfqs = build_nfqs(query);
     let mut refiner = schema.map(|s| TypeRefiner::new(s, query, mode));
     let known = if refiner.is_some() {
-        FGuide::default().known_services(doc, &std::collections::HashSet::new())
+        fguide::known_services(doc, &std::collections::HashSet::new())
     } else {
         Vec::new()
     };

@@ -1,7 +1,7 @@
 //! The two lifetime assumptions behind the function-call guide (§6.2): a
 //! call's visibility and its parent path's class are computed once per
-//! call, and a query's verdicts on those classes are recomputed whenever
-//! the document's symbol table grows.
+//! call, when the document allocates it, and a query's verdicts on those
+//! classes are recomputed once a label the query names is first interned.
 
 use axml_core::{Engine, EngineConfig, EvalReport};
 use axml_obs::{EventKind, RingSink};

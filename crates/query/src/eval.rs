@@ -279,9 +279,16 @@ pub(crate) fn enum_tables(pat: &Pattern) -> (Vec<bool>, Vec<Option<u32>>) {
     let join_vars = pat.join_variables();
     let mut needs_enum = vec![false; pat.len()];
     let mut var_id = vec![None; pat.len()];
-    // bottom-up: creation order guarantees parents precede children,
-    // so compute in reverse order.
-    for id in pat.node_ids().collect::<Vec<_>>().into_iter().rev() {
+    // bottom-up, in reverse pre-order: creation order does not put
+    // parents first, since `Pattern::wrap_in_or` creates an OR node after
+    // its branch
+    let mut order = Vec::with_capacity(pat.len());
+    let mut stack: Vec<PNodeId> = (!pat.is_empty()).then(|| pat.root()).into_iter().collect();
+    while let Some(id) = stack.pop() {
+        order.push(id);
+        stack.extend(&pat.node(id).children);
+    }
+    for id in order.into_iter().rev() {
         let n = pat.node(id);
         let mut need = n.is_result;
         if let PLabel::Var(v) = &n.label {
@@ -461,13 +468,19 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Join-blind structural match of `p` at `v` (memoized).
+    /// Join-blind structural match of `p` at `v`. A leaf is answered by
+    /// its label test alone, which costs less than a memo probe; an inner
+    /// node's answer is memoized. The recursion strictly descends the
+    /// pattern or the document, so it cannot reach `(p, v)` again before
+    /// returning, and a miss needs no placeholder entry.
     fn smatch(&mut self, p: PNodeId, v: NodeId) -> bool {
+        let node = self.pat.node(p);
+        if node.children.is_empty() && !matches!(node.label, PLabel::Or) {
+            return self.local_ok(p, v);
+        }
         if let Some(&b) = self.memo.get(&(p, v)) {
             return b;
         }
-        // insert a pessimistic placeholder to cut (impossible) cycles
-        self.memo.insert((p, v), false);
         let r = self.smatch_uncached(p, v);
         self.memo.insert((p, v), r);
         r
@@ -524,7 +537,6 @@ impl<'a> Evaluator<'a> {
         if let Some(&b) = self.desc_memo.get(&(p, v)) {
             return b;
         }
-        self.desc_memo.insert((p, v), false);
         let mut found = false;
         if let Some(bucket) = self.desc_bucket(p, v) {
             for &u in bucket {

@@ -141,8 +141,24 @@ fn random_doc(seed: u64) -> Document {
     d
 }
 
+/// A random function test: `()` or a list of one or two services, one
+/// of which no document calls.
+fn random_fun(rng: &mut StdRng) -> PLabel {
+    if rng.gen_bool(0.4) {
+        return PLabel::Fun(FunMatch::Any);
+    }
+    let names = (0..rng.gen_range(1..3))
+        .map(|_| format!("svc{}", rng.gen_range(0..3)).into())
+        .collect();
+    PLabel::Fun(FunMatch::OneOf(names))
+}
+
 /// A small random query over the same alphabet, possibly with repeated
-/// (join) variables, function tests and result marks.
+/// (join) variables, function tests and result marks, and shaped like
+/// the NFQs the engine evaluates: some nodes are wrapped in OR nodes of
+/// one or two branches, the second branch often a function leaf, as in
+/// an NFQ's `(u | *())` relaxations and their refined service lists.
+/// Result marks stay off OR nodes.
 fn random_pattern(seed: u64) -> Pattern {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut p = Pattern::new();
@@ -160,7 +176,7 @@ fn random_pattern(seed: u64) -> Pattern {
             0 => PLabel::Wildcard,
             1 => PLabel::Var(format!("V{}", rng.gen_range(0..2)).into()),
             2 => PLabel::Const(format!("v{}", rng.gen_range(0..3)).into()),
-            3 => PLabel::Fun(FunMatch::Any),
+            3 => random_fun(&mut rng),
             _ => PLabel::Const(format!("e{}", rng.gen_range(0..4)).into()),
         };
         let is_fun = matches!(label, PLabel::Fun(_));
@@ -169,7 +185,28 @@ fn random_pattern(seed: u64) -> Pattern {
             frontier.push(c);
         }
     }
-    let ids: Vec<PNodeId> = p.node_ids().collect();
+    let inner: Vec<PNodeId> = p.node_ids().filter(|&id| id != root).collect();
+    for &id in &inner {
+        if !rng.gen_bool(0.35) {
+            continue;
+        }
+        let or = p.wrap_in_or(id);
+        match rng.gen_range(0..4) {
+            0 => {}
+            1 => {
+                let label = PLabel::Const(format!("e{}", rng.gen_range(0..4)).into());
+                p.add_child(or, EdgeKind::Child, label);
+            }
+            _ => {
+                let label = random_fun(&mut rng);
+                p.add_child(or, EdgeKind::Child, label);
+            }
+        }
+    }
+    let ids: Vec<PNodeId> = p
+        .node_ids()
+        .filter(|&id| !matches!(p.node(id).label, PLabel::Or))
+        .collect();
     for _ in 0..rng.gen_range(1..3) {
         let pick = ids[rng.gen_range(0..ids.len())];
         p.mark_result(pick);

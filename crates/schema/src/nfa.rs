@@ -354,9 +354,9 @@ enum SymTest {
 /// An [`Nfa`] compiled against one document's symbol table: words are
 /// interned label symbols and every transition test is an integer compare.
 /// Symbol tables are append-only, so a compiled automaton stays valid as
-/// the document grows — but labels interned *after* compilation are
-/// unknown to it; recompile when the table's size changes (see
-/// `Document::sym_count`).
+/// the document grows — but a label it names that was interned only
+/// *after* compilation is unknown to it; recompile when such a label
+/// appears (as `axml_core::ClassVerdicts` does).
 #[derive(Clone, Debug)]
 pub struct SymNfa {
     edges: Vec<Vec<(SymTest, usize)>>,

@@ -356,6 +356,45 @@ fn mid_log_corruption_truncates_with_offset() {
     );
 }
 
+/// A document deeper than any recursion would survive is checkpointed,
+/// logged and recovered: the WAL's document codec and the serializer walk
+/// it on explicit stacks. The checkpoint after the publication encodes
+/// the deep document a second time.
+#[test]
+fn deep_document_checkpoints_and_recovers() {
+    const DEPTH: usize = 5_000;
+    let registry = registry();
+    let mut deep = doc();
+    let mut last = deep.add_element(deep.root(), "deep");
+    for _ in 1..DEPTH {
+        last = deep.add_element(last, "deep");
+    }
+    let call = deep.add_call(last, "svc");
+    deep.add_text(call, "bottom");
+    let dir = SimDir::new(CrashProfile::default());
+    let options = DurabilityOptions {
+        checkpoint_every: 1,
+        fsync: FsyncPolicy::Always,
+    };
+    let mut store = DocumentStore::durable(Box::new(dir.clone()), options.clone());
+    store.insert("doc", deep);
+    let mut session = store
+        .session("doc", &registry, None, persistent())
+        .expect("doc stored");
+    assert_eq!(session.query(&query(0)).answers.len(), 1);
+    drop(session);
+    let expected = to_xml(&store.get("doc").unwrap().to_document());
+    drop(store);
+
+    let (recovered, report) = recover(dir.reopen(CrashProfile::default()), options);
+    assert!(report.ok(), "{:?}", report.first_error());
+    assert_eq!(report.docs[0].recovered_version, 1);
+    let back = recovered.get("doc").unwrap().to_document();
+    back.check_integrity().unwrap();
+    assert_eq!(to_xml(&back), expected);
+    assert_eq!(back.len(), 1 + 3 * K + DEPTH + 2);
+}
+
 /// A log reduced to garbage has no intact checkpoint: the document is
 /// reported unrecoverable with a diagnostic, not silently dropped or
 /// resurrected empty.

@@ -28,7 +28,7 @@ pub fn to_xml_with(doc: &Document, opts: SerializeOptions) -> String {
         }
     }
     for &r in doc.roots() {
-        let _ = write_node(doc, r, &mut out, opts.pretty, 0);
+        let _ = write_node(doc, r, &mut out, opts.pretty);
         if opts.pretty {
             out.push('\n');
         }
@@ -44,7 +44,7 @@ pub fn to_xml(doc: &Document) -> String {
 /// Serializes a single subtree compactly.
 pub fn subtree_to_xml(doc: &Document, node: NodeId) -> String {
     let mut out = String::new();
-    let _ = write_node(doc, node, &mut out, false, 0);
+    let _ = write_node(doc, node, &mut out, false);
     out
 }
 
@@ -53,7 +53,7 @@ pub fn subtree_to_xml(doc: &Document, node: NodeId) -> String {
 /// compact serializer into a counter, so no string is built.
 pub fn serialized_len(doc: &Document, node: NodeId) -> usize {
     let mut count = ByteCount(0);
-    let _ = write_node(doc, node, &mut count, false, 0);
+    let _ = write_node(doc, node, &mut count, false);
     count.0
 }
 
@@ -85,16 +85,59 @@ fn indent<W: Write>(out: &mut W, pretty: bool, depth: usize) -> fmt::Result {
     Ok(())
 }
 
-fn write_node<W: Write>(
-    doc: &Document,
-    node: NodeId,
-    out: &mut W,
-    pretty: bool,
-    depth: usize,
-) -> fmt::Result {
-    indent(out, pretty, depth)?;
+/// Writes the subtree rooted at `node`. An explicit stack of the open
+/// elements and calls, each with the index of its next child, bounds the
+/// recursion no matter how deep the subtree is; a node's depth is its
+/// parent's position on the stack plus one.
+fn write_node<W: Write>(doc: &Document, node: NodeId, out: &mut W, pretty: bool) -> fmt::Result {
+    let mut open: Vec<(NodeId, usize)> = Vec::new();
+    let mut next = Some(node);
+    loop {
+        if let Some(n) = next.take() {
+            indent(out, pretty, open.len())?;
+            if write_open(doc, n, out)? {
+                open.push((n, 0));
+            }
+        }
+        let Some((parent, at)) = open.last_mut() else {
+            return Ok(());
+        };
+        let is_element = doc.kind(*parent) == NodeKind::Element;
+        let children = doc.children(*parent);
+        let skip = children[*at..]
+            .iter()
+            .take_while(|&&c| is_element && is_attr_child(doc, c))
+            .count();
+        match children.get(*at + skip) {
+            Some(&c) => {
+                *at += skip + 1;
+                if pretty {
+                    out.write_char('\n')?;
+                }
+                next = Some(c);
+            }
+            None => {
+                let parent = *parent;
+                open.pop();
+                if pretty {
+                    out.write_char('\n')?;
+                    indent(out, pretty, open.len())?;
+                }
+                write_close(doc, parent, out)?;
+            }
+        }
+    }
+}
+
+/// Writes a node's start: a text node whole, an element's or a call's
+/// start tag, and — when it has no content or only one text child — its
+/// content and end tag too. Returns whether its children must follow.
+fn write_open<W: Write>(doc: &Document, node: NodeId, out: &mut W) -> Result<bool, fmt::Error> {
     let is_element = match doc.kind(node) {
-        NodeKind::Text => return write_text(out, doc.label(node)),
+        NodeKind::Text => {
+            write_text(out, doc.label(node))?;
+            return Ok(false);
+        }
         NodeKind::Element => {
             out.write_char('<')?;
             out.write_str(doc.label(node))?;
@@ -129,24 +172,20 @@ fn write_node<W: Write>(
         .copied()
         .filter(|&c| !(is_element && is_attr_child(doc, c)));
     let Some(first) = content.next() else {
-        return out.write_str("/>");
+        out.write_str("/>")?;
+        return Ok(false);
     };
     out.write_char('>')?;
-    match (doc.kind(first), content.next()) {
-        (NodeKind::Text, None) => write_text(out, doc.label(first))?,
-        (_, second) => {
-            for c in std::iter::once(first).chain(second).chain(content) {
-                if pretty {
-                    out.write_char('\n')?;
-                }
-                write_node(doc, c, out, pretty, depth + 1)?;
-            }
-            if pretty {
-                out.write_char('\n')?;
-                indent(out, pretty, depth)?;
-            }
-        }
+    if doc.kind(first) == NodeKind::Text && content.next().is_none() {
+        write_text(out, doc.label(first))?;
+        write_close(doc, node, out)?;
+        return Ok(false);
     }
+    Ok(true)
+}
+
+/// Writes the end tag of an element or a call.
+fn write_close<W: Write>(doc: &Document, node: NodeId, out: &mut W) -> fmt::Result {
     match doc.kind(node) {
         NodeKind::Element => {
             out.write_str("</")?;

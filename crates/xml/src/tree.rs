@@ -23,6 +23,19 @@
 //! nodes. This is what makes per-query snapshots and the multi-session
 //! serving layer (see `axml-store`) affordable: N concurrent sessions
 //! snapshot one shared document and each works on a logically private copy.
+//!
+//! The document also owns its call index, the function-call guide (F-guide)
+//! of the paper's Section 6.2. A call's *class* is the interned label path
+//! of its parent, or none when the call sits inside another call's
+//! parameters, where no query navigates. Neither fact changes while the
+//! call lives, because its ancestors are removed only together with it, so
+//! the class is computed once, when the call is allocated. Each class's
+//! *extent* holds its live calls, and every builder, splice, free and wire
+//! decode keeps the extents current: the guide is "maintained
+//! incrementally as calls are invoked". The class table is append-only and
+//! shared between clones like the symbol table. A document without a
+//! visible call — most service results — allocates nothing for the index
+//! and spends one pointer on it.
 
 use crate::label::Label;
 use std::fmt;
@@ -38,6 +51,10 @@ const UNMAPPED: u32 = u32::MAX;
 
 /// Fills the unused tail of a child buffer.
 const NO_CHILD: NodeId = NodeId(u32::MAX);
+
+/// The class of a data node, and of a call hidden in another call's
+/// parameters.
+const NO_CLASS: u32 = u32::MAX;
 
 /// Index of a node inside a [`Document`] arena.
 ///
@@ -105,6 +122,8 @@ struct Node {
     /// service name) in the document's symbol table.
     sym: u32,
     child_len: u32,
+    /// A visible call's class in the call index; [`NO_CLASS`] otherwise.
+    class: u32,
     alive: bool,
 }
 
@@ -188,6 +207,76 @@ impl SymTab {
     }
 }
 
+/// The call index's class table: every parent label path (as symbols) a
+/// visible call of the document has had, numbered in order of first
+/// sight. Classes are never reclaimed — the table only grows, so a class
+/// number keeps its meaning for the document's lifetime.
+#[derive(Clone, Debug, Default)]
+struct ClassTab {
+    by_path: std::collections::HashMap<Vec<u32>, u32>,
+    paths: Vec<Vec<u32>>,
+}
+
+/// The call index: the class table and, per class, its extent.
+#[derive(Clone, Debug, Default)]
+struct CallIndex {
+    /// Shared between clones until one side adds a class.
+    classes: Arc<ClassTab>,
+    /// Per class: its visible live calls, sorted by node id, so a call
+    /// is found by binary search rather than through a side table of
+    /// positions, which would cost 4 bytes per arena slot. Extents are
+    /// shared between clones until written.
+    extents: Vec<Arc<Vec<NodeId>>>,
+    /// Per service symbol with visible live calls: how many it has, in
+    /// arbitrary order.
+    services: Vec<(u32, u32)>,
+}
+
+impl CallIndex {
+    /// The class of `path`, added to the table on first sight.
+    fn class_of_path(&mut self, path: Vec<u32>) -> u32 {
+        if let Some(&class) = self.classes.by_path.get(&path) {
+            return class;
+        }
+        let table = Arc::make_mut(&mut self.classes);
+        let class = table.paths.len() as u32;
+        table.by_path.insert(path.clone(), class);
+        table.paths.push(path);
+        self.extents.push(Arc::default());
+        class
+    }
+
+    /// Enters the visible call `id` of service `sym` in its class's extent.
+    fn insert(&mut self, id: NodeId, sym: u32, class: u32) {
+        let extent = Arc::make_mut(&mut self.extents[class as usize]);
+        let at = extent.binary_search(&id).expect_err("a new call");
+        extent.insert(at, id);
+        match self.services.iter_mut().find(|(s, _)| *s == sym) {
+            Some((_, count)) => *count += 1,
+            None => self.services.push((sym, 1)),
+        }
+    }
+
+    /// Removes the visible call `id` of service `sym` from its class's
+    /// extent.
+    fn remove(&mut self, id: NodeId, sym: u32, class: u32) {
+        let extent = Arc::make_mut(&mut self.extents[class as usize]);
+        let at = extent
+            .binary_search(&id)
+            .expect("a visible call is in its extent");
+        extent.remove(at);
+        let at = self
+            .services
+            .iter()
+            .position(|&(s, _)| s == sym)
+            .expect("a visible call's service is counted");
+        self.services[at].1 -= 1;
+        if self.services[at].1 == 0 {
+            self.services.swap_remove(at);
+        }
+    }
+}
+
 /// An ordered labeled tree (or forest) with data and function nodes.
 ///
 /// Most documents have a single root; service results are forests and a
@@ -219,6 +308,9 @@ pub struct Document {
     call_list: Vec<NodeId>,
     /// Each live call node's position inside `call_list`.
     call_pos: SlotTable,
+    /// The call index; `None` until the first visible call, so that the
+    /// many call-free forests a registry holds pay one pointer for it.
+    index: Option<Box<CallIndex>>,
     /// When `true`, [`Document::splice_call`] records every splice in
     /// `journal_ops` so a durability layer can persist the delta between
     /// two published versions instead of the whole document.
@@ -332,8 +424,29 @@ impl Document {
         cid
     }
 
+    /// The class of a call allocated under `parent`: its parent label
+    /// path interned in the class table, or [`NO_CLASS`] when an ancestor
+    /// is a call.
+    fn classify(&mut self, parent: Option<NodeId>) -> u32 {
+        let mut path = Vec::new();
+        let mut cur = parent;
+        while let Some(p) = cur {
+            let n = self.node(p);
+            if !n.kind.is_data() {
+                return NO_CLASS;
+            }
+            path.push(n.sym);
+            cur = n.parent;
+        }
+        path.reverse();
+        self.index
+            .get_or_insert_with(Default::default)
+            .class_of_path(path)
+    }
+
     /// Allocates a node whose child list has room for `child_capacity`
-    /// ids and enters it in the label index (and the call registry).
+    /// ids and enters it in the label index (and a call in the call
+    /// registry and its class's extent).
     fn alloc(
         &mut self,
         kind: NodeKind,
@@ -341,12 +454,17 @@ impl Document {
         parent: Option<NodeId>,
         child_capacity: usize,
     ) -> NodeId {
+        let class = match kind {
+            NodeKind::Call(_) => self.classify(parent),
+            _ => NO_CLASS,
+        };
         let node = Node {
             kind,
             children: (child_capacity > 0).then(|| child_buffer(&[], child_capacity)),
             parent,
             sym,
             child_len: 0,
+            class,
             alive: true,
         };
         let id = if let Some(slot) = self.free.pop() {
@@ -371,6 +489,10 @@ impl Document {
             self.call_pos.set(id.index(), self.call_list.len() as u32);
             self.call_list.push(id);
         }
+        if class != NO_CLASS {
+            let index = self.index.as_mut().expect("a class implies the index");
+            index.insert(id, sym, class);
+        }
         id
     }
 
@@ -387,10 +509,11 @@ impl Document {
         id
     }
 
-    /// Unlinks a node from its label bucket (and the call registry) in O(1).
+    /// Unlinks a node from its label bucket (and a call from the call
+    /// registry and its class's extent) in O(1).
     fn index_remove(&mut self, id: NodeId) {
         let n = self.node_raw(id.index());
-        let (sym, is_call) = (n.sym, matches!(n.kind, NodeKind::Call(_)));
+        let (sym, class, is_call) = (n.sym, n.class, matches!(n.kind, NodeKind::Call(_)));
         let pos = self.bucket_pos.get(id.index()) as usize;
         let bucket = Arc::make_mut(
             self.buckets
@@ -407,6 +530,10 @@ impl Document {
             if let Some(&moved) = self.call_list.get(pos) {
                 self.call_pos.set(moved.index(), pos as u32);
             }
+        }
+        if class != NO_CLASS {
+            let index = self.index.as_mut().expect("a class implies the index");
+            index.remove(id, sym, class);
         }
     }
 
@@ -651,8 +778,8 @@ impl Document {
         self.sym_label(sym).as_str()
     }
 
-    /// Number of distinct interned label texts. Monotonically increasing;
-    /// useful as a cheap version stamp for symbol-compiled artifacts.
+    /// Number of distinct interned label texts. Monotonically increasing:
+    /// symbols are numbered from zero and never reclaimed.
     pub fn sym_count(&self) -> usize {
         self.symtab.labels.len()
     }
@@ -669,6 +796,47 @@ impl Document {
     /// irrelevant.
     pub fn calls_unordered(&self) -> &[NodeId] {
         &self.call_list
+    }
+
+    /// Number of classes in the call index: the distinct parent label
+    /// paths a visible call of this document has had. Classes are
+    /// numbered from zero and never reclaimed, so a class number keeps
+    /// its meaning as the document changes.
+    pub fn class_count(&self) -> usize {
+        self.index.as_ref().map_or(0, |i| i.extents.len())
+    }
+
+    /// The parent label path of a class, as symbols from the root down.
+    /// Empty for the class of root-level calls.
+    ///
+    /// # Panics
+    /// Panics if `class` is not below [`Document::class_count`].
+    pub fn class_path(&self, class: u32) -> &[u32] {
+        let index = self.index.as_ref().expect("no class yet");
+        &index.classes.paths[class as usize]
+    }
+
+    /// The extent of a class: the visible live calls whose parent label
+    /// path is the class's, sorted by node id.
+    ///
+    /// # Panics
+    /// Panics if `class` is not below [`Document::class_count`].
+    pub fn class_extent(&self, class: u32) -> &[NodeId] {
+        let index = self.index.as_ref().expect("no class yet");
+        &index.extents[class as usize]
+    }
+
+    /// The class of a call node; `None` for a call inside another call's
+    /// parameters, which no query reaches, and for data nodes.
+    pub fn call_class(&self, id: NodeId) -> Option<u32> {
+        let class = self.node(id).class;
+        (class != NO_CLASS).then_some(class)
+    }
+
+    /// The service symbols that name at least one visible live call, each
+    /// with the number of such calls, in **arbitrary** order.
+    pub fn visible_services(&self) -> &[(u32, u32)] {
+        self.index.as_ref().map_or(&[], |i| &i.services)
     }
 
     /// `true` if `desc` is a strict descendant of `anc` and every node on
@@ -931,9 +1099,9 @@ impl Document {
     /// Exhaustive structural integrity check, used by tests and property
     /// tests: every live node is reachable exactly once, parent/child links
     /// agree, freed slots are not referenced, the paged storage layout is
-    /// well-formed, and the label index and call registry — with the side
-    /// pages holding each live node's position in them — agree with the
-    /// nodes.
+    /// well-formed, and the label index, call registry and call index —
+    /// with the side pages holding each live node's position in them —
+    /// agree with the nodes.
     pub fn check_integrity(&self) -> Result<(), String> {
         // paged storage layout: every page but the last is full, the page
         // vector covers exactly `slots` slots, and so do the side pages
@@ -1071,6 +1239,100 @@ impl Document {
             if !call_ids.insert(cid) {
                 return Err(format!("{id:?} repeats the live call id {}", cid.0));
             }
+        }
+        self.check_call_index()
+    }
+
+    /// The call index part of [`Document::check_integrity`]: the class
+    /// table numbers distinct paths, the extents are sorted, every
+    /// visible live call sits in exactly its class's extent and its class
+    /// path is its parent label path, hidden calls and data nodes have no
+    /// class, and the service counts are the visible calls'.
+    fn check_call_index(&self) -> Result<(), String> {
+        let empty = CallIndex::default();
+        let index = self.index.as_deref().unwrap_or(&empty);
+        let paths = &index.classes.paths;
+        if paths.len() != index.extents.len() {
+            return Err(format!(
+                "{} classes but {} extents",
+                paths.len(),
+                index.extents.len()
+            ));
+        }
+        if index.classes.by_path.len() != paths.len() {
+            return Err("class table repeats a path".into());
+        }
+        if let Some(class) = index
+            .extents
+            .iter()
+            .position(|e| e.windows(2).any(|w| w[0] >= w[1]))
+        {
+            return Err(format!("extent of class {class} is not strictly sorted"));
+        }
+        for (class, path) in paths.iter().enumerate() {
+            if index.classes.by_path.get(path) != Some(&(class as u32)) {
+                return Err(format!("class {class} path not indexed as {class}"));
+            }
+        }
+        let mut visible = 0usize;
+        let mut services: Vec<(u32, u32)> = Vec::new();
+        for &id in &self.call_list {
+            let n = self.node_raw(id.index());
+            // the parent label path, or `None` below a call
+            let mut path = Some(Vec::new());
+            let mut cur = n.parent;
+            while let Some(p) = cur {
+                let pn = self.node_raw(p.index());
+                if !pn.kind.is_data() {
+                    path = None;
+                    break;
+                }
+                path.as_mut().expect("still visible").push(pn.sym);
+                cur = pn.parent;
+            }
+            let Some(mut path) = path else {
+                if n.class != NO_CLASS {
+                    return Err(format!("hidden call {id:?} has class {}", n.class));
+                }
+                continue;
+            };
+            path.reverse();
+            let class = n.class as usize;
+            if class >= paths.len() {
+                return Err(format!("visible call {id:?} has no class"));
+            }
+            if paths[class] != path {
+                return Err(format!(
+                    "{id:?} class {class} path differs from its parent path"
+                ));
+            }
+            if index.extents[class].binary_search(&id).is_err() {
+                return Err(format!("{id:?} not in the extent of class {class}"));
+            }
+            visible += 1;
+            match services.iter_mut().find(|(s, _)| *s == n.sym) {
+                Some((_, count)) => *count += 1,
+                None => services.push((n.sym, 1)),
+            }
+        }
+        let in_extents: usize = index.extents.iter().map(|e| e.len()).sum();
+        if in_extents != visible {
+            return Err(format!(
+                "extents hold {in_extents} entries but {visible} calls are visible"
+            ));
+        }
+        for (i, n) in (0..self.slots as usize).map(|i| (i, self.node_raw(i))) {
+            if n.alive && n.kind.is_data() && n.class != NO_CLASS {
+                return Err(format!("data node n{i} has class {}", n.class));
+            }
+        }
+        let mut recorded = index.services.clone();
+        recorded.sort_unstable();
+        services.sort_unstable();
+        if recorded != services {
+            return Err(format!(
+                "service counts {recorded:?} but visible calls give {services:?}"
+            ));
         }
         Ok(())
     }
@@ -1319,6 +1581,38 @@ mod tests {
             d.splice_call(call, &Forest::new());
             d.check_integrity().unwrap();
             assert_eq!(d.len(), DEPTH + 1);
+        };
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(run)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    fn deep_documents_serialize_and_round_trip_without_recursion() {
+        // the serializer, the byte counter and the wire codec walk a
+        // forest as deep as `add_element` makes it on explicit stacks
+        const DEPTH: usize = 100_000;
+        let run = || {
+            let mut chain = Forest::new();
+            let mut last = chain.add_root("level");
+            for _ in 1..DEPTH {
+                last = chain.add_element(last, "level");
+            }
+            let call = chain.add_call(last, "deep");
+            chain.add_text(call, "p");
+            let xml = crate::serialize::to_xml(&chain);
+            assert!(xml.starts_with("<level><level>"));
+            assert!(xml.ends_with("</level></level>"));
+            assert_eq!(crate::serialize::forest_serialized_len(&chain), xml.len());
+            let bytes = crate::wire::document_to_bytes(&chain);
+            let back = crate::wire::decode_document(&bytes).unwrap();
+            back.check_integrity().unwrap();
+            assert_eq!(back.len(), DEPTH + 2);
+            assert_eq!(crate::wire::document_to_bytes(&back), bytes);
+            assert_eq!(crate::serialize::to_xml(&back), xml);
         };
         std::thread::Builder::new()
             .stack_size(256 * 1024)

@@ -51,16 +51,15 @@ const TAG_ELEMENT: u8 = 0x00;
 const TAG_TEXT: u8 = 0x01;
 const TAG_CALL: u8 = 0x02;
 
-/// Decoder recursion bound: deeper nesting than this is rejected rather
-/// than risking the stack (the XML parser enforces its own
-/// [`crate::MAX_DEPTH`], far below this).
-const MAX_WIRE_DEPTH: usize = 4096;
-
 /// Appends the exact encoding of `doc` (a document or forest) to `out`.
+/// Nodes are written in pre-order from an explicit stack, so no document
+/// is too deep to encode.
 pub fn encode_document(doc: &Document, out: &mut Vec<u8>) {
     put_u32(out, doc.roots().len() as u32);
-    for &r in doc.roots() {
-        encode_node(doc, r, out);
+    let mut stack: Vec<NodeId> = doc.roots().iter().rev().copied().collect();
+    while let Some(id) = stack.pop() {
+        encode_node(doc, id, out);
+        stack.extend(doc.children(id).iter().rev());
     }
     put_u64(out, doc.next_call_id());
 }
@@ -72,6 +71,8 @@ pub fn document_to_bytes(doc: &Document) -> Vec<u8> {
     out
 }
 
+/// Writes one node's tag, label, call id and child count; its children
+/// follow it.
 fn encode_node(doc: &Document, id: NodeId, out: &mut Vec<u8>) {
     match doc.kind(id) {
         NodeKind::Element => {
@@ -89,24 +90,43 @@ fn encode_node(doc: &Document, id: NodeId, out: &mut Vec<u8>) {
             put_u64(out, cid.0);
         }
     }
-    let children = doc.children(id);
-    put_u32(out, children.len() as u32);
-    for &c in children {
-        encode_node(doc, c, out);
-    }
+    put_u32(out, doc.children(id).len() as u32);
 }
 
 /// Decodes a document previously produced by [`encode_document`]. The
 /// result carries the original call ids and call counter, so splice
 /// replay against it behaves exactly as against the original. A call id
 /// that appears twice is rejected: a document names each call once.
+///
+/// Nesting has no depth limit: an explicit stack holds, per open node,
+/// the children still to decode. Every frame on it was pushed by a node
+/// that consumed at least nine bytes, so the stack grows at most with
+/// the input's length, and no declared count sizes an allocation.
 pub fn decode_document(buf: &[u8]) -> Result<Document, WireError> {
     let mut r = Reader { buf, pos: 0 };
     let mut doc = Document::new();
     let mut calls = HashSet::new();
-    let roots = r.take_u32()?;
-    for _ in 0..roots {
-        decode_node(&mut r, &mut doc, None, 0, &mut calls)?;
+    let mut open: Vec<(Option<NodeId>, u32)> = vec![(None, r.take_u32()?)];
+    while let Some((parent, left)) = open.last_mut() {
+        if *left == 0 {
+            open.pop();
+            continue;
+        }
+        *left -= 1;
+        let parent = *parent;
+        if let Some(id) = decode_node(&mut r, &mut doc, parent, &mut calls)? {
+            let children = r.take_u32()?;
+            // each child costs at least 5 encoded bytes (tag + length), so
+            // a count beyond the remaining buffer is corrupt, not just
+            // truncated
+            if children as usize > r.remaining() {
+                return Err(WireError(format!(
+                    "child count {children} exceeds remaining {} bytes",
+                    r.remaining()
+                )));
+            }
+            open.push((Some(id), children));
+        }
     }
     let next_call = r.take_u64()?;
     if r.pos != buf.len() {
@@ -126,16 +146,15 @@ pub fn decode_document(buf: &[u8]) -> Result<Document, WireError> {
     Ok(doc)
 }
 
+/// Decodes one node's tag, label and call id, and adds the node under
+/// `parent`. Returns the node when a child count follows it, that is
+/// unless it is a text leaf.
 fn decode_node(
     r: &mut Reader<'_>,
     doc: &mut Document,
     parent: Option<NodeId>,
-    depth: usize,
     calls: &mut HashSet<u64>,
-) -> Result<(), WireError> {
-    if depth > MAX_WIRE_DEPTH {
-        return Err(WireError(format!("nesting deeper than {MAX_WIRE_DEPTH}")));
-    }
+) -> Result<Option<NodeId>, WireError> {
     let tag = r.take_u8()?;
     let label = r.take_str()?;
     let id = match tag {
@@ -148,7 +167,7 @@ fn decode_node(
                 Some(p) => doc.add_text(p, label),
                 None => doc.add_root_text(label),
             };
-            return Ok(()); // leaves carry no child list
+            return Ok(None); // leaves carry no child list
         }
         TAG_CALL => {
             let raw = r.take_u64()?;
@@ -159,19 +178,7 @@ fn decode_node(
         }
         other => return Err(WireError(format!("unknown node tag 0x{other:02x}"))),
     };
-    let children = r.take_u32()? as usize;
-    // each child costs at least 5 encoded bytes (tag + length), so a
-    // count beyond the remaining buffer is corrupt, not just truncated
-    if children > r.remaining() {
-        return Err(WireError(format!(
-            "child count {children} exceeds remaining {} bytes",
-            r.remaining()
-        )));
-    }
-    for _ in 0..children {
-        decode_node(r, doc, Some(id), depth + 1, calls)?;
-    }
-    Ok(())
+    Ok(Some(id))
 }
 
 struct Reader<'a> {

@@ -2,10 +2,11 @@
 //! arena integrity under random splice sequences.
 
 use axml_xml::{
-    document_to_bytes, forest_serialized_len, parse, serialized_len, subtree_to_xml, to_xml,
-    Document, Forest, NodeId,
+    decode_document, document_to_bytes, forest_serialized_len, parse, serialized_len,
+    subtree_to_xml, to_xml, CallId, Document, Forest, NodeId,
 };
 use proptest::prelude::*;
+use std::collections::{BTreeMap, HashMap};
 
 /// A recipe for building a random document.
 #[derive(Debug, Clone)]
@@ -245,6 +246,161 @@ proptest! {
         let by_root: usize = f.roots().iter().map(|&r| subtree_to_xml(&f, r).len()).sum();
         prop_assert_eq!(forest_serialized_len(&f), by_root);
         prop_assert_eq!(forest_serialized_len(&f), to_xml(&f).len());
+    }
+}
+
+/// The per-run classifier the document's call index replaced, kept as
+/// the index's reference. It classifies each live call on first sight by
+/// walking the call's ancestors, and trusts the class ever after: a
+/// call's ancestors are removed only together with it. A class here is a
+/// parent label path as text, so it shares nothing with the index's
+/// symbols or numbering.
+#[derive(Clone, Default)]
+struct ReferenceGuide {
+    /// The call's parent label path, or `None` inside another call's
+    /// parameters.
+    class: HashMap<CallId, Option<Vec<String>>>,
+}
+
+impl ReferenceGuide {
+    fn class_of(&mut self, doc: &Document, node: NodeId) -> Option<Vec<String>> {
+        let (id, _) = doc.call_info(node).expect("a call node");
+        self.class
+            .entry(id)
+            .or_insert_with(|| {
+                let mut path = Vec::new();
+                let mut cur = doc.parent(node);
+                while let Some(p) = cur {
+                    if !doc.is_data(p) {
+                        return None;
+                    }
+                    path.push(doc.label(p).to_string());
+                    cur = doc.parent(p);
+                }
+                path.reverse();
+                Some(path)
+            })
+            .clone()
+    }
+
+    /// Every non-empty extent: class path → the ids of its calls, sorted.
+    fn extents(&mut self, doc: &Document) -> BTreeMap<Vec<String>, Vec<CallId>> {
+        let mut out: BTreeMap<Vec<String>, Vec<CallId>> = BTreeMap::new();
+        for &node in doc.calls_unordered() {
+            if let Some(path) = self.class_of(doc, node) {
+                out.entry(path)
+                    .or_default()
+                    .push(doc.call_info(node).unwrap().0);
+            }
+        }
+        out.values_mut().for_each(|ids| ids.sort());
+        out
+    }
+}
+
+/// The document's own extents, in the reference's terms; also checks
+/// that each indexed call's class is the one `call_class` reports.
+fn index_extents(doc: &Document) -> BTreeMap<Vec<String>, Vec<CallId>> {
+    let mut out = BTreeMap::new();
+    for class in 0..doc.class_count() as u32 {
+        let extent = doc.class_extent(class);
+        if extent.is_empty() {
+            continue;
+        }
+        let path: Vec<String> = doc
+            .class_path(class)
+            .iter()
+            .map(|&s| doc.sym_text(s).to_string())
+            .collect();
+        let mut ids: Vec<CallId> = extent
+            .iter()
+            .map(|&n| {
+                assert_eq!(doc.call_class(n), Some(class));
+                doc.call_info(n).unwrap().0
+            })
+            .collect();
+        ids.sort();
+        assert!(out.insert(path, ids).is_none(), "two classes share a path");
+    }
+    out
+}
+
+/// A service result of one of six shapes: empty, text, an element with a
+/// call, root-level calls, a call inside another call's parameters, and
+/// a call one element deeper, beside a text.
+fn result_of_shape(shape: u8) -> Forest {
+    let mut result = Forest::new();
+    match shape % 6 {
+        0 => {}
+        1 => {
+            result.add_root_text(value(shape));
+        }
+        2 => {
+            let e = result.add_root(label(shape));
+            result.add_call(e, service(shape));
+        }
+        3 => {
+            result.add_root_call(service(shape));
+            result.add_root_call("nested");
+        }
+        4 => {
+            let e = result.add_root(label(shape));
+            let outer = result.add_call(e, service(shape));
+            let param = result.add_element(outer, "param");
+            result.add_call(param, "hidden");
+        }
+        _ => {
+            let e = result.add_root(label(shape));
+            let a = result.add_element(e, label(shape.wrapping_add(1)));
+            result.add_call(a, service(shape.wrapping_add(2)));
+            result.add_text(a, value(shape));
+        }
+    }
+    result
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The document's call index agrees with the reference classifier
+    /// through random builds, splices and clones. Two clones of one
+    /// document take random splices (visible and hidden calls alike) and
+    /// are sometimes re-cloned from each other; after every step both
+    /// clones' extents equal their references', so a splice on one clone
+    /// never shows in the other's extents, and a decoded copy rebuilds
+    /// the same extents anew.
+    #[test]
+    fn call_index_matches_the_reference_classifier(
+        ops in proptest::collection::vec(forest_op_strategy(), 0..80),
+        steps in proptest::collection::vec((any::<u16>(), any::<u8>(), 0u8..5), 1..16),
+    ) {
+        let source = build_forest(&ops);
+        let mut docs = [source.clone(), source];
+        let mut guides = [ReferenceGuide::default(), ReferenceGuide::default()];
+        for &(pick, shape, action) in &steps {
+            let (side, other) = if action % 2 == 0 { (0, 1) } else { (1, 0) };
+            if action == 4 {
+                docs[other] = docs[side].clone();
+                guides[other] = guides[side].clone();
+            } else {
+                let untouched = index_extents(&docs[other]);
+                let calls = docs[side].calls();
+                if calls.is_empty() {
+                    continue;
+                }
+                let target = calls[pick as usize % calls.len()];
+                docs[side].splice_call(target, &result_of_shape(shape));
+                prop_assert_eq!(index_extents(&docs[other]), untouched);
+            }
+            for (d, g) in docs.iter().zip(&mut guides) {
+                d.check_integrity().unwrap();
+                prop_assert_eq!(index_extents(d), g.extents(d));
+            }
+        }
+        for d in &docs {
+            let rebuilt = decode_document(&document_to_bytes(d)).unwrap();
+            prop_assert_eq!(index_extents(&rebuilt), index_extents(d));
+        }
     }
 }
 

@@ -6,7 +6,7 @@
 //! cargo run --example fguide_demo --release
 //! ```
 
-use activexml::core::{build_nfqs, filter_candidates, position_language, ClassVerdicts, FGuide};
+use activexml::core::{build_nfqs, extent, filter_candidates, position_language, ClassVerdicts};
 use activexml::gen::scenario::{figure4_query, generate, ScenarioParams};
 use std::time::Instant;
 
@@ -18,19 +18,13 @@ fn main() {
     let doc = sc.doc;
     println!("document: {} nodes, {} calls", doc.len(), doc.calls().len());
 
-    // each call is classified by its parent's label path once, when first
-    // seen; a class is a guide node, its calls the node's extent
-    let t = Instant::now();
-    let mut guide = FGuide::default();
-    for &node in doc.calls_unordered() {
-        let (id, _) = doc.call_info(node).expect("a call node");
-        guide.class_of(&doc, node, id);
-    }
+    // the document classified each call by its parent's label path when
+    // the call was built; a class is a guide node, its calls the node's
+    // extent
     println!(
-        "F-guide: {} classes ({}x more compact), classified in {:.2} ms",
-        guide.len(),
-        doc.len() / guide.len().max(1),
-        t.elapsed().as_secs_f64() * 1e3
+        "F-guide: {} classes ({}x more compact)",
+        doc.class_count(),
+        doc.len() / doc.class_count().max(1),
     );
 
     let query = figure4_query();
@@ -50,8 +44,7 @@ fn main() {
     let mut via_guide = 0usize;
     for nfq in &nfqs {
         let mut at = ClassVerdicts::new(position_language(&nfq.lin, nfq.via));
-        let cands: Vec<_> = guide
-            .extent(&doc, &mut at, None)
+        let cands: Vec<_> = extent(&doc, &mut at, None)
             .into_iter()
             .map(|(n, _)| n)
             .collect();

@@ -4,9 +4,9 @@
 #
 #   scripts/bench-pairs.sh BASE [PAIRS [SEED]]
 #
-# Builds the binary behind BENCHMARK.json's command twice: at BASE, in a
-# `git worktree` under a temporary directory with its own target
-# directory, and from the working tree. Then, per workload, it runs PAIRS
+# Builds the binary behind BENCHMARK.json's command twice: at BASE,
+# extracted with `git archive` into a temporary directory with its own
+# target directory, and from the working tree. Then, per workload, it runs PAIRS
 # pairs (default 10) with `--seconds` set to BENCHMARK.json's
 # `run_seconds` and `--seed SEED` (default 1), alternating which side runs
 # first. For each workload and end-to-end metric it prints, as a Markdown
@@ -60,16 +60,12 @@ seconds=$(printf '%s\n' "$spec" | awk '$1 == "seconds" { print $2 }')
 workloads=${WORKLOADS:-$(printf '%s\n' "$spec" | awk '$1 == "workload" { print $2 }')}
 
 tmp=$(mktemp -d)
-cleanup() {
-    git worktree remove --force "$tmp/base" >/dev/null 2>&1 || true
-    git worktree prune
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 trap 'exit 130' INT TERM
 
 echo "building the benchmark at $(git rev-parse --short "$base_rev") and from the working tree" >&2
-git worktree add --quiet --detach "$tmp/base" "$base_rev"
+mkdir "$tmp/base"
+git archive "$base_rev" | tar -x -C "$tmp/base"
 cargo build --release --offline --quiet --manifest-path "$tmp/base/perfbench/Cargo.toml" \
     --bin bench --target-dir "$tmp/target"
 cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin bench
