@@ -25,10 +25,11 @@
 //! services §5's type refinement considers.
 
 use crate::nfq::Nfq;
-use axml_query::{EdgeKind, FunMatch, LinearPath, Matcher, PLabel, PNodeId};
+use axml_query::{EdgeKind, FunMatch, FxBuildHasher, LinearPath, Matcher, PLabel, PNodeId};
 use axml_schema::{Nfa, SymNfa};
 use axml_xml::{CallId, Document, NodeId};
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 
 /// The extent of the guide nodes `at` accepts: the visible live calls of
 /// `doc` whose class the position automaton accepts, among the calls of
@@ -197,93 +198,157 @@ impl ClassVerdicts {
 /// positionally from the guide, keep those for which the NFQ's remaining
 /// conditions hold — i.e. some alignment of the NFQ's path onto the
 /// candidate's ancestor chain satisfies every side condition.
+///
+/// One call answers each question its candidates share once. Whether a
+/// path step's side conditions hold at an ancestor is decided once per
+/// (step, ancestor) and shared by the whole candidate list, so a condition
+/// on `/hotels` or on one hotel is checked once however many calls sit
+/// below it. Per candidate, the (step, ancestor depth) placements already
+/// known to fail are remembered, so aligning a path of `k` steps on a
+/// chain of `d` ancestors tries at most `k·d` placements of `d` positions
+/// each, whatever its `//` steps: `O(k·d²)` table probes per candidate
+/// plus one side-condition check per (step, ancestor) per call. Below
+/// those verdicts, a [`Matcher`] checks the conditions by plain recursion
+/// and memoizes only descendant existence.
 pub fn filter_candidates(nfq: &Nfq, doc: &Document, candidates: &[NodeId]) -> Vec<NodeId> {
     if candidates.is_empty() {
         return Vec::new();
     }
-    let mut matcher = Matcher::new(&nfq.pattern, doc);
-    // the NFQ path: pattern root → parent of output (linear by construction)
-    let mut path_nodes: Vec<PNodeId> = Vec::new();
-    let mut cur = nfq.pattern.parent(nfq.output);
-    while let Some(n) = cur {
-        path_nodes.push(n);
-        cur = nfq.pattern.parent(n);
+    let mut filter = Residual::new(nfq, doc);
+    if filter.steps.iter().any(|(_, sides)| !sides.is_empty()) {
+        // about one verdict per candidate: spare the table its rehashing
+        filter.verdicts.reserve(candidates.len());
     }
-    path_nodes.reverse();
-
-    let mut anc: Vec<NodeId> = Vec::new();
     candidates
         .iter()
         .copied()
-        .filter(|&cand| {
-            // ancestor chain of the candidate: root … parent(cand)
-            anc.clear();
-            let mut cur = doc.parent(cand);
-            while let Some(n) = cur {
-                anc.push(n);
-                cur = doc.parent(n);
-            }
-            anc.reverse();
-            align(nfq, &mut matcher, &path_nodes, &anc, 0, 0)
-        })
+        .filter(|&cand| filter.keeps(cand))
         .collect()
 }
 
-/// Recursively aligns pattern path node `pi` starting at ancestor index
-/// `aj`; checks labels and side conditions along the way.
-fn align(
-    nfq: &Nfq,
-    matcher: &mut Matcher<'_>,
-    path: &[PNodeId],
-    anc: &[NodeId],
-    pi: usize,
-    aj: usize,
-) -> bool {
-    if pi == path.len() {
-        // all path nodes placed; the output hangs off the last one:
-        // child edge ⇒ the last placed ancestor must be the direct parent
-        // (aj == anc.len()); descendant ⇒ anywhere above works
-        return match nfq.via {
-            EdgeKind::Child => aj == anc.len(),
-            EdgeKind::Descendant => aj <= anc.len(),
-        };
-    }
-    if aj >= anc.len() {
-        return false;
-    }
-    let p = path[pi];
-    let edge = if pi == 0 {
-        EdgeKind::Child
-    } else {
-        nfq.pattern.node(p).edge
-    };
-    let positions = match edge {
-        EdgeKind::Child => aj..aj + 1,
-        EdgeKind::Descendant => aj..anc.len(),
-    };
-    for j in positions {
-        let v = anc[j];
-        if !matcher.label_matches(p, v) {
-            continue;
+/// The state of one [`filter_candidates`] call.
+struct Residual<'a> {
+    nfq: &'a Nfq,
+    doc: &'a Document,
+    matcher: Matcher<'a>,
+    /// The NFQ path, pattern root … parent of the output (linear by
+    /// construction), each step with its side conditions: every child
+    /// but the path's continuation or the output.
+    steps: Vec<(PNodeId, Vec<PNodeId>)>,
+    /// Per (step, document node) whose label the step accepts: do the
+    /// step's side conditions hold there? Shared by every candidate.
+    verdicts: HashMap<(usize, NodeId), bool, FxBuildHasher>,
+    /// The current candidate's ancestors, root … parent.
+    anc: Vec<NodeId>,
+    /// The current candidate's failed placements, `failed[pi * anc.len() +
+    /// aj]`: step `pi` and the rest of the path cannot be aligned from
+    /// ancestor index `aj` on.
+    failed: Vec<bool>,
+    /// Side-condition checks so far.
+    #[cfg(test)]
+    side_checks: usize,
+}
+
+impl<'a> Residual<'a> {
+    fn new(nfq: &'a Nfq, doc: &'a Document) -> Self {
+        let pattern = &nfq.pattern;
+        let mut steps = Vec::new();
+        let mut next = nfq.output;
+        while let Some(p) = pattern.parent(next) {
+            let sides = pattern
+                .node(p)
+                .children
+                .iter()
+                .copied()
+                .filter(|&c| c != next)
+                .collect();
+            steps.push((p, sides));
+            next = p;
         }
-        // side conditions of this path node (all children except the
-        // continuation of the path / the output)
-        let next_on_path = path.get(pi + 1).copied().unwrap_or(nfq.output);
-        let sides_ok = nfq
-            .pattern
-            .node(p)
-            .children
-            .iter()
-            .filter(|&&c| c != next_on_path)
-            .all(|&c| match nfq.pattern.node(c).edge {
-                EdgeKind::Child => matcher.child_matches(c, v),
-                EdgeKind::Descendant => matcher.descendant_matches(c, v),
-            });
-        if sides_ok && align(nfq, matcher, path, anc, pi + 1, j + 1) {
+        steps.reverse();
+        Residual {
+            nfq,
+            doc,
+            matcher: Matcher::new(pattern, doc),
+            steps,
+            verdicts: HashMap::default(),
+            anc: Vec::new(),
+            failed: Vec::new(),
+            #[cfg(test)]
+            side_checks: 0,
+        }
+    }
+
+    /// Does some alignment of the NFQ path onto `cand`'s ancestors satisfy
+    /// every side condition?
+    fn keeps(&mut self, cand: NodeId) -> bool {
+        self.anc.clear();
+        let mut cur = self.doc.parent(cand);
+        while let Some(n) = cur {
+            self.anc.push(n);
+            cur = self.doc.parent(n);
+        }
+        self.anc.reverse();
+        self.failed.clear();
+        self.failed.resize(self.steps.len() * self.anc.len(), false);
+        self.align(0, 0)
+    }
+
+    /// Can steps `pi..` be placed on ancestors `aj..`, step `pi` at `aj`
+    /// itself when it (or the path's start) is a child step?
+    fn align(&mut self, pi: usize, aj: usize) -> bool {
+        let n = self.anc.len();
+        if pi == self.steps.len() {
+            // all steps placed; the output hangs off the last one: a child
+            // edge needs the last placed ancestor to be the direct parent
+            // (aj == n), a descendant edge works from anywhere above
+            return match self.nfq.via {
+                EdgeKind::Child => aj == n,
+                EdgeKind::Descendant => aj <= n,
+            };
+        }
+        if aj >= n || self.failed[pi * n + aj] {
+            return false;
+        }
+        let (p, _) = self.steps[pi];
+        let last = match self.nfq.pattern.node(p).edge {
+            EdgeKind::Descendant if pi > 0 => n,
+            _ => aj + 1,
+        };
+        for j in aj..last {
+            if self.holds(pi, self.anc[j]) && self.align(pi + 1, j + 1) {
+                return true;
+            }
+        }
+        self.failed[pi * n + aj] = true;
+        false
+    }
+
+    /// Does step `pi` match at `v`: its label, then its side conditions,
+    /// decided once per (step, node)?
+    fn holds(&mut self, pi: usize, v: NodeId) -> bool {
+        let (p, ref sides) = self.steps[pi];
+        if !self.matcher.label_matches(p, v) {
+            return false;
+        }
+        if sides.is_empty() {
             return true;
         }
+        let verdict = match self.verdicts.entry((pi, v)) {
+            Entry::Occupied(known) => return *known.get(),
+            Entry::Vacant(verdict) => verdict,
+        };
+        #[cfg(test)]
+        {
+            self.side_checks += 1;
+        }
+        let pattern = &self.nfq.pattern;
+        let matcher = &mut self.matcher;
+        *verdict.insert(sides.iter().all(|&c| match pattern.node(c).edge {
+            EdgeKind::Child => matcher.child_matches(c, v),
+            EdgeKind::Descendant => matcher.descendant_matches(c, v),
+        }))
     }
-    false
 }
 
 #[cfg(test)]
@@ -448,6 +513,28 @@ mod tests {
             let name_val = d.children(name_elem)[0];
             assert_eq!(d.label(name_val), "Best Western");
         }
+    }
+
+    #[test]
+    fn side_conditions_are_checked_once_per_step_and_ancestor() {
+        // 50 `<a>`s under one root, each with two calls below its `<b>`
+        let mut xml = String::from("<r><c/>");
+        for _ in 0..50 {
+            xml.push_str("<a><d/><b><axml:call service=\"f\"/><axml:call service=\"g\"/></b></a>");
+        }
+        xml.push_str("</r>");
+        let d = parse(&xml).unwrap();
+        let q = parse_query("/r[c]/a[d]/b/x").unwrap();
+        let nfq = build_nfq(&q, q.result_nodes()[0]);
+        let candidates = calls_at(&d, &nfq.lin, nfq.via);
+        assert_eq!(candidates.len(), 100);
+        let mut filter = Residual::new(&nfq, &d);
+        let kept = candidates.iter().filter(|&&c| filter.keeps(c)).count();
+        assert_eq!(kept, 100);
+        // `[c]` once at the root and `[d]` once per `<a>`, not once per
+        // candidate (200)
+        assert_eq!(filter.side_checks, 1 + 50);
+        assert_eq!(filter_candidates(&nfq, &d, &candidates).len(), 100);
     }
 
     /// Queries with `//`, `*` and value conditions over the hotels

@@ -17,6 +17,11 @@
 //!   variables are checked by a memoized boolean match; full enumeration
 //!   happens only where bindings are observable. This keeps the evaluator
 //!   polynomial on join-free queries.
+//! * The F-guide's residual filter asks its conditions through a
+//!   [`Matcher`] and tables the answers one level up, one verdict per
+//!   (NFQ path step, ancestor). The matcher therefore writes no
+//!   structural memo, only the descendant-existence table that keeps
+//!   nested `//` polynomial; every other evaluation keeps both.
 //! * Hot-path engineering: pattern step tests are compiled against a
 //!   document's interned symbol table, so the per-node label test is a
 //!   `u32` compare; join variables bind symbols, not owned strings;
@@ -194,11 +199,13 @@ pub fn embeddings(pattern: &Pattern, doc: &Document) -> Vec<BTreeMap<PNodeId, No
     out
 }
 
-/// A reusable join-blind structural matcher over one `(pattern, document)`
-/// pair, exposing node-level match tests with memoization. Used by the
-/// F-guide's residual filtering (Section 6.2), where candidate call nodes
-/// are aligned against an NFQ's path and the side conditions are checked
-/// per document node.
+/// A join-blind structural matcher over one `(pattern, document)` pair,
+/// exposing node-level match tests. Used by the F-guide's residual filter
+/// (Section 6.2), which aligns candidate calls against an NFQ's path and
+/// tables one verdict per (path step, ancestor) itself, one level above
+/// these tests. So the matcher writes no structural memo: it answers a
+/// condition by plain recursion, and keeps only the descendant-existence
+/// table, which keeps nested `//` conditions polynomial.
 pub struct Matcher<'a> {
     ev: Evaluator<'a>,
 }
@@ -206,9 +213,9 @@ pub struct Matcher<'a> {
 impl<'a> Matcher<'a> {
     /// Creates a matcher for `pattern` over `doc`.
     pub fn new(pattern: &'a Pattern, doc: &'a Document) -> Self {
-        Matcher {
-            ev: Evaluator::new(pattern, doc),
-        }
+        let mut ev = Evaluator::new(pattern, doc);
+        ev.memoize_matches = false;
+        Matcher { ev }
     }
 
     /// Label-only test: does `p`'s own label accept `v`, ignoring `p`'s
@@ -381,6 +388,9 @@ struct Evaluator<'a> {
     spec: bool,
     /// per pattern node: label test compiled against `doc`'s symbol table
     ctest: Vec<CTest>,
+    /// does `smatch` table inner nodes' answers in `memo`? Off in a
+    /// [`Matcher`], whose caller tables its answers one level up
+    memoize_matches: bool,
     /// memoized join-blind structural match
     memo: Memo,
     /// memoized "∃ strict data-reachable descendant matching p"
@@ -411,6 +421,7 @@ impl<'a> Evaluator<'a> {
             doc,
             spec: false,
             ctest,
+            memoize_matches: true,
             memo: Memo::default(),
             desc_memo: Memo::default(),
             needs_enum,
@@ -470,13 +481,17 @@ impl<'a> Evaluator<'a> {
 
     /// Join-blind structural match of `p` at `v`. A leaf is answered by
     /// its label test alone, which costs less than a memo probe; an inner
-    /// node's answer is memoized. The recursion strictly descends the
-    /// pattern or the document, so it cannot reach `(p, v)` again before
-    /// returning, and a miss needs no placeholder entry.
+    /// node's answer is memoized unless `memoize_matches` is off. The
+    /// recursion strictly descends the pattern or the document, so it
+    /// cannot reach `(p, v)` again before returning, and a miss needs no
+    /// placeholder entry.
     fn smatch(&mut self, p: PNodeId, v: NodeId) -> bool {
         let node = self.pat.node(p);
         if node.children.is_empty() && !matches!(node.label, PLabel::Or) {
             return self.local_ok(p, v);
+        }
+        if !self.memoize_matches {
+            return self.smatch_uncached(p, v);
         }
         if let Some(&b) = self.memo.get(&(p, v)) {
             return b;

@@ -57,10 +57,10 @@ pub struct SubscriptionOptions {
     /// how far the clock advances when no cached entry is due to lapse.
     pub watch_ms: f64,
     /// Guardrail: total real re-invocations each subscription's refresh
-    /// work may perform over the engine's lifetime. Exhausted
-    /// subscriptions stop driving refreshes (deltas published by other
-    /// subscriptions' refreshes are still delivered).
-    pub max_refires: usize,
+    /// work may perform over the engine's lifetime, `None` for no bound.
+    /// Exhausted subscriptions stop driving refreshes (deltas published
+    /// by other subscriptions' refreshes are still delivered).
+    pub max_refires: Option<usize>,
     /// Guardrail: real invocations one refresh evaluation may perform
     /// (bounds recursive call chains per refresh; the engine's own
     /// `max_invocations` still applies on top).
@@ -73,7 +73,7 @@ impl Default for SubscriptionOptions {
             engine: EngineConfig::default(),
             history_capacity: 64,
             watch_ms: 100.0,
-            max_refires: usize::MAX,
+            max_refires: None,
             refresh_depth: usize::MAX,
         }
     }
@@ -129,8 +129,8 @@ pub struct SubscriptionStatus {
     /// Published versions skipped by the scope filter.
     pub versions_skipped: usize,
     /// Real re-invocations still allowed for this subscription's
-    /// refresh work.
-    pub refires_left: usize,
+    /// refresh work, `None` when unbounded.
+    pub refires_left: Option<usize>,
 }
 
 struct SubState {
@@ -140,7 +140,7 @@ struct SubState {
     scope: QueryScope,
     watermark: u64,
     answers: BTreeSet<Vec<String>>,
-    refires_left: usize,
+    refires_left: Option<usize>,
     deltas_emitted: usize,
     versions_skipped: usize,
 }
@@ -401,14 +401,15 @@ impl<'a> SubscriptionEngine<'a> {
             let mut truncated = false;
             let mut incomplete = false;
             for i in 0..self.subs.len() {
-                if self.subs[i].refires_left == 0 {
+                let left = self.subs[i].refires_left;
+                if left == Some(0) {
                     continue;
                 }
                 let mut config = self.options.engine.clone();
                 config.max_invocations = config
                     .max_invocations
                     .min(self.options.refresh_depth)
-                    .min(self.subs[i].refires_left);
+                    .min(left.unwrap_or(usize::MAX));
                 let done = self
                     .engine(&self.subs[i].query, config)
                     .complete_for(&mut working, &self.subs[i].query);
@@ -417,9 +418,9 @@ impl<'a> SubscriptionEngine<'a> {
                 self.stats.refresh_invocations += stats.calls_invoked;
                 changed_paths.extend(done.changed_paths);
                 let sub = &mut self.subs[i];
-                sub.refires_left = sub.refires_left.saturating_sub(stats.calls_invoked);
+                sub.refires_left = left.map(|n| n.saturating_sub(stats.calls_invoked));
                 if stats.truncated {
-                    sub.refires_left = 0;
+                    sub.refires_left = Some(0);
                     truncated = true;
                 }
                 if !stats.is_complete() {

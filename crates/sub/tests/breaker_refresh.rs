@@ -88,7 +88,7 @@ fn refresh_round_aborts_while_breaker_open_and_retries_after_close() {
     let status = engine.status();
     let sb = status.iter().find(|s| s.name == "watch-b").unwrap();
     assert!(
-        sb.refires_left > 0,
+        sb.refires_left != Some(0),
         "breaker refusal must not exhaust refires"
     );
 

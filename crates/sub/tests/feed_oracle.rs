@@ -175,7 +175,7 @@ fn auction_ticker_guardrails_bound_refresh_work() {
         None,
         SubscriptionOptions {
             history_capacity: 4096,
-            max_refires: 25,
+            max_refires: Some(25),
             refresh_depth: 15,
             ..SubscriptionOptions::default()
         },
@@ -187,7 +187,7 @@ fn auction_ticker_guardrails_bound_refresh_work() {
     // the 100 ms TTLs would demand ~50 refresh rounds × 10 calls; the
     // refire budget must have cut that off
     let status = engine.status();
-    assert_eq!(status[0].refires_left, 0, "{status:?}");
+    assert_eq!(status[0].refires_left, Some(0), "{status:?}");
     assert!(
         engine.stats().refresh_invocations <= 25 + 15,
         "refresh kept invoking past the budget: {:?}",

@@ -850,9 +850,10 @@ fn cmd_subscribe(opts: &Opts) -> Result<(), String> {
             .ok_or_else(|| format!("--watch-ms expects positive milliseconds, got {v:?}"))?;
     }
     if let Some(v) = opts.value("max-refires") {
-        options.max_refires = v
-            .parse()
-            .map_err(|_| format!("--max-refires expects a count, got {v:?}"))?;
+        options.max_refires = Some(
+            v.parse()
+                .map_err(|_| format!("--max-refires expects a count, got {v:?}"))?,
+        );
     }
     if let Some(v) = opts.value("refresh-depth") {
         options.refresh_depth = v
@@ -961,10 +962,8 @@ fn cmd_subscribe(opts: &Opts) -> Result<(), String> {
                 s.rows,
                 s.deltas_emitted,
                 s.versions_skipped,
-                match s.refires_left {
-                    usize::MAX => "unbounded".to_string(),
-                    n => n.to_string(),
-                }
+                s.refires_left
+                    .map_or("unbounded".to_string(), |n| n.to_string())
             );
         }
     }

@@ -183,6 +183,50 @@ fn materialize_command() {
 }
 
 #[test]
+fn subscribe_stats_keep_an_unbounded_refire_budget_unbounded() {
+    let data = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/data");
+    let run = |extra: &[&str]| {
+        let out = axml()
+            .args(["subscribe", "--doc", &format!("{data}/doc.xml")])
+            .args(["--world", &format!("{data}/world.xml")])
+            .args(["--query", "/hotels/hotel[name=$N][rating=$R] -> $N,$R"])
+            .args(["--cache-ttl-ms", "200", "--horizon-ms", "1000"])
+            .args(["--watch-ms", "100", "--latency-ms", "5", "--stats"])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let status = stderr
+            .lines()
+            .find(|l| l.contains("refire(s) left"))
+            .unwrap_or_else(|| panic!("no status line: {stderr}"))
+            .to_string();
+        (stdout, status)
+    };
+    // the TTL lapses re-invoke calls, which must not count down an
+    // unbounded budget
+    let (stdout, status) = run(&[]);
+    let reinvoked: usize = stdout
+        .split(" re-invocation(s)")
+        .next()
+        .and_then(|s| s.rsplit(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no re-invocation count: {stdout}"));
+    assert!(reinvoked > 0, "{stdout}");
+    assert!(status.ends_with(", unbounded refire(s) left"), "{status}");
+    let (_, status) = run(&["--max-refires", "6"]);
+    let left: usize = status
+        .rsplit(", ")
+        .next()
+        .and_then(|s| s.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("a finite budget: {status}"));
+    assert!(left < 6, "{status}");
+}
+
+#[test]
 fn explain_command() {
     let out = axml().args(["explain", "--query", QUERY]).output().unwrap();
     assert!(out.status.success());
