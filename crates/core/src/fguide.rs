@@ -25,11 +25,10 @@
 //! services §5's type refinement considers.
 
 use crate::nfq::Nfq;
-use axml_query::{EdgeKind, FunMatch, FxBuildHasher, LinearPath, Matcher, PLabel, PNodeId};
+use axml_query::{EdgeKind, FunMatch, LinearPath, Matcher, PLabel, PNodeId};
 use axml_schema::{Nfa, SymNfa};
 use axml_xml::{CallId, Document, NodeId};
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// The extent of the guide nodes `at` accepts: the visible live calls of
 /// `doc` whose class the position automaton accepts, among the calls of
@@ -199,26 +198,18 @@ impl ClassVerdicts {
 /// conditions hold — i.e. some alignment of the NFQ's path onto the
 /// candidate's ancestor chain satisfies every side condition.
 ///
-/// One call answers each question its candidates share once. Whether a
-/// path step's side conditions hold at an ancestor is decided once per
-/// (step, ancestor) and shared by the whole candidate list, so a condition
-/// on `/hotels` or on one hotel is checked once however many calls sit
-/// below it. Per candidate, the (step, ancestor depth) placements already
-/// known to fail are remembered, so aligning a path of `k` steps on a
-/// chain of `d` ancestors tries at most `k·d` placements of `d` positions
-/// each, whatever its `//` steps: `O(k·d²)` table probes per candidate
-/// plus one side-condition check per (step, ancestor) per call. Below
-/// those verdicts, a [`Matcher`] checks the conditions by plain recursion
-/// and memoizes only descendant existence.
+/// Per candidate, each placement of a path step on an ancestor is tried
+/// at most once: a placement that fails (its label, its side conditions,
+/// or the rest of the path below it) is remembered. So aligning a path of
+/// `k` steps on a chain of `d` ancestors checks side conditions at most
+/// `k·d` times and probes that table `O(k·d²)` times, whatever its `//`
+/// steps. Candidates share nothing but the [`Matcher`], which checks the
+/// conditions by plain recursion and memoizes only descendant existence.
 pub fn filter_candidates(nfq: &Nfq, doc: &Document, candidates: &[NodeId]) -> Vec<NodeId> {
     if candidates.is_empty() {
         return Vec::new();
     }
     let mut filter = Residual::new(nfq, doc);
-    if filter.steps.iter().any(|(_, sides)| !sides.is_empty()) {
-        // about one verdict per candidate: spare the table its rehashing
-        filter.verdicts.reserve(candidates.len());
-    }
     candidates
         .iter()
         .copied()
@@ -235,18 +226,12 @@ struct Residual<'a> {
     /// construction), each step with its side conditions: every child
     /// but the path's continuation or the output.
     steps: Vec<(PNodeId, Vec<PNodeId>)>,
-    /// Per (step, document node) whose label the step accepts: do the
-    /// step's side conditions hold there? Shared by every candidate.
-    verdicts: HashMap<(usize, NodeId), bool, FxBuildHasher>,
     /// The current candidate's ancestors, root … parent.
     anc: Vec<NodeId>,
     /// The current candidate's failed placements, `failed[pi * anc.len() +
-    /// aj]`: step `pi` and the rest of the path cannot be aligned from
-    /// ancestor index `aj` on.
+    /// j]`: step `pi` at ancestor index `j` starts no alignment of the
+    /// rest of the path.
     failed: Vec<bool>,
-    /// Side-condition checks so far.
-    #[cfg(test)]
-    side_checks: usize,
 }
 
 impl<'a> Residual<'a> {
@@ -271,11 +256,8 @@ impl<'a> Residual<'a> {
             doc,
             matcher: Matcher::new(pattern, doc),
             steps,
-            verdicts: HashMap::default(),
             anc: Vec::new(),
             failed: Vec::new(),
-            #[cfg(test)]
-            side_checks: 0,
         }
     }
 
@@ -307,47 +289,33 @@ impl<'a> Residual<'a> {
                 EdgeKind::Descendant => aj <= n,
             };
         }
-        if aj >= n || self.failed[pi * n + aj] {
-            return false;
-        }
         let (p, _) = self.steps[pi];
         let last = match self.nfq.pattern.node(p).edge {
             EdgeKind::Descendant if pi > 0 => n,
-            _ => aj + 1,
+            _ => n.min(aj + 1),
         };
         for j in aj..last {
+            if self.failed[pi * n + j] {
+                continue;
+            }
             if self.holds(pi, self.anc[j]) && self.align(pi + 1, j + 1) {
                 return true;
             }
+            self.failed[pi * n + j] = true;
         }
-        self.failed[pi * n + aj] = true;
         false
     }
 
-    /// Does step `pi` match at `v`: its label, then its side conditions,
-    /// decided once per (step, node)?
+    /// Does step `pi` match at `v`: its label, then its side conditions?
     fn holds(&mut self, pi: usize, v: NodeId) -> bool {
         let (p, ref sides) = self.steps[pi];
-        if !self.matcher.label_matches(p, v) {
-            return false;
-        }
-        if sides.is_empty() {
-            return true;
-        }
-        let verdict = match self.verdicts.entry((pi, v)) {
-            Entry::Occupied(known) => return *known.get(),
-            Entry::Vacant(verdict) => verdict,
-        };
-        #[cfg(test)]
-        {
-            self.side_checks += 1;
-        }
         let pattern = &self.nfq.pattern;
         let matcher = &mut self.matcher;
-        *verdict.insert(sides.iter().all(|&c| match pattern.node(c).edge {
-            EdgeKind::Child => matcher.child_matches(c, v),
-            EdgeKind::Descendant => matcher.descendant_matches(c, v),
-        }))
+        matcher.label_matches(p, v)
+            && sides.iter().all(|&c| match pattern.node(c).edge {
+                EdgeKind::Child => matcher.child_matches(c, v),
+                EdgeKind::Descendant => matcher.descendant_matches(c, v),
+            })
     }
 }
 
@@ -513,28 +481,6 @@ mod tests {
             let name_val = d.children(name_elem)[0];
             assert_eq!(d.label(name_val), "Best Western");
         }
-    }
-
-    #[test]
-    fn side_conditions_are_checked_once_per_step_and_ancestor() {
-        // 50 `<a>`s under one root, each with two calls below its `<b>`
-        let mut xml = String::from("<r><c/>");
-        for _ in 0..50 {
-            xml.push_str("<a><d/><b><axml:call service=\"f\"/><axml:call service=\"g\"/></b></a>");
-        }
-        xml.push_str("</r>");
-        let d = parse(&xml).unwrap();
-        let q = parse_query("/r[c]/a[d]/b/x").unwrap();
-        let nfq = build_nfq(&q, q.result_nodes()[0]);
-        let candidates = calls_at(&d, &nfq.lin, nfq.via);
-        assert_eq!(candidates.len(), 100);
-        let mut filter = Residual::new(&nfq, &d);
-        let kept = candidates.iter().filter(|&&c| filter.keeps(c)).count();
-        assert_eq!(kept, 100);
-        // `[c]` once at the root and `[d]` once per `<a>`, not once per
-        // candidate (200)
-        assert_eq!(filter.side_checks, 1 + 50);
-        assert_eq!(filter_candidates(&nfq, &d, &candidates).len(), 100);
     }
 
     /// Queries with `//`, `*` and value conditions over the hotels
