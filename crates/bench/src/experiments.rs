@@ -2038,7 +2038,8 @@ impl Gate {
     /// growth bound if there is one, and every baseline row of at least
     /// `gated_from` against the run's row of the same series and x (a row
     /// the sweep no longer has is skipped). A check with no row to read
-    /// fails. Returns what passed, or every failure.
+    /// fails. Returns what passed, naming the gated row that kept the
+    /// least of its tolerance, or every failure.
     pub fn check(&self, rows: &[Row], baseline: &[ArtifactRow]) -> Result<String, String> {
         let (metric, x, unit) = (self.metric, self.x, self.x_name);
         let (mut passed, mut failed) = (Vec::new(), Vec::new());
@@ -2100,6 +2101,9 @@ impl Gate {
         }
 
         let mut regressed = Vec::new();
+        // the passing row with the least of its tolerance left, as that
+        // share and a description
+        let mut closest: Option<(f64, String)> = None;
         if !baseline
             .iter()
             .any(|b| b.x == x && b.metric(metric).is_some())
@@ -2120,18 +2124,27 @@ impl Gate {
                 continue;
             };
             let limit = self.limit(base);
+            let row = format!(
+                "{} at {} {unit} reads {metric} {got:.3}, baseline {base:.3}, limit {limit:.3}",
+                b.series, b.x
+            );
             if self.worse(got, limit) {
-                regressed.push(format!(
-                    "regression: {} at {} {unit} reads {metric} {got:.3}, baseline {base:.3}, \
-                     limit {limit:.3}",
-                    b.series, b.x
-                ));
+                regressed.push(format!("regression: {row}"));
+                continue;
+            }
+            let left = (got - limit).abs() / (base - limit).abs().max(1e-12);
+            if closest.as_ref().is_none_or(|(least, _)| left < *least) {
+                closest = Some((left, row));
             }
         }
         if regressed.is_empty() {
-            passed.push(match self.tolerance {
+            let within = match self.tolerance {
                 Tolerance::Loss(share) => format!("within {}% of the baseline", share * 100.0),
                 Tolerance::Slack(amount) => format!("within {amount} of the baseline"),
+            };
+            passed.push(match closest {
+                Some((_, row)) => format!("{within} (closest: {row})"),
+                None => within,
             });
         }
         failed.extend(regressed);
@@ -2190,8 +2203,28 @@ mod tests {
     #[test]
     fn e14_gate_passes_conforming_rows() {
         let rows = conforming();
-        let ok = e14().check(&rows, &baseline_of("e14", &rows));
-        assert!(ok.is_ok(), "{ok:?}");
+        let baseline = baseline_of("e14", &rows);
+        let ok = e14().check(&rows, &baseline).unwrap();
+        // every row reads its baseline, so the first gated row is named
+        assert!(
+            ok.contains(
+                "within 20% of the baseline (closest: figure4/detect at 50 hotels reads \
+                 speedup 3.000, baseline 3.000, limit 2.400)"
+            ),
+            "{ok}"
+        );
+        // a row that lost 15% of its baseline is the closest to its limit
+        let mut near = rows.clone();
+        near.retain(|r| !(r.label == "descendant/detect" && r.x == 200.0));
+        near.push(detect("descendant", 200.0, 2.0, 6.8));
+        let ok = e14().check(&near, &baseline).unwrap();
+        assert!(
+            ok.contains(
+                "(closest: descendant/detect at 200 hotels reads speedup 6.800, \
+                 baseline 8.000, limit 6.400)"
+            ),
+            "{ok}"
+        );
     }
 
     #[test]

@@ -530,8 +530,9 @@ struct Run<'e, 'a, 'q> {
     refined: HashMap<usize, Option<Nfq>>,
     /// the parent label path of every invoked and spliced call
     changed_paths: Vec<Vec<String>>,
-    /// reusable evaluator memo tables (the NFQA loop re-evaluates
-    /// patterns once per round)
+    /// the allocation of the evaluator's one table, descendant existence,
+    /// reused across evaluations (the NFQA loop re-evaluates patterns once
+    /// per round)
     eval_cache: PlanScratch,
     /// monotone event counter for the structured trace (resets per run)
     seq: u64,

@@ -309,13 +309,8 @@ impl<'a> Residual<'a> {
     /// Does step `pi` match at `v`: its label, then its side conditions?
     fn holds(&mut self, pi: usize, v: NodeId) -> bool {
         let (p, ref sides) = self.steps[pi];
-        let pattern = &self.nfq.pattern;
         let matcher = &mut self.matcher;
-        matcher.label_matches(p, v)
-            && sides.iter().all(|&c| match pattern.node(c).edge {
-                EdgeKind::Child => matcher.child_matches(c, v),
-                EdgeKind::Descendant => matcher.descendant_matches(c, v),
-            })
+        matcher.label_matches(p, v) && sides.iter().all(|&c| matcher.condition_holds(c, v))
     }
 }
 

@@ -270,7 +270,9 @@ mod tests {
     }
 
     fn invoke(registry: &Registry, service: &str, key: &str) -> String {
-        let outcome = registry.invoke(service, params(key), None).unwrap();
+        let outcome = registry
+            .invoke_within(service, params(key), None, f64::INFINITY)
+            .unwrap();
         axml_xml::to_xml(&outcome.result)
     }
 
@@ -309,7 +311,7 @@ mod tests {
         let feed = auction_feed(&AuctionFeedParams { auctions: 2 });
         let outcome = feed
             .registry
-            .invoke("getBids", params("item 0"), None)
+            .invoke_within("getBids", params("item 0"), None, f64::INFINITY)
             .unwrap();
         let answer = outcome.result;
         let has_nested_call = answer

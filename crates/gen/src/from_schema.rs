@@ -256,7 +256,7 @@ mod tests {
         let (_, registry) = random_instance(&schema, "hotels", &InstanceParams::default());
         for sig in schema.functions() {
             let out = registry
-                .invoke(sig.name.as_str(), Forest::new(), None)
+                .invoke_within(sig.name.as_str(), Forest::new(), None, f64::INFINITY)
                 .unwrap();
             assert!(
                 axml_schema::forest_matches_type(&out.result, &sig.output),
@@ -301,7 +301,7 @@ mod tests {
             let c = calls[0];
             let (_, svc) = doc.call_info(c).unwrap();
             let out = registry
-                .invoke(svc.as_str(), doc.children_to_forest(c), None)
+                .invoke_within(svc.as_str(), doc.children_to_forest(c), None, f64::INFINITY)
                 .unwrap();
             doc.splice_call(c, &out.result);
         }

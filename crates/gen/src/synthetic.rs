@@ -218,7 +218,7 @@ mod tests {
             let (_, svc) = doc.call_info(c).unwrap();
             assert!(registry.has_service(svc.as_str()));
             let out = registry
-                .invoke(svc.as_str(), doc.children_to_forest(c), None)
+                .invoke_within(svc.as_str(), doc.children_to_forest(c), None, f64::INFINITY)
                 .unwrap();
             doc.splice_call(c, &out.result);
             doc.check_integrity().unwrap();

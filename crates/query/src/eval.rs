@@ -14,23 +14,26 @@
 //!   content (a call node itself is still visible, so `//()` finds calls at
 //!   any depth).
 //! * Condition subtrees that contain neither result nodes nor join
-//!   variables are checked by a memoized boolean match; full enumeration
-//!   happens only where bindings are observable. This keeps the evaluator
-//!   polynomial on join-free queries.
-//! * The F-guide's residual filter asks its conditions through a
-//!   [`Matcher`], which writes no structural memo, only the
-//!   descendant-existence table that keeps nested `//` polynomial; every
-//!   other evaluation keeps both. In a `figure4` op the filter wrote about
-//!   11,600 structural entries and read none of them back.
+//!   variables are checked by a boolean match; full enumeration happens
+//!   only where bindings are observable. The boolean match answers by
+//!   plain recursion and tables one thing only: whether some strict
+//!   data-reachable descendant of a node matches a pattern node. That
+//!   table keeps nested `//` conditions, and so join-free queries,
+//!   polynomial.
+//! * One condition test, `Evaluator::condition_holds`, decides a
+//!   join-blind pattern edge for the boolean match, for the enumeration's
+//!   condition children, and for the F-guide's residual filter through a
+//!   [`Matcher`].
 //! * Hot-path engineering: pattern step tests are compiled against a
 //!   document's interned symbol table, so the per-node label test is a
 //!   `u32` compare; join variables bind symbols, not owned strings;
 //!   descendant steps can enumerate candidates from the document's
-//!   label→node index instead of scanning subtrees; and memo tables can
-//!   be reused across evaluations via [`PlanScratch`]. A
-//!   [`crate::plan::QueryPlan`] keeps the tables that depend on the
-//!   pattern alone and compiles the label tests against each document it
-//!   runs on; the convenience entry points here compile both per call.
+//!   label→node index instead of scanning subtrees; and the
+//!   descendant-existence table's allocation is reused across evaluations
+//!   via [`PlanScratch`]. A [`crate::plan::QueryPlan`] keeps the tables
+//!   that depend on the pattern alone and compiles the label tests against
+//!   each document it runs on; the convenience entry points here compile
+//!   both per call.
 //! * Two evaluators share this code: the production one above and
 //!   [`seed_eval`], the executable spec (string-compared labels, subtree
 //!   scans) every optimization is checked against. Nothing outside this
@@ -45,13 +48,13 @@ use axml_xml::{Document, NodeId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// A memo table over `(pattern node, document node)` pairs.
+/// A table of answers over `(pattern node, document node)` pairs.
 pub(crate) type Memo = HashMap<(PNodeId, NodeId), bool, FxBuildHasher>;
 
 /// Fx-style multiply-rotate hasher for tables keyed by engine-internal
-/// integers, such as the evaluator's memo tables. No input controls
-/// those keys, so SipHash's flood resistance buys nothing and costs most
-/// of a lookup.
+/// integers, such as the evaluator's descendant-existence table. No
+/// input controls those keys, so SipHash's flood resistance buys nothing
+/// and costs most of a lookup.
 #[derive(Default)]
 pub struct FxHasher(u64);
 
@@ -147,7 +150,7 @@ pub fn eval(pattern: &Pattern, doc: &Document) -> SnapshotResult {
     eval_with(pattern, doc, &mut PlanScratch::default())
 }
 
-/// [`eval`] with reusable memo allocations. Compiles the pattern's tests
+/// [`eval`] with a reusable table allocation. Compiles the pattern's tests
 /// transiently; callers that evaluate the same pattern repeatedly should
 /// compile a [`crate::plan::QueryPlan`] once and use
 /// [`crate::plan::QueryPlan::eval_with`] instead.
@@ -158,7 +161,7 @@ pub fn eval_with(pattern: &Pattern, doc: &Document, scratch: &mut PlanScratch) -
 }
 
 /// The **executable spec**: the seed evaluator — string-compared labels,
-/// no label→node index, fresh memo tables. The production evaluator
+/// no label→node index, a fresh table. The production evaluator
 /// (interned tests, index-driven descendant steps, compiled plans) must
 /// produce exactly this result; the differential plan-equivalence oracles
 /// and the engine's debug cross-check diff against it.
@@ -168,35 +171,21 @@ pub fn seed_eval(pattern: &Pattern, doc: &Document) -> SnapshotResult {
     ev.results()
 }
 
-/// `true` iff at least one embedding of `q` in `d` exists.
-pub fn matches(pattern: &Pattern, doc: &Document) -> bool {
-    let (needs_enum, var_id) = enum_tables(pattern);
-    let ctest = compile_ctests(pattern, doc);
-    matches_compiled(
-        pattern,
-        doc,
-        ctest,
-        needs_enum,
-        var_id,
-        &mut PlanScratch::default(),
-    )
-}
-
-/// Enumerates the *full embeddings* of the pattern (every pattern node's
-/// image). OR nodes map to the image of their chosen branch. Exponential in
-/// the worst case — intended for provider-side pruning of (small) service
-/// results, not for document-scale evaluation. Candidates are enumerated in
-/// document order, so the output order is stable across evaluator modes.
-pub fn embeddings(pattern: &Pattern, doc: &Document) -> Vec<BTreeMap<PNodeId, NodeId>> {
-    let mut out = Vec::new();
-    if pattern.is_empty() {
-        return out;
+/// The *full embeddings* of the pattern (every pattern node's image),
+/// distinct and in sorted order. OR nodes map to nothing; their chosen
+/// branch maps to their image. This is [`eval`] of a copy of the pattern
+/// in which every non-OR node is a result node, so each result tuple is a
+/// whole embedding. Exponential in the worst case — intended for
+/// provider-side pruning of (small) service results, not for
+/// document-scale evaluation.
+pub fn embeddings(pattern: &Pattern, doc: &Document) -> Vec<ResultTuple> {
+    let mut full = pattern.clone();
+    for id in pattern.node_ids() {
+        if !matches!(pattern.node(id).label, PLabel::Or) {
+            full.mark_result(id);
+        }
     }
-    let mut ev = Evaluator::new(pattern, doc);
-    for &root in doc.roots() {
-        out.extend(ev.embed_full(pattern.root(), root, &VarEnv::default()));
-    }
-    out
+    eval(&full, doc).tuples.into_iter().collect()
 }
 
 /// A join-blind structural matcher over one `(pattern, document)` pair,
@@ -204,15 +193,13 @@ pub fn embeddings(pattern: &Pattern, doc: &Document) -> Vec<BTreeMap<PNodeId, No
 /// (Section 6.2), which aligns candidate calls against an NFQ's path and
 /// checks the side conditions per document node.
 ///
-/// The matcher writes no structural memo: in a `figure4` op the filter
-/// wrote about 11,600 structural entries for ~894 candidates and read
-/// none back. It answers a condition by plain recursion and keeps only
-/// the descendant-existence table, which keeps nested `//` conditions
-/// polynomial. A question asked twice is answered twice: a `//`
-/// condition asked at nested ancestors repeats the `smatch` calls of the
-/// label index's bucket path (at most once per ancestor), and a child
-/// condition on an ancestor that several candidates share is checked
-/// again for each of them.
+/// It answers through the evaluator's own condition test, so it tables
+/// what every evaluation tables: descendant existence, nothing else. A
+/// question asked twice is answered twice: a `//` condition asked at
+/// nested ancestors repeats the structural matches of the label index's
+/// bucket path (at most once per ancestor), and a child condition on an
+/// ancestor that several candidates share is checked again for each of
+/// them.
 pub struct Matcher<'a> {
     ev: Evaluator<'a>,
 }
@@ -220,9 +207,9 @@ pub struct Matcher<'a> {
 impl<'a> Matcher<'a> {
     /// Creates a matcher for `pattern` over `doc`.
     pub fn new(pattern: &'a Pattern, doc: &'a Document) -> Self {
-        let mut ev = Evaluator::new(pattern, doc);
-        ev.memoize_matches = false;
-        Matcher { ev }
+        Matcher {
+            ev: Evaluator::new(pattern, doc),
+        }
     }
 
     /// Label-only test: does `p`'s own label accept `v`, ignoring `p`'s
@@ -239,16 +226,11 @@ impl<'a> Matcher<'a> {
         self.ev.local_ok(p, v)
     }
 
-    /// Does some child of `v` match pattern node `p` (join-blind)?
-    pub fn child_matches(&mut self, p: PNodeId, v: NodeId) -> bool {
-        let doc = self.ev.doc;
-        doc.children(v).iter().any(|&u| self.ev.smatch(p, u))
-    }
-
-    /// Does some strict descendant of `v` match pattern node `p`
-    /// (join-blind, not descending below function nodes)?
-    pub fn descendant_matches(&mut self, p: PNodeId, v: NodeId) -> bool {
-        self.ev.desc_exists(p, v)
+    /// Does the condition `c` hold at `v`, join-blind: does a child of
+    /// `v` (if `c` hangs by a child edge) or a strict data-reachable
+    /// descendant of `v` (a `//` edge) match `c`?
+    pub fn condition_holds(&mut self, c: PNodeId, v: NodeId) -> bool {
+        self.ev.condition_holds(c, v)
     }
 }
 
@@ -354,37 +336,10 @@ pub(crate) fn eval_compiled(
     scratch: &mut PlanScratch,
 ) -> SnapshotResult {
     let mut ev = Evaluator::from_tables(pat, doc, ctest, needs_enum, var_id);
-    ev.memo = scratch.take_memo();
     ev.desc_memo = scratch.take_desc_memo();
     let out = ev.results();
-    ev.release(scratch);
+    scratch.put_back(ev.desc_memo);
     out
-}
-
-/// The existence test over already compiled tables.
-pub(crate) fn matches_compiled(
-    pat: &Pattern,
-    doc: &Document,
-    ctest: Vec<CTest>,
-    needs_enum: Vec<bool>,
-    var_id: Vec<Option<u32>>,
-    scratch: &mut PlanScratch,
-) -> bool {
-    if pat.is_empty() {
-        return false;
-    }
-    let mut ev = Evaluator::from_tables(pat, doc, ctest, needs_enum, var_id);
-    ev.memo = scratch.take_memo();
-    ev.desc_memo = scratch.take_desc_memo();
-    let hit = doc.roots().iter().any(|&r| {
-        if ev.needs_enum[pat.root().index()] {
-            !ev.embed(pat.root(), r, &VarEnv::default()).is_empty()
-        } else {
-            ev.smatch(pat.root(), r)
-        }
-    });
-    ev.release(scratch);
-    hit
 }
 
 struct Evaluator<'a> {
@@ -395,16 +350,8 @@ struct Evaluator<'a> {
     spec: bool,
     /// per pattern node: label test compiled against `doc`'s symbol table
     ctest: Vec<CTest>,
-    /// does `smatch` table inner nodes' answers in `memo`? Off in a
-    /// [`Matcher`] only. The memo-less path was faster wherever it was
-    /// measured, but the full evaluator is E14's reference detector: when
-    /// E14's reference is re-anchored, measure the memo-less path on all
-    /// four benchmark workloads, then delete this flag and the memoized
-    /// branch of `smatch`
-    memoize_matches: bool,
-    /// memoized join-blind structural match
-    memo: Memo,
-    /// memoized "∃ strict data-reachable descendant matching p"
+    /// memoized "∃ strict data-reachable descendant matching p", the only
+    /// table: it keeps nested `//` conditions polynomial
     desc_memo: Memo,
     /// per pattern node: does its subtree contain a result node or a join
     /// variable (requiring full enumeration)?
@@ -432,8 +379,6 @@ impl<'a> Evaluator<'a> {
             doc,
             spec: false,
             ctest,
-            memoize_matches: true,
-            memo: Memo::default(),
             desc_memo: Memo::default(),
             needs_enum,
             var_id,
@@ -453,12 +398,6 @@ impl<'a> Evaluator<'a> {
             }
         }
         out
-    }
-
-    /// Returns the memo allocations to the scratch for the next
-    /// evaluation.
-    fn release(self, scratch: &mut PlanScratch) {
-        scratch.put_back(self.memo, self.desc_memo);
     }
 
     /// Does the local (label-only) test of pattern node `p` accept doc node
@@ -490,44 +429,30 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Join-blind structural match of `p` at `v`. A leaf is answered by
-    /// its label test alone, which costs less than a memo probe; an inner
-    /// node's answer is memoized unless `memoize_matches` is off. The
-    /// recursion strictly descends the pattern or the document, so it
-    /// cannot reach `(p, v)` again before returning, and a miss needs no
-    /// placeholder entry.
+    /// Join-blind structural match of `p` at `v`, by plain recursion: its
+    /// label test, then each child's condition. No answer is tabled here:
+    /// a table of them was written far more often than it was read, and
+    /// every benchmark workload ran as fast or faster without it
+    /// (DESIGN.md, "Evaluator performance", has the measurements).
     fn smatch(&mut self, p: PNodeId, v: NodeId) -> bool {
         let node = self.pat.node(p);
-        if node.children.is_empty() && !matches!(node.label, PLabel::Or) {
-            return self.local_ok(p, v);
+        if let PLabel::Or = node.label {
+            return node.children.iter().any(|&b| self.smatch(b, v));
         }
-        if !self.memoize_matches {
-            return self.smatch_uncached(p, v);
-        }
-        if let Some(&b) = self.memo.get(&(p, v)) {
-            return b;
-        }
-        let r = self.smatch_uncached(p, v);
-        self.memo.insert((p, v), r);
-        r
+        self.local_ok(p, v) && node.children.iter().all(|&pc| self.condition_holds(pc, v))
     }
 
-    fn smatch_uncached(&mut self, p: PNodeId, v: NodeId) -> bool {
-        let pat = self.pat;
-        if let PLabel::Or = pat.node(p).label {
-            return pat.node(p).children.iter().any(|&b| self.smatch(b, v));
+    /// The one condition test: does a child of `v` (if `pc` hangs by a
+    /// child edge) or a strict data-reachable descendant of `v` (a `//`
+    /// edge) match `pc`, join-blind?
+    fn condition_holds(&mut self, pc: PNodeId, v: NodeId) -> bool {
+        match self.pat.node(pc).edge {
+            EdgeKind::Child => {
+                let doc = self.doc;
+                doc.children(v).iter().any(|&u| self.smatch(pc, u))
+            }
+            EdgeKind::Descendant => self.desc_exists(pc, v),
         }
-        if !self.local_ok(p, v) {
-            return false;
-        }
-        let doc = self.doc;
-        pat.node(p)
-            .children
-            .iter()
-            .all(|&pc| match pat.node(pc).edge {
-                EdgeKind::Child => doc.children(v).iter().any(|&u| self.smatch(pc, u)),
-                EdgeKind::Descendant => self.desc_exists(pc, v),
-            })
     }
 
     /// The bucket of the label→node index to enumerate for a descendant
@@ -614,29 +539,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Candidate doc nodes for `pc` under `v` in document order (pre-order
-    /// subtree scan), for consumers whose output order is observable
-    /// ([`embeddings`]).
-    fn candidates_ordered(&mut self, pc: PNodeId, v: NodeId) -> Vec<NodeId> {
-        match self.pat.node(pc).edge {
-            EdgeKind::Child => {
-                let doc = self.doc;
-                let mut out = Vec::new();
-                for &u in doc.children(v) {
-                    if self.smatch(pc, u) {
-                        out.push(u);
-                    }
-                }
-                out
-            }
-            EdgeKind::Descendant => {
-                let mut out = Vec::new();
-                self.collect_desc(pc, v, &mut out);
-                out
-            }
-        }
-    }
-
     fn collect_desc(&mut self, pc: PNodeId, v: NodeId, out: &mut Vec<NodeId>) {
         if !self.doc.is_data(v) {
             return;
@@ -661,11 +563,10 @@ impl<'a> Evaluator<'a> {
                 vec![]
             };
         }
-        let pat = self.pat;
-        if let PLabel::Or = pat.node(p).label {
+        let node = self.pat.node(p);
+        if let PLabel::Or = node.label {
             let mut out = Vec::new();
-            for i in 0..pat.node(p).children.len() {
-                let b = pat.node(p).children[i];
+            for &b in &node.children {
                 out.extend(self.embed(b, v, env));
             }
             dedup_pairs(&mut out);
@@ -685,39 +586,31 @@ impl<'a> Evaluator<'a> {
                 }
             }
         }
+        // a child with no result node and no join variable below it adds
+        // nothing to a combination and depends on none, so one condition
+        // test decides it for all of them
+        if !node
+            .children
+            .iter()
+            .all(|&pc| self.needs_enum[pc.index()] || self.condition_holds(pc, v))
+        {
+            return vec![];
+        }
         let mut base = ResultTuple::new();
-        if pat.node(p).is_result {
+        if node.is_result {
             base.insert(p, v);
         }
         let mut combos: Vec<(VarEnv, ResultTuple)> = vec![(env, base)];
-        for i in 0..pat.node(p).children.len() {
-            let pc = pat.node(p).children[i];
+        for &pc in &node.children {
+            if !self.needs_enum[pc.index()] {
+                continue;
+            }
+            let candidates = self.candidates(pc, v);
             let mut next: Vec<(VarEnv, ResultTuple)> = Vec::new();
-            // indexed loop: the body re-borrows `self` mutably, so holding
-            // an iterator over `combos` (cloned below anyway) buys nothing
-            #[allow(clippy::needless_range_loop)]
-            for ci in 0..combos.len() {
-                if !self.needs_enum[pc.index()] {
-                    // existence is independent of result fragments; the
-                    // variable environment may still constrain it only via
-                    // join vars, which the fast path ignores — safe because
-                    // needs_enum is true whenever a join var occurs below.
-                    let ok = match pat.node(pc).edge {
-                        EdgeKind::Child => {
-                            let doc = self.doc;
-                            doc.children(v).iter().any(|&u| self.smatch(pc, u))
-                        }
-                        EdgeKind::Descendant => self.desc_exists(pc, v),
-                    };
-                    if ok {
-                        next.push(combos[ci].clone());
-                    }
-                    continue;
-                }
-                for u in self.candidates(pc, v) {
-                    let cenv = combos[ci].0.clone();
-                    for (e2, f2) in self.embed(pc, u, &cenv) {
-                        let mut merged = combos[ci].1.clone();
+            for (cenv, frag) in &combos {
+                for &u in &candidates {
+                    for (e2, f2) in self.embed(pc, u, cenv) {
+                        let mut merged = frag.clone();
                         merged.extend(f2);
                         next.push((e2, merged));
                     }
@@ -730,100 +623,6 @@ impl<'a> Evaluator<'a> {
             }
         }
         combos
-    }
-
-    /// Full-embedding enumeration (every pattern node's image), used for
-    /// contributing-node computation. OR nodes map to the image of the
-    /// chosen branch.
-    fn embed_full(
-        &mut self,
-        p: PNodeId,
-        v: NodeId,
-        env: &VarEnv,
-    ) -> Vec<BTreeMap<PNodeId, NodeId>> {
-        let pat = self.pat;
-        if let PLabel::Or = pat.node(p).label {
-            let mut out = Vec::new();
-            for i in 0..pat.node(p).children.len() {
-                let b = pat.node(p).children[i];
-                out.extend(self.embed_full(b, v, env));
-            }
-            return out;
-        }
-        if !self.local_ok(p, v) {
-            return vec![];
-        }
-        let mut env = env.clone();
-        if let Some(vid) = self.var_id[p.index()] {
-            let sym = self.doc.sym(v);
-            match env.get(&vid) {
-                Some(&bound) if bound != sym => return vec![],
-                Some(_) => {}
-                None => {
-                    env.insert(vid, sym);
-                }
-            }
-        }
-        let mut base = BTreeMap::new();
-        base.insert(p, v);
-        let mut combos: Vec<(VarEnv, BTreeMap<PNodeId, NodeId>)> = vec![(env, base)];
-        for i in 0..pat.node(p).children.len() {
-            let pc = pat.node(p).children[i];
-            let mut next = Vec::new();
-            // indexed for the same reason as `embed`'s combo loop
-            #[allow(clippy::needless_range_loop)]
-            for ci in 0..combos.len() {
-                for u in self.candidates_ordered(pc, v) {
-                    let cenv = combos[ci].0.clone();
-                    for sub in self.embed_full(pc, u, &cenv) {
-                        // recompute env effects of the subtree: embed_full
-                        // doesn't thread env back, so re-check join vars
-                        if !self.join_consistent(&cenv, &sub) {
-                            continue;
-                        }
-                        let mut merged = combos[ci].1.clone();
-                        merged.extend(sub.clone());
-                        let mut env2 = cenv.clone();
-                        self.extend_env(&mut env2, &sub);
-                        next.push((env2, merged));
-                    }
-                }
-            }
-            combos = next;
-            if combos.is_empty() {
-                break;
-            }
-        }
-        combos.into_iter().map(|(_, m)| m).collect()
-    }
-
-    fn join_consistent(&self, env: &VarEnv, emb: &BTreeMap<PNodeId, NodeId>) -> bool {
-        let mut local: HashMap<u32, u32> = HashMap::new();
-        for (&p, &v) in emb {
-            if let Some(vid) = self.var_id[p.index()] {
-                let sym = self.doc.sym(v);
-                if let Some(&prev) = env.get(&vid) {
-                    if prev != sym {
-                        return false;
-                    }
-                }
-                if let Some(&prev) = local.get(&vid) {
-                    if prev != sym {
-                        return false;
-                    }
-                }
-                local.insert(vid, sym);
-            }
-        }
-        true
-    }
-
-    fn extend_env(&self, env: &mut VarEnv, emb: &BTreeMap<PNodeId, NodeId>) {
-        for (&p, &v) in emb {
-            if let Some(vid) = self.var_id[p.index()] {
-                env.entry(vid).or_insert_with(|| self.doc.sym(v));
-            }
-        }
     }
 }
 
@@ -869,6 +668,11 @@ mod tests {
         reference
     }
 
+    /// Whether `q` has an embedding in `d`, in every mode.
+    fn has_embedding(q: &Pattern, d: &Document) -> bool {
+        !eval_all_modes(q, d).is_empty()
+    }
+
     #[test]
     fn simple_path_matches() {
         let d = hotels_doc();
@@ -912,16 +716,16 @@ mod tests {
     fn descendant_edge_reaches_deep_nodes() {
         let d = parse("<a><b><c><d>x</d></c></b></a>").unwrap();
         let q = parse_query("/a//d").unwrap();
-        assert!(matches(&q, &d));
+        assert!(has_embedding(&q, &d));
         let q2 = parse_query("/a//q").unwrap();
-        assert!(!matches(&q2, &d));
+        assert!(!has_embedding(&q2, &d));
     }
 
     #[test]
     fn descendant_is_strict() {
         let d = parse("<a>x</a>").unwrap();
         let q = parse_query("/a//a").unwrap();
-        assert!(!matches(&q, &d), "descendant must be strict");
+        assert!(!has_embedding(&q, &d), "descendant must be strict");
         assert!(eval_all_modes(&q, &d).is_empty());
     }
 
@@ -952,11 +756,14 @@ mod tests {
     fn descendant_does_not_look_inside_call_parameters() {
         let d = parse("<r><axml:call service=\"f\"><secret>x</secret></axml:call></r>").unwrap();
         let q = parse_query("/r//secret").unwrap();
-        assert!(!matches(&q, &d), "call parameters are not document content");
+        assert!(
+            !has_embedding(&q, &d),
+            "call parameters are not document content"
+        );
         assert!(eval_all_modes(&q, &d).is_empty());
         // but the call node itself is visible to function tests
         let q2 = parse_query("/r//*()").unwrap();
-        assert!(matches(&q2, &d));
+        assert!(has_embedding(&q2, &d));
         assert_eq!(eval_all_modes(&q2, &d).len(), 1);
     }
 
@@ -964,9 +771,9 @@ mod tests {
     fn join_variables_enforce_equality() {
         let d = parse("<r><a>1</a><b>1</b></r>").unwrap();
         let q = parse_query("/r[a=$V][b=$V]").unwrap();
-        assert!(matches(&q, &d));
+        assert!(has_embedding(&q, &d));
         let d2 = parse("<r><a>1</a><b>2</b></r>").unwrap();
-        assert!(!matches(&q, &d2));
+        assert!(!has_embedding(&q, &d2));
         assert!(eval_all_modes(&q, &d2).is_empty());
     }
 
@@ -985,7 +792,7 @@ mod tests {
         // both pattern children may map to the same doc node
         let d = parse("<r><a>1</a></r>").unwrap();
         let q = parse_query("/r[a][a=\"1\"]").unwrap();
-        assert!(matches(&q, &d));
+        assert!(has_embedding(&q, &d));
     }
 
     #[test]
@@ -1000,9 +807,9 @@ mod tests {
         let d1 = parse("<r><a/></r>").unwrap();
         let d2 = parse("<r><axml:call service=\"f\"/></r>").unwrap();
         let d3 = parse("<r><b/></r>").unwrap();
-        assert!(matches(&p, &d1));
-        assert!(matches(&p, &d2));
-        assert!(!matches(&p, &d3));
+        assert!(has_embedding(&p, &d1));
+        assert!(has_embedding(&p, &d2));
+        assert!(!has_embedding(&p, &d3));
     }
 
     #[test]
@@ -1025,15 +832,15 @@ mod tests {
         let d = parse("<a><x/></a><b><x/></b>").unwrap();
         let qa = parse_query("/a/x").unwrap();
         let qb = parse_query("/b/x").unwrap();
-        assert!(matches(&qa, &d));
-        assert!(matches(&qb, &d));
+        assert!(has_embedding(&qa, &d));
+        assert!(has_embedding(&qb, &d));
     }
 
     #[test]
     fn wildcard_root() {
         let d = parse("<anything><x/></anything>").unwrap();
         let q = parse_query("/*/x").unwrap();
-        assert!(matches(&q, &d));
+        assert!(has_embedding(&q, &d));
     }
 
     #[test]

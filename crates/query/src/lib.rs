@@ -29,8 +29,8 @@ pub mod plan;
 pub use construct::construct_results;
 pub use display::render;
 pub use eval::{
-    embeddings, eval, eval_with, matches, render_result, render_result_refs, seed_eval,
-    FxBuildHasher, FxHasher, Matcher, ResultTuple, SnapshotResult,
+    embeddings, eval, eval_with, render_result, render_result_refs, seed_eval, FxBuildHasher,
+    FxHasher, Matcher, ResultTuple, SnapshotResult,
 };
 pub use linear::{LinStep, LinearPath, StepTest};
 pub use parser::{parse_query, QueryParseError};

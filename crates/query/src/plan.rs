@@ -11,42 +11,33 @@
 //! (spliced in by a service result, say) is never missed, and one plan
 //! serves any number of documents, whatever their symbol numbering.
 //!
-//! [`PlanScratch`] carries the reusable memo-table allocations that the
-//! old per-(pattern, document) `EvaluatorCache` held, without the
-//! footgun: nothing in the scratch is keyed to a document or pattern, so
-//! reuse across snapshots, documents, and patterns is always sound.
+//! [`PlanScratch`] carries the evaluator's one reusable table allocation,
+//! the descendant-existence table. Nothing in the scratch is keyed to a
+//! document or pattern, so reuse across snapshots, documents, and
+//! patterns is always sound.
 
-use crate::eval::{
-    compile_ctests, enum_tables, eval_compiled, matches_compiled, CTest, Memo, SnapshotResult,
-};
+use crate::eval::{compile_ctests, enum_tables, eval_compiled, CTest, Memo, SnapshotResult};
 use crate::pattern::Pattern;
 use axml_xml::Document;
 
-/// Reusable memo-table allocations for repeated evaluations (the NFQA
-/// loop re-evaluates patterns after every splice). The tables are cleared
-/// on reuse — only the capacity survives; entries never leak across
-/// calls, documents, or patterns.
+/// The reusable allocation of the evaluator's one table, descendant
+/// existence, for repeated evaluations (the NFQA loop re-evaluates
+/// patterns after every splice). The table is cleared on reuse — only the
+/// capacity survives; entries never leak across calls, documents, or
+/// patterns.
 #[derive(Debug, Default)]
 pub struct PlanScratch {
-    memo: Memo,
     desc_memo: Memo,
 }
 
 impl PlanScratch {
-    pub(crate) fn take_memo(&mut self) -> Memo {
-        let mut m = std::mem::take(&mut self.memo);
-        m.clear();
-        m
-    }
-
     pub(crate) fn take_desc_memo(&mut self) -> Memo {
         let mut m = std::mem::take(&mut self.desc_memo);
         m.clear();
         m
     }
 
-    pub(crate) fn put_back(&mut self, memo: Memo, desc_memo: Memo) {
-        self.memo = memo;
+    pub(crate) fn put_back(&mut self, desc_memo: Memo) {
         self.desc_memo = desc_memo;
     }
 }
@@ -112,18 +103,6 @@ impl QueryPlan {
             scratch,
         )
     }
-
-    /// `true` iff at least one embedding exists (binds, then tests).
-    pub fn matches(&self, doc: &Document, scratch: &mut PlanScratch) -> bool {
-        matches_compiled(
-            &self.pattern,
-            doc,
-            self.bind(doc).ctest,
-            self.needs_enum.clone(),
-            self.var_id.clone(),
-            scratch,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -147,7 +126,6 @@ mod tests {
         let plan = QueryPlan::compile(&q);
         assert_eq!(plan.eval(&d), seed_eval(&q, &d));
         assert_eq!(plan.eval(&d).len(), 1);
-        assert!(plan.matches(&d, &mut PlanScratch::default()));
         // one test of each kind: a call, and a wildcard that must not
         // match the call beside the hotel
         for (src, rows) in [("/hotels/getHotels()", 1), ("/hotels/*", 1)] {
@@ -165,7 +143,6 @@ mod tests {
         let d = parse("<auctions><item><bid>5</bid></item></auctions>").unwrap();
         let mut scratch = PlanScratch::default();
         assert!(plan.eval_with(&d, &mut scratch).is_empty());
-        assert!(!plan.matches(&d, &mut scratch));
         assert!(seed_eval(&q, &d).is_empty());
     }
 
@@ -185,7 +162,6 @@ mod tests {
         let r = plan.eval_with(&d, &mut scratch);
         assert_eq!(r.len(), 1);
         assert_eq!(r, seed_eval(&q, &d));
-        assert!(plan.matches(&d, &mut scratch));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! join-blind fast paths, no candidate indexes, no shared code with the
 //! production evaluator.
 
-use axml_query::{eval, EdgeKind, FunMatch, PLabel, PNodeId, Pattern, ResultTuple};
+use axml_query::{embeddings, eval, EdgeKind, FunMatch, PLabel, PNodeId, Pattern, ResultTuple};
 use axml_xml::{Document, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -227,16 +227,23 @@ proptest! {
         prop_assert_eq!(fast, slow, "dseed={} qseed={}", dseed, qseed);
     }
 
-    /// `matches` agrees with non-emptiness of the oracle's embedding set.
+    /// `embeddings`, taken as a set, is exactly the set of full
+    /// embeddings: every structural embedding from every root whose
+    /// variable joins hold.
     #[test]
-    fn matches_agrees_with_oracle(dseed in 0u64..100_000, qseed in 0u64..100_000) {
+    fn embeddings_match_brute_force_full_embeddings(
+        dseed in 0u64..100_000,
+        qseed in 0u64..100_000,
+    ) {
         let doc = random_doc(dseed);
         let q = random_pattern(qseed);
-        let any = doc.roots().iter().any(|&r| {
-            embed_raw(&q, &doc, q.root(), r)
-                .into_iter()
-                .any(|emb| joins_ok(&q, &doc, &emb))
-        });
-        prop_assert_eq!(axml_query::matches(&q, &doc), any, "dseed={} qseed={}", dseed, qseed);
+        let fast: BTreeSet<BTreeMap<PNodeId, NodeId>> = embeddings(&q, &doc).into_iter().collect();
+        let slow: BTreeSet<BTreeMap<PNodeId, NodeId>> = doc
+            .roots()
+            .iter()
+            .flat_map(|&r| embed_raw(&q, &doc, q.root(), r))
+            .filter(|emb| joins_ok(&q, &doc, emb))
+            .collect();
+        prop_assert_eq!(fast, slow, "dseed={} qseed={}", dseed, qseed);
     }
 }

@@ -182,19 +182,4 @@ proptest! {
         let after = plan.eval_with(&doc, &mut scratch).tuples;
         prop_assert_eq!(after, tuples(&q, &doc), "dseed={} qseed={}", dseed, qseed);
     }
-
-    /// `QueryPlan::matches` holds exactly when the seed evaluator finds an
-    /// embedding.
-    #[test]
-    fn plan_matches_agrees(dseed in 0u64..100_000, qseed in 0u64..100_000) {
-        let doc = random_doc(dseed, None);
-        let q = random_pattern(qseed);
-        let plan = QueryPlan::compile(&q);
-        let mut scratch = PlanScratch::default();
-        prop_assert_eq!(
-            plan.matches(&doc, &mut scratch),
-            !seed_eval(&q, &doc).is_empty(),
-            "dseed={} qseed={}", dseed, qseed
-        );
-    }
 }

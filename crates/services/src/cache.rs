@@ -56,13 +56,6 @@ impl CallKey {
     pub fn service(&self) -> &str {
         &self.service
     }
-
-    /// The hash computed at construction. [`Hash`] feeds only this value
-    /// to a hasher, so a map can pass it through instead of hashing the
-    /// strings again.
-    pub fn hash_value(&self) -> u64 {
-        self.hash
-    }
 }
 
 impl Hash for CallKey {
@@ -100,8 +93,8 @@ pub enum CacheLookup {
     Miss,
 }
 
-/// A memoized call-result cache consulted by the engine before
-/// [`crate::Registry::invoke`]-style dispatch.
+/// A memoized call-result cache consulted by the engine before it
+/// dispatches through [`crate::Registry::invoke_within`].
 ///
 /// Implementations must be internally synchronized (`&self` methods,
 /// shared across the engine's sequential phases) and deterministic: given

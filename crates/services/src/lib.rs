@@ -29,6 +29,6 @@ pub use cache::{CacheLookup, CachedCall, CallKey, InvokeCache};
 pub use fault::{BreakerConfig, BreakerState, FaultDecision, FaultProfile, RetryPolicy};
 pub use net::{Deadline, NetProfile, NetStats, SimClock};
 pub use push::{bindings_result, prune_result};
-pub use registry::{FailedCall, InvokeError, InvokeOutcome, Registry, ServiceError};
+pub use registry::{FailedCall, InvokeError, InvokeOutcome, Registry};
 pub use service::{CallRequest, FnService, PushedQuery, Service, StaticService, TableService};
 pub use worldfile::{load_registry, load_registry_str, WorldFileError};

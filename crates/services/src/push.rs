@@ -180,7 +180,9 @@ fn copy_kept(
 /// Evaluates a pushed query provider-side in bindings mode: one `<tuple>`
 /// per result, with one child per result node (named after the variable,
 /// or `col<i>` for non-variable result nodes), holding the bound node's
-/// label.
+/// label. The tuples come in the order [`embeddings`] returns the
+/// embeddings, which is sorted, not document order; no engine path uses
+/// bindings mode.
 pub fn bindings_result(pattern: &Pattern, forest: &Forest, via: EdgeKind) -> Forest {
     let embs = match via {
         EdgeKind::Child => embeddings(pattern, forest),

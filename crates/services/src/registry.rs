@@ -15,23 +15,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-/// Failure to dispatch a call.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ServiceError {
-    /// No service registered under that name.
-    Unknown(String),
-}
-
-impl fmt::Display for ServiceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServiceError::Unknown(n) => write!(f, "unknown service {n:?}"),
-        }
-    }
-}
-
-impl std::error::Error for ServiceError {}
-
 /// A call that exhausted its retry budget without succeeding.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailedCall {
@@ -232,27 +215,6 @@ impl Registry {
             .get(name)
             .copied()
             .or(self.default_fault)
-    }
-
-    /// Invokes a service with the given parameters and optional pushed
-    /// query, applying the network model and recording statistics.
-    ///
-    /// This is the single-attempt, fault-free path: it ignores any
-    /// configured [`FaultProfile`] and retry policy, preserving the exact
-    /// pre-fault cost model. The engine uses [`Registry::invoke_within`]
-    /// instead.
-    pub fn invoke(
-        &self,
-        name: &str,
-        params: Forest,
-        pushed: Option<&PushedQuery>,
-    ) -> Result<InvokeOutcome, ServiceError> {
-        let service = self
-            .services
-            .get(name)
-            .ok_or_else(|| ServiceError::Unknown(name.to_string()))?;
-        let answer = self.answer(service, &CallRequest { params }, pushed);
-        Ok(self.succeed(answer, 1.0, 0.0, 1))
     }
 
     /// Invokes a service under the configured fault schedule and retry
@@ -566,7 +528,9 @@ mod tests {
     #[test]
     fn invoke_records_stats() {
         let r = registry();
-        let out = r.invoke("getNearbyRestos", Forest::new(), None).unwrap();
+        let out = r
+            .invoke_within("getNearbyRestos", Forest::new(), None, f64::INFINITY)
+            .unwrap();
         assert_eq!(out.result.roots().len(), 2);
         assert!(out.bytes > 0);
         let s = r.stats();
@@ -579,23 +543,29 @@ mod tests {
     #[test]
     fn unknown_service_is_an_error() {
         let r = registry();
-        let e = r.invoke("nope", Forest::new(), None).unwrap_err();
-        assert_eq!(e, ServiceError::Unknown("nope".into()));
+        let e = r
+            .invoke_within("nope", Forest::new(), None, f64::INFINITY)
+            .unwrap_err();
+        assert_eq!(e, InvokeError::Unknown("nope".into()));
+        assert_eq!(r.stats().calls, 0);
     }
 
     #[test]
     fn pushed_queries_shrink_transfer() {
         let r = registry();
-        let full = r.invoke("getNearbyRestos", Forest::new(), None).unwrap();
+        let full = r
+            .invoke_within("getNearbyRestos", Forest::new(), None, f64::INFINITY)
+            .unwrap();
         let q = parse_query("/restaurant[rating=\"*****\"]/name").unwrap();
         let pushed = r
-            .invoke(
+            .invoke_within(
                 "getNearbyRestos",
                 Forest::new(),
                 Some(&PushedQuery {
                     pattern: q,
                     via: EdgeKind::Child,
                 }),
+                f64::INFINITY,
             )
             .unwrap();
         assert!(pushed.pushed);
@@ -615,34 +585,18 @@ mod tests {
         params.add_root_text("k");
         let q = parse_query("/a").unwrap();
         let out = r
-            .invoke(
+            .invoke_within(
                 "t",
                 params,
                 Some(&PushedQuery {
                     pattern: q,
                     via: EdgeKind::Child,
                 }),
+                f64::INFINITY,
             )
             .unwrap();
         assert!(!out.pushed);
         assert_eq!(out.result.roots().len(), 2); // unpruned
-    }
-
-    #[test]
-    fn policy_path_without_faults_matches_plain_invoke() {
-        let r = registry();
-        let plain = r.invoke("getNearbyRestos", Forest::new(), None).unwrap();
-        r.reset_stats();
-        let policy = r
-            .invoke_within("getNearbyRestos", Forest::new(), None, f64::INFINITY)
-            .unwrap();
-        assert_eq!(policy.bytes, plain.bytes);
-        assert_eq!(policy.cost_ms, plain.cost_ms);
-        assert_eq!(policy.attempts, 1);
-        let s = r.stats();
-        assert_eq!(s.calls, 1);
-        assert_eq!(s.attempts, 1);
-        assert_eq!(s.failed_attempts, 0);
     }
 
     #[test]
@@ -933,13 +887,17 @@ mod tests {
     fn network_profile_drives_cost() {
         let mut r = registry();
         r.set_default_profile(NetProfile::latency(250.0));
-        let out = r.invoke("getNearbyRestos", Forest::new(), None).unwrap();
+        let out = r
+            .invoke_within("getNearbyRestos", Forest::new(), None, f64::INFINITY)
+            .unwrap();
         assert_eq!(out.cost_ms, 250.0);
         r.set_default_profile(NetProfile {
             latency_ms: 10.0,
             bytes_per_ms: 1.0,
         });
-        let out2 = r.invoke("getNearbyRestos", Forest::new(), None).unwrap();
+        let out2 = r
+            .invoke_within("getNearbyRestos", Forest::new(), None, f64::INFINITY)
+            .unwrap();
         assert!((out2.cost_ms - (10.0 + out2.bytes as f64)).abs() < 1e-9);
     }
 }

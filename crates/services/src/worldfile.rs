@@ -203,15 +203,21 @@ mod tests {
         );
         let mut params = Forest::new();
         params.add_root_text("a");
-        let out = r.invoke("getRating", params, None).unwrap();
+        let out = r
+            .invoke_within("getRating", params, None, f64::INFINITY)
+            .unwrap();
         assert_eq!(to_xml(&out.result), "*****");
         // default applies to unknown keys
         let mut params = Forest::new();
         params.add_root_text("zz");
-        let out = r.invoke("getRating", params, None).unwrap();
+        let out = r
+            .invoke_within("getRating", params, None, f64::INFINITY)
+            .unwrap();
         assert_eq!(to_xml(&out.result), "?");
         // static: any params
-        let out = r.invoke("getHotels", Forest::new(), None).unwrap();
+        let out = r
+            .invoke_within("getHotels", Forest::new(), None, f64::INFINITY)
+            .unwrap();
         assert_eq!(out.result.roots().len(), 2);
     }
 
@@ -252,7 +258,9 @@ mod tests {
              </service></world>",
         )
         .unwrap();
-        let out = r.invoke("outer", Forest::new(), None).unwrap();
+        let out = r
+            .invoke_within("outer", Forest::new(), None, f64::INFINITY)
+            .unwrap();
         assert_eq!(out.result.calls().len(), 1);
     }
 }

@@ -130,7 +130,12 @@ fn full_result_is_the_snapshot_of_the_complete_document() {
         let (_, svc) = full.call_info(c).unwrap();
         let out = s
             .registry
-            .invoke(svc.as_str(), full.children_to_forest(c), None)
+            .invoke_within(
+                svc.as_str(),
+                full.children_to_forest(c),
+                None,
+                f64::INFINITY,
+            )
             .unwrap();
         full.splice_call(c, &out.result);
     }
