@@ -1478,8 +1478,8 @@ pub fn e16_subscriptions(hotel_counts: &[usize], horizon_ms: f64) -> Vec<Row> {
 /// that all ask the same query, with each session compiling its own
 /// [`axml_core::CompiledQuery`] from scratch (`cold`) versus all of them
 /// fetching from one warm [`axml_store::PlanCache`]
-/// (`cached`) — where per-session work collapses to a fingerprint lookup
-/// plus the per-document label-test binding ([`bind`]).
+/// (`cached`) — where per-session work collapses to a structural-hash
+/// probe plus the per-document label-test binding ([`bind`]).
 ///
 /// Three workloads exercise three plan shapes: `hotels` (Figure 4 over
 /// the Figure 2 schema — schema DFAs and typed NFQs baked in),
@@ -1540,7 +1540,7 @@ pub fn e17_plan_amortization(session_counts: &[usize], reps: usize) -> Vec<Row> 
                 cold_best = cold_best.min(t.elapsed().as_secs_f64() * 1e3);
 
                 // cached: one shared cache — first fetch compiles, the
-                // rest pay a fingerprint probe plus the same bind
+                // rest pay a structural-hash probe plus the same bind
                 let plans = PlanCache::new(PlanCacheConfig::default());
                 let t = Instant::now();
                 for _ in 0..n {

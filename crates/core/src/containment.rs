@@ -22,15 +22,6 @@ use crate::nfq::{Lpq, Nfq};
 use axml_query::{EdgeKind, FunMatch, PLabel, PNodeId, Pattern};
 use axml_schema::{language_includes, Nfa};
 
-/// Exact: does `sup` retrieve (by position) a superset of `sub` on every
-/// document?
-pub fn lpq_subsumes(sup: &Lpq, sub: &Lpq) -> bool {
-    language_includes(
-        &position_language(&sup.lin, sup.via),
-        &position_language(&sub.lin, sub.via),
-    )
-}
-
 /// Drops LPQs whose retrieval set is covered by another LPQ in the set.
 /// Returns the surviving queries (order preserved) and the number pruned.
 pub fn prune_subsumed_lpqs(lpqs: Vec<Lpq>) -> (Vec<Lpq>, usize) {

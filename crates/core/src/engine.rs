@@ -26,12 +26,13 @@
 
 mod dispatch;
 
+use crate::containment::prune_subsumed_lpqs;
 use crate::fguide::{
     extent, filter_candidates, known_services, output_services, position_language, ClassVerdicts,
 };
-use crate::influence::{compute_layers, Layers};
-use crate::nfq::{Lpq, Nfq};
-use crate::plan::{lpq_set, nfq_set, typing_mode, CompiledQuery};
+use crate::influence::Layers;
+use crate::nfq::{build_lpqs, Lpq, Nfq};
+use crate::plan::{typing_mode, CompiledQuery};
 use crate::stats::EngineStats;
 use crate::typed::TypeRefiner;
 use axml_obs::{Event, EventKind, TraceSink};
@@ -350,11 +351,13 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Attaches a [`CompiledQuery`]: runs whose `(query, schema, config)`
-    /// match the plan's compile key skip NFQ/LPQ construction, containment
-    /// pruning, layer computation and label-NFA builds, reuse the plan's
-    /// satisfiability verdicts, and evaluate the final answer through the
-    /// plan. A non-matching plan is ignored — never misapplied.
+    /// Attaches a [`CompiledQuery`]. Every run reads its query analysis
+    /// from one plan: this one when the run's `(query, schema, config)`
+    /// match its compile key, so the run skips NFQ construction,
+    /// containment pruning, layer computation and label-NFA builds and
+    /// reuses the plan's satisfiability verdicts; otherwise a plan the run
+    /// compiles for itself. A non-matching plan is ignored — never
+    /// misapplied.
     pub fn with_plan(mut self, plan: Arc<CompiledQuery>) -> Self {
         self.plan = Some(plan);
         self
@@ -419,12 +422,8 @@ impl<'a> Engine<'a> {
         let t0 = Instant::now();
         let mut run = self.rewrite(doc, query);
         let tq = Instant::now();
-        let result = match run.plan {
-            // the plan's label tests compile against this document's
-            // symbols, as a transient evaluation's would
-            Some(p) => p.plan.eval_with(doc, &mut run.eval_cache),
-            None => eval_with(query, doc, &mut run.eval_cache),
-        };
+        // the plan's label tests compile against this document's symbols
+        let result = run.plan.plan.eval_with(doc, &mut run.eval_cache);
         run.stats.final_eval_cpu = tq.elapsed();
         run.close(doc, t0);
         let complete = run.stats.is_complete();
@@ -497,35 +496,37 @@ fn parent_labels(doc: &Document, node: NodeId) -> Vec<String> {
         .unwrap_or_default()
 }
 
-/// NFQ `i`'s class verdicts, built on first use.
-fn class_verdicts<'m>(
-    nfqs: &'m mut HashMap<usize, ClassVerdicts>,
-    i: usize,
-    nfq: &Nfq,
-) -> &'m mut ClassVerdicts {
-    nfqs.entry(i)
-        .or_insert_with(|| ClassVerdicts::new(position_language(&nfq.lin, nfq.via)))
+/// The LPQs of `query` (§3.1), pruned by containment when configured;
+/// also returns how many pruning dropped. Only the `Lpq` and `TopDown`
+/// baselines read LPQs, so they build them per run.
+fn lpq_set(query: &Pattern, config: &EngineConfig) -> (Vec<Lpq>, usize) {
+    let lpqs = build_lpqs(query);
+    if config.containment_pruning {
+        prune_subsumed_lpqs(lpqs)
+    } else {
+        (lpqs, 0)
+    }
 }
 
 /// Per-run mutable state.
 struct Run<'e, 'a, 'q> {
     engine: &'e Engine<'a>,
     query: &'q Pattern,
-    /// the engine's plan, iff compiled for exactly this
-    /// `(query, schema, config)`: resolved once per run
-    plan: Option<&'e CompiledQuery>,
+    /// the run's query analysis, resolved once per run: the engine's
+    /// plan when compiled for exactly this `(query, schema, config)`, a
+    /// plan compiled for this run otherwise; read, never copied or edited
+    plan: Arc<CompiledQuery>,
     clock: SimClock,
     stats: EngineStats,
     /// calls that cannot be invoked (unknown services)
     dead: HashSet<CallId>,
     budget: usize,
     total_call_cost_ms: f64,
-    /// per-NFQ class verdicts of the position language
-    nfqs: HashMap<usize, ClassVerdicts>,
+    /// per-NFQ class verdicts of the plan's position languages
+    nfqs: Vec<ClassVerdicts>,
     /// the services §5's refinement last ran against, and per NFQ its
-    /// refinement then (`None`: no function satisfies the output); an
-    /// entry goes when the NFQ's pattern changes, all go when the
-    /// services do
+    /// refinement then (`None`: no function satisfies the output); all
+    /// entries go when the services change
     known: Vec<String>,
     refined: HashMap<usize, Option<Nfq>>,
     /// the parent label path of every invoked and spliced call
@@ -554,16 +555,16 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         Run {
             engine,
             query,
-            plan: engine
-                .plan
-                .as_deref()
-                .filter(|p| p.compatible(query, engine.schema, &engine.config)),
+            plan: match &engine.plan {
+                Some(p) if p.compatible(query, engine.schema, &engine.config) => Arc::clone(p),
+                _ => Arc::new(CompiledQuery::compile(query, engine.schema, &engine.config)),
+            },
             clock: SimClock::at(engine.start_ms),
             stats: EngineStats::default(),
             dead: HashSet::new(),
             budget: engine.config.max_invocations,
             total_call_cost_ms: 0.0,
-            nfqs: HashMap::new(),
+            nfqs: Vec::new(),
             known: Vec::new(),
             refined: HashMap::new(),
             changed_paths: Vec::new(),
@@ -716,13 +717,8 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
     // ---------------- LPQ / top-down ----------------
 
     fn run_lpq(&mut self, doc: &mut Document, one_at_a_time: bool) {
-        let plan = self.plan;
-        let (built, pruned) = match plan {
-            Some(p) => (Vec::new(), p.lpq_pruned),
-            None => lpq_set(self.query, self.config()),
-        };
+        let (lpqs, pruned) = lpq_set(self.query, self.config());
         self.stats.queries_pruned = pruned;
-        let lpqs: &[Lpq] = plan.map_or(&built, |p| &p.lpqs);
         let mut positions: Vec<ClassVerdicts> = lpqs
             .iter()
             .map(|l| ClassVerdicts::new(position_language(&l.lin, l.via)))
@@ -766,65 +762,45 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
     // ---------------- NFQ (NFQA + layers + typing) ----------------
 
     fn run_nfq(&mut self, doc: &mut Document) {
-        let plan = self.plan;
-        let (mut nfqs, computed) = match plan {
-            Some(p) => {
-                // the compiled artifact: NFQs (relaxed/pruned), layers and
-                // position languages, from the same builders as the branch
-                // below
-                self.stats.queries_pruned = p.nfq_pruned;
-                for (i, position) in p.pos_nfas.iter().enumerate() {
-                    self.nfqs.insert(i, ClassVerdicts::new(position.clone()));
-                }
-                (p.nfqs.clone(), p.layers.clone())
-            }
-            None => {
-                let (nfqs, pruned) = nfq_set(self.query, self.config());
-                self.stats.queries_pruned = pruned;
-                let layers = compute_layers(&nfqs);
-                (nfqs, layers)
-            }
-        };
-        let layers: Layers = if self.config().layering {
-            computed
-        } else {
-            // a single layer containing everything; check (✳) globally
-            let all: Vec<usize> = (0..nfqs.len()).collect();
-            let independent =
-                computed.layers.len() == nfqs.len() && computed.independent.iter().all(|&b| b);
-            Layers {
-                layers: vec![all],
-                independent: vec![independent],
-            }
-        };
-
-        let mut refiner =
-            typing_mode(self.config().typing, self.engine.schema).map(|(s, mode)| match plan {
-                // share the plan's verdict store (keyed by the same
-                // (schema, query, typing) triple `compatible` checked)
-                Some(p) => TypeRefiner::with_verdicts(s, self.query, mode, p.verdicts.clone()),
-                None => TypeRefiner::new(s, self.query, mode),
-            });
+        let plan = Arc::clone(&self.plan);
+        self.stats.queries_pruned = plan.nfq_pruned;
+        self.nfqs = plan
+            .pos_nfas
+            .iter()
+            .map(|position| ClassVerdicts::new(position.clone()))
+            .collect();
+        // the plan's verdict store is keyed by the same (schema, query,
+        // typing) triple `compatible` checked
+        let mut refiner = typing_mode(self.config().typing, self.engine.schema).map(|(s, mode)| {
+            TypeRefiner::with_verdicts(s, self.query, mode, plan.verdicts.clone())
+        });
 
         if self.config().speculation != Speculation::Off {
             // one layer of every NFQ, no condition (✳)
-            let all: Vec<usize> = (0..nfqs.len()).collect();
+            let all: Vec<usize> = (0..plan.nfqs.len()).collect();
             self.drive(
                 doc,
-                |run, doc| run.detect_nfq_candidates(doc, &nfqs, &all, &mut refiner),
+                |run, doc| run.detect_nfq_candidates(doc, &plan.nfqs, &all, &mut refiner),
                 Self::speculative_dispatch,
             );
             return;
         }
 
-        // focus → layer index, for the post-layer simplification
-        let mut layer_of: BTreeMap<PNodeId, usize> = BTreeMap::new();
-        for (li, layer) in layers.layers.iter().enumerate() {
-            for &i in layer {
-                layer_of.insert(nfqs[i].focus, li);
-            }
-        }
-
+        let single;
+        let (nfqs, layers): (&[Nfq], &Layers) = if self.config().layering {
+            // §4.3: each NFQ without the `()` branches of earlier layers
+            (&plan.layered_nfqs, &plan.layers)
+        } else {
+            // a single layer containing everything; check (✳) globally
+            let computed = &plan.layers;
+            let independent =
+                computed.layers.len() == plan.nfqs.len() && computed.independent.iter().all(|&b| b);
+            single = Layers {
+                layers: vec![(0..plan.nfqs.len()).collect()],
+                independent: vec![independent],
+            };
+            (&plan.nfqs, &single)
+        };
         for (li, layer) in layers.layers.iter().enumerate() {
             // NFQA: one relevant call, then re-evaluate — unless the
             // layer's calls are independent (✳) and may go as a batch
@@ -840,31 +816,10 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
             });
             self.drive(
                 doc,
-                |run, doc| run.detect_nfq_candidates(doc, &nfqs, layer, &mut refiner),
+                |run, doc| run.detect_nfq_candidates(doc, nfqs, layer, &mut refiner),
                 |_| mode,
             );
             self.emit(EventKind::LayerEnd);
-            // §4.3: drop the `()` side branches guarding positions whose
-            // layers are now fully processed; the class verdicts stay, as
-            // they depend only on the NFQ's linear path, but the NFQ's
-            // refinement must run again
-            for (i, nfq) in nfqs.iter_mut().enumerate() {
-                let doomed: Vec<PNodeId> = nfq
-                    .fun_branches
-                    .iter()
-                    .filter(|&&(f, u)| {
-                        f != nfq.output && layer_of.get(&u).is_some_and(|&lu| lu <= li)
-                    })
-                    .map(|&(f, _)| f)
-                    .collect();
-                if !doomed.is_empty() {
-                    for f in &doomed {
-                        nfq.pattern.remove_subtree(*f);
-                    }
-                    nfq.fun_branches.retain(|(f, _)| !doomed.contains(f));
-                    self.refined.remove(&i);
-                }
-            }
         }
     }
 
@@ -902,8 +857,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
             return r.bindings_of(effective.output);
         }
         let services = output_services(effective, doc);
-        let at = class_verdicts(&mut self.nfqs, i, nfq);
-        let positional: Vec<NodeId> = extent(doc, at, services.as_deref())
+        let positional: Vec<NodeId> = extent(doc, &mut self.nfqs[i], services.as_deref())
             .into_iter()
             .map(|(n, _)| n)
             .collect();
@@ -984,11 +938,11 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                 let Some(class) = doc.call_class(cand.node) else {
                     continue;
                 };
-                let positional_foci: BTreeSet<PNodeId> = nfqs
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, n)| class_verdicts(&mut self.nfqs, i, n).accepts(doc, class))
-                    .map(|(_, n)| n.focus)
+                let positional_foci: BTreeSet<PNodeId> = self
+                    .nfqs
+                    .iter_mut()
+                    .zip(nfqs)
+                    .filter_map(|(at, n)| at.accepts(doc, class).then_some(n.focus))
                     .collect();
                 if positional_foci.len() == 1 {
                     let &focus = cand.foci.iter().next().unwrap();

@@ -40,7 +40,7 @@ pub mod scope;
 pub mod stats;
 pub mod typed;
 
-pub use containment::{lpq_subsumes, nfq_subsumes, prune_subsumed_lpqs, prune_subsumed_nfqs};
+pub use containment::{nfq_subsumes, prune_subsumed_lpqs, prune_subsumed_nfqs};
 pub use engine::{
     Completion, Engine, EngineConfig, EvalReport, HedgeConfig, ShedConfig, Speculation, Strategy,
     Typing,

@@ -1,15 +1,17 @@
 //! Compiled query plans for the engine: parse/compile **once per
 //! (query, schema, config)**, serve any number of documents.
 //!
-//! A [`CompiledQuery`] fuses every artifact the engine derives from the
-//! query alone — work that [`crate::Engine::evaluate`] otherwise redoes
-//! per run:
+//! A [`CompiledQuery`] is the only source of a run's query analysis:
+//! [`crate::Engine::evaluate`] reads the attached plan when it was
+//! compiled for the run's `(query, schema, config)` and compiles one for
+//! the run otherwise. It holds exactly what runs read:
 //!
 //! * the main pattern's [`QueryPlan`] (the pattern and its enumeration
 //!   tables),
 //! * the NFQs (Figure 5) after XPath relaxation and containment pruning,
 //!   with the pruned count preserved for the stats,
-//! * the LPQs,
+//! * each NFQ in the form a layered run evaluates it, §4.3's
+//!   simplification applied,
 //! * the influence [`Layers`] (§4.2–4.3),
 //! * per-NFQ *position* languages, the label-level NFAs the
 //!   function-call guide is read with ([`position_language`]),
@@ -17,25 +19,30 @@
 //!   typing refinement never reproves a `(function, query-node)` pair,
 //!   across runs and sessions.
 //!
+//! The LPQs of the `Lpq` and `TopDown` baselines are not part of a plan:
+//! those runs build them per run.
+//!
 //! Per document, the remaining setup is compiling against the document's
 //! interned symbols: the main pattern's label tests
 //! ([`QueryPlan::bind`]) and the position languages, which compile to
-//! symbol automata. Results, traces and statistics are byte-identical to a run
-//! without a plan — both call the same builders (below), an invariant the
-//! differential plan-equivalence oracle pins.
+//! symbol automata. A run never copies or edits its plan, so a shared plan
+//! and one compiled for the run produce the same results, traces and
+//! statistics, an invariant the differential plan-equivalence oracle pins.
 //!
-//! The artifact is immutable and thread-safe; share it behind an `Arc`
-//! (the store's `PlanCache` does exactly that).
+//! The artifact is immutable apart from its verdict store, and
+//! thread-safe; share it behind an `Arc` (the store's `PlanCache` does
+//! exactly that).
 
-use crate::containment::{prune_subsumed_lpqs, prune_subsumed_nfqs};
+use crate::containment::prune_subsumed_nfqs;
 use crate::engine::{EngineConfig, Typing};
 use crate::fguide::position_language;
 use crate::influence::{compute_layers, Layers};
-use crate::nfq::{build_lpqs, build_nfqs, relax_nfq_to_xpath, Lpq, Nfq};
+use crate::nfq::{build_nfqs, relax_nfq_to_xpath, Nfq};
 use crate::typed::SatVerdicts;
-use axml_query::{Pattern, QueryPlan};
+use axml_query::{PNodeId, Pattern, QueryPlan};
 use axml_schema::{Nfa, SatMode, Schema};
 use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 /// The compile-relevant slice of an [`EngineConfig`]: strategy,
@@ -61,7 +68,7 @@ impl CompileBits {
 /// config)`: equal for every triple [`CompiledQuery::compatible`] accepts,
 /// so a plan cache can place and key plans by it without rendering
 /// anything. It is not stable across builds; a plan's stable name is
-/// [`CompiledQuery::fingerprint`].
+/// [`plan_fingerprint`].
 pub fn plan_hash(query: &Pattern, schema: Option<&Schema>, config: &EngineConfig) -> u64 {
     let mut h = DefaultHasher::new();
     (query, schema, CompileBits::of(config)).hash(&mut h);
@@ -72,7 +79,8 @@ pub fn plan_hash(query: &Pattern, schema: Option<&Schema>, config: &EngineConfig
 /// `plan_cache` trace event reports. FNV-1a over the key's canonical
 /// rendering: deterministic across builds and platforms (unlike
 /// `DefaultHasher`), so cached-plan traces are reproducible byte for byte.
-/// [`CompiledQuery::compile`] computes it once per plan.
+/// The store's plan cache computes it once per compiled plan and keeps it
+/// beside the plan.
 pub fn plan_fingerprint(query: &Pattern, schema: Option<&Schema>, config: &EngineConfig) -> String {
     /// The rendering the fingerprint hashes; its bytes name plans in
     /// traces, so neither its fields nor its name may change. The fields
@@ -102,21 +110,20 @@ pub fn plan_fingerprint(query: &Pattern, schema: Option<&Schema>, config: &Engin
     format!("{h:016x}")
 }
 
-/// Everything the engine can precompute from a query before seeing any
+/// Everything the engine precomputes from a query before seeing any
 /// document. See the module docs for the artifact inventory.
 pub struct CompiledQuery {
-    query: Pattern,
     schema: Option<Schema>,
     bits: CompileBits,
-    fingerprint: String,
-    /// Plan for the main pattern (the final evaluation).
+    /// Plan for the main pattern (the final evaluation); its pattern is
+    /// the compiled query.
     pub(crate) plan: QueryPlan,
-    /// NFQs after relaxation/pruning, exactly as `run_nfq` would build.
+    /// NFQs after relaxation/pruning, as unlayered and speculative runs
+    /// evaluate them.
     pub(crate) nfqs: Vec<Nfq>,
     pub(crate) nfq_pruned: usize,
-    /// LPQs after pruning, exactly as `run_lpq` would build.
-    pub(crate) lpqs: Vec<Lpq>,
-    pub(crate) lpq_pruned: usize,
+    /// `nfqs` as a layered run evaluates them (see [`layered_forms`]).
+    pub(crate) layered_nfqs: Vec<Nfq>,
     /// Influence layers over `nfqs`.
     pub(crate) layers: Layers,
     /// Per-NFQ position language.
@@ -135,22 +142,19 @@ impl CompiledQuery {
         config: &EngineConfig,
     ) -> CompiledQuery {
         let (nfqs, nfq_pruned) = nfq_set(query, config);
-        let (lpqs, lpq_pruned) = lpq_set(query, config);
         let layers = compute_layers(&nfqs);
+        let layered_nfqs = layered_forms(&nfqs, &layers);
         let pos_nfas = nfqs
             .iter()
             .map(|n| position_language(&n.lin, n.via))
             .collect();
         CompiledQuery {
-            query: query.clone(),
             schema: schema.cloned(),
             bits: CompileBits::of(config),
-            fingerprint: plan_fingerprint(query, schema, config),
             plan: QueryPlan::compile(query),
             nfqs,
             nfq_pruned,
-            lpqs,
-            lpq_pruned,
+            layered_nfqs,
             layers,
             pos_nfas,
             verdicts: SatVerdicts::default(),
@@ -167,39 +171,20 @@ impl CompiledQuery {
         config: &EngineConfig,
     ) -> bool {
         self.bits == CompileBits::of(config)
-            && self.query == *query
+            && self.plan.pattern() == query
             && self.schema.as_ref() == schema
-    }
-
-    /// The plan's [`plan_fingerprint`], computed at compile time.
-    pub fn fingerprint(&self) -> &str {
-        &self.fingerprint
-    }
-
-    /// The compiled query.
-    pub fn query(&self) -> &Pattern {
-        &self.query
     }
 
     /// The main pattern's bindable plan.
     pub fn main_plan(&self) -> &QueryPlan {
         &self.plan
     }
-
-    /// Number of NFQs surviving pruning.
-    pub fn nfq_count(&self) -> usize {
-        self.nfqs.len()
-    }
 }
-
-// The builders below are the only constructors of each query artifact:
-// `CompiledQuery::compile` calls all of them up front, while a run without
-// a plan calls only those its strategy reads.
 
 /// The NFQs of `query` (Figure 5), relaxed to XPath when configured
 /// (§6.1) and pruned by containment (§4.1); also returns how many
 /// pruning dropped.
-pub(crate) fn nfq_set(query: &Pattern, config: &EngineConfig) -> (Vec<Nfq>, usize) {
+fn nfq_set(query: &Pattern, config: &EngineConfig) -> (Vec<Nfq>, usize) {
     let mut nfqs = build_nfqs(query);
     if config.relax_xpath {
         nfqs = nfqs.iter().map(relax_nfq_to_xpath).collect();
@@ -211,15 +196,32 @@ pub(crate) fn nfq_set(query: &Pattern, config: &EngineConfig) -> (Vec<Nfq>, usiz
     }
 }
 
-/// The LPQs of `query` (§3.1), pruned by containment when configured;
-/// also returns how many pruning dropped.
-pub(crate) fn lpq_set(query: &Pattern, config: &EngineConfig) -> (Vec<Lpq>, usize) {
-    let lpqs = build_lpqs(query);
-    if config.containment_pruning {
-        prune_subsumed_lpqs(lpqs)
-    } else {
-        (lpqs, 0)
+/// §4.3's simplification, applied once per plan: a layered run evaluates
+/// an NFQ only while its own layer runs, after every earlier layer has
+/// finished, so the `()` side branches guarding positions of earlier
+/// layers are dropped from it. Each NFQ's form depends only on the query
+/// and its layers.
+fn layered_forms(nfqs: &[Nfq], layers: &Layers) -> Vec<Nfq> {
+    let mut layer_of: HashMap<PNodeId, usize> = HashMap::new();
+    for (li, layer) in layers.layers.iter().enumerate() {
+        for &i in layer {
+            layer_of.insert(nfqs[i].focus, li);
+        }
     }
+    nfqs.iter()
+        .map(|nfq| {
+            let own = layer_of[&nfq.focus];
+            let (doomed, kept): (Vec<_>, Vec<_>) = nfq.fun_branches.iter().partition(|&&(f, u)| {
+                f != nfq.output && layer_of.get(&u).is_some_and(|&lu| lu < own)
+            });
+            let mut form = nfq.clone();
+            for &(f, _) in &doomed {
+                form.pattern.remove_subtree(f);
+            }
+            form.fun_branches = kept;
+            form
+        })
+        .collect()
 }
 
 /// The schema and satisfiability mode §5's type refinement runs under,

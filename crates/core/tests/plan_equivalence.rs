@@ -1,15 +1,20 @@
 //! The differential plan-equivalence oracle: for random documents,
-//! queries and schemas, evaluation through a [`CompiledQuery`] must be
-//! **observationally identical** to evaluation without one — same
-//! answers, same structured trace byte for byte, same statistics —
-//! across every engine mode: all strategy/optimization combinations,
-//! fault schedules with retries, a shared call cache warmed across
-//! queries, and both serve schedulers with a warm plan cache and one
-//! that stores nothing.
+//! queries and schemas, evaluation through a shared [`CompiledQuery`]
+//! must be **observationally identical** to evaluation through a plan
+//! compiled for the run — same answers, same structured trace byte for
+//! byte, same statistics — across every engine mode: all
+//! strategy/optimization combinations, fault schedules with retries, a
+//! shared call cache warmed across queries, and both serve schedulers
+//! with a warm plan cache and one that stores nothing.
 //!
-//! The compiled side attaches an explicitly pre-compiled plan with
-//! [`Engine::with_plan`]; the unplanned side attaches none, so the engine
-//! builds what the run reads itself.
+//! Every run reads its query analysis from one plan. The run-compiled
+//! side attaches none, so the run compiles a fresh one. The shared side
+//! attaches, with [`Engine::with_plan`], a plan that first served a run
+//! on another generated document: its §5 verdict store is warm, which is
+//! the only state a shared plan carries across runs. A plan compiled for
+//! another query or under another compile-relevant configuration must
+//! be ignored, never misapplied: such a run observes exactly what a run
+//! with no plan attached observes.
 
 use axml_core::{CompiledQuery, Engine, EngineConfig, EngineStats};
 use axml_gen::synthetic::{random_query, random_workload, SyntheticParams};
@@ -87,26 +92,47 @@ fn observe(
     }
 }
 
-/// The differential heart: no plan attached vs the compiled plan
-/// attached.
+/// A document, and the registry whose services its calls name.
+type Workload = (Document, Registry);
+
+/// The differential heart: a run-compiled plan vs a shared plan that
+/// first served a run on the `warm` workload.
 fn assert_plan_equivalent(
     label: &str,
-    doc: &Document,
+    (doc, registry): (&Document, &Registry),
     q: &Pattern,
-    registry: &Registry,
     schema: Option<&Schema>,
     config: &EngineConfig,
+    warm: &Workload,
 ) -> Result<(), TestCaseError> {
     let plan = Arc::new(CompiledQuery::compile(q, schema, config));
-    let unplanned = observe(doc, q, registry, schema, config.clone(), None, None);
-    let compiled = observe(doc, q, registry, schema, config.clone(), Some(&plan), None);
+    observe(
+        &warm.0,
+        q,
+        &warm.1,
+        schema,
+        config.clone(),
+        Some(&plan),
+        None,
+    );
+    let run_compiled = observe(doc, q, registry, schema, config.clone(), None, None);
+    let shared = observe(doc, q, registry, schema, config.clone(), Some(&plan), None);
     prop_assert_eq!(
-        &compiled,
-        &unplanned,
-        "mode {} observably diverges between compiled and unplanned",
+        &shared,
+        &run_compiled,
+        "mode {} observably diverges between a shared and a run-compiled plan",
         label
     );
     Ok(())
+}
+
+/// The workload [`random_workload`] generates for the next seed: the
+/// document a shared plan is warmed on.
+fn warm_workload(params: &SyntheticParams) -> Workload {
+    random_workload(&SyntheticParams {
+        seed: params.seed.wrapping_add(1),
+        ..params.clone()
+    })
 }
 
 /// The full engine-mode matrix (mirrors the cross-strategy equivalence
@@ -175,7 +201,7 @@ fn configs() -> Vec<(&'static str, EngineConfig)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Compiled-vs-unplanned invariance across the full mode matrix on
+    /// Shared-vs-run-compiled invariance across the full mode matrix on
     /// random synthetic workloads: answers, traces (byte for byte) and
     /// stats all agree, in every mode.
     #[test]
@@ -192,16 +218,54 @@ proptest! {
             ..Default::default()
         };
         let (doc, registry) = random_workload(&params);
+        let warm = warm_workload(&params);
         let q = random_query(qseed, params.alphabet, 7);
         for (name, config) in configs() {
-            assert_plan_equivalent(name, &doc, &q, &registry, None, &config)?;
+            assert_plan_equivalent(name, (&doc, &registry), &q, None, &config, &warm)?;
+        }
+    }
+
+    /// A plan compiled for another query, or under another
+    /// compile-relevant configuration, is ignored, never misapplied: in
+    /// every mode, the run observes exactly what a run with no plan
+    /// attached observes.
+    #[test]
+    fn a_mismatched_plan_is_ignored_in_every_mode(
+        wseed in 0u64..10_000,
+        qseed in 0u64..10_000,
+    ) {
+        let params = SyntheticParams { seed: wseed, ..Default::default() };
+        let (doc, registry) = random_workload(&params);
+        let q = random_query(qseed, params.alphabet, 7);
+        let mut other_q = random_query(qseed.wrapping_add(1), params.alphabet, 7);
+        if other_q == q {
+            other_q = random_query(qseed.wrapping_add(2), params.alphabet, 7);
+        }
+        for (name, config) in configs() {
+            let alone = observe(&doc, &q, &registry, None, config.clone(), None, None);
+            let other_config = EngineConfig {
+                relax_xpath: !config.relax_xpath,
+                containment_pruning: !config.containment_pruning,
+                ..config.clone()
+            };
+            for (what, plan) in [
+                ("query", CompiledQuery::compile(&other_q, None, &config)),
+                ("config", CompiledQuery::compile(&q, None, &other_config)),
+            ] {
+                let plan = Arc::new(plan);
+                let got = observe(&doc, &q, &registry, None, config.clone(), Some(&plan), None);
+                prop_assert_eq!(
+                    &got, &alone,
+                    "mode {}: a plan for another {} changed the run", name, what
+                );
+            }
         }
     }
 
     /// Same invariance under a random deterministic fault schedule with a
-    /// retry budget that outlasts the transients: the compiled path must
-    /// reproduce the unplanned run's retries, breaker bookkeeping and fault
-    /// accounting event for event.
+    /// retry budget that outlasts the transients: the shared plan must
+    /// reproduce the run-compiled plan's retries, breaker bookkeeping and
+    /// fault accounting event for event.
     #[test]
     fn compiled_path_is_identical_under_faults_and_retries(
         wseed in 0u64..10_000,
@@ -212,6 +276,7 @@ proptest! {
     ) {
         let params = SyntheticParams { seed: wseed, ..Default::default() };
         let (doc, mut registry) = random_workload(&params);
+        let warm = warm_workload(&params);
         let q = random_query(qseed, params.alphabet, 7);
         registry.set_default_fault_profile(FaultProfile {
             seed: fseed,
@@ -232,22 +297,25 @@ proptest! {
                 },
             ),
         ] {
-            assert_plan_equivalent(name, &doc, &q, &registry, None, &config)?;
+            assert_plan_equivalent(name, (&doc, &registry), &q, None, &config, &warm)?;
         }
     }
 
-    /// Schema-typed invariance on instances generated straight from τ:
-    /// the plan's baked schema DFAs must type exactly as the unplanned
-    /// run's transient ones, including typing-driven pruning decisions.
+    /// Schema-typed invariance on instances generated straight from τ: a
+    /// shared plan whose verdict store an earlier instance warmed must
+    /// type exactly as a fresh one, including typing-driven pruning
+    /// decisions.
     #[test]
     fn compiled_path_is_identical_with_schema_typing(seed in 0u64..10_000) {
         use axml_gen::from_schema::{random_instance, InstanceParams};
         let schema = axml_schema::figure2_schema();
-        let (doc, registry) = random_instance(
+        let instance = |seed| random_instance(
             &schema,
             "hotels",
             &InstanceParams { seed, ..Default::default() },
         );
+        let (doc, registry) = instance(seed);
+        let warm = instance(seed.wrapping_add(1));
         let q = axml_gen::figure4_query();
         for (name, config) in [
             ("typed-default", EngineConfig::default()),
@@ -260,14 +328,15 @@ proptest! {
                 },
             ),
         ] {
-            assert_plan_equivalent(name, &doc, &q, &registry, Some(&schema), &config)?;
+            assert_plan_equivalent(name, (&doc, &registry), &q, Some(&schema), &config, &warm)?;
         }
     }
 
     /// Shared-call-cache invariance: each side gets its *own* identically
-    /// configured cache and runs two queries back to back, so the second
-    /// query's hit/stale pattern — and the cache-probe events it emits —
-    /// must reproduce exactly through the compiled path.
+    /// configured cache and runs three queries back to back, so the later
+    /// queries' hit/stale pattern — and the cache-probe events they emit —
+    /// must reproduce exactly through shared plans. The shared side's
+    /// third query reuses the first query's plan.
     #[test]
     fn compiled_path_is_identical_through_a_warming_call_cache(
         wseed in 0u64..10_000,
@@ -281,21 +350,27 @@ proptest! {
             random_query(qseed, params.alphabet, 7), // repeat: warm hits
         ];
         let config = EngineConfig::default();
-        let run_side = |with_plan: bool| {
+        let first_plan = Arc::new(CompiledQuery::compile(&queries[0], None, &config));
+        let run_side = |shared: bool| {
             let cache = CallCache::new(CacheConfig::default());
             queries
                 .iter()
                 .map(|q| {
-                    let plan = with_plan
-                        .then(|| Arc::new(CompiledQuery::compile(q, None, &config)));
+                    let plan = shared.then(|| {
+                        if *q == queries[0] {
+                            Arc::clone(&first_plan)
+                        } else {
+                            Arc::new(CompiledQuery::compile(q, None, &config))
+                        }
+                    });
                     observe(&doc, q, &registry, None, config.clone(), plan.as_ref(), Some(&cache))
                 })
                 .collect::<Vec<_>>()
         };
-        let unplanned = run_side(false);
-        let compiled = run_side(true);
+        let run_compiled = run_side(false);
+        let shared = run_side(true);
         prop_assert_eq!(
-            &compiled, &unplanned,
+            &shared, &run_compiled,
             "cache-warmed sequence diverges (wseed={}, qseed={})", wseed, qseed
         );
     }
@@ -417,8 +492,8 @@ proptest! {
 
 /// Remap correctness at the engine level: one warm plan cache serves two
 /// documents whose symbol tables assign *different* ids to the same
-/// labels; the shared compiled plan must answer both exactly as a run
-/// without a plan does.
+/// labels; the shared compiled plan must answer both exactly as a
+/// run-compiled plan does.
 #[test]
 fn one_cached_plan_serves_documents_with_permuted_symbol_tables() {
     let params = SyntheticParams {
@@ -448,10 +523,10 @@ fn one_cached_plan_serves_documents_with_permuted_symbol_tables() {
     let plans = axml_store::PlanCache::new(PlanCacheConfig::default());
     let plan = plans.fetch(&q, None, &config);
     for doc in [&doc_a, &doc_b] {
-        let compiled = observe(doc, &q, &registry, None, config.clone(), Some(&plan), None);
-        let unplanned = observe(doc, &q, &registry, None, config.clone(), None, None);
+        let shared = observe(doc, &q, &registry, None, config.clone(), Some(&plan), None);
+        let run_compiled = observe(doc, &q, &registry, None, config.clone(), None, None);
         assert_eq!(
-            compiled, unplanned,
+            shared, run_compiled,
             "shared plan mis-answers under a permuted symbol table"
         );
     }

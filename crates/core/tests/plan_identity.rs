@@ -147,7 +147,5 @@ fn containment_pruning_keeps_every_nfq_of_the_workload_queries() {
         assert_eq!(pruned, 0, "{}", render(&q));
         let kept: Vec<String> = kept.iter().map(|n| render(&n.pattern)).collect();
         assert_eq!(kept, rendered, "{}", render(&q));
-        let plan = CompiledQuery::compile(&q, None, &EngineConfig::default());
-        assert_eq!(plan.nfq_count(), rendered.len());
     }
 }

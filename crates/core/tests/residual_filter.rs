@@ -4,10 +4,12 @@
 //! repeated labels.
 
 use axml_core::{
-    build_nfq, build_nfqs, extent, filter_candidates, position_language, ClassVerdicts,
+    build_nfq, build_nfqs, extent, filter_candidates, position_language, ClassVerdicts, Engine,
+    EngineConfig,
 };
 use axml_query::{parse_query, render, seed_eval};
-use axml_xml::{Document, NodeId};
+use axml_services::{Registry, StaticService};
+use axml_xml::{parse, Document, NodeId};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::sync::mpsc;
@@ -15,13 +17,17 @@ use std::thread;
 use std::time::Duration;
 
 /// A chain of `depth` nested `<a>` elements, each but the deepest with a
-/// `<d>` child, and `<b><axml:call service="f"/></b>` under the deepest.
-fn chain(depth: usize) -> Document {
+/// `<d>` child (the deepest too when `d_at_bottom`), and
+/// `<b><axml:call service="f"/></b>` under the deepest.
+fn chain(depth: usize, d_at_bottom: bool) -> Document {
     let mut d = Document::with_root("a");
     let mut a = d.root();
     for _ in 1..depth {
         d.add_element(a, "d");
         a = d.add_element(a, "a");
+    }
+    if d_at_bottom {
+        d.add_element(a, "d");
     }
     let b = d.add_element(a, "b");
     d.add_call(b, "f");
@@ -43,7 +49,7 @@ fn deep_chain_alignment_stays_polynomial() {
         let k = 20;
         let q = parse_query(&format!("/a{}[d]/b/x", "//a".repeat(k))).unwrap();
         let nfq = build_nfq(&q, q.result_nodes()[0]);
-        let d = chain(40);
+        let d = chain(40, false);
         let mut at = ClassVerdicts::new(position_language(&nfq.lin, nfq.via));
         let candidates: Vec<NodeId> = extent(&d, &mut at, None)
             .into_iter()
@@ -58,6 +64,36 @@ fn deep_chain_alignment_stays_polynomial() {
     filter.join().unwrap();
     assert_eq!(candidates, 1, "the positional stage accepts the call");
     assert_eq!(kept, 0, "`[d]` fails at the deepest `<a>`");
+}
+
+/// The same repro through `Engine::evaluate`, with `[d]` holding at the
+/// deepest `<a>` too: the NFQ of `x` then retrieves the call at every
+/// placement of the `//a` steps. In a debug build the engine checks every
+/// candidate set the guide yields against `seed_eval`, whose enumeration
+/// is the evaluator's, and the final evaluation enumerates the same
+/// placements once `f` returned `<x/>`: before the evaluator tabled the
+/// fragments of nested `//` steps, the run did not finish within this
+/// test's minute.
+#[test]
+fn deep_chain_runs_through_the_engine() {
+    let (done, wait) = mpsc::channel();
+    let run = thread::spawn(move || {
+        let q = parse_query(&format!("/a{}[d]/b/x", "//a".repeat(20))).unwrap();
+        let mut d = chain(40, true);
+        let mut registry = Registry::new();
+        registry.register(StaticService::new("f", parse("<x/>").unwrap()));
+        let report = Engine::new(&registry, EngineConfig::default()).evaluate(&mut d, &q);
+        let _ = done.send((
+            report.result.len(),
+            report.stats.calls_invoked,
+            report.complete,
+        ));
+    });
+    let (answers, invoked, complete) = wait
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the engine finishes within a minute");
+    run.join().unwrap();
+    assert_eq!((answers, invoked, complete), (1, 1, true));
 }
 
 /// Labels of generated documents and queries: few, so that paths repeat

@@ -103,7 +103,8 @@ fn is_subscription_event(e: &Event) -> bool {
 
 /// Whether an event belongs to the plan-cache stream. Plan-cache probes
 /// are emitted by the store's plan cache, outside any engine query span
-/// (query traces are byte-identical with or without a plan), so —
+/// (query traces are byte-identical whether a run's plan is shared or
+/// compiled for the run), so —
 /// like subscription events — they are partitioned out of the span checks
 /// and replayed by `check_plan_cache`.
 fn is_plan_cache_event(e: &Event) -> bool {

@@ -18,8 +18,14 @@
 //!   only where bindings are observable. The boolean match answers by
 //!   plain recursion and tables one thing only: whether some strict
 //!   data-reachable descendant of a node matches a pattern node. That
-//!   table keeps nested `//` conditions, and so join-free queries,
-//!   polynomial.
+//!   table keeps nested `//` conditions polynomial.
+//! * The enumeration reaches a (pattern node, image) pair more than once
+//!   only when the node hangs by `//` under a node whose images can nest,
+//!   one with a `//` edge on its root path. In a pattern without join
+//!   variables, a fragment table keeps such nodes' result fragments per
+//!   image for the evaluation, which keeps chains of `//` steps over
+//!   repeated labels polynomial; the pattern alone decides which nodes it
+//!   serves, and an evaluation it serves none of never allocates it.
 //! * One condition test, `Evaluator::condition_holds`, decides a
 //!   join-blind pattern edge for the boolean match, for the enumeration's
 //!   condition children, and for the F-guide's residual filter through a
@@ -155,9 +161,8 @@ pub fn eval(pattern: &Pattern, doc: &Document) -> SnapshotResult {
 /// compile a [`crate::plan::QueryPlan`] once and use
 /// [`crate::plan::QueryPlan::eval_with`] instead.
 pub fn eval_with(pattern: &Pattern, doc: &Document, scratch: &mut PlanScratch) -> SnapshotResult {
-    let (needs_enum, var_id) = enum_tables(pattern);
     let ctest = compile_ctests(pattern, doc);
-    eval_compiled(pattern, doc, ctest, needs_enum, var_id, scratch)
+    eval_compiled(pattern, doc, ctest, enum_tables(pattern), scratch)
 }
 
 /// The **executable spec**: the seed evaluator — string-compared labels,
@@ -267,24 +272,37 @@ pub(crate) enum CTest {
 /// the index wins regardless of context.
 const SMALL_BUCKET: usize = 16;
 
-/// Computes the per-node enumeration tables shared by transient
-/// compilation and [`crate::plan::QueryPlan`]: `needs_enum` (does the
-/// subtree contain a result node or join variable?) and `var_id` (the
-/// node's join-variable id, if any).
-pub(crate) fn enum_tables(pat: &Pattern) -> (Vec<bool>, Vec<Option<u32>>) {
+/// The per-node enumeration tables of a pattern, shared by transient
+/// compilation and [`crate::plan::QueryPlan`]. They depend on the pattern
+/// alone.
+#[derive(Clone, Debug)]
+pub(crate) struct EnumTables {
+    /// Does the node's subtree contain a result node or a join variable
+    /// (requiring full enumeration)?
+    needs_enum: Vec<bool>,
+    /// The node's join-variable id, if it is a join variable.
+    var_id: Vec<Option<u32>>,
+    /// Does `embed` keep the node's result fragments per image in the
+    /// fragment table? Empty when it keeps no node's, so that cloning the
+    /// tables for an evaluation the table cannot serve allocates nothing.
+    tabled: Vec<bool>,
+}
+
+/// Computes a pattern's [`EnumTables`].
+pub(crate) fn enum_tables(pat: &Pattern) -> EnumTables {
     let join_vars = pat.join_variables();
     let mut needs_enum = vec![false; pat.len()];
     let mut var_id = vec![None; pat.len()];
-    // bottom-up, in reverse pre-order: creation order does not put
-    // parents first, since `Pattern::wrap_in_or` creates an OR node after
-    // its branch
+    // pre-order: creation order does not put parents first, since
+    // `Pattern::wrap_in_or` creates an OR node after its branch
     let mut order = Vec::with_capacity(pat.len());
     let mut stack: Vec<PNodeId> = (!pat.is_empty()).then(|| pat.root()).into_iter().collect();
     while let Some(id) = stack.pop() {
         order.push(id);
         stack.extend(&pat.node(id).children);
     }
-    for id in order.into_iter().rev() {
+    // bottom-up
+    for &id in order.iter().rev() {
         let n = pat.node(id);
         let mut need = n.is_result;
         if let PLabel::Var(v) = &n.label {
@@ -300,7 +318,33 @@ pub(crate) fn enum_tables(pat: &Pattern) -> (Vec<bool>, Vec<Option<u32>>) {
         }
         needs_enum[id.index()] = need;
     }
-    (needs_enum, var_id)
+    // Does `embed` table a node's fragments? Only for an enumerated `//`
+    // child of a non-OR node whose images can nest: one with a `//` edge
+    // on its root path. With join variables a fragment depends on the
+    // inherited environment, so nothing is tabled.
+    let descends =
+        |id: PNodeId| pat.parent(id).is_some() && pat.node(id).edge == EdgeKind::Descendant;
+    let nests = |id: PNodeId| std::iter::successors(Some(id), |&n| pat.parent(n)).any(descends);
+    let mut tabled = Vec::new();
+    for &id in &order {
+        let Some(parent) = pat.parent(id) else {
+            continue;
+        };
+        if join_vars.is_empty()
+            && descends(id)
+            && needs_enum[id.index()]
+            && !matches!(pat.node(parent).label, PLabel::Or)
+            && nests(parent)
+        {
+            tabled.resize(pat.len(), false);
+            tabled[id.index()] = true;
+        }
+    }
+    EnumTables {
+        needs_enum,
+        var_id,
+        tabled,
+    }
 }
 
 /// Compiles the per-node label tests against one document's symbol table:
@@ -331,11 +375,10 @@ pub(crate) fn eval_compiled(
     pat: &Pattern,
     doc: &Document,
     ctest: Vec<CTest>,
-    needs_enum: Vec<bool>,
-    var_id: Vec<Option<u32>>,
+    tables: EnumTables,
     scratch: &mut PlanScratch,
 ) -> SnapshotResult {
-    let mut ev = Evaluator::from_tables(pat, doc, ctest, needs_enum, var_id);
+    let mut ev = Evaluator::from_tables(pat, doc, ctest, tables);
     ev.desc_memo = scratch.take_desc_memo();
     let out = ev.results();
     scratch.put_back(ev.desc_memo);
@@ -350,29 +393,27 @@ struct Evaluator<'a> {
     spec: bool,
     /// per pattern node: label test compiled against `doc`'s symbol table
     ctest: Vec<CTest>,
-    /// memoized "∃ strict data-reachable descendant matching p", the only
-    /// table: it keeps nested `//` conditions polynomial
+    /// memoized "∃ strict data-reachable descendant matching p": it keeps
+    /// nested `//` conditions polynomial
     desc_memo: Memo,
-    /// per pattern node: does its subtree contain a result node or a join
-    /// variable (requiring full enumeration)?
-    needs_enum: Vec<bool>,
-    /// per pattern node: join-variable id if the node is a join variable
-    var_id: Vec<Option<u32>>,
+    /// the pattern's enumeration tables
+    tables: EnumTables,
+    /// the result fragments of the nodes `tables.tabled` marks, per
+    /// image: it keeps chains of `//` steps polynomial
+    fragments: HashMap<(PNodeId, NodeId), Vec<(VarEnv, ResultTuple)>, FxBuildHasher>,
 }
 
 impl<'a> Evaluator<'a> {
     fn new(pat: &'a Pattern, doc: &'a Document) -> Self {
-        let (needs_enum, var_id) = enum_tables(pat);
         let ctest = compile_ctests(pat, doc);
-        Evaluator::from_tables(pat, doc, ctest, needs_enum, var_id)
+        Evaluator::from_tables(pat, doc, ctest, enum_tables(pat))
     }
 
     fn from_tables(
         pat: &'a Pattern,
         doc: &'a Document,
         ctest: Vec<CTest>,
-        needs_enum: Vec<bool>,
-        var_id: Vec<Option<u32>>,
+        tables: EnumTables,
     ) -> Self {
         Evaluator {
             pat,
@@ -380,8 +421,8 @@ impl<'a> Evaluator<'a> {
             spec: false,
             ctest,
             desc_memo: Memo::default(),
-            needs_enum,
-            var_id,
+            tables,
+            fragments: HashMap::default(),
         }
     }
 
@@ -556,7 +597,7 @@ impl<'a> Evaluator<'a> {
     /// embedding the subtree of `p` at `v`, given an inherited environment.
     fn embed(&mut self, p: PNodeId, v: NodeId, env: &VarEnv) -> Vec<(VarEnv, ResultTuple)> {
         // Fast path: nothing observable below — boolean check suffices.
-        if !self.needs_enum[p.index()] {
+        if !self.tables.needs_enum[p.index()] {
             return if self.smatch(p, v) {
                 vec![(env.clone(), ResultTuple::new())]
             } else {
@@ -576,7 +617,7 @@ impl<'a> Evaluator<'a> {
             return vec![];
         }
         let mut env = env.clone();
-        if let Some(vid) = self.var_id[p.index()] {
+        if let Some(vid) = self.tables.var_id[p.index()] {
             let sym = self.doc.sym(v);
             match env.get(&vid) {
                 Some(&bound) if bound != sym => return vec![],
@@ -592,7 +633,7 @@ impl<'a> Evaluator<'a> {
         if !node
             .children
             .iter()
-            .all(|&pc| self.needs_enum[pc.index()] || self.condition_holds(pc, v))
+            .all(|&pc| self.tables.needs_enum[pc.index()] || self.condition_holds(pc, v))
         {
             return vec![];
         }
@@ -602,14 +643,20 @@ impl<'a> Evaluator<'a> {
         }
         let mut combos: Vec<(VarEnv, ResultTuple)> = vec![(env, base)];
         for &pc in &node.children {
-            if !self.needs_enum[pc.index()] {
+            if !self.tables.needs_enum[pc.index()] {
                 continue;
             }
             let candidates = self.candidates(pc, v);
+            let tabled = self.tables.tabled.get(pc.index()) == Some(&true);
             let mut next: Vec<(VarEnv, ResultTuple)> = Vec::new();
             for (cenv, frag) in &combos {
                 for &u in &candidates {
-                    for (e2, f2) in self.embed(pc, u, cenv) {
+                    let subs = if tabled {
+                        self.embed_tabled(pc, u, cenv)
+                    } else {
+                        self.embed(pc, u, cenv)
+                    };
+                    for (e2, f2) in subs {
                         let mut merged = frag.clone();
                         merged.extend(f2);
                         next.push((e2, merged));
@@ -623,6 +670,18 @@ impl<'a> Evaluator<'a> {
             }
         }
         combos
+    }
+
+    /// [`Evaluator::embed`] of a node `tables.tabled` marks, through the
+    /// fragment table. The pattern has no join variables, so `env` is
+    /// empty and the fragments depend on `(p, v)` alone.
+    fn embed_tabled(&mut self, p: PNodeId, v: NodeId, env: &VarEnv) -> Vec<(VarEnv, ResultTuple)> {
+        if let Some(hit) = self.fragments.get(&(p, v)) {
+            return hit.clone();
+        }
+        let got = self.embed(p, v, env);
+        self.fragments.insert((p, v), got.clone());
+        got
     }
 }
 
@@ -867,6 +926,51 @@ mod tests {
         let q2 = parse_query("/hotels/hotel/rating").unwrap();
         let r3 = eval_with(&q2, &d2, &mut scratch);
         assert!(r3.is_empty());
+    }
+
+    /// `/a`, then `k` `//a` steps, then `//b`, on a 40-deep `<a>` chain
+    /// with `<b/>` at the bottom: every placement of the `//a` steps
+    /// embeds, so an enumeration that recomputes a step's fragments for
+    /// each placement of the steps above it does exponential work in `k`.
+    /// It runs on its own thread, so that a regression fails instead of
+    /// hanging.
+    #[test]
+    fn deep_chain_enumeration_stays_polynomial() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let (done, wait) = mpsc::channel();
+        let eval = std::thread::spawn(move || {
+            let mut d = Document::with_root("a");
+            let mut a = d.root();
+            for _ in 1..40 {
+                a = d.add_element(a, "a");
+            }
+            d.add_element(a, "b");
+            let k = 20;
+            let q = parse_query(&format!("/a{}//b", "//a".repeat(k))).unwrap();
+            let _ = done.send(eval_all_modes(&q, &d).len());
+        });
+        let found = wait
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the evaluation finishes within a minute");
+        eval.join().unwrap();
+        assert_eq!(found, 1, "one `<b>`, whatever the placement");
+    }
+
+    #[test]
+    fn fragment_table_serves_only_join_free_nested_descendant_steps() {
+        let tabled = |q: &str| enum_tables(&parse_query(q).unwrap()).tabled;
+        // no node's images nest above a `//` step: nothing is tabled
+        assert!(tabled("/hotels/hotel/nearby//restaurant[name=$X] -> $X").is_empty());
+        assert!(tabled("//restaurant[rating=\"*****\"]/name/$N -> $N").is_empty());
+        // a `//` step under a `//` step is
+        let q = parse_query("/a//a//b").unwrap();
+        let t = enum_tables(&q).tabled;
+        let b = q.result_nodes()[0];
+        assert!(t[b.index()]);
+        assert_eq!(t.iter().filter(|&&x| x).count(), 1);
+        // join variables make a fragment depend on the environment
+        assert!(tabled("/a//a[x=$V]//b[y=$V]").is_empty());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! A [`QueryPlan`] keeps everything about a pattern that does not depend
 //! on any document: the pattern and its enumeration tables (`needs_enum`,
-//! join-variable ids). Per document, the only remaining work is
+//! join-variable ids, the nodes whose fragments are tabled). Per document, the only remaining work is
 //! [`QueryPlan::bind`]: compiling the per-node label tests against the
 //! document's interned symbols, one lookup per label the pattern names.
 //! Evaluation then runs on pure `u32` compares. Every evaluation binds
@@ -16,7 +16,9 @@
 //! document or pattern, so reuse across snapshots, documents, and
 //! patterns is always sound.
 
-use crate::eval::{compile_ctests, enum_tables, eval_compiled, CTest, Memo, SnapshotResult};
+use crate::eval::{
+    compile_ctests, enum_tables, eval_compiled, CTest, EnumTables, Memo, SnapshotResult,
+};
 use crate::pattern::Pattern;
 use axml_xml::Document;
 
@@ -48,8 +50,7 @@ impl PlanScratch {
 #[derive(Clone, Debug)]
 pub struct QueryPlan {
     pattern: Pattern,
-    needs_enum: Vec<bool>,
-    var_id: Vec<Option<u32>>,
+    tables: EnumTables,
 }
 
 /// A plan's label tests compiled against one document's symbols. A label
@@ -65,11 +66,9 @@ impl QueryPlan {
     /// Compiles a pattern into a reusable plan. One pattern walk; no
     /// document in sight.
     pub fn compile(pattern: &Pattern) -> QueryPlan {
-        let (needs_enum, var_id) = enum_tables(pattern);
         QueryPlan {
             pattern: pattern.clone(),
-            needs_enum,
-            var_id,
+            tables: enum_tables(pattern),
         }
     }
 
@@ -98,8 +97,7 @@ impl QueryPlan {
             &self.pattern,
             doc,
             self.bind(doc).ctest,
-            self.needs_enum.clone(),
-            self.var_id.clone(),
+            self.tables.clone(),
             scratch,
         )
     }

@@ -214,6 +214,74 @@ fn random_pattern(seed: u64) -> Pattern {
     p
 }
 
+/// A chain of nested elements whose labels repeat (`e0`, `e1`), so that
+/// a `//` step's images nest. A level may also hold a text value, a leaf
+/// element or a call.
+fn label_repeating_chain(seed: u64) -> Document {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut d = Document::with_root("root");
+    let mut at = d.root();
+    for _ in 0..rng.gen_range(4..14) {
+        match rng.gen_range(0..6) {
+            0 => {
+                d.add_text(at, format!("v{}", rng.gen_range(0..2)));
+            }
+            1 => {
+                d.add_call(at, "svc0");
+            }
+            2 => {
+                d.add_element(at, format!("e{}", rng.gen_range(0..2)));
+            }
+            _ => {}
+        }
+        at = d.add_element(at, format!("e{}", rng.gen_range(0..2)));
+    }
+    d
+}
+
+/// A query rooted at the chain's root label, then two or three nested
+/// `//` steps over the chain's labels, sometimes followed by a child
+/// step. A step's label may be a wildcard or a variable (repeated, it is
+/// a join variable), and a step may carry a child or `//` condition. The
+/// deepest step is a result node, and sometimes one more step or
+/// condition is.
+fn nested_descendant_query(seed: u64) -> Pattern {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut p = Pattern::new();
+    let mut at = p.set_root(PLabel::Const("root".into()));
+    let mut marked = Vec::new();
+    let step_label = |rng: &mut StdRng| match rng.gen_range(0..6) {
+        0 => PLabel::Wildcard,
+        1 => PLabel::Var("V".into()),
+        _ => PLabel::Const(format!("e{}", rng.gen_range(0..2)).into()),
+    };
+    for _ in 0..rng.gen_range(2..4) {
+        at = p.add_child(at, EdgeKind::Descendant, step_label(&mut rng));
+        marked.push(at);
+        if rng.gen_bool(0.3) {
+            let edge = if rng.gen_bool(0.5) {
+                EdgeKind::Child
+            } else {
+                EdgeKind::Descendant
+            };
+            let label = match rng.gen_range(0..3) {
+                0 => PLabel::Const(format!("v{}", rng.gen_range(0..2)).into()),
+                1 => random_fun(&mut rng),
+                _ => PLabel::Const(format!("e{}", rng.gen_range(0..2)).into()),
+            };
+            marked.push(p.add_child(at, edge, label));
+        }
+    }
+    if rng.gen_bool(0.3) {
+        at = p.add_child(at, EdgeKind::Child, step_label(&mut rng));
+    }
+    p.mark_result(at);
+    if rng.gen_bool(0.4) {
+        p.mark_result(marked[rng.gen_range(0..marked.len())]);
+    }
+    p
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -222,6 +290,21 @@ proptest! {
     fn evaluator_matches_brute_force_oracle(dseed in 0u64..100_000, qseed in 0u64..100_000) {
         let doc = random_doc(dseed);
         let q = random_pattern(qseed);
+        let fast: BTreeSet<ResultTuple> = eval(&q, &doc).tuples;
+        let slow = oracle(&q, &doc);
+        prop_assert_eq!(fast, slow, "dseed={} qseed={}", dseed, qseed);
+    }
+
+    /// The same on label-repeating chains under two or three nested `//`
+    /// steps, where the enumeration reaches a step's images once per
+    /// placement of the steps above it and tables their fragments.
+    #[test]
+    fn evaluator_matches_brute_force_oracle_on_nested_descendant_steps(
+        dseed in 0u64..100_000,
+        qseed in 0u64..100_000,
+    ) {
+        let doc = label_repeating_chain(dseed);
+        let q = nested_descendant_query(qseed);
         let fast: BTreeSet<ResultTuple> = eval(&q, &doc).tuples;
         let slow = oracle(&q, &doc);
         prop_assert_eq!(fast, slow, "dseed={} qseed={}", dseed, qseed);

@@ -1,13 +1,13 @@
 //! The cross-session compiled-plan cache: `(query, schema, config)` →
-//! [`CompiledQuery`], so a query's NFQs, LPQs, layers, label automata and
+//! [`CompiledQuery`], so a query's NFQs, layers, label automata and
 //! bytecode are compiled **once per store** and every later session pays
 //! only a label-test binding per document.
 //!
 //! Correctness does not depend on the cache: a cached plan is attached to
-//! an engine via [`axml_core::Engine::with_plan`], and the engine consults
-//! it only when [`CompiledQuery::compatible`] confirms the exact
-//! compile-relevant key — a stale or mismatched plan is silently ignored,
-//! never misapplied. Query answers, traces and statistics are
+//! an engine via [`axml_core::Engine::with_plan`], and a run uses it only
+//! when [`CompiledQuery::compatible`] confirms the exact compile-relevant
+//! key — a stale or mismatched plan is ignored, never misapplied, and the
+//! run compiles its own. Query answers, traces and statistics are
 //! byte-identical with the cache on or off (pinned by the plan-equivalence
 //! oracle and the golden-trace tests); the cache changes *when* the
 //! compile work happens, not *what* is computed.
@@ -16,8 +16,10 @@
 //! map, the LRU ticks and the counters. Probes emit
 //! [`EventKind::PlanCacheProbe`] events into the cache's own sink — never
 //! into an engine's query span, which must not change with cache state.
+//! An event names its plan by [`plan_fingerprint`], which the cache
+//! computes on the miss that compiles the plan and keeps beside it.
 
-use axml_core::{plan_hash, CompiledQuery, EngineConfig};
+use axml_core::{plan_fingerprint, plan_hash, CompiledQuery, EngineConfig};
 use axml_obs::{Event, EventKind, TraceSink};
 use axml_query::{render, Pattern};
 use axml_schema::Schema;
@@ -84,6 +86,8 @@ impl PlanCacheStats {
 
 struct PlanEntry {
     plan: Arc<CompiledQuery>,
+    /// The plan's [`plan_fingerprint`], the name its probe events carry.
+    fingerprint: String,
     last_used: u64,
 }
 
@@ -191,53 +195,46 @@ impl PlanCache {
         config: &EngineConfig,
     ) -> Arc<CompiledQuery> {
         let key = plan_hash(query, schema, config);
-        let mut inner = self.lock();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
         inner.tick += 1;
-        let tick = inner.tick;
-        let cached = match inner.map.get_mut(&key) {
-            Some(entry) if entry.plan.compatible(query, schema, config) => {
-                entry.last_used = tick;
-                Some(Arc::clone(&entry.plan))
-            }
-            _ => None,
-        };
-        let hit = cached.is_some();
-        let plan = match cached {
-            Some(plan) => {
-                inner.stats.hits += 1;
-                plan
-            }
-            None => {
-                inner.stats.misses += 1;
-                inner.stats.compiles += 1;
-                let compiled = Arc::new(CompiledQuery::compile(query, schema, config));
-                if self.config.capacity > 0 {
-                    // replaces an incompatible resident plan on a collision
-                    inner.map.insert(
-                        key,
-                        PlanEntry {
-                            plan: Arc::clone(&compiled),
-                            last_used: tick,
-                        },
-                    );
-                    inner.evict_to(self.config.capacity);
-                }
-                compiled
-            }
-        };
-        // emitted under the lock: probes are totally ordered, so the
-        // first probe of a key is always the miss
-        self.emit(&mut inner, query, plan.fingerprint(), hit);
+        // probes are emitted under the lock: they are totally ordered, so
+        // the first probe of a key is always the miss
+        if let Some(entry) = inner
+            .map
+            .get_mut(&key)
+            .filter(|e| e.plan.compatible(query, schema, config))
+        {
+            entry.last_used = inner.tick;
+            inner.stats.hits += 1;
+            self.emit(&mut inner.seq, query, &entry.fingerprint, true);
+            return Arc::clone(&entry.plan);
+        }
+        inner.stats.misses += 1;
+        inner.stats.compiles += 1;
+        let plan = Arc::new(CompiledQuery::compile(query, schema, config));
+        let fingerprint = plan_fingerprint(query, schema, config);
+        self.emit(&mut inner.seq, query, &fingerprint, false);
+        if self.config.capacity > 0 {
+            // replaces an incompatible resident plan on a collision
+            inner.map.insert(
+                key,
+                PlanEntry {
+                    plan: Arc::clone(&plan),
+                    fingerprint,
+                    last_used: inner.tick,
+                },
+            );
+            inner.evict_to(self.config.capacity);
+        }
         plan
     }
 
-    fn emit(&self, inner: &mut Inner, query: &Pattern, key: &str, hit: bool) {
+    fn emit(&self, seq: &mut u64, query: &Pattern, key: &str, hit: bool) {
         let sink = self.sink.lock().unwrap().clone();
         if let Some(sink) = sink {
-            let seq = inner.seq;
-            inner.seq += 1;
             sink.emit(&Event {
-                seq,
+                seq: *seq,
                 sim_ms: 0.0,
                 round: 0,
                 layer: 0,
@@ -248,6 +245,7 @@ impl PlanCache {
                     hit,
                 },
             });
+            *seq += 1;
         }
     }
 }

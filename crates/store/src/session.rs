@@ -110,10 +110,10 @@ impl<'a> Session<'a> {
     /// A session over `doc` using the given call cache and compiled-plan
     /// cache; the clock starts at 0. Each query fetches its
     /// [`axml_core::CompiledQuery`] from `plans` (compiling on first use)
-    /// and hands the plan to the engine, which consults it only when its
-    /// compatibility key matches — so a mismatched plan is ignored, never
-    /// misapplied. [`crate::DocumentStore::session`] passes the store's
-    /// caches.
+    /// and hands the plan to the engine. A fetched plan always matches
+    /// the query's compile key, so every run reads it; the engine would
+    /// ignore a mismatched plan, never misapply it, and compile its own.
+    /// [`crate::DocumentStore::session`] passes the store's caches.
     pub(crate) fn new(
         doc: Arc<VersionedDocument>,
         registry: &'a Registry,

@@ -74,21 +74,21 @@ fn run_feed(plans: PlanCacheConfig) -> Run {
 
 #[test]
 fn delta_streams_are_identical_with_plan_reuse_on_and_off() {
-    let compiled = run_feed(PlanCacheConfig::default());
-    let unplanned = run_feed(PlanCacheConfig::with_capacity(0));
+    let cached = run_feed(PlanCacheConfig::default());
+    let uncached = run_feed(PlanCacheConfig::with_capacity(0));
 
     assert!(
-        !compiled.deltas.is_empty(),
+        !cached.deltas.is_empty(),
         "the volatile feed emitted nothing — the comparison would be vacuous"
     );
     assert_eq!(
-        compiled.initials, unplanned.initials,
+        cached.initials, uncached.initials,
         "initial answers diverge"
     );
-    assert_eq!(compiled.deltas, unplanned.deltas, "delta streams diverge");
+    assert_eq!(cached.deltas, uncached.deltas, "delta streams diverge");
     assert_eq!(
-        compiled.trace_jsonl, unplanned.trace_jsonl,
-        "structured traces diverge between compiled and unplanned refreshes"
+        cached.trace_jsonl, uncached.trace_jsonl,
+        "structured traces diverge between cached and uncached plans"
     );
     // wall-clock CPU measurements are not semantics; zero them out
     let sim_stats = |s: &SubscriptionEngineStats| SubscriptionEngineStats {
@@ -97,29 +97,29 @@ fn delta_streams_are_identical_with_plan_reuse_on_and_off() {
         ..s.clone()
     };
     assert_eq!(
-        sim_stats(&compiled.stats),
-        sim_stats(&unplanned.stats),
+        sim_stats(&cached.stats),
+        sim_stats(&uncached.stats),
         "stats diverge"
     );
 
-    // the compiled run really went through the plan cache — each standing
+    // the cached run really went through the plan cache — each standing
     // query compiled once, then every later refresh was a hit
     assert!(
-        compiled.plan_compiles >= 1,
+        cached.plan_compiles >= 1,
         "the over_store run never compiled a plan"
     );
     assert!(
-        compiled.plan_hits > compiled.plan_compiles,
+        cached.plan_hits > cached.plan_compiles,
         "refreshes did not reuse cached plans (hits={}, compiles={})",
-        compiled.plan_hits,
-        compiled.plan_compiles
+        cached.plan_hits,
+        cached.plan_compiles
     );
     // the zero-capacity run compiled a fresh plan for every evaluation
     // the reusing run served from its cache
-    assert_eq!(unplanned.plan_hits, 0, "a zero-capacity cache hit");
+    assert_eq!(uncached.plan_hits, 0, "a zero-capacity cache hit");
     assert_eq!(
-        unplanned.plan_compiles,
-        compiled.plan_compiles + compiled.plan_hits,
+        uncached.plan_compiles,
+        cached.plan_compiles + cached.plan_hits,
         "the two runs fetched different numbers of plans"
     );
 }

@@ -89,8 +89,8 @@ impl fmt::Debug for CallId {
 }
 
 /// What a tree node is. The node's label lives in the document's symbol
-/// table: read it with [`Document::label`] (or [`Document::element_label`],
-/// [`Document::text_value`] and [`Document::call_info`]).
+/// table: read it with [`Document::label`] (or [`Document::text_value`]
+/// and [`Document::call_info`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NodeKind {
     /// A data node labeled with an element name.
@@ -561,12 +561,6 @@ impl Document {
     /// The node's label: element name, data value, or service name.
     pub fn label(&self, id: NodeId) -> &str {
         self.sym_label(self.node(id).sym).as_str()
-    }
-
-    /// The element label, if this is an element node.
-    pub fn element_label(&self, id: NodeId) -> Option<&Label> {
-        let n = self.node(id);
-        (n.kind == NodeKind::Element).then(|| self.sym_label(n.sym))
     }
 
     /// The text value, if this is a text node.
