@@ -105,16 +105,12 @@ struct HedgeLeg {
 }
 
 /// What a cache probe left for the rest of a candidate's gates.
-// transient: matched where the probe returns, so boxing the miss's
-// forest would only add an allocation per probe
-#[allow(clippy::large_enum_variant)]
 enum Probe {
     /// A valid entry was spliced: the candidate is resolved.
     Hit,
-    /// No valid entry. When the probe got as far as building them, the
-    /// parameter forest and the cache key, for the dispatch and the store
-    /// to reuse.
-    Miss(Option<(Forest, CallKey)>),
+    /// No valid entry. When the probe got as far as building it, the
+    /// cache key, for the store after a dispatch to reuse.
+    Miss(Option<CallKey>),
 }
 
 /// A candidate the gates admitted: its parent label path and, with a
@@ -318,14 +314,14 @@ impl Run<'_, '_, '_> {
         let mut admitted: Vec<Admitted<'_>> = Vec::new();
         let mut params: Vec<Forest> = Vec::new();
         for c in cands {
-            let probed = match self.try_cache(doc, c, pushes.get(&c.call)) {
+            let key = match self.try_cache(doc, c, pushes.get(&c.call)) {
                 Probe::Hit => {
                     resolved += 1;
                     continue;
                 }
-                Probe::Miss(probed) => probed,
+                Probe::Miss(key) => key,
             };
-            if let Some((p, a)) = self.prepare(doc, c, probed) {
+            if let Some((p, a)) = self.prepare(doc, c, key) {
                 params.push(p);
                 admitted.push(a);
             }
@@ -406,11 +402,11 @@ impl Run<'_, '_, '_> {
         cand: &Candidate,
         pushed: Option<&PushedQuery>,
     ) -> Option<f64> {
-        let probed = match self.try_cache(doc, cand, pushed) {
+        let key = match self.try_cache(doc, cand, pushed) {
             Probe::Hit => return Some(0.0),
-            Probe::Miss(probed) => probed,
+            Probe::Miss(key) => key,
         };
-        let (params, admitted) = self.prepare(doc, cand, probed)?;
+        let (params, admitted) = self.prepare(doc, cand, key)?;
         let remaining = self.deadline.remaining_ms(self.clock.now_ms());
         let res = self
             .engine
@@ -421,8 +417,9 @@ impl Run<'_, '_, '_> {
 
     /// The cache-probe gate (reconstructed §7): on a valid entry the
     /// cached forest is spliced in at **zero** network cost. Expired
-    /// entries and misses fall through to the other gates, with the
-    /// parameter forest and key the probe built.
+    /// entries and misses fall through to the other gates, with the key
+    /// the probe built. The key serializes the parameters where they
+    /// stand, so a probe copies none of them.
     fn try_cache(
         &mut self,
         doc: &mut Document,
@@ -435,8 +432,7 @@ impl Run<'_, '_, '_> {
         if !holds_call(doc, cand.node, cand.call) {
             return Probe::Miss(None);
         }
-        let params = doc.children_to_forest(cand.node);
-        let key = CallKey::new(&cand.service, &params, pushed);
+        let key = CallKey::for_call(&cand.service, doc, cand.node, pushed);
         let lookup = cache.lookup(&key, self.clock.now_ms());
         let (outcome, hit) = match lookup {
             CacheLookup::Hit(hit) => (CacheOutcome::Hit, Some(hit)),
@@ -457,7 +453,7 @@ impl Run<'_, '_, '_> {
             });
         }
         let Some(hit) = hit else {
-            return Probe::Miss(Some((params, key)));
+            return Probe::Miss(Some(key));
         };
         // only the trace reads a hit's path
         let parent_path = if self.observing() {
@@ -474,14 +470,14 @@ impl Run<'_, '_, '_> {
     /// The budget, deadline, stale-slot, unknown-service, shed and breaker
     /// gates, in that order. An admitted candidate reserves one unit of
     /// budget (a parallel batch admits every call before dispatching any)
-    /// and yields what its dispatch needs: the parameter forest — the
-    /// probe's, when the cache probe built one — and what settling it
-    /// needs.
+    /// and yields what its dispatch needs: the parameter forest, built
+    /// here because only a dispatch reads it, and what settling it needs,
+    /// with the key the cache probe built.
     fn prepare<'c>(
         &mut self,
         doc: &Document,
         cand: &'c Candidate,
-        probed: Option<(Forest, CallKey)>,
+        key: Option<CallKey>,
     ) -> Option<(Forest, Admitted<'c>)> {
         if self.budget == 0 {
             // not marked truncated here: a failed batch mate may refund
@@ -540,10 +536,7 @@ impl Run<'_, '_, '_> {
             }
             return None;
         }
-        let (params, key) = match probed {
-            Some((params, key)) => (params, Some(key)),
-            None => (doc.children_to_forest(cand.node), None),
-        };
+        let params = doc.children_to_forest(cand.node);
         let parent_path = parent_labels(doc, cand.node);
         self.budget -= 1;
         *self.batch_admitted.entry(cand.service.clone()).or_default() += 1;

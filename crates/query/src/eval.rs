@@ -21,11 +21,13 @@
 //!   table keeps nested `//` conditions polynomial.
 //! * The enumeration reaches a (pattern node, image) pair more than once
 //!   only when the node hangs by `//` under a node whose images can nest,
-//!   one with a `//` edge on its root path. In a pattern without join
-//!   variables, a fragment table keeps such nodes' result fragments per
-//!   image for the evaluation, which keeps chains of `//` steps over
-//!   repeated labels polynomial; the pattern alone decides which nodes it
-//!   serves, and an evaluation it serves none of never allocates it.
+//!   one with a `//` edge on its root path. A fragment table keeps such
+//!   nodes' result fragments for the evaluation, keyed by the image and
+//!   by the inherited bindings of the join variables in the node's
+//!   subtree, each fragment with only the bindings it adds. That keeps
+//!   chains of `//` steps over repeated labels polynomial, joins or not;
+//!   the pattern alone decides which nodes it serves, and an evaluation
+//!   it serves none of never allocates it.
 //! * One condition test, `Evaluator::condition_holds`, decides a
 //!   join-blind pattern edge for the boolean match, for the enumeration's
 //!   condition children, and for the F-guide's residual filter through a
@@ -282,10 +284,12 @@ pub(crate) struct EnumTables {
     needs_enum: Vec<bool>,
     /// The node's join-variable id, if it is a join variable.
     var_id: Vec<Option<u32>>,
-    /// Does `embed` keep the node's result fragments per image in the
-    /// fragment table? Empty when it keeps no node's, so that cloning the
-    /// tables for an evaluation the table cannot serve allocates nothing.
-    tabled: Vec<bool>,
+    /// For a node whose result fragments `embed` keeps in the fragment
+    /// table: the sorted ids of the join variables in its subtree, whose
+    /// inherited bindings key its fragments beside the image. Empty when
+    /// the table keeps no node's, so that cloning the tables for an
+    /// evaluation the table cannot serve allocates nothing.
+    tabled: Vec<Option<Box<[u32]>>>,
 }
 
 /// Computes a pattern's [`EnumTables`].
@@ -320,8 +324,8 @@ pub(crate) fn enum_tables(pat: &Pattern) -> EnumTables {
     }
     // Does `embed` table a node's fragments? Only for an enumerated `//`
     // child of a non-OR node whose images can nest: one with a `//` edge
-    // on its root path. With join variables a fragment depends on the
-    // inherited environment, so nothing is tabled.
+    // on its root path. A fragment depends on the inherited bindings of
+    // the join variables in the node's subtree, so those key it too.
     let descends =
         |id: PNodeId| pat.parent(id).is_some() && pat.node(id).edge == EdgeKind::Descendant;
     let nests = |id: PNodeId| std::iter::successors(Some(id), |&n| pat.parent(n)).any(descends);
@@ -330,14 +334,21 @@ pub(crate) fn enum_tables(pat: &Pattern) -> EnumTables {
         let Some(parent) = pat.parent(id) else {
             continue;
         };
-        if join_vars.is_empty()
-            && descends(id)
+        if descends(id)
             && needs_enum[id.index()]
             && !matches!(pat.node(parent).label, PLabel::Or)
             && nests(parent)
         {
-            tabled.resize(pat.len(), false);
-            tabled[id.index()] = true;
+            let mut vars = Vec::new();
+            let mut stack = vec![id];
+            while let Some(n) = stack.pop() {
+                vars.extend(var_id[n.index()]);
+                stack.extend(&pat.node(n).children);
+            }
+            vars.sort_unstable();
+            vars.dedup();
+            tabled.resize(pat.len(), None);
+            tabled[id.index()] = Some(vars.into_boxed_slice());
         }
     }
     EnumTables {
@@ -398,9 +409,10 @@ struct Evaluator<'a> {
     desc_memo: Memo,
     /// the pattern's enumeration tables
     tables: EnumTables,
-    /// the result fragments of the nodes `tables.tabled` marks, per
-    /// image: it keeps chains of `//` steps polynomial
-    fragments: HashMap<(PNodeId, NodeId), Vec<(VarEnv, ResultTuple)>, FxBuildHasher>,
+    /// the result fragments of the nodes `tables.tabled` marks, per image
+    /// and inherited bindings of the subtree's join variables, each with
+    /// the bindings it adds: it keeps chains of `//` steps polynomial
+    fragments: HashMap<FragmentKey, Vec<(VarEnv, ResultTuple)>, FxBuildHasher>,
 }
 
 impl<'a> Evaluator<'a> {
@@ -647,7 +659,7 @@ impl<'a> Evaluator<'a> {
                 continue;
             }
             let candidates = self.candidates(pc, v);
-            let tabled = self.tables.tabled.get(pc.index()) == Some(&true);
+            let tabled = matches!(self.tables.tabled.get(pc.index()), Some(Some(_)));
             let mut next: Vec<(VarEnv, ResultTuple)> = Vec::new();
             for (cenv, frag) in &combos {
                 for &u in &candidates {
@@ -673,16 +685,51 @@ impl<'a> Evaluator<'a> {
     }
 
     /// [`Evaluator::embed`] of a node `tables.tabled` marks, through the
-    /// fragment table. The pattern has no join variables, so `env` is
-    /// empty and the fragments depend on `(p, v)` alone.
+    /// fragment table. The subtree of `p` reads and binds only its own
+    /// join variables, so its fragments depend on `(p, v)` and on what
+    /// `env` binds those variables to; the table keeps each fragment with
+    /// the bindings it adds, and a hit merges them into `env`.
     fn embed_tabled(&mut self, p: PNodeId, v: NodeId, env: &VarEnv) -> Vec<(VarEnv, ResultTuple)> {
-        if let Some(hit) = self.fragments.get(&(p, v)) {
-            return hit.clone();
+        let vars = self.tables.tabled[p.index()]
+            .as_deref()
+            .expect("a tabled node");
+        let inherited = vars
+            .iter()
+            .map(|id| env.get(id).copied().unwrap_or(UNBOUND))
+            .collect();
+        let key = (p, v, inherited);
+        if let Some(hit) = self.fragments.get(&key) {
+            return with_bindings(env, hit);
         }
-        let got = self.embed(p, v, env);
-        self.fragments.insert((p, v), got.clone());
-        got
+        let mut added = self.embed(p, v, env);
+        for (e, _) in &mut added {
+            e.retain(|id, _| !env.contains_key(id));
+        }
+        let out = with_bindings(env, &added);
+        self.fragments.insert(key, added);
+        out
     }
+}
+
+/// A fragment table key: the pattern node, its image and the inherited
+/// symbol of each join variable in the node's subtree ([`UNBOUND`] for
+/// none), in the order `EnumTables::tabled` lists them.
+type FragmentKey = (PNodeId, NodeId, Vec<u32>);
+
+/// The inherited symbol of a join variable that `env` leaves unbound.
+const UNBOUND: u32 = u32::MAX;
+
+/// The fragments of `tabled`, each with its added bindings merged into
+/// `env`.
+fn with_bindings(env: &VarEnv, tabled: &[(VarEnv, ResultTuple)]) -> Vec<(VarEnv, ResultTuple)> {
+    tabled
+        .iter()
+        .map(|(added, frag)| {
+            let mut e = env.clone();
+            e.extend(added);
+            (e, frag.clone())
+        })
+        .collect()
 }
 
 fn dedup_pairs(v: &mut Vec<(VarEnv, ResultTuple)>) {
@@ -928,49 +975,89 @@ mod tests {
         assert!(r3.is_empty());
     }
 
-    /// `/a`, then `k` `//a` steps, then `//b`, on a 40-deep `<a>` chain
-    /// with `<b/>` at the bottom: every placement of the `//a` steps
-    /// embeds, so an enumeration that recomputes a step's fragments for
-    /// each placement of the steps above it does exponential work in `k`.
-    /// It runs on its own thread, so that a regression fails instead of
-    /// hanging.
-    #[test]
-    fn deep_chain_enumeration_stays_polynomial() {
+    /// Evaluates `/a`, then 20 `//a` steps, then `//b`, in every mode, on
+    /// a 40-deep `<a>` chain with `<b>` at the bottom: every placement of
+    /// the `//a` steps embeds, so an enumeration that recomputes a step's
+    /// fragments for each placement of the steps above it does
+    /// exponential work. With `join`, every `<a>` and the `<b>` hold
+    /// `<x>1</x>`, and the first and last steps join on it: `/a[x=$V]`
+    /// and `//b[x=$V] -> $V`. The evaluation runs on its own thread, so
+    /// that a regression fails instead of hanging; returns the number of
+    /// results.
+    fn deep_chain_results(join: bool) -> usize {
         use std::sync::mpsc;
         use std::time::Duration;
         let (done, wait) = mpsc::channel();
         let eval = std::thread::spawn(move || {
             let mut d = Document::with_root("a");
             let mut a = d.root();
-            for _ in 1..40 {
-                a = d.add_element(a, "a");
+            for level in 0..40 {
+                if join {
+                    let x = d.add_element(a, "x");
+                    d.add_text(x, "1");
+                }
+                a = if level < 39 {
+                    d.add_element(a, "a")
+                } else {
+                    d.add_element(a, "b")
+                };
             }
-            d.add_element(a, "b");
+            if join {
+                let x = d.add_element(a, "x");
+                d.add_text(x, "1");
+            }
             let k = 20;
-            let q = parse_query(&format!("/a{}//b", "//a".repeat(k))).unwrap();
+            let q = if join {
+                format!("/a[x=$V]{}//b[x=$V] -> $V", "//a".repeat(k))
+            } else {
+                format!("/a{}//b", "//a".repeat(k))
+            };
+            let q = parse_query(&q).unwrap();
             let _ = done.send(eval_all_modes(&q, &d).len());
         });
         let found = wait
             .recv_timeout(Duration::from_secs(60))
             .expect("the evaluation finishes within a minute");
         eval.join().unwrap();
-        assert_eq!(found, 1, "one `<b>`, whatever the placement");
+        found
     }
 
     #[test]
-    fn fragment_table_serves_only_join_free_nested_descendant_steps() {
+    fn deep_chain_enumeration_stays_polynomial() {
+        assert_eq!(
+            deep_chain_results(false),
+            1,
+            "one `<b>`, whatever the placement"
+        );
+    }
+
+    #[test]
+    fn deep_chain_enumeration_with_a_join_stays_polynomial() {
+        assert_eq!(deep_chain_results(true), 1, "one `<x>` value joins");
+    }
+
+    #[test]
+    fn fragment_table_serves_nested_descendant_steps() {
         let tabled = |q: &str| enum_tables(&parse_query(q).unwrap()).tabled;
         // no node's images nest above a `//` step: nothing is tabled
         assert!(tabled("/hotels/hotel/nearby//restaurant[name=$X] -> $X").is_empty());
         assert!(tabled("//restaurant[rating=\"*****\"]/name/$N -> $N").is_empty());
-        // a `//` step under a `//` step is
+        // a `//` step under a `//` step is, keyed by its image alone
         let q = parse_query("/a//a//b").unwrap();
         let t = enum_tables(&q).tabled;
         let b = q.result_nodes()[0];
-        assert!(t[b.index()]);
-        assert_eq!(t.iter().filter(|&&x| x).count(), 1);
-        // join variables make a fragment depend on the environment
-        assert!(tabled("/a//a[x=$V]//b[y=$V]").is_empty());
+        assert_eq!(t[b.index()].as_deref(), Some(&[][..]));
+        assert_eq!(t.iter().flatten().count(), 1);
+        // with join variables in its subtree, by their inherited bindings
+        // too
+        let q = parse_query("/a[z=$W]//a[x=$V]//b[y=$V][z=$W] -> $V").unwrap();
+        let t = enum_tables(&q).tabled;
+        let b = q
+            .node_ids()
+            .find(|&id| matches!(&q.node(id).label, PLabel::Const(l) if l.as_str() == "b"))
+            .unwrap();
+        assert_eq!(t[b.index()].as_deref(), Some(&[0, 1][..]));
+        assert_eq!(t.iter().flatten().count(), 1);
     }
 
     #[test]

@@ -282,6 +282,33 @@ fn nested_descendant_query(seed: u64) -> Pattern {
     p
 }
 
+/// [`nested_descendant_query`] with a join variable `$J`: one of its
+/// nodes below the root becomes `$J`, and one more `$J` hangs under one of
+/// its nodes by a child or a `//` edge. So a tabled `//` step's fragments
+/// depend on the binding it inherits from a step above it, or bind `$J`
+/// themselves.
+fn nested_descendant_query_with_join(seed: u64) -> Pattern {
+    let mut p = nested_descendant_query(seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+    let ids: Vec<PNodeId> = p
+        .node_ids()
+        .filter(|&id| !matches!(p.node(id).label, PLabel::Fun(_)))
+        .collect();
+    let bound = ids[rng.gen_range(1..ids.len())];
+    p.set_label(bound, PLabel::Var("J".into()));
+    let at = ids[rng.gen_range(0..ids.len())];
+    let edge = if rng.gen_bool(0.5) {
+        EdgeKind::Child
+    } else {
+        EdgeKind::Descendant
+    };
+    let j = p.add_child(at, edge, PLabel::Var("J".into()));
+    if rng.gen_bool(0.3) {
+        p.mark_result(j);
+    }
+    p
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -305,6 +332,21 @@ proptest! {
     ) {
         let doc = label_repeating_chain(dseed);
         let q = nested_descendant_query(qseed);
+        let fast: BTreeSet<ResultTuple> = eval(&q, &doc).tuples;
+        let slow = oracle(&q, &doc);
+        prop_assert_eq!(fast, slow, "dseed={} qseed={}", dseed, qseed);
+    }
+
+    /// The same with a join variable in every query, where a tabled
+    /// step's fragments depend on the bindings it inherits.
+    #[test]
+    fn evaluator_matches_brute_force_oracle_on_nested_descendant_steps_with_a_join(
+        dseed in 0u64..100_000,
+        qseed in 0u64..100_000,
+    ) {
+        let doc = label_repeating_chain(dseed);
+        let q = nested_descendant_query_with_join(qseed);
+        prop_assert!(!q.join_variables().is_empty());
         let fast: BTreeSet<ResultTuple> = eval(&q, &doc).tuples;
         let slow = oracle(&q, &doc);
         prop_assert_eq!(fast, slow, "dseed={} qseed={}", dseed, qseed);

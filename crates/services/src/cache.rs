@@ -14,7 +14,7 @@
 use crate::registry::InvokeOutcome;
 use crate::service::PushedQuery;
 use axml_query::{render, EdgeKind};
-use axml_xml::{to_xml, Forest};
+use axml_xml::{children_to_xml, to_xml, Document, Forest, NodeId};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -35,8 +35,23 @@ pub struct CallKey {
 impl CallKey {
     /// The key of a call to `service` with `params` (and `pushed`).
     pub fn new(service: &str, params: &Forest, pushed: Option<&PushedQuery>) -> Self {
+        CallKey::from_xml(service, to_xml(params), pushed)
+    }
+
+    /// The key of the call `node` of `doc` to `service`: [`CallKey::new`]
+    /// of its parameter forest, serialized where the parameters stand, so
+    /// a probe builds no forest.
+    pub fn for_call(
+        service: &str,
+        doc: &Document,
+        node: NodeId,
+        pushed: Option<&PushedQuery>,
+    ) -> Self {
+        CallKey::from_xml(service, children_to_xml(doc, node), pushed)
+    }
+
+    fn from_xml(service: &str, params_xml: String, pushed: Option<&PushedQuery>) -> Self {
         let service = service.to_string();
-        let params_xml = to_xml(params);
         let pushed = pushed.map(|pq| (render(&pq.pattern), pq.via == EdgeKind::Child));
         // `DefaultHasher::new()` starts from fixed keys: deterministic
         // within a build, which is all the cache's map needs

@@ -30,5 +30,7 @@ pub use fault::{BreakerConfig, BreakerState, FaultDecision, FaultProfile, RetryP
 pub use net::{Deadline, NetProfile, NetStats, SimClock};
 pub use push::{bindings_result, prune_result};
 pub use registry::{FailedCall, InvokeError, InvokeOutcome, Registry};
-pub use service::{CallRequest, FnService, PushedQuery, Service, StaticService, TableService};
+pub use service::{
+    CallRequest, FnService, PushedQuery, Reply, Service, StaticService, TableService,
+};
 pub use worldfile::{load_registry, load_registry_str, WorldFileError};

@@ -9,8 +9,8 @@ use crate::fault::{
 };
 use crate::net::{NetProfile, NetStats};
 use crate::push::prune_result;
-use crate::service::{CallRequest, PushedQuery, Service};
-use axml_xml::{forest_serialized_len, to_xml, Forest};
+use crate::service::{CallRequest, PushedQuery, Reply, Service};
+use axml_xml::{to_xml, Forest};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -59,9 +59,9 @@ impl fmt::Display for InvokeError {
 
 impl std::error::Error for InvokeError {}
 
-/// A provider's answer before accounting: the shared result forest, its
-/// wire size, whether a query was pushed, and the base cost.
-type Answer = (Arc<Forest>, usize, bool, f64);
+/// A provider's answer before accounting: its reply, whether a query was
+/// pushed, and the base cost.
+type Answer = (Reply, bool, f64);
 
 /// Everything the engine learns from one invocation.
 #[derive(Clone, Debug)]
@@ -191,21 +191,25 @@ impl Registry {
 
     /// Computes the provider's answer and its network cost without
     /// touching statistics: the (possibly pushed-query-reduced) result,
-    /// its wire size, whether a query was pushed, and the base cost.
+    /// its wire size, whether a query was pushed, and the base cost. A
+    /// plain call is priced by the size the reply carries; a pushed one
+    /// by the size of its pruned forest.
     fn answer(
         &self,
         service: &Arc<dyn Service>,
         req: &CallRequest,
         pushed: Option<&PushedQuery>,
     ) -> Answer {
-        let full = service.invoke(req);
-        let (result, was_pushed) = match pushed {
-            Some(pq) if service.supports_push() => (prune_result(&pq.pattern, &full, pq.via), true),
-            _ => (full, false),
+        let reply = service.invoke(req);
+        let (reply, was_pushed) = match pushed {
+            Some(pq) if service.supports_push() => (
+                Reply::new(prune_result(&pq.pattern, &reply.forest, pq.via)),
+                true,
+            ),
+            _ => (reply, false),
         };
-        let bytes = forest_serialized_len(&result);
-        let cost_ms = self.net_profile.cost_ms(bytes);
-        (Arc::new(result), bytes, was_pushed, cost_ms)
+        let cost_ms = self.net_profile.cost_ms(reply.bytes);
+        (reply, was_pushed, cost_ms)
     }
 
     /// The fault schedule governing calls to `name`, if any: an explicit
@@ -284,7 +288,7 @@ impl Registry {
             // fault-free: the single attempt either fits the budget or
             // burns the whole of it
             let answer = self.answer(service, &req, pushed);
-            if answer.3 <= budget_ms {
+            if answer.2 <= budget_ms {
                 return Ok(self.succeed(answer, 1.0, 0.0, 1));
             }
             self.stats
@@ -352,7 +356,7 @@ impl Registry {
                     let answer = answer
                         .get_or_insert_with(|| self.answer(service, &req, pushed))
                         .clone();
-                    if answer.3 * factor > attempt_timeout {
+                    if answer.2 * factor > attempt_timeout {
                         // the slowdown ran past the deadline
                         total_cost += attempt_timeout;
                         timed_out = true;
@@ -380,12 +384,13 @@ impl Registry {
         ))
     }
 
-    /// Records a successful call in the stats and builds its outcome. The last attempt transferred the `answer` (result,
-    /// bytes, pushed, base cost) at `factor` times the base cost, after
-    /// `earlier_ms` of failed attempts and backoff.
+    /// Records a successful call in the stats and builds its outcome. The
+    /// last attempt transferred the `answer` (reply, pushed, base cost) at
+    /// `factor` times the base cost, after `earlier_ms` of failed attempts
+    /// and backoff.
     fn succeed(
         &self,
-        (result, bytes, pushed, base_cost): Answer,
+        (Reply { forest, bytes }, pushed, base_cost): Answer,
         factor: f64,
         earlier_ms: f64,
         attempts: usize,
@@ -394,7 +399,7 @@ impl Registry {
         let cost_ms = earlier_ms + attempt_ms;
         self.stats.lock().unwrap().record(bytes, attempt_ms, pushed);
         InvokeOutcome {
-            result,
+            result: forest,
             bytes,
             cost_ms,
             pushed,
@@ -510,7 +515,7 @@ mod tests {
     use super::*;
     use crate::service::{PushedQuery, StaticService, TableService};
     use axml_query::{parse_query, EdgeKind};
-    use axml_xml::parse;
+    use axml_xml::{forest_serialized_len, parse};
 
     fn registry() -> Registry {
         let mut r = Registry::new();
@@ -570,9 +575,27 @@ mod tests {
             .unwrap();
         assert!(pushed.pushed);
         assert!(pushed.bytes < full.bytes);
+        // each call is priced by the forest it delivers: the stored
+        // answer's size for a plain call, the pruned forest's for a
+        // pushed one
+        assert_eq!(full.bytes, forest_serialized_len(&full.result));
+        assert_eq!(pushed.bytes, forest_serialized_len(&pushed.result));
+        assert_eq!(r.stats().bytes, full.bytes + pushed.bytes);
         assert!(axml_xml::to_xml(&pushed.result).contains("Jo"));
         assert!(!axml_xml::to_xml(&pushed.result).contains("Grease"));
         assert_eq!(r.stats().pushed_calls, 1);
+    }
+
+    #[test]
+    fn repeated_calls_share_the_stored_answer() {
+        let r = registry();
+        let call = || {
+            r.invoke_within("getNearbyRestos", Forest::new(), None, f64::INFINITY)
+                .unwrap()
+        };
+        let (a, b) = (call(), call());
+        assert!(Arc::ptr_eq(&a.result, &b.result), "no copy per call");
+        assert_eq!(a.bytes, forest_serialized_len(&a.result));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! in [`crate::registry::Registry`], which plays the provider's side.
 
 use axml_query::Pattern;
-use axml_xml::Forest;
+use axml_xml::{forest_serialized_len, Forest};
+use std::sync::Arc;
 
 /// A request to a service: the call's parameter subtrees.
 #[derive(Clone, Debug, Default)]
@@ -26,14 +27,37 @@ impl CallRequest {
     }
 }
 
+/// A service's answer: the result forest, shared, and its wire size.
+/// A service that stores its answers builds each reply once, so a call
+/// hands out the stored forest without copying or re-sizing it; the
+/// splice that puts it into the document is its one copy.
+#[derive(Clone, Debug)]
+pub struct Reply {
+    /// The result forest. It may itself contain function nodes
+    /// (intensional answers).
+    pub forest: Arc<Forest>,
+    /// `forest_serialized_len(&forest)`: the bytes the answer puts on the
+    /// wire.
+    pub bytes: usize,
+}
+
+impl Reply {
+    /// The reply carrying `forest`, sized once here.
+    pub fn new(forest: Forest) -> Self {
+        Reply {
+            bytes: forest_serialized_len(&forest),
+            forest: Arc::new(forest),
+        }
+    }
+}
+
 /// A Web service implementation.
 pub trait Service: Send + Sync {
     /// The service name, as used in `axml:call/@service`.
     fn name(&self) -> &str;
 
-    /// Computes the result forest for a request. The result may itself
-    /// contain function nodes (intensional answers).
-    fn invoke(&self, req: &CallRequest) -> Forest;
+    /// Computes the reply to a request.
+    fn invoke(&self, req: &CallRequest) -> Reply;
 
     /// Whether the provider can evaluate pushed queries (Section 7
     /// discusses verifying source capabilities, citing the mediator
@@ -46,7 +70,7 @@ pub trait Service: Send + Sync {
 /// A service returning a fixed forest, regardless of parameters.
 pub struct StaticService {
     name: String,
-    result: Forest,
+    reply: Reply,
 }
 
 impl StaticService {
@@ -54,7 +78,7 @@ impl StaticService {
     pub fn new(name: impl Into<String>, result: Forest) -> Self {
         StaticService {
             name: name.into(),
-            result,
+            reply: Reply::new(result),
         }
     }
 }
@@ -64,12 +88,13 @@ impl Service for StaticService {
         &self.name
     }
 
-    fn invoke(&self, _req: &CallRequest) -> Forest {
-        self.result.clone()
+    fn invoke(&self, _req: &CallRequest) -> Reply {
+        self.reply.clone()
     }
 }
 
-/// A service backed by a closure.
+/// A service backed by a closure. Each call sizes the forest the closure
+/// builds.
 pub struct FnService<F> {
     name: String,
     f: F,
@@ -96,8 +121,8 @@ where
         &self.name
     }
 
-    fn invoke(&self, req: &CallRequest) -> Forest {
-        (self.f)(req)
+    fn invoke(&self, req: &CallRequest) -> Reply {
+        Reply::new((self.f)(req))
     }
 }
 
@@ -105,7 +130,7 @@ where
 /// (e.g. `getNearbyRestos(address)`). Unknown keys yield an empty forest.
 pub struct TableService {
     name: String,
-    table: std::collections::HashMap<String, Forest>,
+    table: std::collections::HashMap<String, Reply>,
     push_capable: bool,
 }
 
@@ -121,7 +146,7 @@ impl TableService {
 
     /// Adds an entry.
     pub fn insert(&mut self, key: impl Into<String>, result: Forest) -> &mut Self {
-        self.table.insert(key.into(), result);
+        self.table.insert(key.into(), Reply::new(result));
         self
     }
 
@@ -147,10 +172,10 @@ impl Service for TableService {
         &self.name
     }
 
-    fn invoke(&self, req: &CallRequest) -> Forest {
+    fn invoke(&self, req: &CallRequest) -> Reply {
         match req.first_text().and_then(|k| self.table.get(k)) {
-            Some(f) => f.clone(),
-            None => Forest::new(),
+            Some(reply) => reply.clone(),
+            None => Reply::new(Forest::new()),
         }
     }
 
@@ -175,14 +200,20 @@ mod tests {
     use super::*;
     use axml_xml::parse;
 
+    /// Every reply carries its forest's serialized size.
+    fn assert_sized(reply: &Reply) {
+        assert_eq!(reply.bytes, forest_serialized_len(&reply.forest));
+    }
+
     #[test]
-    fn static_service_returns_clone() {
-        let f = parse("<a/>").unwrap();
+    fn static_service_returns_shared_reply() {
+        let f = parse("<a x=\"&amp;\">b &lt; c</a>").unwrap();
         let s = StaticService::new("s", f);
         let r1 = s.invoke(&CallRequest::default());
         let r2 = s.invoke(&CallRequest::default());
-        assert_eq!(axml_xml::to_xml(&r1), "<a/>");
-        assert_eq!(axml_xml::to_xml(&r2), "<a/>");
+        assert_eq!(axml_xml::to_xml(&r1.forest), "<a x=\"&amp;\">b &lt; c</a>");
+        assert!(Arc::ptr_eq(&r1.forest, &r2.forest), "one stored answer");
+        assert_sized(&r1);
     }
 
     #[test]
@@ -196,7 +227,8 @@ mod tests {
         let mut params = Forest::new();
         params.add_root_text("hello");
         let out = s.invoke(&CallRequest { params });
-        assert_eq!(axml_xml::to_xml(&out), "<echo>hello</echo>");
+        assert_eq!(axml_xml::to_xml(&out.forest), "<echo>hello</echo>");
+        assert_sized(&out);
     }
 
     #[test]
@@ -204,17 +236,23 @@ mod tests {
         let mut t = TableService::new("getNearbyRestos");
         t.insert(
             "2nd Av",
-            parse("<restaurant><name>Jo</name></restaurant>").unwrap(),
+            parse("<restaurant><name>Jo</name><axml:call service=\"f\">k</axml:call></restaurant>")
+                .unwrap(),
         );
         let mut params = Forest::new();
         params.add_root_text("2nd Av");
-        let out = t.invoke(&CallRequest { params });
-        assert_eq!(out.roots().len(), 1);
+        let req = CallRequest { params };
+        let out = t.invoke(&req);
+        assert_eq!(out.forest.roots().len(), 1);
+        assert_sized(&out);
+        // one key's stored answer is handed out, not copied
+        assert!(Arc::ptr_eq(&out.forest, &t.invoke(&req).forest));
         // unknown key → empty forest
         let mut params = Forest::new();
         params.add_root_text("nowhere");
         let out = t.invoke(&CallRequest { params });
-        assert!(out.roots().is_empty());
+        assert!(out.forest.roots().is_empty());
+        assert_eq!(out.bytes, 0);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! `<default>` answers unknown keys.
 
 use crate::registry::Registry;
-use crate::service::{CallRequest, Service};
+use crate::service::{CallRequest, Reply, Service};
 use axml_xml::{Document, Forest, NodeId};
 use std::collections::HashMap;
 use std::fmt;
@@ -49,11 +49,12 @@ fn err(message: impl Into<String>) -> WorldFileError {
     }
 }
 
-/// A table/static service loaded from a world file.
+/// A table/static service loaded from a world file. Its replies are built
+/// when the file is loaded.
 struct WorldService {
     name: String,
-    entries: HashMap<String, Forest>,
-    default: Option<Forest>,
+    entries: HashMap<String, Reply>,
+    default: Option<Reply>,
     push: bool,
 }
 
@@ -62,15 +63,13 @@ impl Service for WorldService {
         &self.name
     }
 
-    fn invoke(&self, req: &CallRequest) -> Forest {
-        if let Some(key) = req.first_text() {
-            if let Some(f) = self.entries.get(key) {
-                return f.clone();
-            }
+    fn invoke(&self, req: &CallRequest) -> Reply {
+        if let Some(reply) = req.first_text().and_then(|key| self.entries.get(key)) {
+            return reply.clone();
         }
         match &self.default {
-            Some(f) => f.clone(),
-            None => Forest::new(),
+            Some(reply) => reply.clone(),
+            None => Reply::new(Forest::new()),
         }
     }
 
@@ -138,9 +137,9 @@ pub fn load_registry(doc: &Document) -> Result<Registry, WorldFileError> {
                 "entry" => {
                     let key = attr_of(doc, child, "key")
                         .ok_or_else(|| err("<entry> without key attribute"))?;
-                    entries.insert(key, result_forest(doc, child)?);
+                    entries.insert(key, Reply::new(result_forest(doc, child)?));
                 }
-                "default" => default = Some(result_forest(doc, child)?),
+                "default" => default = Some(Reply::new(result_forest(doc, child)?)),
                 "result" => static_result = Some(forest_of(doc, child)),
                 l if l.starts_with('@') => {}
                 other => return Err(err(format!("unexpected <{other}> under <service>"))),
@@ -148,7 +147,7 @@ pub fn load_registry(doc: &Document) -> Result<Registry, WorldFileError> {
         }
         if entries.is_empty() && default.is_none() {
             // static service: the bare <result> is the answer to every call
-            default = static_result;
+            default = static_result.map(Reply::new);
         }
         registry.register(WorldService {
             name,
@@ -178,6 +177,7 @@ pub fn load_registry_str(xml: &str) -> Result<Registry, WorldFileError> {
 mod tests {
     use super::*;
     use axml_xml::to_xml;
+    use std::sync::Arc;
 
     const WORLD: &str = r#"
       <world>
@@ -219,6 +219,22 @@ mod tests {
             .invoke_within("getHotels", Forest::new(), None, f64::INFINITY)
             .unwrap();
         assert_eq!(out.result.roots().len(), 2);
+    }
+
+    #[test]
+    fn replies_are_sized_and_shared() {
+        let r = load_registry_str(WORLD).unwrap();
+        for (service, key) in [("getRating", "a"), ("getRating", "zz"), ("getHotels", "")] {
+            let call = || {
+                let mut params = Forest::new();
+                params.add_root_text(key);
+                r.invoke_within(service, params, None, f64::INFINITY)
+                    .unwrap()
+            };
+            let (a, b) = (call(), call());
+            assert_eq!(a.bytes, axml_xml::forest_serialized_len(&a.result));
+            assert!(Arc::ptr_eq(&a.result, &b.result), "{service}({key})");
+        }
     }
 
     #[test]

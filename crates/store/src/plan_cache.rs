@@ -17,7 +17,8 @@
 //! [`EventKind::PlanCacheProbe`] events into the cache's own sink — never
 //! into an engine's query span, which must not change with cache state.
 //! An event names its plan by [`plan_fingerprint`], which the cache
-//! computes on the miss that compiles the plan and keeps beside it.
+//! renders only for a probe it emits, and keeps beside the plan once
+//! rendered: with no sink attached a fetch renders nothing.
 
 use axml_core::{plan_fingerprint, plan_hash, CompiledQuery, EngineConfig};
 use axml_obs::{Event, EventKind, TraceSink};
@@ -86,8 +87,9 @@ impl PlanCacheStats {
 
 struct PlanEntry {
     plan: Arc<CompiledQuery>,
-    /// The plan's [`plan_fingerprint`], the name its probe events carry.
-    fingerprint: String,
+    /// The plan's [`plan_fingerprint`], the name its probe events carry;
+    /// `None` until a probe of the plan is emitted.
+    fingerprint: Option<String>,
     last_used: u64,
 }
 
@@ -207,14 +209,23 @@ impl PlanCache {
         {
             entry.last_used = inner.tick;
             inner.stats.hits += 1;
-            self.emit(&mut inner.seq, query, &entry.fingerprint, true);
+            self.emit(&mut inner.seq, query, true, || {
+                entry
+                    .fingerprint
+                    .get_or_insert_with(|| plan_fingerprint(query, schema, config))
+                    .clone()
+            });
             return Arc::clone(&entry.plan);
         }
         inner.stats.misses += 1;
         inner.stats.compiles += 1;
         let plan = Arc::new(CompiledQuery::compile(query, schema, config));
-        let fingerprint = plan_fingerprint(query, schema, config);
-        self.emit(&mut inner.seq, query, &fingerprint, false);
+        let mut fingerprint = None;
+        self.emit(&mut inner.seq, query, false, || {
+            fingerprint
+                .insert(plan_fingerprint(query, schema, config))
+                .clone()
+        });
         if self.config.capacity > 0 {
             // replaces an incompatible resident plan on a collision
             inner.map.insert(
@@ -230,7 +241,9 @@ impl PlanCache {
         plan
     }
 
-    fn emit(&self, seq: &mut u64, query: &Pattern, key: &str, hit: bool) {
+    /// Emits a probe event when a sink is attached; `key` renders the
+    /// plan's fingerprint and is called only then.
+    fn emit(&self, seq: &mut u64, query: &Pattern, hit: bool, key: impl FnOnce() -> String) {
         let sink = self.sink.lock().unwrap().clone();
         if let Some(sink) = sink {
             sink.emit(&Event {
@@ -241,7 +254,7 @@ impl PlanCache {
                 cpu_ms: None,
                 kind: EventKind::PlanCacheProbe {
                     query: render(query),
-                    key: key.to_string(),
+                    key: key(),
                     hit,
                 },
             });
@@ -381,6 +394,27 @@ mod tests {
                 (typed, true)
             ]
         );
+    }
+
+    #[test]
+    fn a_sink_attached_after_the_miss_sees_the_fingerprint_on_the_hit() {
+        let cache = PlanCache::default();
+        let config = EngineConfig::default();
+        cache.fetch(&q(1), None, &config);
+        let sink = Arc::new(RingSink::unbounded());
+        cache.set_sink(Arc::clone(&sink) as Arc<dyn TraceSink>);
+        cache.fetch(&q(1), None, &config);
+        cache.fetch(&q(1), None, &config);
+        let keys: Vec<(String, bool)> = sink
+            .events()
+            .into_iter()
+            .map(|e| match e.kind {
+                EventKind::PlanCacheProbe { key, hit, .. } => (key, hit),
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        let fingerprint = axml_core::plan_fingerprint(&q(1), None, &config);
+        assert_eq!(keys, vec![(fingerprint.clone(), true), (fingerprint, true)]);
     }
 
     #[test]

@@ -49,7 +49,8 @@ pub mod wire;
 pub use label::Label;
 pub use parse::{parse, ParseError, MAX_DEPTH};
 pub use serialize::{
-    forest_serialized_len, serialized_len, subtree_to_xml, to_xml, to_xml_with, SerializeOptions,
+    children_to_xml, forest_serialized_len, serialized_len, subtree_to_xml, to_xml, to_xml_with,
+    SerializeOptions,
 };
 pub use snapshot::{
     CatchUp, DocSnapshot, Publication, PublicationRecord, PublicationTap, VersionedDocument,

@@ -48,6 +48,17 @@ pub fn subtree_to_xml(doc: &Document, node: NodeId) -> String {
     out
 }
 
+/// Serializes the children of `node` compactly: the bytes [`to_xml`]
+/// writes for `doc.children_to_forest(node)`, without building that
+/// forest.
+pub fn children_to_xml(doc: &Document, node: NodeId) -> String {
+    let mut out = String::new();
+    for &c in doc.children(node) {
+        let _ = write_node(doc, c, &mut out, false);
+    }
+    out
+}
+
 /// Byte size of the serialized subtree — the paper's unit for data-transfer
 /// accounting when results move across the (simulated) network. Runs the
 /// compact serializer into a counter, so no string is built.
@@ -259,6 +270,19 @@ mod tests {
         f.add_root("b");
         assert_eq!(to_xml(&f), "<a/><b/>");
         assert_eq!(forest_serialized_len(&f), 8);
+    }
+
+    #[test]
+    fn children_serialize_in_place_as_their_forest() {
+        let d = crate::parse(
+            "<r><axml:call service=\"f\"><k a=\"&quot;\">x &amp; y</k>t<axml:call service=\"g\"/></axml:call></r>",
+        )
+        .unwrap();
+        let call = d.children(d.root())[0];
+        assert_eq!(
+            children_to_xml(&d, call),
+            to_xml(&d.children_to_forest(call))
+        );
     }
 
     #[test]

@@ -297,11 +297,13 @@ pub struct Document {
     free: Vec<u32>,
     next_call: u64,
     symtab: Arc<SymTab>,
-    /// Label→node index: interned symbol → live nodes carrying that label,
-    /// in arbitrary order (removal is `swap_remove`). Maintained by every
-    /// mutator, including [`Document::splice_call`]. Buckets are shared
-    /// between clones until written.
-    buckets: std::collections::HashMap<u32, Arc<Vec<NodeId>>>,
+    /// Label→node index, indexed by interned symbol: the live nodes
+    /// carrying that label, in arbitrary order (removal is `swap_remove`).
+    /// Symbols are dense, so a slot is found without hashing; a symbol no
+    /// live node has carried yet has no bucket. Maintained by every mutator,
+    /// including [`Document::splice_call`]. Buckets are shared between
+    /// clones until written.
+    buckets: Vec<Option<Arc<Vec<NodeId>>>>,
     /// Each live node's position inside its label bucket, for O(1) removal.
     bucket_pos: SlotTable,
     /// All live function-call nodes, in arbitrary order.
@@ -482,7 +484,11 @@ impl Document {
             page.nodes.push(node);
             NodeId(slot)
         };
-        let bucket = Arc::make_mut(self.buckets.entry(sym).or_default());
+        let at = sym as usize;
+        if at >= self.buckets.len() {
+            self.buckets.resize(at + 1, None);
+        }
+        let bucket = Arc::make_mut(self.buckets[at].get_or_insert_with(Default::default));
         bucket.push(id);
         self.bucket_pos.set(id.index(), (bucket.len() - 1) as u32);
         if let NodeKind::Call(_) = kind {
@@ -516,8 +522,8 @@ impl Document {
         let (sym, class, is_call) = (n.sym, n.class, matches!(n.kind, NodeKind::Call(_)));
         let pos = self.bucket_pos.get(id.index()) as usize;
         let bucket = Arc::make_mut(
-            self.buckets
-                .get_mut(&sym)
+            self.buckets[sym as usize]
+                .as_mut()
                 .expect("freed node missing from its label bucket"),
         );
         bucket.swap_remove(pos);
@@ -782,7 +788,10 @@ impl Document {
     /// **arbitrary** order (the index uses `swap_remove` on deletion).
     /// Returns an empty slice for unknown symbols.
     pub fn nodes_with_sym(&self, sym: u32) -> &[NodeId] {
-        self.buckets.get(&sym).map(|b| b.as_slice()).unwrap_or(&[])
+        self.buckets
+            .get(sym as usize)
+            .and_then(Option::as_deref)
+            .map_or(&[], Vec::as_slice)
     }
 
     /// All live function-call nodes, in **arbitrary** order. An O(1)
@@ -1183,27 +1192,40 @@ impl Document {
         // label→node index: every live node sits in exactly the bucket of
         // its symbol at the position its side page records, and buckets
         // hold only live nodes of the right symbol
-        let bucket_total: usize = self.buckets.values().map(|b| b.len()).sum();
+        let buckets = || {
+            self.buckets
+                .iter()
+                .enumerate()
+                .filter_map(|(sym, b)| Some((sym as u32, b.as_deref()?)))
+        };
+        let bucket_total: usize = buckets().map(|(_, b)| b.len()).sum();
         if bucket_total != self.len() {
             return Err(format!(
                 "label index holds {bucket_total} entries but {} nodes are live",
                 self.len()
             ));
         }
-        for (sym, bucket) in &self.buckets {
+        if self.buckets.len() > self.symtab.labels.len() {
+            return Err(format!(
+                "label index has {} slots but {} symbols are interned",
+                self.buckets.len(),
+                self.symtab.labels.len()
+            ));
+        }
+        for (sym, bucket) in buckets() {
             for (pos, &id) in bucket.iter().enumerate() {
                 let n = self.node_raw(id.index());
                 if !n.alive {
                     return Err(format!("freed {id:?} still in bucket {sym}"));
                 }
-                if n.sym != *sym {
+                if n.sym != sym {
                     return Err(format!("{id:?} in bucket {sym} but has sym {}", n.sym));
                 }
                 let recorded = self.bucket_pos.get(id.index());
                 if recorded as usize != pos {
                     return Err(format!("{id:?} bucket position {recorded} != {pos}"));
                 }
-                if self.symtab.lookup(self.label(id)) != Some(*sym) {
+                if self.symtab.lookup(self.label(id)) != Some(sym) {
                     return Err(format!("{id:?} label not interned as {sym}"));
                 }
             }
