@@ -239,7 +239,7 @@ fn main() {
         let mut rows = ex::e18_recovery(&[200, 1000, 4000], 2);
         let title = "E18 — durability: crash-recovery time vs write-ahead log length";
         show("e18-recovery", title, "records", &rows);
-        let serve = ex::e18_wal_overhead(8, 4, 3);
+        let serve = ex::e18_wal_overhead(8, 4, 10);
         let title = "E18 — durability: WAL overhead on persistent multi-tenant serving";
         show("e18-serve", title, "sessions", &serve);
         rows.extend(serve);

@@ -668,7 +668,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                 // the sets the laziness oracle replays
                 self.emit(EventKind::Candidates {
                     calls: cands.iter().map(|c| c.call.0).collect(),
-                    services: cands.iter().map(|c| c.service.clone()).collect(),
+                    services: cands.iter().map(|c| c.service.to_string()).collect(),
                 });
             }
             let mode = choose(self);
@@ -703,7 +703,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
         while let Some(n) = stack.pop() {
             if let Some((id, svc)) = doc.call_info(n) {
                 if !self.dead.contains(&id) {
-                    out.push(Candidate::new(n, id, svc.to_string()));
+                    out.push(Candidate::new(n, id, svc.clone()));
                 }
                 continue;
             }
@@ -746,8 +746,8 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                 );
                 for (node, id) in found {
                     if !run.dead.contains(&id) && seen.insert(id) {
-                        // a call node's label is its service name
-                        cands.push(Candidate::new(node, id, doc.label(node).into()));
+                        let (_, service) = doc.call_info(node).expect("an extent holds calls");
+                        cands.push(Candidate::new(node, id, service.clone()));
                     }
                 }
             }
@@ -915,9 +915,8 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                 }
                 by_call
                     .entry(id)
-                    .or_insert_with(|| Candidate::new(node, id, svc.to_string()))
-                    .foci
-                    .insert(nfq.focus);
+                    .or_insert_with(|| Candidate::new(node, id, svc.clone()))
+                    .claim(nfq.focus);
             }
         }
         self.refined = refined;
@@ -931,7 +930,10 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                 // needs. The check must range over ALL NFQs — with
                 // layering, a later layer's NFQ may also retrieve this
                 // call even though only the current layer evaluated it.
-                if cand.foci.len() != 1 || !self.engine.registry.supports_push(&cand.service) {
+                let Some(focus) = cand.sole_focus() else {
+                    continue;
+                };
+                if !self.engine.registry.supports_push(cand.service.as_str()) {
                     continue;
                 }
                 // every retrieved call is visible, so it has a class
@@ -945,7 +947,6 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
                     .filter_map(|(at, n)| at.accepts(doc, class).then_some(n.focus))
                     .collect();
                 if positional_foci.len() == 1 {
-                    let &focus = cand.foci.iter().next().unwrap();
                     let via = if self.query.parent(focus).is_none() {
                         EdgeKind::Child
                     } else {

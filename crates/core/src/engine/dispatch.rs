@@ -40,28 +40,45 @@ use axml_query::PNodeId;
 use axml_services::{
     CacheLookup, CallKey, FailedCall, InvokeError, InvokeOutcome, PushedQuery, Registry,
 };
-use axml_xml::{CallId, Document, Forest, NodeId};
-use std::collections::BTreeSet;
+use axml_xml::{CallId, Document, Forest, Label, NodeId};
 
 /// One invocation candidate.
 #[derive(Clone, Debug)]
 pub(super) struct Candidate {
     pub(super) node: NodeId,
     pub(super) call: CallId,
-    pub(super) service: String,
-    /// the query nodes whose NFQs retrieved it (empty for LPQ/naive)
-    pub(super) foci: BTreeSet<PNodeId>,
+    /// The call's service name, shared with the document's symbol table.
+    pub(super) service: Label,
+    /// The first query node whose NFQ retrieved it (`None` for LPQ and
+    /// naive candidates).
+    focus: Option<PNodeId>,
+    /// Whether another query node's NFQ retrieved it too.
+    shared: bool,
 }
 
 impl Candidate {
     /// A candidate no NFQ focus has claimed yet.
-    pub(super) fn new(node: NodeId, call: CallId, service: String) -> Self {
+    pub(super) fn new(node: NodeId, call: CallId, service: Label) -> Self {
         Candidate {
             node,
             call,
             service,
-            foci: BTreeSet::new(),
+            focus: None,
+            shared: false,
         }
+    }
+
+    /// Records that the NFQ of query node `focus` retrieved the call.
+    pub(super) fn claim(&mut self, focus: PNodeId) {
+        match self.focus {
+            None => self.focus = Some(focus),
+            Some(first) => self.shared |= first != focus,
+        }
+    }
+
+    /// The query node whose NFQ retrieved the call, when exactly one did.
+    pub(super) fn sole_focus(&self) -> Option<PNodeId> {
+        self.focus.filter(|_| !self.shared)
     }
 }
 
@@ -335,7 +352,7 @@ impl Run<'_, '_, '_> {
         let registry = self.engine.registry;
         let triggers: Vec<f64> = admitted
             .iter()
-            .map(|a| hedge_cfg.trigger_ms(registry.latency_ewma(&a.cand.service)))
+            .map(|a| hedge_cfg.trigger_ms(registry.latency_ewma(a.cand.service.as_str())))
             .collect();
         // phase 2: dispatch the whole batch before any result is applied
         let results: Vec<_> = admitted
@@ -345,7 +362,7 @@ impl Run<'_, '_, '_> {
             .map(|((a, params), trigger)| {
                 dispatch_hedged(
                     registry,
-                    &a.cand.service,
+                    a.cand.service.as_str(),
                     params,
                     pushes.get(&a.cand.call),
                     remaining,
@@ -367,7 +384,7 @@ impl Run<'_, '_, '_> {
                 self.stats.hedge_wasted_ms += leg.wasted_ms;
                 if self.observing() {
                     self.emit(EventKind::Hedge {
-                        service: c.service.clone(),
+                        service: c.service.to_string(),
                         call: c.call.0,
                         fired_at_ms: leg.fired_at_ms,
                         primary_cost_ms: leg.primary_cost_ms,
@@ -408,10 +425,10 @@ impl Run<'_, '_, '_> {
         };
         let (params, admitted) = self.prepare(doc, cand, key)?;
         let remaining = self.deadline.remaining_ms(self.clock.now_ms());
-        let res = self
-            .engine
-            .registry
-            .invoke_within(&cand.service, params, pushed, remaining);
+        let res =
+            self.engine
+                .registry
+                .invoke_within(cand.service.as_str(), params, pushed, remaining);
         self.settle(doc, admitted, res)
     }
 
@@ -432,7 +449,7 @@ impl Run<'_, '_, '_> {
         if !holds_call(doc, cand.node, cand.call) {
             return Probe::Miss(None);
         }
-        let key = CallKey::for_call(&cand.service, doc, cand.node, pushed);
+        let key = CallKey::for_call(cand.service.as_str(), doc, cand.node, pushed);
         let lookup = cache.lookup(&key, self.clock.now_ms());
         let (outcome, hit) = match lookup {
             CacheLookup::Hit(hit) => (CacheOutcome::Hit, Some(hit)),
@@ -447,7 +464,7 @@ impl Run<'_, '_, '_> {
         };
         if self.observing() {
             self.emit(EventKind::CacheProbe {
-                service: cand.service.clone(),
+                service: cand.service.to_string(),
                 call: cand.call.0,
                 outcome,
             });
@@ -497,11 +514,11 @@ impl Run<'_, '_, '_> {
         if !holds_call(doc, cand.node, cand.call) {
             return None;
         }
-        if !self.engine.registry.has_service(&cand.service) {
+        if !self.engine.registry.has_service(cand.service.as_str()) {
             self.skip_unknown(cand);
             return None;
         }
-        if let Some(reason) = self.shed_reason(&cand.service) {
+        if let Some(reason) = self.shed_reason(cand.service.as_str()) {
             // the admission gate refuses the dispatch before the breaker
             // even sees it; like a breaker skip, the call is marked
             // exhausted so the answer degrades to a sound partial result
@@ -510,7 +527,7 @@ impl Run<'_, '_, '_> {
             self.stats.shed_skips += 1;
             if self.observing() {
                 self.emit(EventKind::Shed {
-                    service: cand.service.clone(),
+                    service: cand.service.to_string(),
                     call: cand.call.0,
                     reason,
                 });
@@ -520,7 +537,7 @@ impl Run<'_, '_, '_> {
         if !self
             .engine
             .registry
-            .breaker_allows(&cand.service, self.clock.now_ms())
+            .breaker_allows(cand.service.as_str(), self.clock.now_ms())
         {
             // an open circuit breaker refuses the dispatch outright; the
             // call is marked exhausted so the rewriting can terminate with
@@ -530,7 +547,7 @@ impl Run<'_, '_, '_> {
             self.engine.registry.record_breaker_skip();
             if self.observing() {
                 self.emit(EventKind::BreakerSkip {
-                    service: cand.service.clone(),
+                    service: cand.service.to_string(),
                     call: cand.call.0,
                 });
             }
@@ -539,7 +556,10 @@ impl Run<'_, '_, '_> {
         let params = doc.children_to_forest(cand.node);
         let parent_path = parent_labels(doc, cand.node);
         self.budget -= 1;
-        *self.batch_admitted.entry(cand.service.clone()).or_default() += 1;
+        *self
+            .batch_admitted
+            .entry(cand.service.to_string())
+            .or_default() += 1;
         Some((
             params,
             Admitted {
@@ -557,7 +577,7 @@ impl Run<'_, '_, '_> {
         self.stats.skipped_unknown += 1;
         if self.observing() {
             self.emit(EventKind::UnknownService {
-                service: cand.service.clone(),
+                service: cand.service.to_string(),
                 call: cand.call.0,
             });
         }
@@ -628,7 +648,7 @@ impl Run<'_, '_, '_> {
     ) -> f64 {
         if self.config().enforce_output_types && !outcome.pushed {
             if let Some(schema) = self.engine.schema {
-                if let Some(sig) = schema.function(&cand.service) {
+                if let Some(sig) = schema.function(cand.service.as_str()) {
                     let root_ok = axml_schema::forest_matches_type(&outcome.result, &sig.output);
                     let content_errors = axml_schema::validate(&outcome.result, schema)
                         .into_iter()
@@ -653,12 +673,12 @@ impl Run<'_, '_, '_> {
         *self
             .stats
             .invoked_by_service
-            .entry(cand.service.clone())
+            .entry(cand.service.to_string())
             .or_default() += 1;
         self.engine
             .registry
-            .latency_observe(&cand.service, outcome.cost_ms);
-        self.record_breaker(&cand.service, true);
+            .latency_observe(cand.service.as_str(), outcome.cost_ms);
+        self.record_breaker(cand.service.as_str(), true);
         outcome.cost_ms
     }
 
@@ -689,8 +709,8 @@ impl Run<'_, '_, '_> {
         self.emit_resolved(cand, &parent_path, Resolved::Failed(&failed));
         self.engine
             .registry
-            .latency_observe(&cand.service, failed.cost_ms);
-        self.record_breaker(&cand.service, false);
+            .latency_observe(cand.service.as_str(), failed.cost_ms);
+        self.record_breaker(cand.service.as_str(), false);
         failed.cost_ms
     }
 
@@ -709,14 +729,14 @@ impl Run<'_, '_, '_> {
         };
         for index in 0..attempts {
             self.emit(EventKind::Attempt {
-                service: cand.service.clone(),
+                service: cand.service.to_string(),
                 call: cand.call.0,
                 index,
                 ok: ok && index + 1 == attempts,
             });
         }
         self.emit(EventKind::Invocation {
-            service: cand.service.clone(),
+            service: cand.service.to_string(),
             call: cand.call.0,
             path: parent_path.join("/"),
             pushed,

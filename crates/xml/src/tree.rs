@@ -9,20 +9,40 @@
 //!
 //! A node names its label — element name, data value or service name — by
 //! an interned symbol only; the text lives once, in the document's symbol
-//! table. [`NodeKind`] therefore carries no label, and a node slot holds
-//! only integers and one shared child list.
+//! table. [`NodeKind`] therefore carries no label, and a node slot (56
+//! bytes) holds only integers and a window into a shared child list: its
+//! children are `child_len` ids from `child_off` on. A node built child by
+//! child owns its list; the inner nodes of a spliced result all share the
+//! one list the splice allocated. A node appends in place only to a list
+//! no other node holds, and copies it otherwise, so writing one node's
+//! children never shows in another's.
 //!
 //! Storage is paged and copy-on-write: nodes live in fixed-size pages held
 //! behind [`Arc`]s, and the symbol table and label index share structure the
 //! same way. `Document::clone` therefore copies only page *pointers* — O(n /
 //! PAGE_SIZE) — and a clone that mutates pays for exactly the pages it
 //! touches. Copying a page copies each node's kind, parent and symbol and
-//! bumps the count of its child buffer, which stays shared until one side
-//! writes it. The label-index back-pointers live in side pages of `u32`s,
-//! so the swap-removes that keep the index dense never copy a page of
-//! nodes. This is what makes per-query snapshots and the multi-session
-//! serving layer (see `axml-store`) affordable: N concurrent sessions
-//! snapshot one shared document and each works on a logically private copy.
+//! bumps the count of its child list, which stays shared until one side
+//! writes it. A label bucket holding one node keeps its id inline; larger
+//! buckets are shared vectors. The label-index back-pointers live in side
+//! pages of `u32`s, so the swap-removes that keep the index dense never
+//! copy a page of nodes. This is what makes per-query snapshots and the
+//! multi-session serving layer (see `axml-store`) affordable: N concurrent
+//! sessions snapshot one shared document and each works on a logically
+//! private copy.
+//!
+//! Splicing reads the result forest through its *splice plan*, computed at
+//! the forest's first splice and dropped by any change to it: the forest's
+//! pre-order and its distinct labels in order of first use. Most forests —
+//! parsed, wire-decoded or built top-down — keep their slots in pre-order,
+//! and their plan stores no order at all. A splice then maps each label
+//! once, allocates the nodes in pre-order and fills one child list, so a
+//! stored reply spliced again walks no tree and allocates no buffer per
+//! node. Each plan label keeps, as a hint, the symbol it got in the last
+//! document it was spliced into; a splice uses the hint only when its own
+//! symbol table holds that label under it, and interns the label otherwise.
+//! The result is exactly the per-node copy's: the same node ids, call ids,
+//! symbols, classes and label-bucket order.
 //!
 //! The document also owns its call index, the function-call guide (F-guide)
 //! of the paper's Section 6.2. A call's *class* is the interned label path
@@ -39,18 +59,28 @@
 
 use crate::label::Label;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Nodes per storage page (a power of two so id→page is a shift/mask).
 const PAGE_BITS: usize = 6;
 const PAGE_SIZE: usize = 1 << PAGE_BITS;
 const PAGE_MASK: usize = PAGE_SIZE - 1;
 
-/// A forest symbol a splice has not mapped into the document yet.
+/// A plan label's hint before its first splice, and a forest symbol a
+/// splice has not mapped.
 const UNMAPPED: u32 = u32::MAX;
 
-/// Fills the unused tail of a child buffer.
-const NO_CHILD: NodeId = NodeId(u32::MAX);
+/// Fills the unused tail of a child list, and a table before it is
+/// written.
+const NO_NODE: NodeId = NodeId(u32::MAX);
+
+/// The parent slot of a root (and of a freed slot).
+const NO_PARENT: u32 = u32::MAX;
+
+/// Forests with at most this many nodes and symbols are spliced with
+/// scratch tables on the stack.
+const SMALL_FOREST: usize = 64;
 
 /// The class of a data node, and of a call hidden in another call's
 /// parameters.
@@ -112,19 +142,246 @@ impl NodeKind {
 #[derive(Clone, Debug)]
 struct Node {
     kind: NodeKind,
-    /// The node's child ids in document order are the first `child_len`
-    /// entries of this buffer (`None` until the first child). The buffer
-    /// is shared with the copies a page clone makes until one side writes
-    /// it, and reading it is one indirection, as with a `Vec`.
+    /// The list holding the node's child ids in document order: `child_len`
+    /// entries from `child_off` on (`None` until the first child). The
+    /// inner nodes of a spliced result share one list, and a page clone
+    /// shares it with its copies; a node writes it in place only while it
+    /// is the list's one holder. Reading it is one indirection, as with a
+    /// `Vec`.
     children: Option<Arc<[NodeId]>>,
-    parent: Option<NodeId>,
+    /// The parent's slot, or [`NO_PARENT`].
+    parent: u32,
     /// Interned symbol of the node's label (element name, text value or
     /// service name) in the document's symbol table.
     sym: u32,
+    child_off: u32,
     child_len: u32,
     /// A visible call's class in the call index; [`NO_CLASS`] otherwise.
     class: u32,
     alive: bool,
+}
+
+impl Node {
+    /// A live node without children, and without a class yet.
+    fn new(kind: NodeKind, sym: u32, parent: Option<NodeId>) -> Self {
+        Node {
+            kind,
+            children: None,
+            parent: parent.map_or(NO_PARENT, |p| p.0),
+            sym,
+            child_off: 0,
+            child_len: 0,
+            class: NO_CLASS,
+            alive: true,
+        }
+    }
+
+    fn parent(&self) -> Option<NodeId> {
+        (self.parent != NO_PARENT).then_some(NodeId(self.parent))
+    }
+
+    fn children(&self) -> &[NodeId] {
+        let at = self.child_off as usize;
+        self.children
+            .as_deref()
+            .map_or(&[], |list| &list[at..at + self.child_len as usize])
+    }
+}
+
+/// The live nodes carrying one symbol, in arbitrary order. Most symbols
+/// are text values that label one node, so a bucket of one keeps the id
+/// inline and allocates nothing; two or more share a vector between clones
+/// until one side writes it.
+#[derive(Clone, Debug, Default)]
+enum Bucket {
+    #[default]
+    Empty,
+    One(NodeId),
+    Many(Arc<Vec<NodeId>>),
+}
+
+impl Bucket {
+    fn as_slice(&self) -> &[NodeId] {
+        match self {
+            Bucket::Empty => &[],
+            Bucket::One(id) => std::slice::from_ref(id),
+            Bucket::Many(ids) => ids,
+        }
+    }
+
+    /// Appends `ids` and returns the position of the first.
+    fn extend(&mut self, mut ids: impl ExactSizeIterator<Item = NodeId>) -> usize {
+        let start = self.as_slice().len();
+        match self {
+            _ if ids.len() == 0 => {}
+            Bucket::Many(list) => Arc::make_mut(list).extend(ids),
+            Bucket::Empty if ids.len() == 1 => *self = Bucket::One(ids.next().expect("one id")),
+            _ => {
+                let mut list = Vec::with_capacity(start + ids.len());
+                list.extend_from_slice(self.as_slice());
+                list.extend(ids);
+                *self = Bucket::Many(Arc::new(list));
+            }
+        }
+        start
+    }
+
+    /// Swap-removes the entry at `pos` and returns the id moved into it.
+    /// A bucket left with one node stores it inline again.
+    fn swap_remove(&mut self, pos: usize) -> Option<NodeId> {
+        match self {
+            Bucket::Empty => unreachable!("removal from an empty bucket"),
+            Bucket::One(_) => {
+                *self = Bucket::Empty;
+                None
+            }
+            Bucket::Many(ids) if ids.len() == 2 => {
+                let kept = ids[1 - pos];
+                *self = Bucket::One(kept);
+                (pos == 0).then_some(kept)
+            }
+            Bucket::Many(ids) => {
+                let ids = Arc::make_mut(ids);
+                ids.swap_remove(pos);
+                ids.get(pos).copied()
+            }
+        }
+    }
+}
+
+/// How a splice reads a forest, computed at the forest's first splice
+/// ([`Document::splice_plan`]) and dropped by any change to it.
+#[derive(Debug)]
+struct SplicePlan {
+    /// The forest's pre-order and label runs, when they are not its own
+    /// slot order and label buckets.
+    reorder: Option<Reorder>,
+    /// The forest's symbols in order of first use in pre-order: the order
+    /// in which a per-node copy interns them.
+    labels: Box<[PlanLabel]>,
+}
+
+/// The pre-order of a forest whose slots are not in it, or whose label
+/// buckets are not.
+#[derive(Debug)]
+struct Reorder {
+    /// The live slots in pre-order.
+    order: Box<[u32]>,
+    /// Each live slot's place in `order`.
+    rank: Box<[u32]>,
+    /// The nodes carrying each label in pre-order, label after label: the
+    /// run of `labels[j]` ends at its `end`.
+    by_label: Box<[NodeId]>,
+}
+
+/// A distinct label of a planned forest.
+#[derive(Debug)]
+struct PlanLabel {
+    /// The label's symbol in the forest.
+    sym: u32,
+    /// With a [`Reorder`], where the label's run in `by_label` ends.
+    end: u32,
+    /// The symbol the label got in the last document it was spliced into:
+    /// valid in another document only where that document's table holds
+    /// the same text under it. Splices on other threads may race to set
+    /// it, so every read is checked; it publishes no other data, so it is
+    /// read and written `Relaxed`.
+    hint: AtomicU32,
+}
+
+impl PlanLabel {
+    fn new(sym: u32) -> Self {
+        PlanLabel {
+            sym,
+            end: 0,
+            hint: AtomicU32::new(UNMAPPED),
+        }
+    }
+}
+
+impl SplicePlan {
+    fn of(forest: &Document) -> Self {
+        let in_place =
+            forest.in_pre_order() && (forest.buckets.iter()).all(|b| b.as_slice().is_sorted());
+        // such a forest's symbols are mostly numbered in order of first
+        // use, too: then the plan is one hint per label
+        let mut next = 0;
+        if in_place
+            && (0..forest.slots as usize).all(|i| {
+                let sym = forest.node_raw(i).sym;
+                next += u32::from(sym == next);
+                sym < next
+            })
+        {
+            return SplicePlan {
+                reorder: None,
+                labels: (0..next).map(PlanLabel::new).collect(),
+            };
+        }
+        let mut order = Vec::with_capacity(forest.len());
+        // per forest symbol: the nodes carrying it
+        let mut counts = vec![0u32; forest.sym_count()];
+        let mut labels = Vec::new();
+        for id in forest.all_nodes() {
+            order.push(id.0);
+            let sym = forest.node(id).sym;
+            if counts[sym as usize] == 0 {
+                labels.push(PlanLabel::new(sym));
+            }
+            counts[sym as usize] += 1;
+        }
+        let reorder = (!in_place).then(|| {
+            // each label's run ends where the next starts; a cursor per
+            // symbol fills the runs back to front
+            let mut end = 0;
+            for label in labels.iter_mut() {
+                let cursor = &mut counts[label.sym as usize];
+                end += *cursor;
+                label.end = end;
+                *cursor = end;
+            }
+            let mut rank = vec![u32::MAX; forest.slots as usize];
+            let mut by_label = vec![NO_NODE; order.len()];
+            for (i, &slot) in order.iter().enumerate().rev() {
+                rank[slot as usize] = i as u32;
+                let cursor = &mut counts[forest.node_raw(slot as usize).sym as usize];
+                *cursor -= 1;
+                by_label[*cursor as usize] = NodeId(slot);
+            }
+            Reorder {
+                order: order.into(),
+                rank: rank.into(),
+                by_label: by_label.into(),
+            }
+        });
+        SplicePlan {
+            reorder,
+            labels: labels.into(),
+        }
+    }
+
+    /// The forest nodes carrying the plan's `j`-th label, in pre-order.
+    fn carriers<'a>(&'a self, forest: &'a Document, j: usize) -> &'a [NodeId] {
+        match &self.reorder {
+            None => forest.nodes_with_sym(self.labels[j].sym),
+            Some(r) => {
+                let start = j.checked_sub(1).map_or(0, |k| self.labels[k].end as usize);
+                &r.by_label[start..self.labels[j].end as usize]
+            }
+        }
+    }
+
+    /// The slot of the forest's `i`-th node in pre-order.
+    fn slot(&self, i: usize) -> usize {
+        self.reorder.as_ref().map_or(i, |r| r.order[i] as usize)
+    }
+
+    /// The pre-order place of the forest node `id`.
+    fn rank(&self, id: NodeId) -> usize {
+        self.reorder
+            .as_ref()
+            .map_or(id.index(), |r| r.rank[id.index()] as usize)
+    }
 }
 
 /// A fixed-capacity run of up to [`PAGE_SIZE`] consecutive arena slots.
@@ -156,16 +413,28 @@ impl SlotTable {
     }
 
     fn set(&mut self, slot: usize, value: u32) {
-        let page = slot >> SIDE_BITS;
-        if page >= self.pages.len() {
-            self.pages.resize_with(page + 1, Default::default);
+        self.set_run(slot, &[value]);
+    }
+
+    /// Sets the slots from `start` on to `values`, writing each side page
+    /// once.
+    fn set_run(&mut self, start: usize, values: &[u32]) {
+        let mut done = 0;
+        while done < values.len() {
+            let slot = start + done;
+            let page = slot >> SIDE_BITS;
+            if page >= self.pages.len() {
+                self.pages.resize_with(page + 1, Default::default);
+            }
+            let entries = Arc::make_mut(&mut self.pages[page]);
+            let at = slot & SIDE_MASK;
+            let take = (SIDE_MASK + 1 - at).min(values.len() - done);
+            if entries.len() < at + take {
+                entries.resize(at + take, 0);
+            }
+            entries[at..at + take].copy_from_slice(&values[done..done + take]);
+            done += take;
         }
-        let entries = Arc::make_mut(&mut self.pages[page]);
-        let at = slot & SIDE_MASK;
-        if at >= entries.len() {
-            entries.resize(at + 1, 0);
-        }
-        entries[at] = value;
     }
 }
 
@@ -299,11 +568,10 @@ pub struct Document {
     symtab: Arc<SymTab>,
     /// Label→node index, indexed by interned symbol: the live nodes
     /// carrying that label, in arbitrary order (removal is `swap_remove`).
-    /// Symbols are dense, so a slot is found without hashing; a symbol no
-    /// live node has carried yet has no bucket. Maintained by every mutator,
-    /// including [`Document::splice_call`]. Buckets are shared between
-    /// clones until written.
-    buckets: Vec<Option<Arc<Vec<NodeId>>>>,
+    /// Symbols are dense, so a slot is found without hashing; the table
+    /// may end before the last symbols, whose buckets are empty.
+    /// Maintained by every mutator, including [`Document::splice_call`].
+    buckets: Vec<Bucket>,
     /// Each live node's position inside its label bucket, for O(1) removal.
     bucket_pos: SlotTable,
     /// All live function-call nodes, in arbitrary order.
@@ -322,6 +590,9 @@ pub struct Document {
     /// next [`Document::take_splice_journal`] must report "unknown delta".
     journal_dirty: bool,
     journal_ops: Vec<SpliceOp>,
+    /// How splices read this document as a result forest; set by the
+    /// first splice of it, dropped by every node allocation and free.
+    plan: OnceLock<Arc<SplicePlan>>,
 }
 
 /// A forest of AXML trees — the shape of a service-call result.
@@ -389,17 +660,19 @@ impl Document {
         &mut page.nodes[index & PAGE_MASK]
     }
 
-    /// Appends `child` to `parent`'s child list: in place while the
-    /// buffer has room and no other document shares it, otherwise into a
-    /// copy twice as long, so appends stay amortized O(1).
+    /// Appends `child` to `parent`'s child list: in place while the list
+    /// has room after the node's window and no other node or document
+    /// holds it, otherwise into a copy twice as long, so appends stay
+    /// amortized O(1).
     fn push_child(&mut self, parent: NodeId, child: NodeId) {
         let n = self.node_raw_mut(parent.index());
-        let len = n.child_len as usize;
+        let end = (n.child_off + n.child_len) as usize;
         match n.children.as_mut().and_then(Arc::get_mut) {
-            Some(buf) if len < buf.len() => buf[len] = child,
+            Some(list) if end < list.len() => list[end] = child,
             _ => {
-                let ids = n.children.as_deref().map_or(&[][..], |b| &b[..len]);
-                n.children = Some(child_buffer(&[ids, &[child]], (2 * len).max(4)));
+                let capacity = (2 * n.child_len as usize).max(4);
+                n.children = Some(child_list(&[n.children(), &[child]], capacity));
+                n.child_off = 0;
             }
         }
         n.child_len += 1;
@@ -438,7 +711,7 @@ impl Document {
                 return NO_CLASS;
             }
             path.push(n.sym);
-            cur = n.parent;
+            cur = n.parent();
         }
         path.reverse();
         self.index
@@ -447,8 +720,9 @@ impl Document {
     }
 
     /// Allocates a node whose child list has room for `child_capacity`
-    /// ids and enters it in the label index (and a call in the call
-    /// registry and its class's extent).
+    /// ids, in the last freed slot or a fresh one, and enters it in the
+    /// label index (and a call in the call registry and its class's
+    /// extent). Drops the document's splice plan.
     fn alloc(
         &mut self,
         kind: NodeKind,
@@ -456,19 +730,9 @@ impl Document {
         parent: Option<NodeId>,
         child_capacity: usize,
     ) -> NodeId {
-        let class = match kind {
-            NodeKind::Call(_) => self.classify(parent),
-            _ => NO_CLASS,
-        };
-        let node = Node {
-            kind,
-            children: (child_capacity > 0).then(|| child_buffer(&[], child_capacity)),
-            parent,
-            sym,
-            child_len: 0,
-            class,
-            alive: true,
-        };
+        self.plan.take();
+        let mut node = Node::new(kind, sym, parent);
+        node.children = (child_capacity > 0).then(|| child_list(&[], child_capacity));
         let id = if let Some(slot) = self.free.pop() {
             *self.node_raw_mut(slot as usize) = node;
             NodeId(slot)
@@ -486,20 +750,27 @@ impl Document {
         };
         let at = sym as usize;
         if at >= self.buckets.len() {
-            self.buckets.resize(at + 1, None);
+            self.buckets.resize(at + 1, Bucket::Empty);
         }
-        let bucket = Arc::make_mut(self.buckets[at].get_or_insert_with(Default::default));
-        bucket.push(id);
-        self.bucket_pos.set(id.index(), (bucket.len() - 1) as u32);
+        let pos = self.buckets[at].extend(std::iter::once(id));
+        self.bucket_pos.set(id.index(), pos as u32);
         if let NodeKind::Call(_) = kind {
-            self.call_pos.set(id.index(), self.call_list.len() as u32);
-            self.call_list.push(id);
+            self.enter_call(id, sym);
         }
+        id
+    }
+
+    /// Enters the live call `id` of service `sym` in the call registry
+    /// and, classified under its parent, in its class's extent.
+    fn enter_call(&mut self, id: NodeId, sym: u32) {
+        self.call_pos.set(id.index(), self.call_list.len() as u32);
+        self.call_list.push(id);
+        let class = self.classify(self.parent(id));
         if class != NO_CLASS {
+            self.node_raw_mut(id.index()).class = class;
             let index = self.index.as_mut().expect("a class implies the index");
             index.insert(id, sym, class);
         }
-        id
     }
 
     /// Allocates a childless node as the last child of `parent`, or as
@@ -521,13 +792,7 @@ impl Document {
         let n = self.node_raw(id.index());
         let (sym, class, is_call) = (n.sym, n.class, matches!(n.kind, NodeKind::Call(_)));
         let pos = self.bucket_pos.get(id.index()) as usize;
-        let bucket = Arc::make_mut(
-            self.buckets[sym as usize]
-                .as_mut()
-                .expect("freed node missing from its label bucket"),
-        );
-        bucket.swap_remove(pos);
-        if let Some(&moved) = bucket.get(pos) {
+        if let Some(moved) = self.buckets[sym as usize].swap_remove(pos) {
             self.bucket_pos.set(moved.index(), pos as u32);
         }
         if is_call {
@@ -599,15 +864,12 @@ impl Document {
 
     /// Parent of the node (`None` for roots).
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        self.node(id).parent
+        self.node(id).parent()
     }
 
     /// Children of the node, in document order.
     pub fn children(&self, id: NodeId) -> &[NodeId] {
-        let n = self.node(id);
-        n.children
-            .as_deref()
-            .map_or(&[], |b| &b[..n.child_len as usize])
+        self.node(id).children()
     }
 
     /// Number of live nodes in the document.
@@ -788,10 +1050,7 @@ impl Document {
     /// **arbitrary** order (the index uses `swap_remove` on deletion).
     /// Returns an empty slice for unknown symbols.
     pub fn nodes_with_sym(&self, sym: u32) -> &[NodeId] {
-        self.buckets
-            .get(sym as usize)
-            .and_then(Option::as_deref)
-            .map_or(&[], Vec::as_slice)
+        self.buckets.get(sym as usize).map_or(&[], Bucket::as_slice)
     }
 
     /// All live function-call nodes, in **arbitrary** order. An O(1)
@@ -917,7 +1176,7 @@ impl Document {
     /// a new child of `parent` in this one. Call ids are re-assigned.
     pub fn append_copy(&mut self, parent: NodeId, src: &Document, src_node: NodeId) -> NodeId {
         self.journal_dirty = true;
-        let id = self.copy_from(src, src_node, Some(parent), None);
+        let id = self.copy_from(src, src_node, Some(parent));
         self.push_child(parent, id);
         id
     }
@@ -926,7 +1185,7 @@ impl Document {
     /// a new root of this forest. Call ids are re-assigned.
     pub fn append_copy_as_root(&mut self, src: &Document, src_node: NodeId) -> NodeId {
         self.journal_dirty = true;
-        let id = self.copy_from(src, src_node, None, None);
+        let id = self.copy_from(src, src_node, None);
         self.roots.push(id);
         id
     }
@@ -935,7 +1194,7 @@ impl Document {
     /// forest (fresh call ids).
     pub fn subtree_to_forest(&self, node: NodeId) -> Forest {
         let mut f = Forest::new();
-        let new_root = f.copy_from(self, node, None, None);
+        let new_root = f.copy_from(self, node, None);
         f.roots.push(new_root);
         f
     }
@@ -945,7 +1204,7 @@ impl Document {
     pub fn children_to_forest(&self, node: NodeId) -> Forest {
         let mut f = Forest::new();
         for &c in self.children(node) {
-            let copied = f.copy_from(self, c, None, None);
+            let copied = f.copy_from(self, c, None);
             f.roots.push(copied);
         }
         f
@@ -955,34 +1214,15 @@ impl Document {
     /// copy's root, linked up to `parent` but not yet in its child list or
     /// among the roots: the caller places it. Nodes are allocated in
     /// pre-order, so fresh call ids follow document order, and an explicit
-    /// stack bounds the recursion no matter how deep the subtree is.
-    ///
-    /// With `remap` (one slot per `src` symbol, [`UNMAPPED`] until used),
-    /// each source symbol is interned here once. Without it, each label is
-    /// looked up by its text — cheaper when the copy is a small part of a
-    /// document with many symbols.
-    fn copy_from(
-        &mut self,
-        src: &Document,
-        node: NodeId,
-        parent: Option<NodeId>,
-        mut remap: Option<&mut [u32]>,
-    ) -> NodeId {
+    /// stack bounds the recursion no matter how deep the subtree is. Each
+    /// label is looked up by its text, which is cheaper than mapping the
+    /// whole of `src`'s symbol table when the copy is a small part of it.
+    fn copy_from(&mut self, src: &Document, node: NodeId, parent: Option<NodeId>) -> NodeId {
         let mut root = None;
         let mut stack = vec![(node, parent)];
         while let Some((s, p)) = stack.pop() {
             let n = src.node(s);
-            let label = src.sym_label(n.sym);
-            let sym = match remap.as_deref_mut() {
-                Some(map) => {
-                    let slot = &mut map[n.sym as usize];
-                    if *slot == UNMAPPED {
-                        *slot = self.intern_label(label);
-                    }
-                    *slot
-                }
-                None => self.intern_label(label),
-            };
+            let sym = self.intern_label(src.sym_label(n.sym));
             let kind = match n.kind {
                 NodeKind::Call(_) => NodeKind::Call(self.fresh_call_id()),
                 k => k,
@@ -1002,25 +1242,44 @@ impl Document {
     /// Frees the subtree rooted at `id` (without detaching it from its
     /// parent — callers must fix the child list). Nodes are freed in
     /// post-order, children in order, and an explicit stack bounds the
-    /// recursion no matter how deep the subtree is.
+    /// recursion no matter how deep the subtree is. A node whose children
+    /// are all leaves — a call with text parameters — frees without
+    /// allocating.
     fn free_subtree(&mut self, id: NodeId) {
-        // pre-order with children pushed in order visits the mirror image;
-        // reversed, that is the post-order
-        let mut order = Vec::new();
-        let mut stack = vec![id];
-        while let Some(n) = stack.pop() {
-            order.push(n);
-            stack.extend_from_slice(self.children(n));
+        let children = self.children(id);
+        if children.iter().all(|&c| self.node(c).child_len == 0) {
+            for at in 0..children.len() {
+                let c = self.children(id)[at];
+                self.release(c);
+            }
+        } else {
+            // pre-order with children pushed in order visits the mirror
+            // image; reversed, that is the post-order
+            let mut order = Vec::new();
+            let mut stack = children.to_vec();
+            while let Some(n) = stack.pop() {
+                order.push(n);
+                stack.extend_from_slice(self.children(n));
+            }
+            for &n in order.iter().rev() {
+                self.release(n);
+            }
         }
-        for &n in order.iter().rev() {
-            self.index_remove(n);
-            let node = self.node_raw_mut(n.index());
-            node.alive = false;
-            node.parent = None;
-            node.children = None;
-            node.child_len = 0;
-            self.free.push(n.0);
-        }
+        self.release(id);
+    }
+
+    /// Frees one node: it leaves the indexes, drops its child list and
+    /// goes on the free list. Drops the document's splice plan.
+    fn release(&mut self, id: NodeId) {
+        self.plan.take();
+        self.index_remove(id);
+        let node = self.node_raw_mut(id.index());
+        node.alive = false;
+        node.parent = NO_PARENT;
+        node.children = None;
+        node.child_off = 0;
+        node.child_len = 0;
+        self.free.push(id.0);
     }
 
     /// Replaces the function node `call` by the trees of `result`, in place
@@ -1039,15 +1298,14 @@ impl Document {
     }
 
     /// [`Document::splice_call`] for a result held in an [`Arc`]: the
-    /// splice journal records the same forest, not a copy.
+    /// splice journal records the same forest, not a copy, and later
+    /// splices of the same forest reuse its plan.
     pub fn splice_shared(&mut self, call: NodeId, result: &Arc<Forest>) -> Vec<NodeId> {
         self.splice(call, result, || Arc::clone(result))
     }
 
     /// The splice itself; `journaled` yields the forest the journal keeps.
-    /// Costs O(siblings + result nodes): the result's symbols are mapped
-    /// into this document once each, and one `Vec::splice` puts the copied
-    /// roots in the call's place.
+    /// Costs O(siblings + result nodes): see [`Document::copy_forest`].
     fn splice(
         &mut self,
         call: NodeId,
@@ -1067,27 +1325,202 @@ impl Document {
         let parent = self.parent(call);
         let pos = self.sibling_index(call);
         self.free_subtree(call);
-        let mut remap = vec![UNMAPPED; result.sym_count()];
-        let inserted: Vec<NodeId> = result
-            .roots
-            .iter()
-            .map(|&r| self.copy_from(result, r, parent, Some(&mut remap)))
-            .collect();
-        match parent {
-            Some(p) => {
-                let n = self.node_raw_mut(p.index());
-                let old = n.children.as_deref().expect("the call is a child");
-                let old = &old[..n.child_len as usize];
-                let len = old.len() - 1 + inserted.len();
-                let parts = [&old[..pos], &inserted[..], &old[pos + 1..]];
-                n.children = (len > 0).then(|| child_buffer(&parts, len));
-                n.child_len = len as u32;
+        let inserted = self.copy_forest(result, parent);
+        self.replace_child(parent, pos, &inserted);
+        inserted
+    }
+
+    /// Whether the live slots are `0..len` in pre-order: no slot is free,
+    /// the roots and every child list ascend from slot 0, and each slot's
+    /// parent is the slot before it or one of that slot's ancestors. The
+    /// walks up from each slot's predecessor take O(len) steps in all,
+    /// because each one leaves a subtree for good.
+    fn in_pre_order(&self) -> bool {
+        let ascending = |ids: &[NodeId]| ids.windows(2).all(|w| w[0] < w[1]);
+        if !self.free.is_empty()
+            || self.roots.first().is_some_and(|r| r.0 != 0)
+            || !ascending(&self.roots)
+        {
+            return false;
+        }
+        (0..self.slots as usize).all(|i| {
+            let n = self.node_raw(i);
+            if !ascending(n.children()) {
+                return false;
             }
-            None => {
-                self.roots.splice(pos..=pos, inserted.iter().copied());
+            let Some(parent) = n.parent() else {
+                return true;
+            };
+            let Some(mut at) = i.checked_sub(1).map(|before| NodeId(before as u32)) else {
+                return false;
+            };
+            while at != parent {
+                match self.node_raw(at.index()).parent() {
+                    Some(up) => at = up,
+                    None => return false,
+                }
+            }
+            true
+        })
+    }
+
+    /// The splice plan of this document as a result forest, computed on
+    /// first use.
+    fn splice_plan(&self) -> &SplicePlan {
+        self.plan.get_or_init(|| Arc::new(SplicePlan::of(self)))
+    }
+
+    /// Copies the whole of `forest` in, as the per-node copy of each root
+    /// in turn would: nodes in pre-order take the free slots last freed
+    /// first, then fresh ones; labels are interned in order of first use;
+    /// calls get fresh ids and classes in pre-order. Returns the copied
+    /// roots, linked up to `parent` but placed nowhere.
+    ///
+    /// It reads the forest through its plan, in four passes: each label is
+    /// mapped once and its nodes join their bucket together; one child
+    /// list takes every copied child; the nodes are written, fresh slots a
+    /// page at a time; and the calls join the call index.
+    fn copy_forest(&mut self, forest: &Forest, parent: Option<NodeId>) -> Vec<NodeId> {
+        self.plan.take();
+        let plan = forest.splice_plan();
+        // the id of the forest's `rank`-th node in pre-order
+        let mut free = std::mem::take(&mut self.free);
+        let n = forest.len();
+        let reused = free.len().min(n);
+        let fresh = self.slots as usize - reused;
+        let id_at = |rank: usize| {
+            NodeId(if rank < reused {
+                free[free.len() - 1 - rank]
+            } else {
+                (fresh + rank) as u32
+            })
+        };
+        let copy_of = |id: NodeId| id_at(plan.rank(id));
+        // the labels, hint first, with their nodes' label-index entries:
+        // each node's bucket position, by rank, goes into the side pages in
+        // one run
+        let (mut small_map, mut large_map) = ([UNMAPPED; SMALL_FOREST], Vec::new());
+        let map = scratch(&mut small_map, &mut large_map, forest.sym_count());
+        let (mut small_pos, mut large_pos) = ([0; SMALL_FOREST], Vec::new());
+        let positions = scratch(&mut small_pos, &mut large_pos, n);
+        for (j, label) in plan.labels.iter().enumerate() {
+            let text = forest.sym_label(label.sym);
+            let hint = label.hint.load(Ordering::Relaxed);
+            let sym = match self.symtab.labels.get(hint as usize) {
+                Some(known) if known == text => hint,
+                _ => {
+                    let sym = self.intern_label(text);
+                    label.hint.store(sym, Ordering::Relaxed);
+                    sym
+                }
+            };
+            map[label.sym as usize] = sym;
+            if sym as usize >= self.buckets.len() {
+                self.buckets.resize(sym as usize + 1, Bucket::Empty);
+            }
+            let carriers = plan.carriers(forest, j);
+            let start = self.buckets[sym as usize].extend(carriers.iter().map(|&c| copy_of(c)));
+            for (pos, &c) in (start..).zip(carriers) {
+                positions[plan.rank(c)] = pos as u32;
             }
         }
-        inserted
+        for (rank, &pos) in positions[..reused].iter().enumerate() {
+            self.bucket_pos.set(id_at(rank).index(), pos);
+        }
+        self.bucket_pos
+            .set_run(self.slots as usize, &positions[reused..n]);
+        let inner = n - forest.roots.len();
+        let list = (inner > 0).then(|| {
+            let mut list = child_list(&[], inner);
+            let ids = Arc::get_mut(&mut list).expect("a fresh list is unshared");
+            let mut at = 0;
+            for i in 0..n {
+                for &c in forest.node_raw(plan.slot(i)).children() {
+                    ids[at] = copy_of(c);
+                    at += 1;
+                }
+            }
+            list
+        });
+        // the nodes, in pre-order: reused slots one by one, fresh ones a
+        // page at a time
+        let mut next_call = self.next_call;
+        let mut child_off = 0;
+        let mut node_at = |i: usize| {
+            let src = forest.node_raw(plan.slot(i));
+            let kind = match src.kind {
+                NodeKind::Call(_) => {
+                    next_call += 1;
+                    NodeKind::Call(CallId(next_call - 1))
+                }
+                k => k,
+            };
+            let up = src.parent().map_or(parent, |p| Some(copy_of(p)));
+            let mut node = Node::new(kind, map[src.sym as usize], up);
+            if src.child_len > 0 {
+                node.children = list.clone();
+                node.child_off = child_off;
+                node.child_len = src.child_len;
+                child_off += src.child_len;
+            }
+            node
+        };
+        for i in 0..reused {
+            *self.node_raw_mut(id_at(i).index()) = node_at(i);
+        }
+        let mut i = reused;
+        while i < n {
+            let slot = self.slots as usize;
+            let take = (PAGE_SIZE - (slot & PAGE_MASK)).min(n - i);
+            if slot >> PAGE_BITS == self.pages.len() {
+                self.pages.push(Arc::default());
+            }
+            let page = Arc::make_mut(&mut self.pages[slot >> PAGE_BITS]);
+            // a page that splices fill is filled: size it once
+            page.nodes.reserve_exact(PAGE_SIZE - page.nodes.len());
+            page.nodes.extend((i..i + take).map(&mut node_at));
+            self.slots += take as u32;
+            i += take;
+        }
+        self.next_call = next_call;
+        if !forest.call_list.is_empty() {
+            for i in 0..n {
+                let src = forest.node_raw(plan.slot(i));
+                if let NodeKind::Call(_) = src.kind {
+                    self.enter_call(id_at(i), map[src.sym as usize]);
+                }
+            }
+        }
+        let roots = forest.roots.iter().map(|&r| copy_of(r)).collect();
+        free.truncate(free.len() - reused);
+        self.free = free;
+        roots
+    }
+
+    /// Puts `inserted` in place of the child at `pos` of `parent` (or of
+    /// the root at `pos`): in place when the parent holds its list alone
+    /// and it has room, otherwise into a new list of the exact length.
+    fn replace_child(&mut self, parent: Option<NodeId>, pos: usize, inserted: &[NodeId]) {
+        let Some(p) = parent else {
+            self.roots.splice(pos..=pos, inserted.iter().copied());
+            return;
+        };
+        let n = self.node_raw_mut(p.index());
+        let (off, len) = (n.child_off as usize, n.child_len as usize);
+        let new_len = len - 1 + inserted.len();
+        match n.children.as_mut().and_then(Arc::get_mut) {
+            Some(list) if off + new_len <= list.len() => {
+                list.copy_within(off + pos + 1..off + len, off + pos + inserted.len());
+                list[off + pos..off + pos + inserted.len()].copy_from_slice(inserted);
+            }
+            _ => {
+                let old = n.children();
+                let parts = [&old[..pos], inserted, &old[pos + 1..]];
+                n.children = (new_len > 0).then(|| child_list(&parts, new_len));
+                n.child_off = 0;
+            }
+        }
+        n.child_len = new_len as u32;
     }
 
     /// Replays one recorded splice: finds the live node carrying `call`
@@ -1146,14 +1579,19 @@ impl Document {
             }
             seen[id.index()] = true;
             live += 1;
-            if n.parent != parent {
+            if n.parent() != parent {
                 return Err(format!(
                     "{id:?} parent link {:?} != tree parent {:?}",
-                    n.parent, parent
+                    n.parent(),
+                    parent
                 ));
             }
             if n.sym as usize >= self.symtab.labels.len() {
                 return Err(format!("{id:?} has unknown symbol {}", n.sym));
+            }
+            let window = (n.child_off + n.child_len) as usize;
+            if window > n.children.as_deref().map_or(0, <[NodeId]>::len) {
+                return Err(format!("{id:?} lists more children than its list holds"));
             }
             for &c in self.children(id) {
                 stack.push((Some(id), c));
@@ -1174,9 +1612,6 @@ impl Document {
             if !n.alive && (n.children.is_some() || n.child_len > 0) {
                 return Err(format!("freed n{i} still holds a child list"));
             }
-            if n.child_len as usize > n.children.as_deref().map_or(0, <[NodeId]>::len) {
-                return Err(format!("n{i} lists more children than its buffer holds"));
-            }
         }
         let mut free_sorted: Vec<u32> = self.free.clone();
         free_sorted.sort_unstable();
@@ -1196,8 +1631,17 @@ impl Document {
             self.buckets
                 .iter()
                 .enumerate()
-                .filter_map(|(sym, b)| Some((sym as u32, b.as_deref()?)))
+                .map(|(sym, b)| (sym as u32, b.as_slice()))
         };
+        if let Some(sym) = self
+            .buckets
+            .iter()
+            .position(|b| matches!(b, Bucket::Many(ids) if ids.len() < 2))
+        {
+            return Err(format!(
+                "bucket {sym} holds fewer than two nodes out of line"
+            ));
+        }
         let bucket_total: usize = buckets().map(|(_, b)| b.len()).sum();
         if bucket_total != self.len() {
             return Err(format!(
@@ -1256,7 +1700,23 @@ impl Document {
                 return Err(format!("{id:?} repeats the live call id {}", cid.0));
             }
         }
-        self.check_call_index()
+        self.check_call_index()?;
+        self.check_plan()
+    }
+
+    /// The splice plan part of [`Document::check_integrity`]: a plan, once
+    /// set, is the one the document has now.
+    fn check_plan(&self) -> Result<(), String> {
+        let Some(plan) = self.plan.get() else {
+            return Ok(());
+        };
+        let now = SplicePlan::of(self);
+        let order = |p: &SplicePlan| p.reorder.as_ref().map(|r| r.order.clone());
+        let labels = |p: &SplicePlan| p.labels.iter().map(|l| l.sym).collect::<Vec<_>>();
+        if order(plan) != order(&now) || labels(plan) != labels(&now) {
+            return Err("the splice plan is stale".into());
+        }
+        Ok(())
     }
 
     /// The call index part of [`Document::check_integrity`]: the class
@@ -1296,7 +1756,7 @@ impl Document {
             let n = self.node_raw(id.index());
             // the parent label path, or `None` below a call
             let mut path = Some(Vec::new());
-            let mut cur = n.parent;
+            let mut cur = n.parent();
             while let Some(p) = cur {
                 let pn = self.node_raw(p.index());
                 if !pn.kind.is_data() {
@@ -1304,7 +1764,7 @@ impl Document {
                     break;
                 }
                 path.as_mut().expect("still visible").push(pn.sym);
-                cur = pn.parent;
+                cur = pn.parent();
             }
             let Some(mut path) = path else {
                 if n.class != NO_CLASS {
@@ -1354,17 +1814,32 @@ impl Document {
     }
 }
 
-/// A child buffer of `capacity` slots holding the ids of `parts` in
-/// order, then [`NO_CHILD`] fillers. One allocation.
-fn child_buffer(parts: &[&[NodeId]], capacity: usize) -> Arc<[NodeId]> {
-    let mut buf: Arc<[NodeId]> = std::iter::repeat_n(NO_CHILD, capacity).collect();
-    let slots = Arc::get_mut(&mut buf).expect("a fresh buffer is unshared");
+/// A table of `len` entries for a splice: a prefix of `small`, or `large`
+/// grown to `len` (with `small`'s fill value) when `small` is too short.
+fn scratch<'a, const N: usize>(
+    small: &'a mut [u32; N],
+    large: &'a mut Vec<u32>,
+    len: usize,
+) -> &'a mut [u32] {
+    if len <= N {
+        &mut small[..len]
+    } else {
+        large.resize(len, small[0]);
+        large
+    }
+}
+
+/// A child list of `capacity` slots holding the ids of `parts` in order,
+/// then [`NO_NODE`] fillers. One allocation.
+fn child_list(parts: &[&[NodeId]], capacity: usize) -> Arc<[NodeId]> {
+    let mut list: Arc<[NodeId]> = std::iter::repeat_n(NO_NODE, capacity).collect();
+    let slots = Arc::get_mut(&mut list).expect("a fresh list is unshared");
     let mut at = 0;
     for part in parts {
         slots[at..at + part.len()].copy_from_slice(part);
         at += part.len();
     }
-    buf
+    list
 }
 
 /// Pre-order iterator over document nodes.
@@ -1671,8 +2146,13 @@ mod tests {
             );
         }
         d.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn a_node_slot_is_at_most_56_bytes() {
+        // a page copy and a document's memory scale with it
         #[cfg(target_pointer_width = "64")]
-        assert_eq!(std::mem::size_of::<Node>(), 56);
+        assert!(std::mem::size_of::<Node>() <= 56);
     }
 
     #[test]
@@ -1864,5 +2344,330 @@ mod tests {
         assert_eq!(snap.find_call(cid), None);
         d.check_integrity().unwrap();
         snap.check_integrity().unwrap();
+    }
+
+    /// The per-node copy a splice made before splice plans, kept as the
+    /// reference the plan splice must match: free the call's subtree in
+    /// post-order, copy each root in turn, put the copies in its place.
+    fn reference_splice(d: &mut Document, call: NodeId, result: &Forest) -> Vec<NodeId> {
+        let parent = d.parent(call);
+        let pos = d.sibling_index(call);
+        let mut order = Vec::new();
+        let mut stack = vec![call];
+        while let Some(n) = stack.pop() {
+            order.push(n);
+            stack.extend_from_slice(d.children(n));
+        }
+        for &n in order.iter().rev() {
+            d.release(n);
+        }
+        let inserted: Vec<NodeId> = (result.roots.iter())
+            .map(|&r| d.copy_from(result, r, parent))
+            .collect();
+        d.replace_child(parent, pos, &inserted);
+        inserted
+    }
+
+    /// Everything a splice decides, read through the internals: each
+    /// slot's node, the roots, the free list, the call counter, the symbol
+    /// table, every label bucket in order with each live node's recorded
+    /// position, the call registry in order with its positions, and the
+    /// call index's classes, extents and service counts.
+    fn state(d: &Document) -> impl PartialEq + fmt::Debug {
+        let slots = 0..d.slots as usize;
+        let nodes: Vec<_> = (slots.clone())
+            .map(|i| d.node_raw(i))
+            .map(|n| {
+                n.alive
+                    .then(|| (n.kind, n.parent(), n.children().to_vec(), n.sym, n.class))
+            })
+            .collect();
+        let bucket_pos: Vec<u32> = (slots.filter(|&i| d.node_raw(i).alive))
+            .map(|i| d.bucket_pos.get(i))
+            .collect();
+        let buckets: Vec<Vec<NodeId>> = d.buckets.iter().map(|b| b.as_slice().to_vec()).collect();
+        let call_pos: Vec<u32> = d
+            .call_list
+            .iter()
+            .map(|c| d.call_pos.get(c.index()))
+            .collect();
+        let labels: Vec<String> = d.symtab.labels.iter().map(|l| l.to_string()).collect();
+        let index = d.index.as_deref().map(|i| {
+            let extents: Vec<Vec<NodeId>> = i.extents.iter().map(|e| e.to_vec()).collect();
+            (i.classes.paths.clone(), extents, i.services.clone())
+        });
+        let registry = (d.call_list.clone(), call_pos, d.next_call);
+        (
+            nodes,
+            d.roots.clone(),
+            d.free.clone(),
+            labels,
+            buckets,
+            bucket_pos,
+            registry,
+            index,
+        )
+    }
+
+    /// One step of a random build. `Node(parent, kind, label)` adds a
+    /// root, or appends to an element or call picked by `parent`, so
+    /// slots leave pre-order and calls land inside parameters;
+    /// `Splice(call, shape)` splices one of the calls, so slots are freed
+    /// and reused.
+    #[derive(Clone, Debug)]
+    enum Step {
+        Node(u8, u8, u8),
+        Splice(u8, u8),
+    }
+
+    fn step() -> impl proptest::strategy::Strategy<Value = Step> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(p, k, l)| Step::Node(p, k, l)),
+            (any::<u8>(), any::<u8>()).prop_map(|(c, s)| Step::Splice(c, s)),
+        ]
+    }
+
+    /// A small result of one of three shapes: nothing, a text, or an
+    /// element holding a call with a parameter.
+    fn shaped(shape: u8) -> Forest {
+        let mut f = Forest::new();
+        match shape % 3 {
+            0 => {}
+            1 => {
+                f.add_root_text(format!("t{}", shape % 9));
+            }
+            _ => {
+                let e = f.add_root(format!("l{}", shape % 6));
+                let c = f.add_call(e, format!("s{}", shape % 3));
+                f.add_text(c, "p");
+            }
+        }
+        f
+    }
+
+    fn grow(d: &mut Document, steps: &[Step]) {
+        for step in steps {
+            match *step {
+                Step::Node(parent, kind, label) => {
+                    let parents: Vec<NodeId> = (d.all_nodes())
+                        .filter(|&n| d.kind(n) != NodeKind::Text)
+                        .collect();
+                    let at = (parent % 5 != 0 && !parents.is_empty())
+                        .then(|| parents[parent as usize % parents.len()]);
+                    match (kind % 3, at) {
+                        (0, Some(p)) => d.add_element(p, format!("l{}", label % 6)),
+                        (0, None) => d.add_root(format!("l{}", label % 6)),
+                        (1, Some(p)) => d.add_text(p, format!("t{}", label % 9)),
+                        (1, None) => d.add_root_text(format!("t{}", label % 9)),
+                        (_, Some(p)) => d.add_call(p, format!("s{}", label % 3)),
+                        (_, None) => d.add_root_call(format!("s{}", label % 3)),
+                    };
+                }
+                Step::Splice(call, shape) => {
+                    let calls = d.calls();
+                    if !calls.is_empty() {
+                        d.splice_call(calls[call as usize % calls.len()], &shaped(shape));
+                    }
+                }
+            }
+        }
+    }
+
+    fn built(root: Option<&str>, steps: &[Step]) -> Document {
+        let mut d = root.map_or_else(Document::new, Document::with_root);
+        grow(&mut d, steps);
+        d
+    }
+
+    proptest::proptest! {
+        /// A plan splice leaves exactly the state the per-node copy leaves,
+        /// whatever the document and the forest, however often one forest
+        /// is spliced into documents whose symbol tables differ, whatever
+        /// the forest grows between its splices, and whatever the documents
+        /// grow afterwards.
+        #[test]
+        fn plan_splices_match_the_per_node_copy(
+            docs in proptest::collection::vec(proptest::collection::vec(step(), 0..40), 2..3),
+            forests in proptest::collection::vec(proptest::collection::vec(step(), 0..16), 1..4),
+            splices in proptest::collection::vec((0..2u8, 0..=255u8, 0..=255u8), 1..12),
+            after in proptest::collection::vec(step(), 0..12),
+            forest_after in proptest::collection::vec(step(), 0..12),
+        ) {
+            use proptest::prelude::*;
+            let mut pairs: Vec<(Document, Document)> = (docs.iter())
+                .map(|steps| built(Some("root"), steps))
+                .map(|d| (d.clone(), d))
+                .collect();
+            let mut pool: Vec<Arc<Forest>> = (forests.iter())
+                .map(|steps| Arc::new(built(None, steps)))
+                .collect();
+            for (i, &(side, call, pick)) in splices.iter().enumerate() {
+                let (planned, reference) = &mut pairs[side as usize % 2];
+                let calls = planned.calls();
+                if calls.is_empty() {
+                    continue;
+                }
+                let call = calls[call as usize % calls.len()];
+                let pick = pick as usize % pool.len();
+                let forest = &mut pool[pick];
+                // a forest changed since its last splice
+                if let Some(step) = forest_after.get(i) {
+                    grow(Arc::make_mut(forest), std::slice::from_ref(step));
+                }
+                let walked = forest.all_nodes().map(NodeId::index);
+                prop_assert_eq!(
+                    forest.in_pre_order(),
+                    forest.free.is_empty() && walked.eq(0..forest.len())
+                );
+                let inserted = planned.splice_shared(call, forest);
+                prop_assert_eq!(inserted, reference_splice(reference, call, forest));
+                if let Some(step) = after.get(i) {
+                    grow(planned, std::slice::from_ref(step));
+                    grow(reference, std::slice::from_ref(step));
+                }
+                prop_assert_eq!(state(planned), state(reference));
+                planned.check_integrity().unwrap();
+                reference.check_integrity().unwrap();
+                forest.check_integrity().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn a_forests_plan_follows_its_changes() {
+        let mut reply = Forest::new();
+        let r = reply.add_root("restaurant");
+        reply.add_text(r, "Jo");
+        let mut planned = Document::with_root("r");
+        for _ in 0..2 {
+            planned.add_call(planned.root(), "svc");
+        }
+        let mut reference = planned.clone();
+        let calls = planned.calls();
+        planned.splice_call(calls[0], &reply);
+        reference_splice(&mut reference, calls[0], &reply);
+        assert!(
+            reply.plan.get().is_some(),
+            "the first splice plans the reply"
+        );
+        // a new node out of pre-order drops the plan; the next splice
+        // copies it too
+        reply.add_root_call("more");
+        reply.add_text(r, "Madison Av.");
+        assert!(reply.plan.get().is_none());
+        planned.splice_call(calls[1], &reply);
+        reference_splice(&mut reference, calls[1], &reply);
+        assert_eq!(state(&planned), state(&reference));
+        assert_eq!(
+            crate::serialize::to_xml(&planned),
+            "<r><restaurant>Jo</restaurant>\
+             <restaurant>JoMadison Av.</restaurant><axml:call service=\"more\"/></r>"
+        );
+        planned.check_integrity().unwrap();
+        reply.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn one_reply_spliced_into_two_documents_gets_each_ones_symbols() {
+        let mut reply = Forest::new();
+        let r = reply.add_root("restaurant");
+        let name = reply.add_element(r, "name");
+        reply.add_text(name, "Jo");
+        let reply = Arc::new(reply);
+        // the two tables give the reply's labels different symbols, and
+        // the second has a label under the first one's symbol for "name"
+        let mut a = Document::with_root("hotels");
+        let mut b = Document::with_root("name");
+        b.add_element(b.root(), "restaurant");
+        for _ in 0..3 {
+            a.add_call(a.root(), "svc");
+            b.add_call(b.root(), "svc");
+        }
+        for round in 0..3 {
+            for d in [&mut a, &mut b] {
+                let mut reference = d.clone();
+                let call = d.calls()[0];
+                d.splice_shared(call, &reply);
+                reference_splice(&mut reference, call, &reply);
+                assert_eq!(state(d), state(&reference), "round {round}");
+                d.check_integrity().unwrap();
+            }
+        }
+        let labels = |d: &Document| {
+            (d.all_nodes())
+                .map(|n| d.label(n).to_string())
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        let spliced = " restaurant name Jo".repeat(3);
+        assert_eq!(labels(&a), format!("hotels{spliced}"));
+        assert_eq!(labels(&b), format!("name restaurant{spliced}"));
+    }
+
+    #[test]
+    fn appending_under_a_shared_child_list_leaves_the_siblings_lists() {
+        let reply = crate::parse::parse("<a><x/><y/></a><b><z/></b>").unwrap();
+        let mut d = Document::with_root("r");
+        let call = d.add_call(d.root(), "svc");
+        let roots = d.splice_call(call, &reply);
+        let (a, b) = (roots[0], roots[1]);
+        let list = |d: &Document, n| -> Vec<String> {
+            d.children(n)
+                .iter()
+                .map(|&c| d.label(c).to_string())
+                .collect()
+        };
+        // a's and b's children sit in one shared list
+        let (na, nb) = (d.node(a), d.node(b));
+        assert!(Arc::ptr_eq(
+            na.children.as_ref().unwrap(),
+            nb.children.as_ref().unwrap()
+        ));
+        d.add_element(a, "w");
+        assert_eq!(list(&d, a), ["x", "y", "w"]);
+        assert_eq!(list(&d, b), ["z"]);
+        // across a clone: appending in the clone copies the list there
+        let mut c = d.clone();
+        c.add_element(b, "v");
+        assert_eq!(list(&c, b), ["z", "v"]);
+        assert_eq!(list(&d, b), ["z"]);
+        assert_eq!(list(&c, a), ["x", "y", "w"]);
+        d.add_element(b, "u");
+        assert_eq!(list(&d, b), ["z", "u"]);
+        assert_eq!(list(&c, b), ["z", "v"]);
+        d.check_integrity().unwrap();
+        c.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn a_node_left_alone_in_a_shared_list_appends_after_its_window() {
+        // the calls' parameters sit before and after `m`'s child in the
+        // shared list; splicing both calls leaves `m` its only holder
+        let mut reply = Forest::new();
+        let first = reply.add_root_call("f");
+        reply.add_text(first, "p");
+        let m = reply.add_root("m");
+        reply.add_text(m, "x");
+        let last = reply.add_root_call("g");
+        reply.add_text(last, "q");
+        let mut planned = Document::with_root("r");
+        let call = planned.add_call(planned.root(), "svc");
+        let mut reference = planned.clone();
+        let roots = planned.splice_call(call, &reply);
+        reference_splice(&mut reference, call, &reply);
+        for d in [&mut planned, &mut reference] {
+            for &c in &[roots[0], roots[2]] {
+                d.splice_call(c, &Forest::new());
+            }
+            d.add_element(roots[1], "y");
+            d.add_element(roots[1], "z");
+        }
+        let labels: Vec<&str> = (planned.children(roots[1]).iter())
+            .map(|&c| planned.label(c))
+            .collect();
+        assert_eq!(labels, ["x", "y", "z"]);
+        assert_eq!(state(&planned), state(&reference));
+        planned.check_integrity().unwrap();
     }
 }
