@@ -19,8 +19,9 @@
 //!    limit;
 //! 7. **breaker** — an open circuit breaker marks the call dead;
 //! 8. **dispatch** — one unit of budget is reserved and the call runs
-//!    under the remaining deadline budget. In a parallel batch a slow call
-//!    fires a hedge leg, and [`combine_hedge`] picks the winner;
+//!    under the remaining deadline budget; the service reads the call's
+//!    parameters where they stand. In a parallel batch a slow call fires
+//!    a hedge leg, and [`combine_hedge`] picks the winner;
 //! 9. **settle** ([`Run::settle`]) — a success is stored in the call cache
 //!    and spliced ([`Run::apply`]); a failure refunds the budget and marks
 //!    the call dead ([`Run::apply_failure`]). Either way the outcome
@@ -38,9 +39,10 @@ use super::{holds_call, parent_labels, Pushes, Run};
 use axml_obs::{CacheOutcome, EventKind, ShedReason};
 use axml_query::PNodeId;
 use axml_services::{
-    CacheLookup, CallKey, FailedCall, InvokeError, InvokeOutcome, PushedQuery, Registry,
+    CacheLookup, CallKey, CallRequest, FailedCall, InvokeError, InvokeOutcome, PushedQuery,
+    Registry,
 };
-use axml_xml::{CallId, Document, Forest, Label, NodeId};
+use axml_xml::{CallId, Document, Label, NodeId};
 
 /// One invocation candidate.
 #[derive(Clone, Debug)]
@@ -228,29 +230,29 @@ fn combine_hedge(
 /// under the full remaining deadline budget; when its elapsed cost
 /// passes `hedge_after_ms` a duplicate hedge leg fires (with an
 /// independent deterministic fault fate) and the race is resolved by
-/// [`combine_hedge`]. Reads no engine state: the batch fixed the budget
-/// and the trigger before its first dispatch.
+/// [`combine_hedge`]. Both legs read the same request. Reads no engine
+/// state: the batch fixed the budget and the trigger before its first
+/// dispatch.
 fn dispatch_hedged(
     registry: &Registry,
     service: &str,
-    params: Forest,
+    req: &CallRequest,
     pushed: Option<&PushedQuery>,
     remaining_ms: f64,
     hedge_after_ms: f64,
 ) -> (Result<InvokeOutcome, InvokeError>, Option<HedgeLeg>) {
-    if !hedge_after_ms.is_finite() || remaining_ms - hedge_after_ms <= 0.0 {
-        return (
-            registry.invoke_within(service, params, pushed, remaining_ms),
-            None,
-        );
+    let primary = registry.invoke_within(service, req, pushed, remaining_ms);
+    let hedge_budget_ms = remaining_ms - hedge_after_ms;
+    if !hedge_after_ms.is_finite()
+        || hedge_budget_ms <= 0.0
+        || cost_ms(&primary) <= hedge_after_ms
+        || matches!(primary, Err(InvokeError::Unknown(_)))
+    {
+        return (primary, None);
     }
-    let primary = registry.invoke_within(service, params.clone(), pushed, remaining_ms);
-    if cost_ms(&primary) > hedge_after_ms && !matches!(primary, Err(InvokeError::Unknown(_))) {
-        let hedge = registry.invoke_hedge(service, params, pushed, remaining_ms - hedge_after_ms);
-        let (combined, leg) = combine_hedge(primary, hedge, hedge_after_ms);
-        return (combined, Some(leg));
-    }
-    (primary, None)
+    let hedge = registry.invoke_hedge(service, req, pushed, hedge_budget_ms);
+    let (combined, leg) = combine_hedge(primary, hedge, hedge_after_ms);
+    (combined, Some(leg))
 }
 
 impl Run<'_, '_, '_> {
@@ -329,7 +331,6 @@ impl Run<'_, '_, '_> {
         // another call's parameters, so a hit cannot invalidate a batch
         // mate.
         let mut admitted: Vec<Admitted<'_>> = Vec::new();
-        let mut params: Vec<Forest> = Vec::new();
         for c in cands {
             let key = match self.try_cache(doc, c, pushes.get(&c.call)) {
                 Probe::Hit => {
@@ -338,10 +339,7 @@ impl Run<'_, '_, '_> {
                 }
                 Probe::Miss(key) => key,
             };
-            if let Some((p, a)) = self.prepare(doc, c, key) {
-                params.push(p);
-                admitted.push(a);
-            }
+            admitted.extend(self.prepare(doc, c, key));
         }
         // the remaining deadline budget and each call's hedge trigger are
         // fixed before any dispatch: every call of the batch starts at the
@@ -354,16 +352,18 @@ impl Run<'_, '_, '_> {
             .iter()
             .map(|a| hedge_cfg.trigger_ms(registry.latency_ewma(a.cand.service.as_str())))
             .collect();
-        // phase 2: dispatch the whole batch before any result is applied
+        // phase 2: dispatch the whole batch before any result is applied.
+        // Each call's parameters are read here, where they stand: a hit
+        // spliced in phase 1 after the call was admitted cannot have
+        // changed them, for the reason it cannot invalidate the slot
         let results: Vec<_> = admitted
             .iter()
-            .zip(params)
             .zip(&triggers)
-            .map(|((a, params), trigger)| {
+            .map(|(a, trigger)| {
                 dispatch_hedged(
                     registry,
                     a.cand.service.as_str(),
-                    params,
+                    &CallRequest::of_call(doc, a.cand.node),
                     pushes.get(&a.cand.call),
                     remaining,
                     *trigger,
@@ -423,12 +423,11 @@ impl Run<'_, '_, '_> {
             Probe::Hit => return Some(0.0),
             Probe::Miss(key) => key,
         };
-        let (params, admitted) = self.prepare(doc, cand, key)?;
+        let admitted = self.prepare(doc, cand, key)?;
         let remaining = self.deadline.remaining_ms(self.clock.now_ms());
-        let res =
-            self.engine
-                .registry
-                .invoke_within(cand.service.as_str(), params, pushed, remaining);
+        let registry = self.engine.registry;
+        let req = CallRequest::of_call(doc, cand.node);
+        let res = registry.invoke_within(cand.service.as_str(), &req, pushed, remaining);
         self.settle(doc, admitted, res)
     }
 
@@ -449,7 +448,8 @@ impl Run<'_, '_, '_> {
         if !holds_call(doc, cand.node, cand.call) {
             return Probe::Miss(None);
         }
-        let key = CallKey::for_call(cand.service.as_str(), doc, cand.node, pushed);
+        let req = CallRequest::of_call(doc, cand.node);
+        let key = CallKey::new(cand.service.as_str(), &req, pushed);
         let lookup = cache.lookup(&key, self.clock.now_ms());
         let (outcome, hit) = match lookup {
             CacheLookup::Hit(hit) => (CacheOutcome::Hit, Some(hit)),
@@ -487,15 +487,14 @@ impl Run<'_, '_, '_> {
     /// The budget, deadline, stale-slot, unknown-service, shed and breaker
     /// gates, in that order. An admitted candidate reserves one unit of
     /// budget (a parallel batch admits every call before dispatching any)
-    /// and yields what its dispatch needs: the parameter forest, built
-    /// here because only a dispatch reads it, and what settling it needs,
-    /// with the key the cache probe built.
+    /// and yields what settling it needs, with the key the cache probe
+    /// built.
     fn prepare<'c>(
         &mut self,
         doc: &Document,
         cand: &'c Candidate,
         key: Option<CallKey>,
-    ) -> Option<(Forest, Admitted<'c>)> {
+    ) -> Option<Admitted<'c>> {
         if self.budget == 0 {
             // not marked truncated here: a failed batch mate may refund
             // budget and let this call proceed in a later round. The
@@ -553,21 +552,17 @@ impl Run<'_, '_, '_> {
             }
             return None;
         }
-        let params = doc.children_to_forest(cand.node);
         let parent_path = parent_labels(doc, cand.node);
         self.budget -= 1;
         *self
             .batch_admitted
             .entry(cand.service.to_string())
             .or_default() += 1;
-        Some((
-            params,
-            Admitted {
-                cand,
-                parent_path,
-                key,
-            },
-        ))
+        Some(Admitted {
+            cand,
+            parent_path,
+            key,
+        })
     }
 
     /// Marks a call naming an unregistered service dead and counts the
@@ -768,6 +763,7 @@ impl Run<'_, '_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use axml_xml::Forest;
     use std::sync::Arc;
 
     /// A successful leg; `bytes` marks which leg's outcome was returned.

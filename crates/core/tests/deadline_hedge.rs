@@ -189,7 +189,7 @@ fn hedge_events_stay_within_the_batch_budget() {
 /// Searches for a fault seed under which the primary leg of the single
 /// `svcB` call fails permanently while its hedge leg (whose fingerprint
 /// is salted, so it has an independent deterministic fate) succeeds.
-fn rescue_seed(params: &axml_xml::Forest) -> u64 {
+fn rescue_seed(req: &CallRequest) -> u64 {
     for seed in 1..10_000u64 {
         let r = {
             let mut r = registry();
@@ -207,8 +207,8 @@ fn rescue_seed(params: &axml_xml::Forest) -> u64 {
             );
             r
         };
-        let primary = r.invoke_within("svcB", params.clone(), None, f64::INFINITY);
-        let hedge = r.invoke_hedge("svcB", params.clone(), None, f64::INFINITY);
+        let primary = r.invoke_within("svcB", req, None, f64::INFINITY);
+        let hedge = r.invoke_hedge("svcB", req, None, f64::INFINITY);
         if primary.is_err() && hedge.is_ok() {
             return seed;
         }
@@ -226,9 +226,7 @@ fn hedged_pair_records_exactly_one_breaker_outcome() {
     let root = d.root();
     let c = d.add_call(root, "svcB");
     d.add_text(c, "0");
-    let node = d.calls()[0];
-    let params = d.children_to_forest(node);
-    let seed = rescue_seed(&params);
+    let seed = rescue_seed(&CallRequest::of_call(&d, c));
 
     let mut r = registry();
     r.set_retry_policy(RetryPolicy::none());

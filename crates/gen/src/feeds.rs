@@ -262,6 +262,7 @@ pub fn auction_feed(params: &AuctionFeedParams) -> Feed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use axml_services::CallRequest;
 
     fn params(key: &str) -> Forest {
         let mut f = Forest::new();
@@ -270,10 +271,10 @@ mod tests {
     }
 
     fn invoke(registry: &Registry, service: &str, key: &str) -> String {
-        let outcome = registry
-            .invoke_within(service, params(key), None, f64::INFINITY)
-            .unwrap();
-        axml_xml::to_xml(&outcome.result)
+        let params = params(key);
+        let req = CallRequest::of_forest(&params);
+        let outcome = registry.invoke_within(service, &req, None, f64::INFINITY);
+        axml_xml::to_xml(&outcome.unwrap().result)
     }
 
     #[test]
@@ -309,9 +310,11 @@ mod tests {
     #[test]
     fn auction_bids_nest_a_further_call() {
         let feed = auction_feed(&AuctionFeedParams { auctions: 2 });
+        let params = params("item 0");
+        let req = CallRequest::of_forest(&params);
         let outcome = feed
             .registry
-            .invoke_within("getBids", params("item 0"), None, f64::INFINITY)
+            .invoke_within("getBids", &req, None, f64::INFINITY)
             .unwrap();
         let answer = outcome.result;
         let has_nested_call = answer

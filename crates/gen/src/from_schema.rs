@@ -231,6 +231,7 @@ fn sample_word(
 mod tests {
     use super::*;
     use axml_schema::{figure2_schema, validate};
+    use axml_services::CallRequest;
 
     #[test]
     fn generated_instances_validate() {
@@ -255,9 +256,10 @@ mod tests {
         let schema = figure2_schema();
         let (_, registry) = random_instance(&schema, "hotels", &InstanceParams::default());
         for sig in schema.functions() {
-            let out = registry
-                .invoke_within(sig.name.as_str(), Forest::new(), None, f64::INFINITY)
-                .unwrap();
+            let none = Forest::new();
+            let req = CallRequest::of_forest(&none);
+            let out = registry.invoke_within(sig.name.as_str(), &req, None, f64::INFINITY);
+            let out = out.unwrap();
             assert!(
                 axml_schema::forest_matches_type(&out.result, &sig.output),
                 "{} result does not match its output type",
@@ -300,9 +302,9 @@ mod tests {
             assert!(guard < 100_000);
             let c = calls[0];
             let (_, svc) = doc.call_info(c).unwrap();
-            let out = registry
-                .invoke_within(svc.as_str(), doc.children_to_forest(c), None, f64::INFINITY)
-                .unwrap();
+            let req = CallRequest::of_call(&doc, c);
+            let out = registry.invoke_within(svc.as_str(), &req, None, f64::INFINITY);
+            let out = out.unwrap();
             doc.splice_call(c, &out.result);
         }
         let errors = validate(&doc, &schema);

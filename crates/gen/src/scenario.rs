@@ -221,32 +221,9 @@ pub fn figure1() -> Scenario {
 fn flatten(f: &Forest, holder: axml_xml::NodeId) -> Forest {
     let mut out = Forest::new();
     for &c in f.children(holder) {
-        let sub = f.subtree_to_forest(c);
-        let root = sub.roots()[0];
-        copy_into(&sub, root, &mut out, None);
+        out.append_copy_as_root(f, c);
     }
     out
-}
-
-fn copy_into(
-    src: &Forest,
-    node: axml_xml::NodeId,
-    out: &mut Forest,
-    parent: Option<axml_xml::NodeId>,
-) {
-    use axml_xml::NodeKind;
-    let label = src.label(node);
-    let new = match (src.kind(node), parent) {
-        (NodeKind::Element, Some(p)) => out.add_element(p, label),
-        (NodeKind::Element, None) => out.add_root(label),
-        (NodeKind::Text, Some(p)) => out.add_text(p, label),
-        (NodeKind::Text, None) => out.add_root_text(label),
-        (NodeKind::Call(_), Some(p)) => out.add_call(p, label),
-        (NodeKind::Call(_), None) => out.add_root_call(label),
-    };
-    for &c in src.children(node) {
-        copy_into(src, c, out, Some(new));
-    }
 }
 
 /// Knobs of the scaled hotels workload.
@@ -387,9 +364,8 @@ pub fn generate(params: &ScenarioParams) -> Scenario {
             doc.add_text(c, addr.clone());
             restos.insert(addr.clone(), resto_forest);
         } else {
-            let sub_root_count = resto_forest.roots().len();
-            for ri in 0..sub_root_count {
-                copy_subtree_under(&resto_forest, resto_forest.roots()[ri], doc, nb);
+            for &r in resto_forest.roots() {
+                doc.append_copy(nb, &resto_forest, r);
             }
         }
         // museums are always intensional (pure distractors for the query)
@@ -431,8 +407,7 @@ pub fn generate(params: &ScenarioParams) -> Scenario {
     // intensional hotels behind getHotels
     let mut hotels_forest = Forest::new();
     if params.intensional_hotels > 0 {
-        let holder = hotels_forest.add_root("tmp");
-        let mut sub = Document::with_root("tmp2");
+        let mut sub = Document::with_root("tmp");
         let sub_root = sub.root();
         for j in 0..params.intensional_hotels {
             emit_hotel(
@@ -446,11 +421,7 @@ pub fn generate(params: &ScenarioParams) -> Scenario {
                 &mut reviews,
             );
         }
-        for idx in 0..sub.children(sub_root).len() {
-            let c = sub.children(sub_root)[idx];
-            copy_subtree_under_forest(&sub, c, &mut hotels_forest, holder);
-        }
-        hotels_forest = flatten(&hotels_forest, holder);
+        hotels_forest = flatten(&sub, sub_root);
         let c = doc.add_call(root, "getHotels");
         doc.add_text(c, "NY");
     }
@@ -467,33 +438,6 @@ pub fn generate(params: &ScenarioParams) -> Scenario {
         registry,
         schema,
     }
-}
-
-fn copy_subtree_under(
-    src: &Forest,
-    node: axml_xml::NodeId,
-    dst: &mut Document,
-    parent: axml_xml::NodeId,
-) {
-    use axml_xml::NodeKind;
-    let label = src.label(node);
-    let new = match src.kind(node) {
-        NodeKind::Element => dst.add_element(parent, label),
-        NodeKind::Text => dst.add_text(parent, label),
-        NodeKind::Call(_) => dst.add_call(parent, label),
-    };
-    for &c in src.children(node) {
-        copy_subtree_under(src, c, dst, new);
-    }
-}
-
-fn copy_subtree_under_forest(
-    src: &Document,
-    node: axml_xml::NodeId,
-    dst: &mut Forest,
-    parent: axml_xml::NodeId,
-) {
-    copy_subtree_under(src, node, dst, parent)
 }
 
 #[cfg(test)]

@@ -192,6 +192,7 @@ fn grow_query(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use axml_services::CallRequest;
 
     #[test]
     fn workload_is_deterministic() {
@@ -217,9 +218,9 @@ mod tests {
             let c = calls[0];
             let (_, svc) = doc.call_info(c).unwrap();
             assert!(registry.has_service(svc.as_str()));
-            let out = registry
-                .invoke_within(svc.as_str(), doc.children_to_forest(c), None, f64::INFINITY)
-                .unwrap();
+            let req = CallRequest::of_call(&doc, c);
+            let out = registry.invoke_within(svc.as_str(), &req, None, f64::INFINITY);
+            let out = out.unwrap();
             doc.splice_call(c, &out.result);
             doc.check_integrity().unwrap();
         }

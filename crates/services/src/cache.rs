@@ -5,24 +5,24 @@
 //! The cache itself lives a layer above (crate `axml-store`); this module
 //! only defines the contract between the engine's invoke path and any
 //! memoization layer. A call is identified by its *service* and its
-//! *parameter forest* (plus the pushed query, if any, since a pushed
+//! serialized *parameters* (plus the pushed query, if any, since a pushed
 //! result is pruned for that query and must not be served to another):
 //! its [`CallKey`]. All freshness decisions are charged to the engine's
 //! simulated clock: `now_ms` is the caller's [`crate::SimClock`] time at
 //! lookup/store.
 
 use crate::registry::InvokeOutcome;
-use crate::service::PushedQuery;
+use crate::service::{CallRequest, PushedQuery};
 use axml_query::{render, EdgeKind};
-use axml_xml::{children_to_xml, to_xml, Document, Forest, NodeId};
+use axml_xml::Forest;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// What a call-result cache is keyed on: the service name, the serialized
-/// parameter forest, and (for pushed calls) the rendered pushed pattern
-/// plus its edge kind. Built once per candidate, hash included, so the
-/// probe and the store after a miss serialize and hash it once.
+/// parameters, and (for pushed calls) the rendered pushed pattern plus its
+/// edge kind. Built once per candidate, hash included, so the probe and
+/// the store after a miss serialize and hash it once.
 // `hash` comes first so equality tests it before the strings
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CallKey {
@@ -33,25 +33,11 @@ pub struct CallKey {
 }
 
 impl CallKey {
-    /// The key of a call to `service` with `params` (and `pushed`).
-    pub fn new(service: &str, params: &Forest, pushed: Option<&PushedQuery>) -> Self {
-        CallKey::from_xml(service, to_xml(params), pushed)
-    }
-
-    /// The key of the call `node` of `doc` to `service`: [`CallKey::new`]
-    /// of its parameter forest, serialized where the parameters stand, so
-    /// a probe builds no forest.
-    pub fn for_call(
-        service: &str,
-        doc: &Document,
-        node: NodeId,
-        pushed: Option<&PushedQuery>,
-    ) -> Self {
-        CallKey::from_xml(service, children_to_xml(doc, node), pushed)
-    }
-
-    fn from_xml(service: &str, params_xml: String, pushed: Option<&PushedQuery>) -> Self {
+    /// The key of a call to `service` with the parameters `req` (and
+    /// `pushed`), serialized where they stand.
+    pub fn new(service: &str, req: &CallRequest, pushed: Option<&PushedQuery>) -> Self {
         let service = service.to_string();
+        let params_xml = req.to_xml();
         let pushed = pushed.map(|pq| (render(&pq.pattern), pq.via == EdgeKind::Child));
         // `DefaultHasher::new()` starts from fixed keys: deterministic
         // within a build, which is all the cache's map needs

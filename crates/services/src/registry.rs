@@ -10,7 +10,7 @@ use crate::fault::{
 use crate::net::{NetProfile, NetStats};
 use crate::push::prune_result;
 use crate::service::{CallRequest, PushedQuery, Reply, Service};
-use axml_xml::{to_xml, Forest};
+use axml_xml::Forest;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -244,11 +244,11 @@ impl Registry {
     pub fn invoke_within(
         &self,
         name: &str,
-        params: Forest,
+        req: &CallRequest,
         pushed: Option<&PushedQuery>,
         budget_ms: f64,
     ) -> Result<InvokeOutcome, InvokeError> {
-        self.invoke_budgeted(name, params, pushed, budget_ms, 0)
+        self.invoke_budgeted(name, req, pushed, budget_ms, 0)
     }
 
     /// The hedge leg of a hedged invocation: same call, same budget
@@ -259,17 +259,17 @@ impl Registry {
     pub fn invoke_hedge(
         &self,
         name: &str,
-        params: Forest,
+        req: &CallRequest,
         pushed: Option<&PushedQuery>,
         budget_ms: f64,
     ) -> Result<InvokeOutcome, InvokeError> {
-        self.invoke_budgeted(name, params, pushed, budget_ms, SALT_HEDGE)
+        self.invoke_budgeted(name, req, pushed, budget_ms, SALT_HEDGE)
     }
 
     fn invoke_budgeted(
         &self,
         name: &str,
-        params: Forest,
+        req: &CallRequest,
         pushed: Option<&PushedQuery>,
         budget_ms: f64,
         fp_salt: u64,
@@ -283,11 +283,10 @@ impl Registry {
             // (the engine's deadline gate normally prevents this dispatch)
             return Err(self.fail(name, 0, 0.0, false, true));
         }
-        let req = CallRequest { params };
         let Some(fault) = self.fault_profile_for(name).filter(|f| !f.is_inert()) else {
             // fault-free: the single attempt either fits the budget or
             // burns the whole of it
-            let answer = self.answer(service, &req, pushed);
+            let answer = self.answer(service, req, pushed);
             if answer.2 <= budget_ms {
                 return Ok(self.succeed(answer, 1.0, 0.0, 1));
             }
@@ -299,7 +298,7 @@ impl Registry {
         };
         let policy = self.retry;
         let net = self.net_profile;
-        let fingerprint = fnv64(to_xml(&req.params).as_bytes()) ^ fp_salt;
+        let fingerprint = fnv64(req.to_xml().as_bytes()) ^ fp_salt;
         // deterministic services: the answer is computed at most once and
         // reused across attempts
         let mut answer: Option<Answer> = None;
@@ -354,7 +353,7 @@ impl Registry {
                         _ => 1.0,
                     };
                     let answer = answer
-                        .get_or_insert_with(|| self.answer(service, &req, pushed))
+                        .get_or_insert_with(|| self.answer(service, req, pushed))
                         .clone();
                     if answer.2 * factor > attempt_timeout {
                         // the slowdown ran past the deadline
@@ -517,6 +516,12 @@ mod tests {
     use axml_query::{parse_query, EdgeKind};
     use axml_xml::{forest_serialized_len, parse};
 
+    /// A request without parameters.
+    fn no_params() -> CallRequest<'static> {
+        static NONE: std::sync::LazyLock<Forest> = std::sync::LazyLock::new(Forest::new);
+        CallRequest::of_forest(&NONE)
+    }
+
     fn registry() -> Registry {
         let mut r = Registry::new();
         r.register(StaticService::new(
@@ -534,7 +539,7 @@ mod tests {
     fn invoke_records_stats() {
         let r = registry();
         let out = r
-            .invoke_within("getNearbyRestos", Forest::new(), None, f64::INFINITY)
+            .invoke_within("getNearbyRestos", &no_params(), None, f64::INFINITY)
             .unwrap();
         assert_eq!(out.result.roots().len(), 2);
         assert!(out.bytes > 0);
@@ -549,7 +554,7 @@ mod tests {
     fn unknown_service_is_an_error() {
         let r = registry();
         let e = r
-            .invoke_within("nope", Forest::new(), None, f64::INFINITY)
+            .invoke_within("nope", &no_params(), None, f64::INFINITY)
             .unwrap_err();
         assert_eq!(e, InvokeError::Unknown("nope".into()));
         assert_eq!(r.stats().calls, 0);
@@ -559,13 +564,13 @@ mod tests {
     fn pushed_queries_shrink_transfer() {
         let r = registry();
         let full = r
-            .invoke_within("getNearbyRestos", Forest::new(), None, f64::INFINITY)
+            .invoke_within("getNearbyRestos", &no_params(), None, f64::INFINITY)
             .unwrap();
         let q = parse_query("/restaurant[rating=\"*****\"]/name").unwrap();
         let pushed = r
             .invoke_within(
                 "getNearbyRestos",
-                Forest::new(),
+                &no_params(),
                 Some(&PushedQuery {
                     pattern: q,
                     via: EdgeKind::Child,
@@ -590,7 +595,7 @@ mod tests {
     fn repeated_calls_share_the_stored_answer() {
         let r = registry();
         let call = || {
-            r.invoke_within("getNearbyRestos", Forest::new(), None, f64::INFINITY)
+            r.invoke_within("getNearbyRestos", &no_params(), None, f64::INFINITY)
                 .unwrap()
         };
         let (a, b) = (call(), call());
@@ -610,7 +615,7 @@ mod tests {
         let out = r
             .invoke_within(
                 "t",
-                params,
+                &CallRequest::of_forest(&params),
                 Some(&PushedQuery {
                     pattern: q,
                     via: EdgeKind::Child,
@@ -634,7 +639,7 @@ mod tests {
             timeout_ms: f64::INFINITY,
         });
         let out = r
-            .invoke_within("getNearbyRestos", Forest::new(), None, f64::INFINITY)
+            .invoke_within("getNearbyRestos", &no_params(), None, f64::INFINITY)
             .unwrap();
         assert_eq!(out.attempts, 3);
         // 2 failed attempts at latency 10 + backoffs 5 and 10 + final 10
@@ -660,7 +665,7 @@ mod tests {
             timeout_ms: f64::INFINITY,
         });
         let err = r
-            .invoke_within("getNearbyRestos", Forest::new(), None, f64::INFINITY)
+            .invoke_within("getNearbyRestos", &no_params(), None, f64::INFINITY)
             .unwrap_err();
         let InvokeError::Failed(failed) = err else {
             panic!("expected Failed");
@@ -687,7 +692,7 @@ mod tests {
             timeout_ms: 500.0,
         });
         let err = r
-            .invoke_within("getNearbyRestos", Forest::new(), None, f64::INFINITY)
+            .invoke_within("getNearbyRestos", &no_params(), None, f64::INFINITY)
             .unwrap_err();
         let InvokeError::Failed(failed) = err else {
             panic!("expected Failed");
@@ -720,7 +725,7 @@ mod tests {
             timeout_ms: 300.0,
         });
         let err = r
-            .invoke_within("getNearbyRestos", Forest::new(), None, f64::INFINITY)
+            .invoke_within("getNearbyRestos", &no_params(), None, f64::INFINITY)
             .unwrap_err();
         let InvokeError::Failed(failed) = err else {
             panic!("expected Failed");
@@ -736,7 +741,7 @@ mod tests {
             r.set_default_profile(NetProfile::default());
             r.set_default_fault_profile(FaultProfile::chaos(99, 0.9));
             r.set_retry_policy(RetryPolicy::default().with_timeout_ms(2_000.0));
-            let out = r.invoke_within("getNearbyRestos", Forest::new(), None, f64::INFINITY);
+            let out = r.invoke_within("getNearbyRestos", &no_params(), None, f64::INFINITY);
             (out.map(|o| (o.bytes, o.cost_ms, o.attempts)), r.stats())
         };
         assert_eq!(run(), run());
@@ -756,7 +761,7 @@ mod tests {
         // attempt 0 burns 10, backoff 0 would burn 25 — budget 20 dies
         // mid-backoff, so only one attempt ever runs
         let err = r
-            .invoke_within("getNearbyRestos", Forest::new(), None, 20.0)
+            .invoke_within("getNearbyRestos", &no_params(), None, 20.0)
             .unwrap_err();
         let InvokeError::Failed(failed) = err else {
             panic!("expected Failed");
@@ -781,7 +786,7 @@ mod tests {
         });
         // no per-attempt timeout, but the budget bounds the hang at 7ms
         let err = r
-            .invoke_within("getNearbyRestos", Forest::new(), None, 7.0)
+            .invoke_within("getNearbyRestos", &no_params(), None, 7.0)
             .unwrap_err();
         let InvokeError::Failed(failed) = err else {
             panic!("expected Failed");
@@ -796,7 +801,7 @@ mod tests {
         let mut r = registry();
         r.set_default_profile(NetProfile::latency(10.0));
         let err = r
-            .invoke_within("getNearbyRestos", Forest::new(), None, 4.0)
+            .invoke_within("getNearbyRestos", &no_params(), None, 4.0)
             .unwrap_err();
         let InvokeError::Failed(failed) = err else {
             panic!("expected Failed");
@@ -808,7 +813,7 @@ mod tests {
         // a roomy budget succeeds without behavioral change
         r.reset_stats();
         let ok = r
-            .invoke_within("getNearbyRestos", Forest::new(), None, 100.0)
+            .invoke_within("getNearbyRestos", &no_params(), None, 100.0)
             .unwrap();
         assert_eq!(ok.cost_ms, 10.0);
     }
@@ -817,7 +822,7 @@ mod tests {
     fn exhausted_budget_attempts_nothing() {
         let r = registry();
         let err = r
-            .invoke_within("getNearbyRestos", Forest::new(), None, 0.0)
+            .invoke_within("getNearbyRestos", &no_params(), None, 0.0)
             .unwrap_err();
         let InvokeError::Failed(failed) = err else {
             panic!("expected Failed");
@@ -845,8 +850,8 @@ mod tests {
                 },
             );
             r.set_retry_policy(RetryPolicy::none());
-            let primary = r.invoke_within("getNearbyRestos", Forest::new(), None, f64::INFINITY);
-            let hedge = r.invoke_hedge("getNearbyRestos", Forest::new(), None, f64::INFINITY);
+            let primary = r.invoke_within("getNearbyRestos", &no_params(), None, f64::INFINITY);
+            let hedge = r.invoke_hedge("getNearbyRestos", &no_params(), None, f64::INFINITY);
             primary.is_err() && hedge.is_ok()
         });
         assert!(hedged_survives, "some seed lets the hedge dodge the fault");
@@ -911,7 +916,7 @@ mod tests {
         let mut r = registry();
         r.set_default_profile(NetProfile::latency(250.0));
         let out = r
-            .invoke_within("getNearbyRestos", Forest::new(), None, f64::INFINITY)
+            .invoke_within("getNearbyRestos", &no_params(), None, f64::INFINITY)
             .unwrap();
         assert_eq!(out.cost_ms, 250.0);
         r.set_default_profile(NetProfile {
@@ -919,7 +924,7 @@ mod tests {
             bytes_per_ms: 1.0,
         });
         let out2 = r
-            .invoke_within("getNearbyRestos", Forest::new(), None, f64::INFINITY)
+            .invoke_within("getNearbyRestos", &no_params(), None, f64::INFINITY)
             .unwrap();
         assert!((out2.cost_ms - (10.0 + out2.bytes as f64)).abs() < 1e-9);
     }

@@ -1,29 +1,51 @@
 //! The service abstraction: what the paper calls a Web service.
 //!
-//! A service maps a parameter forest to a result forest. Providers may also
-//! accept a *pushed query* (Section 7): instead of the full result, only
-//! the part useful to the query is returned. The actual pushing logic lives
-//! in [`crate::registry::Registry`], which plays the provider's side.
+//! A service maps a call's parameters to a result forest. It reads the
+//! parameters where they stand, through a [`CallRequest`], and copies none
+//! of them. Providers may also accept a *pushed query* (Section 7): instead
+//! of the full result, only the part useful to the query is returned. The
+//! actual pushing logic lives in [`crate::registry::Registry`], which plays
+//! the provider's side.
 
 use axml_query::Pattern;
-use axml_xml::{forest_serialized_len, Forest};
+use axml_xml::{forest_serialized_len, nodes_to_xml, Document, Forest, NodeId};
 use std::sync::Arc;
 
-/// A request to a service: the call's parameter subtrees.
-#[derive(Clone, Debug, Default)]
-pub struct CallRequest {
-    /// Deep copies of the parameter subtrees of the function node.
-    pub params: Forest,
+/// A request to a service: a view of the call's parameter subtrees where
+/// they stand, in the calling document. Copying it copies two references.
+#[derive(Clone, Copy, Debug)]
+pub struct CallRequest<'a> {
+    doc: &'a Document,
+    params: &'a [NodeId],
 }
 
-impl CallRequest {
+impl<'a> CallRequest<'a> {
+    /// The parameters of the call `call` of `doc`: its children.
+    pub fn of_call(doc: &'a Document, call: NodeId) -> Self {
+        CallRequest {
+            doc,
+            params: doc.children(call),
+        }
+    }
+
+    /// A request whose parameters are the roots of `forest`.
+    pub fn of_forest(forest: &'a Forest) -> Self {
+        CallRequest {
+            doc: forest,
+            params: forest.roots(),
+        }
+    }
+
     /// Convenience: the first parameter as a text value, the common shape
     /// for the scenario services (`getRating("75 2nd Av")`).
-    pub fn first_text(&self) -> Option<&str> {
-        self.params
-            .roots()
-            .first()
-            .and_then(|&r| self.params.text_value(r))
+    pub fn first_text(&self) -> Option<&'a str> {
+        self.params.first().and_then(|&p| self.doc.text_value(p))
+    }
+
+    /// The parameters serialized compactly: the bytes [`axml_xml::to_xml`]
+    /// writes for a forest of their copies.
+    pub fn to_xml(&self) -> String {
+        nodes_to_xml(self.doc, self.params)
     }
 }
 
@@ -205,12 +227,20 @@ mod tests {
         assert_eq!(reply.bytes, forest_serialized_len(&reply.forest));
     }
 
+    /// A request whose one parameter is the text `value`.
+    fn text_param(value: &str) -> Forest {
+        let mut params = Forest::new();
+        params.add_root_text(value);
+        params
+    }
+
     #[test]
     fn static_service_returns_shared_reply() {
         let f = parse("<a x=\"&amp;\">b &lt; c</a>").unwrap();
         let s = StaticService::new("s", f);
-        let r1 = s.invoke(&CallRequest::default());
-        let r2 = s.invoke(&CallRequest::default());
+        let none = Forest::new();
+        let r1 = s.invoke(&CallRequest::of_forest(&none));
+        let r2 = s.invoke(&CallRequest::of_forest(&none));
         assert_eq!(axml_xml::to_xml(&r1.forest), "<a x=\"&amp;\">b &lt; c</a>");
         assert!(Arc::ptr_eq(&r1.forest, &r2.forest), "one stored answer");
         assert_sized(&r1);
@@ -224,9 +254,7 @@ mod tests {
             f.add_text(e, req.first_text().unwrap_or("?"));
             f
         });
-        let mut params = Forest::new();
-        params.add_root_text("hello");
-        let out = s.invoke(&CallRequest { params });
+        let out = s.invoke(&CallRequest::of_forest(&text_param("hello")));
         assert_eq!(axml_xml::to_xml(&out.forest), "<echo>hello</echo>");
         assert_sized(&out);
     }
@@ -239,18 +267,15 @@ mod tests {
             parse("<restaurant><name>Jo</name><axml:call service=\"f\">k</axml:call></restaurant>")
                 .unwrap(),
         );
-        let mut params = Forest::new();
-        params.add_root_text("2nd Av");
-        let req = CallRequest { params };
+        let params = text_param("2nd Av");
+        let req = CallRequest::of_forest(&params);
         let out = t.invoke(&req);
         assert_eq!(out.forest.roots().len(), 1);
         assert_sized(&out);
         // one key's stored answer is handed out, not copied
         assert!(Arc::ptr_eq(&out.forest, &t.invoke(&req).forest));
         // unknown key → empty forest
-        let mut params = Forest::new();
-        params.add_root_text("nowhere");
-        let out = t.invoke(&CallRequest { params });
+        let out = t.invoke(&CallRequest::of_forest(&text_param("nowhere")));
         assert!(out.forest.roots().is_empty());
         assert_eq!(out.bytes, 0);
     }

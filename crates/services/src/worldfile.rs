@@ -201,23 +201,17 @@ mod tests {
             r.service_names(),
             vec!["getHotels".to_string(), "getRating".into(), "legacy".into()]
         );
-        let mut params = Forest::new();
-        params.add_root_text("a");
-        let out = r
-            .invoke_within("getRating", params, None, f64::INFINITY)
-            .unwrap();
-        assert_eq!(to_xml(&out.result), "*****");
+        let call = |service: &str, key: &str| {
+            let mut params = Forest::new();
+            params.add_root_text(key);
+            let req = CallRequest::of_forest(&params);
+            r.invoke_within(service, &req, None, f64::INFINITY).unwrap()
+        };
+        assert_eq!(to_xml(&call("getRating", "a").result), "*****");
         // default applies to unknown keys
-        let mut params = Forest::new();
-        params.add_root_text("zz");
-        let out = r
-            .invoke_within("getRating", params, None, f64::INFINITY)
-            .unwrap();
-        assert_eq!(to_xml(&out.result), "?");
+        assert_eq!(to_xml(&call("getRating", "zz").result), "?");
         // static: any params
-        let out = r
-            .invoke_within("getHotels", Forest::new(), None, f64::INFINITY)
-            .unwrap();
+        let out = call("getHotels", "");
         assert_eq!(out.result.roots().len(), 2);
     }
 
@@ -228,8 +222,8 @@ mod tests {
             let call = || {
                 let mut params = Forest::new();
                 params.add_root_text(key);
-                r.invoke_within(service, params, None, f64::INFINITY)
-                    .unwrap()
+                let req = CallRequest::of_forest(&params);
+                r.invoke_within(service, &req, None, f64::INFINITY).unwrap()
             };
             let (a, b) = (call(), call());
             assert_eq!(a.bytes, axml_xml::forest_serialized_len(&a.result));
@@ -274,9 +268,9 @@ mod tests {
              </service></world>",
         )
         .unwrap();
-        let out = r
-            .invoke_within("outer", Forest::new(), None, f64::INFINITY)
-            .unwrap();
+        let none = Forest::new();
+        let req = CallRequest::of_forest(&none);
+        let out = r.invoke_within("outer", &req, None, f64::INFINITY).unwrap();
         assert_eq!(out.result.calls().len(), 1);
     }
 }

@@ -1,10 +1,13 @@
-//! Property tests for call-cache keys: a key built where a call stands
-//! (`CallKey::for_call`) is the key of the call's copied parameter forest
-//! (`CallKey::new`), with and without a pushed query.
+//! Property tests for call requests and call-cache keys: a request read
+//! where a call stands (`CallRequest::of_call`) is the request of the
+//! call's copied parameter forest (`CallRequest::of_forest`): the same
+//! first text, the same bytes as the forest's serialization, and the same
+//! `CallKey`, with and without a pushed query. Every cache key and fault
+//! fingerprint rests on this.
 
 use axml_query::{parse_query, EdgeKind};
-use axml_services::{CallKey, PushedQuery};
-use axml_xml::{Document, NodeId};
+use axml_services::{CallKey, CallRequest, PushedQuery};
+use axml_xml::{to_xml, Document, Forest, NodeId};
 use proptest::prelude::*;
 
 /// Label and text material, with characters the serializer escapes.
@@ -44,18 +47,28 @@ fn pushed(via: EdgeKind) -> PushedQuery {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    // from the default config, so that `PROPTEST_CASES` sets the count
+    #![proptest_config(ProptestConfig::default())]
 
     #[test]
     fn a_key_built_in_place_is_the_key_of_the_parameter_forest(d in doc_strategy()) {
         let pushes = [None, Some(pushed(EdgeKind::Child)), Some(pushed(EdgeKind::Descendant))];
         for call in d.calls() {
             let service = d.label(call);
-            let params = d.children_to_forest(call);
+            let mut params = Forest::new();
+            for &p in d.children(call) {
+                params.append_copy_as_root(&d, p);
+            }
+            let in_place = CallRequest::of_call(&d, call);
+            let copied = CallRequest::of_forest(&params);
+            let first = params.roots().first().and_then(|&r| params.text_value(r));
+            prop_assert_eq!(in_place.first_text(), first);
+            prop_assert_eq!(copied.first_text(), first);
+            prop_assert_eq!(in_place.to_xml(), to_xml(&params));
+            prop_assert_eq!(copied.to_xml(), to_xml(&params));
             for p in &pushes {
-                let in_place = CallKey::for_call(service, &d, call, p.as_ref());
-                let reference = CallKey::new(service, &params, p.as_ref());
-                prop_assert_eq!(in_place, reference);
+                let reference = CallKey::new(service, &copied, p.as_ref());
+                prop_assert_eq!(CallKey::new(service, &in_place, p.as_ref()), reference);
             }
         }
     }

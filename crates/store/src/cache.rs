@@ -326,7 +326,7 @@ impl InvokeCache for CallCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use axml_services::PushedQuery;
+    use axml_services::{CallRequest, PushedQuery};
     use axml_xml::{forest_serialized_len, parse};
 
     fn outcome(xml: &str) -> InvokeOutcome {
@@ -344,7 +344,7 @@ mod tests {
     fn key(service: &str, text: &str, pushed: Option<&PushedQuery>) -> CallKey {
         let mut params = Forest::new();
         params.add_root_text(text);
-        CallKey::new(service, &params, pushed)
+        CallKey::new(service, &CallRequest::of_forest(&params), pushed)
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 mod support;
 
-use axml_services::{CacheLookup, CallKey, InvokeCache, InvokeOutcome, PushedQuery};
+use axml_services::{CacheLookup, CallKey, CallRequest, InvokeCache, InvokeOutcome, PushedQuery};
 use axml_store::{CacheConfig, CallCache};
 use axml_xml::{forest_serialized_len, parse, to_xml, Forest};
 use proptest::prelude::*;
@@ -26,7 +26,7 @@ const PAYLOADS: [&str; 4] = [
 fn call_key(service: &str, i: usize, pushed: Option<&PushedQuery>) -> CallKey {
     let mut params = Forest::new();
     params.add_root_text(format!("param-{i}"));
-    CallKey::new(service, &params, pushed)
+    CallKey::new(service, &CallRequest::of_forest(&params), pushed)
 }
 
 fn payload(i: usize) -> InvokeOutcome {

@@ -530,12 +530,17 @@ impl<'a> SubscriptionEngine<'a> {
     ///
     /// `t_end_ms` must be finite and non-negative: an infinite horizon
     /// never returns, and a NaN one returns at once having done nothing.
+    /// An idle tick too small to move the clock at `t_end_ms`
+    /// (`t_end_ms + watch_ms == t_end_ms`) cannot carry the clock there:
+    /// the ticks would stall below `t_end_ms` or take on the order of
+    /// 2^52 steps. When such a tick is due, `run_until` returns instead.
     pub fn run_until(&mut self, t_end_ms: f64) -> Vec<Delta> {
         let mut out = Vec::new();
         while self.clock_ms < t_end_ms {
             let lapse = self.cache.earliest_expiry().filter(|&e| e <= t_end_ms);
             let target = match lapse {
                 Some(e) => e.max(self.clock_ms),
+                None if t_end_ms + self.options.watch_ms == t_end_ms => break,
                 None => self.clock_ms + self.options.watch_ms,
             };
             if target > t_end_ms {

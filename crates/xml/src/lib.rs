@@ -49,7 +49,7 @@ pub mod wire;
 pub use label::Label;
 pub use parse::{parse, ParseError, MAX_DEPTH};
 pub use serialize::{
-    children_to_xml, forest_serialized_len, serialized_len, subtree_to_xml, to_xml, to_xml_with,
+    forest_serialized_len, nodes_to_xml, serialized_len, subtree_to_xml, to_xml, to_xml_with,
     SerializeOptions,
 };
 pub use snapshot::{

@@ -48,13 +48,13 @@ pub fn subtree_to_xml(doc: &Document, node: NodeId) -> String {
     out
 }
 
-/// Serializes the children of `node` compactly: the bytes [`to_xml`]
-/// writes for `doc.children_to_forest(node)`, without building that
-/// forest.
-pub fn children_to_xml(doc: &Document, node: NodeId) -> String {
+/// Serializes the subtrees rooted at `nodes`, one after another, compactly:
+/// the bytes [`to_xml`] writes for a forest of their copies, without
+/// building that forest.
+pub fn nodes_to_xml(doc: &Document, nodes: &[NodeId]) -> String {
     let mut out = String::new();
-    for &c in doc.children(node) {
-        let _ = write_node(doc, c, &mut out, false);
+    for &n in nodes {
+        let _ = write_node(doc, n, &mut out, false);
     }
     out
 }
@@ -278,11 +278,12 @@ mod tests {
             "<r><axml:call service=\"f\"><k a=\"&quot;\">x &amp; y</k>t<axml:call service=\"g\"/></axml:call></r>",
         )
         .unwrap();
-        let call = d.children(d.root())[0];
-        assert_eq!(
-            children_to_xml(&d, call),
-            to_xml(&d.children_to_forest(call))
-        );
+        let params = d.children(d.children(d.root())[0]);
+        let mut copied = Document::new();
+        for &p in params {
+            copied.append_copy_as_root(&d, p);
+        }
+        assert_eq!(nodes_to_xml(&d, params), to_xml(&copied));
     }
 
     #[test]

@@ -32,17 +32,18 @@
 //! private copy.
 //!
 //! Splicing reads the result forest through its *splice plan*, computed at
-//! the forest's first splice and dropped by any change to it: the forest's
-//! pre-order and its distinct labels in order of first use. Most forests —
-//! parsed, wire-decoded or built top-down — keep their slots in pre-order,
-//! and their plan stores no order at all. A splice then maps each label
-//! once, allocates the nodes in pre-order and fills one child list, so a
-//! stored reply spliced again walks no tree and allocates no buffer per
-//! node. Each plan label keeps, as a hint, the symbol it got in the last
-//! document it was spliced into; a splice uses the hint only when its own
-//! symbol table holds that label under it, and interns the label otherwise.
-//! The result is exactly the per-node copy's: the same node ids, call ids,
-//! symbols, classes and label-bucket order.
+//! the forest's first splice and dropped by any change to it. A splice
+//! reads a *compact* forest: its live slots are in pre-order, its label
+//! buckets in slot order and its symbols numbered in order of first use.
+//! Parsed, wire-decoded and top-down-built forests are compact and are read
+//! as they stand; the plan of any other holds a compact copy, made once. A
+//! splice then maps each label once, allocates the nodes in pre-order and
+//! fills one child list, so a stored reply spliced again walks no tree and
+//! allocates no buffer per node. Each plan label keeps, as a hint, the
+//! symbol it got in the last document it was spliced into; a splice uses
+//! the hint only when its own symbol table holds that label under it, and
+//! interns the label otherwise. The result is exactly the per-node copy's:
+//! the same node ids, call ids, symbols, classes and label-bucket order.
 //!
 //! The document also owns its call index, the function-call guide (F-guide)
 //! of the paper's Section 6.2. A call's *class* is the interned label path
@@ -250,137 +251,41 @@ impl Bucket {
 }
 
 /// How a splice reads a forest, computed at the forest's first splice
-/// ([`Document::splice_plan`]) and dropped by any change to it.
+/// ([`Document::splice_plan`]) and dropped by any change to it. A splice
+/// reads a *compact* forest: its live slots are in pre-order, its label
+/// buckets in slot order and its symbols numbered in order of first use,
+/// the order in which a per-node copy interns them. A compact forest is
+/// read as it stands; any other is first copied once into one.
 #[derive(Debug)]
 struct SplicePlan {
-    /// The forest's pre-order and label runs, when they are not its own
-    /// slot order and label buckets.
-    reorder: Option<Reorder>,
-    /// The forest's symbols in order of first use in pre-order: the order
-    /// in which a per-node copy interns them.
-    labels: Box<[PlanLabel]>,
-}
-
-/// The pre-order of a forest whose slots are not in it, or whose label
-/// buckets are not.
-#[derive(Debug)]
-struct Reorder {
-    /// The live slots in pre-order.
-    order: Box<[u32]>,
-    /// Each live slot's place in `order`.
-    rank: Box<[u32]>,
-    /// The nodes carrying each label in pre-order, label after label: the
-    /// run of `labels[j]` ends at its `end`.
-    by_label: Box<[NodeId]>,
-}
-
-/// A distinct label of a planned forest.
-#[derive(Debug)]
-struct PlanLabel {
-    /// The label's symbol in the forest.
-    sym: u32,
-    /// With a [`Reorder`], where the label's run in `by_label` ends.
-    end: u32,
-    /// The symbol the label got in the last document it was spliced into:
-    /// valid in another document only where that document's table holds
-    /// the same text under it. Splices on other threads may race to set
-    /// it, so every read is checked; it publishes no other data, so it is
-    /// read and written `Relaxed`.
-    hint: AtomicU32,
-}
-
-impl PlanLabel {
-    fn new(sym: u32) -> Self {
-        PlanLabel {
-            sym,
-            end: 0,
-            hint: AtomicU32::new(UNMAPPED),
-        }
-    }
+    /// The compact copy of a forest that is not compact itself.
+    compact: Option<Box<Document>>,
+    /// Per label of the compact forest, by its symbol there: the symbol
+    /// the label got in the last document it was spliced into, valid in
+    /// another document only where that document's table holds the same
+    /// text under it. Splices on other threads may race to set it, so
+    /// every read is checked; it publishes no other data, so it is read
+    /// and written `Relaxed`.
+    labels: Box<[AtomicU32]>,
 }
 
 impl SplicePlan {
     fn of(forest: &Document) -> Self {
-        let in_place =
-            forest.in_pre_order() && (forest.buckets.iter()).all(|b| b.as_slice().is_sorted());
-        // such a forest's symbols are mostly numbered in order of first
-        // use, too: then the plan is one hint per label
-        let mut next = 0;
-        if in_place
-            && (0..forest.slots as usize).all(|i| {
-                let sym = forest.node_raw(i).sym;
-                next += u32::from(sym == next);
-                sym < next
-            })
-        {
-            return SplicePlan {
-                reorder: None,
-                labels: (0..next).map(PlanLabel::new).collect(),
-            };
-        }
-        let mut order = Vec::with_capacity(forest.len());
-        // per forest symbol: the nodes carrying it
-        let mut counts = vec![0u32; forest.sym_count()];
-        let mut labels = Vec::new();
-        for id in forest.all_nodes() {
-            order.push(id.0);
-            let sym = forest.node(id).sym;
-            if counts[sym as usize] == 0 {
-                labels.push(PlanLabel::new(sym));
+        let (compact, labels) = match forest.compact_labels() {
+            Some(labels) => (None, labels),
+            None => {
+                let mut copy = Document::new();
+                for &r in &forest.roots {
+                    copy.append_copy_as_root(forest, r);
+                }
+                let labels = copy.sym_count();
+                (Some(Box::new(copy)), labels)
             }
-            counts[sym as usize] += 1;
-        }
-        let reorder = (!in_place).then(|| {
-            // each label's run ends where the next starts; a cursor per
-            // symbol fills the runs back to front
-            let mut end = 0;
-            for label in labels.iter_mut() {
-                let cursor = &mut counts[label.sym as usize];
-                end += *cursor;
-                label.end = end;
-                *cursor = end;
-            }
-            let mut rank = vec![u32::MAX; forest.slots as usize];
-            let mut by_label = vec![NO_NODE; order.len()];
-            for (i, &slot) in order.iter().enumerate().rev() {
-                rank[slot as usize] = i as u32;
-                let cursor = &mut counts[forest.node_raw(slot as usize).sym as usize];
-                *cursor -= 1;
-                by_label[*cursor as usize] = NodeId(slot);
-            }
-            Reorder {
-                order: order.into(),
-                rank: rank.into(),
-                by_label: by_label.into(),
-            }
-        });
+        };
         SplicePlan {
-            reorder,
-            labels: labels.into(),
+            compact,
+            labels: (0..labels).map(|_| AtomicU32::new(UNMAPPED)).collect(),
         }
-    }
-
-    /// The forest nodes carrying the plan's `j`-th label, in pre-order.
-    fn carriers<'a>(&'a self, forest: &'a Document, j: usize) -> &'a [NodeId] {
-        match &self.reorder {
-            None => forest.nodes_with_sym(self.labels[j].sym),
-            Some(r) => {
-                let start = j.checked_sub(1).map_or(0, |k| self.labels[k].end as usize);
-                &r.by_label[start..self.labels[j].end as usize]
-            }
-        }
-    }
-
-    /// The slot of the forest's `i`-th node in pre-order.
-    fn slot(&self, i: usize) -> usize {
-        self.reorder.as_ref().map_or(i, |r| r.order[i] as usize)
-    }
-
-    /// The pre-order place of the forest node `id`.
-    fn rank(&self, id: NodeId) -> usize {
-        self.reorder
-            .as_ref()
-            .map_or(id.index(), |r| r.rank[id.index()] as usize)
     }
 }
 
@@ -1190,26 +1095,6 @@ impl Document {
         id
     }
 
-    /// Deep-copies the subtree rooted at `node` into a fresh single-rooted
-    /// forest (fresh call ids).
-    pub fn subtree_to_forest(&self, node: NodeId) -> Forest {
-        let mut f = Forest::new();
-        let new_root = f.copy_from(self, node, None);
-        f.roots.push(new_root);
-        f
-    }
-
-    /// Deep-copies the *children* of `node` into a fresh forest (used for
-    /// passing call parameters to a service).
-    pub fn children_to_forest(&self, node: NodeId) -> Forest {
-        let mut f = Forest::new();
-        for &c in self.children(node) {
-            let copied = f.copy_from(self, c, None);
-            f.roots.push(copied);
-        }
-        f
-    }
-
     /// Deep-copies the subtree of `src` rooted at `node` and returns the
     /// copy's root, linked up to `parent` but not yet in its child list or
     /// among the roots: the caller places it. Nodes are allocated in
@@ -1364,10 +1249,35 @@ impl Document {
         })
     }
 
+    /// The number of labels of a compact forest (see [`SplicePlan`]), or
+    /// `None` when the forest is not compact.
+    fn compact_labels(&self) -> Option<usize> {
+        if !self.in_pre_order() || !(self.buckets.iter()).all(|b| b.as_slice().is_sorted()) {
+            return None;
+        }
+        let mut next = 0;
+        (0..self.slots as usize)
+            .all(|i| {
+                let sym = self.node_raw(i).sym as usize;
+                next += usize::from(sym == next);
+                sym < next
+            })
+            .then_some(next)
+    }
+
     /// The splice plan of this document as a result forest, computed on
     /// first use.
     fn splice_plan(&self) -> &SplicePlan {
         self.plan.get_or_init(|| Arc::new(SplicePlan::of(self)))
+    }
+
+    /// Whether a splice reads this forest as it stands rather than through
+    /// a compact copy, made once and kept until the forest changes: whether
+    /// its live slots are in pre-order, its label buckets in slot order and
+    /// its symbols numbered in order of first use. Parsed, wire-decoded and
+    /// top-down-built forests are. Plans the forest when it has no plan.
+    pub fn splices_in_place(&self) -> bool {
+        self.splice_plan().compact.is_none()
     }
 
     /// Copies the whole of `forest` in, as the per-node copy of each root
@@ -1376,56 +1286,58 @@ impl Document {
     /// calls get fresh ids and classes in pre-order. Returns the copied
     /// roots, linked up to `parent` but placed nowhere.
     ///
-    /// It reads the forest through its plan, in four passes: each label is
+    /// It reads the forest through its plan, in its compact form, where a
+    /// node's slot is its place in pre-order, in four passes: each label is
     /// mapped once and its nodes join their bucket together; one child
     /// list takes every copied child; the nodes are written, fresh slots a
     /// page at a time; and the calls join the call index.
     fn copy_forest(&mut self, forest: &Forest, parent: Option<NodeId>) -> Vec<NodeId> {
         self.plan.take();
         let plan = forest.splice_plan();
-        // the id of the forest's `rank`-th node in pre-order
+        let forest = plan.compact.as_deref().unwrap_or(forest);
+        // the copy of the forest's node in slot `i`
         let mut free = std::mem::take(&mut self.free);
         let n = forest.len();
         let reused = free.len().min(n);
         let fresh = self.slots as usize - reused;
-        let id_at = |rank: usize| {
-            NodeId(if rank < reused {
-                free[free.len() - 1 - rank]
+        let id_at = |i: usize| {
+            NodeId(if i < reused {
+                free[free.len() - 1 - i]
             } else {
-                (fresh + rank) as u32
+                (fresh + i) as u32
             })
         };
-        let copy_of = |id: NodeId| id_at(plan.rank(id));
+        let copy_of = |id: NodeId| id_at(id.index());
         // the labels, hint first, with their nodes' label-index entries:
-        // each node's bucket position, by rank, goes into the side pages in
+        // each node's bucket position, by slot, goes into the side pages in
         // one run
         let (mut small_map, mut large_map) = ([UNMAPPED; SMALL_FOREST], Vec::new());
-        let map = scratch(&mut small_map, &mut large_map, forest.sym_count());
+        let map = scratch(&mut small_map, &mut large_map, plan.labels.len());
         let (mut small_pos, mut large_pos) = ([0; SMALL_FOREST], Vec::new());
         let positions = scratch(&mut small_pos, &mut large_pos, n);
-        for (j, label) in plan.labels.iter().enumerate() {
-            let text = forest.sym_label(label.sym);
-            let hint = label.hint.load(Ordering::Relaxed);
-            let sym = match self.symtab.labels.get(hint as usize) {
-                Some(known) if known == text => hint,
+        for (label, hint) in plan.labels.iter().enumerate() {
+            let text = forest.sym_label(label as u32);
+            let hinted = hint.load(Ordering::Relaxed);
+            let sym = match self.symtab.labels.get(hinted as usize) {
+                Some(known) if known == text => hinted,
                 _ => {
                     let sym = self.intern_label(text);
-                    label.hint.store(sym, Ordering::Relaxed);
+                    hint.store(sym, Ordering::Relaxed);
                     sym
                 }
             };
-            map[label.sym as usize] = sym;
+            map[label] = sym;
             if sym as usize >= self.buckets.len() {
                 self.buckets.resize(sym as usize + 1, Bucket::Empty);
             }
-            let carriers = plan.carriers(forest, j);
+            let carriers = forest.nodes_with_sym(label as u32);
             let start = self.buckets[sym as usize].extend(carriers.iter().map(|&c| copy_of(c)));
             for (pos, &c) in (start..).zip(carriers) {
-                positions[plan.rank(c)] = pos as u32;
+                positions[c.index()] = pos as u32;
             }
         }
-        for (rank, &pos) in positions[..reused].iter().enumerate() {
-            self.bucket_pos.set(id_at(rank).index(), pos);
+        for (i, &pos) in positions[..reused].iter().enumerate() {
+            self.bucket_pos.set(id_at(i).index(), pos);
         }
         self.bucket_pos
             .set_run(self.slots as usize, &positions[reused..n]);
@@ -1435,7 +1347,7 @@ impl Document {
             let ids = Arc::get_mut(&mut list).expect("a fresh list is unshared");
             let mut at = 0;
             for i in 0..n {
-                for &c in forest.node_raw(plan.slot(i)).children() {
+                for &c in forest.node_raw(i).children() {
                     ids[at] = copy_of(c);
                     at += 1;
                 }
@@ -1447,7 +1359,7 @@ impl Document {
         let mut next_call = self.next_call;
         let mut child_off = 0;
         let mut node_at = |i: usize| {
-            let src = forest.node_raw(plan.slot(i));
+            let src = forest.node_raw(i);
             let kind = match src.kind {
                 NodeKind::Call(_) => {
                     next_call += 1;
@@ -1485,7 +1397,7 @@ impl Document {
         self.next_call = next_call;
         if !forest.call_list.is_empty() {
             for i in 0..n {
-                let src = forest.node_raw(plan.slot(i));
+                let src = forest.node_raw(i);
                 if let NodeKind::Call(_) = src.kind {
                     self.enter_call(id_at(i), map[src.sym as usize]);
                 }
@@ -1705,16 +1617,24 @@ impl Document {
     }
 
     /// The splice plan part of [`Document::check_integrity`]: a plan, once
-    /// set, is the one the document has now.
+    /// set, is the one the document has now, and a compact copy is compact
+    /// and holds the document's nodes and labels in their order.
     fn check_plan(&self) -> Result<(), String> {
         let Some(plan) = self.plan.get() else {
             return Ok(());
         };
         let now = SplicePlan::of(self);
-        let order = |p: &SplicePlan| p.reorder.as_ref().map(|r| r.order.clone());
-        let labels = |p: &SplicePlan| p.labels.iter().map(|l| l.sym).collect::<Vec<_>>();
-        if order(plan) != order(&now) || labels(plan) != labels(&now) {
+        let copy = |p: &SplicePlan| {
+            let compact = p.compact.as_deref();
+            compact.map(|c| (crate::serialize::to_xml(c), c.symtab.labels.clone()))
+        };
+        if plan.labels.len() != now.labels.len() || copy(plan) != copy(&now) {
             return Err("the splice plan is stale".into());
+        }
+        if let Some(c) = &plan.compact {
+            if c.compact_labels() != Some(plan.labels.len()) {
+                return Err("the splice plan's copy is not compact".into());
+            }
         }
         Ok(())
     }
@@ -2010,7 +1930,8 @@ mod tests {
     #[test]
     fn subtree_copy_is_deep_and_independent() {
         let (d, hotel, _) = sample();
-        let f = d.subtree_to_forest(hotel);
+        let mut f = Forest::new();
+        f.append_copy_as_root(&d, hotel);
         assert_eq!(f.roots().len(), 1);
         assert_eq!(f.label(f.roots()[0]), "hotel");
         assert_eq!(f.len(), 6);
@@ -2021,14 +1942,6 @@ mod tests {
         assert_eq!(d.len(), n);
         f.check_integrity().unwrap();
         f2.check_integrity().unwrap();
-    }
-
-    #[test]
-    fn children_to_forest_extracts_parameters() {
-        let (d, _, call) = sample();
-        let params = d.children_to_forest(call);
-        assert_eq!(params.roots().len(), 1);
-        assert_eq!(params.text_value(params.roots()[0]), Some("75 2nd Av"));
     }
 
     #[test]
@@ -2566,6 +2479,48 @@ mod tests {
         );
         planned.check_integrity().unwrap();
         reply.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn forests_out_of_compact_form_are_copied_once() {
+        let parse = |xml: &str| crate::parse(xml).unwrap();
+        // a freed slot
+        let mut freed = parse("<a><axml:call service=\"f\">p</axml:call><n>Jo</n></a>");
+        assert!(freed.splices_in_place());
+        freed.splice_call(freed.calls()[0], &Forest::new());
+        // back in pre-order, with a label bucket out of slot order: the
+        // parameter `n` leaves its bucket by a swap-remove, and the reply
+        // `<s><n/></s>` refills the freed slots
+        let mut unsorted = parse("<r><axml:call service=\"s\"><n/></axml:call><n/><n/></r>");
+        unsorted.splice_call(unsorted.calls()[0], &parse("<s><n/></s>"));
+        assert!(unsorted.free.is_empty() && unsorted.in_pre_order());
+        for reply in [freed, unsorted] {
+            assert!(!reply.splices_in_place());
+            let plan = Arc::clone(reply.plan.get().expect("planned"));
+            let reply = Arc::new(reply);
+            let mut planned = Document::with_root("r");
+            for _ in 0..2 {
+                planned.add_call(planned.root(), "svc");
+            }
+            let mut reference = planned.clone();
+            for call in planned.calls() {
+                planned.splice_shared(call, &reply);
+                reference_splice(&mut reference, call, &reply);
+                assert_eq!(state(&planned), state(&reference));
+            }
+            let now = reply.plan.get().expect("still planned");
+            assert!(
+                Arc::ptr_eq(now, &plan),
+                "one plan and one copy for both splices"
+            );
+            let copy = crate::serialize::to_xml(&reply);
+            assert_eq!(
+                crate::serialize::to_xml(&planned),
+                format!("<r>{copy}{copy}</r>")
+            );
+            planned.check_integrity().unwrap();
+            reply.check_integrity().unwrap();
+        }
     }
 
     #[test]

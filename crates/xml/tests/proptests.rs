@@ -163,7 +163,8 @@ proptest! {
     #[test]
     fn subtree_copy_serializes_identically(ops in proptest::collection::vec(op_strategy(), 0..40)) {
         let d = build(&ops);
-        let f = d.subtree_to_forest(d.root());
+        let mut f = Forest::new();
+        f.append_copy_as_root(&d, d.root());
         prop_assert_eq!(to_xml(&f), to_xml(&d));
     }
 }

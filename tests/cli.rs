@@ -291,6 +291,17 @@ fn helpful_errors() {
         // a horizon the subscription loop can never reach, or never start
         (&subscribe, &["--horizon-ms", "inf"], "--horizon-ms"),
         (&subscribe, &["--horizon-ms", "NaN"], "--horizon-ms"),
+        // idle ticks too many to run, or too small to move the clock
+        (
+            &subscribe,
+            &["--horizon-ms", "1000", "--watch-ms", "1e-300"],
+            "--watch-ms 1e-300 makes 1e303 idle ticks over --horizon-ms 1000",
+        ),
+        (
+            &subscribe,
+            &["--horizon-ms", "1000", "--watch-ms", "0.0001"],
+            "at most 1e6 are allowed",
+        ),
     ];
     for (base, extra, named) in cases {
         let out = axml().args(*base).args(*extra).output().unwrap();

@@ -7,6 +7,7 @@ use activexml::core::{build_lpqs, build_nfqs, Engine, EngineConfig};
 use activexml::gen::scenario::{figure1, figure4_query};
 use activexml::query::eval;
 use activexml::schema::validate;
+use activexml::services::CallRequest;
 use activexml::xml::CallId;
 use std::collections::BTreeSet;
 
@@ -128,15 +129,11 @@ fn full_result_is_the_snapshot_of_the_complete_document() {
         }
         let c = calls[0];
         let (_, svc) = full.call_info(c).unwrap();
+        let req = CallRequest::of_call(&full, c);
         let out = s
             .registry
-            .invoke_within(
-                svc.as_str(),
-                full.children_to_forest(c),
-                None,
-                f64::INFINITY,
-            )
-            .unwrap();
+            .invoke_within(svc.as_str(), &req, None, f64::INFINITY);
+        let out = out.unwrap();
         full.splice_call(c, &out.result);
     }
     let by_hand = activexml::query::render_result(&full, &eval(&q, &full))
