@@ -2,14 +2,15 @@
 //! tree-pattern evaluation, splice, and the automata tests behind
 //! Proposition 3 and condition (✳).
 //!
-//! `micro_splice` also prints the heap allocations of its replay, counted
-//! by this binary's global allocator. `CRITERION_STUB_ITERS` sets the
-//! timed iterations (default 5); the splice replay wants a few hundred for
-//! a stable mean.
+//! `micro_splice` also prints the heap allocations of its replay, and
+//! `micro_final_eval` those of one final evaluation of each `lazy-hotels`
+//! query, counted by this binary's global allocator. `CRITERION_STUB_ITERS`
+//! sets the timed iterations (default 5); the splice replay and the final
+//! evaluations want a few hundred for a stable mean.
 
 use axml_core::{build_nfqs, compute_layers, Engine, EngineConfig};
 use axml_gen::scenario::{figure4_query, generate, Scenario, ScenarioParams};
-use axml_query::parse_query;
+use axml_query::{parse_query, PlanScratch, QueryPlan};
 use axml_schema::Nfa;
 use axml_xml::{parse, to_xml, Document, Forest, NodeId};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -86,16 +87,23 @@ fn bench_eval(c: &mut Criterion) {
     group.finish();
 }
 
-/// The lazy-hotels `descendant` query on the 400-hotel scenario, with the
-/// workload's engine configuration.
-fn descendant_op(sc: &Scenario, doc: &mut Document) {
-    let query = parse_query("//restaurant[rating=\"*****\"]/name/$N -> $N").unwrap();
+/// The `lazy-hotels` workload's `descendant` query.
+const DESCENDANT: &str = "//restaurant[rating=\"*****\"]/name/$N -> $N";
+
+/// An engine over `sc` with the `lazy-hotels` workload's configuration.
+fn lazy_hotels_engine(sc: &Scenario) -> Engine<'_> {
     let config = EngineConfig {
         push_queries: false,
         ..EngineConfig::default()
     };
-    let engine = Engine::new(&sc.registry, config).with_schema(&sc.schema);
-    assert!(engine.evaluate(doc, &query).complete);
+    Engine::new(&sc.registry, config).with_schema(&sc.schema)
+}
+
+/// The lazy-hotels `descendant` query on the 400-hotel scenario, with the
+/// workload's engine configuration.
+fn descendant_op(sc: &Scenario, doc: &mut Document) {
+    let query = parse_query(DESCENDANT).unwrap();
+    assert!(lazy_hotels_engine(sc).evaluate(doc, &query).complete);
 }
 
 /// The splices one `descendant` op makes, recorded through the splice
@@ -163,6 +171,42 @@ fn bench_splice(c: &mut Criterion) {
     group.finish();
 }
 
+/// The final evaluation of each `lazy-hotels` query: the query completed
+/// on the 400-hotel scenario with the workload's engine configuration,
+/// then its compiled plan evaluated on the completed document with a warm
+/// scratch, as `Engine::evaluate` ends. The first evaluation, on a fresh
+/// scratch, fills the scratch's pools; its allocations are printed too.
+fn bench_final_eval(c: &mut Criterion) {
+    let mut group = c.benchmark_group("micro_final_eval");
+    let sc = generate(&ScenarioParams {
+        hotels: 400,
+        ..ScenarioParams::default()
+    });
+    let queries = [
+        ("figure4", figure4_query()),
+        ("descendant", parse_query(DESCENDANT).unwrap()),
+        ("names", parse_query("/hotels/hotel/name/$N -> $N").unwrap()),
+    ];
+    for (name, query) in queries {
+        let mut doc = sc.doc.clone();
+        let completion = lazy_hotels_engine(&sc).complete_for(&mut doc, &query);
+        assert!(completion.stats.is_complete());
+        let plan = QueryPlan::compile(&query);
+        let mut scratch = PlanScratch::default();
+        let (rows, cold) = allocations(|| plan.eval_with(&doc, &mut scratch).len());
+        let (again, warm) = allocations(|| plan.eval_with(&doc, &mut scratch).len());
+        assert_eq!(again, rows);
+        println!(
+            "micro_final_eval/{name}_400: {rows} rows; allocations: {warm} per evaluation \
+             ({cold} with a fresh scratch)"
+        );
+        group.bench_function(format!("{name}_400"), |b| {
+            b.iter(|| std::hint::black_box(plan.eval_with(&doc, &mut scratch).len()))
+        });
+    }
+    group.finish();
+}
+
 fn bench_influence(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro_influence_automata");
     let q = figure4_query();
@@ -188,6 +232,7 @@ criterion_group!(
     bench_xml,
     bench_eval,
     bench_splice,
+    bench_final_eval,
     bench_influence
 );
 criterion_main!(benches);

@@ -17,8 +17,9 @@
 //! bound subtree; text bindings copy the value.
 
 use crate::eval::SnapshotResult;
-use crate::pattern::{PLabel, Pattern};
+use crate::pattern::{PLabel, PNodeId, Pattern};
 use axml_xml::Document;
+use std::collections::BTreeMap;
 
 /// Materializes a snapshot result as a `<results>` document.
 ///
@@ -34,18 +35,25 @@ use axml_xml::Document;
 pub fn construct_results(doc: &Document, pattern: &Pattern, result: &SnapshotResult) -> Document {
     let mut out = Document::with_root("results");
     let root = out.root();
-    let result_nodes = pattern.result_nodes();
-    for tuple in &result.tuples {
-        let t = out.add_element(root, "tuple");
-        for (i, &rn) in result_nodes.iter().enumerate() {
-            let Some(&bound) = tuple.get(&rn) else {
-                continue;
-            };
-            let col_name = match &pattern.node(rn).label {
+    let col_names: BTreeMap<PNodeId, String> = pattern
+        .result_nodes()
+        .into_iter()
+        .enumerate()
+        .map(|(i, rn)| {
+            let name = match &pattern.node(rn).label {
                 PLabel::Var(v) => v.to_string().to_lowercase(),
                 _ => format!("col{i}"),
             };
-            let col = out.add_element(t, col_name);
+            (rn, name)
+        })
+        .collect();
+    for row in result.rows() {
+        let t = out.add_element(root, "tuple");
+        for (rn, bound) in row {
+            let Some(name) = col_names.get(&rn) else {
+                continue;
+            };
+            let col = out.add_element(t, name.as_str());
             if let Some(text) = doc.text_value(bound) {
                 out.add_text(col, text.to_string());
             } else {

@@ -19,29 +19,42 @@
 //!   plain recursion and tables one thing only: whether some strict
 //!   data-reachable descendant of a node matches a pattern node. That
 //!   table keeps nested `//` conditions polynomial.
+//! * One condition test, `Matcher::condition_holds`, decides a join-blind
+//!   pattern edge for the boolean match, for the enumeration's condition
+//!   children, and for the F-guide's residual filter. A [`Matcher`] holds
+//!   the label tests and that table and nothing else; only the
+//!   enumeration pays for the pattern's enumeration tables.
+//! * The enumeration works on *rows*: fixed-width `u32` cells, one per
+//!   result node in `PNodeId` order holding its image's raw node index,
+//!   then one per join variable holding its bound symbol, `UNBOUND`
+//!   where empty (and one unused cell for a pattern with neither, so that
+//!   a row is never empty). Embedding a node extends its parent's row:
+//!   the node binds its own cells in a copy, and each enumerated child
+//!   extends those rows in turn; each level sorts its rows and drops
+//!   repeats. Rows live in flat buffers that come from [`PlanScratch`]'s
+//!   pools, so a warm evaluation allocates almost nothing.
 //! * The enumeration reaches a (pattern node, image) pair more than once
 //!   only when the node hangs by `//` under a node whose images can nest,
 //!   one with a `//` edge on its root path. A fragment table keeps such
 //!   nodes' result fragments for the evaluation, keyed by the image and
 //!   by the inherited bindings of the join variables in the node's
-//!   subtree, each fragment with only the bindings it adds. That keeps
+//!   subtree; a fragment keeps only the subtree's own cells of each row,
+//!   and a hit writes them over a copy of the caller's row. That keeps
 //!   chains of `//` steps over repeated labels polynomial, joins or not;
 //!   the pattern alone decides which nodes it serves, and an evaluation
-//!   it serves none of never allocates it.
-//! * One condition test, `Evaluator::condition_holds`, decides a
-//!   join-blind pattern edge for the boolean match, for the enumeration's
-//!   condition children, and for the F-guide's residual filter through a
-//!   [`Matcher`].
+//!   it serves none of never touches it.
+//! * A [`SnapshotResult`] is one sorted array of distinct rows restricted
+//!   to the result cells. In a pattern without OR nodes every result cell
+//!   is bound, so the rows list the tuples in the order of a sorted set of
+//!   [`ResultTuple`]s; patterns with OR nodes are only read as sets.
 //! * Hot-path engineering: pattern step tests are compiled against a
 //!   document's interned symbol table, so the per-node label test is a
 //!   `u32` compare; join variables bind symbols, not owned strings;
 //!   descendant steps can enumerate candidates from the document's
-//!   label→node index instead of scanning subtrees; and the
-//!   descendant-existence table's allocation is reused across evaluations
-//!   via [`PlanScratch`]. A [`crate::plan::QueryPlan`] keeps the tables
-//!   that depend on the pattern alone and compiles the label tests against
-//!   each document it runs on; the convenience entry points here compile
-//!   both per call.
+//!   label→node index instead of scanning subtrees. A
+//!   [`crate::plan::QueryPlan`] keeps the tables that depend on the
+//!   pattern alone and compiles the label tests against each document it
+//!   runs on; the convenience entry points here compile both per call.
 //! * Two evaluators share this code: the production one above and
 //!   [`seed_eval`], the executable spec (string-compared labels, subtree
 //!   scans) every optimization is checked against. Nothing outside this
@@ -105,42 +118,84 @@ impl Hasher for FxHasher {
 /// nodes (pattern node → document node).
 pub type ResultTuple = BTreeMap<PNodeId, NodeId>;
 
-/// The snapshot result `q(d)`: the set of results of all embeddings.
+/// The empty cell of a row: a result node without an image (its OR branch
+/// was not chosen) or a join variable not bound yet.
+const UNBOUND: u32 = u32::MAX;
+
+/// The snapshot result `q(d)`: the set of results of all embeddings, as
+/// one array of rows sorted and distinct.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SnapshotResult {
-    /// Distinct result tuples.
-    pub tuples: BTreeSet<ResultTuple>,
+    /// The result nodes reachable from the pattern's root, in `PNodeId`
+    /// order, one cell per row each.
+    columns: Vec<PNodeId>,
+    /// `count` rows of `columns.len()` cells, back to back. A cell holds
+    /// its image's raw node index, or `UNBOUND`.
+    cells: Vec<u32>,
+    /// The number of rows: a pattern without result nodes has rows of no
+    /// cells, and at most one of them.
+    count: usize,
 }
 
 impl SnapshotResult {
     /// Whether no embedding exists.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.count == 0
     }
 
     /// Number of distinct result tuples.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.count
     }
 
     /// The document nodes bound to a given pattern node across all tuples.
     pub fn bindings_of(&self, p: PNodeId) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = Vec::with_capacity(self.tuples.len());
-        v.extend(self.tuples.iter().filter_map(|t| t.get(&p).copied()));
+        let Ok(col) = self.columns.binary_search(&p) else {
+            return Vec::new();
+        };
+        let mut v: Vec<NodeId> = Vec::with_capacity(self.count);
+        v.extend(
+            self.cells
+                .iter()
+                .skip(col)
+                .step_by(self.columns.len())
+                .filter(|&&c| c != UNBOUND)
+                .map(|&c| NodeId::from_index(c as usize)),
+        );
         v.sort();
         v.dedup();
         v
+    }
+
+    /// Each row's bound cells as `(result node, image)` pairs, in row
+    /// order, each row in `PNodeId` order. In a pattern without OR nodes
+    /// every cell is bound, so the rows come in the order of the set
+    /// [`SnapshotResult::tuples`] returns.
+    pub fn rows(&self) -> impl Iterator<Item = impl Iterator<Item = (PNodeId, NodeId)> + '_> + '_ {
+        let width = self.columns.len();
+        (0..self.count).map(move |i| {
+            self.columns
+                .iter()
+                .zip(&self.cells[i * width..(i + 1) * width])
+                .filter(|&(_, &c)| c != UNBOUND)
+                .map(|(&p, &c)| (p, NodeId::from_index(c as usize)))
+        })
+    }
+
+    /// The distinct result tuples as a set.
+    pub fn tuples(&self) -> BTreeSet<ResultTuple> {
+        self.rows().map(Iterator::collect).collect()
     }
 }
 
 /// Renders a snapshot result as borrowed label texts (one row per tuple).
 /// The zero-copy counterpart of [`render_result`].
 pub fn render_result_refs<'d>(doc: &'d Document, r: &SnapshotResult) -> Vec<Vec<&'d str>> {
-    let mut out = Vec::with_capacity(r.tuples.len());
-    for t in &r.tuples {
-        let mut row = Vec::with_capacity(t.len());
-        row.extend(t.values().map(|&n| doc.label(n)));
-        out.push(row);
+    let mut out = Vec::with_capacity(r.len());
+    for row in r.rows() {
+        let mut labels = Vec::with_capacity(r.columns.len());
+        labels.extend(row.map(|(_, n)| doc.label(n)));
+        out.push(labels);
     }
     out
 }
@@ -158,23 +213,29 @@ pub fn eval(pattern: &Pattern, doc: &Document) -> SnapshotResult {
     eval_with(pattern, doc, &mut PlanScratch::default())
 }
 
-/// [`eval`] with a reusable table allocation. Compiles the pattern's tests
-/// transiently; callers that evaluate the same pattern repeatedly should
-/// compile a [`crate::plan::QueryPlan`] once and use
+/// [`eval`] with reusable table and row allocations. Compiles the
+/// pattern's tests transiently; callers that evaluate the same pattern
+/// repeatedly should compile a [`crate::plan::QueryPlan`] once and use
 /// [`crate::plan::QueryPlan::eval_with`] instead.
 pub fn eval_with(pattern: &Pattern, doc: &Document, scratch: &mut PlanScratch) -> SnapshotResult {
     let ctest = compile_ctests(pattern, doc);
-    eval_compiled(pattern, doc, ctest, enum_tables(pattern), scratch)
+    eval_compiled(pattern, doc, ctest, &enum_tables(pattern), scratch)
 }
 
 /// The **executable spec**: the seed evaluator — string-compared labels,
-/// no label→node index, a fresh table. The production evaluator
-/// (interned tests, index-driven descendant steps, compiled plans) must
-/// produce exactly this result; the differential plan-equivalence oracles
-/// and the engine's debug cross-check diff against it.
+/// no label→node index, fresh tables. The production evaluator (interned
+/// tests, index-driven descendant steps, compiled plans) must produce
+/// exactly this result; the differential plan-equivalence oracles and the
+/// engine's debug cross-check diff against it.
 pub fn seed_eval(pattern: &Pattern, doc: &Document) -> SnapshotResult {
-    let mut ev = Evaluator::new(pattern, doc);
-    ev.spec = true;
+    let mut m = Matcher::new(pattern, doc);
+    m.spec = true;
+    let tables = enum_tables(pattern);
+    let mut ev = Evaluator {
+        m,
+        tables: &tables,
+        scratch: PlanScratch::default(),
+    };
     ev.results()
 }
 
@@ -192,211 +253,22 @@ pub fn embeddings(pattern: &Pattern, doc: &Document) -> Vec<ResultTuple> {
             full.mark_result(id);
         }
     }
-    eval(&full, doc).tuples.into_iter().collect()
+    eval(&full, doc).tuples().into_iter().collect()
 }
 
 /// A join-blind structural matcher over one `(pattern, document)` pair,
 /// exposing node-level match tests. Used by the F-guide's residual filter
 /// (Section 6.2), which aligns candidate calls against an NFQ's path and
-/// checks the side conditions per document node.
+/// checks the side conditions per document node, and by the enumeration
+/// for its label and condition tests.
 ///
-/// It answers through the evaluator's own condition test, so it tables
-/// what every evaluation tables: descendant existence, nothing else. A
-/// question asked twice is answered twice: a `//` condition asked at
-/// nested ancestors repeats the structural matches of the label index's
-/// bucket path (at most once per ancestor), and a child condition on an
-/// ancestor that several candidates share is checked again for each of
-/// them.
+/// It holds the pattern's label tests and tables one thing: descendant
+/// existence. A question asked twice is answered twice: a `//` condition
+/// asked at nested ancestors repeats the structural matches of the label
+/// index's bucket path (at most once per ancestor), and a child condition
+/// on an ancestor that several candidates share is checked again for each
+/// of them.
 pub struct Matcher<'a> {
-    ev: Evaluator<'a>,
-}
-
-impl<'a> Matcher<'a> {
-    /// Creates a matcher for `pattern` over `doc`.
-    pub fn new(pattern: &'a Pattern, doc: &'a Document) -> Self {
-        Matcher {
-            ev: Evaluator::new(pattern, doc),
-        }
-    }
-
-    /// Label-only test: does `p`'s own label accept `v`, ignoring `p`'s
-    /// children? (OR nodes test their branches' labels.)
-    pub fn label_matches(&mut self, p: PNodeId, v: NodeId) -> bool {
-        if let PLabel::Or = self.ev.pat.node(p).label {
-            let pat = self.ev.pat;
-            return pat
-                .node(p)
-                .children
-                .iter()
-                .any(|&b| self.label_matches(b, v));
-        }
-        self.ev.local_ok(p, v)
-    }
-
-    /// Does the condition `c` hold at `v`, join-blind: does a child of
-    /// `v` (if `c` hangs by a child edge) or a strict data-reachable
-    /// descendant of `v` (a `//` edge) match `c`?
-    pub fn condition_holds(&mut self, c: PNodeId, v: NodeId) -> bool {
-        self.ev.condition_holds(c, v)
-    }
-}
-
-/// Variable environment for join variables: join-variable id (index into
-/// the pattern's sorted join-variable list) → required label, as the
-/// document's interned symbol. Symbol equality coincides with label-text
-/// equality within one document, so this is equivalent to the textual
-/// environment it replaces — without owned strings.
-type VarEnv = BTreeMap<u32, u32>;
-
-/// A pattern-node label test compiled against one document's symbol table
-/// by [`compile_ctests`], for a transient evaluation and a
-/// [`crate::plan::QueryPlan`] alike.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum CTest {
-    /// `Const(l)`: a data node whose label symbol equals the payload.
-    /// `None` means the text was never interned in this document — the
-    /// test can never succeed.
-    DataSym(Option<u32>),
-    /// `Var`/`Wildcard`: any data node.
-    AnyData,
-    /// `Fun(Any)`: any function node.
-    AnyCall,
-    /// `Fun(OneOf)`: a function node whose service symbol is listed
-    /// (names absent from the symbol table are dropped — they cannot
-    /// match any live call).
-    CallOneOf(Vec<u32>),
-    /// OR nodes are handled transparently by the traversal.
-    Or,
-}
-
-/// Buckets larger than this are only enumerated when the scan alternative
-/// is the whole forest (the step's context is a root); for small buckets
-/// the index wins regardless of context.
-const SMALL_BUCKET: usize = 16;
-
-/// The per-node enumeration tables of a pattern, shared by transient
-/// compilation and [`crate::plan::QueryPlan`]. They depend on the pattern
-/// alone.
-#[derive(Clone, Debug)]
-pub(crate) struct EnumTables {
-    /// Does the node's subtree contain a result node or a join variable
-    /// (requiring full enumeration)?
-    needs_enum: Vec<bool>,
-    /// The node's join-variable id, if it is a join variable.
-    var_id: Vec<Option<u32>>,
-    /// For a node whose result fragments `embed` keeps in the fragment
-    /// table: the sorted ids of the join variables in its subtree, whose
-    /// inherited bindings key its fragments beside the image. Empty when
-    /// the table keeps no node's, so that cloning the tables for an
-    /// evaluation the table cannot serve allocates nothing.
-    tabled: Vec<Option<Box<[u32]>>>,
-}
-
-/// Computes a pattern's [`EnumTables`].
-pub(crate) fn enum_tables(pat: &Pattern) -> EnumTables {
-    let join_vars = pat.join_variables();
-    let mut needs_enum = vec![false; pat.len()];
-    let mut var_id = vec![None; pat.len()];
-    // pre-order: creation order does not put parents first, since
-    // `Pattern::wrap_in_or` creates an OR node after its branch
-    let mut order = Vec::with_capacity(pat.len());
-    let mut stack: Vec<PNodeId> = (!pat.is_empty()).then(|| pat.root()).into_iter().collect();
-    while let Some(id) = stack.pop() {
-        order.push(id);
-        stack.extend(&pat.node(id).children);
-    }
-    // bottom-up
-    for &id in order.iter().rev() {
-        let n = pat.node(id);
-        let mut need = n.is_result;
-        if let PLabel::Var(v) = &n.label {
-            if let Ok(i) = join_vars.binary_search(v) {
-                var_id[id.index()] = Some(i as u32);
-                need = true;
-            }
-        }
-        for &c in &n.children {
-            if needs_enum[c.index()] {
-                need = true;
-            }
-        }
-        needs_enum[id.index()] = need;
-    }
-    // Does `embed` table a node's fragments? Only for an enumerated `//`
-    // child of a non-OR node whose images can nest: one with a `//` edge
-    // on its root path. A fragment depends on the inherited bindings of
-    // the join variables in the node's subtree, so those key it too.
-    let descends =
-        |id: PNodeId| pat.parent(id).is_some() && pat.node(id).edge == EdgeKind::Descendant;
-    let nests = |id: PNodeId| std::iter::successors(Some(id), |&n| pat.parent(n)).any(descends);
-    let mut tabled = Vec::new();
-    for &id in &order {
-        let Some(parent) = pat.parent(id) else {
-            continue;
-        };
-        if descends(id)
-            && needs_enum[id.index()]
-            && !matches!(pat.node(parent).label, PLabel::Or)
-            && nests(parent)
-        {
-            let mut vars = Vec::new();
-            let mut stack = vec![id];
-            while let Some(n) = stack.pop() {
-                vars.extend(var_id[n.index()]);
-                stack.extend(&pat.node(n).children);
-            }
-            vars.sort_unstable();
-            vars.dedup();
-            tabled.resize(pat.len(), None);
-            tabled[id.index()] = Some(vars.into_boxed_slice());
-        }
-    }
-    EnumTables {
-        needs_enum,
-        var_id,
-        tabled,
-    }
-}
-
-/// Compiles the per-node label tests against one document's symbol table:
-/// one interner lookup per label the pattern names. The only place label
-/// tests meet a document.
-pub(crate) fn compile_ctests(pat: &Pattern, doc: &Document) -> Vec<CTest> {
-    let mut ctest = Vec::with_capacity(pat.len());
-    for id in pat.node_ids() {
-        ctest.push(match &pat.node(id).label {
-            PLabel::Const(l) => CTest::DataSym(doc.lookup_sym(l.as_str())),
-            PLabel::Var(_) | PLabel::Wildcard => CTest::AnyData,
-            PLabel::Fun(FunMatch::Any) => CTest::AnyCall,
-            PLabel::Fun(FunMatch::OneOf(names)) => CTest::CallOneOf(
-                names
-                    .iter()
-                    .filter_map(|l| doc.lookup_sym(l.as_str()))
-                    .collect(),
-            ),
-            PLabel::Or => CTest::Or,
-        });
-    }
-    ctest
-}
-
-/// Runs an evaluation over already compiled tables: no pattern walk or
-/// symbol lookup happens here.
-pub(crate) fn eval_compiled(
-    pat: &Pattern,
-    doc: &Document,
-    ctest: Vec<CTest>,
-    tables: EnumTables,
-    scratch: &mut PlanScratch,
-) -> SnapshotResult {
-    let mut ev = Evaluator::from_tables(pat, doc, ctest, tables);
-    ev.desc_memo = scratch.take_desc_memo();
-    let out = ev.results();
-    scratch.put_back(ev.desc_memo);
-    out
-}
-
-struct Evaluator<'a> {
     pat: &'a Pattern,
     doc: &'a Document,
     /// run as [`seed_eval`], the executable spec: string-compared labels
@@ -407,50 +279,45 @@ struct Evaluator<'a> {
     /// memoized "∃ strict data-reachable descendant matching p": it keeps
     /// nested `//` conditions polynomial
     desc_memo: Memo,
-    /// the pattern's enumeration tables
-    tables: EnumTables,
-    /// the result fragments of the nodes `tables.tabled` marks, per image
-    /// and inherited bindings of the subtree's join variables, each with
-    /// the bindings it adds: it keeps chains of `//` steps polynomial
-    fragments: HashMap<FragmentKey, Vec<(VarEnv, ResultTuple)>, FxBuildHasher>,
 }
 
-impl<'a> Evaluator<'a> {
-    fn new(pat: &'a Pattern, doc: &'a Document) -> Self {
-        let ctest = compile_ctests(pat, doc);
-        Evaluator::from_tables(pat, doc, ctest, enum_tables(pat))
+impl<'a> Matcher<'a> {
+    /// Creates a matcher for `pattern` over `doc`.
+    pub fn new(pattern: &'a Pattern, doc: &'a Document) -> Self {
+        Matcher::compiled(pattern, doc, compile_ctests(pattern, doc), Memo::default())
     }
 
-    fn from_tables(
-        pat: &'a Pattern,
-        doc: &'a Document,
-        ctest: Vec<CTest>,
-        tables: EnumTables,
-    ) -> Self {
-        Evaluator {
+    fn compiled(pat: &'a Pattern, doc: &'a Document, ctest: Vec<CTest>, desc_memo: Memo) -> Self {
+        Matcher {
             pat,
             doc,
             spec: false,
             ctest,
-            desc_memo: Memo::default(),
-            tables,
-            fragments: HashMap::default(),
+            desc_memo,
         }
     }
 
-    /// The snapshot result: every root's embeddings of the pattern.
-    fn results(&mut self) -> SnapshotResult {
-        let (pat, doc) = (self.pat, self.doc);
-        let mut out = SnapshotResult::default();
-        if pat.is_empty() {
-            return out;
+    /// Label-only test: does `p`'s own label accept `v`, ignoring `p`'s
+    /// children? (OR nodes test their branches' labels.)
+    pub fn label_matches(&mut self, p: PNodeId, v: NodeId) -> bool {
+        let node = self.pat.node(p);
+        if let PLabel::Or = node.label {
+            return node.children.iter().any(|&b| self.label_matches(b, v));
         }
-        for &root in doc.roots() {
-            for (_, frag) in self.embed(pat.root(), root, &VarEnv::default()) {
-                out.tuples.insert(frag);
+        self.local_ok(p, v)
+    }
+
+    /// The one condition test: does a child of `v` (if `c` hangs by a
+    /// child edge) or a strict data-reachable descendant of `v` (a `//`
+    /// edge) match `c`, join-blind?
+    pub fn condition_holds(&mut self, c: PNodeId, v: NodeId) -> bool {
+        match self.pat.node(c).edge {
+            EdgeKind::Child => {
+                let doc = self.doc;
+                doc.children(v).iter().any(|&u| self.smatch(c, u))
             }
+            EdgeKind::Descendant => self.desc_exists(c, v),
         }
-        out
     }
 
     /// Does the local (label-only) test of pattern node `p` accept doc node
@@ -493,19 +360,6 @@ impl<'a> Evaluator<'a> {
             return node.children.iter().any(|&b| self.smatch(b, v));
         }
         self.local_ok(p, v) && node.children.iter().all(|&pc| self.condition_holds(pc, v))
-    }
-
-    /// The one condition test: does a child of `v` (if `pc` hangs by a
-    /// child edge) or a strict data-reachable descendant of `v` (a `//`
-    /// edge) match `pc`, join-blind?
-    fn condition_holds(&mut self, pc: PNodeId, v: NodeId) -> bool {
-        match self.pat.node(pc).edge {
-            EdgeKind::Child => {
-                let doc = self.doc;
-                doc.children(v).iter().any(|&u| self.smatch(pc, u))
-            }
-            EdgeKind::Descendant => self.desc_exists(pc, v),
-        }
     }
 
     /// The bucket of the label→node index to enumerate for a descendant
@@ -562,32 +416,29 @@ impl<'a> Evaluator<'a> {
         found
     }
 
-    /// Candidate doc nodes for pattern child `pc` under image `v`, in
-    /// **arbitrary** order (callers deduplicate or collect into sets).
-    fn candidates(&mut self, pc: PNodeId, v: NodeId) -> Vec<NodeId> {
+    /// Appends to `out` the candidate doc nodes for pattern child `pc`
+    /// under image `v`, in **arbitrary** order (callers deduplicate the
+    /// rows they give).
+    fn candidates(&mut self, pc: PNodeId, v: NodeId, out: &mut Vec<NodeId>) {
+        let doc = self.doc;
         match self.pat.node(pc).edge {
             EdgeKind::Child => {
-                let doc = self.doc;
-                let mut out = Vec::new();
                 for &u in doc.children(v) {
                     if self.smatch(pc, u) {
                         out.push(u);
                     }
                 }
-                out
             }
             EdgeKind::Descendant => {
-                let mut out = Vec::new();
                 if let Some(bucket) = self.desc_bucket(pc, v) {
                     for &u in bucket {
-                        if self.doc.reaches_through_data(v, u) && self.smatch(pc, u) {
+                        if doc.reaches_through_data(v, u) && self.smatch(pc, u) {
                             out.push(u);
                         }
                     }
                 } else {
-                    self.collect_desc(pc, v, &mut out);
+                    self.collect_desc(pc, v, out);
                 }
-                out
             }
         }
     }
@@ -604,137 +455,434 @@ impl<'a> Evaluator<'a> {
             self.collect_desc(pc, u, out);
         }
     }
+}
 
-    /// Enumerates the distinct (environment, result fragment) pairs for
-    /// embedding the subtree of `p` at `v`, given an inherited environment.
-    fn embed(&mut self, p: PNodeId, v: NodeId, env: &VarEnv) -> Vec<(VarEnv, ResultTuple)> {
-        // Fast path: nothing observable below — boolean check suffices.
-        if !self.tables.needs_enum[p.index()] {
-            return if self.smatch(p, v) {
-                vec![(env.clone(), ResultTuple::new())]
-            } else {
-                vec![]
-            };
-        }
-        let node = self.pat.node(p);
-        if let PLabel::Or = node.label {
-            let mut out = Vec::new();
-            for &b in &node.children {
-                out.extend(self.embed(b, v, env));
+/// A pattern-node label test compiled against one document's symbol table
+/// by [`compile_ctests`], for a transient evaluation and a
+/// [`crate::plan::QueryPlan`] alike.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) enum CTest {
+    /// `Const(l)`: a data node whose label symbol equals the payload.
+    /// `None` means the text was never interned in this document — the
+    /// test can never succeed.
+    DataSym(Option<u32>),
+    /// `Var`/`Wildcard`: any data node.
+    AnyData,
+    /// `Fun(Any)`: any function node.
+    AnyCall,
+    /// `Fun(OneOf)`: a function node whose service symbol is listed
+    /// (names absent from the symbol table are dropped — they cannot
+    /// match any live call).
+    CallOneOf(Vec<u32>),
+    /// OR nodes are handled transparently by the traversal.
+    Or,
+}
+
+/// Buckets larger than this are only enumerated when the scan alternative
+/// is the whole forest (the step's context is a root); for small buckets
+/// the index wins regardless of context.
+const SMALL_BUCKET: usize = 16;
+
+/// The per-node enumeration tables of a pattern and its row layout,
+/// shared by transient compilation and [`crate::plan::QueryPlan`]. They
+/// depend on the pattern alone.
+#[derive(Clone, Debug)]
+pub(crate) struct EnumTables {
+    /// Does the node's subtree contain a result node or a join variable
+    /// (requiring full enumeration)?
+    needs_enum: Vec<bool>,
+    /// The node's row cell, if it is a result node.
+    result_col: Vec<Option<u32>>,
+    /// The row cell of the node's join variable, if it is one.
+    var_col: Vec<Option<u32>>,
+    /// The result nodes reachable from the root, in `PNodeId` order: the
+    /// first cells of a row, and the columns of the snapshot result.
+    columns: Vec<PNodeId>,
+    /// Cells per row: the result nodes, then the join variables; at
+    /// least one, so that a pattern with neither still counts its rows.
+    width: usize,
+    /// For a node whose result fragments `embed` keeps in the fragment
+    /// table, the cells its subtree binds. Empty when the table keeps no
+    /// node's, so that an evaluation the table cannot serve never reads
+    /// it.
+    tabled: Vec<Option<Tabled>>,
+}
+
+/// The cells of a tabled node's subtree.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Tabled {
+    /// The cells of the join variables in the subtree, ascending: their
+    /// inherited symbols key the node's fragments beside its image.
+    keys: Box<[u32]>,
+    /// Every cell the subtree binds (its result nodes' and its join
+    /// variables'), ascending: what a fragment keeps of each row.
+    cells: Box<[u32]>,
+}
+
+/// Computes a pattern's [`EnumTables`].
+pub(crate) fn enum_tables(pat: &Pattern) -> EnumTables {
+    let join_vars = pat.join_variables();
+    let mut needs_enum = vec![false; pat.len()];
+    let mut result_col = vec![None; pat.len()];
+    let mut var_col = vec![None; pat.len()];
+    // pre-order: creation order does not put parents first, since
+    // `Pattern::wrap_in_or` creates an OR node after its branch
+    let mut order = Vec::with_capacity(pat.len());
+    let mut stack: Vec<PNodeId> = (!pat.is_empty()).then(|| pat.root()).into_iter().collect();
+    while let Some(id) = stack.pop() {
+        order.push(id);
+        stack.extend(&pat.node(id).children);
+    }
+    let mut columns: Vec<PNodeId> = order
+        .iter()
+        .copied()
+        .filter(|&id| pat.node(id).is_result)
+        .collect();
+    columns.sort_unstable();
+    for (col, &id) in columns.iter().enumerate() {
+        result_col[id.index()] = Some(col as u32);
+    }
+    let results = columns.len() as u32;
+    // bottom-up
+    for &id in order.iter().rev() {
+        let n = pat.node(id);
+        let mut need = n.is_result;
+        if let PLabel::Var(v) = &n.label {
+            if let Ok(i) = join_vars.binary_search(v) {
+                var_col[id.index()] = Some(results + i as u32);
+                need = true;
             }
-            dedup_pairs(&mut out);
-            return out;
         }
-        if !self.local_ok(p, v) {
-            return vec![];
+        for &c in &n.children {
+            if needs_enum[c.index()] {
+                need = true;
+            }
         }
-        let mut env = env.clone();
-        if let Some(vid) = self.tables.var_id[p.index()] {
-            let sym = self.doc.sym(v);
-            match env.get(&vid) {
-                Some(&bound) if bound != sym => return vec![],
-                Some(_) => {}
-                None => {
-                    env.insert(vid, sym);
-                }
+        needs_enum[id.index()] = need;
+    }
+    // Does `embed` table a node's fragments? Only for an enumerated `//`
+    // child of a non-OR node whose images can nest: one with a `//` edge
+    // on its root path. A fragment depends on the inherited bindings of
+    // the join variables in the node's subtree, so those key it too.
+    let descends =
+        |id: PNodeId| pat.parent(id).is_some() && pat.node(id).edge == EdgeKind::Descendant;
+    let nests = |id: PNodeId| std::iter::successors(Some(id), |&n| pat.parent(n)).any(descends);
+    let mut tabled = Vec::new();
+    for &id in &order {
+        let Some(parent) = pat.parent(id) else {
+            continue;
+        };
+        if descends(id)
+            && needs_enum[id.index()]
+            && !matches!(pat.node(parent).label, PLabel::Or)
+            && nests(parent)
+        {
+            let (mut keys, mut cells) = (Vec::new(), Vec::new());
+            let mut stack = vec![id];
+            while let Some(n) = stack.pop() {
+                keys.extend(var_col[n.index()]);
+                cells.extend(result_col[n.index()]);
+                stack.extend(&pat.node(n).children);
+            }
+            keys.sort_unstable();
+            keys.dedup();
+            cells.extend(&keys);
+            cells.sort_unstable();
+            tabled.resize(pat.len(), None);
+            tabled[id.index()] = Some(Tabled {
+                keys: keys.into_boxed_slice(),
+                cells: cells.into_boxed_slice(),
+            });
+        }
+    }
+    EnumTables {
+        needs_enum,
+        result_col,
+        var_col,
+        width: (columns.len() + join_vars.len()).max(1),
+        columns,
+        tabled,
+    }
+}
+
+/// Compiles the per-node label tests against one document's symbol table:
+/// one interner lookup per label the pattern names. The only place label
+/// tests meet a document.
+pub(crate) fn compile_ctests(pat: &Pattern, doc: &Document) -> Vec<CTest> {
+    let mut ctest = Vec::with_capacity(pat.len());
+    for id in pat.node_ids() {
+        ctest.push(match &pat.node(id).label {
+            PLabel::Const(l) => CTest::DataSym(doc.lookup_sym(l.as_str())),
+            PLabel::Var(_) | PLabel::Wildcard => CTest::AnyData,
+            PLabel::Fun(FunMatch::Any) => CTest::AnyCall,
+            PLabel::Fun(FunMatch::OneOf(names)) => CTest::CallOneOf(
+                names
+                    .iter()
+                    .filter_map(|l| doc.lookup_sym(l.as_str()))
+                    .collect(),
+            ),
+            PLabel::Or => CTest::Or,
+        });
+    }
+    ctest
+}
+
+/// Runs an evaluation over already compiled tables: no pattern walk or
+/// symbol lookup happens here. The evaluation borrows `scratch`'s tables
+/// and buffers and hands them back, emptied, with their capacity.
+pub(crate) fn eval_compiled(
+    pat: &Pattern,
+    doc: &Document,
+    ctest: Vec<CTest>,
+    tables: &EnumTables,
+    scratch: &mut PlanScratch,
+) -> SnapshotResult {
+    let mut desc_memo = std::mem::take(&mut scratch.desc_memo);
+    desc_memo.clear();
+    let mut ev = Evaluator {
+        m: Matcher::compiled(pat, doc, ctest, desc_memo),
+        tables,
+        scratch: std::mem::take(scratch),
+    };
+    let out = ev.results();
+    *scratch = ev.scratch;
+    scratch.desc_memo = ev.m.desc_memo;
+    out
+}
+
+/// The fragment table of one evaluation: the rows of the nodes
+/// `EnumTables::tabled` marks, per image and inherited bindings of the
+/// subtree's join variables, each row cut down to the cells the subtree
+/// binds. It keeps chains of `//` steps polynomial.
+#[derive(Debug, Default)]
+pub(crate) struct Fragments {
+    /// The first cell of a key's fragments in `cells`, and their number.
+    index: HashMap<FragmentKey, (usize, usize), FxBuildHasher>,
+    /// Every fragment's cells, back to back.
+    cells: Vec<u32>,
+}
+
+/// A fragment table key: the node, its image and the inherited symbol of
+/// each join variable in its subtree (`UNBOUND` for none), in the order
+/// of `Tabled::keys`. A subtree without join variables keys by an empty
+/// slice, which allocates nothing.
+type FragmentKey = (PNodeId, NodeId, Box<[u32]>);
+
+impl Fragments {
+    fn clear(&mut self) {
+        self.index.clear();
+        self.cells.clear();
+    }
+}
+
+/// Enumerates a pattern's embeddings as rows, with a [`Matcher`]'s tests
+/// and the scratch's buffers.
+struct Evaluator<'a> {
+    m: Matcher<'a>,
+    tables: &'a EnumTables,
+    /// Row and candidate buffers and the fragment table; the
+    /// descendant-existence table is on loan to `m`.
+    scratch: PlanScratch,
+}
+
+impl Evaluator<'_> {
+    /// The snapshot result: every root's embeddings of the pattern,
+    /// restricted to the result cells, sorted and distinct.
+    fn results(&mut self) -> SnapshotResult {
+        let (pat, doc, tables) = (self.m.pat, self.m.doc, self.tables);
+        self.scratch.fragments.clear();
+        let mut rows = self.take_rows();
+        if !pat.is_empty() {
+            let mut empty = self.take_rows();
+            empty.resize(tables.width, UNBOUND);
+            for &root in doc.roots() {
+                self.embed(pat.root(), root, &empty, &mut rows);
+            }
+            self.put_rows(empty);
+        }
+        let found = rows.len() / tables.width;
+        let width = tables.columns.len();
+        let mut results = self.take_rows();
+        if width == tables.width {
+            std::mem::swap(&mut results, &mut rows);
+        } else {
+            for row in rows.chunks_exact(tables.width) {
+                results.extend_from_slice(&row[..width]);
+            }
+        }
+        let count = if width == 0 {
+            found.min(1)
+        } else {
+            self.sort_rows(&mut results, 0, width);
+            results.len() / width
+        };
+        let out = SnapshotResult {
+            columns: tables.columns.clone(),
+            cells: results.as_slice().to_vec(),
+            count,
+        };
+        self.put_rows(rows);
+        self.put_rows(results);
+        out
+    }
+
+    /// Appends to `out` every distinct row that extends `row` with an
+    /// embedding of `p`'s subtree at `v`.
+    fn embed(&mut self, p: PNodeId, v: NodeId, row: &[u32], out: &mut Vec<u32>) {
+        let (pat, tables) = (self.m.pat, self.tables);
+        // Fast path: nothing observable below — boolean check suffices.
+        if !tables.needs_enum[p.index()] {
+            if self.m.smatch(p, v) {
+                out.extend_from_slice(row);
+            }
+            return;
+        }
+        let node = pat.node(p);
+        if let PLabel::Or = node.label {
+            let start = out.len();
+            for &b in &node.children {
+                self.embed(b, v, row, out);
+            }
+            self.sort_rows(out, start, tables.width);
+            return;
+        }
+        if !self.m.local_ok(p, v) {
+            return;
+        }
+        let mut bind = None;
+        if let Some(col) = tables.var_col[p.index()] {
+            let sym = self.m.doc.sym(v);
+            match row[col as usize] {
+                UNBOUND => bind = Some((col, sym)),
+                bound if bound != sym => return,
+                _ => {}
             }
         }
         // a child with no result node and no join variable below it adds
-        // nothing to a combination and depends on none, so one condition
-        // test decides it for all of them
+        // nothing to a row and depends on none, so one condition test
+        // decides it for all of them
         if !node
             .children
             .iter()
-            .all(|&pc| self.tables.needs_enum[pc.index()] || self.condition_holds(pc, v))
+            .all(|&pc| tables.needs_enum[pc.index()] || self.m.condition_holds(pc, v))
         {
-            return vec![];
+            return;
         }
-        let mut base = ResultTuple::new();
-        if node.is_result {
-            base.insert(p, v);
+        let start = out.len();
+        out.extend_from_slice(row);
+        if let Some((col, sym)) = bind {
+            out[start + col as usize] = sym;
         }
-        let mut combos: Vec<(VarEnv, ResultTuple)> = vec![(env, base)];
-        for &pc in &node.children {
-            if !self.tables.needs_enum[pc.index()] {
-                continue;
-            }
-            let candidates = self.candidates(pc, v);
-            let tabled = matches!(self.tables.tabled.get(pc.index()), Some(Some(_)));
-            let mut next: Vec<(VarEnv, ResultTuple)> = Vec::new();
-            for (cenv, frag) in &combos {
+        if let Some(col) = tables.result_col[p.index()] {
+            out[start + col as usize] = v.index() as u32;
+        }
+        let mut enumerated = node
+            .children
+            .iter()
+            .copied()
+            .filter(|&pc| tables.needs_enum[pc.index()])
+            .peekable();
+        if enumerated.peek().is_none() {
+            return;
+        }
+        let mut combos = self.take_rows();
+        combos.extend_from_slice(&out[start..]);
+        out.truncate(start);
+        let mut next = self.take_rows();
+        let mut candidates = self.scratch.candidates.pop().unwrap_or_default();
+        for pc in enumerated {
+            candidates.clear();
+            self.m.candidates(pc, v, &mut candidates);
+            let tabled = matches!(tables.tabled.get(pc.index()), Some(Some(_)));
+            for combo in combos.chunks_exact(tables.width) {
                 for &u in &candidates {
-                    let subs = if tabled {
-                        self.embed_tabled(pc, u, cenv)
+                    if tabled {
+                        self.embed_tabled(pc, u, combo, &mut next);
                     } else {
-                        self.embed(pc, u, cenv)
-                    };
-                    for (e2, f2) in subs {
-                        let mut merged = frag.clone();
-                        merged.extend(f2);
-                        next.push((e2, merged));
+                        self.embed(pc, u, combo, &mut next);
                     }
                 }
             }
-            dedup_pairs(&mut next);
-            combos = next;
+            self.sort_rows(&mut next, 0, tables.width);
+            std::mem::swap(&mut combos, &mut next);
+            next.clear();
             if combos.is_empty() {
                 break;
             }
         }
-        combos
+        out.extend_from_slice(&combos);
+        self.put_rows(combos);
+        self.put_rows(next);
+        candidates.clear();
+        self.scratch.candidates.push(candidates);
     }
 
     /// [`Evaluator::embed`] of a node `tables.tabled` marks, through the
     /// fragment table. The subtree of `p` reads and binds only its own
-    /// join variables, so its fragments depend on `(p, v)` and on what
-    /// `env` binds those variables to; the table keeps each fragment with
-    /// the bindings it adds, and a hit merges them into `env`.
-    fn embed_tabled(&mut self, p: PNodeId, v: NodeId, env: &VarEnv) -> Vec<(VarEnv, ResultTuple)> {
-        let vars = self.tables.tabled[p.index()]
-            .as_deref()
-            .expect("a tabled node");
-        let inherited = vars
-            .iter()
-            .map(|id| env.get(id).copied().unwrap_or(UNBOUND))
-            .collect();
-        let key = (p, v, inherited);
-        if let Some(hit) = self.fragments.get(&key) {
-            return with_bindings(env, hit);
+    /// join variables and result cells, so its rows depend on `(p, v)` and
+    /// on what `row` binds those variables to; the table keeps each row's
+    /// subtree cells, and a hit writes them over a copy of `row`.
+    fn embed_tabled(&mut self, p: PNodeId, v: NodeId, row: &[u32], out: &mut Vec<u32>) {
+        let tables = self.tables;
+        let tabled = tables.tabled[p.index()].as_ref().expect("a tabled node");
+        let key = (p, v, tabled.keys.iter().map(|&c| row[c as usize]).collect());
+        let frags = &self.scratch.fragments;
+        let cells = tabled.cells.len();
+        if let Some(&(first, n)) = frags.index.get(&key) {
+            for frag in frags.cells[first..first + n * cells].chunks_exact(cells) {
+                let at = out.len();
+                out.extend_from_slice(row);
+                for (&c, &cell) in tabled.cells.iter().zip(frag) {
+                    out[at + c as usize] = cell;
+                }
+            }
+            return;
         }
-        let mut added = self.embed(p, v, env);
-        for (e, _) in &mut added {
-            e.retain(|id, _| !env.contains_key(id));
+        let start = out.len();
+        self.embed(p, v, row, out);
+        let frags = &mut self.scratch.fragments;
+        let first = frags.cells.len();
+        for added in out[start..].chunks_exact(tables.width) {
+            frags
+                .cells
+                .extend(tabled.cells.iter().map(|&c| added[c as usize]));
         }
-        let out = with_bindings(env, &added);
-        self.fragments.insert(key, added);
-        out
+        let n = (out.len() - start) / tables.width;
+        frags.index.insert(key, (first, n));
     }
-}
 
-/// A fragment table key: the pattern node, its image and the inherited
-/// symbol of each join variable in the node's subtree ([`UNBOUND`] for
-/// none), in the order `EnumTables::tabled` lists them.
-type FragmentKey = (PNodeId, NodeId, Vec<u32>);
+    /// Sorts the `width`-cell rows of `rows[start..]` and drops repeats.
+    fn sort_rows(&mut self, rows: &mut Vec<u32>, start: usize, width: usize) {
+        let tail = &rows[start..];
+        let mut pairs = tail
+            .chunks_exact(width)
+            .zip(tail.chunks_exact(width).skip(1));
+        if pairs.all(|(a, b)| a < b) {
+            return;
+        }
+        let mut order = self.take_rows();
+        order.extend(0..(tail.len() / width) as u32);
+        let row = |i: u32| &tail[i as usize * width..][..width];
+        order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+        order.dedup_by(|a, b| row(*a) == row(*b));
+        let mut sorted = self.take_rows();
+        for &i in &order {
+            sorted.extend_from_slice(row(i));
+        }
+        rows.truncate(start);
+        rows.extend_from_slice(&sorted);
+        self.put_rows(order);
+        self.put_rows(sorted);
+    }
 
-/// The inherited symbol of a join variable that `env` leaves unbound.
-const UNBOUND: u32 = u32::MAX;
+    fn take_rows(&mut self) -> Vec<u32> {
+        self.scratch.rows.pop().unwrap_or_default()
+    }
 
-/// The fragments of `tabled`, each with its added bindings merged into
-/// `env`.
-fn with_bindings(env: &VarEnv, tabled: &[(VarEnv, ResultTuple)]) -> Vec<(VarEnv, ResultTuple)> {
-    tabled
-        .iter()
-        .map(|(added, frag)| {
-            let mut e = env.clone();
-            e.extend(added);
-            (e, frag.clone())
-        })
-        .collect()
-}
-
-fn dedup_pairs(v: &mut Vec<(VarEnv, ResultTuple)>) {
-    v.sort();
-    v.dedup();
+    fn put_rows(&mut self, mut rows: Vec<u32>) {
+        rows.clear();
+        self.scratch.rows.push(rows);
+    }
 }
 
 #[cfg(test)]
@@ -1042,22 +1190,60 @@ mod tests {
         // no node's images nest above a `//` step: nothing is tabled
         assert!(tabled("/hotels/hotel/nearby//restaurant[name=$X] -> $X").is_empty());
         assert!(tabled("//restaurant[rating=\"*****\"]/name/$N -> $N").is_empty());
-        // a `//` step under a `//` step is, keyed by its image alone
+        // a `//` step under a `//` step is, keyed by its image alone; its
+        // fragments keep its own result cell
         let q = parse_query("/a//a//b").unwrap();
         let t = enum_tables(&q).tabled;
         let b = q.result_nodes()[0];
-        assert_eq!(t[b.index()].as_deref(), Some(&[][..]));
+        let expected = Tabled {
+            keys: Box::new([]),
+            cells: Box::new([0]),
+        };
+        assert_eq!(t[b.index()].as_ref(), Some(&expected));
         assert_eq!(t.iter().flatten().count(), 1);
         // with join variables in its subtree, by their inherited bindings
-        // too
+        // too: the result cells (every `$V`), then `$V` and `$W`
         let q = parse_query("/a[z=$W]//a[x=$V]//b[y=$V][z=$W] -> $V").unwrap();
-        let t = enum_tables(&q).tabled;
+        let tables = enum_tables(&q);
+        assert_eq!(tables.columns, q.result_nodes());
+        assert_eq!(tables.columns.len(), 2);
+        assert_eq!(tables.width, 4);
         let b = q
             .node_ids()
             .find(|&id| matches!(&q.node(id).label, PLabel::Const(l) if l.as_str() == "b"))
             .unwrap();
-        assert_eq!(t[b.index()].as_deref(), Some(&[0, 1][..]));
-        assert_eq!(t.iter().flatten().count(), 1);
+        let tabled = tables.tabled[b.index()].as_ref().unwrap();
+        assert_eq!(&*tabled.keys, &[2, 3]);
+        assert_eq!(tables.tabled.iter().flatten().count(), 1);
+    }
+
+    /// The rows of a pattern without result nodes have no result cells:
+    /// any number of embeddings give one empty tuple, none give none,
+    /// with or without a join variable.
+    #[test]
+    fn a_pattern_without_result_nodes_yields_at_most_one_empty_tuple() {
+        let mut plain = Pattern::new();
+        let r = plain.set_root(PLabel::Const("r".into()));
+        plain.add_child(r, EdgeKind::Descendant, PLabel::Const("a".into()));
+        let mut join = Pattern::new();
+        let r = join.set_root(PLabel::Const("r".into()));
+        let a = join.add_child(r, EdgeKind::Child, PLabel::Const("a".into()));
+        join.add_child(a, EdgeKind::Child, PLabel::Var("V".into()));
+        let b = join.add_child(r, EdgeKind::Child, PLabel::Const("b".into()));
+        join.add_child(b, EdgeKind::Child, PLabel::Var("V".into()));
+        for (q, xml, rows) in [
+            (&plain, "<r><a/><x><a/></x></r><r><a/></r>", 1),
+            (&plain, "<r><x/></r><q><a/></q>", 0),
+            (&join, "<r><a>1</a><a>2</a><b>2</b><b>1</b></r>", 1),
+            (&join, "<r><a>1</a><b>2</b></r>", 0),
+        ] {
+            let d = parse(xml).unwrap();
+            let r = eval_all_modes(q, &d);
+            assert_eq!(r.len(), rows, "{xml}");
+            let expected: BTreeSet<ResultTuple> = (0..rows).map(|_| ResultTuple::new()).collect();
+            assert_eq!(r.tuples(), expected, "{xml}");
+            assert_eq!(render_result(&d, &r), vec![Vec::<String>::new(); rows]);
+        }
     }
 
     #[test]

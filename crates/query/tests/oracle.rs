@@ -5,7 +5,9 @@
 //! join-blind fast paths, no candidate indexes, no shared code with the
 //! production evaluator.
 
-use axml_query::{embeddings, eval, EdgeKind, FunMatch, PLabel, PNodeId, Pattern, ResultTuple};
+use axml_query::{
+    embeddings, eval, render_result_refs, EdgeKind, FunMatch, PLabel, PNodeId, Pattern, ResultTuple,
+};
 use axml_xml::{Document, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -119,10 +121,21 @@ fn data_descendants(doc: &Document, v: NodeId) -> Vec<NodeId> {
     out
 }
 
+/// A small random forest of one to three roots: the first is a `root`
+/// element, a further one a `root` or `e0` element or a call.
 fn random_doc(seed: u64) -> Document {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut d = Document::with_root("root");
     let mut frontier = vec![d.root()];
+    for _ in 1..rng.gen_range(1..4) {
+        match rng.gen_range(0..4) {
+            0 => {
+                d.add_root_call("svc0");
+            }
+            1 => frontier.push(d.add_root("e0")),
+            _ => frontier.push(d.add_root("root")),
+        }
+    }
     for _ in 0..rng.gen_range(3..22) {
         let parent = frontier[rng.gen_range(0..frontier.len())];
         match rng.gen_range(0..10) {
@@ -160,6 +173,12 @@ fn random_fun(rng: &mut StdRng) -> PLabel {
 /// an NFQ's `(u | *())` relaxations and their refined service lists.
 /// Result marks stay off OR nodes.
 fn random_pattern(seed: u64) -> Pattern {
+    random_pattern_shaped(seed, true, true)
+}
+
+/// [`random_pattern`], with OR nodes only if `or_nodes` and with result
+/// marks only if `results`.
+fn random_pattern_shaped(seed: u64, or_nodes: bool, results: bool) -> Pattern {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut p = Pattern::new();
     let root = p.set_root(PLabel::Const("root".into()));
@@ -186,7 +205,7 @@ fn random_pattern(seed: u64) -> Pattern {
         }
     }
     let inner: Vec<PNodeId> = p.node_ids().filter(|&id| id != root).collect();
-    for &id in &inner {
+    for &id in inner.iter().filter(|_| or_nodes) {
         if !rng.gen_bool(0.35) {
             continue;
         }
@@ -209,7 +228,9 @@ fn random_pattern(seed: u64) -> Pattern {
         .collect();
     for _ in 0..rng.gen_range(1..3) {
         let pick = ids[rng.gen_range(0..ids.len())];
-        p.mark_result(pick);
+        if results {
+            p.mark_result(pick);
+        }
     }
     p
 }
@@ -317,9 +338,53 @@ proptest! {
     fn evaluator_matches_brute_force_oracle(dseed in 0u64..100_000, qseed in 0u64..100_000) {
         let doc = random_doc(dseed);
         let q = random_pattern(qseed);
-        let fast: BTreeSet<ResultTuple> = eval(&q, &doc).tuples;
+        let fast: BTreeSet<ResultTuple> = eval(&q, &doc).tuples();
         let slow = oracle(&q, &doc);
         prop_assert_eq!(fast, slow, "dseed={} qseed={}", dseed, qseed);
+    }
+
+    /// The same for patterns without result nodes: every embedding gives
+    /// the empty tuple, so the result is zero or one empty tuple.
+    #[test]
+    fn evaluator_matches_brute_force_oracle_without_result_nodes(
+        dseed in 0u64..100_000,
+        qseed in 0u64..100_000,
+    ) {
+        let doc = random_doc(dseed);
+        let q = random_pattern_shaped(qseed, true, false);
+        prop_assert!(q.result_nodes().is_empty());
+        let r = eval(&q, &doc);
+        prop_assert!(r.len() <= 1);
+        prop_assert_eq!(r.tuples(), oracle(&q, &doc), "dseed={} qseed={}", dseed, qseed);
+    }
+
+    /// Without OR nodes every result node is bound in every tuple, so the
+    /// rendered rows come in the sorted order of the tuples: the order
+    /// the CLI prints answers in. Most results have one row or arrive in
+    /// order, so each case tries its pattern on eight documents.
+    #[test]
+    fn rendered_rows_of_or_free_patterns_follow_tuple_order(
+        dseed in 0u64..100_000,
+        qseed in 0u64..100_000,
+    ) {
+        let q = random_pattern_shaped(qseed, false, true);
+        for dseed in dseed..dseed + 8 {
+            let doc = random_doc(dseed);
+            let r = eval(&q, &doc);
+            let tuples = r.tuples();
+            prop_assert_eq!(&tuples, &oracle(&q, &doc), "dseed={} qseed={}", dseed, qseed);
+            let in_order: Vec<Vec<&str>> = tuples
+                .iter()
+                .map(|t| t.values().map(|&n| doc.label(n)).collect())
+                .collect();
+            prop_assert_eq!(
+                render_result_refs(&doc, &r),
+                in_order,
+                "dseed={} qseed={}",
+                dseed,
+                qseed
+            );
+        }
     }
 
     /// The same on label-repeating chains under two or three nested `//`
@@ -332,7 +397,7 @@ proptest! {
     ) {
         let doc = label_repeating_chain(dseed);
         let q = nested_descendant_query(qseed);
-        let fast: BTreeSet<ResultTuple> = eval(&q, &doc).tuples;
+        let fast: BTreeSet<ResultTuple> = eval(&q, &doc).tuples();
         let slow = oracle(&q, &doc);
         prop_assert_eq!(fast, slow, "dseed={} qseed={}", dseed, qseed);
     }
@@ -347,7 +412,7 @@ proptest! {
         let doc = label_repeating_chain(dseed);
         let q = nested_descendant_query_with_join(qseed);
         prop_assert!(!q.join_variables().is_empty());
-        let fast: BTreeSet<ResultTuple> = eval(&q, &doc).tuples;
+        let fast: BTreeSet<ResultTuple> = eval(&q, &doc).tuples();
         let slow = oracle(&q, &doc);
         prop_assert_eq!(fast, slow, "dseed={} qseed={}", dseed, qseed);
     }

@@ -101,7 +101,7 @@ fn random_pattern(seed: u64) -> Pattern {
 }
 
 fn tuples(pattern: &Pattern, doc: &Document) -> BTreeSet<ResultTuple> {
-    seed_eval(pattern, doc).tuples
+    seed_eval(pattern, doc).tuples()
 }
 
 proptest! {
@@ -117,7 +117,7 @@ proptest! {
         let plan = QueryPlan::compile(&q);
         let interpreted = seed_eval(&q, &doc);
         let compiled = plan.eval(&doc);
-        prop_assert_eq!(&compiled.tuples, &interpreted.tuples, "dseed={} qseed={}", dseed, qseed);
+        prop_assert_eq!(&compiled.tuples(), &interpreted.tuples(), "dseed={} qseed={}", dseed, qseed);
         for r in q.result_nodes() {
             prop_assert_eq!(
                 compiled.bindings_of(r),
@@ -145,7 +145,7 @@ proptest! {
             let doc = random_doc(dseed, Some(i as u64 * 7919 + 1));
             let compiled = plan
                 .eval_with(&doc, &mut scratch)
-                .tuples;
+                .tuples();
             prop_assert_eq!(
                 compiled,
                 tuples(&q, &doc),
@@ -168,7 +168,7 @@ proptest! {
         let q = random_pattern(qseed);
         let plan = QueryPlan::compile(&q);
         let mut scratch = PlanScratch::default();
-        let before = plan.eval_with(&doc, &mut scratch).tuples;
+        let before = plan.eval_with(&doc, &mut scratch).tuples();
         prop_assert_eq!(before, tuples(&q, &doc), "dseed={} qseed={}", dseed, qseed);
 
         // grow: new subtree with labels the document had never interned
@@ -179,7 +179,7 @@ proptest! {
             doc.add_text(e, format!("v{}", i % 3));
         }
 
-        let after = plan.eval_with(&doc, &mut scratch).tuples;
+        let after = plan.eval_with(&doc, &mut scratch).tuples();
         prop_assert_eq!(after, tuples(&q, &doc), "dseed={} qseed={}", dseed, qseed);
     }
 }

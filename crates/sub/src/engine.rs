@@ -39,6 +39,7 @@ use axml_schema::Schema;
 use axml_services::Registry;
 use axml_store::{CallCache, DocumentStore, DurabilityManager, PlanCache};
 use axml_xml::{CatchUp, Document, VersionedDocument};
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -475,9 +476,11 @@ impl<'a> SubscriptionEngine<'a> {
                     }
                     self.stats.degradations += 1;
                     let mut working = snapshot.to_document();
-                    let query = self.subs[i].query.clone();
-                    let (answers, sim_ms) =
-                        self.run_engine(&mut working, &query, self.options.engine.clone());
+                    let (answers, sim_ms) = self.run_engine(
+                        &mut working,
+                        &self.subs[i].query,
+                        self.options.engine.clone(),
+                    );
                     self.clock_ms += sim_ms;
                     if let Some(d) = self.deliver(i, version, answers, true) {
                         out.push(d);
@@ -501,9 +504,11 @@ impl<'a> SubscriptionEngine<'a> {
                             self.stats.full_reevals += 1;
                         }
                         let mut working = (*record.doc).clone();
-                        let query = self.subs[i].query.clone();
-                        let (answers, sim_ms) =
-                            self.run_engine(&mut working, &query, self.options.engine.clone());
+                        let (answers, sim_ms) = self.run_engine(
+                            &mut working,
+                            &self.subs[i].query,
+                            self.options.engine.clone(),
+                        );
                         self.clock_ms += sim_ms;
                         if let Some(d) = self.deliver(i, record.version, answers, full) {
                             out.push(d);
@@ -566,15 +571,8 @@ impl<'a> SubscriptionEngine<'a> {
         new_answers: BTreeSet<Vec<String>>,
         full_reeval: bool,
     ) -> Option<Delta> {
-        let added: Vec<Vec<String>> = new_answers
-            .difference(&self.subs[sub_idx].answers)
-            .cloned()
-            .collect();
-        let removed: Vec<Vec<String>> = self.subs[sub_idx]
-            .answers
-            .difference(&new_answers)
-            .cloned()
-            .collect();
+        let old = std::mem::take(&mut self.subs[sub_idx].answers);
+        let (added, removed) = diff_answers(old, &new_answers);
         self.subs[sub_idx].answers = new_answers;
         if added.is_empty() && removed.is_empty() {
             return None;
@@ -645,6 +643,69 @@ impl<'a> SubscriptionEngine<'a> {
                 cpu_ms: None,
                 kind,
             });
+        }
+    }
+}
+
+/// The rows only `new` holds and the rows only `old` holds, each in
+/// order, by one merge pass over the two sorted sets. Removed rows move
+/// out of `old`; added rows are copied, since `new` stays the standing
+/// answer.
+fn diff_answers(
+    old: BTreeSet<Vec<String>>,
+    new: &BTreeSet<Vec<String>>,
+) -> (Vec<Vec<String>>, Vec<Vec<String>>) {
+    let (mut added, mut removed) = (Vec::new(), Vec::new());
+    let mut old = old.into_iter().peekable();
+    let mut new = new.iter().peekable();
+    loop {
+        match (old.peek(), new.peek()) {
+            (Some(o), Some(n)) => match o.cmp(n) {
+                Ordering::Less => removed.extend(old.next()),
+                Ordering::Greater => added.extend(new.next().cloned()),
+                Ordering::Equal => {
+                    old.next();
+                    new.next();
+                }
+            },
+            (Some(_), None) => removed.extend(old.by_ref()),
+            (None, Some(_)) => added.extend(new.by_ref().cloned()),
+            (None, None) => return (added, removed),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn rows(rows: &[&str]) -> BTreeSet<Vec<String>> {
+        rows.iter()
+            .map(|r| r.split(',').map(str::to_string).collect())
+            .collect()
+    }
+
+    /// The one-pass diff gives the two differences, each in order, with
+    /// rows added, removed and kept, and with either side empty.
+    #[test]
+    fn answer_diff_matches_the_two_set_differences() {
+        let cases = [
+            (
+                rows(&["a,1", "b,2", "d,4"]),
+                rows(&["b,2", "c,3", "d,5", "e,1"]),
+            ),
+            (rows(&[]), rows(&["a,1", "b,2"])),
+            (rows(&["a,1", "b,2"]), rows(&[])),
+            (rows(&[]), rows(&[])),
+            (rows(&["a,1", "b,2"]), rows(&["a,1", "b,2"])),
+            (rows(&["z,9"]), rows(&["a,1"])),
+        ];
+        for (old, new) in cases {
+            let expected_added: Vec<Vec<String>> = new.difference(&old).cloned().collect();
+            let expected_removed: Vec<Vec<String>> = old.difference(&new).cloned().collect();
+            let (added, removed) = diff_answers(old.clone(), &new);
+            assert_eq!(added, expected_added, "{old:?} -> {new:?}");
+            assert_eq!(removed, expected_removed, "{old:?} -> {new:?}");
         }
     }
 }

@@ -99,6 +99,18 @@ impl NodeId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The id with raw arena index `index`: the inverse of
+    /// [`NodeId::index`]. It is valid only for an index read from an id
+    /// that the same document issued; any other index may name a free
+    /// slot, an unrelated node or no node at all.
+    ///
+    /// # Panics
+    /// Panics if `index` does not fit the id's 32 bits, which no index
+    /// read from an id does.
+    pub fn from_index(index: usize) -> NodeId {
+        NodeId(u32::try_from(index).expect("an arena index read from a NodeId fits in u32"))
+    }
 }
 
 impl fmt::Debug for NodeId {
