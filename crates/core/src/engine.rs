@@ -532,8 +532,8 @@ struct Run<'e, 'a, 'q> {
     /// the parent label path of every invoked and spliced call
     changed_paths: Vec<Vec<String>>,
     /// the allocation of the evaluator's one table, descendant existence,
-    /// reused across evaluations (the NFQA loop re-evaluates patterns once
-    /// per round)
+    /// reused across the run's evaluations (its NFQs with join variables,
+    /// once per round, then the query)
     eval_cache: PlanScratch,
     /// monotone event counter for the structured trace (resets per run)
     seq: u64,

@@ -31,8 +31,9 @@
 //!   a row is never empty). Embedding a node extends its parent's row:
 //!   the node binds its own cells in a copy, and each enumerated child
 //!   extends those rows in turn; each level sorts its rows and drops
-//!   repeats. Rows live in flat buffers that come from [`PlanScratch`]'s
-//!   pools, so a warm evaluation allocates almost nothing.
+//!   repeats. Rows live in flat buffers that the evaluation pools and
+//!   reuses from level to level, so it allocates a few dozen buffers in
+//!   all, not one map per partial embedding.
 //! * The enumeration reaches a (pattern node, image) pair more than once
 //!   only when the node hangs by `//` under a node whose images can nest,
 //!   one with a `//` edge on its root path. A fragment table keeps such
@@ -213,9 +214,9 @@ pub fn eval(pattern: &Pattern, doc: &Document) -> SnapshotResult {
     eval_with(pattern, doc, &mut PlanScratch::default())
 }
 
-/// [`eval`] with reusable table and row allocations. Compiles the
-/// pattern's tests transiently; callers that evaluate the same pattern
-/// repeatedly should compile a [`crate::plan::QueryPlan`] once and use
+/// [`eval`] with a reusable table allocation. Compiles the pattern's tests
+/// transiently; callers that evaluate the same pattern repeatedly should
+/// compile a [`crate::plan::QueryPlan`] once and use
 /// [`crate::plan::QueryPlan::eval_with`] instead.
 pub fn eval_with(pattern: &Pattern, doc: &Document, scratch: &mut PlanScratch) -> SnapshotResult {
     let ctest = compile_ctests(pattern, doc);
@@ -231,12 +232,7 @@ pub fn seed_eval(pattern: &Pattern, doc: &Document) -> SnapshotResult {
     let mut m = Matcher::new(pattern, doc);
     m.spec = true;
     let tables = enum_tables(pattern);
-    let mut ev = Evaluator {
-        m,
-        tables: &tables,
-        scratch: PlanScratch::default(),
-    };
-    ev.results()
+    Evaluator::new(m, &tables).results()
 }
 
 /// The *full embeddings* of the pattern (every pattern node's image),
@@ -628,8 +624,7 @@ pub(crate) fn compile_ctests(pat: &Pattern, doc: &Document) -> Vec<CTest> {
 }
 
 /// Runs an evaluation over already compiled tables: no pattern walk or
-/// symbol lookup happens here. The evaluation borrows `scratch`'s tables
-/// and buffers and hands them back, emptied, with their capacity.
+/// symbol lookup happens here.
 pub(crate) fn eval_compiled(
     pat: &Pattern,
     doc: &Document,
@@ -637,16 +632,10 @@ pub(crate) fn eval_compiled(
     tables: &EnumTables,
     scratch: &mut PlanScratch,
 ) -> SnapshotResult {
-    let mut desc_memo = std::mem::take(&mut scratch.desc_memo);
-    desc_memo.clear();
-    let mut ev = Evaluator {
-        m: Matcher::compiled(pat, doc, ctest, desc_memo),
-        tables,
-        scratch: std::mem::take(scratch),
-    };
+    let m = Matcher::compiled(pat, doc, ctest, scratch.take_desc_memo());
+    let mut ev = Evaluator::new(m, tables);
     let out = ev.results();
-    *scratch = ev.scratch;
-    scratch.desc_memo = ev.m.desc_memo;
+    scratch.put_back(ev.m.desc_memo);
     out
 }
 
@@ -654,8 +643,8 @@ pub(crate) fn eval_compiled(
 /// `EnumTables::tabled` marks, per image and inherited bindings of the
 /// subtree's join variables, each row cut down to the cells the subtree
 /// binds. It keeps chains of `//` steps polynomial.
-#[derive(Debug, Default)]
-pub(crate) struct Fragments {
+#[derive(Default)]
+struct Fragments {
     /// The first cell of a key's fragments in `cells`, and their number.
     index: HashMap<FragmentKey, (usize, usize), FxBuildHasher>,
     /// Every fragment's cells, back to back.
@@ -668,29 +657,35 @@ pub(crate) struct Fragments {
 /// slice, which allocates nothing.
 type FragmentKey = (PNodeId, NodeId, Box<[u32]>);
 
-impl Fragments {
-    fn clear(&mut self) {
-        self.index.clear();
-        self.cells.clear();
-    }
-}
-
-/// Enumerates a pattern's embeddings as rows, with a [`Matcher`]'s tests
-/// and the scratch's buffers.
+/// Enumerates a pattern's embeddings as rows, with a [`Matcher`]'s tests,
+/// for one evaluation.
 struct Evaluator<'a> {
     m: Matcher<'a>,
     tables: &'a EnumTables,
-    /// Row and candidate buffers and the fragment table; the
-    /// descendant-existence table is on loan to `m`.
-    scratch: PlanScratch,
+    /// Free row buffers: each enumeration level takes two, and sorting a
+    /// level whose rows come out of order two more, and gives them back.
+    rows: Vec<Vec<u32>>,
+    /// Free candidate buffers, one per enumeration level.
+    candidates: Vec<Vec<NodeId>>,
+    /// The fragment table of nested `//` steps.
+    fragments: Fragments,
 }
 
-impl Evaluator<'_> {
+impl<'a> Evaluator<'a> {
+    fn new(m: Matcher<'a>, tables: &'a EnumTables) -> Self {
+        Evaluator {
+            m,
+            tables,
+            rows: Vec::new(),
+            candidates: Vec::new(),
+            fragments: Fragments::default(),
+        }
+    }
+
     /// The snapshot result: every root's embeddings of the pattern,
     /// restricted to the result cells, sorted and distinct.
     fn results(&mut self) -> SnapshotResult {
         let (pat, doc, tables) = (self.m.pat, self.m.doc, self.tables);
-        self.scratch.fragments.clear();
         let mut rows = self.take_rows();
         if !pat.is_empty() {
             let mut empty = self.take_rows();
@@ -789,7 +784,7 @@ impl Evaluator<'_> {
         combos.extend_from_slice(&out[start..]);
         out.truncate(start);
         let mut next = self.take_rows();
-        let mut candidates = self.scratch.candidates.pop().unwrap_or_default();
+        let mut candidates = self.candidates.pop().unwrap_or_default();
         for pc in enumerated {
             candidates.clear();
             self.m.candidates(pc, v, &mut candidates);
@@ -814,7 +809,7 @@ impl Evaluator<'_> {
         self.put_rows(combos);
         self.put_rows(next);
         candidates.clear();
-        self.scratch.candidates.push(candidates);
+        self.candidates.push(candidates);
     }
 
     /// [`Evaluator::embed`] of a node `tables.tabled` marks, through the
@@ -826,7 +821,7 @@ impl Evaluator<'_> {
         let tables = self.tables;
         let tabled = tables.tabled[p.index()].as_ref().expect("a tabled node");
         let key = (p, v, tabled.keys.iter().map(|&c| row[c as usize]).collect());
-        let frags = &self.scratch.fragments;
+        let frags = &self.fragments;
         let cells = tabled.cells.len();
         if let Some(&(first, n)) = frags.index.get(&key) {
             for frag in frags.cells[first..first + n * cells].chunks_exact(cells) {
@@ -840,7 +835,7 @@ impl Evaluator<'_> {
         }
         let start = out.len();
         self.embed(p, v, row, out);
-        let frags = &mut self.scratch.fragments;
+        let frags = &mut self.fragments;
         let first = frags.cells.len();
         for added in out[start..].chunks_exact(tables.width) {
             frags
@@ -852,6 +847,9 @@ impl Evaluator<'_> {
     }
 
     /// Sorts the `width`-cell rows of `rows[start..]` and drops repeats.
+    /// Rows that already come strictly ascending, as nearly every level's
+    /// do in the benchmark queries' final evaluations, are only checked
+    /// (DESIGN.md, "Evaluator performance", has the counts).
     fn sort_rows(&mut self, rows: &mut Vec<u32>, start: usize, width: usize) {
         let tail = &rows[start..];
         let mut pairs = tail
@@ -876,12 +874,12 @@ impl Evaluator<'_> {
     }
 
     fn take_rows(&mut self) -> Vec<u32> {
-        self.scratch.rows.pop().unwrap_or_default()
+        self.rows.pop().unwrap_or_default()
     }
 
     fn put_rows(&mut self, mut rows: Vec<u32>) {
         rows.clear();
-        self.scratch.rows.push(rows);
+        self.rows.push(rows);
     }
 }
 

@@ -13,34 +13,38 @@
 //! (spliced in by a service result, say) is never missed, and one plan
 //! serves any number of documents, whatever their symbol numbering.
 //!
-//! [`PlanScratch`] carries the evaluator's reusable allocations: the
-//! descendant-existence table, the pools of row and candidate buffers the
-//! enumeration extends rows in, and the fragment table. Each evaluation
-//! starts them empty, and nothing in them is keyed to a document or
-//! pattern across evaluations, so reuse across snapshots, documents, and
-//! patterns is always sound.
+//! [`PlanScratch`] carries the evaluator's one reusable table allocation,
+//! the descendant-existence table. Nothing in the scratch is keyed to a
+//! document or pattern, so reuse across snapshots, documents, and
+//! patterns is always sound. The row and candidate buffers and the
+//! fragment table of an enumeration live for one evaluation.
 
 use crate::eval::{
-    compile_ctests, enum_tables, eval_compiled, CTest, EnumTables, Fragments, Memo, SnapshotResult,
+    compile_ctests, enum_tables, eval_compiled, CTest, EnumTables, Memo, SnapshotResult,
 };
 use crate::pattern::Pattern;
-use axml_xml::{Document, NodeId};
+use axml_xml::Document;
 
-/// The reusable allocations of evaluation, for repeated evaluations (a
-/// run's join-NFQ evaluations and its final evaluation share one). Every
-/// table and buffer is emptied on reuse — only the capacity survives;
-/// entries never leak across calls, documents, or patterns.
+/// The reusable allocation of the evaluator's one table, descendant
+/// existence, for repeated evaluations (the NFQA loop re-evaluates
+/// patterns after every splice). The table is cleared on reuse — only the
+/// capacity survives; entries never leak across calls, documents, or
+/// patterns.
 #[derive(Debug, Default)]
 pub struct PlanScratch {
-    /// The descendant-existence table.
-    pub(crate) desc_memo: Memo,
-    /// Free row buffers: each enumeration level takes two, and sorting a
-    /// level's rows two more, and gives them back.
-    pub(crate) rows: Vec<Vec<u32>>,
-    /// Free candidate buffers, one per enumeration level.
-    pub(crate) candidates: Vec<Vec<NodeId>>,
-    /// The fragment table of nested `//` steps.
-    pub(crate) fragments: Fragments,
+    desc_memo: Memo,
+}
+
+impl PlanScratch {
+    pub(crate) fn take_desc_memo(&mut self) -> Memo {
+        let mut m = std::mem::take(&mut self.desc_memo);
+        m.clear();
+        m
+    }
+
+    pub(crate) fn put_back(&mut self, desc_memo: Memo) {
+        self.desc_memo = desc_memo;
+    }
 }
 
 /// A pattern compiled once, evaluable on any [`Document`]. Cheap to clone
