@@ -2,19 +2,24 @@
 //! tree-pattern evaluation, splice, and the automata tests behind
 //! Proposition 3 and condition (✳).
 //!
-//! `micro_splice` also prints the heap allocations of its replay, and
+//! `micro_splice` also prints the heap allocations of its replay,
 //! `micro_final_eval` those of one final evaluation of each `lazy-hotels`
-//! query, counted by this binary's global allocator. `CRITERION_STUB_ITERS`
-//! sets the timed iterations (default 5); the splice replay and the final
-//! evaluations want a few hundred for a stable mean.
+//! query, and `micro_refresh` those of one `subscribe-feed` refresh,
+//! counted by this binary's global allocator. `CRITERION_STUB_ITERS` sets
+//! the timed iterations (default 5); the splice replay, the final
+//! evaluations and the refreshes want a few hundred for a stable mean.
 
 use axml_core::{build_nfqs, compute_layers, Engine, EngineConfig};
+use axml_gen::feeds::{price_feed, PriceFeedParams};
 use axml_gen::scenario::{figure4_query, generate, Scenario, ScenarioParams};
 use axml_query::{parse_query, PlanScratch, QueryPlan};
 use axml_schema::Nfa;
+use axml_store::{CacheConfig, DocumentStore};
+use axml_sub::{SubscriptionEngine, SubscriptionOptions};
 use axml_xml::{parse, to_xml, Document, Forest, NodeId};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -211,6 +216,78 @@ fn bench_final_eval(c: &mut Criterion) {
     group.finish();
 }
 
+/// Lapse cycles `micro_refresh` runs before it measures, as the
+/// `subscribe-feed` workload does before its first window.
+const REFRESH_WARMUP_CYCLES: usize = 50;
+
+/// The `subscribe-feed` workload's refresh: its 100-hotel price feed (in
+/// the generator's hotel order) with the feed's validity windows, the
+/// CLI's engine configuration and the five watchers. A lapse cycle moves
+/// the clock to the earliest expiry, refreshes, reconciles and purges the
+/// expired entries. After the warm-up cycles, the allocations of 100
+/// refreshes give the mean per refresh, and each timed iteration is one
+/// refresh; the reconcile and purge between two are not timed.
+fn bench_refresh(c: &mut Criterion) {
+    let mut group = c.benchmark_group("micro_refresh");
+    let feed = price_feed(&PriceFeedParams {
+        hotels: 100,
+        volatile_stride: 2,
+    });
+    let mut config = CacheConfig::default();
+    for (service, ttl) in &feed.ttls {
+        config = config.ttl_for(service.clone(), *ttl);
+    }
+    let mut store = DocumentStore::with_cache_config(config);
+    store.insert("feed", feed.doc.clone());
+    let options = SubscriptionOptions {
+        engine: EngineConfig {
+            push_queries: false,
+            ..EngineConfig::default()
+        },
+        ..SubscriptionOptions::default()
+    };
+    let mut engine = SubscriptionEngine::over_store(&store, "feed", &feed.registry, None, options)
+        .expect("feed stored");
+    for (name, query) in &feed.watchers {
+        engine.subscribe(name.clone(), query.clone());
+    }
+    let to_next_lapse = |engine: &mut SubscriptionEngine| {
+        let lapse = (store.cache().earliest_expiry()).expect("every feed window is finite");
+        engine.advance_clock((lapse - engine.clock_ms()).max(0.0));
+    };
+    let settle = |engine: &mut SubscriptionEngine| {
+        engine.reconcile();
+        store.cache().purge_expired(engine.clock_ms());
+    };
+    let cycle = |engine: &mut SubscriptionEngine| {
+        to_next_lapse(engine);
+        let allocated = allocations(|| engine.refresh()).1;
+        settle(engine);
+        allocated
+    };
+    for _ in 0..REFRESH_WARMUP_CYCLES {
+        cycle(&mut engine);
+    }
+    let counted = 100;
+    let allocated: u64 = (0..counted).map(|_| cycle(&mut engine)).sum();
+    println!(
+        "micro_refresh/price_feed_100: allocations per refresh: {} (mean of {counted})",
+        allocated / counted
+    );
+    let engine = RefCell::new(engine);
+    group.bench_function("price_feed_100", |b| {
+        b.iter_with_setup(
+            || {
+                let engine = &mut engine.borrow_mut();
+                settle(engine);
+                to_next_lapse(engine);
+            },
+            |()| engine.borrow_mut().refresh(),
+        )
+    });
+    group.finish();
+}
+
 fn bench_influence(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro_influence_automata");
     let q = figure4_query();
@@ -237,6 +314,7 @@ criterion_group!(
     bench_eval,
     bench_splice,
     bench_final_eval,
+    bench_refresh,
     bench_influence
 );
 criterion_main!(benches);

@@ -309,10 +309,9 @@ pub struct EvalReport {
     /// budget ran out — and the answer is a sound partial result: exactly
     /// the full answer minus subtrees below the unresolved calls.
     pub complete: bool,
-    /// The parent label path (root's label first) of every call the run
-    /// invoked and spliced, in splice order: where the document changed.
-    /// Cache hits and failed calls are not listed.
-    pub changed_paths: Vec<Vec<String>>,
+    /// Every splice the run made, in order, cache hits and invocations
+    /// alike: where the document changed. Failed calls splice nothing.
+    pub splices: Vec<Splice>,
 }
 
 /// What [`Engine::complete_for`] did to a document: the rewriting of an
@@ -322,8 +321,36 @@ pub struct Completion {
     /// Measurements; `final_eval_cpu` is zero, since no answer was
     /// evaluated.
     pub stats: EngineStats,
-    /// As [`EvalReport::changed_paths`].
-    pub changed_paths: Vec<Vec<String>>,
+    /// As [`EvalReport::splices`].
+    pub splices: Vec<Splice>,
+}
+
+/// One splice of a run: where the consumed call sat, the roots that took
+/// its place, and how long they stay valid.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Splice {
+    /// The consumed call's parent, `None` for a root call. A splice frees
+    /// only the call's own subtree, so the parent outlives the run.
+    pub parent: Option<NodeId>,
+    /// The consumed call's position among its parent's children (among
+    /// the roots for a root call) when it was spliced.
+    pub position: usize,
+    /// The inserted roots, in order.
+    pub roots: Vec<NodeId>,
+    /// Whether the call was invoked; `false` for a cache hit.
+    pub invoked: bool,
+    /// When the cache entry the result came from stops being served, in
+    /// simulated ms. A result that no cache entry holds lapses at once:
+    /// its expiry is the simulated time of the splice.
+    pub expires_at_ms: f64,
+}
+
+impl Splice {
+    /// The label path of the consumed call's parent, root's label first
+    /// and empty for a root call: the position whose children changed.
+    pub fn parent_labels(&self, doc: &Document) -> Vec<String> {
+        self.parent.map(|p| doc.path_labels(p)).unwrap_or_default()
+    }
 }
 
 /// The lazy query evaluation engine.
@@ -405,14 +432,17 @@ impl<'a> Engine<'a> {
     /// remark ("our technique can be used to evaluate queries on exchanged
     /// AXML data"): materialize exactly what a recipient needs for `query`
     /// and ship the document. The trace and the stats are those of
-    /// [`Engine::evaluate`], minus the final evaluation's CPU.
+    /// [`Engine::evaluate`], minus the final evaluation's CPU. The
+    /// completion lists every splice with the expiry of the cache entry
+    /// its result came from, which is how a subscription refresh knows
+    /// where each result sits and when to put its call back.
     pub fn complete_for(&self, doc: &mut Document, query: &Pattern) -> Completion {
         let t0 = Instant::now();
         let mut run = self.rewrite(doc, query);
         run.close(doc, t0);
         Completion {
             stats: run.stats,
-            changed_paths: run.changed_paths,
+            splices: run.splices,
         }
     }
 
@@ -431,7 +461,7 @@ impl<'a> Engine<'a> {
             result,
             stats: run.stats,
             complete,
-            changed_paths: run.changed_paths,
+            splices: run.splices,
         }
     }
 
@@ -488,14 +518,6 @@ fn cross_check(
     );
 }
 
-/// The label path of `node`'s parent (empty for a root) — the position a
-/// call's result is spliced at.
-fn parent_labels(doc: &Document, node: NodeId) -> Vec<String> {
-    doc.parent(node)
-        .map(|p| doc.path_labels(p))
-        .unwrap_or_default()
-}
-
 /// The LPQs of `query` (§3.1), pruned by containment when configured;
 /// also returns how many pruning dropped. Only the `Lpq` and `TopDown`
 /// baselines read LPQs, so they build them per run.
@@ -529,8 +551,8 @@ struct Run<'e, 'a, 'q> {
     /// entries go when the services change
     known: Vec<String>,
     refined: HashMap<usize, Option<Nfq>>,
-    /// the parent label path of every invoked and spliced call
-    changed_paths: Vec<Vec<String>>,
+    /// every splice, in order
+    splices: Vec<Splice>,
     /// the allocation of the evaluator's one table, descendant existence,
     /// reused across the run's evaluations (its NFQs with join variables,
     /// once per round, then the query)
@@ -567,7 +589,7 @@ impl<'e, 'a, 'q> Run<'e, 'a, 'q> {
             nfqs: Vec::new(),
             known: Vec::new(),
             refined: HashMap::new(),
-            changed_paths: Vec::new(),
+            splices: Vec::new(),
             eval_cache: PlanScratch::default(),
             seq: 0,
             layer: 0,

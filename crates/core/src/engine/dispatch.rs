@@ -35,14 +35,15 @@
 //! the admitted calls, settles them in candidate order, and charges the
 //! clock once, for the batch's slowest call.
 
-use super::{holds_call, parent_labels, Pushes, Run};
+use super::{holds_call, Pushes, Run, Splice};
 use axml_obs::{CacheOutcome, EventKind, ShedReason};
 use axml_query::PNodeId;
 use axml_services::{
     CacheLookup, CallKey, CallRequest, FailedCall, InvokeError, InvokeOutcome, PushedQuery,
     Registry,
 };
-use axml_xml::{CallId, Document, Label, NodeId};
+use axml_xml::{CallId, Document, Forest, Label, NodeId};
+use std::sync::Arc;
 
 /// One invocation candidate.
 #[derive(Clone, Debug)]
@@ -132,11 +133,10 @@ enum Probe {
     Miss(Option<CallKey>),
 }
 
-/// A candidate the gates admitted: its parent label path and, with a
-/// cache attached, the key its answer is stored under.
+/// A candidate the gates admitted and, with a cache attached, the key its
+/// answer is stored under.
 struct Admitted<'c> {
     cand: &'c Candidate,
-    parent_path: Vec<String>,
     key: Option<CallKey>,
 }
 
@@ -472,14 +472,8 @@ impl Run<'_, '_, '_> {
         let Some(hit) = hit else {
             return Probe::Miss(Some(key));
         };
-        // only the trace reads a hit's path
-        let parent_path = if self.observing() {
-            parent_labels(doc, cand.node)
-        } else {
-            Vec::new()
-        };
-        doc.splice_shared(cand.node, &hit.result);
-        self.emit_resolved(cand, &parent_path, Resolved::Cached { pushed: hit.pushed });
+        let parent = self.splice(doc, cand, &hit.result, false, hit.expires_at_ms);
+        self.emit_resolved(doc, cand, parent, Resolved::Cached { pushed: hit.pushed });
         self.stats.cache_hits += 1;
         Probe::Hit
     }
@@ -552,17 +546,12 @@ impl Run<'_, '_, '_> {
             }
             return None;
         }
-        let parent_path = parent_labels(doc, cand.node);
         self.budget -= 1;
         *self
             .batch_admitted
             .entry(cand.service.to_string())
             .or_default() += 1;
-        Some(Admitted {
-            cand,
-            parent_path,
-            key,
-        })
+        Some(Admitted { cand, key })
     }
 
     /// Marks a call naming an unregistered service dead and counts the
@@ -600,7 +589,8 @@ impl Run<'_, '_, '_> {
     }
 
     /// Settles one dispatched call: a success is stored in the call cache
-    /// (under the key it was probed with) and spliced by [`Run::apply`];
+    /// (under the key it was probed with) and spliced by [`Run::apply`],
+    /// lapsing when the stored entry does, or at once when none was;
     /// an unknown service refunds the budget `prepare` reserved and is
     /// skipped; a permanent failure goes to [`Run::apply_failure`].
     /// Returns the simulated cost to charge, or `None` for a skip.
@@ -610,17 +600,15 @@ impl Run<'_, '_, '_> {
         admitted: Admitted<'_>,
         res: Result<InvokeOutcome, InvokeError>,
     ) -> Option<f64> {
-        let Admitted {
-            cand,
-            parent_path,
-            key,
-        } = admitted;
+        let Admitted { cand, key } = admitted;
         match res {
             Ok(outcome) => {
-                if let (Some(cache), Some(key)) = (self.engine.cache, &key) {
-                    cache.store(key, &outcome, self.clock.now_ms());
-                }
-                Some(self.apply(doc, cand, parent_path, outcome))
+                let now = self.clock.now_ms();
+                let expires_at_ms = match (self.engine.cache, &key) {
+                    (Some(cache), Some(key)) => cache.store(key, &outcome, now),
+                    _ => now,
+                };
+                Some(self.apply(doc, cand, outcome, expires_at_ms))
             }
             Err(InvokeError::Unknown(_)) => {
                 // prepare checked existence; defend anyway
@@ -628,7 +616,7 @@ impl Run<'_, '_, '_> {
                 self.skip_unknown(cand);
                 None
             }
-            Err(InvokeError::Failed(failed)) => Some(self.apply_failure(cand, parent_path, failed)),
+            Err(InvokeError::Failed(failed)) => Some(self.apply_failure(doc, cand, failed)),
         }
     }
 
@@ -638,8 +626,8 @@ impl Run<'_, '_, '_> {
         &mut self,
         doc: &mut Document,
         cand: &Candidate,
-        parent_path: Vec<String>,
         outcome: InvokeOutcome,
+        expires_at_ms: f64,
     ) -> f64 {
         if self.config().enforce_output_types && !outcome.pushed {
             if let Some(schema) = self.engine.schema {
@@ -655,9 +643,8 @@ impl Run<'_, '_, '_> {
                 }
             }
         }
-        doc.splice_shared(cand.node, &outcome.result);
-        self.emit_resolved(cand, &parent_path, Resolved::Invoked(&outcome));
-        self.changed_paths.push(parent_path);
+        let parent = self.splice(doc, cand, &outcome.result, true, expires_at_ms);
+        self.emit_resolved(doc, cand, parent, Resolved::Invoked(&outcome));
         self.stats.calls_invoked += 1;
         self.stats.call_attempts += outcome.attempts;
         self.total_call_cost_ms += outcome.cost_ms;
@@ -684,12 +671,7 @@ impl Run<'_, '_, '_> {
     /// so the caller still charges it to the clock. The document is left
     /// untouched — the final answer simply misses the subtree this call
     /// would have produced.
-    fn apply_failure(
-        &mut self,
-        cand: &Candidate,
-        parent_path: Vec<String>,
-        failed: FailedCall,
-    ) -> f64 {
+    fn apply_failure(&mut self, doc: &Document, cand: &Candidate, failed: FailedCall) -> f64 {
         self.budget += 1; // the dispatch reserved it; nothing materialized
         self.dead.insert(cand.call);
         self.stats.failed_calls += 1;
@@ -701,7 +683,7 @@ impl Run<'_, '_, '_> {
             // candidates are still pending
             self.deadline_hit = true;
         }
-        self.emit_resolved(cand, &parent_path, Resolved::Failed(&failed));
+        self.emit_resolved(doc, cand, doc.parent(cand.node), Resolved::Failed(&failed));
         self.engine
             .registry
             .latency_observe(cand.service.as_str(), failed.cost_ms);
@@ -709,11 +691,41 @@ impl Run<'_, '_, '_> {
         failed.cost_ms
     }
 
+    /// Splices `result` in place of the candidate's call and records the
+    /// splice; returns the call's parent.
+    fn splice(
+        &mut self,
+        doc: &mut Document,
+        cand: &Candidate,
+        result: &Arc<Forest>,
+        invoked: bool,
+        expires_at_ms: f64,
+    ) -> Option<NodeId> {
+        let parent = doc.parent(cand.node);
+        let position = doc.sibling_index(cand.node);
+        let roots = doc.splice_shared(cand.node, result);
+        self.splices.push(Splice {
+            parent,
+            position,
+            roots,
+            invoked,
+            expires_at_ms,
+        });
+        parent
+    }
+
     /// Emits a resolved call's `attempt` events and then its single
-    /// `invocation`. The registry reports only the final attempt count, so
-    /// the attempts are derived here, on the sequential accounting phase:
-    /// only a success's last attempt succeeded, and a cache hit made none.
-    fn emit_resolved(&mut self, cand: &Candidate, parent_path: &[String], res: Resolved<'_>) {
+    /// `invocation`, which names the label path of the call's `parent`.
+    /// The registry reports only the final attempt count, so the attempts
+    /// are derived here, on the sequential accounting phase: only a
+    /// success's last attempt succeeded, and a cache hit made none.
+    fn emit_resolved(
+        &mut self,
+        doc: &Document,
+        cand: &Candidate,
+        parent: Option<NodeId>,
+        res: Resolved<'_>,
+    ) {
         if !self.observing() {
             return;
         }
@@ -733,7 +745,7 @@ impl Run<'_, '_, '_> {
         self.emit(EventKind::Invocation {
             service: cand.service.to_string(),
             call: cand.call.0,
-            path: parent_path.join("/"),
+            path: parent.map_or_else(String::new, |p| doc.path_labels(p).join("/")),
             pushed,
             cached,
             ok,

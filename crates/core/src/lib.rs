@@ -42,8 +42,8 @@ pub mod typed;
 
 pub use containment::{nfq_subsumes, prune_subsumed_lpqs, prune_subsumed_nfqs};
 pub use engine::{
-    Completion, Engine, EngineConfig, EvalReport, HedgeConfig, ShedConfig, Speculation, Strategy,
-    Typing,
+    Completion, Engine, EngineConfig, EvalReport, HedgeConfig, ShedConfig, Speculation, Splice,
+    Strategy, Typing,
 };
 pub use fguide::{extent, filter_candidates, position_language, ClassVerdicts};
 pub use influence::{compute_layers, may_influence, Layers};

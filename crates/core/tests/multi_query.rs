@@ -66,7 +66,7 @@ fn trace_records_each_invocation() {
 
 /// `complete_for` is `evaluate` without the final evaluation: on every
 /// strategy it leaves the same document, invokes the same calls, reports
-/// the same changed paths and emits the same trace.
+/// the same splices and emits the same trace.
 #[test]
 fn complete_for_rewrites_exactly_like_evaluate() {
     let s = figure1();
@@ -97,7 +97,7 @@ fn complete_for_rewrites_exactly_like_evaluate() {
                 axml_xml::to_xml(&by_eval),
                 "{what}: documents differ"
             );
-            assert_eq!(done.changed_paths, report.changed_paths, "{what}");
+            assert_eq!(done.splices, report.splices, "{what}");
             let counters = |st: &axml_core::EngineStats| {
                 (
                     st.calls_invoked,

@@ -79,6 +79,8 @@ pub struct CachedCall {
     pub pushed: bool,
     /// Simulated milliseconds since the entry was stored.
     pub age_ms: f64,
+    /// The simulated instant the entry stops being served.
+    pub expires_at_ms: f64,
 }
 
 /// The outcome of a cache probe.
@@ -106,7 +108,9 @@ pub trait InvokeCache: Send + Sync {
     /// Probes the cache for `key` at simulated time `now_ms`.
     fn lookup(&self, key: &CallKey, now_ms: f64) -> CacheLookup;
 
-    /// Memoizes a *successful* invocation outcome under `key`. Failed
-    /// calls are never stored — the cache holds answers, not outages.
-    fn store(&self, key: &CallKey, outcome: &InvokeOutcome, now_ms: f64);
+    /// Memoizes a *successful* invocation outcome under `key` and returns
+    /// the simulated instant the stored entry stops being served, or
+    /// `now_ms` when the outcome was not stored. Failed calls are never
+    /// stored — the cache holds answers, not outages.
+    fn store(&self, key: &CallKey, outcome: &InvokeOutcome, now_ms: f64) -> f64;
 }

@@ -291,18 +291,19 @@ impl InvokeCache for CallCache {
             bytes: entry.bytes,
             pushed: entry.pushed,
             age_ms: now_ms - entry.inserted_at_ms,
+            expires_at_ms: entry.expires_at_ms,
         })
     }
 
-    fn store(&self, key: &CallKey, outcome: &InvokeOutcome, now_ms: f64) {
+    fn store(&self, key: &CallKey, outcome: &InvokeOutcome, now_ms: f64) -> f64 {
         let ttl = self.config.ttl(key.service());
         if ttl <= 0.0 {
-            return; // caching disabled for this service
+            return now_ms; // caching disabled for this service
         }
         // the registry measured the forest's serialized size already
         let size_bytes = outcome.bytes;
         if size_bytes > self.config.max_bytes {
-            return; // a single over-budget result would evict everything
+            return now_ms; // a single over-budget result would evict everything
         }
         let mut inner = self.lock();
         let entry = Entry {
@@ -320,6 +321,7 @@ impl InvokeCache for CallCache {
         inner.map.insert(key.clone(), entry);
         inner.stats.insertions += 1;
         inner.evict_to_budget(self.config.max_entries, self.config.max_bytes);
+        now_ms + ttl
     }
 }
 

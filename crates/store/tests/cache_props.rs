@@ -56,9 +56,12 @@ enum Probe {
         bytes: usize,
         pushed: bool,
         age_ms: f64,
+        expires_at_ms: f64,
     },
     Stale,
     Miss,
+    /// A store, with the expiry it reported.
+    Stored(f64),
 }
 
 fn probe(lookup: CacheLookup) -> Probe {
@@ -68,6 +71,7 @@ fn probe(lookup: CacheLookup) -> Probe {
             bytes: h.bytes,
             pushed: h.pushed,
             age_ms: h.age_ms,
+            expires_at_ms: h.expires_at_ms,
         },
         CacheLookup::Stale => Probe::Stale,
         CacheLookup::Miss => Probe::Miss,
@@ -96,12 +100,12 @@ fn apply<C: InvokeCache>(
             None,
         ),
         2 | 3 => {
-            cache.store(
+            let expires_at_ms = cache.store(
                 &call_key(service, key, pushed.as_ref()),
                 &payload(pay),
                 now_ms,
             );
-            (None, None)
+            (Some(Probe::Stored(expires_at_ms)), None)
         }
         _ => (None, Some(purge(now_ms))),
     }

@@ -122,12 +122,13 @@ impl InvokeCache for SingleLockCache {
             bytes: entry.bytes,
             pushed: entry.pushed,
             age_ms: now_ms - entry.inserted_at_ms,
+            expires_at_ms: entry.expires_at_ms,
         };
         inner.stats.hits += 1;
         CacheLookup::Hit(hit)
     }
 
-    fn store(&self, key: &CallKey, outcome: &InvokeOutcome, now_ms: f64) {
+    fn store(&self, key: &CallKey, outcome: &InvokeOutcome, now_ms: f64) -> f64 {
         let ttl = self
             .config
             .ttl_overrides
@@ -135,11 +136,11 @@ impl InvokeCache for SingleLockCache {
             .copied()
             .unwrap_or(self.config.default_ttl_ms);
         if ttl <= 0.0 {
-            return; // caching disabled for this service
+            return now_ms; // caching disabled for this service
         }
         let size_bytes = outcome.bytes;
         if size_bytes > self.config.max_bytes {
-            return; // a single over-budget result would evict everything
+            return now_ms; // a single over-budget result would evict everything
         }
         let mut inner = self.inner.lock().unwrap();
         inner.tick += 1;
@@ -158,5 +159,6 @@ impl InvokeCache for SingleLockCache {
         inner.map.insert(key.clone(), entry);
         inner.stats.insertions += 1;
         inner.evict_to_budget(self.config.max_entries, self.config.max_bytes);
+        now_ms + ttl
     }
 }

@@ -3,16 +3,19 @@
 //!
 //! Two halves, usable together (feed mode) or separately:
 //!
-//! * **refresh** — the producer. Completes the engine's *base* document
-//!   (the original, calls intact) for every standing query
+//! * **refresh** — the producer. Keeps the engine's last published
+//!   *materialization* of its base document (the original, calls
+//!   intact) and, at each pass, puts back every base call whose result
+//!   there was built from a cache entry that has since expired. Then it
+//!   completes that copy for every standing query
 //!   ([`axml_core::Engine::complete_for`], no answer is evaluated)
-//!   through the store's shared [`CallCache`]: calls whose TTL validity
-//!   window still covers the simulated clock are zero-cost hits, lapsed
-//!   ones are really re-invoked and may answer differently. When any
-//!   real re-invocation happened, the spliced working copy is published
-//!   as the document's next version, *tagged* with the label paths the
-//!   re-invocations spliced at — the change scope downstream consumers
-//!   filter on.
+//!   through the store's shared [`CallCache`]: the put-back calls are
+//!   really re-invoked and may answer differently, while every result
+//!   still valid stays where it is, unprobed. When any real
+//!   re-invocation happened, the copy is published as the document's next
+//!   version, *tagged* with the label paths where it changed — the change
+//!   scope downstream consumers filter on — and becomes the
+//!   materialization.
 //!
 //! * **reconcile** — the consumer. Each subscription holds a watermark
 //!   (the last document version it delivered) and catches up via
@@ -32,6 +35,7 @@
 //! may have gone stale, not on a blind polling loop.
 
 use crate::delta::Delta;
+use crate::materialization::Materialization;
 use axml_core::{Engine, EngineConfig, QueryScope};
 use axml_obs::{Event, EventKind, TraceSink};
 use axml_query::{render, render_result, Pattern};
@@ -149,7 +153,8 @@ struct SubState {
 /// Standing queries over one versioned document, with delta delivery.
 pub struct SubscriptionEngine<'a> {
     doc: Arc<VersionedDocument>,
-    base: Document,
+    /// the last published materialization, with the base it started from
+    materialized: Materialization,
     registry: &'a Registry,
     schema: Option<&'a Schema>,
     cache: Arc<CallCache>,
@@ -181,10 +186,10 @@ impl<'a> SubscriptionEngine<'a> {
         let doc = Arc::clone(store.versioned(name)?);
         assert!(options.watch_ms > 0.0, "watch_ms must be positive");
         doc.enable_history(options.history_capacity);
-        let base = doc.snapshot().to_document();
+        let materialized = Materialization::of(doc.snapshot().to_document());
         let engine = SubscriptionEngine {
             doc,
-            base,
+            materialized,
             registry,
             schema,
             cache: Arc::clone(store.cache()),
@@ -364,12 +369,24 @@ impl<'a> SubscriptionEngine<'a> {
         }
     }
 
-    /// One refresh pass: completes the base document for every
-    /// (non-exhausted) standing query through the shared cache, without
-    /// evaluating any answer. When any call was really re-invoked (a TTL
-    /// had lapsed), publishes the spliced working copy as the document's
-    /// next version, tagged with the splice paths. Returns the published
-    /// version, or `None` when everything was still cache-valid.
+    /// One refresh pass: brings the last published materialization up to
+    /// date for every (non-exhausted) standing query, without evaluating
+    /// any answer. Every base call whose result there was built from a
+    /// cache entry that has expired by the clock at the start of the pass
+    /// is put back in place of its result; then each standing query is
+    /// completed on that copy through the shared cache
+    /// ([`Engine::complete_for`]). When any call was really re-invoked,
+    /// publishes the copy as the document's next version, tagged with the
+    /// label paths where it differs from the materialization it came from,
+    /// and keeps it as the materialization. Returns the published version,
+    /// or `None` when nothing was invoked.
+    ///
+    /// The first refresh starts from the base document, where every call
+    /// is pending. A result whose entries are still valid stays in place
+    /// even when no standing query needs it any more: tree patterns are
+    /// positive, so a result no query finds relevant cannot change an
+    /// answer. An entry that expires during the pass's own simulated
+    /// network time is left to the next pass.
     ///
     /// If a guardrail (`refresh_depth`, `max_refires`, or the engine's
     /// own invocation budget) truncates a completion — or any refresh
@@ -377,15 +394,17 @@ impl<'a> SubscriptionEngine<'a> {
     /// circuit breaker refusing a refreshed service mid-round, an
     /// unknown service) — the whole round is abandoned: a partial
     /// materialization is never published, so the history only ever
-    /// holds versions whose answers are complete. A *truncated*
-    /// subscription is marked exhausted and skipped by later refreshes;
-    /// a merely incomplete one (e.g. breaker open) keeps its refire
-    /// budget and is retried on the next round, when the breaker may
-    /// have half-opened. Either way the successful re-invocations stay
-    /// warm in the cache, so the retry only re-pays the failed calls.
+    /// holds versions whose answers are complete, and the materialization
+    /// stays as it was. A *truncated* subscription is marked exhausted
+    /// and skipped by later refreshes; a merely incomplete one (e.g.
+    /// breaker open) keeps its refire budget and is retried on the next
+    /// round, when the breaker may have half-opened. Either way the
+    /// successful re-invocations stay warm in the cache, so the retry
+    /// only re-pays the failed calls.
     ///
     /// Feed mode assumes this engine is the document's only publisher;
-    /// a concurrent publication triggers a re-snapshot retry.
+    /// a concurrent publication triggers a retry from the same
+    /// materialization.
     pub fn refresh(&mut self) -> Option<u64> {
         let t0 = std::time::Instant::now();
         let out = self.refresh_inner();
@@ -395,10 +414,11 @@ impl<'a> SubscriptionEngine<'a> {
 
     fn refresh_inner(&mut self) -> Option<u64> {
         self.stats.refreshes += 1;
-        let mut changed_paths: Vec<Vec<String>> = Vec::new();
+        let start_ms = self.clock_ms;
+        let mut invoked = false;
         loop {
             let base_version = self.doc.version();
-            let mut working = self.base.clone();
+            let mut round = self.materialized.round(start_ms);
             let mut truncated = false;
             let mut incomplete = false;
             for i in 0..self.subs.len() {
@@ -413,11 +433,11 @@ impl<'a> SubscriptionEngine<'a> {
                     .min(left.unwrap_or(usize::MAX));
                 let done = self
                     .engine(&self.subs[i].query, config)
-                    .complete_for(&mut working, &self.subs[i].query);
+                    .complete_for(&mut round.doc, &self.subs[i].query);
+                self.materialized.record(&mut round, &done.splices);
                 let stats = done.stats;
                 self.clock_ms += stats.sim_time_ms;
                 self.stats.refresh_invocations += stats.calls_invoked;
-                changed_paths.extend(done.changed_paths);
                 let sub = &mut self.subs[i];
                 sub.refires_left = left.map(|n| n.saturating_sub(stats.calls_invoked));
                 if stats.truncated {
@@ -428,21 +448,21 @@ impl<'a> SubscriptionEngine<'a> {
                     incomplete = true;
                 }
             }
-            if truncated || incomplete || changed_paths.is_empty() {
+            invoked |= round.invoked;
+            if truncated || incomplete || !invoked {
                 return None;
             }
-            changed_paths.sort();
-            changed_paths.dedup();
-            // The working copy was re-materialized from the *base*
-            // document, so its splice journal is relative to the base,
-            // not to the predecessor version — a durable store must log
-            // this publication as a full snapshot, not as splices.
-            working.mark_journal_unknown();
+            let changed_paths = self.materialized.changed_paths(&round);
+            // The copy's journal holds its splices, but not the restores
+            // that undid earlier ones: a durable store must log this
+            // publication as a full snapshot, not as splices.
+            round.doc.mark_journal_unknown();
             match self
                 .doc
-                .publish_if_tagged(base_version, working, Some(changed_paths.clone()))
+                .publish_if_tagged(base_version, round.doc.clone(), Some(changed_paths))
             {
                 Ok(version) => {
+                    self.materialized.adopt(round);
                     self.stats.publications += 1;
                     return Some(version);
                 }

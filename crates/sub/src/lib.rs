@@ -28,6 +28,7 @@
 
 pub mod delta;
 pub mod engine;
+mod materialization;
 pub mod oracle;
 
 pub use delta::Delta;

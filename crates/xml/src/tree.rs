@@ -1223,8 +1223,41 @@ impl Document {
         let pos = self.sibling_index(call);
         self.free_subtree(call);
         let inserted = self.copy_forest(result, parent);
-        self.replace_child(parent, pos, &inserted);
+        self.replace_children(parent, pos, 1, &inserted);
         inserted
+    }
+
+    /// Puts a copy of the call `call` of `src` back in place of the `len`
+    /// siblings from position `at` under `parent` (among the roots for
+    /// `None`), freeing their subtrees: the inverse of a splice whose
+    /// result had `len` roots there. The copy takes fresh call ids, as
+    /// [`Document::append_copy`] does, and returns its root. Not being a
+    /// splice, it marks the splice journal dirty.
+    ///
+    /// # Panics
+    /// Panics if `call` is not a function node of `src`, or if the run
+    /// reaches past the last sibling.
+    pub fn restore_call(
+        &mut self,
+        parent: Option<NodeId>,
+        at: usize,
+        len: usize,
+        src: &Document,
+        call: NodeId,
+    ) -> NodeId {
+        assert!(src.is_call(call), "restore_call copies a function node");
+        self.journal_dirty = true;
+        for k in at..at + len {
+            // freeing a subtree leaves its parent's child list as it is
+            let node = match parent {
+                Some(p) => self.children(p)[k],
+                None => self.roots[k],
+            };
+            self.free_subtree(node);
+        }
+        let copy = self.copy_from(src, call, parent);
+        self.replace_children(parent, at, len, &[copy]);
+        copy
     }
 
     /// Whether the live slots are `0..len` in pre-order: no slot is free,
@@ -1421,25 +1454,33 @@ impl Document {
         roots
     }
 
-    /// Puts `inserted` in place of the child at `pos` of `parent` (or of
-    /// the root at `pos`): in place when the parent holds its list alone
-    /// and it has room, otherwise into a new list of the exact length.
-    fn replace_child(&mut self, parent: Option<NodeId>, pos: usize, inserted: &[NodeId]) {
+    /// Puts `inserted` in place of the `removed` children from `pos` on of
+    /// `parent` (or of the roots from `pos` on): in place when the parent
+    /// holds its list alone and it has room, otherwise into a new list of
+    /// the exact length.
+    fn replace_children(
+        &mut self,
+        parent: Option<NodeId>,
+        pos: usize,
+        removed: usize,
+        inserted: &[NodeId],
+    ) {
         let Some(p) = parent else {
-            self.roots.splice(pos..=pos, inserted.iter().copied());
+            self.roots
+                .splice(pos..pos + removed, inserted.iter().copied());
             return;
         };
         let n = self.node_raw_mut(p.index());
         let (off, len) = (n.child_off as usize, n.child_len as usize);
-        let new_len = len - 1 + inserted.len();
+        let new_len = len - removed + inserted.len();
         match n.children.as_mut().and_then(Arc::get_mut) {
             Some(list) if off + new_len <= list.len() => {
-                list.copy_within(off + pos + 1..off + len, off + pos + inserted.len());
+                list.copy_within(off + pos + removed..off + len, off + pos + inserted.len());
                 list[off + pos..off + pos + inserted.len()].copy_from_slice(inserted);
             }
             _ => {
                 let old = n.children();
-                let parts = [&old[..pos], inserted, &old[pos + 1..]];
+                let parts = [&old[..pos], inserted, &old[pos + removed..]];
                 n.children = (new_len > 0).then(|| child_list(&parts, new_len));
                 n.child_off = 0;
             }
@@ -2289,7 +2330,7 @@ mod tests {
         let inserted: Vec<NodeId> = (result.roots.iter())
             .map(|&r| d.copy_from(result, r, parent))
             .collect();
-        d.replace_child(parent, pos, &inserted);
+        d.replace_children(parent, pos, 1, &inserted);
         inserted
     }
 
@@ -2636,5 +2677,87 @@ mod tests {
         assert_eq!(labels, ["x", "y", "z"]);
         assert_eq!(state(&planned), state(&reference));
         planned.check_integrity().unwrap();
+    }
+
+    /// Restoring a call in place of its spliced result gives back the
+    /// document the splice started from, for results of no, one and
+    /// several roots, under an element and at the root, and restores it
+    /// among siblings on both sides.
+    #[test]
+    fn restore_call_undoes_a_splice() {
+        let shapes = ["", "<a>x</a>", "t<b/><c><d>y</d></c>"];
+        for shape in shapes {
+            let result = parse_forest(shape);
+            let mut base = Document::with_root("r");
+            let root = base.root();
+            base.add_element(root, "before");
+            let call = base.add_call(root, "svc");
+            base.add_text(call, "k");
+            base.add_element(root, "after");
+            let top = base.add_root_call("top");
+            for (call, parent) in [(call, Some(root)), (top, None)] {
+                let mut d = base.clone();
+                let at = d.sibling_index(call);
+                let roots = d.splice_call(call, &result);
+                assert_eq!(roots.len(), result.roots().len());
+                let copy = d.restore_call(parent, at, roots.len(), &base, call);
+                assert_eq!(crate::to_xml(&d), crate::to_xml(&base), "{shape:?}");
+                assert_eq!(d.parent(copy), parent);
+                assert_eq!(d.sibling_index(copy), at);
+                assert!(d.call_info(copy).unwrap().0 >= CallId(base.next_call_id()));
+                d.check_integrity().unwrap();
+                base.check_integrity().unwrap();
+            }
+        }
+    }
+
+    fn parse_forest(xml: &str) -> Forest {
+        let wrapped = crate::parse(&format!("<w>{xml}</w>")).unwrap();
+        let mut f = Forest::new();
+        for &c in wrapped.children(wrapped.root()) {
+            f.append_copy_as_root(&wrapped, c);
+        }
+        f
+    }
+
+    proptest::proptest! {
+        /// Splicing calls of a random document one after another, then
+        /// restoring each, the last first, from the document before the
+        /// splices, gives back that document's serialization, and every
+        /// state between keeps its indexes intact.
+        #[test]
+        fn restoring_splices_in_reverse_gives_back_the_document(
+            steps in proptest::collection::vec(step(), 0..40),
+            splices in proptest::collection::vec((0..=255u8, 0..=255u8), 1..6),
+        ) {
+            use proptest::prelude::*;
+            let base = built(Some("root"), &steps);
+            let mut d = base.clone();
+            // each splice: the consumed call's place, its result's size,
+            // and the call it restores to, in `base` when it came from it
+            let mut done = Vec::new();
+            for &(pick, shape) in &splices {
+                let calls: Vec<NodeId> = d
+                    .calls()
+                    .into_iter()
+                    .filter(|&c| d.call_class(c).is_some() && base.is_alive(c))
+                    .filter(|&c| base.call_info(c).map(|i| i.0) == d.call_info(c).map(|i| i.0))
+                    .collect();
+                if calls.is_empty() {
+                    break;
+                }
+                let call = calls[pick as usize % calls.len()];
+                let parent = d.parent(call);
+                let at = d.sibling_index(call);
+                let roots = d.splice_call(call, &shaped(shape));
+                done.push((parent, at, roots.len(), call));
+                d.check_integrity().unwrap();
+            }
+            for &(parent, at, len, call) in done.iter().rev() {
+                d.restore_call(parent, at, len, &base, call);
+                d.check_integrity().unwrap();
+            }
+            prop_assert_eq!(crate::to_xml(&d), crate::to_xml(&base));
+        }
     }
 }

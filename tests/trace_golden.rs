@@ -7,7 +7,7 @@
 //! parallel batches over a warm call cache, and a hedge that ties its
 //! primary. Each case also asserts two-run determinism, parse-back
 //! round-tripping, trace-oracle cleanliness against the engine's own
-//! accounting, and that the report's changed paths are the trace's.
+//! accounting, and that the report's splices are the trace's.
 //!
 //! Regenerate the pinned files with `AXML_UPDATE_GOLDEN=1 cargo test`.
 
@@ -65,22 +65,25 @@ fn run(case: &Case) -> (String, EngineStats) {
         .count();
     let s = &report.stats;
     assert_eq!(invocations, s.calls_invoked + s.failed_calls + s.cache_hits);
-    // the report names where the document changed: the parent paths of
-    // the non-cached successful invocations, in trace order
-    let spliced: Vec<&str> = events
+    // the report's splices are the trace's successful invocations, in
+    // order: the same parent paths, invoked exactly where not cached
+    let spliced: Vec<(&str, bool)> = events
         .iter()
         .filter_map(|e| match &e.kind {
             EventKind::Invocation {
                 path,
-                cached: false,
+                cached,
                 ok: true,
                 ..
-            } => Some(path.as_str()),
+            } => Some((path.as_str(), !cached)),
             _ => None,
         })
         .collect();
-    let reported: Vec<String> = report.changed_paths.iter().map(|p| p.join("/")).collect();
-    assert_eq!(reported, spliced, "EvalReport::changed_paths");
+    let reported: Vec<(String, bool)> = (report.splices.iter())
+        .map(|s| (s.parent_labels(&sc.doc).join("/"), s.invoked))
+        .collect();
+    let reported: Vec<(&str, bool)> = reported.iter().map(|(p, i)| (p.as_str(), *i)).collect();
+    assert_eq!(reported, spliced, "EvalReport::splices");
     (to_jsonl(&events), report.stats)
 }
 
