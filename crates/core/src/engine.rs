@@ -332,6 +332,10 @@ pub struct Splice {
     /// The consumed call's parent, `None` for a root call. A splice frees
     /// only the call's own subtree, so the parent outlives the run.
     pub parent: Option<NodeId>,
+    /// The consumed call's class in the document's call index
+    /// ([`Document::class_path`] gives the parent's label path): the
+    /// position whose children changed.
+    pub class: u32,
     /// The consumed call's position among its parent's children (among
     /// the roots for a root call) when it was spliced.
     pub position: usize,
@@ -343,14 +347,6 @@ pub struct Splice {
     /// simulated ms. A result that no cache entry holds lapses at once:
     /// its expiry is the simulated time of the splice.
     pub expires_at_ms: f64,
-}
-
-impl Splice {
-    /// The label path of the consumed call's parent, root's label first
-    /// and empty for a root call: the position whose children changed.
-    pub fn parent_labels(&self, doc: &Document) -> Vec<String> {
-        self.parent.map(|p| doc.path_labels(p)).unwrap_or_default()
-    }
 }
 
 /// The lazy query evaluation engine.

@@ -702,10 +702,14 @@ impl Run<'_, '_, '_> {
         expires_at_ms: f64,
     ) -> Option<NodeId> {
         let parent = doc.parent(cand.node);
+        let class = doc
+            .call_class(cand.node)
+            .expect("a candidate is a visible call");
         let position = doc.sibling_index(cand.node);
         let roots = doc.splice_shared(cand.node, result);
         self.splices.push(Splice {
             parent,
+            class,
             position,
             roots,
             invoked,

@@ -315,7 +315,7 @@ impl<'a> Residual<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::engine::{Engine, EngineConfig};
     use crate::nfq::{build_lpqs, build_nfq, build_nfqs};
@@ -489,7 +489,7 @@ mod tests {
     ];
 
     /// Figure 4's query and [`QUERIES`].
-    fn queries() -> impl Iterator<Item = Pattern> {
+    pub(crate) fn queries() -> impl Iterator<Item = Pattern> {
         std::iter::once(figure4_query()).chain(QUERIES.iter().map(|q| parse_query(q).unwrap()))
     }
 
@@ -497,7 +497,7 @@ mod tests {
     /// invocation budget `budget`, so calls also sit inside spliced
     /// results, and with a call hidden inside the parameters of every
     /// other remaining call: queries never see those (§2).
-    fn partial_scenario(
+    pub(crate) fn partial_scenario(
         seed: u64,
         hotels: usize,
         budget: usize,

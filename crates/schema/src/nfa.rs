@@ -250,61 +250,6 @@ impl Nfa {
         self.intersects(&other.prefix_closure())
     }
 
-    /// Is `word` prefix-comparable with the language: is some accepted
-    /// word a prefix of `word`, or `word` a prefix of some accepted word
-    /// (both inclusive of equality)?
-    ///
-    /// This is the change-scope test of the subscription engine: a splice
-    /// at label path `word` can affect a query's answer iff the path is
-    /// comparable with the query's result-node language — a splice *at or
-    /// below* a result position changes what that position renders, and a
-    /// splice *above* one creates or destroys matches. Incomparable paths
-    /// are provably irrelevant.
-    pub fn prefix_comparable(&self, word: &[Sym]) -> bool {
-        let n = self.num_states();
-        // co-accessibility: states from which an accepting state is
-        // reachable (so an active co-accessible state after consuming all
-        // of `word` means `word` extends to an accepted word)
-        let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (s, outs) in self.edges.iter().enumerate() {
-            for (_, t) in outs {
-                rev[*t].push(s);
-            }
-        }
-        let mut co = self.accept.clone();
-        let mut stack: Vec<usize> = (0..n).filter(|&s| co[s]).collect();
-        while let Some(s) = stack.pop() {
-            for &p in &rev[s] {
-                if !co[p] {
-                    co[p] = true;
-                    stack.push(p);
-                }
-            }
-        }
-        let mut cur = vec![false; n];
-        for &s in &self.start {
-            cur[s] = true;
-        }
-        for sym in word {
-            if cur.iter().enumerate().any(|(s, &a)| a && self.accept[s]) {
-                return true; // an accepted word is a proper prefix of `word`
-            }
-            let mut next = vec![false; n];
-            for (s, active) in cur.iter().enumerate() {
-                if !active {
-                    continue;
-                }
-                for (test, t) in &self.edges[s] {
-                    if test.accepts(sym) {
-                        next[*t] = true;
-                    }
-                }
-            }
-            cur = next;
-        }
-        cur.iter().enumerate().any(|(s, &a)| a && co[s])
-    }
-
     /// Compiles the automaton against a label→symbol table (typically a
     /// document's interner), yielding a [`SymNfa`] whose step function is
     /// integer compares. `lookup` returns the symbol of a label text, or
@@ -624,29 +569,36 @@ mod tests {
 
     #[test]
     fn prefix_comparability() {
-        let nfa = Nfa::from_linear_path(&lin_of("/hotels/hotel/price"));
+        // the suffix closure, then the prefix closure, accepts the words
+        // prefix-comparable with the language: some accepted word is a
+        // prefix of the word, or the word a prefix of an accepted word
+        let comparable = |q: &Nfa| q.suffix_closure().prefix_closure();
+        let nfa = comparable(&Nfa::from_linear_path(&lin_of("/hotels/hotel/price")));
         // below a result node: comparable (changes the rendered value)
-        assert!(nfa.prefix_comparable(&[n("hotels"), n("hotel"), n("price"), n("amount")]));
+        assert!(nfa.accepts(&[n("hotels"), n("hotel"), n("price"), n("amount")]));
         // exactly a result node
-        assert!(nfa.prefix_comparable(&[n("hotels"), n("hotel"), n("price")]));
+        assert!(nfa.accepts(&[n("hotels"), n("hotel"), n("price")]));
         // above a result node: comparable (creates/destroys matches)
-        assert!(nfa.prefix_comparable(&[n("hotels"), n("hotel")]));
-        assert!(nfa.prefix_comparable(&[]));
+        assert!(nfa.accepts(&[n("hotels"), n("hotel")]));
+        assert!(nfa.accepts(&[]));
         // a sibling branch: incomparable
-        assert!(!nfa.prefix_comparable(&[n("hotels"), n("hotel"), n("rating")]));
-        assert!(!nfa.prefix_comparable(&[n("auctions")]));
+        assert!(!nfa.accepts(&[n("hotels"), n("hotel"), n("rating")]));
+        assert!(!nfa.accepts(&[n("auctions")]));
 
         // descendant steps keep every extension comparable
-        let deep = Nfa::from_linear_path(&lin_of("/a//b"));
-        assert!(deep.prefix_comparable(&[n("a"), n("x"), n("y")])); // may still reach b below
-        assert!(!deep.prefix_comparable(&[n("c")]));
+        let deep = comparable(&Nfa::from_linear_path(&lin_of("/a//b")));
+        assert!(deep.accepts(&[n("a"), n("x"), n("y")])); // may still reach b below
+        assert!(!deep.accepts(&[n("c")]));
 
         // brute-force agreement with the definition on short words
-        let q = Nfa::from_linear_path(&lin_of("/a/*/c"));
-        for w in words(&["a", "b", "c"], 4) {
-            let expect =
-                (0..=w.len()).any(|k| q.accepts(&w[..k])) || q.prefix_closure().accepts(&w);
-            assert_eq!(q.prefix_comparable(&w), expect, "mismatch on {w:?}");
+        for src in ["/a/*/c", "/a//b", "//c", "/b/a/b"] {
+            let q = Nfa::from_linear_path(&lin_of(src));
+            let closed = comparable(&q);
+            for w in words(&["a", "b", "c"], 4) {
+                let expect =
+                    (0..=w.len()).any(|k| q.accepts(&w[..k])) || q.prefix_closure().accepts(&w);
+                assert_eq!(closed.accepts(&w), expect, "mismatch on {src} with {w:?}");
+            }
         }
     }
 

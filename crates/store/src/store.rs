@@ -228,20 +228,6 @@ impl DocumentStore {
         &self.plans
     }
 
-    /// Enables publication-history retention on the document stored under
-    /// `name` (see [`VersionedDocument::enable_history`]) so subscribers
-    /// can catch up on missed splices from their own watermarks. Returns
-    /// `false` when no document is stored under that name.
-    pub fn watch(&self, name: &str, history_capacity: usize) -> bool {
-        match self.docs.get(name) {
-            Some(v) => {
-                v.enable_history(history_capacity);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Opens a [`Session`] over the document stored under `name`: a
     /// stream of queries evaluated against the document with the store's
     /// shared cache and a simulated clock that persists between queries.

@@ -13,16 +13,17 @@
 //!   really re-invoked and may answer differently, while every result
 //!   still valid stays where it is, unprobed. When any real
 //!   re-invocation happened, the copy is published as the document's next
-//!   version, *tagged* with the label paths where it changed — the change
-//!   scope downstream consumers filter on — and becomes the
-//!   materialization.
+//!   version, *tagged* with the classes (F-guide nodes: parent label
+//!   paths) of the calls it restored or spliced — the change scope
+//!   downstream consumers filter on — and becomes the materialization.
 //!
 //! * **reconcile** — the consumer. Each subscription holds a watermark
 //!   (the last document version it delivered) and catches up via
 //!   [`VersionedDocument::publications_since`]. A publication whose
-//!   tagged splice paths cannot affect the query (its [`QueryScope`])
-//!   is skipped without evaluation; otherwise the published version is
-//!   evaluated and the answer difference is emitted as a [`Delta`].
+//!   tagged classes, read against its own document, cannot affect the
+//!   query (its [`QueryScope`]) is skipped without evaluation; otherwise
+//!   the published version is evaluated and the answer difference is
+//!   emitted as a [`Delta`].
 //!   When the publication history has evicted the records a subscriber
 //!   needs — or a publication carries no change tags — reconciliation
 //!   degrades *soundly* to a full re-evaluation, never to a stale
@@ -96,7 +97,7 @@ pub struct SubscriptionEngineStats {
     /// Deltas emitted across all subscriptions.
     pub deltas_emitted: usize,
     /// Published versions skipped without evaluation because their
-    /// tagged splice paths were outside a subscription's scope.
+    /// tagged classes were outside a subscription's scope.
     pub versions_skipped: usize,
     /// Reconciliations that evaluated a version because its change scope
     /// was unknown (untagged publication).
@@ -281,33 +282,13 @@ impl<'a> SubscriptionEngine<'a> {
     /// Panics if a subscription with the same name already exists.
     pub fn subscribe(&mut self, name: impl Into<String>, query: Pattern) -> BTreeSet<Vec<String>> {
         let name = name.into();
-        assert!(
-            self.subs.iter().all(|s| s.name != name),
-            "duplicate subscription name {name:?}"
-        );
+        self.assert_unused(&name);
         let snapshot = self.doc.snapshot();
         let watermark = snapshot.version();
         let mut working = snapshot.to_document();
         let (answers, sim_ms) = self.run_engine(&mut working, &query, self.options.engine.clone());
         self.clock_ms += sim_ms;
-        let query_text = render(&query);
-        let scope = QueryScope::of(&query);
-        self.emit(EventKind::SubscriptionStart {
-            subscription: name.clone(),
-            query: query_text.clone(),
-            initial: answers.len(),
-        });
-        self.subs.push(SubState {
-            name,
-            query,
-            query_text,
-            scope,
-            watermark,
-            answers: answers.clone(),
-            refires_left: self.options.max_refires,
-            deltas_emitted: 0,
-            versions_skipped: 0,
-        });
+        self.register(name, query, watermark, answers.clone());
         self.persist_watermark(self.subs.len() - 1);
         answers
     }
@@ -334,33 +315,49 @@ impl<'a> SubscriptionEngine<'a> {
         query: Pattern,
         watermark: u64,
     ) -> BTreeSet<Vec<String>> {
-        let name = name.into();
         if watermark >= self.doc.version() {
             return self.subscribe(name, query);
         }
+        let name = name.into();
+        self.assert_unused(&name);
+        self.register(name, query, watermark, BTreeSet::new());
+        BTreeSet::new()
+    }
+
+    /// Panics if a subscription is named `name`.
+    fn assert_unused(&self, name: &str) {
         assert!(
             self.subs.iter().all(|s| s.name != name),
             "duplicate subscription name {name:?}"
         );
+    }
+
+    /// Adds a subscription whose answer at `watermark` is `answers`, with
+    /// its rendered query and scope, and traces its start.
+    fn register(
+        &mut self,
+        name: String,
+        query: Pattern,
+        watermark: u64,
+        answers: BTreeSet<Vec<String>>,
+    ) {
         let query_text = render(&query);
-        let scope = QueryScope::of(&query);
         self.emit(EventKind::SubscriptionStart {
             subscription: name.clone(),
             query: query_text.clone(),
-            initial: 0,
+            initial: answers.len(),
         });
         self.subs.push(SubState {
             name,
+            scope: QueryScope::of(&query),
             query,
             query_text,
-            scope,
             watermark,
-            answers: BTreeSet::new(),
+            answers,
             refires_left: self.options.max_refires,
             deltas_emitted: 0,
             versions_skipped: 0,
         });
-        BTreeSet::new()
     }
 
     fn persist_watermark(&self, sub_idx: usize) {
@@ -377,9 +374,10 @@ impl<'a> SubscriptionEngine<'a> {
     /// completed on that copy through the shared cache
     /// ([`Engine::complete_for`]). When any call was really re-invoked,
     /// publishes the copy as the document's next version, tagged with the
-    /// label paths where it differs from the materialization it came from,
-    /// and keeps it as the materialization. Returns the published version,
-    /// or `None` when nothing was invoked.
+    /// classes of the calls it restored or spliced (every place where it
+    /// differs from the materialization it came from), and keeps it as the
+    /// materialization. Returns the published version, or `None` when
+    /// nothing was invoked.
     ///
     /// The first refresh starts from the base document, where every call
     /// is pending. A result whose entries are still valid stays in place
@@ -452,14 +450,14 @@ impl<'a> SubscriptionEngine<'a> {
             if truncated || incomplete || !invoked {
                 return None;
             }
-            let changed_paths = self.materialized.changed_paths(&round);
+            let changed_classes = round.changed_classes();
             // The copy's journal holds its splices, but not the restores
             // that undid earlier ones: a durable store must log this
             // publication as a full snapshot, not as splices.
             round.doc.mark_journal_unknown();
             match self
                 .doc
-                .publish_if_tagged(base_version, round.doc.clone(), Some(changed_paths))
+                .publish_if_tagged(base_version, round.doc.clone(), Some(changed_classes))
             {
                 Ok(version) => {
                     self.materialized.adopt(round);
@@ -474,9 +472,9 @@ impl<'a> SubscriptionEngine<'a> {
     /// One reconcile pass: catches every subscription up to the
     /// document's currently published version, emitting a [`Delta`] for
     /// each version that changed its answer. Versions whose tagged
-    /// splice paths fall outside a subscription's scope are skipped
-    /// without evaluation; untagged or history-evicted catch-ups
-    /// degrade to a full re-evaluation.
+    /// classes fall outside a subscription's scope are skipped without
+    /// evaluation; untagged or history-evicted catch-ups degrade to a
+    /// full re-evaluation.
     pub fn reconcile(&mut self) -> Vec<Delta> {
         let t0 = std::time::Instant::now();
         let out = self.reconcile_inner();
@@ -509,11 +507,11 @@ impl<'a> SubscriptionEngine<'a> {
                 }
                 CatchUp::Records(records) => {
                     for record in records {
-                        let relevant = match &record.changed_paths {
-                            Some(paths) => self.subs[i].scope.may_affect_any(paths),
+                        let relevant = match &record.changed_classes {
+                            Some(classes) => self.subs[i].scope.may_affect(&record.doc, classes),
                             None => true,
                         };
-                        let full = record.changed_paths.is_none();
+                        let full = record.changed_classes.is_none();
                         if !relevant {
                             self.subs[i].versions_skipped += 1;
                             self.stats.versions_skipped += 1;

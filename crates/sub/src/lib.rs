@@ -11,12 +11,12 @@
 //!
 //! The paper evaluates one query lazily against one document state; this
 //! crate extends the same machinery along the time axis. A query's
-//! position automata become a per-query [`QueryScope`] consulted for
-//! every published splice; the call cache's TTL validity windows (§7's
-//! coherency horizon) become the refresh schedule; and the store's
-//! publication chain becomes a multi-subscriber log with per-subscriber
-//! watermarks that degrade soundly to full re-evaluation when the
-//! history is evicted.
+//! position automata become a per-query [`QueryScope`], tested on the
+//! F-guide classes each publication is tagged with; the call cache's TTL
+//! validity windows (§7's coherency horizon) become the refresh schedule;
+//! and the store's publication chain becomes a multi-subscriber log with
+//! per-subscriber watermarks that degrade soundly to full re-evaluation
+//! when the history is evicted.
 //!
 //! See [`SubscriptionEngine`] for the two halves (refresh / reconcile),
 //! [`Delta`] for what they deliver, and [`oracle`] for the

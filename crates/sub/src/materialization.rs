@@ -39,8 +39,8 @@ struct Place {
     /// When the first cache entry the run was built from expires;
     /// infinite while the call is pending.
     expires_at_ms: f64,
-    /// The parent's label path, as an index into [`Materialization::tags`].
-    tag: usize,
+    /// The call's class: its parent's label path in the call index.
+    class: u32,
 }
 
 /// The engine's last materialization, with the base document it was
@@ -56,8 +56,6 @@ pub(crate) struct Materialization {
     /// Per parent of a visible base call (`None` for the roots), the range
     /// of its places.
     groups: HashMap<Option<NodeId>, Range<usize>>,
-    /// The distinct parent label paths of the visible base calls.
-    tags: Vec<Vec<String>>,
 }
 
 /// One refresh's working copy of a [`Materialization`].
@@ -65,15 +63,11 @@ pub(crate) struct Round {
     /// The copy the standing queries are completed on.
     pub(crate) doc: Document,
     places: Vec<Place>,
-    /// Per tag: whether the round restored or spliced a call whose parent
-    /// has that label path. Every change inside such a call's run lies
-    /// below the path, so the tag covers it.
-    tagged: Vec<bool>,
-    /// The parent label paths of the round's other changes: splices of
-    /// calls nested deeper than a result's roots, where an invoked call
-    /// names its own path as every invoked call does, and a call in a run
-    /// no tag covers must.
-    paths: Vec<Vec<String>>,
+    /// The class of every call the round restored or spliced, with
+    /// repeats: every change the round made. The class table only grows
+    /// and clones share it, so a base call's class is the round
+    /// document's too.
+    classes: Vec<u32>,
     /// Whether the round invoked a call.
     pub(crate) invoked: bool,
 }
@@ -83,26 +77,19 @@ impl Materialization {
     /// every call pending at its own position.
     pub(crate) fn of(base: Document) -> Self {
         let mut places: Vec<Place> = Vec::new();
-        let mut tags: Vec<Vec<String>> = Vec::new();
-        let mut tag_of: HashMap<Vec<String>, usize> = HashMap::new();
         for call in base.calls() {
-            if base.call_class(call).is_none() {
-                continue; // inside another call's parameters: never spliced
-            }
-            let parent = base.parent(call);
-            let path = parent.map(|p| base.path_labels(p)).unwrap_or_default();
-            let tag = *tag_of.entry(path).or_insert_with_key(|path| {
-                tags.push(path.clone());
-                tags.len() - 1
-            });
+            // a call inside another call's parameters is never spliced
+            let Some(class) = base.call_class(call) else {
+                continue;
+            };
             places.push(Place {
                 call,
-                parent,
+                parent: base.parent(call),
                 at: base.sibling_index(call),
                 len: 1,
                 pending: true,
                 expires_at_ms: f64::INFINITY,
-                tag,
+                class,
             });
         }
         // stable: document order within each parent's group
@@ -116,7 +103,6 @@ impl Materialization {
             base,
             places,
             groups,
-            tags,
         }
     }
 
@@ -127,8 +113,7 @@ impl Materialization {
         let mut round = Round {
             doc: self.doc.clone(),
             places: self.places.clone(),
-            tagged: vec![false; self.tags.len()],
-            paths: Vec::new(),
+            classes: Vec::new(),
             invoked: false,
         };
         for i in 0..round.places.len() {
@@ -142,7 +127,7 @@ impl Materialization {
             let removed = std::mem::replace(&mut p.len, 1);
             p.pending = true;
             p.expires_at_ms = f64::INFINITY;
-            round.tagged[p.tag] = true;
+            round.classes.push(p.class);
             round.shift_after(i, removed, 1);
         }
         round
@@ -159,6 +144,7 @@ impl Materialization {
         let mut deeper = Vec::new();
         for s in splices {
             round.invoked |= s.invoked;
+            round.classes.push(s.class);
             let Some(group) = self.groups.get(&s.parent) else {
                 deeper.push(s);
                 continue;
@@ -169,8 +155,6 @@ impl Materialization {
             p.len = p.len - 1 + s.roots.len();
             p.pending = false;
             p.expires_at_ms = p.expires_at_ms.min(s.expires_at_ms);
-            // the splice's parent path is the place's
-            round.tagged[p.tag] = true;
             round.shift_after(i, 1, s.roots.len());
         }
         for s in deeper {
@@ -185,26 +169,7 @@ impl Materialization {
             let i = round.place_at(group, round.doc.sibling_index(top));
             let p = &mut round.places[i];
             p.expires_at_ms = p.expires_at_ms.min(s.expires_at_ms);
-            if s.invoked || !round.tagged[p.tag] {
-                round.paths.push(s.parent_labels(&round.doc));
-            }
         }
-    }
-
-    /// The label paths where `round.doc` differs from the materialization
-    /// it was copied from, sorted and distinct: the parent path of each
-    /// call the round restored or spliced among a place's siblings, and
-    /// the paths it noted for calls nested deeper.
-    pub(crate) fn changed_paths(&self, round: &Round) -> Vec<Vec<String>> {
-        let mut paths = round.paths.clone();
-        paths.extend(
-            (self.tags.iter().zip(&round.tagged))
-                .filter(|(_, &tagged)| tagged)
-                .map(|(tag, _)| tag.clone()),
-        );
-        paths.sort();
-        paths.dedup();
-        paths
     }
 
     /// Makes a published round the materialization. The round's document
@@ -218,6 +183,16 @@ impl Materialization {
 }
 
 impl Round {
+    /// The classes where `doc` differs from the materialization it was
+    /// copied from, sorted and distinct: the class of each call the round
+    /// restored or spliced.
+    pub(crate) fn changed_classes(&self) -> Vec<u32> {
+        let mut classes = self.classes.clone();
+        classes.sort_unstable();
+        classes.dedup();
+        classes
+    }
+
     /// The place among `group` whose run holds `position`.
     fn place_at(&self, group: Range<usize>, position: usize) -> usize {
         group

@@ -432,8 +432,15 @@ fn a_call_that_stops_being_relevant_stays_pending_and_tagged() {
         "{}",
         to_xml(&last.doc)
     );
-    let paths = last.changed_paths.as_ref().expect("a tagged publication");
-    assert!(paths.iter().any(|p| *p == price), "{paths:?}");
+    let classes = last.changed_classes.as_ref().expect("a tagged publication");
+    let paths: Vec<Vec<&str>> = (classes.iter())
+        .map(|&c| {
+            (last.doc.class_path(c).iter())
+                .map(|&s| last.doc.sym_text(s))
+                .collect()
+        })
+        .collect();
+    assert!(paths.contains(&price), "{paths:?}");
     assert!(engine.answers("w0").unwrap().is_empty());
 }
 

@@ -85,18 +85,21 @@ impl std::ops::Deref for DocSnapshot {
 
 /// One retained publication on a [`VersionedDocument`]'s history ring:
 /// the published version, its frozen document, and — when the writer
-/// used [`VersionedDocument::publish_if_tagged`] — the label paths
-/// (root → changed node) the publication touched. `changed_paths: None`
-/// means the scope of the change is unknown, so consumers must assume
-/// everything may have changed.
+/// used [`VersionedDocument::publish_if_tagged`] — the classes of the
+/// calls the publication restored or spliced, each the label path of a
+/// parent whose children changed ([`Document::class_path`]). Classes
+/// are numbered by the record's own document, so they are read against
+/// `doc`. `changed_classes: None` means the scope of the change is
+/// unknown, so consumers must assume everything may have changed.
 #[derive(Clone, Debug)]
 pub struct PublicationRecord {
     /// The version number this publication produced.
     pub version: u64,
     /// The frozen document at that version.
     pub doc: Arc<Document>,
-    /// Label paths the publication changed (`None` = unknown scope).
-    pub changed_paths: Option<Vec<Vec<String>>>,
+    /// Classes of `doc` where the publication changed it, sorted and
+    /// distinct (`None` = unknown scope).
+    pub changed_classes: Option<Vec<u32>>,
 }
 
 /// What a subscriber catching up from a watermark gets back: either
@@ -148,8 +151,8 @@ impl History {
 ///
 /// With [`VersionedDocument::enable_history`] the document additionally
 /// retains a bounded ring of recent publications, each optionally tagged
-/// with the label paths it changed, so any number of subscribers can
-/// replay the splice stream from their own watermarks
+/// with the call-index classes it changed, so any number of subscribers
+/// can replay the splice stream from their own watermarks
 /// ([`VersionedDocument::publications_since`]) — degrading soundly to a
 /// full-resync signal when the ring has evicted what they missed.
 pub struct VersionedDocument {
@@ -248,14 +251,14 @@ impl VersionedDocument {
     }
 
     /// [`VersionedDocument::publish_if`] with an explicit change scope:
-    /// the label paths (root → changed node) this publication touched,
-    /// which subscribers use to skip versions provably outside their
-    /// queries.
+    /// the classes of `doc` whose calls this publication restored or
+    /// spliced, which subscribers use to skip versions provably outside
+    /// their queries.
     pub fn publish_if_tagged(
         &self,
         base_version: u64,
         doc: Document,
-        changed_paths: Option<Vec<Vec<String>>>,
+        changed_classes: Option<Vec<u32>>,
     ) -> Result<u64, u64> {
         let mut doc = doc;
         let mut g = self.current.write().expect("versioned document poisoned");
@@ -266,7 +269,7 @@ impl VersionedDocument {
         g.0 += 1;
         g.1 = Arc::new(doc);
         self.tap_locked(g.0, &g.1, splices.as_deref());
-        self.record_locked(g.0, &g.1, changed_paths);
+        self.record_locked(g.0, &g.1, changed_classes);
         Ok(g.0)
     }
 
@@ -283,12 +286,12 @@ impl VersionedDocument {
         }
     }
 
-    fn record_locked(&self, version: u64, doc: &Arc<Document>, paths: Option<Vec<Vec<String>>>) {
+    fn record_locked(&self, version: u64, doc: &Arc<Document>, classes: Option<Vec<u32>>) {
         let mut h = self.history.lock().expect("publication history poisoned");
         h.record(PublicationRecord {
             version,
             doc: Arc::clone(doc),
-            changed_paths: paths,
+            changed_classes: classes,
         });
     }
 
@@ -364,21 +367,17 @@ mod tests {
     fn history_replays_publications_from_a_watermark() {
         let v = VersionedDocument::new(doc("r"));
         v.enable_history(8);
-        let tagged = Some(vec![vec!["r".into(), "a".into()]]);
-        assert_eq!(v.publish_if_tagged(0, doc("a"), tagged), Ok(1));
+        assert_eq!(v.publish_if_tagged(0, doc("a"), Some(vec![0])), Ok(1));
         v.publish(doc("b")); // unknown scope
         let CatchUp::Records(recs) = v.publications_since(0) else {
             panic!("watermark 0 is at the floor; no degradation expected");
         };
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].version, 1);
-        assert_eq!(
-            recs[0].changed_paths,
-            Some(vec![vec!["r".to_string(), "a".to_string()]])
-        );
+        assert_eq!(recs[0].changed_classes, Some(vec![0]));
         assert_eq!(recs[0].doc.label(recs[0].doc.root()), "a");
         assert_eq!(recs[1].version, 2);
-        assert_eq!(recs[1].changed_paths, None);
+        assert_eq!(recs[1].changed_classes, None);
         // a caught-up subscriber gets nothing
         let CatchUp::Records(recs) = v.publications_since(2) else {
             panic!("caught-up watermark must not degrade");

@@ -66,7 +66,8 @@ fn run(case: &Case) -> (String, EngineStats) {
     let s = &report.stats;
     assert_eq!(invocations, s.calls_invoked + s.failed_calls + s.cache_hits);
     // the report's splices are the trace's successful invocations, in
-    // order: the same parent paths, invoked exactly where not cached
+    // order: each splice's class path is the invocation's parent path,
+    // and it is invoked exactly where not cached
     let spliced: Vec<(&str, bool)> = events
         .iter()
         .filter_map(|e| match &e.kind {
@@ -79,8 +80,14 @@ fn run(case: &Case) -> (String, EngineStats) {
             _ => None,
         })
         .collect();
+    let class_path = |class: u32| -> String {
+        let path: Vec<&str> = (sc.doc.class_path(class).iter())
+            .map(|&sym| sc.doc.sym_text(sym))
+            .collect();
+        path.join("/")
+    };
     let reported: Vec<(String, bool)> = (report.splices.iter())
-        .map(|s| (s.parent_labels(&sc.doc).join("/"), s.invoked))
+        .map(|s| (class_path(s.class), s.invoked))
         .collect();
     let reported: Vec<(&str, bool)> = reported.iter().map(|(p, i)| (p.as_str(), *i)).collect();
     assert_eq!(reported, spliced, "EvalReport::splices");
