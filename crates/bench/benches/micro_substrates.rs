@@ -9,7 +9,7 @@
 //! the timed iterations (default 5); the splice replay, the final
 //! evaluations and the refreshes want a few hundred for a stable mean.
 
-use axml_core::{build_nfqs, compute_layers, Engine, EngineConfig};
+use axml_core::{build_nfqs, compute_layers, Engine, EngineConfig, Splice};
 use axml_gen::feeds::{price_feed, PriceFeedParams};
 use axml_gen::scenario::{figure4_query, generate, Scenario, ScenarioParams};
 use axml_query::{parse_query, PlanScratch, QueryPlan};
@@ -105,27 +105,24 @@ fn lazy_hotels_engine(sc: &Scenario) -> Engine<'_> {
 }
 
 /// The lazy-hotels `descendant` query on the 400-hotel scenario, with the
-/// workload's engine configuration.
-fn descendant_op(sc: &Scenario, doc: &mut Document) {
+/// workload's engine configuration; returns the op's splices.
+fn descendant_op(sc: &Scenario, doc: &mut Document) -> Vec<Splice> {
     let query = parse_query(DESCENDANT).unwrap();
-    assert!(lazy_hotels_engine(sc).evaluate(doc, &query).complete);
+    let report = lazy_hotels_engine(sc).evaluate(doc, &query);
+    assert!(report.complete);
+    report.splices
 }
 
-/// The splices one `descendant` op makes, recorded through the splice
-/// journal: each consumed call's node, which a replay on a fresh clone
-/// reproduces, and its shared result.
+/// The splices one `descendant` op makes, as its report lists them: each
+/// consumed call's node, which a replay on a fresh clone reproduces, and
+/// its shared result.
 fn descendant_splices(sc: &Scenario) -> Vec<(NodeId, Arc<Forest>)> {
-    let mut run = sc.doc.clone();
-    run.enable_splice_journal();
-    descendant_op(sc, &mut run);
-    let journal = run.take_splice_journal().expect("the engine only splices");
     let mut replay = sc.doc.clone();
-    journal
-        .into_iter()
-        .map(|op| {
-            let node = replay.find_call(op.call).expect("replay follows the run");
-            replay.splice_shared(node, &op.result);
-            (node, op.result)
+    (descendant_op(sc, &mut sc.doc.clone()).into_iter())
+        .map(|s| {
+            let node = replay.find_call(s.call).expect("replay follows the run");
+            replay.splice_call(node, &s.result);
+            (node, s.result)
         })
         .collect()
 }
@@ -139,7 +136,7 @@ fn bench_splice(c: &mut Criterion) {
     let splices = descendant_splices(&sc);
     let replay = |mut d: Document| {
         for (node, result) in &splices {
-            d.splice_shared(*node, result);
+            d.splice_call(*node, result);
         }
         d
     };

@@ -39,7 +39,7 @@ use axml_obs::{Event, EventKind, TraceSink};
 use axml_query::{eval_with, render, EdgeKind, PNodeId, Pattern, PlanScratch, SnapshotResult};
 use axml_schema::Schema;
 use axml_services::{Deadline, InvokeCache, PushedQuery, Registry, SimClock};
-use axml_xml::{CallId, Document, NodeId};
+use axml_xml::{CallId, Document, Forest, NodeId};
 use dispatch::{Candidate, Dispatch};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -325,10 +325,15 @@ pub struct Completion {
     pub splices: Vec<Splice>,
 }
 
-/// One splice of a run: where the consumed call sat, the roots that took
-/// its place, and how long they stay valid.
-#[derive(Clone, Debug, PartialEq)]
+/// One splice of a run: which call it consumed and where that call sat,
+/// the forest spliced in its place and the roots that took it, and how
+/// long they stay valid. A run's splices, in order, are exactly what it
+/// changed: replayed by call id on the document the run started from
+/// ([`Document::splice_by_call_id`]), they rebuild the one it left.
+#[derive(Clone, Debug)]
 pub struct Splice {
+    /// The consumed call.
+    pub call: CallId,
     /// The consumed call's parent, `None` for a root call. A splice frees
     /// only the call's own subtree, so the parent outlives the run.
     pub parent: Option<NodeId>,
@@ -339,6 +344,9 @@ pub struct Splice {
     /// The consumed call's position among its parent's children (among
     /// the roots for a root call) when it was spliced.
     pub position: usize,
+    /// The forest spliced in the call's place, shared with the cache
+    /// entry or the answer it came from.
+    pub result: Arc<Forest>,
     /// The inserted roots, in order.
     pub roots: Vec<NodeId>,
     /// Whether the call was invoked; `false` for a cache hit.

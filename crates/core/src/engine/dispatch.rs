@@ -472,7 +472,7 @@ impl Run<'_, '_, '_> {
         let Some(hit) = hit else {
             return Probe::Miss(Some(key));
         };
-        let parent = self.splice(doc, cand, &hit.result, false, hit.expires_at_ms);
+        let parent = self.splice(doc, cand, hit.result, false, hit.expires_at_ms);
         self.emit_resolved(doc, cand, parent, Resolved::Cached { pushed: hit.pushed });
         self.stats.cache_hits += 1;
         Probe::Hit
@@ -643,7 +643,8 @@ impl Run<'_, '_, '_> {
                 }
             }
         }
-        let parent = self.splice(doc, cand, &outcome.result, true, expires_at_ms);
+        let result = Arc::clone(&outcome.result);
+        let parent = self.splice(doc, cand, result, true, expires_at_ms);
         self.emit_resolved(doc, cand, parent, Resolved::Invoked(&outcome));
         self.stats.calls_invoked += 1;
         self.stats.call_attempts += outcome.attempts;
@@ -692,12 +693,15 @@ impl Run<'_, '_, '_> {
     }
 
     /// Splices `result` in place of the candidate's call and records the
-    /// splice; returns the call's parent.
+    /// splice with that handle on the forest; returns the call's parent.
+    /// A cache hit hands over the handle its lookup took, so concurrent
+    /// runs splicing one cached forest touch its reference count no more
+    /// often than their lookups do.
     fn splice(
         &mut self,
         doc: &mut Document,
         cand: &Candidate,
-        result: &Arc<Forest>,
+        result: Arc<Forest>,
         invoked: bool,
         expires_at_ms: f64,
     ) -> Option<NodeId> {
@@ -706,11 +710,13 @@ impl Run<'_, '_, '_> {
             .call_class(cand.node)
             .expect("a candidate is a visible call");
         let position = doc.sibling_index(cand.node);
-        let roots = doc.splice_shared(cand.node, result);
+        let roots = doc.splice_call(cand.node, &result);
         self.splices.push(Splice {
+            call: cand.call,
             parent,
             class,
             position,
+            result,
             roots,
             invoked,
             expires_at_ms,

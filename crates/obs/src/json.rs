@@ -9,7 +9,10 @@ use std::fmt::Write as _;
 
 // ---------------------------------------------------------------- encode
 
-fn push_escaped(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a JSON string literal: quoted, with `"`, `\`
+/// and control characters escaped. Every JSON string the workspace
+/// writes goes through here.
+pub fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

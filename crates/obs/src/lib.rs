@@ -33,6 +33,6 @@ pub use check::{
     StatsView, Violation,
 };
 pub use event::{CacheOutcome, Event, EventKind, ShedReason};
-pub use json::{event_from_json, event_to_json, parse_jsonl, to_jsonl, ParseError};
+pub use json::{event_from_json, event_to_json, parse_jsonl, push_escaped, to_jsonl, ParseError};
 pub use metrics::{aggregate, Histogram, LayerMetrics, MetricsReport, ServiceMetrics};
 pub use sink::{RingSink, TraceSink};

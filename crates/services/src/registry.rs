@@ -67,8 +67,8 @@ type Answer = (Reply, bool, f64);
 #[derive(Clone, Debug)]
 pub struct InvokeOutcome {
     /// The (possibly provider-side pruned) result forest. Shared: the call
-    /// cache, the splice journal and the WAL record keep this forest, not
-    /// copies of it.
+    /// cache, the engine's `Splice` and the WAL record keep this forest,
+    /// not copies of it.
     pub result: Arc<Forest>,
     /// Result bytes on the wire.
     pub bytes: usize,

@@ -52,9 +52,10 @@ impl FsyncPolicy {
 /// `--checkpoint-every` and `--fsync`.
 #[derive(Clone, Debug)]
 pub struct DurabilityOptions {
-    /// Publication records between full-document checkpoint frames
-    /// (`0` = only the initial checkpoint, never again). Checkpoints
-    /// bound recovery replay length at the cost of log bytes.
+    /// `Splices` records between periodic full-document checkpoint
+    /// frames (`0` = none after the initial checkpoint); a publication
+    /// logged as a checkpoint starts the count over. Checkpoints bound
+    /// recovery replay length at the cost of log bytes.
     pub checkpoint_every: u64,
     /// When appends reach stable storage.
     pub fsync: FsyncPolicy,
@@ -71,7 +72,7 @@ impl Default for DurabilityOptions {
 
 impl DurabilityOptions {
     /// Whether a checkpoint is due after `records_since_checkpoint`
-    /// publication records have accumulated past the last checkpoint.
+    /// `Splices` records have accumulated past the last checkpoint.
     pub fn checkpoint_due(&self, records_since_checkpoint: u64) -> bool {
         self.checkpoint_every > 0 && records_since_checkpoint >= self.checkpoint_every
     }
@@ -91,11 +92,12 @@ impl DurabilityOptions {
 /// against the trace stream by `axml_obs::check_wal_accounting`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DurabilityStats {
-    /// Publication and watermark records appended (checkpoints excluded).
+    /// Publication and watermark records appended, a publication logged
+    /// as a checkpoint included.
     pub appends: usize,
     /// Appends covered by a successful sync at append time.
     pub synced_appends: usize,
-    /// Checkpoint frames written (including each document's initial one).
+    /// Initial and periodic checkpoint frames written.
     pub checkpoints: usize,
 }
 

@@ -37,8 +37,10 @@
 //!   deterministic interleaving whose recorded schedule replays serially
 //!   (the concurrency test oracle; see [`sched`]).
 //! * [`wal`] / [`checkpoint`] / [`recover`] — the durability subsystem:
-//!   an append-only CRC-framed write-ahead log of published splices plus
-//!   periodic full-document checkpoints, written through a [`LogDir`]
+//!   an append-only CRC-framed write-ahead log of the splices each
+//!   publication states, and of full-document checkpoints — periodic
+//!   ones, and one for each publication that states none — written
+//!   through a [`LogDir`]
 //!   abstraction with a real-filesystem backend ([`FsDir`]) and a
 //!   deterministic in-memory one ([`SimDir`]) whose seeded
 //!   [`CrashProfile`] injects torn writes, dropped flushes and bit rot

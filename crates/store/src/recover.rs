@@ -3,13 +3,14 @@
 //! Recovery of one log is a pure function of its bytes ([`recover_log`]):
 //! scan the CRC-framed valid prefix ([`crate::wal::scan_frames`]), then
 //! replay sequentially — start from the newest intact full-document
-//! checkpoint already seen, apply each `Splices` record via
-//! `Document::splice_by_call_id` (exact, because the binary codec
-//! preserves call ids and the id counter), adopt `Snapshot` fallbacks,
-//! and track the last persisted watermark per subscription. Any
-//! replay-level inconsistency (version gap, unknown call id) is treated
-//! exactly like a framing failure: the log is truncated at that frame
-//! and everything before it is the recovered state.
+//! checkpoint already seen (a periodic one at the log's version, or a
+//! publication that stated no splices, at the next), apply each `Splices`
+//! record via `Document::splice_by_call_id` (exact, because the binary
+//! codec preserves call ids and the id counter), and track the last
+//! persisted watermark per subscription. Any replay-level inconsistency
+//! (version gap, unknown call id) is treated exactly like a framing
+//! failure: the log is truncated at that frame and everything before it
+//! is the recovered state.
 //!
 //! Directory-level recovery (`recover_dir`, behind
 //! [`crate::DocumentStore::recover`]) additionally truncates each
@@ -50,8 +51,6 @@ pub struct RecoveredLog {
 /// prefix instead.
 pub fn recover_log(buf: &[u8]) -> RecoveredLog {
     let scan = scan_frames(buf);
-    let mut truncated = scan.truncated;
-    let mut valid_len = scan.valid_len;
     let mut state: Option<(u64, Document)> = None;
     let mut watermarks: BTreeMap<String, u64> = BTreeMap::new();
     let mut frames = 0usize;
@@ -59,75 +58,65 @@ pub fn recover_log(buf: &[u8]) -> RecoveredLog {
     let mut checkpoint_version = 0u64;
     let mut records_since_checkpoint = 0u64;
 
-    'replay: for (offset, record) in scan.records {
-        match record {
-            WalRecord::Checkpoint { version, doc } => {
-                // A checkpoint always follows the publication record of
-                // the same version (or opens the log at its insert
-                // version); anything else is corruption.
-                if let Some((v, _)) = &state {
-                    if version != *v {
-                        truncated = Some((
-                            offset,
-                            format!("checkpoint at v{version} but log is at v{v}"),
-                        ));
-                        valid_len = offset;
-                        break 'replay;
+    for (offset, record) in scan.records {
+        let refused = 'record: {
+            match record {
+                WalRecord::Checkpoint { version, doc } => {
+                    // after the log's first frame, a checkpoint sits at the
+                    // log's version (a periodic one) or at the next one (a
+                    // publication that stated no splices)
+                    if let Some((v, _)) = &state {
+                        if version != *v && version != *v + 1 {
+                            break 'record Some(format!(
+                                "checkpoint at v{version} but log is at v{v}"
+                            ));
+                        }
                     }
+                    checkpoint_version = version;
+                    records_since_checkpoint = 0;
+                    state = Some((version, doc));
                 }
-                checkpoint_version = version;
-                records_since_checkpoint = 0;
-                state = Some((version, doc));
-            }
-            WalRecord::Splices { version, ops } => {
-                let Some((v, doc)) = &mut state else {
-                    truncated = Some((offset, "splice record before any checkpoint".to_string()));
-                    valid_len = offset;
-                    break 'replay;
-                };
-                if version != *v + 1 {
-                    truncated = Some((
-                        offset,
-                        format!("splice record at v{version} but log is at v{v}"),
-                    ));
-                    valid_len = offset;
-                    break 'replay;
-                }
-                for (call, result) in &ops {
-                    if doc
-                        .splice_by_call_id(axml_xml::CallId(*call), result)
-                        .is_none()
-                    {
-                        truncated =
-                            Some((offset, format!("splice references unknown call id {call}")));
-                        valid_len = offset;
-                        break 'replay;
-                    }
-                    splices_replayed += 1;
-                }
-                *v = version;
-                records_since_checkpoint += 1;
-            }
-            WalRecord::Snapshot { version, doc } => {
-                if let Some((v, _)) = &state {
+                WalRecord::Splices { version, ops } => {
+                    let Some((v, doc)) = &mut state else {
+                        break 'record Some("splice record before any checkpoint".to_string());
+                    };
                     if version != *v + 1 {
-                        truncated = Some((
-                            offset,
-                            format!("snapshot record at v{version} but log is at v{v}"),
+                        break 'record Some(format!(
+                            "splice record at v{version} but log is at v{v}"
                         ));
-                        valid_len = offset;
-                        break 'replay;
                     }
+                    for (call, result) in &ops {
+                        if doc
+                            .splice_by_call_id(axml_xml::CallId(*call), result)
+                            .is_none()
+                        {
+                            break 'record Some(format!(
+                                "splice references unknown call id {call}"
+                            ));
+                        }
+                        splices_replayed += 1;
+                    }
+                    *v = version;
+                    records_since_checkpoint += 1;
                 }
-                state = Some((version, doc));
-                records_since_checkpoint += 1;
+                WalRecord::Watermark {
+                    subscription,
+                    version,
+                } => {
+                    watermarks.insert(subscription, version);
+                }
             }
-            WalRecord::Watermark {
-                subscription,
-                version,
-            } => {
-                watermarks.insert(subscription, version);
-            }
+            None
+        };
+        if let Some(reason) = refused {
+            // the log ends before this frame, and the state is what the
+            // frames before it replay to: a splice record refused part
+            // way has already applied its first splices
+            let prefix = offset as usize;
+            return RecoveredLog {
+                truncated: Some((offset, reason)),
+                ..recover_log(&buf[..prefix])
+            };
         }
         frames += 1;
     }
@@ -149,8 +138,8 @@ pub fn recover_log(buf: &[u8]) -> RecoveredLog {
         checkpoint_version,
         records_since_checkpoint,
         watermarks,
-        valid_len,
-        truncated,
+        valid_len: scan.valid_len,
+        truncated: scan.truncated,
     }
 }
 
@@ -357,6 +346,31 @@ mod tests {
     }
 
     #[test]
+    fn a_splice_record_refused_part_way_applies_none_of_its_splices() {
+        let (d, cid) = doc_with_call();
+        let mut result = Document::default();
+        result.add_root_text("x");
+        let result = Arc::new(result);
+        let checkpoint = [WalRecord::Checkpoint {
+            version: 0,
+            doc: d.clone(),
+        }];
+        let mut records = checkpoint.to_vec();
+        records.push(WalRecord::Splices {
+            version: 1,
+            ops: vec![(cid.0, Arc::clone(&result)), (999, result)],
+        });
+        let rec = recover_log(&log(&records));
+        let offset = log(&checkpoint).len() as u64;
+        assert_eq!(rec.truncated.as_ref().map(|(at, _)| *at), Some(offset));
+        assert_eq!(rec.valid_len, offset);
+        assert_eq!((rec.version, rec.frames, rec.splices_replayed), (0, 1, 0));
+        let doc = rec.doc.expect("recovered");
+        assert_eq!(axml_xml::to_xml(&doc), axml_xml::to_xml(&d));
+        assert!(doc.find_call(cid).is_some(), "the first splice is undone");
+    }
+
+    #[test]
     fn unknown_call_id_truncates() {
         let (d, _) = doc_with_call();
         let mut result = Document::default();
@@ -406,15 +420,55 @@ mod tests {
                 version: 1,
                 doc: d1.clone(),
             },
-            WalRecord::Snapshot {
+            // a publication that stated no splices
+            WalRecord::Checkpoint {
                 version: 2,
-                doc: d1,
+                doc: Document::with_root("v2"),
             },
         ]);
         let rec = recover_log(&buf);
         assert!(rec.truncated.is_none());
         assert_eq!(rec.version, 2);
-        assert_eq!(rec.checkpoint_version, 1);
-        assert_eq!(rec.records_since_checkpoint, 1);
+        assert_eq!(rec.checkpoint_version, 2);
+        assert_eq!(rec.records_since_checkpoint, 0);
+        let doc = rec.doc.expect("recovered");
+        assert_eq!(doc.label(doc.root()), "v2");
+    }
+
+    #[test]
+    fn a_checkpoint_off_the_chain_truncates_at_its_frame() {
+        let (d, cid) = doc_with_call();
+        let mut result = Document::default();
+        result.add_root_text("1");
+        let prefix = [
+            WalRecord::Checkpoint {
+                version: 0,
+                doc: d.clone(),
+            },
+            WalRecord::Splices {
+                version: 1,
+                ops: vec![(cid.0, Arc::new(result))],
+            },
+        ];
+        // two versions ahead of the log, and one behind it
+        for (stray, log_at) in [(3, 1), (0, 1)] {
+            let mut records = prefix.to_vec();
+            records.push(WalRecord::Checkpoint {
+                version: stray,
+                doc: d.clone(),
+            });
+            let buf = log(&records);
+            let offset = log(&prefix).len() as u64;
+            let rec = recover_log(&buf);
+            assert_eq!(rec.version, log_at);
+            assert_eq!(rec.frames, 2);
+            assert_eq!(rec.valid_len, offset);
+            let (at, reason) = rec.truncated.expect("truncated");
+            assert_eq!(at, offset);
+            assert!(
+                reason.contains(&format!("checkpoint at v{stray} but log is at v{log_at}")),
+                "{reason}"
+            );
+        }
     }
 }

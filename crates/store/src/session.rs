@@ -15,7 +15,7 @@ use axml_obs::TraceSink;
 use axml_query::{render_result, Pattern};
 use axml_schema::Schema;
 use axml_services::Registry;
-use axml_xml::{DocSnapshot, Document, VersionedDocument};
+use axml_xml::{DocSnapshot, Document, SpliceOp, VersionedDocument};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -103,7 +103,6 @@ pub struct Session<'a> {
     options: SessionOptions,
     observer: Option<&'a dyn TraceSink>,
     clock_ms: f64,
-    queries_run: usize,
 }
 
 impl<'a> Session<'a> {
@@ -131,7 +130,6 @@ impl<'a> Session<'a> {
             options,
             observer: None,
             clock_ms: 0.0,
-            queries_run: 0,
         }
     }
 
@@ -147,11 +145,6 @@ impl<'a> Session<'a> {
     /// The session's simulated clock, in milliseconds.
     pub fn clock_ms(&self) -> f64 {
         self.clock_ms
-    }
-
-    /// Queries evaluated so far.
-    pub fn queries_run(&self) -> usize {
-        self.queries_run
     }
 
     /// A snapshot of the currently published version of the document this
@@ -218,11 +211,20 @@ impl<'a> Session<'a> {
                 // next version so later queries find no calls left to
                 // invoke — but only if nobody published since our
                 // snapshot (the clone is O(pages): COW page pointers).
-                if self.doc.publish_if(doc_version, working.clone()).is_err() {
+                // The run alone changed the copy, so its splices, even
+                // none, are the whole delta from the version it read.
+                let splices: Vec<SpliceOp> = (report.splices.iter())
+                    .map(|s| SpliceOp {
+                        call: s.call,
+                        result: Arc::clone(&s.result),
+                    })
+                    .collect();
+                let copy = working.clone();
+                let published = self.doc.publish_if(doc_version, copy, Some(&splices), None);
+                if published.is_err() {
                     continue;
                 }
             }
-            self.queries_run += 1;
             return self.package(&working, report, doc_version);
         }
     }

@@ -117,8 +117,7 @@ impl DocumentStore {
         };
         let mut report = RecoveryReport::default();
         for rec in recovered {
-            if let Some(mut doc) = rec.doc {
-                doc.enable_splice_journal();
+            if let Some(doc) = rec.doc {
                 let file = manager.dir().open_append(&rec.file)?;
                 manager.adopt_recovered(&rec.name, file, rec.version, rec.records_since_checkpoint);
                 manager.emit_recovery(
@@ -161,16 +160,15 @@ impl DocumentStore {
     /// stored under that name, if any.
     ///
     /// On a durable store this also starts the document's write-ahead
-    /// log (header + initial checkpoint, synced before this returns) and
-    /// enables its splice journal so publications log compact splice
-    /// records. A log that cannot be created is recorded as a sticky
-    /// failure on [`DurabilityManager::failure`] rather than panicking —
-    /// the document still works, it just is not durable.
+    /// log (header + initial checkpoint, synced before this returns), to
+    /// which every later publication appends: the splices it states, or
+    /// a checkpoint of its version. A log that cannot be created is
+    /// recorded as a sticky failure on [`DurabilityManager::failure`]
+    /// rather than panicking — the document still works, it just is not
+    /// durable.
     pub fn insert(&mut self, name: impl Into<String>, doc: Document) -> Option<Document> {
         let name = name.into();
-        let mut doc = doc;
         let versioned = if let Some(wal) = &self.wal {
-            doc.enable_splice_journal();
             let _ = wal.attach_new_doc(&name, &doc, 0);
             let versioned = Arc::new(VersionedDocument::new(doc));
             versioned.set_tap(Arc::new(DocTap::new(Arc::clone(wal), &name)));

@@ -4,9 +4,12 @@
 //! to that document's append-only log file *before* the new version
 //! becomes visible to readers (the append runs inside the
 //! `VersionedDocument` publish lock via a
-//! [`PublicationTap`]). Periodically the log folds the
-//! splice history into a full-document checkpoint frame so recovery
-//! replay stays bounded.
+//! [`PublicationTap`]). A publication that states its splices logs them;
+//! one that states none logs a full-document checkpoint of its version.
+//! Periodically the log folds the splice history into a checkpoint frame
+//! too, so recovery replay stays bounded. Every frame, whatever its
+//! record, reaches the file through one append path, which syncs it when
+//! the policy says so and acknowledges what the sync covered.
 //!
 //! The log speaks to storage through the [`LogDir`] / [`LogFile`] traits
 //! with two implementations:
@@ -25,7 +28,7 @@
 //!
 //! ## Frame format
 //!
-//! A log file is `AXMLWAL2` (8 magic bytes) followed by frames:
+//! A log file is `AXMLWAL3` (8 magic bytes) followed by frames:
 //!
 //! ```text
 //! [len: u32 LE] [crc32: u32 LE over payload] [payload: len bytes]
@@ -35,15 +38,15 @@
 //! frames in order and truncates the file at the first frame whose
 //! length is implausible, whose payload is short, or whose CRC or
 //! decoding fails — everything before that point is the *valid prefix*.
-//! A file whose magic names another format version (`AXMLWAL1`, whose
-//! publication records also carried change-scope paths) has no valid
-//! prefix: recovery reports it unrecoverable and leaves it in place.
+//! A file whose magic names another format version has no valid prefix:
+//! recovery reports it unrecoverable and leaves it in place. `AXMLWAL1`
+//! publication records also carried change-scope paths, and `AXMLWAL2`
+//! logs may hold tag-3 records, full images of a publication, which
+//! `AXMLWAL3` writes as checkpoints.
 
 use crate::checkpoint::{DurabilityOptions, DurabilityStats};
 use axml_obs::{Event, EventKind, TraceSink};
-use axml_xml::{
-    decode_document, document_to_bytes, Document, Forest, Publication, PublicationTap, SpliceOp,
-};
+use axml_xml::{decode_document, document_to_bytes, Document, Forest, Publication, PublicationTap};
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -51,7 +54,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Magic bytes opening every log file; doubles as a format version.
-pub const WAL_MAGIC: &[u8; 8] = b"AXMLWAL2";
+pub const WAL_MAGIC: &[u8; 8] = b"AXMLWAL3";
 
 /// Upper bound on a single frame payload; anything larger in a length
 /// field is treated as corruption rather than attempted as an allocation.
@@ -567,29 +570,23 @@ impl LogDir for SimDir {
 /// One logical log record (the payload of one frame).
 #[derive(Clone, Debug)]
 pub enum WalRecord {
-    /// Full document image at `version`; recovery replays splices on top
-    /// of the newest one.
+    /// Full document image at `version`: the initial one, a periodic one
+    /// at the log's version, or a publication that stated no splices, at
+    /// the version it produced. Recovery replays splices on top of the
+    /// newest one.
     Checkpoint {
         /// Publication version the image corresponds to.
         version: u64,
         /// The full document (exact binary image, call ids preserved).
         doc: Document,
     },
-    /// The splices of one publication (the common, compact record).
+    /// The splices one publication stated (the common, compact record).
     Splices {
         /// Version this publication produced.
         version: u64,
         /// `(call id, result forest)` pairs, in splice order. The forests
-        /// are the ones the splice journal recorded, shared, not copies.
+        /// are the ones the publisher spliced, shared, not copies.
         ops: Vec<(u64, Arc<Forest>)>,
-    },
-    /// Full-image fallback when a publication's delta is unknown (the
-    /// document was mutated outside `splice_call` since the last publish).
-    Snapshot {
-        /// Version this publication produced.
-        version: u64,
-        /// The full document after the publication.
-        doc: Document,
     },
     /// A subscription's delivery watermark advanced — lets recovery
     /// re-anchor the subscription instead of forcing a full re-eval.
@@ -607,7 +604,6 @@ impl WalRecord {
         match self {
             WalRecord::Checkpoint { .. } => "checkpoint",
             WalRecord::Splices { .. } => "splices",
-            WalRecord::Snapshot { .. } => "snapshot",
             WalRecord::Watermark { .. } => "watermark",
         }
     }
@@ -615,7 +611,6 @@ impl WalRecord {
 
 const TAG_CHECKPOINT: u8 = 1;
 const TAG_SPLICES: u8 = 2;
-const TAG_SNAPSHOT: u8 = 3;
 const TAG_WATERMARK: u8 = 4;
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -716,11 +711,6 @@ pub fn encode_record(record: &WalRecord) -> Vec<u8> {
                 put_bytes(&mut out, &document_to_bytes(result));
             }
         }
-        WalRecord::Snapshot { version, doc } => {
-            out.push(TAG_SNAPSHOT);
-            put_u64(&mut out, *version);
-            put_bytes(&mut out, &document_to_bytes(doc));
-        }
         WalRecord::Watermark {
             subscription,
             version,
@@ -752,11 +742,6 @@ pub fn decode_record(buf: &[u8]) -> Result<WalRecord, WalError> {
                 ops.push((call, Arc::new(result)));
             }
             WalRecord::Splices { version, ops }
-        }
-        TAG_SNAPSHOT => {
-            let version = r.u64()?;
-            let doc = r.doc()?;
-            WalRecord::Snapshot { version, doc }
         }
         TAG_WATERMARK => {
             let subscription = r.string()?;
@@ -873,9 +858,65 @@ struct DocLog {
     file: Box<dyn LogFile>,
     records_since_checkpoint: u64,
     appends_since_sync: u32,
+    /// The version of the last publication frame appended: what the next
+    /// sync acknowledges.
     appended_version: u64,
     acked_version: Option<u64>,
     failed: Option<String>,
+}
+
+impl DocLog {
+    /// A log whose frames so far bring its document to `version`, none
+    /// of them acknowledged.
+    fn new(file: Box<dyn LogFile>, version: u64) -> DocLog {
+        DocLog {
+            file,
+            records_since_checkpoint: 0,
+            appends_since_sync: 0,
+            appended_version: version,
+            acked_version: None,
+            failed: None,
+        }
+    }
+
+    /// Appends `bytes` — one frame, after the header in a new log — and
+    /// syncs when `force_sync` is set or the policy says a sync is due; a
+    /// sync acknowledges every publication appended so far. This is the
+    /// one path by which anything reaches the file. Returns whether it
+    /// synced. A failed append or sync sticks: this call and every later
+    /// one return the failure without touching the file.
+    fn append(
+        &mut self,
+        bytes: &[u8],
+        force_sync: bool,
+        options: &DurabilityOptions,
+    ) -> Result<bool, WalError> {
+        if let Some(failed) = &self.failed {
+            return Err(WalError(failed.clone()));
+        }
+        let appended = self.file.append(bytes).and_then(|()| {
+            self.appends_since_sync += 1;
+            let due = force_sync || options.sync_due(self.appends_since_sync);
+            if due {
+                self.file.sync()?;
+                self.appends_since_sync = 0;
+                self.acked_version = Some(self.appended_version);
+            }
+            Ok(due)
+        });
+        if let Err(e) = &appended {
+            self.failed = Some(e.0.clone());
+        }
+        appended
+    }
+}
+
+/// The frame of a checkpoint of `doc` at `version`.
+fn checkpoint_frame(version: u64, doc: &Document) -> Vec<u8> {
+    frame(&encode_record(&WalRecord::Checkpoint {
+        version,
+        doc: doc.clone(),
+    }))
 }
 
 /// Owns the log directory and one open log per durable document. A
@@ -930,15 +971,6 @@ impl DurabilityManager {
             .and_then(|l| l.acked_version)
     }
 
-    /// Last publication version appended (synced or not).
-    pub fn appended_version(&self, doc: &str) -> Option<u64> {
-        self.logs
-            .lock()
-            .unwrap()
-            .get(doc)
-            .map(|l| l.appended_version)
-    }
-
     /// The sticky failure of `doc`'s log, if it has one. Once a log
     /// fails (I/O error or simulated crash), further publications for
     /// that document are not logged.
@@ -967,65 +999,32 @@ impl DurabilityManager {
     /// Starts a fresh log for a newly inserted document: (re)creates the
     /// file, writes the header and a `Checkpoint` at `version`, and syncs
     /// unconditionally — an insert is only acknowledged durable once its
-    /// initial checkpoint is on disk.
+    /// initial checkpoint is on disk. A log that cannot be created or
+    /// written records a sticky failure, so later publications skip it
+    /// instead of panicking inside the publish lock.
     pub fn attach_new_doc(&self, name: &str, doc: &Document, version: u64) -> Result<(), WalError> {
         let file_name = log_file_name(name);
-        let result: Result<(Box<dyn LogFile>, usize), WalError> = (|| {
+        let opened = (|| {
             // An insert over an existing name restarts that document's
             // history; the old log is discarded.
             if self.dir.list()?.contains(&file_name) {
                 self.dir.truncate(&file_name, 0)?;
             }
-            let file = self.dir.open_append(&file_name)?;
-            let payload = encode_record(&WalRecord::Checkpoint {
-                version,
-                doc: doc.clone(),
-            });
-            let framed = frame(&payload);
-            let mut bytes = WAL_MAGIC.to_vec();
-            bytes.extend_from_slice(&framed);
-            file.append(&bytes)?;
-            file.sync()?;
-            Ok((file, framed.len()))
+            self.dir.open_append(&file_name)
         })();
-        match result {
-            Ok((file, bytes)) => {
-                self.logs.lock().unwrap().insert(
-                    name.to_string(),
-                    DocLog {
-                        file,
-                        records_since_checkpoint: 0,
-                        appends_since_sync: 0,
-                        appended_version: version,
-                        acked_version: Some(version),
-                        failed: None,
-                    },
-                );
-                self.stats.lock().unwrap().checkpoints += 1;
-                self.emit(EventKind::WalCheckpoint {
-                    doc: name.to_string(),
-                    version,
-                    bytes,
-                });
-                Ok(())
-            }
-            Err(e) => {
-                // Record the sticky failure so later publications skip the
-                // log instead of panicking inside the publish lock.
-                self.logs.lock().unwrap().insert(
-                    name.to_string(),
-                    DocLog {
-                        file: Box::new(FailedFile),
-                        records_since_checkpoint: 0,
-                        appends_since_sync: 0,
-                        appended_version: version,
-                        acked_version: None,
-                        failed: Some(e.0.clone()),
-                    },
-                );
-                Err(e)
-            }
-        }
+        let log = match opened {
+            Ok(file) => DocLog::new(file, version),
+            Err(e) => DocLog {
+                failed: Some(e.0),
+                ..DocLog::new(Box::new(FailedFile), version)
+            },
+        };
+        let mut logs = self.logs.lock().unwrap();
+        let log = logs.entry(name.to_string()).insert_entry(log).into_mut();
+        let framed = checkpoint_frame(version, doc);
+        log.append(&[&WAL_MAGIC[..], &framed].concat(), true, &self.options)?;
+        self.checkpointed(name, log, version, framed.len());
+        Ok(())
     }
 
     /// Adopts a recovered log: the file is already positioned at its
@@ -1038,109 +1037,52 @@ impl DurabilityManager {
         version: u64,
         records_since_checkpoint: u64,
     ) {
-        self.logs.lock().unwrap().insert(
-            name.to_string(),
-            DocLog {
-                file,
-                records_since_checkpoint,
-                appends_since_sync: 0,
-                appended_version: version,
-                acked_version: Some(version),
-                failed: None,
-            },
-        );
+        let log = DocLog {
+            records_since_checkpoint,
+            acked_version: Some(version),
+            ..DocLog::new(file, version)
+        };
+        self.logs.lock().unwrap().insert(name.to_string(), log);
     }
 
     /// Called by [`DocTap`] inside the publish lock: appends the
-    /// publication's record (splices when the journal is clean, full
-    /// snapshot otherwise), syncs per policy, and writes a checkpoint
-    /// when one is due.
+    /// publication's record — the splices it states, or else a checkpoint
+    /// of its version — syncs per policy, and writes a checkpoint when
+    /// one is due. A publication written as a checkpoint restarts the
+    /// cadence, so no second image of the same version follows it.
     fn record_publication(&self, name: &str, publication: &Publication<'_>) {
+        let version = publication.version;
         let record = match publication.splices {
             Some(ops) => WalRecord::Splices {
-                version: publication.version,
+                version,
                 ops: ops
                     .iter()
-                    .map(|op: &SpliceOp| (op.call.0, Arc::clone(&op.result)))
+                    .map(|op| (op.call.0, Arc::clone(&op.result)))
                     .collect(),
             },
-            None => WalRecord::Snapshot {
-                version: publication.version,
+            None => WalRecord::Checkpoint {
+                version,
                 doc: publication.doc.clone(),
             },
         };
-        let record_name = record.kind_name();
         let mut logs = self.logs.lock().unwrap();
         let Some(log) = logs.get_mut(name) else {
             return;
         };
-        if log.failed.is_some() {
+        log.appended_version = version;
+        if !self.append_record(name, log, version, &record) {
             return;
         }
-        let framed = frame(&encode_record(&record));
-        if let Err(e) = log.file.append(&framed) {
-            log.failed = Some(e.0);
-            return;
-        }
-        log.appended_version = publication.version;
-        log.appends_since_sync += 1;
-        self.stats.lock().unwrap().appends += 1;
-        let mut synced = false;
-        if self.options.sync_due(log.appends_since_sync) {
-            match log.file.sync() {
-                Ok(()) => {
-                    log.acked_version = Some(log.appended_version);
-                    log.appends_since_sync = 0;
-                    synced = true;
-                    self.stats.lock().unwrap().synced_appends += 1;
-                }
-                Err(e) => {
-                    log.failed = Some(e.0);
-                    return;
-                }
-            }
-        }
-        self.emit(EventKind::WalAppend {
-            doc: name.to_string(),
-            version: publication.version,
-            record: record_name.to_string(),
-            bytes: framed.len(),
-            synced,
-        });
-        log.records_since_checkpoint += 1;
+        log.records_since_checkpoint = match record {
+            WalRecord::Splices { .. } => log.records_since_checkpoint + 1,
+            _ => 0,
+        };
         if self.options.checkpoint_due(log.records_since_checkpoint) {
-            let payload = encode_record(&WalRecord::Checkpoint {
-                version: publication.version,
-                doc: publication.doc.clone(),
-            });
-            let framed = frame(&payload);
-            if let Err(e) = log.file.append(&framed) {
-                log.failed = Some(e.0);
-                return;
+            // rides the same sync cadence as ordinary appends
+            let framed = checkpoint_frame(version, publication.doc);
+            if log.append(&framed, false, &self.options).is_ok() {
+                self.checkpointed(name, log, version, framed.len());
             }
-            // A checkpoint rides the same sync cadence as ordinary
-            // appends; under `Always` it is immediately durable.
-            if self.options.sync_due(log.appends_since_sync + 1) {
-                match log.file.sync() {
-                    Ok(()) => {
-                        log.acked_version = Some(log.appended_version);
-                        log.appends_since_sync = 0;
-                    }
-                    Err(e) => {
-                        log.failed = Some(e.0);
-                        return;
-                    }
-                }
-            } else {
-                log.appends_since_sync += 1;
-            }
-            log.records_since_checkpoint = 0;
-            self.stats.lock().unwrap().checkpoints += 1;
-            self.emit(EventKind::WalCheckpoint {
-                doc: name.to_string(),
-                version: publication.version,
-                bytes: framed.len(),
-            });
         }
     }
 
@@ -1151,41 +1093,49 @@ impl DurabilityManager {
             subscription: subscription.to_string(),
             version,
         };
-        let mut logs = self.logs.lock().unwrap();
-        let Some(log) = logs.get_mut(doc) else {
-            return;
+        if let Some(log) = self.logs.lock().unwrap().get_mut(doc) {
+            self.append_record(doc, log, version, &record);
+        }
+    }
+
+    /// Appends a publication or watermark `record` to `log`, counts it
+    /// and traces it as a `wal_append` at `version`. Returns whether the
+    /// log took it.
+    fn append_record(
+        &self,
+        name: &str,
+        log: &mut DocLog,
+        version: u64,
+        record: &WalRecord,
+    ) -> bool {
+        let framed = frame(&encode_record(record));
+        let Ok(synced) = log.append(&framed, false, &self.options) else {
+            return false;
         };
-        if log.failed.is_some() {
-            return;
-        }
-        let framed = frame(&encode_record(&record));
-        if let Err(e) = log.file.append(&framed) {
-            log.failed = Some(e.0);
-            return;
-        }
-        log.appends_since_sync += 1;
-        self.stats.lock().unwrap().appends += 1;
-        let mut synced = false;
-        if self.options.sync_due(log.appends_since_sync) {
-            match log.file.sync() {
-                Ok(()) => {
-                    log.acked_version = Some(log.appended_version);
-                    log.appends_since_sync = 0;
-                    synced = true;
-                    self.stats.lock().unwrap().synced_appends += 1;
-                }
-                Err(e) => {
-                    log.failed = Some(e.0);
-                    return;
-                }
-            }
+        {
+            let mut stats = self.stats.lock().unwrap();
+            stats.appends += 1;
+            stats.synced_appends += usize::from(synced);
         }
         self.emit(EventKind::WalAppend {
-            doc: doc.to_string(),
+            doc: name.to_string(),
             version,
-            record: "watermark".to_string(),
+            record: record.kind_name().to_string(),
             bytes: framed.len(),
             synced,
+        });
+        true
+    }
+
+    /// Counts and traces an initial or periodic checkpoint frame of
+    /// `bytes` at `version`, after which `log`'s cadence starts over.
+    fn checkpointed(&self, name: &str, log: &mut DocLog, version: u64, bytes: usize) {
+        log.records_since_checkpoint = 0;
+        self.stats.lock().unwrap().checkpoints += 1;
+        self.emit(EventKind::WalCheckpoint {
+            doc: name.to_string(),
+            version,
+            bytes,
         });
     }
 
@@ -1213,8 +1163,8 @@ impl DurabilityManager {
     }
 }
 
-/// Placeholder file for a log whose creation failed; every operation
-/// re-reports the failure.
+/// Placeholder file for a log whose creation failed: the log's sticky
+/// failure, set with it, keeps every write from reaching it.
 struct FailedFile;
 
 impl LogFile for FailedFile {
@@ -1290,10 +1240,6 @@ mod tests {
             WalRecord::Splices {
                 version: 8,
                 ops: vec![(3, Arc::new(tiny_doc())), (5, Arc::default())],
-            },
-            WalRecord::Snapshot {
-                version: 9,
-                doc: tiny_doc(),
             },
             WalRecord::Watermark {
                 subscription: "subs/1".into(),
@@ -1442,5 +1388,66 @@ mod tests {
             kinds,
             vec!["checkpoint", "splices", "splices", "checkpoint"]
         );
+    }
+
+    #[test]
+    fn a_publication_without_splices_is_logged_as_its_checkpoint() {
+        let dir = SimDir::new(CrashProfile::default());
+        let options = DurabilityOptions {
+            checkpoint_every: 2,
+            ..DurabilityOptions::default()
+        };
+        let manager = DurabilityManager::new(Box::new(dir.clone()), options);
+        let ring = Arc::new(axml_obs::RingSink::unbounded());
+        manager.set_sink(Arc::clone(&ring) as Arc<dyn TraceSink>);
+        let doc = tiny_doc();
+        manager.attach_new_doc("doc", &doc, 0).unwrap();
+        let tap = DocTap::new(Arc::clone(&manager), "doc");
+        for (version, splices) in [
+            (1, Some(&[][..])),
+            (2, None),
+            (3, Some(&[])),
+            (4, Some(&[])),
+        ] {
+            tap.on_publish(&Publication {
+                version,
+                doc: &doc,
+                splices,
+            });
+        }
+        assert_eq!(manager.acked_version("doc"), Some(4));
+        // the publication's checkpoint counts as its append, and restarts
+        // the cadence: the periodic checkpoint follows v4, not v2
+        let stats = manager.stats();
+        assert_eq!(
+            (stats.appends, stats.synced_appends, stats.checkpoints),
+            (4, 4, 2)
+        );
+        let scan = scan_frames(&dir.read(&log_file_name("doc")).unwrap());
+        assert!(scan.truncated.is_none());
+        let frames: Vec<(&str, u64)> = (scan.records.iter())
+            .map(|(_, r)| match r {
+                WalRecord::Checkpoint { version, .. } | WalRecord::Splices { version, .. } => {
+                    (r.kind_name(), *version)
+                }
+                WalRecord::Watermark { .. } => unreachable!("no watermark was recorded"),
+            })
+            .collect();
+        assert_eq!(
+            frames,
+            [
+                ("checkpoint", 0),
+                ("splices", 1),
+                ("checkpoint", 2),
+                ("splices", 3),
+                ("splices", 4),
+                ("checkpoint", 4)
+            ]
+        );
+        let events = ring.events();
+        assert!(axml_obs::check_trace(&events).is_empty());
+        let accounting =
+            axml_obs::check_wal_accounting(&events, stats.appends, stats.synced_appends, 2);
+        assert!(accounting.is_empty(), "{accounting:?}");
     }
 }

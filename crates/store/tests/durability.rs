@@ -24,6 +24,11 @@
 //!   and recovering again) yields the same state.
 //! * **Continuity** — the recovered store accepts the remaining
 //!   workload and converges to the reference run's final state.
+//!
+//! A second matrix interleaves the session publications, which state
+//! their splices, with publications of fresh documents, which state none
+//! and are logged as checkpoints of their versions. Both matrices run 64
+//! cases; `PROPTEST_CASES` raises the count.
 
 use axml_query::{parse_query, Pattern};
 use axml_services::{CallRequest, FnService, Registry};
@@ -32,7 +37,7 @@ use axml_store::{
     DurabilityOptions, FsyncPolicy, LogDir, RecoveryReport, SessionOptions, SimDir, WalRecord,
     WAL_MAGIC,
 };
-use axml_xml::{parse, to_xml};
+use axml_xml::{parse, to_xml, Document};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -72,17 +77,59 @@ fn persistent() -> SessionOptions {
     }
 }
 
+/// What step `i` of a workload publishes, as version `i + 1`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Step {
+    /// Query `i` in a persistent session: the one splice it makes.
+    Query,
+    /// A fresh document, published with no splices stated.
+    Fresh,
+}
+
+/// Every step a query: the workload of the first matrix.
+const QUERIES: [Step; K] = [Step::Query; K];
+
+/// The fresh document step `i` publishes, a whole new version as E18
+/// makes them: the inserted document again, every call pending, with one
+/// value naming the step.
+fn fresh_doc(i: usize) -> Document {
+    let mut d = doc();
+    let v = d.add_element(d.root(), "v");
+    d.add_text(v, format!("{i}"));
+    d
+}
+
 /// Runs queries `from..K` against the durable store, returning the XML
 /// after each publication, indexed by version.
 fn run_workload(store: &mut DocumentStore, registry: &Registry, from: usize) -> Vec<String> {
+    run_steps(store, registry, &QUERIES, from)
+}
+
+/// Runs `steps[from..]` against the durable store, returning the XML
+/// after each publication, indexed by version.
+fn run_steps(
+    store: &mut DocumentStore,
+    registry: &Registry,
+    steps: &[Step],
+    from: usize,
+) -> Vec<String> {
     let mut by_version = Vec::new();
-    for i in from..K {
-        let mut session = store
-            .session("doc", registry, None, persistent())
-            .expect("doc stored");
-        let report = session.query(&query(i));
-        assert_eq!(report.answers.len(), 1, "query {i} has one answer row");
-        drop(session);
+    for (i, step) in steps.iter().enumerate().skip(from) {
+        match step {
+            Step::Query => {
+                let mut session = store
+                    .session("doc", registry, None, persistent())
+                    .expect("doc stored");
+                let report = session.query(&query(i));
+                assert_eq!(report.answers.len(), 1, "query {i} has one answer row");
+            }
+            Step::Fresh => {
+                store
+                    .versioned("doc")
+                    .expect("doc stored")
+                    .publish(fresh_doc(i));
+            }
+        }
         by_version.push(to_xml(&store.get("doc").unwrap().to_document()));
     }
     by_version
@@ -90,12 +137,17 @@ fn run_workload(store: &mut DocumentStore, registry: &Registry, from: usize) -> 
 
 /// The uncrashed reference: XML at every version `0..=K`.
 fn reference() -> Vec<String> {
+    reference_of(&QUERIES)
+}
+
+/// The uncrashed reference of `steps`: XML at every version `0..=K`.
+fn reference_of(steps: &[Step]) -> Vec<String> {
     let registry = registry();
     let dir = SimDir::new(CrashProfile::default());
     let mut store = DocumentStore::durable(Box::new(dir), DurabilityOptions::default());
     store.insert("doc", doc());
     let mut xml = vec![to_xml(&store.get("doc").unwrap().to_document())];
-    xml.extend(run_workload(&mut store, &registry, 0));
+    xml.extend(run_steps(&mut store, &registry, steps, 0));
     assert_eq!(xml.len(), K + 1);
     xml
 }
@@ -112,6 +164,18 @@ fn check_crash_point(
     options: DurabilityOptions,
     profile: CrashProfile,
 ) -> Option<u64> {
+    check_steps_crash_point(&QUERIES, reference_xml, crash_after_ops, options, profile)
+}
+
+/// [`check_crash_point`] for the workload `steps`, whose uncrashed
+/// reference is `reference_xml`.
+fn check_steps_crash_point(
+    steps: &[Step],
+    reference_xml: &[String],
+    crash_after_ops: u64,
+    options: DurabilityOptions,
+    profile: CrashProfile,
+) -> Option<u64> {
     let registry = registry();
     let dir = SimDir::new(CrashProfile {
         crash_after_ops: Some(crash_after_ops),
@@ -119,7 +183,7 @@ fn check_crash_point(
     });
     let mut store = DocumentStore::durable(Box::new(dir.clone()), options.clone());
     store.insert("doc", doc());
-    let _ = run_workload(&mut store, &registry, 0);
+    let _ = run_steps(&mut store, &registry, steps, 0);
     let manager = Arc::clone(store.durability().expect("durable store"));
     let acked = manager.acked_version("doc");
     let crashed = dir.crashed();
@@ -209,13 +273,31 @@ fn check_crash_point(
     // Continuity: the recovered store finishes the remaining workload
     // and converges on the reference's final state.
     let (mut resumed, _) = recover(booted, options);
-    let _ = run_workload(&mut resumed, &registry, rv as usize);
+    let _ = run_steps(&mut resumed, &registry, steps, rv as usize);
     assert_eq!(
         to_xml(&resumed.get("doc").unwrap().to_document()),
         reference_xml[K],
         "resumed run must converge to the reference final state"
     );
     Some(rv)
+}
+
+/// The frames an uncrashed run of `steps` leaves in the log, as
+/// `(record kind, version)`.
+fn logged_frames(steps: &[Step], options: DurabilityOptions) -> Vec<(&'static str, u64)> {
+    let dir = SimDir::new(CrashProfile::default());
+    let mut store = DocumentStore::durable(Box::new(dir.clone()), options);
+    store.insert("doc", doc());
+    let _ = run_steps(&mut store, &registry(), steps, 0);
+    let scan = scan_frames(&dir.persisted(&log_file_name("doc")));
+    assert!(scan.truncated.is_none());
+    (scan.records.iter())
+        .map(|(_, record)| match record {
+            WalRecord::Checkpoint { version, .. } => ("checkpoint", *version),
+            WalRecord::Splices { version, .. } => ("splices", *version),
+            WalRecord::Watermark { .. } => unreachable!("no subscription runs"),
+        })
+        .collect()
 }
 
 proptest! {
@@ -240,6 +322,52 @@ proptest! {
         };
         let profile = CrashProfile { seed, drop_flush_span, bit_rot, crash_after_ops: None };
         check_crash_point(&reference_xml, crash_after_ops, options, profile);
+    }
+
+    /// The crash matrix over a stream that interleaves session
+    /// publications with publications of fresh documents, which state no
+    /// splices: crash points × checkpoint cadence × fsync policy × fault
+    /// seeds, with the same oracle. The uncrashed log holds one
+    /// checkpoint frame per fresh document, at its version, and the
+    /// periodic checkpoints count records from the last checkpoint of
+    /// either kind.
+    #[test]
+    fn crash_matrix_with_fresh_documents(
+        fresh in proptest::collection::vec(any::<bool>(), K),
+        crash_after_ops in 1u64..48,
+        checkpoint_every in (0u64..4).prop_map(|i| [1u64, 2, 5, 8][i as usize]),
+        every_n in (0u64..3).prop_map(|i| [1u32, 2, 3][i as usize]),
+        seed in any::<u64>(),
+        faults in (any::<bool>(), any::<bool>()),
+    ) {
+        let steps: Vec<Step> = (fresh.iter())
+            .map(|&f| if f { Step::Fresh } else { Step::Query })
+            .collect();
+        let options = DurabilityOptions {
+            checkpoint_every,
+            fsync: if every_n == 1 { FsyncPolicy::Always } else { FsyncPolicy::EveryN(every_n) },
+        };
+        let mut expected = vec![("checkpoint", 0)];
+        let mut since_checkpoint = 0;
+        for (version, step) in (1u64..).zip(&steps) {
+            if *step == Step::Fresh {
+                expected.push(("checkpoint", version));
+                since_checkpoint = 0;
+                continue;
+            }
+            expected.push(("splices", version));
+            since_checkpoint += 1;
+            if options.checkpoint_due(since_checkpoint) {
+                expected.push(("checkpoint", version));
+                since_checkpoint = 0;
+            }
+        }
+        prop_assert_eq!(logged_frames(&steps, options.clone()), expected);
+
+        let reference_xml = reference_of(&steps);
+        let (drop_flush_span, bit_rot) = faults;
+        let profile = CrashProfile { seed, drop_flush_span, bit_rot, crash_after_ops: None };
+        check_steps_crash_point(&steps, &reference_xml, crash_after_ops, options, profile);
     }
 }
 
@@ -410,40 +538,55 @@ fn garbage_log_is_reported_unrecoverable() {
     assert!(diag.contains("offset 0"), "{diag}");
 }
 
-/// A log in the previous format (`AXMLWAL1`, whose publication records
-/// carried a change-scope field after the version) is reported
-/// unrecoverable at offset 0 and left untouched, instead of being decoded
-/// up to its first publication record and truncated there.
+/// A log in a previous format is reported unrecoverable at offset 0 and
+/// left untouched, instead of being decoded up to its first record the
+/// current format reads differently and truncated there: `AXMLWAL1`,
+/// whose publication records carried a change-scope field after the
+/// version, and `AXMLWAL2`, which logged a publication without stated
+/// splices as a full image under tag 3.
 #[test]
 fn previous_format_log_is_reported_unrecoverable_and_kept() {
+    let checkpoint = frame(&encode_record(&WalRecord::Checkpoint {
+        version: 0,
+        doc: doc(),
+    }));
     let mut splices = encode_record(&WalRecord::Splices {
         version: 1,
         ops: Vec::new(),
     });
-    // the previous layout's "scope unknown" flag, after tag and version
+    // the first layout's "scope unknown" flag, after tag and version
     splices.insert(9, 0);
-    let mut old = b"AXMLWAL1".to_vec();
-    old.extend(frame(&encode_record(&WalRecord::Checkpoint {
-        version: 0,
+    let mut wal1 = b"AXMLWAL1".to_vec();
+    wal1.extend(&checkpoint);
+    wal1.extend(frame(&splices));
+    // the second layout's full image of a publication: a checkpoint's
+    // body under tag 3
+    let mut image = encode_record(&WalRecord::Checkpoint {
+        version: 1,
         doc: doc(),
-    })));
-    old.extend(frame(&splices));
-    assert_ne!(&old[..8], WAL_MAGIC);
+    });
+    image[0] = 3;
+    let mut wal2 = b"AXMLWAL2".to_vec();
+    wal2.extend(&checkpoint);
+    wal2.extend(frame(&image));
 
-    let file = log_file_name("doc");
-    let dir = SimDir::new(CrashProfile::default());
-    dir.set_persisted(&file, old.clone());
-    let (store, report) = recover(dir.clone(), DurabilityOptions::default());
-    assert!(store.is_empty());
-    let diag = report.first_error().expect("diagnostic");
-    assert!(diag.contains(&file), "{diag}");
-    assert!(diag.contains("offset 0"), "{diag}");
-    assert!(diag.contains("AXMLWAL1"), "{diag}");
-    assert_eq!(
-        dir.read(&file).unwrap(),
-        old,
-        "the old log is left in place"
-    );
+    for (magic, old) in [("AXMLWAL1", wal1), ("AXMLWAL2", wal2)] {
+        assert_ne!(&old[..8], WAL_MAGIC);
+        let file = log_file_name("doc");
+        let dir = SimDir::new(CrashProfile::default());
+        dir.set_persisted(&file, old.clone());
+        let (store, report) = recover(dir.clone(), DurabilityOptions::default());
+        assert!(store.is_empty());
+        let diag = report.first_error().expect("diagnostic");
+        assert!(diag.contains(&file), "{diag}");
+        assert!(diag.contains("offset 0"), "{diag}");
+        assert!(diag.contains(magic), "{diag}");
+        assert_eq!(
+            dir.read(&file).unwrap(),
+            old,
+            "the old log is left in place"
+        );
+    }
 }
 
 /// The wal_* trace stream satisfies the durability oracle checks and the

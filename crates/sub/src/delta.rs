@@ -10,6 +10,7 @@
 //! [`crate::SubscriptionEngine::reconcile`] and
 //! [`crate::SubscriptionEngine::run_until`].
 
+use axml_obs::push_escaped;
 use std::collections::BTreeSet;
 
 /// One change to a standing query's answer, emitted when a published
@@ -71,15 +72,19 @@ impl Delta {
             .count()
     }
 
-    /// Deterministic single-line JSON rendering (field order fixed, keys
-    /// escaped like `axml_obs::json`).
+    /// Deterministic single-line JSON rendering (field order fixed,
+    /// strings escaped by [`axml_obs::push_escaped`]).
     pub fn to_json(&self) -> String {
+        let quoted = |s: &str| {
+            let mut out = String::with_capacity(s.len() + 2);
+            push_escaped(&mut out, s);
+            out
+        };
         let rows = |rows: &[Vec<String>]| {
             let items: Vec<String> = rows
                 .iter()
                 .map(|r| {
-                    let cells: Vec<String> =
-                        r.iter().map(|c| format!("\"{}\"", escape(c))).collect();
+                    let cells: Vec<String> = r.iter().map(|c| quoted(c)).collect();
                     format!("[{}]", cells.join(","))
                 })
                 .collect();
@@ -90,8 +95,8 @@ impl Delta {
             None => String::new(),
         };
         format!(
-            "{{\"subscription\":\"{}\",\"version\":{},\"sim_ms\":{},\"added\":{},\"removed\":{},\"changed\":{},\"full_reeval\":{}{}}}",
-            escape(&self.subscription),
+            "{{\"subscription\":{},\"version\":{},\"sim_ms\":{},\"added\":{},\"removed\":{},\"changed\":{},\"full_reeval\":{}{}}}",
+            quoted(&self.subscription),
             self.version,
             self.sim_ms,
             rows(&self.added),
@@ -101,22 +106,6 @@ impl Delta {
             latency
         )
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -169,5 +158,15 @@ mod tests {
         let mut no_latency = delta();
         no_latency.latency_ms = None;
         assert!(!no_latency.to_json().contains("latency_ms"));
+    }
+
+    #[test]
+    fn json_strings_are_escaped() {
+        let mut d = delta();
+        d.subscription = "a\"b\\c".into();
+        d.added = vec![row(&["x\ny\tz\u{1}"])];
+        let j = d.to_json();
+        assert!(j.starts_with("{\"subscription\":\"a\\\"b\\\\c\","), "{j}");
+        assert!(j.contains("\"added\":[[\"x\\ny\\tz\\u0001\"]]"), "{j}");
     }
 }

@@ -174,9 +174,12 @@ impl<'a> SubscriptionEngine<'a> {
     /// An engine over the document stored under `name`, sharing the
     /// store's call cache and compiled-plan cache: every evaluation
     /// fetches its [`axml_core::CompiledQuery`] from the latter. Enables
-    /// publication history on the document (capacity from the options)
-    /// and, on a durable store, attaches its durability manager. `None`
-    /// when the store has no such document.
+    /// publication history on the document (capacity from the options).
+    /// On a durable store every watermark advance is appended to the
+    /// document's write-ahead log as a `watermark` record, so a recovered
+    /// store can re-anchor subscriptions (see
+    /// [`SubscriptionEngine::subscribe_from`]). `None` when the store has
+    /// no such document.
     pub fn over_store(
         store: &DocumentStore,
         name: &str,
@@ -188,14 +191,14 @@ impl<'a> SubscriptionEngine<'a> {
         assert!(options.watch_ms > 0.0, "watch_ms must be positive");
         doc.enable_history(options.history_capacity);
         let materialized = Materialization::of(doc.snapshot().to_document());
-        let engine = SubscriptionEngine {
+        Some(SubscriptionEngine {
             doc,
             materialized,
             registry,
             schema,
             cache: Arc::clone(store.cache()),
             plans: Arc::clone(store.plans()),
-            durability: None,
+            durability: (store.durability()).map(|manager| (Arc::clone(manager), name.to_string())),
             options,
             subs: Vec::new(),
             observer: None,
@@ -203,27 +206,7 @@ impl<'a> SubscriptionEngine<'a> {
             event_seq: 0,
             pending_lapse: None,
             stats: SubscriptionEngineStats::default(),
-        };
-        Some(match store.durability() {
-            Some(manager) => engine.with_durability(Arc::clone(manager), name),
-            None => engine,
         })
-    }
-
-    /// Attaches the store's durability manager: every watermark advance
-    /// is appended to `doc_name`'s write-ahead log as a `watermark`
-    /// record, so a recovered store can re-anchor subscriptions (see
-    /// [`SubscriptionEngine::subscribe_from`]). [`over_store`] wires
-    /// this automatically when the store is durable.
-    ///
-    /// [`over_store`]: SubscriptionEngine::over_store
-    pub fn with_durability(
-        mut self,
-        manager: Arc<DurabilityManager>,
-        doc_name: impl Into<String>,
-    ) -> Self {
-        self.durability = Some((manager, doc_name.into()));
-        self
     }
 
     /// Attaches a structured-trace observer: refresh evaluations emit
@@ -450,15 +433,11 @@ impl<'a> SubscriptionEngine<'a> {
             if truncated || incomplete || !invoked {
                 return None;
             }
-            let changed_classes = round.changed_classes();
-            // The copy's journal holds its splices, but not the restores
-            // that undid earlier ones: a durable store must log this
-            // publication as a full snapshot, not as splices.
-            round.doc.mark_journal_unknown();
-            match self
-                .doc
-                .publish_if_tagged(base_version, round.doc.clone(), Some(changed_classes))
-            {
+            // The round restored lapsed calls as well as splicing, and a
+            // restore is no splice: the publication states no splices,
+            // so a durable store logs it as a checkpoint.
+            let (doc, classes) = (round.doc.clone(), Some(round.changed_classes()));
+            match self.doc.publish_if(base_version, doc, None, classes) {
                 Ok(version) => {
                     self.materialized.adopt(round);
                     self.stats.publications += 1;

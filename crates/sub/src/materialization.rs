@@ -172,11 +172,8 @@ impl Materialization {
         }
     }
 
-    /// Makes a published round the materialization. The round's document
-    /// keeps the splices it journaled, which its published copy logged:
-    /// they are dropped here.
-    pub(crate) fn adopt(&mut self, mut round: Round) {
-        round.doc.take_splice_journal();
+    /// Makes a published round the materialization.
+    pub(crate) fn adopt(&mut self, round: Round) {
         self.doc = round.doc;
         self.places = round.places;
     }

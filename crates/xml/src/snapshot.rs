@@ -11,21 +11,26 @@
 //!
 //! Publication is last-writer-wins by default ([`VersionedDocument::publish`]);
 //! [`VersionedDocument::publish_if`] is the compare-and-swap variant for
-//! writers that must not clobber a version they have not seen. Thanks to the
-//! paged copy-on-write arena (see [`crate::tree`]), turning a snapshot into
-//! a private working copy is cheap: `snapshot.to_document()` copies page
-//! pointers, and the working copy pays only for the pages it touches.
+//! writers that must not clobber a version they have not seen. A writer
+//! states what its publication changed: the splices that turn the version
+//! it read into the one it publishes, when it knows them, and the classes
+//! of the calls it restored or spliced. A write-ahead log persists the
+//! splices instead of the whole document, and subscribers skip versions
+//! outside their queries by the classes. Thanks to the paged copy-on-write
+//! arena (see [`crate::tree`]), turning a snapshot into a private working
+//! copy is cheap: `snapshot.to_document()` copies page pointers, and the
+//! working copy pays only for the pages it touches.
 
 use crate::tree::{Document, SpliceOp};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, RwLock};
 
 /// What one publication looked like, as seen by a [`PublicationTap`]:
-/// the freshly assigned version, the frozen document, and — when
-/// available — the splice delta since the previous version.
-/// `splices: None` means the delta is unknown (the working copy was
-/// mutated outside [`Document::splice_call`], or journaling is off), so a
-/// durability layer must persist the whole document instead.
+/// the freshly assigned version, the frozen document, and — when the
+/// publisher stated them — the splices that turned the previous version
+/// into this one. `splices: None` means the publisher stated none (it
+/// changed the document otherwise, or did not say how), so a durability
+/// layer must persist the whole document instead.
 #[derive(Debug)]
 pub struct Publication<'a> {
     /// The version number this publication produced.
@@ -33,7 +38,7 @@ pub struct Publication<'a> {
     /// The document at that version.
     pub doc: &'a Document,
     /// The splices that turned the previous version into this one, in
-    /// application order (`None` = unknown delta).
+    /// application order (`None` = not stated).
     pub splices: Option<&'a [SpliceOp]>,
 }
 
@@ -85,7 +90,7 @@ impl std::ops::Deref for DocSnapshot {
 
 /// One retained publication on a [`VersionedDocument`]'s history ring:
 /// the published version, its frozen document, and — when the writer
-/// used [`VersionedDocument::publish_if_tagged`] — the classes of the
+/// stated them to [`VersionedDocument::publish_if`] — the classes of the
 /// calls the publication restored or spliced, each the label path of a
 /// parent whose children changed ([`Document::class_path`]). Classes
 /// are numbered by the record's own document, so they are read against
@@ -230,52 +235,51 @@ impl VersionedDocument {
     /// Publishes `doc` as the next version unconditionally (last writer
     /// wins) and returns the new version number. Existing snapshots are
     /// unaffected; future [`VersionedDocument::snapshot`] calls see `doc`.
-    /// The publication is retained with unknown change scope.
-    pub fn publish(&self, mut doc: Document) -> u64 {
-        let splices = doc.take_splice_journal();
+    /// The publication states neither its splices nor its change scope.
+    pub fn publish(&self, doc: Document) -> u64 {
         let mut g = self.current.write().expect("versioned document poisoned");
-        g.0 += 1;
-        g.1 = Arc::new(doc);
-        self.tap_locked(g.0, &g.1, splices.as_deref());
-        self.record_locked(g.0, &g.1, None);
-        g.0
+        self.install_locked(&mut g, doc, None, None)
     }
 
     /// Publishes `doc` only if the current version is still
     /// `base_version` (i.e. nobody published since the writer's snapshot).
     /// Returns the new version on success, or the current (conflicting)
     /// version as `Err` so the writer can re-snapshot and retry.
-    /// The publication is retained with unknown change scope.
-    pub fn publish_if(&self, base_version: u64, doc: Document) -> Result<u64, u64> {
-        self.publish_if_tagged(base_version, doc, None)
-    }
-
-    /// [`VersionedDocument::publish_if`] with an explicit change scope:
-    /// the classes of `doc` whose calls this publication restored or
-    /// spliced, which subscribers use to skip versions provably outside
-    /// their queries.
-    pub fn publish_if_tagged(
+    ///
+    /// The writer states what changed, each part `None` when it cannot:
+    /// `splices`, the splices that turn `base_version` into `doc`, in
+    /// order, which the tap logs instead of the whole document; and
+    /// `changed_classes`, the classes of `doc` whose calls this
+    /// publication restored or spliced, which subscribers use to skip
+    /// versions provably outside their queries.
+    pub fn publish_if(
         &self,
         base_version: u64,
         doc: Document,
+        splices: Option<&[SpliceOp]>,
         changed_classes: Option<Vec<u32>>,
     ) -> Result<u64, u64> {
-        let mut doc = doc;
         let mut g = self.current.write().expect("versioned document poisoned");
         if g.0 != base_version {
             return Err(g.0);
         }
-        let splices = doc.take_splice_journal();
-        g.0 += 1;
-        g.1 = Arc::new(doc);
-        self.tap_locked(g.0, &g.1, splices.as_deref());
-        self.record_locked(g.0, &g.1, changed_classes);
-        Ok(g.0)
+        Ok(self.install_locked(&mut g, doc, splices, changed_classes))
     }
 
-    /// Runs the write-ahead tap inside the publication critical section:
-    /// the version the tap sees is not yet visible to any reader.
-    fn tap_locked(&self, version: u64, doc: &Arc<Document>, splices: Option<&[SpliceOp]>) {
+    /// Makes `doc` the next version under the write lock. The write-ahead
+    /// tap runs first, inside the critical section, so the version it
+    /// sees is not yet visible to any reader; then the history ring
+    /// retains the publication.
+    fn install_locked(
+        &self,
+        current: &mut (u64, Arc<Document>),
+        doc: Document,
+        splices: Option<&[SpliceOp]>,
+        changed_classes: Option<Vec<u32>>,
+    ) -> u64 {
+        current.0 += 1;
+        current.1 = Arc::new(doc);
+        let (version, doc) = (current.0, &current.1);
         let tap = self.tap.lock().expect("publication tap poisoned").clone();
         if let Some(tap) = tap {
             tap.on_publish(&Publication {
@@ -284,15 +288,13 @@ impl VersionedDocument {
                 splices,
             });
         }
-    }
-
-    fn record_locked(&self, version: u64, doc: &Arc<Document>, classes: Option<Vec<u32>>) {
         let mut h = self.history.lock().expect("publication history poisoned");
         h.record(PublicationRecord {
             version,
             doc: Arc::clone(doc),
-            changed_classes: classes,
+            changed_classes,
         });
+        version
     }
 
     /// Every retained publication with version strictly greater than
@@ -345,10 +347,32 @@ mod tests {
     fn publish_if_detects_conflicts() {
         let v = VersionedDocument::new(doc("a"));
         let base = v.snapshot().version();
-        assert_eq!(v.publish_if(base, doc("b")), Ok(1));
+        assert_eq!(v.publish_if(base, doc("b"), None, None), Ok(1));
         // a writer still holding version 0 loses
-        assert_eq!(v.publish_if(base, doc("c")), Err(1));
+        assert_eq!(v.publish_if(base, doc("c"), None, None), Err(1));
         assert_eq!(v.snapshot().label(v.snapshot().root()), "b");
+    }
+
+    #[test]
+    fn the_tap_sees_the_splices_a_publisher_states() {
+        struct Seen(Mutex<Vec<Option<usize>>>);
+        impl PublicationTap for Seen {
+            fn on_publish(&self, publication: &Publication<'_>) {
+                let splices = publication.splices.map(<[SpliceOp]>::len);
+                self.0.lock().unwrap().push(splices);
+            }
+        }
+        let v = VersionedDocument::new(doc("r"));
+        let seen = Arc::new(Seen(Mutex::new(Vec::new())));
+        v.set_tap(Arc::clone(&seen) as Arc<dyn PublicationTap>);
+        let op = SpliceOp {
+            call: crate::CallId(0),
+            result: Arc::new(doc("x")),
+        };
+        assert_eq!(v.publish_if(0, doc("a"), Some(&[op]), None), Ok(1));
+        assert_eq!(v.publish_if(1, doc("b"), Some(&[]), None), Ok(2));
+        assert_eq!(v.publish(doc("c")), 3);
+        assert_eq!(*seen.0.lock().unwrap(), [Some(1), Some(0), None]);
     }
 
     #[test]
@@ -367,7 +391,7 @@ mod tests {
     fn history_replays_publications_from_a_watermark() {
         let v = VersionedDocument::new(doc("r"));
         v.enable_history(8);
-        assert_eq!(v.publish_if_tagged(0, doc("a"), Some(vec![0])), Ok(1));
+        assert_eq!(v.publish_if(0, doc("a"), None, Some(vec![0])), Ok(1));
         v.publish(doc("b")); // unknown scope
         let CatchUp::Records(recs) = v.publications_since(0) else {
             panic!("watermark 0 is at the floor; no degradation expected");

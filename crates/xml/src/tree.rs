@@ -44,6 +44,9 @@
 //! the hint only when its own symbol table holds that label under it, and
 //! interns the label otherwise. The result is exactly the per-node copy's:
 //! the same node ids, call ids, symbols, classes and label-bucket order.
+//! A document keeps no record of the splices made on it: whoever splices
+//! states them when it publishes (a [`SpliceOp`] each; see
+//! [`crate::snapshot`]).
 //!
 //! The document also owns its call index, the function-call guide (F-guide)
 //! of the paper's Section 6.2. A call's *class* is the interned label path
@@ -498,15 +501,6 @@ pub struct Document {
     /// The call index; `None` until the first visible call, so that the
     /// many call-free forests a registry holds pay one pointer for it.
     index: Option<Box<CallIndex>>,
-    /// When `true`, [`Document::splice_call`] records every splice in
-    /// `journal_ops` so a durability layer can persist the delta between
-    /// two published versions instead of the whole document.
-    journal_on: bool,
-    /// Set by every *non-splice* structural mutation while the journal is
-    /// on: the journal alone no longer reproduces the document, so the
-    /// next [`Document::take_splice_journal`] must report "unknown delta".
-    journal_dirty: bool,
-    journal_ops: Vec<SpliceOp>,
     /// How splices read this document as a result forest; set by the
     /// first splice of it, dropped by every node allocation and free.
     plan: OnceLock<Arc<SplicePlan>>,
@@ -515,19 +509,20 @@ pub struct Document {
 /// A forest of AXML trees — the shape of a service-call result.
 pub type Forest = Document;
 
-/// One recorded splice: the consumed call's identity and the result forest
-/// that replaced it. A sequence of `SpliceOp`s applied (in order, via
-/// [`Document::splice_by_call_id`]) to the pre-state reproduces the
-/// post-state exactly — including the fresh [`CallId`]s assigned to calls
-/// inside the result, because splicing draws them deterministically from
-/// the document's monotone call counter. This is what the durability layer
-/// (`axml-store`) persists instead of whole documents.
+/// One splice a publication states: the consumed call's identity and the
+/// result forest that replaced it. A sequence of `SpliceOp`s applied (in
+/// order, via [`Document::splice_by_call_id`]) to the pre-state reproduces
+/// the post-state exactly — including the fresh [`CallId`]s assigned to
+/// calls inside the result, because splicing draws them deterministically
+/// from the document's monotone call counter. A publisher hands them to
+/// [`crate::VersionedDocument::publish_if`], and the durability layer
+/// (`axml-store`) logs them instead of the whole document.
 #[derive(Clone, Debug)]
 pub struct SpliceOp {
     /// The call that was consumed.
     pub call: CallId,
     /// The forest spliced in its place, shared with whoever produced it
-    /// (see [`Document::splice_shared`]).
+    /// (the call cache, or the service that answered).
     pub result: Arc<Forest>,
 }
 
@@ -691,10 +686,8 @@ impl Document {
     }
 
     /// Allocates a childless node as the last child of `parent`, or as
-    /// the last root. Every public builder goes through here, so each one
-    /// marks the splice journal dirty.
+    /// the last root. Every public builder goes through here.
     fn add_node(&mut self, parent: Option<NodeId>, kind: NodeKind, sym: u32) -> NodeId {
-        self.journal_dirty = true;
         let id = self.alloc(kind, sym, parent, 0);
         match parent {
             Some(p) => self.push_child(p, id),
@@ -857,46 +850,6 @@ impl Document {
     /// [`Document::add_call_with_id`]).
     pub(crate) fn set_next_call(&mut self, next: u64) {
         self.next_call = next;
-    }
-
-    /// Starts (or resets) the splice journal: from now on every
-    /// [`Document::splice_call`] is recorded, and every *other* structural
-    /// mutation marks the journal dirty. Pending entries and the dirty
-    /// flag are cleared.
-    pub fn enable_splice_journal(&mut self) {
-        self.journal_on = true;
-        self.journal_dirty = false;
-        self.journal_ops.clear();
-    }
-
-    /// Declares the journal's pending delta unknown: the next
-    /// [`Document::take_splice_journal`] returns `None`, so a durable
-    /// publisher falls back to a full-snapshot record. For *rebasing*
-    /// publishers (e.g. subscription refresh, which re-materializes a
-    /// working copy from the original base document every round) whose
-    /// recorded splices are relative to that base rather than to the
-    /// predecessor version — replaying them from the predecessor would
-    /// corrupt recovery.
-    pub fn mark_journal_unknown(&mut self) {
-        self.journal_dirty = true;
-    }
-
-    /// Drains the splice journal: returns the splices applied since the
-    /// journal was last enabled or drained — or `None` when the journal is
-    /// off, or when a non-splice mutation made the delta unrepresentable
-    /// (the caller must then fall back to persisting the whole document).
-    /// Always resets the journal to clean and empty.
-    pub fn take_splice_journal(&mut self) -> Option<Vec<SpliceOp>> {
-        if !self.journal_on {
-            return None;
-        }
-        let dirty = std::mem::replace(&mut self.journal_dirty, false);
-        let ops = std::mem::take(&mut self.journal_ops);
-        if dirty {
-            None
-        } else {
-            Some(ops)
-        }
     }
 
     /// Pre-order iterator over a subtree (including `root` itself).
@@ -1092,7 +1045,6 @@ impl Document {
     /// Deep-copies the subtree rooted at `src_node` of another document as
     /// a new child of `parent` in this one. Call ids are re-assigned.
     pub fn append_copy(&mut self, parent: NodeId, src: &Document, src_node: NodeId) -> NodeId {
-        self.journal_dirty = true;
         let id = self.copy_from(src, src_node, Some(parent));
         self.push_child(parent, id);
         id
@@ -1101,7 +1053,6 @@ impl Document {
     /// Deep-copies the subtree rooted at `src_node` of another document as
     /// a new root of this forest. Call ids are re-assigned.
     pub fn append_copy_as_root(&mut self, src: &Document, src_node: NodeId) -> NodeId {
-        self.journal_dirty = true;
         let id = self.copy_from(src, src_node, None);
         self.roots.push(id);
         id
@@ -1184,41 +1135,16 @@ impl Document {
     /// deleted, and the forest is plugged in place of it).
     ///
     /// Returns the ids of the inserted roots. Call ids occurring in the
-    /// result are re-assigned so they stay unique in this document. With
-    /// the splice journal on, the journal keeps a copy of `result`;
-    /// [`Document::splice_shared`] keeps a reference instead.
+    /// result are re-assigned so they stay unique in this document. The
+    /// result's splice plan stays with the result, so splicing one forest
+    /// again, here or into another document, reuses it. Costs
+    /// O(siblings + result nodes).
     ///
     /// # Panics
     /// Panics if `call` is not a live function node of this document.
     pub fn splice_call(&mut self, call: NodeId, result: &Forest) -> Vec<NodeId> {
-        self.splice(call, result, || Arc::new(result.clone()))
-    }
-
-    /// [`Document::splice_call`] for a result held in an [`Arc`]: the
-    /// splice journal records the same forest, not a copy, and later
-    /// splices of the same forest reuse its plan.
-    pub fn splice_shared(&mut self, call: NodeId, result: &Arc<Forest>) -> Vec<NodeId> {
-        self.splice(call, result, || Arc::clone(result))
-    }
-
-    /// The splice itself; `journaled` yields the forest the journal keeps.
-    /// Costs O(siblings + result nodes): see [`Document::copy_forest`].
-    fn splice(
-        &mut self,
-        call: NodeId,
-        result: &Forest,
-        journaled: impl FnOnce() -> Arc<Forest>,
-    ) -> Vec<NodeId> {
         assert!(self.is_alive(call), "splice on freed node");
-        let NodeKind::Call(cid) = self.kind(call) else {
-            panic!("splice on a non-function node");
-        };
-        if self.journal_on {
-            self.journal_ops.push(SpliceOp {
-                call: cid,
-                result: journaled(),
-            });
-        }
+        assert!(self.is_call(call), "splice on a non-function node");
         let parent = self.parent(call);
         let pos = self.sibling_index(call);
         self.free_subtree(call);
@@ -1231,8 +1157,10 @@ impl Document {
     /// siblings from position `at` under `parent` (among the roots for
     /// `None`), freeing their subtrees: the inverse of a splice whose
     /// result had `len` roots there. The copy takes fresh call ids, as
-    /// [`Document::append_copy`] does, and returns its root. Not being a
-    /// splice, it marks the splice journal dirty.
+    /// [`Document::append_copy`] does, and returns its root. A restore
+    /// is no splice, and no [`SpliceOp`] replays it: a publication that
+    /// restored calls states no splices
+    /// ([`crate::VersionedDocument::publish_if`]).
     ///
     /// # Panics
     /// Panics if `call` is not a function node of `src`, or if the run
@@ -1246,7 +1174,6 @@ impl Document {
         call: NodeId,
     ) -> NodeId {
         assert!(src.is_call(call), "restore_call copies a function node");
-        self.journal_dirty = true;
         for k in at..at + len {
             // freeing a subtree leaves its parent's child list as it is
             let node = match parent {
@@ -2239,24 +2166,18 @@ mod tests {
     }
 
     #[test]
-    fn splice_journal_records_and_replays_exactly() {
+    fn splice_by_call_id_replays_exactly() {
         let (mut d, _, call) = sample();
-        d.enable_splice_journal();
-        let mut base = d.clone(); // clone carries the journal state
+        let mut base = d.clone();
         let (cid, _) = d.call_info(call).unwrap();
         let mut res = Forest::new();
         let r = res.add_root("rating-value");
         res.add_text(r, "*****");
         res.add_root_call("getMore");
         d.splice_call(call, &res);
-        let ops = d.take_splice_journal().expect("clean journal");
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].call, cid);
-        // replaying the journal on the pre-state reproduces the post-state,
+        // replaying the splice on the pre-state reproduces the post-state,
         // including the fresh call id drawn from the call counter
-        for op in &ops {
-            base.splice_by_call_id(op.call, &op.result).unwrap();
-        }
+        base.splice_by_call_id(cid, &res).unwrap();
         assert_eq!(
             crate::serialize::to_xml(&base),
             crate::serialize::to_xml(&d)
@@ -2265,33 +2186,8 @@ mod tests {
         let (a, _) = d.call_info(d.calls()[0]).unwrap();
         let (b, _) = base.call_info(base.calls()[0]).unwrap();
         assert_eq!(a, b);
-        // draining left the journal clean and empty
-        assert_eq!(d.take_splice_journal().expect("still clean").len(), 0);
-    }
-
-    #[test]
-    fn non_splice_mutations_dirty_the_journal() {
-        let (mut d, hotel, call) = sample();
-        d.enable_splice_journal();
-        d.splice_call(call, &Forest::new());
-        d.add_element(hotel, "annex");
-        // the delta is no longer pure splices: callers must snapshot
-        assert!(d.take_splice_journal().is_none());
-        // draining reset the journal: the next window is clean again
-        let c2 = d.add_call(hotel, "again");
-        assert!(d.take_splice_journal().is_none()); // add_call dirtied it
-        let (cid2, _) = d.call_info(c2).unwrap();
-        d.splice_call(c2, &Forest::new());
-        let ops = d.take_splice_journal().expect("clean window");
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].call, cid2);
-    }
-
-    #[test]
-    fn journal_disabled_reports_unknown_delta() {
-        let (mut d, _, call) = sample();
-        d.splice_call(call, &Forest::new());
-        assert!(d.take_splice_journal().is_none());
+        // the consumed call is gone, so a second replay finds nothing
+        assert!(base.splice_by_call_id(cid, &res).is_none());
     }
 
     #[test]
@@ -2486,7 +2382,7 @@ mod tests {
                     forest.in_pre_order(),
                     forest.free.is_empty() && walked.eq(0..forest.len())
                 );
-                let inserted = planned.splice_shared(call, forest);
+                let inserted = planned.splice_call(call, forest);
                 prop_assert_eq!(inserted, reference_splice(reference, call, forest));
                 if let Some(step) = after.get(i) {
                     grow(planned, std::slice::from_ref(step));
@@ -2557,7 +2453,7 @@ mod tests {
             }
             let mut reference = planned.clone();
             for call in planned.calls() {
-                planned.splice_shared(call, &reply);
+                planned.splice_call(call, &reply);
                 reference_splice(&mut reference, call, &reply);
                 assert_eq!(state(&planned), state(&reference));
             }
@@ -2596,7 +2492,7 @@ mod tests {
             for d in [&mut a, &mut b] {
                 let mut reference = d.clone();
                 let call = d.calls()[0];
-                d.splice_shared(call, &reply);
+                d.splice_call(call, &reply);
                 reference_splice(&mut reference, call, &reply);
                 assert_eq!(state(d), state(&reference), "round {round}");
                 d.check_integrity().unwrap();

@@ -336,7 +336,7 @@ fn plan_config(opts: &Opts) -> Result<PlanCacheConfig, String> {
 }
 
 /// Builds the durability configuration from `--checkpoint-every N`
-/// (publications between full-document checkpoints, 0 = never; default 8)
+/// (splice records between periodic checkpoints, 0 = never; default 8)
 /// and `--fsync always|never|every:N` (when appended WAL frames are
 /// acknowledged to disk; default `always`).
 fn durability_options(opts: &Opts) -> Result<DurabilityOptions, String> {
